@@ -234,19 +234,54 @@ def finite_difference_check(
     return errors
 
 
+def _relative_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.ndarray:
+    """Cole-Cole law eps_c / eps0 through the factored branch identity
+
+        (j omega tau)^(1-alpha) = exp((1-alpha)(ln omega + ln tau)) e^{j pi (1-alpha)/2},
+
+    which is the principal branch for omega tau > 0. The five parameters
+    share one shape (or are scalars) that broadcasts against ``omega``; the
+    result has at least one dimension. The logarithm of tau and the cosine
+    and sine of the phase are taken at the parameters' own shape, so a
+    state shared by many frequencies pays for them once; 1 / (1 + u) is
+    formed in real arithmetic. Rounding differs from
+    :func:`complex_permittivity` in the last bits, so the structural chain
+    keeps that core.
+    """
+    omega = np.atleast_1d(omega)  # the in-place updates below need arrays
+    order = 1.0 - np.asarray(alpha)
+    phase = 0.5 * np.pi * order
+    magnitude = np.log(omega) + np.log(tau)
+    magnitude *= order
+    np.exp(magnitude, out=magnitude)
+    re = magnitude * np.cos(phase)
+    re += 1.0
+    im = magnitude
+    im *= np.sin(phase)
+    relaxation = re * re
+    relaxation += im * im
+    np.divide(delta_eps, relaxation, out=relaxation)
+    re *= relaxation
+    im *= relaxation
+    im += sigma / (omega * EPSILON_0)
+    result = np.empty(re.shape, dtype=complex)
+    np.add(eps_inf, re, out=result.real)
+    np.negative(im, out=result.imag)
+    return result
+
+
 def exact_contrast(background: ColeColeParams, delta_mu, omega: float) -> complex:
     """Exact electromagnetic contrast (F(mu_b + delta_mu) - eps_b) / eps_b."""
-    delta_mu = np.asarray(delta_mu, dtype=float)
-    perturbed_tau = background.tau + delta_mu[2]
-    if perturbed_tau <= TAU_FLOOR_FRACTION * background.tau:
+    if omega <= 0.0:
+        raise DomainError(f"angular frequency must be positive, got {omega!r}")
+    perturbed = background.perturbed(delta_mu)
+    value = complex(exact_contrast_field(background, delta_mu, omega).ravel()[0])
+    if not np.isfinite(value):
+        culprit = _nonfinite_culprit(perturbed, omega)
         raise DomainError(
-            "perturbed tau fell to "
-            f"{perturbed_tau!r} (floor {TAU_FLOOR_FRACTION * background.tau!r}); "
-            "perturbation scale too large for channel 'tau'"
+            f"contrast overflow at omega={omega!r}; offending parameter {culprit!r}"
         )
-    eps_b = eval_permittivity(background, omega).value
-    eps_perturbed = eval_permittivity(background.perturbed(delta_mu), omega).value
-    return (eps_perturbed - eps_b) / eps_b
+    return value
 
 
 def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega) -> np.ndarray:
@@ -254,20 +289,30 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
 
     ``delta_mu`` has shape (5, ...) with the parameter channel leading;
     ``omega`` broadcasts against the trailing shape. Raises DomainError with
-    the flat offending index if any perturbed tau hits the hard floor.
+    the offending index if any perturbed tau hits the hard floor.
+
+    Background and perturbed states go through the same factored kernel, so
+    a zero perturbation gives exactly zero contrast. Perturbations shaped
+    (5, L, 1, P) against frequencies shaped (N, 1) evaluate the per-state
+    logarithm and phase once per (sample, cell), not once per frequency.
     """
     delta_mu = np.asarray(delta_mu, dtype=float)
-    perturbed_tau = background.tau + delta_mu[2]
-    floor = TAU_FLOOR_FRACTION * background.tau
+    if delta_mu.shape[:1] != (len(PARAMETER_NAMES),):
+        raise DomainError(
+            f"expected 5 stacked Cole-Cole perturbations, got shape {delta_mu.shape}"
+        )
+    base = background.as_array()
+    perturbed_tau = base[2] + delta_mu[2]
+    floor = TAU_FLOOR_FRACTION * base[2]
     if np.any(perturbed_tau <= floor):
         index = np.unravel_index(int(np.argmax(perturbed_tau <= floor)), perturbed_tau.shape)
         raise DomainError(
-            f"perturbed tau at index {index} fell below its floor; "
+            f"perturbed tau at index {index} fell to "
+            f"{float(perturbed_tau[index])!r} (floor {float(floor)!r}); "
             "perturbation scale too large for channel 'tau'"
         )
-    base = background.as_array()
-    eps_b = complex_permittivity(*base, omega)
-    eps_perturbed = complex_permittivity(
+    eps_b = _relative_permittivity(*base, omega)
+    contrast = _relative_permittivity(
         base[0] + delta_mu[0],
         base[1] + delta_mu[1],
         perturbed_tau,
@@ -275,7 +320,9 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
         base[4] + delta_mu[4],
         omega,
     )
-    return (eps_perturbed - eps_b) / eps_b
+    contrast -= eps_b
+    contrast *= 1.0 / eps_b
+    return contrast
 
 
 def linear_contrast(psi: SensitivityVector, delta_mu) -> complex:

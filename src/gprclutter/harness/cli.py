@@ -21,7 +21,7 @@ from ..errors import (
     FormatError,
     GprClutterError,
 )
-from ..forward import assemble_forward
+from ..forward import KERNEL_NAME, assemble_forward
 from ..randfield import RNG_SCHEME
 from ..scene import build_default_geometry, get_scenario
 from ..spectra import clutter_covariance, spectral_summary
@@ -141,7 +141,7 @@ def _cmd_build_forward(config: ExperimentConfig, args) -> int:
         persist_matrix(forward.entries, path)
         sidecar = {
             "scenario": sid,
-            "kernel": "homogeneous-dispersive-scalar",
+            "kernel": KERNEL_NAME,
             "row_order": "row = n * M + m (transmit-major, 0-indexed)",
             "col_order": "col = q * P + p (parameter-block-major, 0-indexed)",
             "cell_order": "p = ix * n_z + iz",
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", action="append", default=None, metavar="ID",
         help="restrict to scenario ID (repeatable or comma separated)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
     for name in _EXPERIMENTS:
         command = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} experiment")
         if name == "closure":
@@ -266,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command is None and not args.print_config:
+        parser.error("the following arguments are required: command")
     if not hasattr(args, "plots"):
         args.plots = False
     try:

@@ -17,8 +17,13 @@ from .. import __version__
 from ..constitutive import ColeColeParams, finite_difference_check, PARAMETER_NAMES
 from ..errors import GprClutterError
 from ..forward import ForwardMatrix, assemble_forward, forward_discrepancy, steering_vector
-from ..montecarlo import closure_report, sample_covariance, simulate_snapshots, validity_scan
-from ..randfield import build_covariance
+from ..montecarlo import (
+    closure_report,
+    sample_covariance,
+    snapshots_from_perturbations,
+    validity_scan,
+)
+from ..randfield import build_covariance, sample_perturbations
 from ..scene import (
     Scenario,
     SceneGeometry,
@@ -295,10 +300,14 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
             forward = assemble_forward(scenario, geometry)
             cov = _covariance(scenario, geometry, rf)
             theory = clutter_covariance(forward, cov)
-            snaps_lin = simulate_snapshots(
-                forward, scenario, geometry, cov, rf.sample_count, rf.seed, "linear")
-            snaps_exact = simulate_snapshots(
-                forward, scenario, geometry, cov, rf.sample_count, rf.seed, "exact")
+            # Both modes synthesize from one draw; release it before the
+            # next scenario draws its own.
+            samples = sample_perturbations(cov, rf.sample_count, rf.seed)
+            snaps_lin = snapshots_from_perturbations(
+                forward, scenario, geometry, samples, "linear")
+            snaps_exact = snapshots_from_perturbations(
+                forward, scenario, geometry, samples, "exact")
+            del samples
             report = closure_report(theory, snaps_lin, snaps_exact)
             result.reports[sid] = report
             table.add_row(scenario=sid, **report.to_dict())

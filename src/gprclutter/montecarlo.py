@@ -7,7 +7,9 @@ by cell and sums the Born integrand with the exact contrast. Comparing the
 two isolates the constitutive linearization error; comparing their sample
 covariances with the propagated theoretical covariance closes the loop on
 the statistical chain. Synthesis is noise-free throughout: the additive
-noise floor enters analytically downstream.
+noise floor enters analytically downstream. Exact contrast is evaluated in
+chunks of at most EXACT_CHUNK_VALUES values, so memory stays bounded for
+any sample count.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import math
 
 import numpy as np
 
-from .constitutive import exact_contrast_field, sensitivity_components
-from .errors import ConfigError, UndefinedSpectrumError
+from .constitutive import DENOMINATOR_FLOOR, exact_contrast_field, sensitivity_components
+from .errors import ConfigError, DomainError, UndefinedSpectrumError
 from .forward import ForwardMatrix, born_kernel_tensor
 from .randfield import N_PARAMS, PerturbationCovariance, sample_perturbations
 from .scene import Scenario, SceneGeometry
@@ -26,13 +28,12 @@ from .spectra import ClutterCovariance, spectral_summary
 
 SNAPSHOT_MODES = ("linear", "exact")
 
-#: Relative-error denominators are floored here (degenerate zero contrast).
-DENOMINATOR_FLOOR = 1e-30
-
 DEFAULT_AMPLITUDE_GRID = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
 
-#: Samples synthesized per chunk in exact mode (bounds peak memory).
-EXACT_CHUNK = 256
+#: Sample x frequency x cell values per exact-contrast chunk (at least one
+#: sample). About 1 MB of complex contrast, so a chunk's temporaries stay in
+#: cache and peak memory does not grow with the sample count.
+EXACT_CHUNK_VALUES = 2**16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,23 +82,43 @@ def nearest_rank_percentile(values: np.ndarray, q: float) -> float:
     return float(np.partition(values, rank)[rank])
 
 
-def _contrast_fields(
-    scenario: Scenario,
-    geometry: SceneGeometry,
-    samples: np.ndarray,
-    mode: str,
+def _linear_contrast(
+    scenario: Scenario, geometry: SceneGeometry, samples: np.ndarray
 ) -> np.ndarray:
-    """Per-cell contrast of each sample at each frequency, shape (L, N, P)."""
-    count = samples.shape[0]
-    n_cells = geometry.n_cells
-    per_channel = samples.reshape(count, N_PARAMS, n_cells)
+    """First-order per-cell contrast of each sample at each frequency, shape (L, N, P)."""
+    per_channel = samples.reshape(samples.shape[0], N_PARAMS, geometry.n_cells)
     omegas = 2.0 * np.pi * geometry.frequencies
-    if mode == "linear":
-        psi = sensitivity_components(*scenario.background.as_array(), omegas)  # (5, N)
-        return np.einsum("qn,lqp->lnp", psi, per_channel)
-    # exact: broadcast (5, L, 1, P) perturbations against (N, 1) frequencies
-    stacked = per_channel.transpose(1, 0, 2)[:, :, None, :]
-    return exact_contrast_field(scenario.background, stacked, omegas[:, None])
+    psi = sensitivity_components(*scenario.background.as_array(), omegas)  # (5, N)
+    return np.einsum("qn,lqp->lnp", psi, per_channel)
+
+
+def _exact_chunks(
+    scenario: Scenario, geometry: SceneGeometry, samples: np.ndarray, scale: float = 1.0
+):
+    """Exact per-cell contrast of ``scale * samples`` in row chunks.
+
+    Yields (rows, contrast) with contrast of shape (chunk, N, P) holding at
+    most EXACT_CHUNK_VALUES values unless one sample alone exceeds that.
+    """
+    omegas = 2.0 * np.pi * geometry.frequencies
+    step = max(1, EXACT_CHUNK_VALUES // (omegas.size * geometry.n_cells))
+    per_channel = samples.reshape(samples.shape[0], N_PARAMS, geometry.n_cells)
+    for start in range(0, samples.shape[0], step):
+        rows = slice(start, min(start + step, samples.shape[0]))
+        # (5, chunk, 1, P) perturbations against (N, 1) frequencies
+        delta = scale * per_channel[rows].transpose(1, 0, 2)[:, :, None, :]
+        try:
+            contrast = exact_contrast_field(scenario.background, delta, omegas[:, None])
+        except DomainError as exc:
+            raise DomainError(f"samples {rows.start}..{rows.stop - 1}: {exc}") from exc
+        yield rows, contrast
+
+
+def _born_sum(kernels: np.ndarray, contrast: np.ndarray, out: np.ndarray) -> None:
+    """Write sum_p kernels[n, m, p] contrast[l, n, p] to out[l, n * M + m]."""
+    n_rx = kernels.shape[1]
+    for n in range(kernels.shape[0]):
+        out[:, n * n_rx:(n + 1) * n_rx] = contrast[:, n, :] @ kernels[n].T
 
 
 def snapshots_from_perturbations(
@@ -121,16 +142,16 @@ def snapshots_from_perturbations(
             f"samples of shape {samples.shape} incompatible with forward {forward.shape}"
         )
     if mode == "linear":
-        return samples @ forward.entries.T
+        # One real GEMM against A^T with each complex entry split into
+        # adjacent (real, imag) columns; the float result read as complex
+        # is the snapshot block, and the samples are never cast to complex.
+        columns = np.ascontiguousarray(forward.entries.T).view(float)
+        return (samples @ columns).view(complex)
 
     kernels = born_kernel_tensor(scenario.background, geometry)  # (N, M, P)
-    count = samples.shape[0]
-    out = np.empty((count, forward.shape[0]), dtype=complex)
-    for start in range(0, count, EXACT_CHUNK):
-        chunk = samples[start:start + EXACT_CHUNK]
-        contrast = _contrast_fields(scenario, geometry, chunk, "exact")
-        block = np.einsum("nmp,lnp->lnm", kernels, contrast)
-        out[start:start + EXACT_CHUNK] = block.reshape(chunk.shape[0], -1)
+    out = np.empty((samples.shape[0], forward.shape[0]), dtype=complex)
+    for rows, contrast in _exact_chunks(scenario, geometry, samples):
+        _born_sum(kernels, contrast, out[rows])
     return out
 
 
@@ -286,20 +307,23 @@ def validity_scan(
         raise ConfigError(f"amplitude grid must be positive ascending, got {grid!r}")
 
     base = sample_perturbations(cov_template.with_amplitude(1.0), sample_count, seed)
+    kernels = born_kernel_tensor(scenario.background, geometry)
+    # The linear model is homogeneous in the amplitude: evaluate it once.
+    contrast_lin = _linear_contrast(scenario, geometry, base)
+    y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
+    err = np.empty(contrast_lin.shape)
+    y_exact = np.empty_like(y_lin)
     p95_contrast, p95_snapshot = [], []
     for s in grid:
-        samples = s * base
-        contrast_lin = _contrast_fields(scenario, geometry, samples, "linear")
-        contrast_exact = _contrast_fields(scenario, geometry, samples, "exact")
-        err = np.abs(contrast_exact - contrast_lin) / np.maximum(
-            np.abs(contrast_exact), DENOMINATOR_FLOOR
-        )
+        for rows, contrast in _exact_chunks(scenario, geometry, base, scale=s):
+            err[rows] = np.abs(contrast - s * contrast_lin[rows]) / np.maximum(
+                np.abs(contrast), DENOMINATOR_FLOOR
+            )
+            _born_sum(kernels, contrast, y_exact[rows])
         p95_contrast.append(nearest_rank_percentile(err, 0.95))
 
-        y_lin = snapshots_from_perturbations(forward, scenario, geometry, samples, "linear")
-        y_exact = snapshots_from_perturbations(forward, scenario, geometry, samples, "exact")
         norms = np.linalg.norm(y_exact, axis=1)
-        rel = np.linalg.norm(y_exact - y_lin, axis=1) / np.maximum(norms, DENOMINATOR_FLOOR)
+        rel = np.linalg.norm(y_exact - s * y_lin, axis=1) / np.maximum(norms, DENOMINATOR_FLOOR)
         p95_snapshot.append(nearest_rank_percentile(rel, 0.95))
 
     recommended = None

@@ -174,14 +174,22 @@ def sample_perturbations(cov: PerturbationCovariance, count: int, seed: int) -> 
     """Draw stacked perturbation samples, shape (count, 5P).
 
     Each sample is amplitude * (L_param x L_spatial) z with z standard
-    normal; the Kronecker product is applied in factored matrix form.
-    Entry q * P + p of a sample is the perturbation of parameter q at cell p.
+    normal; the Kronecker product is applied in factored matrix form: the
+    5x5 parameter mix of every sample, then one GEMM of all 5 * count
+    parameter rows against L_spatial^T. Entry q * P + p of a sample is the
+    perturbation of parameter q at cell p.
+
+    The normals of sample i depend only on (seed, i). The mixed values can
+    differ in the last bit between batch sizes, because the GEMM's
+    rounding depends on the row count.
     """
-    z = standard_normal_draws(cov.dim, count, seed)
-    z = z.reshape(count, N_PARAMS, cov.n_cells)
-    mixed = np.matmul(cov.param_cholesky, z)          # (count, 5, P) over axis 1
-    mixed = np.matmul(mixed, cov.spatial_cholesky.T)  # apply spatial factor per row
-    return cov.amplitude * mixed.reshape(count, cov.dim)
+    z = standard_normal_draws(cov.dim, count, seed).reshape(count, N_PARAMS, cov.n_cells)
+    mixed = np.matmul(cov.param_cholesky, z)
+    del z
+    samples = mixed.reshape(count * N_PARAMS, cov.n_cells) @ cov.spatial_cholesky.T
+    del mixed
+    samples *= cov.amplitude
+    return samples.reshape(count, cov.dim)
 
 
 def sample_perturbations_dense(cov: PerturbationCovariance, count: int, seed: int) -> np.ndarray:

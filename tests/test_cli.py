@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
+import gprclutter
 from gprclutter.harness.cli import main
 from gprclutter.harness.cmat import load_matrix
 
@@ -49,6 +53,33 @@ def test_print_config_round_trips(tmp_path, capsys):
     config_path.write_text(text)
     assert main(["--config", str(config_path), "--print-config", "check-derivatives"]) == 0
     assert capsys.readouterr().out == text
+
+
+def test_print_config_needs_no_subcommand(capsys):
+    assert main(["--print-config"]) == 0
+    assert "scenarios:" in capsys.readouterr().out
+
+
+def test_missing_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([])
+    assert exit_info.value.code == 2
+    assert "required: command" in capsys.readouterr().err
+
+
+def test_cli_import_pulls_in_no_heavy_packages():
+    # Keeps the import closure (and so the CLI's start-up time) to numpy
+    # and PyYAML.
+    src = os.path.dirname(os.path.dirname(gprclutter.__file__))
+    heavy = ("scipy", "matplotlib", "numba", "pandas")
+    code = (
+        "import sys, gprclutter.harness.cli; "
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_output_path_collision_exits_3(tmp_path, capsys):

@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gprclutter import EPSILON_0, ColeColeParams, get_scenario, scenario_registry
 from gprclutter.constitutive import (
     FD_STEP_FLOORS,
+    _relative_permittivity,
+    complex_permittivity,
     eval_permittivity,
     eval_sensitivities,
     exact_contrast,
     exact_contrast_field,
     finite_difference_check,
     linear_contrast,
+    sensitivity_components,
 )
 from gprclutter.errors import DomainError
 
@@ -244,3 +249,42 @@ def test_background_validation_rejects_bad_states():
 
 def test_scenario_registry_is_importable_via_package():
     assert set(scenario_registry()) == {"S1", "S2", "S3", "S4", "S_syn", "S_balance"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    eps_inf=st.floats(1.0, 40.0),
+    delta_eps=st.floats(-0.5, 100.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-12),
+    log_tau=st.floats(-13.0, -4.0),
+    alpha=st.floats(-0.05, 0.99),
+    log_sigma=st.floats(-7.0, -1.0),
+    log_omega=st.floats(7.0, 10.0),
+)
+def test_factored_kernel_matches_complex_power(
+    eps_inf, delta_eps, log_tau, alpha, log_sigma, log_omega
+):
+    # Oracle: the Cole-Cole law with the principal complex power
+    # (j omega tau)^(1-alpha), on admissible and slightly perturbed states.
+    tau, sigma, omega = 10.0**log_tau, 10.0**log_sigma, np.array([10.0**log_omega])
+    u = (1j * omega * tau) ** (1.0 - alpha)
+    relaxation = _relative_permittivity(0.0, delta_eps, tau, alpha, 0.0, omega)
+    assert abs(relaxation - delta_eps / (1.0 + u)) <= 1e-13 * abs(delta_eps / (1.0 + u))
+    full = EPSILON_0 * _relative_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega)
+    reference = complex_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega)
+    assert abs(full - reference) <= 1e-13 * abs(reference)
+
+
+def test_sigma_only_exact_contrast_equals_linear(registry):
+    # The permittivity is affine in sigma, so the exact contrast of a
+    # conductivity-only perturbation is its first-order contrast. The
+    # contrast is a difference of two permittivities divided by eps_b, so
+    # its rounding floor is a few ulp of 1 in absolute terms.
+    omegas = 2 * math.pi * FDA_FREQUENCIES
+    rng = np.random.default_rng(11)
+    for scenario in registry.values():
+        draws = np.zeros((5, 64, 1))
+        draws[4] = 3.0 * scenario.d_mu[4] * rng.standard_normal((64, 1))
+        exact = exact_contrast_field(scenario.background, draws, omegas)  # (64, N)
+        psi = sensitivity_components(*scenario.background.as_array(), omegas)  # (5, N)
+        linear = draws[4] * psi[4]
+        assert np.max(np.abs(exact - linear)) < 1e-15

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gprclutter import GeometryConfig, randfield
 from gprclutter.harness.config import ExperimentConfig, ExperimentSettings, RandomFieldConfig
 from gprclutter.harness.experiments import (
     MetricTable,
@@ -155,6 +156,26 @@ def test_closure_run_reports_small_discrepancies():
     }
     for matrix in result.matrices.values():
         assert matrix.shape == (64, 64)
+
+
+def test_closure_draws_each_sample_once_per_scenario(monkeypatch):
+    # The linear and exact ensembles share one draw per scenario.
+    rows = []
+    original = randfield.standard_normal_draws
+
+    def counting(dim, count, seed):
+        rows.append(count)
+        return original(dim, count, seed)
+
+    monkeypatch.setattr(randfield, "standard_normal_draws", counting)
+    config = _config(
+        scenarios=("S1", "S4"),
+        geometry=GeometryConfig(n_tx=2, n_rx=2, n_x=3, n_z=2),
+        random_field=dataclasses.replace(RandomFieldConfig(), sample_count=16),
+    )
+    result = run_closure(config)
+    assert result.ok
+    assert rows == [16, 16]
 
 
 def test_lx_scan_concentrates_the_spectrum():

@@ -13,6 +13,7 @@ from gprclutter import (
     exact_contrast,
     get_scenario,
     green_kernel,
+    montecarlo,
 )
 from gprclutter.errors import ConfigError, DomainError, UndefinedSpectrumError
 from gprclutter.montecarlo import (
@@ -202,3 +203,27 @@ def test_exact_mode_domain_violation_names_the_cell():
     samples[0, tau_block] = -scenario.background.tau  # drives tau to zero
     with pytest.raises(DomainError, match="tau"):
         snapshots_from_perturbations(forward, scenario, geometry, samples, "exact")
+
+
+def test_exact_synthesis_is_invariant_to_the_chunk_budget(monkeypatch):
+    geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
+    samples = sample_perturbations(cov, 12, seed=8)
+
+    def run():
+        snaps = snapshots_from_perturbations(forward, scenario, geometry, samples, "exact")
+        report = validity_scan(forward, scenario, geometry, cov, sample_count=12, seed=8)
+        return snaps, report
+
+    snaps, report = run()
+    monkeypatch.setattr(montecarlo, "EXACT_CHUNK_VALUES", 1)  # one sample per chunk
+    snaps_rows, report_rows = run()
+    assert np.max(np.abs(snaps_rows - snaps)) <= 1e-13 * np.max(np.abs(snaps))
+    assert np.allclose(report_rows.p95_contrast_error, report.p95_contrast_error,
+                       rtol=1e-13, atol=0.0)
+    # The snapshot error divides a difference of nearly equal snapshots, so
+    # the GEMM's row-count-dependent rounding shows in it magnified; an
+    # absolute bound on this dimensionless error still catches any row
+    # misplaced between chunks.
+    assert np.allclose(report_rows.p95_snapshot_error, report.p95_snapshot_error,
+                       rtol=0.0, atol=1e-13)
+    assert report_rows.recommended_s_mu == report.recommended_s_mu
