@@ -24,6 +24,9 @@ from .errors import DomainError, SingularBackgroundError
 
 PARAMETER_NAMES = ("eps_inf", "delta_eps", "tau", "alpha", "sigma")
 
+#: Number of Cole-Cole parameter channels.
+N_PARAMS = len(PARAMETER_NAMES)
+
 #: Absolute finite-difference steps used when a parameter is exactly zero
 #: (matched to the natural scale of each channel).
 FD_STEP_FLOORS = np.array([1e-5, 1e-5, 1e-17, 1e-5, 1e-9])

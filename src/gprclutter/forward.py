@@ -16,11 +16,17 @@ swapped in without touching the covariance layer.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
 from .constants import MU_0
-from .constitutive import ColeColeParams, complex_permittivity, sensitivity_components
+from .constitutive import (
+    N_PARAMS,
+    ColeColeParams,
+    complex_permittivity,
+    sensitivity_components,
+)
 from .errors import AssemblyError, ConfigError, NearSingularityError
 from .scene import Scenario, SceneGeometry
 
@@ -29,8 +35,6 @@ MIN_SEPARATION = 1e-6
 
 #: Identifier recorded in persisted metadata.
 KERNEL_NAME = "homogeneous-dispersive-scalar"
-
-N_PARAMS = 5
 
 
 def background_wavenumber(background: ColeColeParams, omega: float) -> complex:
@@ -89,14 +93,22 @@ def born_kernel_tensor(background: ColeColeParams, geometry: SceneGeometry) -> n
 
 @dataclasses.dataclass(frozen=True)
 class ForwardMatrix:
-    """The stacked Born observation operator, shape (M N, 5 P).
+    """The stacked Born observation operator, shape (M N, 5 P), in factored form.
 
     Row (m, n) -> n * M + m; column (q, p) -> q * P + p, i.e. channels are
     stacked transmit-major and columns parameter-block major. Entries carry
     units of m^3 per physical unit of the corresponding parameter channel.
+
+    The background is homogeneous, so block q is the two-way kernel matrix
+    with each row scaled by the sensitivity of its transmit frequency:
+    A_q = D_q K with K = ``kernels`` (M N x P, rows ordered like A) and
+    D_q = diag(psi_q(omega_n)) repeated over the M receivers, psi_q(omega_n)
+    = ``sensitivities[q, n]``. The dense ``entries`` are assembled from the
+    factors on first access and cached.
     """
 
-    entries: np.ndarray
+    kernels: np.ndarray
+    sensitivities: np.ndarray
     n_tx: int
     n_rx: int
     n_cells: int
@@ -104,14 +116,31 @@ class ForwardMatrix:
     geometry_fingerprint: str
 
     def __post_init__(self):
-        expected = (self.n_tx * self.n_rx, N_PARAMS * self.n_cells)
-        if self.entries.shape != expected:
-            raise AssemblyError(f"forward matrix shape {self.entries.shape} != {expected}")
-        self.entries.flags.writeable = False
+        for name, expected in (
+            ("kernels", (self.n_tx * self.n_rx, self.n_cells)),
+            ("sensitivities", (N_PARAMS, self.n_tx)),
+        ):
+            value = getattr(self, name)
+            if value.shape != expected:
+                raise AssemblyError(f"forward {name} shape {value.shape} != {expected}")
+            value.flags.writeable = False
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+        return (self.n_tx * self.n_rx, N_PARAMS * self.n_cells)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """The dense (M N, 5 P) matrix, entry psi_q(omega_n) * K[(m, n), p]."""
+        n_rx, n_cells = self.n_rx, self.n_cells
+        entries = np.empty(self.shape, dtype=complex)
+        for n in range(self.n_tx):
+            rows = slice(n * n_rx, (n + 1) * n_rx)
+            for q in range(N_PARAMS):
+                cols = slice(q * n_cells, (q + 1) * n_cells)
+                entries[rows, cols] = self.sensitivities[q, n] * self.kernels[rows]
+        entries.flags.writeable = False
+        return entries
 
     def row_index(self, m: int, n: int) -> int:
         """Row of receive element m, transmit element n (0-indexed)."""
@@ -125,10 +154,9 @@ class ForwardMatrix:
         """The (M N, P) block of parameter channel q."""
         return self.entries[:, q * self.n_cells:(q + 1) * self.n_cells]
 
-    def channel_blocks(self) -> np.ndarray:
-        """All parameter blocks, shape (5, M N, P)."""
-        mn = self.n_tx * self.n_rx
-        return self.entries.reshape(mn, N_PARAMS, self.n_cells).transpose(1, 0, 2)
+    def row_sensitivities(self) -> np.ndarray:
+        """psi_q(omega_n) of every row (m, n), shape (5, M N)."""
+        return np.repeat(self.sensitivities, self.n_rx, axis=1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,29 +184,24 @@ def assemble_forward(scenario: Scenario, geometry: SceneGeometry) -> ForwardMatr
     Entry at row (m, n), column (q, p) is the receive kernel times the
     contrast sensitivity psi_q(omega_n) times the transmit kernel times the
     cell volume. The background is homogeneous, so psi_q depends only on
-    the channel frequency.
+    the channel frequency and the operator is kept as its two factors.
     """
-    kernels = born_kernel_tensor(scenario.background, geometry)
     n_tx, n_rx, n_cells = geometry.n_tx, geometry.n_rx, geometry.n_cells
+    kernels = born_kernel_tensor(scenario.background, geometry).reshape(n_tx * n_rx, n_cells)
     omegas = 2.0 * np.pi * geometry.frequencies
     psi = sensitivity_components(*scenario.background.as_array(), omegas)  # (5, N)
 
-    entries = np.empty((n_rx * n_tx, N_PARAMS * n_cells), dtype=complex)
-    for n in range(n_tx):
-        rows = slice(n * n_rx, (n + 1) * n_rx)
-        for q in range(N_PARAMS):
-            cols = slice(q * n_cells, (q + 1) * n_cells)
-            entries[rows, cols] = psi[q, n] * kernels[n]
-
-    if not np.all(np.isfinite(entries)):
-        flat = int(np.flatnonzero(~np.isfinite(entries.ravel()))[0])
-        row, col = divmod(flat, N_PARAMS * n_cells)
+    if not np.all(np.isfinite(kernels)):
+        row, p = divmod(int(np.flatnonzero(~np.isfinite(kernels.ravel()))[0]), n_cells)
         n, m = divmod(row, n_rx)
-        q, p = divmod(col, n_cells)
-        raise AssemblyError(f"non-finite forward entry at (m={m}, n={n}, q={q}, p={p})")
+        raise AssemblyError(f"non-finite forward kernel at (m={m}, n={n}, p={p})")
+    if not np.all(np.isfinite(psi)):
+        q, n = divmod(int(np.flatnonzero(~np.isfinite(psi.ravel()))[0]), n_tx)
+        raise AssemblyError(f"non-finite forward sensitivity at (q={q}, n={n})")
 
     return ForwardMatrix(
-        entries=entries,
+        kernels=kernels,
+        sensitivities=psi,
         n_tx=n_tx,
         n_rx=n_rx,
         n_cells=n_cells,

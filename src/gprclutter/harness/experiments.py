@@ -163,16 +163,7 @@ def _structural_metrics(
     """The standard metric block at one configuration point."""
     forward = assemble_forward(scenario, geometry)
     summary = spectral_summary(clutter_covariance(forward, cov))
-    steering = steering_vector(geometry, scenario, target)
-    eta, gamma = target_overlap(summary, steering, summary.p_rho[0.9])
-    return {
-        "r_eff": summary.r_eff,
-        "p_0.9": summary.p_rho[0.9],
-        "p_0.95": summary.p_rho[0.95],
-        "eta_0.9": eta,
-        "gamma_0.9": gamma,
-        "trace": summary.trace,
-    }
+    return _summary_metrics(summary, steering_vector(geometry, scenario, target))
 
 
 def _summary_metrics(summary, steering) -> dict:
@@ -266,12 +257,18 @@ def run_fda_scan(config: ExperimentConfig) -> ExperimentResult:
         _provenance(config),
     )
     result = ExperimentResult("fda_scan", table)
+    # The cell grid, and with it the field covariance, does not depend on
+    # delta_f: build one covariance per scenario and one geometry per delta_f.
+    base = _geometry(config)
+    geometries: dict[float, SceneGeometry] = {}
     for sid in config.scenarios:
         try:
             scenario = get_scenario(sid)
+            cov = _covariance(scenario, base, config.random_field)
             for delta_f in exp.delta_f_grid:
-                geometry = _geometry(config, delta_f=delta_f)
-                cov = _covariance(scenario, geometry, config.random_field)
+                if delta_f not in geometries:
+                    geometries[delta_f] = _geometry(config, delta_f=delta_f)
+                geometry = geometries[delta_f]
                 metrics = _structural_metrics(scenario, geometry, cov, exp.target)
                 table.add_row(scenario=sid, delta_f_hz=delta_f, **metrics)
         except GprClutterError as exc:

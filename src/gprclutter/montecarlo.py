@@ -19,10 +19,15 @@ import math
 
 import numpy as np
 
-from .constitutive import DENOMINATOR_FLOOR, exact_contrast_field, sensitivity_components
+from .constitutive import (
+    DENOMINATOR_FLOOR,
+    N_PARAMS,
+    exact_contrast_field,
+    sensitivity_components,
+)
 from .errors import ConfigError, DomainError, UndefinedSpectrumError
-from .forward import ForwardMatrix, born_kernel_tensor
-from .randfield import N_PARAMS, PerturbationCovariance, sample_perturbations
+from .forward import ForwardMatrix
+from .randfield import PerturbationCovariance, sample_perturbations
 from .scene import Scenario, SceneGeometry
 from .spectra import ClutterCovariance, spectral_summary
 
@@ -114,11 +119,12 @@ def _exact_chunks(
         yield rows, contrast
 
 
-def _born_sum(kernels: np.ndarray, contrast: np.ndarray, out: np.ndarray) -> None:
-    """Write sum_p kernels[n, m, p] contrast[l, n, p] to out[l, n * M + m]."""
-    n_rx = kernels.shape[1]
-    for n in range(kernels.shape[0]):
-        out[:, n * n_rx:(n + 1) * n_rx] = contrast[:, n, :] @ kernels[n].T
+def _born_sum(forward: ForwardMatrix, contrast: np.ndarray, out: np.ndarray) -> None:
+    """Write sum_p K[n * M + m, p] contrast[l, n, p] to out[l, n * M + m]."""
+    n_rx = forward.n_rx
+    for n in range(forward.n_tx):
+        rows = slice(n * n_rx, (n + 1) * n_rx)
+        out[:, rows] = contrast[:, n, :] @ forward.kernels[rows].T
 
 
 def snapshots_from_perturbations(
@@ -131,8 +137,8 @@ def snapshots_from_perturbations(
     """Noise-free Born snapshots of given perturbation samples, shape (L, MN).
 
     ``linear`` applies the forward matrix; ``exact`` evaluates the exact
-    contrast per cell and frequency and contracts it against the same
-    two-way kernel tensor that built the forward matrix.
+    contrast per cell and frequency and contracts it against the forward
+    operator's own two-way kernels.
     """
     if mode not in SNAPSHOT_MODES:
         raise ConfigError(f"unknown snapshot mode {mode!r} (known: {SNAPSHOT_MODES})")
@@ -148,10 +154,9 @@ def snapshots_from_perturbations(
         columns = np.ascontiguousarray(forward.entries.T).view(float)
         return (samples @ columns).view(complex)
 
-    kernels = born_kernel_tensor(scenario.background, geometry)  # (N, M, P)
     out = np.empty((samples.shape[0], forward.shape[0]), dtype=complex)
     for rows, contrast in _exact_chunks(scenario, geometry, samples):
-        _born_sum(kernels, contrast, out[rows])
+        _born_sum(forward, contrast, out[rows])
     return out
 
 
@@ -307,7 +312,6 @@ def validity_scan(
         raise ConfigError(f"amplitude grid must be positive ascending, got {grid!r}")
 
     base = sample_perturbations(cov_template.with_amplitude(1.0), sample_count, seed)
-    kernels = born_kernel_tensor(scenario.background, geometry)
     # The linear model is homogeneous in the amplitude: evaluate it once.
     contrast_lin = _linear_contrast(scenario, geometry, base)
     y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
@@ -319,7 +323,7 @@ def validity_scan(
             err[rows] = np.abs(contrast - s * contrast_lin[rows]) / np.maximum(
                 np.abs(contrast), DENOMINATOR_FLOOR
             )
-            _born_sum(kernels, contrast, y_exact[rows])
+            _born_sum(forward, contrast, y_exact[rows])
         p95_contrast.append(nearest_rank_percentile(err, 0.95))
 
         norms = np.linalg.norm(y_exact, axis=1)

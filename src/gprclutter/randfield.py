@@ -19,6 +19,7 @@ import functools
 
 import numpy as np
 
+from .constitutive import N_PARAMS
 from .errors import ConfigError, NonPositiveDefiniteError, SizeCapError
 from .scene import Scenario
 
@@ -34,7 +35,8 @@ RNG_SCHEME = "pcg64-seedseq(master_seed, sample_index)"
 
 SPATIAL_KERNELS = ("squared_exponential", "exponential")
 
-N_PARAMS = 5
+#: Rows per block of the factor symmetry check.
+SYMMETRY_BLOCK = 64
 
 
 def build_spatial_factor(
@@ -48,17 +50,32 @@ def build_spatial_factor(
     """
     if corr_length <= 0.0:
         raise ConfigError(f"correlation length must be positive, got {corr_length!r}")
-    pts = np.asarray(cell_centers, dtype=float)[:, [0, 2]]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist_sq = np.sum(diff * diff, axis=-1)
-    if kernel == "squared_exponential":
-        factor = np.exp(-dist_sq / (2.0 * corr_length * corr_length))
-    elif kernel == "exponential":
-        factor = np.exp(-np.sqrt(dist_sq) / corr_length)
-    else:
+    if kernel not in SPATIAL_KERNELS:
         raise ConfigError(f"unknown spatial kernel {kernel!r} (known: {SPATIAL_KERNELS})")
+    pts = np.asarray(cell_centers, dtype=float)
+    dist_sq = _squared_differences(pts[:, 0])
+    dist_sq += _squared_differences(pts[:, 2])
+    if kernel == "squared_exponential":
+        dist_sq /= -(2.0 * corr_length * corr_length)
+    else:
+        np.sqrt(dist_sq, out=dist_sq)
+        dist_sq /= -corr_length
+    factor = np.exp(dist_sq, out=dist_sq)
     factor[np.diag_indices_from(factor)] += SPATIAL_NUGGET
     return factor
+
+
+def _squared_differences(coords: np.ndarray) -> np.ndarray:
+    """(c_i - c_j)^2 for all pairs, shape (P, P).
+
+    Differences are formed once per pair of distinct values and gathered
+    to the cell pairs: a tensor grid has only n_x (or n_z) distinct values
+    per axis.
+    """
+    values, index = np.unique(coords, return_inverse=True)
+    table = values[:, None] - values[None, :]
+    table *= table
+    return np.take(np.take(table, index, axis=0), index, axis=1)
 
 
 def build_param_factor(scenario: Scenario, weights, rho_c: float) -> np.ndarray:
@@ -97,7 +114,11 @@ class PerturbationCovariance:
         if self.amplitude < 0.0:
             raise ConfigError(f"amplitude must be nonnegative, got {self.amplitude!r}")
         for name, value in (("param_factor", param), ("spatial_factor", spatial)):
-            if not np.allclose(value, value.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(value).max())):
+            # The largest magnitude is nan or inf exactly when an entry is.
+            scale = np.abs(value).max()
+            if not np.isfinite(scale):
+                raise ConfigError(f"{name} has non-finite entries")
+            if _asymmetry(value) > 1e-12 * max(1.0, scale):
                 raise ConfigError(f"{name} must be symmetric")
             value = value.copy()
             value.flags.writeable = False
@@ -126,6 +147,20 @@ class PerturbationCovariance:
             amplitude=amplitude,
             corr_length=self.corr_length,
         )
+
+
+def _asymmetry(matrix: np.ndarray) -> float:
+    """max |m - m^T| over the upper triangle, one block row at a time.
+
+    Each block row is compared with the matching block column, whose
+    transposed read touches short contiguous runs, so the check stays
+    cache-friendly at large P and visits every pair once.
+    """
+    worst = 0.0
+    for start in range(0, matrix.shape[0], SYMMETRY_BLOCK):
+        rows = slice(start, start + SYMMETRY_BLOCK)
+        worst = max(worst, float(np.abs(matrix[rows, start:] - matrix[start:, rows].T).max()))
+    return worst
 
 
 def _cholesky(matrix: np.ndarray, what: str) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Clutter covariance formation and spectral/subspace diagnostics.
 
 The theoretical clutter covariance is the image of the perturbation
-covariance under the Born operator, R_c = A R_mu A^H, computed blockwise
-over the five parameter channels so the Kronecker-form R_mu never has to
-be materialized. Diagnostics are the effective rank (exponential of the
-eigenvalue entropy), threshold subspace dimensions p_rho, and the overlap
-eta / leakage gamma of a steering vector with the dominant eigenspace.
+covariance under the Born operator, R_c = A R_mu A^H. With the factored
+operator A_q = D_q K and R_mu = s^2 B x C it reduces to the Hadamard
+product s^2 (K C K^H) o (Psi^T B Psi^*), so neither the Kronecker-form
+R_mu nor the dense operator is ever materialized. Diagnostics are the
+effective rank (exponential of the eigenvalue entropy), threshold subspace
+dimensions p_rho, and the overlap eta / leakage gamma of a steering vector
+with the dominant eigenspace.
 """
 
 from __future__ import annotations
@@ -99,20 +101,27 @@ class ModalDecomposition:
 def clutter_covariance(
     forward: ForwardMatrix, cov: PerturbationCovariance
 ) -> ClutterCovariance:
-    """Theoretical clutter covariance A R_mu A^H, computed blockwise.
+    """Theoretical clutter covariance A R_mu A^H through the factored operator.
 
-    Uses the separable structure: R_c = s^2 sum_{q,q'} B[q,q'] A_q C A_q'^H
-    with B the parameter factor and C the spatial factor. The result is
+    With A_q = D_q K (``forward.kernels`` and ``forward.sensitivities``),
+    R_c = s^2 sum_{q,q'} B[q,q'] D_q K C K^H D_q'^* = s^2 (K C K^H) o W,
+    where B is the parameter factor, C the spatial factor and W[i, j] =
+    sum_{q,q'} psi_q(row i) B[q,q'] psi_q'(row j)^*. The result is
     Hermitian-symmetrized before it is returned.
     """
     if forward.n_cells != cov.n_cells:
         raise ConfigError(
             f"forward operator has {forward.n_cells} cells, covariance {cov.n_cells}"
         )
-    blocks = forward.channel_blocks()                       # (5, MN, P)
-    propagated = np.matmul(blocks, cov.spatial_factor)      # A_q C
-    weighted = np.einsum("qr,rmp->qmp", cov.param_factor, blocks.conj())
-    matrix = np.tensordot(propagated, weighted, axes=([0, 2], [0, 2]))
+    kernels = forward.kernels
+    # C K^T as one real GEMM on the (re, im) pairs of K^T; C is symmetric,
+    # so this is (K C)^T.
+    propagated = (
+        cov.spatial_factor @ np.ascontiguousarray(kernels.T).view(float)
+    ).view(complex)
+    matrix = propagated.T @ kernels.conj().T                # K C K^H
+    psi = forward.row_sensitivities()                       # (5, MN)
+    matrix *= psi.T @ cov.param_factor @ psi.conj()
     matrix *= cov.amplitude**2
     matrix = 0.5 * (matrix + matrix.conj().T)
     return ClutterCovariance(matrix=matrix, provenance="theoretical")
@@ -186,9 +195,12 @@ def modal_decomposition(
     lam_param, u_param = jacobi_eigh(cov.param_factor)
     lam_spatial, u_spatial = np.linalg.eigh(cov.spatial_factor)
     weights = cov.amplitude**2 * np.outer(lam_param, lam_spatial).ravel()
-    blocks = forward.channel_blocks()            # (5, MN, P)
-    mapped = np.matmul(blocks, u_spatial)        # A_q u_spatial
-    modes = np.einsum("qi,qmj->mij", u_param, mapped).reshape(forward.shape[0], cov.dim)
+    # Mode (i, j) is A (u_param_i x u_spatial_j) = (Psi^T u_param_i) o (K u_spatial_j).
+    mapped = (
+        u_spatial.T @ np.ascontiguousarray(forward.kernels.T).view(float)
+    ).view(complex).T                                       # K u_spatial, (MN, P)
+    coupling = forward.row_sensitivities().T @ u_param      # (MN, 5)
+    modes = (coupling[:, :, None] * mapped[:, None, :]).reshape(forward.shape[0], cov.dim)
     order = np.argsort(weights, kind="stable")[::-1]
     weights = np.clip(weights[order], 0.0, None)
     modes = np.ascontiguousarray(modes[:, order])

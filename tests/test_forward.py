@@ -1,5 +1,6 @@
 """Green kernel, Born operator assembly, steering vectors, discrepancies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +18,11 @@ from gprclutter import (
     green_kernel,
     steering_vector,
 )
+from gprclutter import forward as forward_module
 from gprclutter.constants import MU_0
+from gprclutter.constitutive import sensitivity_components
 from gprclutter.errors import AssemblyError, ConfigError, NearSingularityError
-from gprclutter.forward import ForwardMatrix, background_wavenumber
+from gprclutter.forward import background_wavenumber, born_kernel_tensor
 from gprclutter.scene import Scenario, default_perturbation_scales
 
 OMEGA_100MHZ = 2.0 * math.pi * 100e6
@@ -143,6 +146,41 @@ def test_snapshot_linearity_against_brute_force_loop(small_geometry):
     assert np.linalg.norm(fast - slow) / np.linalg.norm(slow) < 1e-12
 
 
+@pytest.mark.parametrize("sid", ["S1", "S4", "S_balance"])
+def test_entries_match_the_dense_assembly_loop(geometry, sid):
+    # Oracle: the dense block-by-block assembly from the kernel tensor.
+    scenario = get_scenario(sid)
+    kernels = born_kernel_tensor(scenario.background, geometry)
+    psi = sensitivity_components(*scenario.background.as_array(),
+                                 2.0 * np.pi * geometry.frequencies)
+    n_tx, n_rx, n_cells = geometry.n_tx, geometry.n_rx, geometry.n_cells
+    expected = np.empty((n_rx * n_tx, 5 * n_cells), dtype=complex)
+    for n in range(n_tx):
+        for q in range(5):
+            expected[n * n_rx:(n + 1) * n_rx, q * n_cells:(q + 1) * n_cells] = (
+                psi[q, n] * kernels[n])
+    entries = assemble_forward(scenario, geometry).entries
+    assert entries.tobytes() == expected.tobytes()
+    assert not entries.flags.writeable
+
+
+def test_non_finite_factor_is_an_assembly_error(small_geometry, monkeypatch):
+    scenario = get_scenario("S4")
+    kernels = born_kernel_tensor(scenario.background, small_geometry)
+    kernels[1, 0, 4] = np.inf
+    monkeypatch.setattr(forward_module, "born_kernel_tensor", lambda *args: kernels)
+    with pytest.raises(AssemblyError, match=r"kernel at \(m=0, n=1, p=4\)"):
+        assemble_forward(scenario, small_geometry)
+    monkeypatch.undo()
+
+    psi = sensitivity_components(*scenario.background.as_array(),
+                                 2.0 * np.pi * small_geometry.frequencies)
+    psi[3, 1] = np.nan
+    monkeypatch.setattr(forward_module, "sensitivity_components", lambda *args: psi)
+    with pytest.raises(AssemblyError, match=r"sensitivity at \(q=3, n=1\)"):
+        assemble_forward(scenario, small_geometry)
+
+
 def test_assembly_is_deterministic(geometry):
     first = assemble_forward(get_scenario("S3"), geometry)
     second = assemble_forward(get_scenario("S3"), geometry)
@@ -200,14 +238,7 @@ def test_steering_parallel_to_matching_forward_column(geometry):
 def test_discrepancy_identity_and_scaling(geometry):
     forward = assemble_forward(get_scenario("S1"), geometry)
     assert forward_discrepancy(forward, forward) == 0.0
-    doubled = ForwardMatrix(
-        entries=2.0 * forward.entries,
-        n_tx=forward.n_tx,
-        n_rx=forward.n_rx,
-        n_cells=forward.n_cells,
-        scenario_id=forward.scenario_id,
-        geometry_fingerprint=forward.geometry_fingerprint,
-    )
+    doubled = dataclasses.replace(forward, kernels=2.0 * forward.kernels)
     assert forward_discrepancy(forward, doubled) == pytest.approx(0.5, rel=1e-12)
     assert forward_discrepancy(doubled, forward) == pytest.approx(1.0, rel=1e-12)
 

@@ -16,6 +16,8 @@ from gprclutter import (
 )
 from gprclutter.errors import ConfigError, NonPositiveDefiniteError, SizeCapError
 from gprclutter.randfield import (
+    SPATIAL_KERNELS,
+    SPATIAL_NUGGET,
     PerturbationCovariance,
     sample_perturbations_dense,
     standard_normal_draws,
@@ -76,6 +78,67 @@ def test_spatial_distance_uses_xz_plane_only():
     cells[1, 1] = 5.0  # strip axis must not contribute
     factor = build_spatial_factor(cells, 0.15)
     assert factor[0, 1] == pytest.approx(1.0, rel=1e-12)
+
+
+def _pairwise_spatial_factor(cells, corr_length, kernel):
+    # Oracle: every cell pair's (x, z) difference formed directly.
+    pts = np.asarray(cells, dtype=float)[:, [0, 2]]
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist_sq = np.sum(diff * diff, axis=-1)
+    if kernel == "squared_exponential":
+        factor = np.exp(-dist_sq / (2.0 * corr_length * corr_length))
+    else:
+        factor = np.exp(-np.sqrt(dist_sq) / corr_length)
+    factor[np.diag_indices_from(factor)] += SPATIAL_NUGGET
+    return factor
+
+
+def _random_cloud(count, seed):
+    rng = np.random.default_rng(seed)
+    cells = np.zeros((count, 3))
+    cells[:, 0] = rng.uniform(-0.6, 0.6, count)
+    cells[:, 1] = rng.uniform(0.0, 1.0, count)
+    cells[:, 2] = rng.uniform(0.01, 0.5, count)
+    return cells
+
+
+@pytest.mark.parametrize("kernel", SPATIAL_KERNELS)
+@pytest.mark.parametrize("cells", [
+    build_default_geometry().cell_centers,
+    build_default_geometry(GeometryConfig(n_x=48, n_z=36)).cell_centers,
+    _random_cloud(300, seed=1),
+    np.vstack([_random_cloud(100, seed=2)] * 2),
+], ids=["grid25x21", "grid48x36", "cloud", "cloud-repeated"])
+def test_spatial_factor_equals_pairwise_oracle(cells, kernel):
+    for corr_length in (0.05, 0.15, 0.4):
+        assert np.array_equal(
+            build_spatial_factor(cells, corr_length, kernel),
+            _pairwise_spatial_factor(cells, corr_length, kernel),
+        )
+
+
+@pytest.mark.parametrize("name", ["param_factor", "spatial_factor"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_factor_rejected(name, bad):
+    cov = _toy_covariance()
+    factors = {"param_factor": cov.param_factor.copy(),
+               "spatial_factor": cov.spatial_factor.copy()}
+    factors[name][1, 1] = bad
+    with pytest.raises(ConfigError, match=f"{name} has non-finite"):
+        PerturbationCovariance(**factors, amplitude=1.0, corr_length=0.1)
+
+
+def test_asymmetric_factors_rejected():
+    cov = _toy_covariance()
+    param = cov.param_factor.copy()
+    param[0, 4] += 1e-6
+    with pytest.raises(ConfigError, match="param_factor must be symmetric"):
+        PerturbationCovariance(param, cov.spatial_factor, amplitude=1.0, corr_length=0.1)
+    # Several block rows of the check, the defect in the last one.
+    spatial = build_spatial_factor(_line_cells(150), 0.1)
+    spatial[3, 140] += 1e-6
+    with pytest.raises(ConfigError, match="spatial_factor must be symmetric"):
+        PerturbationCovariance(cov.param_factor, spatial, amplitude=1.0, corr_length=0.1)
 
 
 def test_corr_length_must_be_positive():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gprclutter import (
     GeometryConfig,
@@ -15,6 +17,7 @@ from gprclutter import (
     clutter_covariance,
     get_scenario,
     materialize_full,
+    scenario_registry,
     modal_decomposition,
     scale_covariance,
     spectral_summary,
@@ -27,7 +30,7 @@ from gprclutter.errors import (
     SizeCapError,
     UndefinedSpectrumError,
 )
-from gprclutter.randfield import PerturbationCovariance
+from gprclutter.randfield import SPATIAL_KERNELS, PerturbationCovariance, build_covariance
 from gprclutter.spectra import ClutterCovariance, jacobi_eigh
 
 
@@ -60,6 +63,56 @@ def test_blockwise_covariance_matches_dense_oracle():
     fast = clutter_covariance(forward, cov).matrix
     dense = forward.entries @ materialize_full(cov) @ forward.entries.conj().T
     assert np.linalg.norm(fast - dense) / np.linalg.norm(dense) < 1e-12
+
+
+def _assert_matches_dense_oracle(forward, cov, rtol=1e-12):
+    # Dense oracle: A (kron form of R_mu) A^H with the assembled operator.
+    dense = forward.entries @ materialize_full(cov) @ forward.entries.conj().T
+    bound = rtol * np.linalg.norm(dense)
+    assert np.linalg.norm(clutter_covariance(forward, cov).matrix - dense) <= bound
+    assert np.linalg.norm(modal_decomposition(forward, cov).reconstruction - dense) <= bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_tx=st.integers(1, 3),
+    n_rx=st.integers(1, 3),
+    n_x=st.integers(1, 4),
+    n_z=st.integers(1, 4),
+    scenario_id=st.sampled_from(sorted(scenario_registry())),
+    rho_c=st.floats(0.0, 0.95),
+    # Zero or at least 1e-3: smaller weights only add underflow in B.
+    weights=st.lists(st.just(0.0) | st.floats(1e-3, 3.0), min_size=5, max_size=5),
+    corr_length=st.floats(0.02, 0.5),
+    kernel=st.sampled_from(SPATIAL_KERNELS),
+    log_amplitude=st.floats(-3.0, 3.0),
+)
+def test_factored_covariance_matches_dense_oracle(
+    n_tx, n_rx, n_x, n_z, scenario_id, rho_c, weights, corr_length, kernel, log_amplitude
+):
+    geometry = build_default_geometry(GeometryConfig(n_tx=n_tx, n_rx=n_rx, n_x=n_x, n_z=n_z))
+    scenario = get_scenario(scenario_id)
+    cov = build_covariance(scenario, geometry.cell_centers, corr_length, rho_c, weights,
+                           amplitude=10.0**log_amplitude, kernel=kernel)
+    _assert_matches_dense_oracle(assemble_forward(scenario, geometry), cov)
+
+
+def test_factored_covariance_matches_dense_oracle_at_default_size(geometry, make_covariance):
+    # 8x8 array, 25x21 grid: 5P = 2625 stays under the materialization cap.
+    scenario = get_scenario("S4")
+    _assert_matches_dense_oracle(
+        assemble_forward(scenario, geometry), make_covariance(scenario, geometry))
+
+
+def test_structural_path_never_assembles_the_dense_operator(geometry, make_covariance):
+    scenario = get_scenario("S4")
+    forward = assemble_forward(scenario, geometry)
+    cov = make_covariance(scenario, geometry)
+    summary = spectral_summary(clutter_covariance(forward, cov))
+    steering = steering_vector(geometry, scenario, (0.0, 0.0, 0.2625))
+    target_overlap(summary, steering, summary.p_rho[0.9])
+    modal_decomposition(forward, cov)
+    assert "entries" not in forward.__dict__
 
 
 def test_channel_block_sum_equals_direct_product():
