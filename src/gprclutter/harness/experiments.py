@@ -154,16 +154,9 @@ def preset_weights(preset: str) -> np.ndarray:
     return weights
 
 
-def _structural_metrics(
-    scenario: Scenario,
-    geometry: SceneGeometry,
-    cov,
-    target,
-) -> dict:
+def _structural_metrics(forward: ForwardMatrix, steering, cov) -> dict:
     """The standard metric block at one configuration point."""
-    forward = assemble_forward(scenario, geometry)
-    summary = spectral_summary(clutter_covariance(forward, cov))
-    return _summary_metrics(summary, steering_vector(geometry, scenario, target))
+    return _summary_metrics(spectral_summary(clutter_covariance(forward, cov)), steering)
 
 
 def _summary_metrics(summary, steering) -> dict:
@@ -269,7 +262,11 @@ def run_fda_scan(config: ExperimentConfig) -> ExperimentResult:
                 if delta_f not in geometries:
                     geometries[delta_f] = _geometry(config, delta_f=delta_f)
                 geometry = geometries[delta_f]
-                metrics = _structural_metrics(scenario, geometry, cov, exp.target)
+                metrics = _structural_metrics(
+                    assemble_forward(scenario, geometry),
+                    steering_vector(geometry, scenario, exp.target),
+                    cov,
+                )
                 table.add_row(scenario=sid, delta_f_hz=delta_f, **metrics)
         except GprClutterError as exc:
             result.errors[sid] = str(exc)
@@ -330,9 +327,11 @@ def run_lx_scan(config: ExperimentConfig) -> ExperimentResult:
     geometry = _geometry(config)
     try:
         scenario = get_scenario(sid)
+        forward = assemble_forward(scenario, geometry)
+        steering = steering_vector(geometry, scenario, exp.target)
         for corr_length in exp.corr_length_grid:
             cov = _covariance(scenario, geometry, config.random_field, corr_length=corr_length)
-            metrics = _structural_metrics(scenario, geometry, cov, exp.target)
+            metrics = _structural_metrics(forward, steering, cov)
             table.add_row(scenario=sid, corr_length_m=corr_length, **metrics)
     except GprClutterError as exc:
         result.errors[sid] = str(exc)
@@ -352,15 +351,17 @@ def run_coupling_scan(config: ExperimentConfig) -> ExperimentResult:
     geometry = _geometry(config)
     try:
         scenario = get_scenario(sid)
+        forward = assemble_forward(scenario, geometry)
+        steering = steering_vector(geometry, scenario, exp.target)
         for rho_c in exp.rho_c_grid:
             cov = _covariance(scenario, geometry, config.random_field, rho_c=rho_c)
-            metrics = _structural_metrics(scenario, geometry, cov, exp.target)
+            metrics = _structural_metrics(forward, steering, cov)
             table.add_row(scenario=sid, configuration=f"rho_c={rho_c:g}",
                           rho_c=rho_c, weight_preset=None, **metrics)
         for preset in exp.weight_presets:
             cov = _covariance(
                 scenario, geometry, config.random_field, weights=preset_weights(preset))
-            metrics = _structural_metrics(scenario, geometry, cov, exp.target)
+            metrics = _structural_metrics(forward, steering, cov)
             table.add_row(scenario=sid, configuration=f"weights={preset}",
                           rho_c=config.random_field.rho_c, weight_preset=preset, **metrics)
     except GprClutterError as exc:

@@ -5,16 +5,22 @@ The covariance of the stacked physical perturbation vector is
     R_mu = s_mu^2 * (D W Rho W D) x C,
 
 a Kronecker product of a 5x5 parameter factor (scales D, weights W, uniform
-cross-correlation Rho) and a PxP spatial correlation factor. Sampling uses
-the factorized Cholesky identity chol(A x B) = chol(A) x chol(B); each
-sample's standard normals come from a private substream keyed on
-(master seed, sample index), so draws are reproducible and independent of
-batching or worker count.
+cross-correlation Rho) and a PxP spatial correlation factor C (nugget
+included). On the tensor grid the squared-exponential kernel separates per
+axis, C = C_x x C_z + nugget I, and the spatial factor is held as C_x and
+C_z alone: products, the sampler's square root and the eigenvectors all go
+through the two axis factors and the PxP matrix is never formed. Samples
+are amplitude * (L_param x S) z with L_param the Cholesky factor of the
+parameter factor and S S^T = C: S is the Cholesky factor of a dense C, and
+the exact eigen root (U_x x U_z) diag(sqrt(lam_x x lam_z + nugget)) of a
+separable one. Each sample's standard normals come from a private substream
+keyed on (master seed, sample index), so draws are reproducible and
+independent of batching or worker count.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import functools
 
 import numpy as np
@@ -27,11 +33,22 @@ from .scene import Scenario
 #: large correlation lengths make it numerically rank deficient.
 SPATIAL_NUGGET = 1e-10
 
+# The nugget as a unit diagonal holds it, fl(1 + SPATIAL_NUGGET) - 1. The
+# separable path adds this value, so that it applies the same diagonal as
+# the dense factor; the tail of the clutter spectrum sits at nugget level
+# and resolves the 1e-16 difference.
+_STORED_NUGGET = (1.0 + SPATIAL_NUGGET) - 1.0
+
 #: materialize_full refuses matrices with more rows than this.
 MATERIALIZE_ROW_CAP = 10_000
 
-#: Identifier of the sampling RNG scheme, recorded in output metadata.
-RNG_SCHEME = "pcg64-seedseq(master_seed, sample_index)"
+#: Identifier of the sampling RNG scheme and of the spatial square root,
+#: recorded in output metadata.
+RNG_SCHEME = (
+    "pcg64-seedseq(master_seed, sample_index); spatial root: "
+    "axis eigen root (U_x x U_z) sqrt(lam_x x lam_z + nugget) on a separable grid, "
+    "cholesky otherwise"
+)
 
 SPATIAL_KERNELS = ("squared_exponential", "exponential")
 
@@ -48,10 +65,7 @@ def build_spatial_factor(
     exponential kernel exp(-d / l) is available behind the same interface.
     One isotropic length governs both axes.
     """
-    if corr_length <= 0.0:
-        raise ConfigError(f"correlation length must be positive, got {corr_length!r}")
-    if kernel not in SPATIAL_KERNELS:
-        raise ConfigError(f"unknown spatial kernel {kernel!r} (known: {SPATIAL_KERNELS})")
+    _check_kernel(corr_length, kernel)
     pts = np.asarray(cell_centers, dtype=float)
     dist_sq = _squared_differences(pts[:, 0])
     dist_sq += _squared_differences(pts[:, 2])
@@ -65,6 +79,20 @@ def build_spatial_factor(
     return factor
 
 
+def _check_kernel(corr_length: float, kernel: str) -> None:
+    if corr_length <= 0.0:
+        raise ConfigError(f"correlation length must be positive, got {corr_length!r}")
+    if kernel not in SPATIAL_KERNELS:
+        raise ConfigError(f"unknown spatial kernel {kernel!r} (known: {SPATIAL_KERNELS})")
+
+
+def _pairwise_squares(values: np.ndarray) -> np.ndarray:
+    """(v_i - v_j)^2 for all pairs of a 1-D array."""
+    table = values[:, None] - values[None, :]
+    table *= table
+    return table
+
+
 def _squared_differences(coords: np.ndarray) -> np.ndarray:
     """(c_i - c_j)^2 for all pairs, shape (P, P).
 
@@ -73,9 +101,43 @@ def _squared_differences(coords: np.ndarray) -> np.ndarray:
     per axis.
     """
     values, index = np.unique(coords, return_inverse=True)
-    table = values[:, None] - values[None, :]
-    table *= table
+    table = _pairwise_squares(values)
     return np.take(np.take(table, index, axis=0), index, axis=1)
+
+
+def _grid_axes(cell_centers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct x and z values when the cells form the tensor grid.
+
+    That is: n_x * n_z = P cells whose row p is cell (ix, iz) with
+    p = ix * n_z + iz, ix and iz counting the ascending distinct values.
+    Any other cell set gives None.
+    """
+    pts = np.asarray(cell_centers, dtype=float)
+    xs, ix = np.unique(pts[:, 0], return_inverse=True)
+    zs, iz = np.unique(pts[:, 2], return_inverse=True)
+    rows = np.arange(pts.shape[0])
+    if xs.size * zs.size != rows.size:
+        return None
+    if np.any(ix != rows // zs.size) or np.any(iz != rows % zs.size):
+        return None
+    return xs, zs
+
+
+def _kron_rows(block: np.ndarray, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """block @ kron(a, b)^T for a C-contiguous (m, n_x * n_z) block.
+
+    Row r, read as the n_x x n_z matrix Y, maps to a Y b^T: b acts on the
+    trailing axis as one GEMM of the (m * n_x, n_z) reshape, then a acts on
+    the middle axis of the (m, n_x, n_z) product. kron(a, b) is never
+    formed. ``out`` may be ``block`` itself, which the first product has
+    already consumed.
+    """
+    rows = block.shape[0]
+    n_x, n_z = a.shape[0], b.shape[0]
+    inner = (block.reshape(rows * n_x, n_z) @ b.T).reshape(rows, n_x, n_z)
+    if out is not None:
+        out = out.reshape(rows, n_x, n_z)
+    return np.matmul(a, inner, out=out).reshape(rows, n_x * n_z)
 
 
 def build_param_factor(scenario: Scenario, weights, rho_c: float) -> np.ndarray:
@@ -91,42 +153,68 @@ def build_param_factor(scenario: Scenario, weights, rho_c: float) -> np.ndarray:
     return scaled[:, None] * rho * scaled[None, :]
 
 
-@dataclasses.dataclass(frozen=True)
 class PerturbationCovariance:
     """R_mu in Kronecker form plus its sampler inputs.
 
-    The full 5P x 5P matrix amplitude^2 * (param_factor x spatial_factor)
-    is only ever materialized on request (and below a size cap).
+    The spatial factor C is given either dense, as the P x P
+    ``spatial_factor`` with the nugget, or separable, as the pair
+    ``spatial_axes = (C_x, C_z)`` of n_x x n_x and n_z x n_z axis factors
+    without it: for cells ordered p = ix * n_z + iz,
+    C = C_x x C_z + SPATIAL_NUGGET * I. Products with C, its square root
+    and its eigenvectors then go through the axis factors; the dense
+    ``spatial_factor`` is formed only when read, like the full 5P x 5P
+    matrix amplitude^2 * (param_factor x spatial_factor), which only
+    :func:`materialize_full` forms. Instances are immutable.
     """
 
-    param_factor: np.ndarray
-    spatial_factor: np.ndarray
-    amplitude: float
-    corr_length: float
-
-    def __post_init__(self):
-        param = np.asarray(self.param_factor, dtype=float)
-        spatial = np.asarray(self.spatial_factor, dtype=float)
+    def __init__(
+        self,
+        param_factor: np.ndarray,
+        spatial_factor: np.ndarray | None = None,
+        *,
+        amplitude: float,
+        corr_length: float,
+        spatial_axes: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        if (spatial_factor is None) == (spatial_axes is None):
+            raise ConfigError("give exactly one of spatial_factor and spatial_axes")
+        param = np.asarray(param_factor, dtype=float)
         if param.shape != (N_PARAMS, N_PARAMS):
             raise ConfigError(f"param factor must be 5x5, got {param.shape}")
-        if spatial.ndim != 2 or spatial.shape[0] != spatial.shape[1]:
-            raise ConfigError(f"spatial factor must be square, got {spatial.shape}")
-        if self.amplitude < 0.0:
-            raise ConfigError(f"amplitude must be nonnegative, got {self.amplitude!r}")
-        for name, value in (("param_factor", param), ("spatial_factor", spatial)):
-            # The largest magnitude is nan or inf exactly when an entry is.
-            scale = np.abs(value).max()
-            if not np.isfinite(scale):
-                raise ConfigError(f"{name} has non-finite entries")
-            if _asymmetry(value) > 1e-12 * max(1.0, scale):
-                raise ConfigError(f"{name} must be symmetric")
-            value = value.copy()
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        _check_amplitude(amplitude)
+        if spatial_axes is None:
+            dense, axes = _frozen_factor("spatial_factor", spatial_factor), None
+        else:
+            c_x, c_z = spatial_axes
+            dense = None
+            axes = (_frozen_factor("spatial_axes[0]", c_x), _frozen_factor("spatial_axes[1]", c_z))
+        self.__dict__.update(
+            param_factor=_frozen_factor("param_factor", param),
+            spatial_axes=axes,
+            _dense=dense,
+            amplitude=amplitude,
+            corr_length=corr_length,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @functools.cached_property
+    def spatial_factor(self) -> np.ndarray:
+        """The dense P x P spatial factor with the nugget."""
+        if self.spatial_axes is None:
+            return self._dense
+        factor = np.kron(*self.spatial_axes)
+        factor[np.diag_indices_from(factor)] += SPATIAL_NUGGET
+        factor.flags.writeable = False
+        return factor
 
     @property
     def n_cells(self) -> int:
-        return self.spatial_factor.shape[0]
+        if self.spatial_axes is None:
+            return self._dense.shape[0]
+        c_x, c_z = self.spatial_axes
+        return c_x.shape[0] * c_z.shape[0]
 
     @property
     def dim(self) -> int:
@@ -140,13 +228,68 @@ class PerturbationCovariance:
     def spatial_cholesky(self) -> np.ndarray:
         return _cholesky(self.spatial_factor, "spatial factor")
 
+    @functools.cached_property
+    def _spatial_eigh(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Eigenvalues of C and its eigenvectors, as (U,) or as (U_x, U_z).
+
+        Separable: lam_x x lam_z + nugget, with eigenvectors U_x x U_z in
+        the same order.
+        """
+        if self.spatial_axes is None:
+            lam, vectors = np.linalg.eigh(self._dense)
+            return lam, (vectors,)
+        (lam_x, u_x), (lam_z, u_z) = (np.linalg.eigh(f) for f in self.spatial_axes)
+        lam = np.outer(lam_x, lam_z).ravel()
+        lam += _STORED_NUGGET
+        return lam, (u_x, u_z)
+
+    @property
+    def spatial_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of C, in the column order of :meth:`spatial_mode_product`."""
+        return self._spatial_eigh[0]
+
+    def spatial_product(self, block: np.ndarray) -> np.ndarray:
+        """block @ C for a real (m, P) block."""
+        if self.spatial_axes is None:
+            return block @ self._dense
+        product = _kron_rows(block, *self.spatial_axes)
+        product += _STORED_NUGGET * block
+        return product
+
+    def spatial_mode_product(self, block: np.ndarray) -> np.ndarray:
+        """block @ U for a real (m, P) block, U the eigenvectors of C as columns."""
+        vectors = self._spatial_eigh[1]
+        if self.spatial_axes is None:
+            return block @ vectors[0]
+        u_x, u_z = vectors
+        return _kron_rows(block, u_x.T, u_z.T)
+
     def with_amplitude(self, amplitude: float) -> "PerturbationCovariance":
-        return PerturbationCovariance(
-            param_factor=self.param_factor,
-            spatial_factor=self.spatial_factor,
-            amplitude=amplitude,
-            corr_length=self.corr_length,
-        )
+        """The same factors, and their cached factorizations, at another amplitude."""
+        _check_amplitude(amplitude)
+        clone = copy.copy(self)
+        clone.__dict__["amplitude"] = amplitude
+        return clone
+
+
+def _check_amplitude(amplitude: float) -> None:
+    if amplitude < 0.0:
+        raise ConfigError(f"amplitude must be nonnegative, got {amplitude!r}")
+
+
+def _frozen_factor(name: str, value) -> np.ndarray:
+    """A read-only copy of a square, finite, symmetric factor."""
+    value = np.array(value, dtype=float)
+    if value.ndim != 2 or value.shape[0] != value.shape[1]:
+        raise ConfigError(f"{name} must be square, got {value.shape}")
+    # The largest magnitude is nan or inf exactly when an entry is.
+    scale = np.abs(value).max()
+    if not np.isfinite(scale):
+        raise ConfigError(f"{name} has non-finite entries")
+    if _asymmetry(value) > 1e-12 * max(1.0, scale):
+        raise ConfigError(f"{name} must be symmetric")
+    value.flags.writeable = False
+    return value
 
 
 def _asymmetry(matrix: np.ndarray) -> float:
@@ -181,10 +324,29 @@ def build_covariance(
     amplitude: float,
     kernel: str = "squared_exponential",
 ) -> PerturbationCovariance:
-    """Convenience constructor assembling both Kronecker factors."""
+    """Convenience constructor assembling both Kronecker factors.
+
+    The squared-exponential kernel separates per axis,
+    exp(-(dx^2 + dz^2) / (2 l^2)) = exp(-dx^2 / (2 l^2)) exp(-dz^2 / (2 l^2)),
+    so on cells forming the tensor grid (see :class:`SceneGeometry`) the
+    spatial factor is built as its axis factors over the distinct x and z
+    values. The exponential kernel, which does not separate, and any other
+    cell set get the dense :func:`build_spatial_factor`.
+    """
+    param = build_param_factor(scenario, weights, rho_c)
+    axes = _grid_axes(cell_centers) if kernel == "squared_exponential" else None
+    if axes is None:
+        return PerturbationCovariance(
+            param_factor=param,
+            spatial_factor=build_spatial_factor(cell_centers, corr_length, kernel),
+            amplitude=amplitude,
+            corr_length=corr_length,
+        )
+    _check_kernel(corr_length, kernel)
+    scale = -(2.0 * corr_length * corr_length)
     return PerturbationCovariance(
-        param_factor=build_param_factor(scenario, weights, rho_c),
-        spatial_factor=build_spatial_factor(cell_centers, corr_length, kernel),
+        param_factor=param,
+        spatial_axes=tuple(np.exp(_pairwise_squares(v) / scale) for v in axes),
         amplitude=amplitude,
         corr_length=corr_length,
     )
@@ -208,11 +370,16 @@ def standard_normal_draws(dim: int, count: int, seed: int) -> np.ndarray:
 def sample_perturbations(cov: PerturbationCovariance, count: int, seed: int) -> np.ndarray:
     """Draw stacked perturbation samples, shape (count, 5P).
 
-    Each sample is amplitude * (L_param x L_spatial) z with z standard
-    normal; the Kronecker product is applied in factored matrix form: the
-    5x5 parameter mix of every sample, then one GEMM of all 5 * count
-    parameter rows against L_spatial^T. Entry q * P + p of a sample is the
-    perturbation of parameter q at cell p.
+    Each sample is amplitude * (L_param x S) z with z standard normal,
+    L_param the Cholesky factor of the parameter factor and S S^T = C. The
+    Kronecker product is applied in factored matrix form: the 5x5
+    parameter mix of every sample, then S on all 5 * count parameter rows
+    at once. S is the Cholesky factor of a dense C, applied as one GEMM. A
+    separable C takes the exact eigen root
+    S = (U_x x U_z) diag(sqrt(lam_x x lam_z + nugget)), whose S S^T is
+    C_x x C_z + nugget I, applied through the axis factors and written back
+    into the mixed rows. Entry q * P + p of a sample is the perturbation of
+    parameter q at cell p.
 
     The normals of sample i depend only on (seed, i). The mixed values can
     differ in the last bit between batch sizes, because the GEMM's
@@ -221,9 +388,19 @@ def sample_perturbations(cov: PerturbationCovariance, count: int, seed: int) -> 
     z = standard_normal_draws(cov.dim, count, seed).reshape(count, N_PARAMS, cov.n_cells)
     mixed = np.matmul(cov.param_cholesky, z)
     del z
-    samples = mixed.reshape(count * N_PARAMS, cov.n_cells) @ cov.spatial_cholesky.T
-    del mixed
-    samples *= cov.amplitude
+    rows = mixed.reshape(count * N_PARAMS, cov.n_cells)
+    if cov.spatial_axes is None:
+        samples = rows @ cov.spatial_cholesky.T
+        del mixed, rows
+        samples *= cov.amplitude
+    else:
+        lam, (u_x, u_z) = cov._spatial_eigh
+        if lam.min() <= 0.0:
+            raise NonPositiveDefiniteError(
+                f"spatial factor is not positive definite: smallest eigenvalue {lam.min()!r}"
+            )
+        rows *= cov.amplitude * np.sqrt(lam)
+        samples = _kron_rows(rows, u_x, u_z, out=rows)
     return samples.reshape(count, cov.dim)
 
 
@@ -231,8 +408,9 @@ def sample_perturbations_dense(cov: PerturbationCovariance, count: int, seed: in
     """Reference sampler through the Cholesky factor of the materialized R_mu.
 
     Consumes the same substream normals as :func:`sample_perturbations`, so
-    the two routes agree up to factorization rounding. Quadratic memory;
-    intended for small instances and cross-checks.
+    on a dense spatial factor the two routes agree up to factorization
+    rounding. Quadratic memory; intended for small instances and
+    cross-checks.
     """
     full = materialize_full(cov)
     if cov.amplitude == 0.0:

@@ -114,17 +114,23 @@ def clutter_covariance(
             f"forward operator has {forward.n_cells} cells, covariance {cov.n_cells}"
         )
     kernels = forward.kernels
-    # C K^T as one real GEMM on the (re, im) pairs of K^T; C is symmetric,
-    # so this is (K C)^T.
-    propagated = (
-        cov.spatial_factor @ np.ascontiguousarray(kernels.T).view(float)
-    ).view(complex)
-    matrix = propagated.T @ kernels.conj().T                # K C K^H
+    matrix = _kernel_product(cov.spatial_product, kernels) @ kernels.conj().T  # K C K^H
     psi = forward.row_sensitivities()                       # (5, MN)
     matrix *= psi.T @ cov.param_factor @ psi.conj()
     matrix *= cov.amplitude**2
     matrix = 0.5 * (matrix + matrix.conj().T)
     return ClutterCovariance(matrix=matrix, provenance="theoretical")
+
+
+def _kernel_product(operation, kernels: np.ndarray) -> np.ndarray:
+    """K M for a real P-column operator M given as ``operation(X) = X M``.
+
+    The operation runs once, on the real rows of K stacked over its
+    imaginary rows, and the two halves are recombined.
+    """
+    n_rows = kernels.shape[0]
+    product = operation(np.concatenate((kernels.real, kernels.imag)))
+    return product[:n_rows] + 1j * product[n_rows:]
 
 
 def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,8 +154,14 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 if abs(a[i, j]) <= threshold:
                     continue
                 converged = False
-                spread = (a[j, j] - a[i, i]) / (2.0 * a[i, j])
-                t = math.copysign(1.0, spread) / (abs(spread) + math.hypot(1.0, spread))
+                gap = a[j, j] - a[i, i]
+                if abs(gap) + 100.0 * abs(a[i, j]) == abs(gap):
+                    # a_ij is negligible against the gap: t = 1 / (2 spread)
+                    # to working precision, and spread itself could overflow.
+                    t = a[i, j] / gap
+                else:
+                    spread = gap / (2.0 * a[i, j])
+                    t = math.copysign(1.0, spread) / (abs(spread) + math.hypot(1.0, spread))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
                 shift = t * a[i, j]
@@ -181,7 +193,10 @@ def modal_decomposition(
     graded parameter factor goes through the relative-accuracy Jacobi
     solver and the well-scaled spatial correlation factor through the
     standard Hermitian solver, so the mapped modes stay accurate despite
-    the spread of physical units across channels.
+    the spread of physical units across channels. A separable spatial
+    factor contributes eig(C_x) x eig(C_z), with the nugget added to the
+    products of the axis eigenvalues; its eigenvectors reach K through the
+    two axis factors.
     """
     if cov.dim > row_cap:
         raise SizeCapError(
@@ -193,12 +208,9 @@ def modal_decomposition(
             f"covariance has {cov.dim}"
         )
     lam_param, u_param = jacobi_eigh(cov.param_factor)
-    lam_spatial, u_spatial = np.linalg.eigh(cov.spatial_factor)
-    weights = cov.amplitude**2 * np.outer(lam_param, lam_spatial).ravel()
+    weights = cov.amplitude**2 * np.outer(lam_param, cov.spatial_eigenvalues).ravel()
     # Mode (i, j) is A (u_param_i x u_spatial_j) = (Psi^T u_param_i) o (K u_spatial_j).
-    mapped = (
-        u_spatial.T @ np.ascontiguousarray(forward.kernels.T).view(float)
-    ).view(complex).T                                       # K u_spatial, (MN, P)
+    mapped = _kernel_product(cov.spatial_mode_product, forward.kernels)  # K U, (MN, P)
     coupling = forward.row_sensitivities().T @ u_param      # (MN, 5)
     modes = (coupling[:, :, None] * mapped[:, None, :]).reshape(forward.shape[0], cov.dim)
     order = np.argsort(weights, kind="stable")[::-1]

@@ -7,6 +7,7 @@ import pytest
 
 from gprclutter import (
     GeometryConfig,
+    build_covariance,
     build_default_geometry,
     build_param_factor,
     build_spatial_factor,
@@ -46,6 +47,18 @@ def _toy_covariance(n_cells=6, corr_length=0.1, rho_c=0.3, amplitude=1.0):
         amplitude=amplitude,
         corr_length=corr_length,
     )
+
+
+def _grid_covariance(n_x=3, n_z=4, corr_length=0.1, rho_c=0.3, amplitude=1.0):
+    geometry = build_default_geometry(GeometryConfig(n_x=n_x, n_z=n_z, dx=0.05, dz=0.04))
+    return build_covariance(get_scenario("S_syn"), geometry.cell_centers, corr_length,
+                            rho_c, np.ones(5), amplitude)
+
+
+def _eigen_root(cov):
+    # S = U diag(sqrt(lam)) through the public eigen-interface of the factor.
+    vectors = cov.spatial_mode_product(np.eye(cov.n_cells))
+    return vectors * np.sqrt(cov.spatial_eigenvalues)
 
 
 def test_spatial_diagonal_carries_the_nugget():
@@ -190,14 +203,14 @@ def test_zero_weight_makes_factorization_fail():
 
 
 def test_sampling_is_deterministic_and_batch_independent():
-    cov = _toy_covariance()
-    first = sample_perturbations(cov, 10, seed=123)
-    second = sample_perturbations(cov, 10, seed=123)
-    assert np.array_equal(first, second)
-    # sample i depends only on (seed, i): prefixes agree across batch sizes
-    prefix = sample_perturbations(cov, 4, seed=123)
-    assert np.array_equal(first[:4], prefix)
-    assert not np.array_equal(first, sample_perturbations(cov, 10, seed=124))
+    for cov in (_toy_covariance(), _grid_covariance()):  # dense, separable
+        first = sample_perturbations(cov, 10, seed=123)
+        second = sample_perturbations(cov, 10, seed=123)
+        assert np.array_equal(first, second)
+        # sample i depends only on (seed, i): prefixes agree across batch sizes
+        prefix = sample_perturbations(cov, 4, seed=123)
+        assert np.array_equal(first[:4], prefix)
+        assert not np.array_equal(first, sample_perturbations(cov, 10, seed=124))
 
 
 def test_sample_mean_obeys_five_sigma_bound():
@@ -209,13 +222,23 @@ def test_sample_mean_obeys_five_sigma_bound():
 
 
 def test_sample_covariance_converges_to_materialized_truth():
-    # Brute-force oracle: the dense covariance of the P=6 instance.
-    cov = _toy_covariance(n_cells=6)
-    samples = sample_perturbations(cov, 200_000, seed=42)
-    empirical = samples.T @ samples / samples.shape[0]
-    exact = materialize_full(cov)
-    error = np.linalg.norm(empirical - exact) / np.linalg.norm(exact)
-    assert error < 0.02
+    # Brute-force oracle: the dense covariance of a dense P=6 instance and
+    # of a separable 3x2 grid.
+    for cov in (_toy_covariance(n_cells=6), _grid_covariance(n_x=3, n_z=2)):
+        samples = sample_perturbations(cov, 200_000, seed=42)
+        empirical = samples.T @ samples / samples.shape[0]
+        exact = materialize_full(cov)
+        error = np.linalg.norm(empirical - exact) / np.linalg.norm(exact)
+        assert error < 0.02
+
+
+def test_separable_sampler_applies_the_eigen_root_to_shared_normals():
+    cov = _grid_covariance(n_x=4, n_z=3, corr_length=0.07, amplitude=0.8)
+    assert cov.spatial_axes is not None
+    samples = sample_perturbations(cov, 20, seed=9)
+    z = standard_normal_draws(cov.dim, 20, seed=9)
+    expected = cov.amplitude * (z @ np.kron(cov.param_cholesky, _eigen_root(cov)).T)
+    assert np.linalg.norm(samples - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_kronecker_and_dense_samplers_agree_on_shared_normals():
@@ -312,3 +335,88 @@ def test_sampling_on_default_geometry_shapes():
     samples = sample_perturbations(cov, 3, seed=0)
     assert samples.shape == (3, 5 * 20)
     assert np.all(np.isfinite(samples))
+
+
+def test_tensor_grid_with_squared_exponential_kernel_is_separable():
+    geometry = build_default_geometry()
+    cov = build_covariance(get_scenario("S1"), geometry.cell_centers, 0.15, 0.3, np.ones(5), 1.0)
+    c_x, c_z = cov.spatial_axes
+    assert c_x.shape == (25, 25) and c_z.shape == (21, 21)
+    assert cov.n_cells == 525 and cov.dim == 2625
+    assert "spatial_factor" not in cov.__dict__
+    lam = cov.spatial_eigenvalues
+    scaled = cov.with_amplitude(2.0)
+    assert scaled.amplitude == 2.0 and cov.amplitude == 1.0
+    assert scaled.spatial_axes is cov.spatial_axes
+    assert scaled.spatial_eigenvalues is lam  # the eigenpairs are carried, not recomputed
+
+
+def _permuted_grid_cells():
+    cells = build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers
+    return cells[np.random.default_rng(0).permutation(len(cells))]
+
+
+@pytest.mark.parametrize("cells, kernel", [
+    (build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers, "exponential"),
+    (_permuted_grid_cells(), "squared_exponential"),
+    (_random_cloud(12, seed=4), "squared_exponential"),
+    (build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers[:-1],
+     "squared_exponential"),
+], ids=["exponential-kernel", "permuted-rows", "scattered", "incomplete-grid"])
+def test_non_separable_inputs_take_the_dense_path(cells, kernel):
+    cov = build_covariance(get_scenario("S1"), cells, 0.1, 0.3, np.ones(5), 1.0, kernel=kernel)
+    assert cov.spatial_axes is None
+    assert np.array_equal(cov.spatial_factor, build_spatial_factor(cells, 0.1, kernel))
+
+
+def test_directly_passed_dense_factor_stays_dense():
+    cells = build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers
+    cov = PerturbationCovariance(
+        param_factor=build_param_factor(get_scenario("S1"), np.ones(5), 0.3),
+        spatial_factor=build_spatial_factor(cells, 0.1),
+        amplitude=1.0,
+        corr_length=0.1,
+    )
+    assert cov.spatial_axes is None
+
+
+def test_separable_covariance_rejects_bad_inputs():
+    cov = _grid_covariance()
+    with pytest.raises(ConfigError, match="exactly one"):
+        PerturbationCovariance(cov.param_factor, amplitude=1.0, corr_length=0.1)
+    with pytest.raises(ConfigError, match="exactly one"):
+        PerturbationCovariance(cov.param_factor, cov.spatial_factor, amplitude=1.0,
+                               corr_length=0.1, spatial_axes=cov.spatial_axes)
+    with pytest.raises(ConfigError, match="correlation length"):
+        build_covariance(get_scenario("S1"), build_default_geometry().cell_centers,
+                         0.0, 0.3, np.ones(5), 1.0)
+    with pytest.raises(AttributeError):
+        cov.amplitude = 2.0
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_axis_factor_rejected(axis, bad):
+    axes = [f.copy() for f in _grid_covariance().spatial_axes]
+    axes[axis][0, 0] = bad
+    with pytest.raises(ConfigError, match=rf"spatial_axes\[{axis}\] has non-finite"):
+        PerturbationCovariance(_grid_covariance().param_factor, amplitude=1.0,
+                               corr_length=0.1, spatial_axes=tuple(axes))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_asymmetric_axis_factor_rejected(axis):
+    axes = [f.copy() for f in _grid_covariance().spatial_axes]
+    axes[axis][0, -1] += 1e-6
+    with pytest.raises(ConfigError, match=rf"spatial_axes\[{axis}\] must be symmetric"):
+        PerturbationCovariance(_grid_covariance().param_factor, amplitude=1.0,
+                               corr_length=0.1, spatial_axes=tuple(axes))
+
+
+def test_indefinite_separable_factor_fails_to_sample():
+    cov = _grid_covariance()
+    c_x, c_z = cov.spatial_axes
+    flipped = PerturbationCovariance(cov.param_factor, amplitude=1.0, corr_length=0.1,
+                                     spatial_axes=(-c_x, c_z))
+    with pytest.raises(NonPositiveDefiniteError, match="spatial factor"):
+        sample_perturbations(flipped, 2, seed=0)

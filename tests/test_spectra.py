@@ -30,7 +30,13 @@ from gprclutter.errors import (
     SizeCapError,
     UndefinedSpectrumError,
 )
-from gprclutter.randfield import SPATIAL_KERNELS, PerturbationCovariance, build_covariance
+from gprclutter.montecarlo import validity_scan
+from gprclutter.randfield import (
+    SPATIAL_KERNELS,
+    PerturbationCovariance,
+    build_covariance,
+    sample_perturbations,
+)
 from gprclutter.spectra import ClutterCovariance, jacobi_eigh
 
 
@@ -81,8 +87,9 @@ def _assert_matches_dense_oracle(forward, cov, rtol=1e-12):
     n_z=st.integers(1, 4),
     scenario_id=st.sampled_from(sorted(scenario_registry())),
     rho_c=st.floats(0.0, 0.95),
-    # Zero or at least 1e-3: smaller weights only add underflow in B.
-    weights=st.lists(st.just(0.0) | st.floats(1e-3, 3.0), min_size=5, max_size=5),
+    # Tiny weights make subnormal entries of B, down to underflow.
+    weights=st.lists(st.just(0.0) | st.floats(1e-160, 1e-3) | st.floats(1e-3, 3.0),
+                     min_size=5, max_size=5),
     corr_length=st.floats(0.02, 0.5),
     kernel=st.sampled_from(SPATIAL_KERNELS),
     log_amplitude=st.floats(-3.0, 3.0),
@@ -113,6 +120,66 @@ def test_structural_path_never_assembles_the_dense_operator(geometry, make_covar
     target_overlap(summary, steering, summary.p_rho[0.9])
     modal_decomposition(forward, cov)
     assert "entries" not in forward.__dict__
+
+
+def _within(value, reference, rtol=1e-12):
+    return np.linalg.norm(value - reference) <= rtol * np.linalg.norm(reference)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_x=st.integers(1, 6),
+    n_z=st.integers(1, 6),
+    dx=st.floats(0.005, 0.3),
+    dz=st.floats(0.005, 0.3),
+    log_corr_length=st.floats(-3.0, 1.0),
+    rho_c=st.floats(0.0, 0.95),
+    weights=st.lists(st.just(0.0) | st.floats(1e-3, 3.0), min_size=5, max_size=5),
+    log_amplitude=st.floats(-3.0, 3.0),
+)
+def test_separable_covariance_matches_dense_factor(
+    n_x, n_z, dx, dz, log_corr_length, rho_c, weights, log_amplitude
+):
+    geometry = build_default_geometry(
+        GeometryConfig(n_tx=2, n_rx=2, n_x=n_x, n_z=n_z, dx=dx, dz=dz))
+    scenario = get_scenario("S4")
+    corr_length = 10.0**log_corr_length
+    separable = build_covariance(scenario, geometry.cell_centers, corr_length, rho_c,
+                                 weights, amplitude=10.0**log_amplitude)
+    assert separable.spatial_axes is not None
+    dense_factor = build_spatial_factor(geometry.cell_centers, corr_length)
+    dense = PerturbationCovariance(
+        param_factor=separable.param_factor, spatial_factor=dense_factor,
+        amplitude=separable.amplitude, corr_length=corr_length)
+    forward = assemble_forward(scenario, geometry)
+    assert np.abs(separable.spatial_factor - dense_factor).max() <= 1e-15
+    assert _within(clutter_covariance(forward, separable).matrix,
+                   clutter_covariance(forward, dense).matrix)
+    assert _within(modal_decomposition(forward, separable).reconstruction,
+                   modal_decomposition(forward, dense).reconstruction)
+    # The sampler's eigen root S = U diag(sqrt(lam)) squares to the dense factor.
+    root = (separable.spatial_mode_product(np.eye(separable.n_cells))
+            * np.sqrt(separable.spatial_eigenvalues))
+    assert np.abs(root @ root.T - dense_factor).max() <= 1e-12 * np.abs(dense_factor).max()
+
+
+def test_default_geometry_never_forms_the_dense_spatial_factor(
+    geometry, make_covariance, monkeypatch
+):
+    def refuse(self):
+        raise AssertionError("a P x P spatial matrix was formed")
+
+    for name in ("spatial_factor", "spatial_cholesky"):
+        monkeypatch.setattr(PerturbationCovariance, name, property(refuse))
+    scenario = get_scenario("S4")
+    forward = assemble_forward(scenario, geometry)
+    cov = make_covariance(scenario, geometry)
+    assert cov.spatial_axes is not None
+    clutter_covariance(forward, cov)
+    modal_decomposition(forward, cov)
+    sample_perturbations(cov, 3, seed=0)
+    validity_scan(forward, scenario, geometry, cov, amplitude_grid=(0.5, 1.0),
+                  sample_count=3, seed=0)
 
 
 def test_channel_block_sum_equals_direct_product():
@@ -202,6 +269,21 @@ def test_jacobi_keeps_relative_accuracy_on_graded_matrices():
         rebuilt = (vec * lam) @ vec.T
         grading = np.sqrt(np.outer(np.diag(matrix), np.diag(matrix)))
         assert np.all(np.abs(rebuilt - matrix) <= 1e-13 * grading)
+
+
+def test_jacobi_rotates_subnormal_couplings_without_overflow():
+    # A weight of 1e-160 leaves a subnormal diagonal entry in B, so the
+    # skip threshold of its row underflows to zero and the rotations shrink
+    # its couplings until (a_jj - a_ii) / (2 a_ij) would overflow. Numeric
+    # warnings are errors in this suite.
+    matrix = build_param_factor(get_scenario("S4"), [1e-160, 1, 1, 1, 1], 0.3)
+    assert 0.0 < matrix[0, 0] < np.finfo(float).tiny
+    lam, vec = jacobi_eigh(matrix)
+    assert np.allclose(vec @ vec.T, np.eye(5), atol=1e-13)
+    rebuilt = (vec * lam) @ vec.T
+    # sqrt(a_ii a_jj) underflows in the subnormal row: bound by the entry there.
+    grading = np.sqrt(np.outer(np.diag(matrix), np.diag(matrix)))
+    assert np.all(np.abs(rebuilt - matrix) <= 1e-13 * np.maximum(grading, np.abs(matrix)))
 
 
 def test_flat_spectrum_summary():
