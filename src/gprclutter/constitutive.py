@@ -308,7 +308,8 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
     perturbed_tau = base[2] + delta_mu[2]
     floor = TAU_FLOOR_FRACTION * base[2]
     if np.any(perturbed_tau <= floor):
-        index = np.unravel_index(int(np.argmax(perturbed_tau <= floor)), perturbed_tau.shape)
+        index = tuple(int(i) for i in np.unravel_index(
+            int(np.argmax(perturbed_tau <= floor)), perturbed_tau.shape))
         raise DomainError(
             f"perturbed tau at index {index} fell to "
             f"{float(perturbed_tau[index])!r} (floor {float(floor)!r}); "

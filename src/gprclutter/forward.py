@@ -59,17 +59,33 @@ def green_kernel(src, dst, omega: float, background: ColeColeParams) -> complex:
     return complex(np.exp(-1j * k * r) / (4.0 * np.pi * r))
 
 
-def _kernel_block(points_a: np.ndarray, points_b: np.ndarray, k: complex) -> np.ndarray:
-    """Green kernel between two point sets, shape (len(a), len(b))."""
-    diff = points_a[:, None, :] - points_b[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
-    if np.any(r < MIN_SEPARATION):
-        ia, ib = np.unravel_index(int(np.argmin(r)), r.shape)
-        raise NearSingularityError(
-            f"separation {r[ia, ib]!r} m between points {ia} and {ib} "
-            f"below the {MIN_SEPARATION} m kernel minimum"
-        )
-    return np.exp(-1j * k * r) / (4.0 * np.pi * r)
+def _two_way_kernels(
+    background: ColeColeParams, geometry: SceneGeometry, points: np.ndarray
+) -> np.ndarray:
+    """Two-way kernels g(rx_m, x_q; omega_n) * g(x_q, tx_n; omega_n), shape (N, M, Q).
+
+    The receiver-point and transmitter-point distances are taken once for
+    the point set (Q, 3); the Green function is evaluated once per frequency.
+    """
+    distances = []
+    for antennas in (geometry.rx_positions, geometry.tx_positions):
+        diff = antennas[:, None, :] - points[None, :, :]
+        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        if np.any(r < MIN_SEPARATION):
+            ia, ib = np.unravel_index(int(np.argmin(r)), r.shape)
+            raise NearSingularityError(
+                f"separation {r[ia, ib]!r} m between antenna {ia} and point {ib} "
+                f"below the {MIN_SEPARATION} m kernel minimum"
+            )
+        distances.append(r)
+    r_rx, r_tx = distances
+    kernels = np.empty((geometry.n_tx, geometry.n_rx, len(points)), dtype=complex)
+    for n in range(geometry.n_tx):
+        k = background_wavenumber(background, 2.0 * np.pi * geometry.frequencies[n])
+        g_rx = np.exp(-1j * k * r_rx) / (4.0 * np.pi * r_rx)
+        g_tx = np.exp(-1j * k * r_tx[n]) / (4.0 * np.pi * r_tx[n])
+        kernels[n] = g_rx * g_tx
+    return kernels
 
 
 def born_kernel_tensor(background: ColeColeParams, geometry: SceneGeometry) -> np.ndarray:
@@ -80,15 +96,7 @@ def born_kernel_tensor(background: ColeColeParams, geometry: SceneGeometry) -> n
     contrast factored out. Shared by forward assembly and the exact-contrast
     snapshot synthesizer so both use identical kernels and discretization.
     """
-    n_tx, n_rx, n_cells = geometry.n_tx, geometry.n_rx, geometry.n_cells
-    kernels = np.empty((n_tx, n_rx, n_cells), dtype=complex)
-    for n in range(n_tx):
-        omega = 2.0 * np.pi * geometry.frequencies[n]
-        k = background_wavenumber(background, omega)
-        g_rx = _kernel_block(geometry.rx_positions, geometry.cell_centers, k)
-        g_tx = _kernel_block(geometry.tx_positions[n:n + 1], geometry.cell_centers, k)[0]
-        kernels[n] = g_rx * g_tx[None, :] * geometry.cell_volume
-    return kernels
+    return _two_way_kernels(background, geometry, geometry.cell_centers) * geometry.cell_volume
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,18 +149,6 @@ class ForwardMatrix:
                 entries[rows, cols] = self.sensitivities[q, n] * self.kernels[rows]
         entries.flags.writeable = False
         return entries
-
-    def row_index(self, m: int, n: int) -> int:
-        """Row of receive element m, transmit element n (0-indexed)."""
-        return n * self.n_rx + m
-
-    def col_index(self, q: int, p: int) -> int:
-        """Column of parameter channel q, cell p (0-indexed)."""
-        return q * self.n_cells + p
-
-    def channel_block(self, q: int) -> np.ndarray:
-        """The (M N, P) block of parameter channel q."""
-        return self.entries[:, q * self.n_cells:(q + 1) * self.n_cells]
 
     def row_sensitivities(self) -> np.ndarray:
         """psi_q(omega_n) of every row (m, n), shape (5, M N)."""
@@ -217,15 +213,7 @@ def steering_vector(geometry: SceneGeometry, scenario: Scenario, target) -> Stee
         raise ConfigError(f"target must be a 3D point, got shape {target.shape}")
     if target[2] <= 0.0:
         raise ConfigError(f"target depth must be positive, got z={target[2]!r}")
-    n_tx, n_rx = geometry.n_tx, geometry.n_rx
-    values = np.empty(n_rx * n_tx, dtype=complex)
-    point = target[None, :]
-    for n in range(n_tx):
-        omega = 2.0 * np.pi * geometry.frequencies[n]
-        k = background_wavenumber(scenario.background, omega)
-        g_rx = _kernel_block(geometry.rx_positions, point, k)[:, 0]
-        g_tx = _kernel_block(geometry.tx_positions[n:n + 1], point, k)[0, 0]
-        values[n * n_rx:(n + 1) * n_rx] = g_rx * g_tx
+    values = _two_way_kernels(scenario.background, geometry, target[None, :]).ravel()
     return SteeringVector(values=values / np.linalg.norm(values), target_position=target)
 
 

@@ -24,7 +24,6 @@ from ..errors import (
 from ..forward import KERNEL_NAME, assemble_forward
 from ..randfield import RNG_SCHEME
 from ..scene import build_default_geometry, get_scenario
-from ..spectra import clutter_covariance, spectral_summary
 from . import experiments as exp_mod
 from .cmat import persist_matrix
 from .config import (
@@ -53,18 +52,14 @@ _EXPERIMENTS = {
     "boundary-noise": lambda cfg: exp_mod.run_boundary(cfg, which="noise"),
 }
 
-_REPORT_ORDER = (
-    "check-derivatives",
-    "scan-validity",
-    "kernel-diff",
-    "scan-fda",
-    "closure",
-    "scan-lx",
-    "scan-coupling",
-    "scan-targets",
-    "boundary-scale",
-    "boundary-noise",
-)
+#: What ``report`` runs, in order. Both boundary passes run as one
+#: experiment, so ``boundary.*`` holds the scale rows and then the noise rows.
+_REPORT = {
+    name: _EXPERIMENTS[name]
+    for name in ("check-derivatives", "scan-validity", "kernel-diff", "scan-fda",
+                 "closure", "scan-lx", "scan-coupling", "scan-targets")
+}
+_REPORT["boundary"] = exp_mod.run_boundary
 
 
 def _write_text_atomic(path: str, text: str) -> None:
@@ -156,17 +151,6 @@ def _cmd_build_forward(config: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def _baseline_summaries(config: ExperimentConfig) -> dict:
-    geometry = build_default_geometry(config.geometry)
-    summaries = {}
-    for sid in config.scenarios:
-        scenario = get_scenario(sid)
-        forward = assemble_forward(scenario, geometry)
-        cov = exp_mod._covariance(scenario, geometry, config.random_field)
-        summaries[sid] = spectral_summary(clutter_covariance(forward, cov))
-    return summaries
-
-
 def _maybe_plots(config: ExperimentConfig, results: dict, summaries: dict) -> list[str]:
     from . import plots
 
@@ -197,16 +181,14 @@ def _maybe_plots(config: ExperimentConfig, results: dict, summaries: dict) -> li
 
 def _cmd_report(config: ExperimentConfig, args) -> int:
     results = {}
-    failures = {}
-    for name in _REPORT_ORDER:
-        result = _EXPERIMENTS[name](config)
+    for name, run in _REPORT.items():
+        result = run(config)
         results[name] = result
         write_result(result, config.output_dir)
         status = "ok" if result.ok else f"errors: {sorted(result.errors)}"
         print(f"{name}: {status}")
-        if result.errors:
-            failures[name] = result.errors
-    summaries = _baseline_summaries(config)
+    # The baseline spectra of the configured scenarios, as scan-targets found them.
+    summaries = results["scan-targets"].summaries
     _write_text_atomic(
         os.path.join(config.output_dir, "baseline_summaries.json"),
         json.dumps({sid: s.to_dict() for sid, s in summaries.items()},
@@ -220,8 +202,8 @@ def _cmd_report(config: ExperimentConfig, args) -> int:
     summary = {
         "config_hash": config_hash(config),
         "experiments": {
-            name: {"rows": len(results[name].table.rows), "errors": results[name].errors}
-            for name in _REPORT_ORDER
+            name: {"rows": len(result.table.rows), "errors": result.errors}
+            for name, result in results.items()
         },
         "plots": artifacts,
     }
@@ -232,7 +214,7 @@ def _cmd_report(config: ExperimentConfig, args) -> int:
     _write_text_atomic(
         os.path.join(config.output_dir, "config.yaml"), dump_config(config)
     )
-    return EXIT_OK if not failures else EXIT_NUMERICAL
+    return EXIT_OK if all(result.ok for result in results.values()) else EXIT_NUMERICAL
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,7 @@ the batch; its error lands in the result and the remaining scenarios run.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 
@@ -99,23 +100,40 @@ class MetricTable:
 
 @dataclasses.dataclass
 class ExperimentResult:
-    name: str
+    """One experiment's table, reports, per-scenario errors and matrices.
+
+    ``summaries`` holds per-scenario spectral summaries for reuse by the
+    caller; it is not persisted.
+    """
+
     table: MetricTable
     reports: dict = dataclasses.field(default_factory=dict)
     errors: dict = dataclasses.field(default_factory=dict)
     matrices: dict = dataclasses.field(default_factory=dict)
+    summaries: dict = dataclasses.field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.errors
 
 
-def _provenance(config: ExperimentConfig) -> dict:
-    return {
+def _result(config: ExperimentConfig, name: str, columns: tuple[str, ...]) -> ExperimentResult:
+    """An empty result whose table carries the run's provenance."""
+    provenance = {
         "config_hash": config_hash(config),
         "seed": config.random_field.seed,
         "code_version": __version__,
     }
+    return ExperimentResult(MetricTable(name, columns, provenance))
+
+
+@contextlib.contextmanager
+def _recorded(result: ExperimentResult, sid: str):
+    """Record a failure of scenario ``sid`` in ``result`` and let the batch go on."""
+    try:
+        yield
+    except GprClutterError as exc:
+        result.errors[sid] = str(exc)
 
 
 def _geometry(config: ExperimentConfig, delta_f: float | None = None) -> SceneGeometry:
@@ -125,22 +143,14 @@ def _geometry(config: ExperimentConfig, delta_f: float | None = None) -> SceneGe
     return build_default_geometry(cfg)
 
 
-def _covariance(
-    scenario: Scenario,
-    geometry: SceneGeometry,
-    rf: RandomFieldConfig,
-    corr_length: float | None = None,
-    rho_c: float | None = None,
-    weights=None,
-    amplitude: float | None = None,
-):
+def _covariance(scenario: Scenario, geometry: SceneGeometry, rf: RandomFieldConfig):
     return build_covariance(
         scenario,
         geometry.cell_centers,
-        corr_length=rf.corr_length if corr_length is None else corr_length,
-        rho_c=rf.rho_c if rho_c is None else rho_c,
-        weights=rf.weights if weights is None else weights,
-        amplitude=rf.amplitude if amplitude is None else amplitude,
+        corr_length=rf.corr_length,
+        rho_c=rf.rho_c,
+        weights=rf.weights,
+        amplitude=rf.amplitude,
         kernel=rf.kernel,
     )
 
@@ -175,15 +185,13 @@ def run_derivative_check(config: ExperimentConfig, inject_error: bool = False) -
     """Analytic sensitivities against central differences, all scenarios and
     frequencies. ``inject_error`` is a self-test hook biasing the analytic
     values so the check must fail."""
-    table = MetricTable(
-        "derivative_check",
+    result = _result(
+        config, "derivative_check",
         ("scenario", "max_rel_error", "worst_channel", "worst_frequency_hz", "passed"),
-        _provenance(config),
     )
-    result = ExperimentResult("derivative_check", table)
     geometry = _geometry(config)
     for sid in config.scenarios:
-        try:
+        with _recorded(result, sid):
             scenario = get_scenario(sid)
             worst, worst_channel, worst_freq = 0.0, "", 0.0
             for freq in geometry.frequencies:
@@ -194,30 +202,26 @@ def run_derivative_check(config: ExperimentConfig, inject_error: bool = False) -
                 q = int(np.argmax(errors))
                 if errors[q] >= worst:
                     worst, worst_channel, worst_freq = float(errors[q]), PARAMETER_NAMES[q], float(freq)
-            table.add_row(
+            result.table.add_row(
                 scenario=sid,
                 max_rel_error=worst,
                 worst_channel=worst_channel,
                 worst_frequency_hz=worst_freq,
                 passed=bool(worst < DERIVATIVE_THRESHOLD),
             )
-        except GprClutterError as exc:
-            result.errors[sid] = str(exc)
     return result
 
 
 def run_validity_scan(config: ExperimentConfig) -> ExperimentResult:
     """Linearization-validity scan over the amplitude grid, per scenario."""
     exp = config.experiments
-    table = MetricTable(
-        "validity_scan",
+    result = _result(
+        config, "validity_scan",
         ("scenario", "recommended_s_mu", "worst_p95_contrast", "worst_p95_snapshot", "threshold"),
-        _provenance(config),
     )
-    result = ExperimentResult("validity_scan", table)
     geometry = _geometry(config)
     for sid in config.scenarios:
-        try:
+        with _recorded(result, sid):
             scenario = get_scenario(sid)
             forward = assemble_forward(scenario, geometry)
             cov = _covariance(scenario, geometry, config.random_field)
@@ -229,33 +233,26 @@ def run_validity_scan(config: ExperimentConfig) -> ExperimentResult:
                 seed=config.random_field.seed,
             )
             result.reports[sid] = report
-            table.add_row(
+            result.table.add_row(
                 scenario=sid,
                 recommended_s_mu=report.recommended_s_mu,
                 worst_p95_contrast=max(report.p95_contrast_error),
                 worst_p95_snapshot=max(report.p95_snapshot_error),
                 threshold=report.threshold,
             )
-        except GprClutterError as exc:
-            result.errors[sid] = str(exc)
     return result
 
 
 def run_fda_scan(config: ExperimentConfig) -> ExperimentResult:
     """Structural metrics across the transmit frequency-increment grid."""
     exp = config.experiments
-    table = MetricTable(
-        "fda_scan",
-        ("scenario", "delta_f_hz") + METRIC_COLUMNS,
-        _provenance(config),
-    )
-    result = ExperimentResult("fda_scan", table)
+    result = _result(config, "fda_scan", ("scenario", "delta_f_hz") + METRIC_COLUMNS)
     # The cell grid, and with it the field covariance, does not depend on
     # delta_f: build one covariance per scenario and one geometry per delta_f.
     base = _geometry(config)
     geometries: dict[float, SceneGeometry] = {}
     for sid in config.scenarios:
-        try:
+        with _recorded(result, sid):
             scenario = get_scenario(sid)
             cov = _covariance(scenario, base, config.random_field)
             for delta_f in exp.delta_f_grid:
@@ -267,9 +264,7 @@ def run_fda_scan(config: ExperimentConfig) -> ExperimentResult:
                     steering_vector(geometry, scenario, exp.target),
                     cov,
                 )
-                table.add_row(scenario=sid, delta_f_hz=delta_f, **metrics)
-        except GprClutterError as exc:
-            result.errors[sid] = str(exc)
+                result.table.add_row(scenario=sid, delta_f_hz=delta_f, **metrics)
     return result
 
 
@@ -280,16 +275,14 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
     covariances are attached for CMAT persistence.
     """
     rf = config.random_field
-    table = MetricTable(
-        "closure",
+    result = _result(
+        config, "closure",
         ("scenario", "eps_cov_lin", "eps_cov_exact", "eps_lambda", "eps_sub",
          "sample_count", "subspace_dim"),
-        _provenance(config),
     )
-    result = ExperimentResult("closure", table)
     geometry = _geometry(config)
     for sid in config.scenarios:
-        try:
+        with _recorded(result, sid):
             scenario = get_scenario(sid)
             forward = assemble_forward(scenario, geometry)
             cov = _covariance(scenario, geometry, rf)
@@ -304,142 +297,133 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
             del samples
             report = closure_report(theory, snaps_lin, snaps_exact)
             result.reports[sid] = report
-            table.add_row(scenario=sid, **report.to_dict())
+            result.table.add_row(scenario=sid, **report.to_dict())
             if keep_matrices:
                 result.matrices[f"closure_{sid}_theory"] = theory.matrix
                 result.matrices[f"closure_{sid}_rhat_linear"] = sample_covariance(snaps_lin)
                 result.matrices[f"closure_{sid}_rhat_exact"] = sample_covariance(snaps_exact)
-        except GprClutterError as exc:
-            result.errors[sid] = str(exc)
     return result
 
 
 def run_lx_scan(config: ExperimentConfig) -> ExperimentResult:
     """Spatial-correlation-length scan in the configured scan scenario."""
     exp = config.experiments
-    table = MetricTable(
-        "lx_scan",
-        ("scenario", "corr_length_m") + METRIC_COLUMNS,
-        _provenance(config),
-    )
-    result = ExperimentResult("lx_scan", table)
+    rf = config.random_field
+    result = _result(config, "lx_scan", ("scenario", "corr_length_m") + METRIC_COLUMNS)
     sid = exp.lx_scan_scenario
     geometry = _geometry(config)
-    try:
+    with _recorded(result, sid):
         scenario = get_scenario(sid)
         forward = assemble_forward(scenario, geometry)
         steering = steering_vector(geometry, scenario, exp.target)
         for corr_length in exp.corr_length_grid:
-            cov = _covariance(scenario, geometry, config.random_field, corr_length=corr_length)
+            cov = _covariance(
+                scenario, geometry, dataclasses.replace(rf, corr_length=corr_length))
             metrics = _structural_metrics(forward, steering, cov)
-            table.add_row(scenario=sid, corr_length_m=corr_length, **metrics)
-    except GprClutterError as exc:
-        result.errors[sid] = str(exc)
+            result.table.add_row(scenario=sid, corr_length_m=corr_length, **metrics)
     return result
 
 
 def run_coupling_scan(config: ExperimentConfig) -> ExperimentResult:
     """Cross-correlation and channel-weighting scans in the coupling scenario."""
     exp = config.experiments
-    table = MetricTable(
-        "coupling_scan",
+    rf = config.random_field
+    result = _result(
+        config, "coupling_scan",
         ("scenario", "configuration", "rho_c", "weight_preset") + METRIC_COLUMNS,
-        _provenance(config),
     )
-    result = ExperimentResult("coupling_scan", table)
     sid = exp.coupling_scenario
     geometry = _geometry(config)
-    try:
+    with _recorded(result, sid):
         scenario = get_scenario(sid)
         forward = assemble_forward(scenario, geometry)
         steering = steering_vector(geometry, scenario, exp.target)
         for rho_c in exp.rho_c_grid:
-            cov = _covariance(scenario, geometry, config.random_field, rho_c=rho_c)
+            cov = _covariance(scenario, geometry, dataclasses.replace(rf, rho_c=rho_c))
             metrics = _structural_metrics(forward, steering, cov)
-            table.add_row(scenario=sid, configuration=f"rho_c={rho_c:g}",
-                          rho_c=rho_c, weight_preset=None, **metrics)
+            result.table.add_row(scenario=sid, configuration=f"rho_c={rho_c:g}",
+                                 rho_c=rho_c, weight_preset=None, **metrics)
         for preset in exp.weight_presets:
             cov = _covariance(
-                scenario, geometry, config.random_field, weights=preset_weights(preset))
+                scenario, geometry, dataclasses.replace(rf, weights=preset_weights(preset)))
             metrics = _structural_metrics(forward, steering, cov)
-            table.add_row(scenario=sid, configuration=f"weights={preset}",
-                          rho_c=config.random_field.rho_c, weight_preset=preset, **metrics)
-    except GprClutterError as exc:
-        result.errors[sid] = str(exc)
+            result.table.add_row(scenario=sid, configuration=f"weights={preset}",
+                                 rho_c=rf.rho_c, weight_preset=preset, **metrics)
     return result
 
 
 def run_target_scan(config: ExperimentConfig) -> ExperimentResult:
-    """Overlap of the dominant clutter subspace with several target probes."""
+    """Overlap of the dominant clutter subspace with several target probes.
+
+    Each scenario's baseline spectral summary is kept in ``summaries``.
+    """
     exp = config.experiments
-    table = MetricTable(
-        "target_scan",
+    result = _result(
+        config, "target_scan",
         ("scenario", "kind", "target_x_m", "target_z_m", "eta_0.9", "gamma_0.9",
          "mean_eta", "std_eta", "min_eta", "max_eta"),
-        _provenance(config),
     )
-    result = ExperimentResult("target_scan", table)
     geometry = _geometry(config)
     for sid in config.scenarios:
-        try:
+        with _recorded(result, sid):
             scenario = get_scenario(sid)
             forward = assemble_forward(scenario, geometry)
             cov = _covariance(scenario, geometry, config.random_field)
             summary = spectral_summary(clutter_covariance(forward, cov))
+            result.summaries[sid] = summary
             etas = []
             for target in exp.target_grid:
                 steering = steering_vector(geometry, scenario, target)
                 eta, gamma = target_overlap(summary, steering, summary.p_rho[0.9])
                 etas.append(eta)
-                table.add_row(
+                result.table.add_row(
                     scenario=sid, kind="target", target_x_m=target[0], target_z_m=target[2],
                     **{"eta_0.9": eta, "gamma_0.9": gamma},
                 )
             etas = np.asarray(etas)
-            table.add_row(
+            result.table.add_row(
                 scenario=sid, kind="summary",
                 mean_eta=float(etas.mean()), std_eta=float(etas.std()),
                 min_eta=float(etas.min()), max_eta=float(etas.max()),
             )
-        except GprClutterError as exc:
-            result.errors[sid] = str(exc)
     return result
 
 
 def run_boundary(config: ExperimentConfig, which: str = "both") -> ExperimentResult:
-    """Interpretation-boundary transforms: global scaling and noise floor."""
+    """Interpretation-boundary transforms: global scaling and noise floor.
+
+    With ``which="both"`` the table holds the rows of the scale pass and
+    then those of the noise pass, as if the two had run one after the other.
+    """
     if which not in ("both", "scale", "noise"):
         raise ValueError(f"unknown boundary selector {which!r}")
     exp = config.experiments
-    table = MetricTable(
-        "boundary",
-        ("scenario", "boundary", "kappa", "snr_db") + METRIC_COLUMNS,
-        _provenance(config),
-    )
-    result = ExperimentResult("boundary", table)
+    result = _result(
+        config, "boundary", ("scenario", "boundary", "kappa", "snr_db") + METRIC_COLUMNS)
+    rows = {name: [] for name in (("scale", "noise") if which == "both" else (which,))}
     geometry = _geometry(config)
     for sid in exp.boundary_scenarios:
-        try:
+        with _recorded(result, sid):
             scenario = get_scenario(sid)
             forward = assemble_forward(scenario, geometry)
             cov = _covariance(scenario, geometry, config.random_field)
             base = clutter_covariance(forward, cov)
             steering = steering_vector(geometry, scenario, exp.target)
-            if which in ("both", "scale"):
+            if "scale" in rows:
                 for kappa in exp.kappa_grid:
                     summary = spectral_summary(scale_covariance(base, kappa))
-                    table.add_row(scenario=sid, boundary="scale", kappa=kappa,
-                                  snr_db=None, **_summary_metrics(summary, steering))
-            if which in ("both", "noise"):
-                summary = spectral_summary(base)
-                table.add_row(scenario=sid, boundary="noise", kappa=None,
-                              snr_db=None, **_summary_metrics(summary, steering))
-                for snr_db in exp.snr_grid_db:
-                    summary = spectral_summary(add_noise_floor(base, snr_db))
-                    table.add_row(scenario=sid, boundary="noise", kappa=None,
-                                  snr_db=snr_db, **_summary_metrics(summary, steering))
-        except GprClutterError as exc:
-            result.errors[sid] = str(exc)
+                    rows["scale"].append(dict(
+                        scenario=sid, boundary="scale", kappa=kappa, snr_db=None,
+                        **_summary_metrics(summary, steering)))
+            if "noise" in rows:
+                for snr_db in (None,) + exp.snr_grid_db:
+                    noisy = base if snr_db is None else add_noise_floor(base, snr_db)
+                    rows["noise"].append(dict(
+                        scenario=sid, boundary="noise", kappa=None, snr_db=snr_db,
+                        **_summary_metrics(spectral_summary(noisy), steering)))
+    for pass_rows in rows.values():
+        for row in pass_rows:
+            result.table.add_row(**row)
     return result
 
 
@@ -459,19 +443,12 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
     report the same quantity toward the vacuum-kernel surrogate.
     """
     exp = config.experiments
-    table = MetricTable(
-        "kernel_diff",
-        ("from_scenario", "to_scenario", "delta_a"),
-        _provenance(config),
-    )
-    result = ExperimentResult("kernel_diff", table)
+    result = _result(config, "kernel_diff", ("from_scenario", "to_scenario", "delta_a"))
     geometry = _geometry(config)
     forwards: dict[str, ForwardMatrix] = {}
     for sid in exp.kernel_diff_scenarios:
-        try:
+        with _recorded(result, sid):
             forwards[sid] = assemble_forward(get_scenario(sid), geometry)
-        except GprClutterError as exc:
-            result.errors[sid] = str(exc)
     free = assemble_forward(free_space_scenario(), geometry)
     for sid_from in exp.kernel_diff_scenarios:
         if sid_from not in forwards:
@@ -479,11 +456,11 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
         for sid_to in exp.kernel_diff_scenarios:
             if sid_to not in forwards:
                 continue
-            table.add_row(
+            result.table.add_row(
                 from_scenario=sid_from, to_scenario=sid_to,
                 delta_a=forward_discrepancy(forwards[sid_to], forwards[sid_from]),
             )
-        table.add_row(
+        result.table.add_row(
             from_scenario=sid_from, to_scenario="free_space",
             delta_a=forward_discrepancy(free, forwards[sid_from]),
         )

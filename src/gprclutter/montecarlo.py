@@ -23,7 +23,6 @@ from .constitutive import (
     DENOMINATOR_FLOOR,
     N_PARAMS,
     exact_contrast_field,
-    sensitivity_components,
 )
 from .errors import ConfigError, DomainError, UndefinedSpectrumError
 from .forward import ForwardMatrix
@@ -87,14 +86,10 @@ def nearest_rank_percentile(values: np.ndarray, q: float) -> float:
     return float(np.partition(values, rank)[rank])
 
 
-def _linear_contrast(
-    scenario: Scenario, geometry: SceneGeometry, samples: np.ndarray
-) -> np.ndarray:
+def _linear_contrast(forward: ForwardMatrix, samples: np.ndarray) -> np.ndarray:
     """First-order per-cell contrast of each sample at each frequency, shape (L, N, P)."""
-    per_channel = samples.reshape(samples.shape[0], N_PARAMS, geometry.n_cells)
-    omegas = 2.0 * np.pi * geometry.frequencies
-    psi = sensitivity_components(*scenario.background.as_array(), omegas)  # (5, N)
-    return np.einsum("qn,lqp->lnp", psi, per_channel)
+    per_channel = samples.reshape(samples.shape[0], N_PARAMS, forward.n_cells)
+    return np.einsum("qn,lqp->lnp", forward.sensitivities, per_channel)
 
 
 def _exact_chunks(
@@ -313,7 +308,7 @@ def validity_scan(
 
     base = sample_perturbations(cov_template.with_amplitude(1.0), sample_count, seed)
     # The linear model is homogeneous in the amplitude: evaluate it once.
-    contrast_lin = _linear_contrast(scenario, geometry, base)
+    contrast_lin = _linear_contrast(forward, base)
     y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
     err = np.empty(contrast_lin.shape)
     y_exact = np.empty_like(y_lin)

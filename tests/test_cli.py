@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,8 +10,43 @@ import numpy as np
 import pytest
 
 import gprclutter
+from gprclutter import (
+    assemble_forward,
+    build_covariance,
+    build_default_geometry,
+    clutter_covariance,
+    get_scenario,
+    spectral_summary,
+)
 from gprclutter.harness.cli import main
 from gprclutter.harness.cmat import load_matrix
+from gprclutter.harness.config import load_config
+
+
+def _tiny_config(directory, corr_length=0.15):
+    """A config whose full report takes well under a second: 2 scenarios, 6x4 grid, L = 64."""
+    path = directory / "tiny.yaml"
+    path.write_text(
+        "scenarios: [S1, S4]\n"
+        "geometry: {n_x: 6, n_z: 4}\n"
+        f"random_field: {{sample_count: 64, corr_length: {corr_length!r}}}\n"
+        "experiments: {validity_sample_count: 8}\n"
+    )
+    return str(path)
+
+
+def _read_tree(out):
+    return {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
+
+
+@pytest.fixture(scope="module")
+def tiny_report(tmp_path_factory):
+    """(config path, output directory) of one report run at the tiny config."""
+    directory = tmp_path_factory.mktemp("tiny_report")
+    config = _tiny_config(directory)
+    out = str(directory / "results")
+    assert main(["--config", config, "--out", out, "report"]) == 0
+    return config, out
 
 
 def test_check_derivatives_writes_tables(tmp_path, capsys):
@@ -109,15 +145,63 @@ def test_kernel_diff_cli(tmp_path):
     assert pairs[("S1", "S1")] == 0.0
 
 
-def test_rerun_reproduces_identical_bytes(tmp_path):
-    out_a = str(tmp_path / "a")
-    out_b = str(tmp_path / "b")
-    for out in (out_a, out_b):
-        assert main(["--out", out, "--scenario", "S1", "scan-lx"]) == 0
-    for name in ("lx_scan.csv", "lx_scan.json"):
-        with open(os.path.join(out_a, name), "rb") as fa:
-            with open(os.path.join(out_b, name), "rb") as fb:
-                assert fa.read() == fb.read()
+def test_rerun_reproduces_identical_bytes(tmp_path, monkeypatch):
+    config = _tiny_config(tmp_path)
+    trees = []
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        # A relative --out, so that both config.yaml files name the same directory.
+        assert main(["--config", config, "--out", "results", "report"]) == 0
+        trees.append(_read_tree("results"))
+    assert trees[0] == trees[1]
+    assert {"summary.json", "baseline_summaries.json", "config.yaml", "boundary.json",
+            "closure_reports.json", "validity_scan_reports.json"} <= set(trees[0])
+
+
+def test_report_boundary_table_holds_scale_then_noise_rows(tiny_report, tmp_path):
+    config, out = tiny_report
+    rows = {}
+    for command in ("boundary-scale", "boundary-noise"):
+        single = str(tmp_path / command)
+        assert main(["--config", config, "--out", single, command]) == 0
+        rows[command] = json.loads(open(os.path.join(single, "boundary.json")).read())["rows"]
+    report_rows = json.loads(open(os.path.join(out, "boundary.json")).read())["rows"]
+    assert report_rows == rows["boundary-scale"] + rows["boundary-noise"]
+    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    assert summary["experiments"]["boundary"] == {"rows": len(report_rows), "errors": {}}
+    assert not [name for name in summary["experiments"] if name.startswith("boundary-")]
+
+
+def test_report_baseline_summaries_are_the_configured_spectra(tiny_report):
+    config_path, out = tiny_report
+    config = load_config(config_path)
+    geometry = build_default_geometry(config.geometry)
+    rf = config.random_field
+    expected = {}
+    for sid in config.scenarios:
+        scenario = get_scenario(sid)
+        cov = build_covariance(scenario, geometry.cell_centers, rf.corr_length, rf.rho_c,
+                               rf.weights, rf.amplitude, kernel=rf.kernel)
+        theory = clutter_covariance(assemble_forward(scenario, geometry), cov)
+        expected[sid] = spectral_summary(theory).to_dict()
+    baseline = json.loads(open(os.path.join(out, "baseline_summaries.json")).read())
+    assert baseline == json.loads(json.dumps(expected))
+
+
+def test_failing_scenario_is_recorded_and_report_finishes(tmp_path, capsys):
+    out = str(tmp_path / "results")
+    config = _tiny_config(tmp_path, corr_length=-1.0)
+    assert main(["--config", config, "--out", out, "report"]) == 2
+    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    assert set(summary["experiments"]["closure"]["errors"]) == {"S1", "S4"}
+    assert "corr" in summary["experiments"]["closure"]["errors"]["S1"]
+    errors = json.loads(open(os.path.join(out, "closure_errors.json")).read())
+    assert errors == summary["experiments"]["closure"]["errors"]
+    assert summary["experiments"]["check-derivatives"]["errors"] == {}
+    assert json.loads(open(os.path.join(out, "baseline_summaries.json")).read()) == {}
+    assert os.path.exists(os.path.join(out, "config.yaml"))
+    assert "configuration error" not in capsys.readouterr().err
 
 
 def test_boundary_subcommands(tmp_path):
@@ -139,6 +223,8 @@ def test_numerical_failures_exit_2_and_are_recorded(tmp_path, capsys):
     assert main(["--config", str(config_path), "--out", out, "scan-validity"]) == 2
     errors = json.loads(open(os.path.join(out, "validity_scan_errors.json")).read())
     assert "tau" in errors["S3"]
+    assert "samples 0..3" in errors["S3"]
+    assert re.search(r"index \(\d+, \d+, \d+\)", errors["S3"]), errors["S3"]
     assert "error in S3" in capsys.readouterr().err
 
 

@@ -86,8 +86,9 @@ def test_kernel_minimum_separation():
 def test_toy_forward_shape(small_geometry):
     forward = assemble_forward(get_scenario("S1"), small_geometry)
     assert forward.shape == (4, 30)
-    assert forward.row_index(1, 1) == 3
-    assert forward.col_index(4, 5) == 29
+    # row n * M + m, column q * P + p: receiver 1, transmitter 1, channel 4, cell 5
+    assert forward.entries[1 * 2 + 1, 4 * 6 + 5] == (
+        forward.sensitivities[4, 1] * forward.kernels[3, 5])
 
 
 def test_two_by_two_with_three_cells_is_4x15():
@@ -98,9 +99,10 @@ def test_two_by_two_with_three_cells_is_4x15():
 
 def test_dispersionless_scenarios_have_zero_tau_alpha_blocks(geometry):
     forward = assemble_forward(get_scenario("S1"), geometry)
-    assert np.all(forward.channel_block(2) == 0.0)
-    assert np.all(forward.channel_block(3) == 0.0)
-    assert np.any(forward.channel_block(0) != 0.0)
+    blocks = forward.entries.reshape(forward.shape[0], 5, geometry.n_cells)
+    assert np.all(blocks[:, 2] == 0.0)
+    assert np.all(blocks[:, 3] == 0.0)
+    assert np.any(blocks[:, 0] != 0.0)
 
 
 def test_single_cell_entry_is_the_hand_composed_product(tiny_geometry):
@@ -116,7 +118,7 @@ def test_single_cell_entry_is_the_hand_composed_product(tiny_geometry):
             g_t = green_kernel(cell, tiny_geometry.tx_positions[n], omega, scenario.background)
             for q in range(5):
                 expected = g_r * psi[q] * g_t * tiny_geometry.cell_volume
-                got = forward.entries[forward.row_index(m, n), forward.col_index(q, 0)]
+                got = forward.entries[n * 2 + m, q * tiny_geometry.n_cells]
                 assert got == pytest.approx(expected, rel=1e-13)
 
 
@@ -132,7 +134,7 @@ def test_snapshot_linearity_against_brute_force_loop(small_geometry):
         omega = 2 * math.pi * small_geometry.frequencies[n]
         psi = eval_sensitivities(scenario.background, omega).psi
         for m in range(small_geometry.n_rx):
-            row = forward.row_index(m, n)
+            row = n * small_geometry.n_rx + m
             for p, cell in enumerate(small_geometry.cell_centers):
                 g_r = green_kernel(small_geometry.rx_positions[m], cell, omega,
                                    scenario.background)
@@ -141,7 +143,7 @@ def test_snapshot_linearity_against_brute_force_loop(small_geometry):
                 for q in range(5):
                     slow[row] += (
                         g_r * psi[q] * g_t * small_geometry.cell_volume
-                        * dmu[forward.col_index(q, p)]
+                        * dmu[q * small_geometry.n_cells + p]
                     )
     assert np.linalg.norm(fast - slow) / np.linalg.norm(slow) < 1e-12
 
@@ -230,9 +232,19 @@ def test_steering_parallel_to_matching_forward_column(geometry):
     p = 10 * 21 + 10  # interior cell
     target = geometry.cell_centers[p]
     steering = steering_vector(geometry, scenario, target).values
-    column = forward.entries[:, forward.col_index(0, p)]
+    column = forward.entries[:, p]  # channel q = 0
     cosine = abs(np.vdot(steering, column)) / np.linalg.norm(column)
     assert cosine > 1.0 - 1e-6
+
+
+def test_steering_at_a_cell_center_is_its_normalized_kernel_column(geometry):
+    # Steering vectors and forward kernels come from one two-way kernel routine.
+    scenario = get_scenario("S4")
+    forward = assemble_forward(scenario, geometry)
+    for p in (0, 10 * 21 + 10, geometry.n_cells - 1):
+        column = forward.kernels[:, p]
+        steering = steering_vector(geometry, scenario, geometry.cell_centers[p]).values
+        assert np.linalg.norm(steering - column / np.linalg.norm(column)) <= 1e-14
 
 
 def test_discrepancy_identity_and_scaling(geometry):

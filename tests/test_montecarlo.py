@@ -77,7 +77,7 @@ def test_exact_mode_matches_hand_rolled_loop():
     for n in range(geometry.n_tx):
         omega = 2 * math.pi * geometry.frequencies[n]
         for m in range(geometry.n_rx):
-            row = forward.row_index(m, n)
+            row = n * geometry.n_rx + m
             for p in range(n_cells):
                 cell = geometry.cell_centers[p]
                 xi = exact_contrast(scenario.background, per_cell[:, p], omega)

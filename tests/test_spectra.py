@@ -188,9 +188,9 @@ def test_channel_block_sum_equals_direct_product():
     n_cells = forward.n_cells
     slow = np.zeros((forward.shape[0], forward.shape[0]), dtype=complex)
     for q in range(5):
-        a_q = forward.channel_block(q)
+        a_q = forward.entries[:, q * n_cells:(q + 1) * n_cells]
         for qp in range(5):
-            a_qp = forward.channel_block(qp)
+            a_qp = forward.entries[:, qp * n_cells:(qp + 1) * n_cells]
             block = cov.param_factor[q, qp] * cov.spatial_factor[:n_cells, :n_cells]
             slow += a_q @ block @ a_qp.conj().T
     slow *= cov.amplitude**2
