@@ -112,7 +112,8 @@ class ForwardMatrix:
     A_q = D_q K with K = ``kernels`` (M N x P, rows ordered like A) and
     D_q = diag(psi_q(omega_n)) repeated over the M receivers, psi_q(omega_n)
     = ``sensitivities[q, n]``. The dense ``entries`` are assembled from the
-    factors on first access and cached.
+    factors on first access and cached; only ``build-forward`` and
+    ``kernel-diff`` need them, every other computation uses the factors.
     """
 
     kernels: np.ndarray
@@ -140,13 +141,8 @@ class ForwardMatrix:
     @functools.cached_property
     def entries(self) -> np.ndarray:
         """The dense (M N, 5 P) matrix, entry psi_q(omega_n) * K[(m, n), p]."""
-        n_rx, n_cells = self.n_rx, self.n_cells
-        entries = np.empty(self.shape, dtype=complex)
-        for n in range(self.n_tx):
-            rows = slice(n * n_rx, (n + 1) * n_rx)
-            for q in range(N_PARAMS):
-                cols = slice(q * n_cells, (q + 1) * n_cells)
-                entries[rows, cols] = self.sensitivities[q, n] * self.kernels[rows]
+        psi = self.row_sensitivities().T  # (M N, 5)
+        entries = (psi[:, :, None] * self.kernels[:, None, :]).reshape(self.shape)
         entries.flags.writeable = False
         return entries
 

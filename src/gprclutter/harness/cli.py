@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 
 from ..errors import (
     ConfigError,
@@ -25,7 +24,7 @@ from ..forward import KERNEL_NAME, assemble_forward
 from ..randfield import RNG_SCHEME
 from ..scene import build_default_geometry, get_scenario
 from . import experiments as exp_mod
-from .cmat import persist_matrix
+from .cmat import persist_matrix, write_atomic
 from .config import (
     ExperimentConfig,
     config_hash,
@@ -63,23 +62,8 @@ _REPORT["boundary"] = exp_mod.run_boundary
 
 
 def _write_text_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
-def _report_to_jsonable(report) -> dict:
-    if hasattr(report, "to_dict"):
-        return report.to_dict()
-    return dataclasses.asdict(report)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def write_result(result: ExperimentResult, out_dir: str) -> list[str]:
@@ -92,9 +76,7 @@ def write_result(result: ExperimentResult, out_dir: str) -> list[str]:
     _write_text_atomic(base + ".json", result.table.to_json_text())
     written.append(base + ".json")
     if result.reports:
-        doc = {
-            sid: _report_to_jsonable(report) for sid, report in result.reports.items()
-        }
+        doc = {sid: report.to_dict() for sid, report in result.reports.items()}
         doc["provenance"] = dict(result.table.provenance, rng_scheme=RNG_SCHEME)
         path = base + "_reports.json"
         _write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -3,6 +3,7 @@
 Layout, all little-endian: magic b"CMAT", format version u16, element kind
 u8 (0 = real64, 1 = complex128 with interleaved re/im), row count u64,
 column count u64, then the row-major payload. Round-trips bit-exactly.
+``write_atomic`` is the one atomic file writer of the harness.
 """
 
 from __future__ import annotations
@@ -59,11 +60,10 @@ def matrix_from_bytes(blob: bytes) -> np.ndarray:
     return data.reshape(rows, cols).copy()
 
 
-def persist_matrix(matrix: np.ndarray, path: str) -> None:
-    """Write a matrix atomically (temp file + rename)."""
-    blob = matrix_to_bytes(matrix)
+def write_atomic(path: str, blob: bytes) -> None:
+    """Write bytes atomically: a temp file in the target directory, then a rename."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".cmat.tmp")
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(blob)
@@ -72,6 +72,11 @@ def persist_matrix(matrix: np.ndarray, path: str) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def persist_matrix(matrix: np.ndarray, path: str) -> None:
+    """Write a matrix atomically (temp file + rename)."""
+    write_atomic(path, matrix_to_bytes(matrix))
 
 
 def load_matrix(path: str) -> np.ndarray:

@@ -40,6 +40,8 @@ class RandomFieldConfig:
             raise ConfigError(f"weights must have 5 entries, got {self.weights!r}")
         if self.sample_count < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.sample_count!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -37,15 +37,13 @@ def plot_eigen_spectra(summaries: dict, out_dir: str) -> list[str]:
 
 
 def plot_scan_curve(xs, ys_by_label: dict, xlabel: str, ylabel: str,
-                    name: str, out_dir: str, logx: bool = False) -> list[str]:
+                    name: str, out_dir: str) -> list[str]:
     plt = _pyplot()
     if plt is None:
         return []
     fig, ax = plt.subplots(figsize=(6, 4))
     for label, ys in ys_by_label.items():
         ax.plot(xs, ys, marker="o", label=label)
-    if logx:
-        ax.set_xscale("log")
     ax.set_xlabel(xlabel)
     ax.set_ylabel(ylabel)
     ax.legend()

@@ -3,13 +3,15 @@
 Snapshot ensembles come in two flavors sharing kernels, discretization and
 perturbation draws: ``linear`` applies the stacked observation operator to
 each perturbation sample, ``exact`` re-evaluates the constitutive law cell
-by cell and sums the Born integrand with the exact contrast. Comparing the
-two isolates the constitutive linearization error; comparing their sample
-covariances with the propagated theoretical covariance closes the loop on
-the statistical chain. Synthesis is noise-free throughout: the additive
-noise floor enters analytically downstream. Exact contrast is evaluated in
-chunks of at most EXACT_CHUNK_VALUES values, so memory stays bounded for
-any sample count.
+by cell and sums the Born integrand with the exact contrast. Both apply
+the operator through its factors, the kernels K and the sensitivities Psi
+of ``ForwardMatrix``; no path here reads the dense ``entries``. Comparing
+the two isolates the constitutive linearization error; comparing their
+sample covariances with the propagated theoretical covariance closes the
+loop on the statistical chain. Synthesis is noise-free throughout: the
+additive noise floor enters analytically downstream. Exact contrast is
+evaluated in chunks of at most EXACT_CHUNK_VALUES values, so memory stays
+bounded for any sample count.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def nearest_rank_percentile(values: np.ndarray, q: float) -> float:
 def _linear_contrast(forward: ForwardMatrix, samples: np.ndarray) -> np.ndarray:
     """First-order per-cell contrast of each sample at each frequency, shape (L, N, P)."""
     per_channel = samples.reshape(samples.shape[0], N_PARAMS, forward.n_cells)
-    return np.einsum("qn,lqp->lnp", forward.sensitivities, per_channel)
+    return np.matmul(forward.sensitivities.T, per_channel)
 
 
 def _exact_chunks(
@@ -131,9 +133,9 @@ def snapshots_from_perturbations(
 ) -> np.ndarray:
     """Noise-free Born snapshots of given perturbation samples, shape (L, MN).
 
-    ``linear`` applies the forward matrix; ``exact`` evaluates the exact
-    contrast per cell and frequency and contracts it against the forward
-    operator's own two-way kernels.
+    ``linear`` applies the forward operator block by block,
+    y = sum_q D_q K x_q; ``exact`` evaluates the exact contrast per cell and
+    frequency and contracts it against the same two-way kernels K.
     """
     if mode not in SNAPSHOT_MODES:
         raise ConfigError(f"unknown snapshot mode {mode!r} (known: {SNAPSHOT_MODES})")
@@ -142,14 +144,21 @@ def snapshots_from_perturbations(
         raise ConfigError(
             f"samples of shape {samples.shape} incompatible with forward {forward.shape}"
         )
+    out = np.zeros((samples.shape[0], forward.shape[0]), dtype=complex)
     if mode == "linear":
-        # One real GEMM against A^T with each complex entry split into
-        # adjacent (real, imag) columns; the float result read as complex
-        # is the snapshot block, and the samples are never cast to complex.
-        columns = np.ascontiguousarray(forward.entries.T).view(float)
-        return (samples @ columns).view(complex)
+        # y = sum_q D_q K x_q. Each parameter block x_q is a strided view of
+        # the samples, multiplied by K^T in one real GEMM with each complex
+        # entry of K^T split into adjacent (real, imag) columns; the float
+        # product read as complex is K x_q. One block at a time keeps the
+        # temporaries at the size of the output.
+        columns = np.ascontiguousarray(forward.kernels.T).view(float)
+        per_channel = samples.reshape(samples.shape[0], N_PARAMS, forward.n_cells)
+        for q, psi in enumerate(forward.row_sensitivities()):
+            block = (per_channel[:, q] @ columns).view(complex)
+            block *= psi
+            out += block
+        return out
 
-    out = np.empty((samples.shape[0], forward.shape[0]), dtype=complex)
     for rows, contrast in _exact_chunks(scenario, geometry, samples):
         _born_sum(forward, contrast, out[rows])
     return out

@@ -39,7 +39,7 @@ SPATIAL_NUGGET = 1e-10
 # and resolves the 1e-16 difference.
 _STORED_NUGGET = (1.0 + SPATIAL_NUGGET) - 1.0
 
-#: materialize_full refuses matrices with more rows than this.
+#: materialize_full and modal_decomposition refuse more rows than this.
 MATERIALIZE_ROW_CAP = 10_000
 
 #: Identifier of the sampling RNG scheme and of the spatial square root,
@@ -360,6 +360,8 @@ def standard_normal_draws(dim: int, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
     draws = np.empty((count, dim))
     for i in range(count):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
@@ -420,10 +422,11 @@ def sample_perturbations_dense(cov: PerturbationCovariance, count: int, seed: in
     return cov.amplitude * (z @ factor.T)
 
 
-def materialize_full(cov: PerturbationCovariance, row_cap: int = MATERIALIZE_ROW_CAP) -> np.ndarray:
+def materialize_full(cov: PerturbationCovariance) -> np.ndarray:
     """The dense 5P x 5P covariance amplitude^2 (param x spatial)."""
-    if cov.dim > row_cap:
+    if cov.dim > MATERIALIZE_ROW_CAP:
         raise SizeCapError(
-            f"refusing to materialize a {cov.dim} x {cov.dim} covariance (cap {row_cap} rows)"
+            f"refusing to materialize a {cov.dim} x {cov.dim} covariance "
+            f"(cap {MATERIALIZE_ROW_CAP} rows)"
         )
     return cov.amplitude**2 * np.kron(cov.param_factor, cov.spatial_factor)

@@ -183,9 +183,7 @@ def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def modal_decomposition(
-    forward: ForwardMatrix,
-    cov: PerturbationCovariance,
-    row_cap: int = MATERIALIZE_ROW_CAP,
+    forward: ForwardMatrix, cov: PerturbationCovariance
 ) -> ModalDecomposition:
     """Eigendecompose R_mu and map its modes through the forward operator.
 
@@ -198,9 +196,9 @@ def modal_decomposition(
     products of the axis eigenvalues; its eigenvectors reach K through the
     two axis factors.
     """
-    if cov.dim > row_cap:
+    if cov.dim > MATERIALIZE_ROW_CAP:
         raise SizeCapError(
-            f"refusing a modal decomposition of dimension {cov.dim} (cap {row_cap})"
+            f"refusing a modal decomposition of dimension {cov.dim} (cap {MATERIALIZE_ROW_CAP})"
         )
     if forward.shape[1] != cov.dim:
         raise ConfigError(

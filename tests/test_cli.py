@@ -82,6 +82,21 @@ def test_config_file_with_unknown_key_exits_1(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, source):
+    out = tmp_path / "results"
+    if source == "flag":
+        argv = ["--out", str(out), "--seed", "-1", "closure"]
+    else:
+        config_path = tmp_path / "seed.yaml"
+        config_path.write_text("random_field: {seed: -1}\n")
+        argv = ["--config", str(config_path), "--out", str(out), "closure"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "seed" in err
+    assert not out.exists()
+
+
 def test_print_config_round_trips(tmp_path, capsys):
     assert main(["--print-config", "check-derivatives"]) == 0
     text = capsys.readouterr().out

@@ -6,7 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from gprclutter import GeometryConfig, randfield
+from gprclutter import (
+    GeometryConfig,
+    assemble_forward,
+    build_covariance,
+    build_default_geometry,
+    get_scenario,
+    randfield,
+)
+from gprclutter.forward import ForwardMatrix
 from gprclutter.harness.config import ExperimentConfig, ExperimentSettings, RandomFieldConfig
 from gprclutter.harness.experiments import (
     MetricTable,
@@ -22,6 +30,7 @@ from gprclutter.harness.experiments import (
     run_target_scan,
     run_validity_scan,
 )
+from gprclutter.montecarlo import SNAPSHOT_MODES, snapshots_from_perturbations, validity_scan
 
 
 def _config(**kwargs):
@@ -176,6 +185,38 @@ def test_closure_draws_each_sample_once_per_scenario(monkeypatch):
     result = run_closure(config)
     assert result.ok
     assert rows == [16, 16]
+
+
+def test_monte_carlo_paths_never_read_the_dense_operator(monkeypatch):
+    # Snapshots of both modes, the validity scan and closure apply the
+    # operator through its factors K and Psi only.
+    reads = []
+    dense = ForwardMatrix.entries
+
+    def counted(forward):
+        reads.append(forward.scenario_id)
+        return dense.func(forward)
+
+    monkeypatch.setattr(ForwardMatrix, "entries", property(counted))
+    config = _config(
+        scenarios=("S1", "S4"),
+        geometry=GeometryConfig(n_tx=2, n_rx=2, n_x=4, n_z=3),
+        random_field=dataclasses.replace(RandomFieldConfig(), sample_count=16),
+        experiments=dataclasses.replace(ExperimentSettings(), validity_sample_count=8),
+    )
+    scenario = get_scenario("S4")
+    geometry = build_default_geometry(config.geometry)
+    forward = assemble_forward(scenario, geometry)
+    cov = build_covariance(scenario, geometry.cell_centers, 0.15, 0.3, np.ones(5), 1.0)
+    samples = randfield.sample_perturbations(cov, 8, seed=3)
+    for mode in SNAPSHOT_MODES:
+        snapshots_from_perturbations(forward, scenario, geometry, samples, mode)
+    validity_scan(forward, scenario, geometry, cov, sample_count=8, seed=3)
+    assert run_validity_scan(config).ok
+    assert run_closure(config).ok
+    assert reads == []
+    forward.entries  # the counter sees a read
+    assert reads == ["S4"]
 
 
 def test_lx_scan_concentrates_the_spectrum():

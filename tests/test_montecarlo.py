@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gprclutter import (
     GeometryConfig,
@@ -14,6 +16,7 @@ from gprclutter import (
     get_scenario,
     green_kernel,
     montecarlo,
+    scenario_registry,
 )
 from gprclutter.errors import ConfigError, DomainError, UndefinedSpectrumError
 from gprclutter.montecarlo import (
@@ -28,6 +31,7 @@ from gprclutter.montecarlo import (
 )
 from gprclutter.randfield import (
     PerturbationCovariance,
+    build_covariance,
     build_param_factor,
     build_spatial_factor,
     sample_perturbations,
@@ -53,6 +57,46 @@ def test_zero_amplitude_gives_zero_snapshots():
     for mode in ("linear", "exact"):
         snaps = simulate_snapshots(forward, scenario, geometry, cov, 5, 1, mode)
         assert np.all(snaps == 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_tx=st.integers(1, 3),
+    n_rx=st.integers(1, 3),
+    n_x=st.integers(1, 4),
+    n_z=st.integers(1, 4),
+    scenario_id=st.sampled_from(sorted(scenario_registry())),
+    # "separable" is C_x (x) C_z + nugget; the kernel names are dense P x P factors.
+    structure=st.sampled_from(("separable", "squared_exponential", "exponential")),
+    rho_c=st.floats(0.0, 0.95),
+    corr_length=st.floats(0.02, 0.5),
+    log_amplitude=st.floats(-3.0, 3.0),
+    count=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+)
+def test_linear_snapshots_match_the_dense_operator(
+    n_tx, n_rx, n_x, n_z, scenario_id, structure, rho_c, corr_length, log_amplitude, count,
+    seed,
+):
+    geometry = build_default_geometry(GeometryConfig(n_tx=n_tx, n_rx=n_rx, n_x=n_x, n_z=n_z))
+    scenario = get_scenario(scenario_id)
+    amplitude = 10.0**log_amplitude
+    if structure == "separable":
+        cov = build_covariance(scenario, geometry.cell_centers, corr_length, rho_c,
+                               np.ones(5), amplitude)
+        assert cov.spatial_axes is not None
+    else:
+        cov = PerturbationCovariance(
+            param_factor=build_param_factor(scenario, np.ones(5), rho_c),
+            spatial_factor=build_spatial_factor(geometry.cell_centers, corr_length, structure),
+            amplitude=amplitude,
+            corr_length=corr_length,
+        )
+    forward = assemble_forward(scenario, geometry)
+    samples = sample_perturbations(cov, count, seed)
+    linear = snapshots_from_perturbations(forward, scenario, geometry, samples, "linear")
+    oracle = samples @ forward.entries.T
+    assert np.linalg.norm(linear - oracle) <= 1e-14 * np.linalg.norm(oracle)
 
 
 def test_eps_inf_only_perturbations_are_linearized_exactly():

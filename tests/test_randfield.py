@@ -296,9 +296,11 @@ def test_materialized_entries_match_definition():
 
 
 def test_materialize_respects_size_cap():
-    cov = _toy_covariance(n_cells=30)
-    with pytest.raises(SizeCapError):
-        materialize_full(cov, row_cap=100)
+    # 69 x 29 cells: 5P = 10005 rows, just over MATERIALIZE_ROW_CAP.
+    cov = _grid_covariance(n_x=69, n_z=29)
+    with pytest.raises(SizeCapError, match="10005"):
+        materialize_full(cov)
+    assert "spatial_factor" not in cov.__dict__
 
 
 def test_randomized_covariances_are_symmetric_psd():
@@ -321,6 +323,11 @@ def test_substream_normals_are_reproducible():
     a = standard_normal_draws(7, 3, seed=1)
     b = standard_normal_draws(7, 5, seed=1)
     assert np.array_equal(a, b[:3])
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed"):
+        standard_normal_draws(7, 3, seed=-1)
 
 
 def test_sampling_on_default_geometry_shapes():

@@ -237,9 +237,14 @@ def test_rank_one_perturbation_covariance_gives_rank_one_clutter():
 
 
 def test_modal_cap_refusal():
-    _, _, forward, cov = _toy_setup(n_x=3, n_z=2)
-    with pytest.raises(SizeCapError):
-        modal_decomposition(forward, cov, row_cap=10)
+    # 69 x 29 cells: 5P = 10005 rows, just over MATERIALIZE_ROW_CAP.
+    geometry = build_default_geometry(GeometryConfig(n_tx=1, n_rx=1, n_x=69, n_z=29))
+    scenario = get_scenario("S_syn")
+    cov = build_covariance(scenario, geometry.cell_centers, 0.1, 0.3, np.ones(5), 1.0)
+    with pytest.raises(SizeCapError, match="10005"):
+        modal_decomposition(assemble_forward(scenario, geometry), cov)
+    assert "spatial_factor" not in cov.__dict__
+    assert "_spatial_eigh" not in cov.__dict__
 
 
 def test_jacobi_matches_lapack_on_benign_matrices():
