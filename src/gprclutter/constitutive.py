@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from .constants import EPSILON_0
-from .errors import DomainError, SingularBackgroundError
+from .errors import DomainError, SingularBackgroundError, TauFloorError
 
 PARAMETER_NAMES = ("eps_inf", "delta_eps", "tau", "alpha", "sigma")
 
@@ -291,8 +291,8 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
     """Vectorized exact contrast for stacked perturbations.
 
     ``delta_mu`` has shape (5, ...) with the parameter channel leading;
-    ``omega`` broadcasts against the trailing shape. Raises DomainError with
-    the offending index if any perturbed tau hits the hard floor.
+    ``omega`` broadcasts against the trailing shape. Raises TauFloorError
+    with the offending index if any perturbed tau hits the hard floor.
 
     Background and perturbed states go through the same factored kernel, so
     a zero perturbation gives exactly zero contrast. Perturbations shaped
@@ -310,11 +310,7 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
     if np.any(perturbed_tau <= floor):
         index = tuple(int(i) for i in np.unravel_index(
             int(np.argmax(perturbed_tau <= floor)), perturbed_tau.shape))
-        raise DomainError(
-            f"perturbed tau at index {index} fell to "
-            f"{float(perturbed_tau[index])!r} (floor {float(floor)!r}); "
-            "perturbation scale too large for channel 'tau'"
-        )
+        raise TauFloorError(index, float(perturbed_tau[index]), float(floor))
     eps_b = _relative_permittivity(*base, omega)
     contrast = _relative_permittivity(
         base[0] + delta_mu[0],

@@ -17,6 +17,21 @@ class DomainError(GprClutterError, ValueError):
     """Constitutive evaluation left its admissible parameter domain."""
 
 
+class TauFloorError(DomainError):
+    """A perturbed relaxation time fell to its hard floor.
+
+    ``index`` locates the offending value in the evaluated array; ``where``
+    prefixes the message with the caller's context.
+    """
+
+    def __init__(self, index: tuple[int, ...], value: float, floor: float, where: str = ""):
+        super().__init__(
+            f"{where}perturbed tau at index {index} fell to {value!r} (floor {floor!r}); "
+            "perturbation scale too large for channel 'tau'"
+        )
+        self.index, self.value, self.floor = index, value, floor
+
+
 class SingularBackgroundError(DomainError):
     """Background permittivity vanished where a sensitivity is needed."""
 

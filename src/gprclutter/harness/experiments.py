@@ -18,13 +18,8 @@ from .. import __version__
 from ..constitutive import ColeColeParams, finite_difference_check, PARAMETER_NAMES
 from ..errors import GprClutterError
 from ..forward import ForwardMatrix, assemble_forward, forward_discrepancy, steering_vector
-from ..montecarlo import (
-    closure_report,
-    sample_covariance,
-    snapshots_from_perturbations,
-    validity_scan,
-)
-from ..randfield import build_covariance, sample_perturbations
+from ..montecarlo import closure_covariances, closure_from_covariances, validity_scan
+from ..randfield import build_covariance
 from ..scene import (
     Scenario,
     SceneGeometry,
@@ -287,21 +282,17 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
             forward = assemble_forward(scenario, geometry)
             cov = _covariance(scenario, geometry, rf)
             theory = clutter_covariance(forward, cov)
-            # Both modes synthesize from one draw; release it before the
-            # next scenario draws its own.
-            samples = sample_perturbations(cov, rf.sample_count, rf.seed)
-            snaps_lin = snapshots_from_perturbations(
-                forward, scenario, geometry, samples, "linear")
-            snaps_exact = snapshots_from_perturbations(
-                forward, scenario, geometry, samples, "exact")
-            del samples
-            report = closure_report(theory, snaps_lin, snaps_exact)
+            # Both modes synthesize from one streamed draw.
+            rhat_linear, rhat_exact = closure_covariances(
+                forward, scenario, geometry, cov, rf.sample_count, rf.seed)
+            report = closure_from_covariances(
+                theory, rhat_linear, rhat_exact, sample_count=rf.sample_count)
             result.reports[sid] = report
             result.table.add_row(scenario=sid, **report.to_dict())
             if keep_matrices:
                 result.matrices[f"closure_{sid}_theory"] = theory.matrix
-                result.matrices[f"closure_{sid}_rhat_linear"] = sample_covariance(snaps_lin)
-                result.matrices[f"closure_{sid}_rhat_exact"] = sample_covariance(snaps_exact)
+                result.matrices[f"closure_{sid}_rhat_linear"] = rhat_linear
+                result.matrices[f"closure_{sid}_rhat_exact"] = rhat_exact
     return result
 
 

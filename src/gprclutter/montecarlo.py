@@ -9,9 +9,15 @@ of ``ForwardMatrix``; no path here reads the dense ``entries``. Comparing
 the two isolates the constitutive linearization error; comparing their
 sample covariances with the propagated theoretical covariance closes the
 loop on the statistical chain. Synthesis is noise-free throughout: the
-additive noise floor enters analytically downstream. Exact contrast is
-evaluated in chunks of at most EXACT_CHUNK_VALUES values, so memory stays
-bounded for any sample count.
+additive noise floor enters analytically downstream.
+
+Memory does not grow with the sample count times 5P. Closure draws,
+synthesizes and accumulates SAMPLE_BLOCK samples at a time: it holds one
+block of samples and snapshots and one MN x MN sum of y y^H per mode. The
+validity scan fills its (L, 5P) base samples one block at a time, keeps
+the (L, MN) linear snapshots and the L N P contrast errors that the pooled
+percentile needs, and forms the linear contrast per exact chunk. Exact
+contrast is evaluated in chunks of at most EXACT_CHUNK_VALUES values.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .constitutive import (
     N_PARAMS,
     exact_contrast_field,
 )
-from .errors import ConfigError, DomainError, UndefinedSpectrumError
+from .errors import ConfigError, TauFloorError, UndefinedSpectrumError
 from .forward import ForwardMatrix
 from .randfield import PerturbationCovariance, sample_perturbations
 from .scene import Scenario, SceneGeometry
@@ -40,6 +46,11 @@ DEFAULT_AMPLITUDE_GRID = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
 #: sample). About 1 MB of complex contrast, so a chunk's temporaries stay in
 #: cache and peak memory does not grow with the sample count.
 EXACT_CHUNK_VALUES = 2**16
+
+#: Samples drawn, synthesized and accumulated at a time. Fixed, so the
+#: summation order, and with it every output byte, does not depend on the
+#: machine.
+SAMPLE_BLOCK = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,24 +106,34 @@ def _linear_contrast(forward: ForwardMatrix, samples: np.ndarray) -> np.ndarray:
 
 
 def _exact_chunks(
-    scenario: Scenario, geometry: SceneGeometry, samples: np.ndarray, scale: float = 1.0
+    scenario: Scenario,
+    geometry: SceneGeometry,
+    samples: np.ndarray,
+    scale: float = 1.0,
+    start: int = 0,
 ):
     """Exact per-cell contrast of ``scale * samples`` in row chunks.
 
     Yields (rows, contrast) with contrast of shape (chunk, N, P) holding at
     most EXACT_CHUNK_VALUES values unless one sample alone exceeds that.
+    ``samples[0]`` is sample ``start`` of the ensemble: a tau-floor error
+    names the chunk's samples and the offending (sample, 0, cell) index in
+    ensemble numbering.
     """
     omegas = 2.0 * np.pi * geometry.frequencies
     step = max(1, EXACT_CHUNK_VALUES // (omegas.size * geometry.n_cells))
     per_channel = samples.reshape(samples.shape[0], N_PARAMS, geometry.n_cells)
-    for start in range(0, samples.shape[0], step):
-        rows = slice(start, min(start + step, samples.shape[0]))
+    for row in range(0, samples.shape[0], step):
+        rows = slice(row, min(row + step, samples.shape[0]))
         # (5, chunk, 1, P) perturbations against (N, 1) frequencies
         delta = scale * per_channel[rows].transpose(1, 0, 2)[:, :, None, :]
         try:
             contrast = exact_contrast_field(scenario.background, delta, omegas[:, None])
-        except DomainError as exc:
-            raise DomainError(f"samples {rows.start}..{rows.stop - 1}: {exc}") from exc
+        except TauFloorError as exc:
+            first, last = start + rows.start, start + rows.stop - 1
+            index = (first + exc.index[0],) + exc.index[1:]
+            where = f"samples {first}..{last}: "
+            raise TauFloorError(index, exc.value, exc.floor, where) from exc
         yield rows, contrast
 
 
@@ -130,12 +151,15 @@ def snapshots_from_perturbations(
     geometry: SceneGeometry,
     samples: np.ndarray,
     mode: str,
+    *,
+    start: int = 0,
 ) -> np.ndarray:
     """Noise-free Born snapshots of given perturbation samples, shape (L, MN).
 
     ``linear`` applies the forward operator block by block,
     y = sum_q D_q K x_q; ``exact`` evaluates the exact contrast per cell and
     frequency and contracts it against the same two-way kernels K.
+    ``samples[0]`` is sample ``start`` of the ensemble, as errors report it.
     """
     if mode not in SNAPSHOT_MODES:
         raise ConfigError(f"unknown snapshot mode {mode!r} (known: {SNAPSHOT_MODES})")
@@ -159,7 +183,7 @@ def snapshots_from_perturbations(
             out += block
         return out
 
-    for rows, contrast in _exact_chunks(scenario, geometry, samples):
+    for rows, contrast in _exact_chunks(scenario, geometry, samples, start=start):
         _born_sum(forward, contrast, out[rows])
     return out
 
@@ -185,8 +209,50 @@ def sample_covariance(snapshots: np.ndarray) -> np.ndarray:
     construction, and centering would bias the closure check at small L.
     """
     snapshots = np.asarray(snapshots, dtype=complex)
-    matrix = snapshots.T @ snapshots.conj() / snapshots.shape[0]
+    return _hermitian_mean(snapshots.T @ snapshots.conj(), snapshots.shape[0])
+
+
+def _sample_blocks(cov: PerturbationCovariance, count: int, seed: int):
+    """Yield (start, samples) for consecutive blocks of samples 0..count-1.
+
+    Every block holds SAMPLE_BLOCK samples, the last one at most that.
+    """
+    for start in range(0, count, SAMPLE_BLOCK):
+        yield start, sample_perturbations(cov, min(SAMPLE_BLOCK, count - start), seed, start=start)
+
+
+def _hermitian_mean(total: np.ndarray, count: int) -> np.ndarray:
+    """The Hermitian part of total / count, for a sum of count outer products."""
+    matrix = total / count
     return 0.5 * (matrix + matrix.conj().T)
+
+
+def closure_covariances(
+    forward: ForwardMatrix,
+    scenario: Scenario,
+    geometry: SceneGeometry,
+    cov: PerturbationCovariance,
+    count: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Linear- and exact-mode sample covariances of one draw of ``count`` samples.
+
+    Samples are drawn SAMPLE_BLOCK at a time; each block is synthesized in
+    both modes and its y y^H added into one MN x MN sum per mode. The sums
+    equal those of :func:`sample_covariance` on the full snapshot arrays up
+    to summation order (Chan, Golub & LeVeque, Am. Stat. 1983), and memory
+    holds one block, not the (count, 5P) samples.
+    """
+    if count < 2:
+        raise ConfigError("closure needs at least two snapshots per mode")
+    size = forward.shape[0]
+    sums = {mode: np.zeros((size, size), dtype=complex) for mode in SNAPSHOT_MODES}
+    for start, samples in _sample_blocks(cov, count, seed):
+        for mode, total in sums.items():
+            snapshots = snapshots_from_perturbations(
+                forward, scenario, geometry, samples, mode, start=start)
+            total += snapshots.T @ snapshots.conj()
+    return _hermitian_mean(sums["linear"], count), _hermitian_mean(sums["exact"], count)
 
 
 def closure_from_covariances(
@@ -314,19 +380,25 @@ def validity_scan(
         raise ConfigError("amplitude grid is empty")
     if any(s <= 0.0 for s in grid) or list(grid) != sorted(grid):
         raise ConfigError(f"amplitude grid must be positive ascending, got {grid!r}")
+    if sample_count < 1:
+        raise ConfigError(f"sample count must be >= 1, got {sample_count!r}")
 
-    base = sample_perturbations(cov_template.with_amplitude(1.0), sample_count, seed)
-    # The linear model is homogeneous in the amplitude: evaluate it once.
-    contrast_lin = _linear_contrast(forward, base)
+    unit = cov_template.with_amplitude(1.0)
+    base = np.empty((sample_count, unit.dim))
+    for start, samples in _sample_blocks(unit, sample_count, seed):
+        base[start:start + samples.shape[0]] = samples
+    # The linear snapshot is homogeneous in the amplitude: synthesize it once.
     y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
-    err = np.empty(contrast_lin.shape)
+    err = np.empty((sample_count, geometry.frequencies.size, geometry.n_cells))
     y_exact = np.empty_like(y_lin)
     p95_contrast, p95_snapshot = [], []
     for s in grid:
         for rows, contrast in _exact_chunks(scenario, geometry, base, scale=s):
-            err[rows] = np.abs(contrast - s * contrast_lin[rows]) / np.maximum(
-                np.abs(contrast), DENOMINATOR_FLOOR
-            )
+            deviation = _linear_contrast(forward, base[rows])
+            deviation *= s
+            deviation -= contrast
+            np.abs(deviation, out=err[rows])
+            err[rows] /= np.maximum(np.abs(contrast), DENOMINATOR_FLOOR)
             _born_sum(forward, contrast, y_exact[rows])
         p95_contrast.append(nearest_rank_percentile(err, 0.95))
 

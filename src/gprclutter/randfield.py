@@ -352,25 +352,30 @@ def build_covariance(
     )
 
 
-def standard_normal_draws(dim: int, count: int, seed: int) -> np.ndarray:
-    """Per-sample substream normals, shape (count, dim).
+def standard_normal_draws(dim: int, count: int, seed: int, *, start: int = 0) -> np.ndarray:
+    """Substream normals of samples start, ..., start + count - 1, shape (count, dim).
 
-    Row i depends only on (seed, i), never on count or calling pattern, so
-    partial batches and parallel draws reproduce the same values.
+    Sample i depends only on (seed, i), never on count, start or calling
+    pattern, so blocks, partial batches and parallel draws reproduce the
+    same values.
     """
     if count < 1:
         raise ConfigError(f"sample count must be >= 1, got {count!r}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed!r}")
+    if start < 0:
+        raise ConfigError(f"first sample index must be >= 0, got {start!r}")
     draws = np.empty((count, dim))
-    for i in range(count):
+    for row, i in enumerate(range(start, start + count)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        draws[i] = rng.standard_normal(dim)
+        draws[row] = rng.standard_normal(dim)
     return draws
 
 
-def sample_perturbations(cov: PerturbationCovariance, count: int, seed: int) -> np.ndarray:
-    """Draw stacked perturbation samples, shape (count, 5P).
+def sample_perturbations(
+    cov: PerturbationCovariance, count: int, seed: int, *, start: int = 0
+) -> np.ndarray:
+    """Draw perturbation samples start, ..., start + count - 1, shape (count, 5P).
 
     Each sample is amplitude * (L_param x S) z with z standard normal,
     L_param the Cholesky factor of the parameter factor and S S^T = C. The
@@ -387,7 +392,8 @@ def sample_perturbations(cov: PerturbationCovariance, count: int, seed: int) -> 
     differ in the last bit between batch sizes, because the GEMM's
     rounding depends on the row count.
     """
-    z = standard_normal_draws(cov.dim, count, seed).reshape(count, N_PARAMS, cov.n_cells)
+    z = standard_normal_draws(cov.dim, count, seed, start=start)
+    z = z.reshape(count, N_PARAMS, cov.n_cells)
     mixed = np.matmul(cov.param_cholesky, z)
     del z
     rows = mixed.reshape(count * N_PARAMS, cov.n_cells)

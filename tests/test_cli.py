@@ -243,6 +243,15 @@ def test_numerical_failures_exit_2_and_are_recorded(tmp_path, capsys):
     assert "error in S3" in capsys.readouterr().err
 
 
+def test_closure_with_one_sample_exits_2_and_is_recorded(tmp_path):
+    out = str(tmp_path / "results")
+    config_path = tmp_path / "one.yaml"
+    config_path.write_text("random_field: {sample_count: 1}\nscenarios: [S1]\n")
+    assert main(["--config", str(config_path), "--out", out, "closure"]) == 2
+    errors = json.loads(open(os.path.join(out, "closure_errors.json")).read())
+    assert errors == {"S1": "closure needs at least two snapshots per mode"}
+
+
 def test_closure_dump_matrices(tmp_path):
     out = str(tmp_path / "results")
     config_path = tmp_path / "small.yaml"

@@ -30,7 +30,12 @@ from gprclutter.harness.experiments import (
     run_target_scan,
     run_validity_scan,
 )
-from gprclutter.montecarlo import SNAPSHOT_MODES, snapshots_from_perturbations, validity_scan
+from gprclutter.montecarlo import (
+    SAMPLE_BLOCK,
+    SNAPSHOT_MODES,
+    snapshots_from_perturbations,
+    validity_scan,
+)
 
 
 def _config(**kwargs):
@@ -168,23 +173,28 @@ def test_closure_run_reports_small_discrepancies():
 
 
 def test_closure_draws_each_sample_once_per_scenario(monkeypatch):
-    # The linear and exact ensembles share one draw per scenario.
-    rows = []
+    # The linear and exact ensembles share one draw per scenario, streamed in
+    # blocks of SAMPLE_BLOCK samples that cover 0..L-1 exactly once.
+    ranges = []
     original = randfield.standard_normal_draws
 
-    def counting(dim, count, seed):
-        rows.append(count)
-        return original(dim, count, seed)
+    def counting(dim, count, seed, *, start=0):
+        ranges.append((start, count))
+        return original(dim, count, seed, start=start)
 
     monkeypatch.setattr(randfield, "standard_normal_draws", counting)
-    config = _config(
-        scenarios=("S1", "S4"),
-        geometry=GeometryConfig(n_tx=2, n_rx=2, n_x=3, n_z=2),
-        random_field=dataclasses.replace(RandomFieldConfig(), sample_count=16),
-    )
-    result = run_closure(config)
-    assert result.ok
-    assert rows == [16, 16]
+    assert SAMPLE_BLOCK == 64
+    for sample_count, blocks in ((16, [(0, 16)]), (150, [(0, 64), (64, 64), (128, 22)])):
+        ranges.clear()
+        config = _config(
+            scenarios=("S1", "S4"),
+            geometry=GeometryConfig(n_tx=2, n_rx=2, n_x=3, n_z=2),
+            random_field=dataclasses.replace(RandomFieldConfig(), sample_count=sample_count),
+        )
+        result = run_closure(config)
+        assert result.ok
+        # Each scenario's blocks tile 0..L-1: no sample drawn twice or skipped.
+        assert ranges == blocks * 2
 
 
 def test_monte_carlo_paths_never_read_the_dense_operator(monkeypatch):

@@ -18,8 +18,11 @@ from gprclutter import (
     montecarlo,
     scenario_registry,
 )
-from gprclutter.errors import ConfigError, DomainError, UndefinedSpectrumError
+from gprclutter.constitutive import DENOMINATOR_FLOOR, exact_contrast_field
+from gprclutter.errors import ConfigError, DomainError, TauFloorError, UndefinedSpectrumError
 from gprclutter.montecarlo import (
+    SNAPSHOT_MODES,
+    closure_covariances,
     closure_from_covariances,
     closure_report,
     convergence_ratio,
@@ -271,3 +274,82 @@ def test_exact_synthesis_is_invariant_to_the_chunk_budget(monkeypatch):
     assert np.allclose(report_rows.p95_snapshot_error, report.p95_snapshot_error,
                        rtol=0.0, atol=1e-13)
     assert report_rows.recommended_s_mu == report.recommended_s_mu
+
+
+def test_streamed_closure_covariances_match_the_full_snapshot_arrays():
+    # L = 150 streams as blocks of 64, 64 and 22 samples.
+    geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
+    samples = sample_perturbations(cov, 150, seed=11)
+    streamed = closure_covariances(forward, scenario, geometry, cov, 150, 11)
+    for mode, rhat in zip(SNAPSHOT_MODES, streamed):
+        snapshots = snapshots_from_perturbations(forward, scenario, geometry, samples, mode)
+        full = sample_covariance(snapshots)
+        assert np.array_equal(rhat, rhat.conj().T)
+        assert np.linalg.norm(rhat - full) <= 1e-13 * np.linalg.norm(full)
+
+
+def _validity_reference(forward, scenario, geometry, cov, grid, count, seed):
+    """p95 contrast and snapshot errors from full (L, 5P) and (L, N, P) arrays."""
+    base = sample_perturbations(cov.with_amplitude(1.0), count, seed)
+    per_channel = base.reshape(count, 5, geometry.n_cells)
+    omegas = 2.0 * np.pi * geometry.frequencies
+    linear = np.matmul(forward.sensitivities.T, per_channel)
+    y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
+    p95_contrast, p95_snapshot = [], []
+    for s in grid:
+        delta = (s * per_channel).transpose(1, 0, 2)[:, :, None, :]
+        exact = exact_contrast_field(scenario.background, delta, omegas[:, None])
+        err = np.abs(exact - s * linear) / np.maximum(np.abs(exact), DENOMINATOR_FLOOR)
+        p95_contrast.append(nearest_rank_percentile(err, 0.95))
+        y_exact = snapshots_from_perturbations(forward, scenario, geometry, s * base, "exact")
+        rel = np.linalg.norm(y_exact - s * y_lin, axis=1) / np.maximum(
+            np.linalg.norm(y_exact, axis=1), DENOMINATOR_FLOOR)
+        p95_snapshot.append(nearest_rank_percentile(rel, 0.95))
+    return p95_contrast, p95_snapshot
+
+
+@pytest.mark.parametrize("sid", ["S1", "S4"])
+def test_streamed_validity_scan_matches_a_full_array_reference(sid):
+    geometry, scenario, forward, cov = _setup(sid=sid, n_x=4, n_z=3)
+    report = validity_scan(forward, scenario, geometry, cov, sample_count=150, seed=4)
+    contrast, snapshot = _validity_reference(
+        forward, scenario, geometry, cov, report.amplitude_grid, 150, 4)
+    assert np.allclose(report.p95_contrast_error, contrast, rtol=1e-12, atol=0.0)
+    # Snapshot errors divide differences of nearly equal snapshots (see the
+    # chunk-budget test): bound them absolutely.
+    assert np.allclose(report.p95_snapshot_error, snapshot, rtol=0.0, atol=1e-13)
+
+
+def _tau_floor_hit(monkeypatch, scenario, geometry, sample, cell):
+    """Streamed draws in 15-sample exact chunks, with tau of one sample at one cell at 0."""
+    monkeypatch.setattr(
+        montecarlo, "EXACT_CHUNK_VALUES", 15 * geometry.frequencies.size * geometry.n_cells)
+    original = montecarlo.sample_perturbations
+
+    def hitting(cov, count, seed, *, start=0):
+        samples = original(cov, count, seed, start=start)
+        if start <= sample < start + count:
+            samples[sample - start, 2 * geometry.n_cells + cell] = -scenario.background.tau
+        return samples
+
+    monkeypatch.setattr(montecarlo, "sample_perturbations", hitting)
+
+
+@pytest.mark.parametrize(
+    ("count", "sample", "closure_rows", "scan_rows"),
+    [(40, 17, "15..29", "15..29"), (100, 70, "64..78", "60..74")],
+)
+def test_tau_floor_error_names_the_ensemble_sample(
+    monkeypatch, count, sample, closure_rows, scan_rows
+):
+    # Closure chunks each 64-sample block; the scan chunks the whole base.
+    geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
+    _tau_floor_hit(monkeypatch, scenario, geometry, sample, 9)
+    with pytest.raises(TauFloorError) as closure_error:
+        closure_covariances(forward, scenario, geometry, cov, count, 3)
+    with pytest.raises(TauFloorError) as scan_error:
+        validity_scan(forward, scenario, geometry, cov, amplitude_grid=(1.0,),
+                      sample_count=count, seed=3)
+    for error, rows in ((closure_error.value, closure_rows), (scan_error.value, scan_rows)):
+        assert error.index == (sample, 0, 9)
+        assert str(error).startswith(f"samples {rows}: perturbed tau at index ({sample}, 0, 9)")

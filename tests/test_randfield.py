@@ -325,9 +325,18 @@ def test_substream_normals_are_reproducible():
     assert np.array_equal(a, b[:3])
 
 
+def test_draws_from_a_start_index_are_rows_of_a_longer_draw():
+    longer = standard_normal_draws(11, 150, seed=5)
+    for start, count in ((0, 64), (64, 64), (128, 22), (37, 1)):
+        block = standard_normal_draws(11, count, seed=5, start=start)
+        assert block.tobytes() == longer[start:start + count].tobytes()
+
+
 def test_negative_seed_is_a_config_error():
     with pytest.raises(ConfigError, match="seed"):
         standard_normal_draws(7, 3, seed=-1)
+    with pytest.raises(ConfigError, match="first sample index"):
+        standard_normal_draws(7, 3, seed=1, start=-1)
 
 
 def test_sampling_on_default_geometry_shapes():
