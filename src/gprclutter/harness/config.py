@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 
 import yaml
 
 from ..errors import ConfigError
-from ..scene import GeometryConfig, coerce_float, coerce_int, scenario_registry
+from ..scene import (
+    GeometryConfig,
+    coerce_float,
+    coerce_floats,
+    coerce_int,
+    scenario_registry,
+)
 
 DEFAULT_SEED = 20260405
 
@@ -31,11 +38,7 @@ class RandomFieldConfig:
             object.__setattr__(self, name, coerce_float(getattr(self, name), name))
         for name in ("sample_count", "seed"):
             object.__setattr__(self, name, coerce_int(getattr(self, name), name))
-        try:
-            weights = tuple(float(w) for w in self.weights)
-        except (TypeError, ValueError):
-            raise ConfigError(f"weights must be numbers, got {self.weights!r}") from None
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", coerce_floats(self.weights, "weights"))
         if len(self.weights) != 5:
             raise ConfigError(f"weights must have 5 entries, got {self.weights!r}")
         if self.sample_count < 1:
@@ -71,17 +74,15 @@ class ExperimentSettings:
     kernel_diff_scenarios: tuple[str, ...] = ("S1", "S2", "S3")
 
     def __post_init__(self):
+        for name in ("amplitude_grid", "delta_f_grid", "corr_length_grid",
+                     "rho_c_grid", "kappa_grid", "snr_grid_db", "target"):
+            object.__setattr__(self, name, coerce_floats(getattr(self, name), name))
         try:
-            for name in ("amplitude_grid", "delta_f_grid", "corr_length_grid",
-                         "rho_c_grid", "kappa_grid", "snr_grid_db"):
-                object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-            object.__setattr__(self, "target", tuple(float(v) for v in self.target))
-            object.__setattr__(
-                self, "target_grid",
-                tuple(tuple(float(v) for v in t) for t in self.target_grid),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"non-numeric experiment grid entry: {exc}") from None
+            targets = tuple(self.target_grid)
+        except TypeError:
+            raise ConfigError(f"target_grid must be a list, got {self.target_grid!r}") from None
+        object.__setattr__(self, "target_grid", tuple(
+            coerce_floats(t, f"target_grid[{i}]") for i, t in enumerate(targets)))
         object.__setattr__(self, "validity_sample_count",
                            coerce_int(self.validity_sample_count, "validity_sample_count"))
         object.__setattr__(self, "validity_threshold",
@@ -114,6 +115,14 @@ class ExperimentConfig:
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return dataclasses.replace(self, **kwargs)
+
+    @functools.cached_property
+    def _hash(self) -> str:
+        """:func:`config_hash`, emitted once per config object: it is immutable."""
+        content = config_to_dict(self)
+        content.pop("output_dir")
+        text = yaml.safe_dump(content, sort_keys=True, default_flow_style=None)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 _BLOCK_TYPES = {
@@ -198,7 +207,4 @@ def config_hash(config: ExperimentConfig) -> str:
     The output directory is excluded: it affects where results land, not
     what they contain.
     """
-    content = config_to_dict(config)
-    content.pop("output_dir")
-    text = yaml.safe_dump(content, sort_keys=True, default_flow_style=None)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return config._hash

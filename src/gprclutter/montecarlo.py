@@ -11,13 +11,17 @@ sample covariances with the propagated theoretical covariance closes the
 loop on the statistical chain. Synthesis is noise-free throughout: the
 additive noise floor enters analytically downstream.
 
-Memory does not grow with the sample count times 5P. Closure draws,
-synthesizes and accumulates SAMPLE_BLOCK samples at a time: it holds one
-block of samples and snapshots and one MN x MN sum of y y^H per mode. The
-validity scan fills its (L, 5P) base samples one block at a time, keeps
-the (L, MN) linear snapshots and the L N P contrast errors that the pooled
-percentile needs, and forms the linear contrast per exact chunk. Exact
-contrast is evaluated in chunks of at most EXACT_CHUNK_VALUES values.
+Memory does not grow with the sample count times 5P. Samples are drawn,
+synthesized and accumulated in blocks of at most SAMPLE_BLOCK samples and
+SAMPLE_BLOCK_BYTES bytes of samples, so a block shrinks at large P.
+Closure holds one block of samples and snapshots and one MN x MN sum of
+y y^H per mode. The validity scan fills its (L, 5P) base samples one block
+at a time and keeps the (L, MN) linear and exact snapshots and the L
+per-sample snapshot errors. Its L N P contrast errors stream, one exact
+chunk at a time, into a :class:`NearestRankSelector`, which keeps only the
+values above the percentile's rank: about a tenth of the pool at the 95th
+percentile. Exact contrast is evaluated in chunks of at most
+EXACT_CHUNK_VALUES values.
 """
 
 from __future__ import annotations
@@ -47,10 +51,16 @@ DEFAULT_AMPLITUDE_GRID = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
 #: cache and peak memory does not grow with the sample count.
 EXACT_CHUNK_VALUES = 2**16
 
-#: Samples drawn, synthesized and accumulated at a time. Fixed, so the
-#: summation order, and with it every output byte, does not depend on the
-#: machine.
+#: Samples drawn, synthesized and accumulated at a time, at most. Fixed, so
+#: the summation order, and with it every output byte, does not depend on
+#: the machine.
 SAMPLE_BLOCK = 64
+
+#: Bytes of float samples per block, at most (at least one sample). A block
+#: of 5P-entry samples holds min(SAMPLE_BLOCK, SAMPLE_BLOCK_BYTES // (8 * 5P))
+#: samples: 64 at P=525, 30 at P=1728, 1 at P=32000. The sampler holds the
+#: normals and the mixed rows of one block.
+SAMPLE_BLOCK_BYTES = 2 * 2**20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,13 +100,73 @@ class ValidityReport:
         return dataclasses.asdict(self)
 
 
+class NearestRankSelector:
+    """Exact streaming nearest-rank percentile of ``count`` values.
+
+    The percentile is the ceil(q count)-th smallest value, that is the
+    k-th largest with k = count - ceil(q count) + 1. Values arrive through
+    :meth:`add` in any chunks; only candidates for the k largest are kept,
+    in a buffer of at most 2k entries. Once the buffer has been cut back,
+    its floor (the k-th largest value so far) only rises, and values at or
+    below it are dropped as they arrive; of a chunk with more than k values
+    left, only its k largest are kept. A buffer that cannot take the next
+    chunk is cut back to its k largest entries by one in-place partition,
+    so each chunk costs at most one cut. The result is the selected
+    value itself, so it equals a sort-based nearest rank exactly. NaN
+    counts as the largest value, as in ``np.sort``.
+    """
+
+    def __init__(self, count: int, q: float):
+        if count < 1:
+            raise ConfigError("percentile of an empty sample")
+        if not 0.0 <= q <= 1.0:
+            raise ConfigError(f"percentile level must lie in [0, 1], got {q!r}")
+        self.count = int(count)
+        self.seen = 0
+        self._keep = self.count - max(int(math.ceil(q * self.count)), 1) + 1
+        self._buffer = np.empty(min(2 * self._keep, self.count))
+        self._filled = 0
+        self._floor = None
+
+    def add(self, values) -> None:
+        """Take the next values, in any shape."""
+        values = np.asarray(values, dtype=float).ravel()
+        self.seen += values.size
+        if self.seen > self.count:
+            raise ConfigError(f"more than the announced {self.count} values")
+        if self._floor is not None:
+            # A value at or below the k-th largest so far cannot change it.
+            values = np.compress(~(values <= self._floor), values)
+        if values.size > self._keep:
+            # Nor can one below k others of its own chunk.
+            values = np.partition(values, values.size - self._keep)[values.size - self._keep:]
+        if self._filled + values.size > self._buffer.size:
+            self._cut()
+        self._buffer[self._filled:self._filled + values.size] = values
+        self._filled += values.size
+
+    def _cut(self) -> None:
+        """Keep the k largest buffered values, with the smallest of them first."""
+        cut = self._filled - self._keep
+        self._buffer[:self._filled].partition(cut)
+        self._buffer[:self._keep] = self._buffer[cut:self._filled]
+        self._filled = self._keep
+        self._floor = self._buffer[0]
+
+    def value(self) -> float:
+        """The percentile, once all ``count`` values have arrived."""
+        if self.seen != self.count:
+            raise ConfigError(f"percentile of {self.seen} values, {self.count} announced")
+        self._cut()
+        return float(self._floor)
+
+
 def nearest_rank_percentile(values: np.ndarray, q: float) -> float:
     """Nearest-rank percentile: the ceil(q n)-th smallest of n values."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        raise ConfigError("percentile of an empty sample")
-    rank = max(int(math.ceil(q * values.size)), 1) - 1
-    return float(np.partition(values, rank)[rank])
+    values = np.asarray(values, dtype=float)
+    selector = NearestRankSelector(values.size, q)
+    selector.add(values)
+    return selector.value()
 
 
 def _linear_contrast(forward: ForwardMatrix, samples: np.ndarray) -> np.ndarray:
@@ -215,10 +285,13 @@ def sample_covariance(snapshots: np.ndarray) -> np.ndarray:
 def _sample_blocks(cov: PerturbationCovariance, count: int, seed: int):
     """Yield (start, samples) for consecutive blocks of samples 0..count-1.
 
-    Every block holds SAMPLE_BLOCK samples, the last one at most that.
+    Every block holds the same number of samples, the last one at most
+    that: SAMPLE_BLOCK, or fewer where their bytes would exceed
+    SAMPLE_BLOCK_BYTES.
     """
-    for start in range(0, count, SAMPLE_BLOCK):
-        yield start, sample_perturbations(cov, min(SAMPLE_BLOCK, count - start), seed, start=start)
+    size = min(SAMPLE_BLOCK, max(1, SAMPLE_BLOCK_BYTES // (8 * cov.dim)))
+    for start in range(0, count, size):
+        yield start, sample_perturbations(cov, min(size, count - start), seed, start=start)
 
 
 def _hermitian_mean(total: np.ndarray, count: int) -> np.ndarray:
@@ -237,11 +310,11 @@ def closure_covariances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear- and exact-mode sample covariances of one draw of ``count`` samples.
 
-    Samples are drawn SAMPLE_BLOCK at a time; each block is synthesized in
-    both modes and its y y^H added into one MN x MN sum per mode. The sums
-    equal those of :func:`sample_covariance` on the full snapshot arrays up
-    to summation order (Chan, Golub & LeVeque, Am. Stat. 1983), and memory
-    holds one block, not the (count, 5P) samples.
+    Samples are drawn in the blocks of :func:`_sample_blocks`; each block
+    is synthesized in both modes and its y y^H added into one MN x MN sum
+    per mode. The sums equal those of :func:`sample_covariance` on the full
+    snapshot arrays up to summation order (Chan, Golub & LeVeque, Am. Stat.
+    1983), and memory holds one block, not the (count, 5P) samples.
     """
     if count < 2:
         raise ConfigError("closure needs at least two snapshots per mode")
@@ -389,18 +462,21 @@ def validity_scan(
         base[start:start + samples.shape[0]] = samples
     # The linear snapshot is homogeneous in the amplitude: synthesize it once.
     y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
-    err = np.empty((sample_count, geometry.frequencies.size, geometry.n_cells))
     y_exact = np.empty_like(y_lin)
     p95_contrast, p95_snapshot = [], []
     for s in grid:
+        # Each chunk's contrast errors go straight into the selector.
+        selector = NearestRankSelector(sample_count * geometry.frequencies.size
+                                       * geometry.n_cells, 0.95)
         for rows, contrast in _exact_chunks(scenario, geometry, base, scale=s):
             deviation = _linear_contrast(forward, base[rows])
             deviation *= s
             deviation -= contrast
-            np.abs(deviation, out=err[rows])
-            err[rows] /= np.maximum(np.abs(contrast), DENOMINATOR_FLOOR)
+            err = np.abs(deviation)
+            err /= np.maximum(np.abs(contrast), DENOMINATOR_FLOOR)
+            selector.add(err)
             _born_sum(forward, contrast, y_exact[rows])
-        p95_contrast.append(nearest_rank_percentile(err, 0.95))
+        p95_contrast.append(selector.value())
 
         norms = np.linalg.norm(y_exact, axis=1)
         rel = np.linalg.norm(y_exact - s * y_lin, axis=1) / np.maximum(norms, DENOMINATOR_FLOOR)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 
@@ -112,11 +113,29 @@ def get_scenario(scenario_id: str) -> Scenario:
 
 
 def coerce_float(value, name: str) -> float:
-    """Parse a numeric config value; YAML 1.1 reads 1.0e8 as a string."""
+    """Parse a finite numeric config value; YAML 1.1 reads 1.0e8 as a string.
+
+    NaN and infinities, including a literal such as 1e400 that overflows,
+    are a ConfigError naming the key.
+    """
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def coerce_floats(values, name: str) -> tuple[float, ...]:
+    """Parse a sequence of finite numeric config values, naming the key."""
+    try:
+        numbers = tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be numbers, got {values!r}") from None
+    if not all(math.isfinite(v) for v in numbers):
+        raise ConfigError(f"{name} must be finite, got {values!r}")
+    return numbers
 
 
 def coerce_int(value, name: str) -> int:

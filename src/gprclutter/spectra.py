@@ -222,6 +222,8 @@ def modal_decomposition(
 
 def _validated_eigensystem(cov: ClutterCovariance) -> tuple[np.ndarray, np.ndarray]:
     matrix = cov.matrix
+    if not np.isfinite(matrix).all():
+        raise InvariantError(f"{cov.provenance} covariance has non-finite entries")
     scale = np.abs(matrix).max()
     if scale == 0.0:
         raise UndefinedSpectrumError("covariance is identically zero")
@@ -302,7 +304,7 @@ def target_overlap(
 
 def scale_covariance(cov: ClutterCovariance, kappa: float) -> ClutterCovariance:
     """Global power scaling kappa * R; the normalized spectrum is unchanged."""
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ConfigError(f"scale factor must be positive, got {kappa!r}")
     return ClutterCovariance(matrix=kappa * cov.matrix, provenance=cov.provenance)
 
@@ -317,7 +319,13 @@ def add_noise_floor(cov: ClutterCovariance, snr_db: float) -> ClutterCovariance:
     trace = cov.trace
     if trace <= 0.0:
         raise UndefinedSpectrumError("noise floor undefined for zero-trace covariance")
-    # 10^(-snr/10) underflows to zero at extreme SNR instead of overflowing.
-    sigma_sq = (trace / cov.size) * 10.0 ** (-snr_db / 10.0)
+    # 10^(-snr/10) underflows to zero at a very high SNR, which is harmless;
+    # at a very low SNR it, or the noise power, overflows.
+    try:
+        sigma_sq = (trace / cov.size) * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma_sq = math.inf
+    if not math.isfinite(sigma_sq):
+        raise ConfigError(f"snr_db {snr_db!r} gives a non-finite noise power {sigma_sq!r}")
     matrix = cov.matrix + sigma_sq * np.eye(cov.size)
     return ClutterCovariance(matrix=matrix, provenance=cov.provenance)

@@ -97,6 +97,51 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, source):
     assert not out.exists()
 
 
+def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
+    # Before, boundary-scale ran with kappa NaN, exited 0 and wrote r_eff 1.0.
+    out = tmp_path / "results"
+    config_path = tmp_path / "nan.yaml"
+    config_path.write_text("experiments: {kappa_grid: [.nan]}\n")
+    assert main(["--config", str(config_path), "--out", str(out), "boundary-scale"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "kappa_grid" in err
+    assert not out.exists()
+
+
+def test_overflowing_snr_is_recorded_per_scenario(tmp_path, capsys):
+    out = tmp_path / "results"
+    config_path = tmp_path / "snr.yaml"
+    config_path.write_text("experiments: {snr_grid_db: [-4000]}\n")
+    assert main(["--config", str(config_path), "--out", str(out), "boundary-noise"]) == 2
+    errors = json.loads((out / "boundary_errors.json").read_text())
+    assert set(errors) == {"S2", "S4"}
+    assert all("snr_db -4000.0" in message for message in errors.values())
+    assert "error in S2" in capsys.readouterr().err
+
+
+def test_report_hashes_its_config_once(tiny_report, tmp_path, monkeypatch):
+    from gprclutter.harness import config as config_mod
+
+    emitted = []
+    original = config_mod.config_to_dict
+
+    def counting(config):
+        emitted.append(config)
+        return original(config)
+
+    monkeypatch.setattr(config_mod, "config_to_dict", counting)
+    config, _ = tiny_report
+    out = str(tmp_path / "results")
+    assert main(["--config", config, "--out", out, "report"]) == 0
+    # One hash and one config.yaml, not one hash per experiment.
+    assert len(emitted) == 2
+    docs = [json.loads(open(os.path.join(out, name)).read())
+            for name in os.listdir(out) if name.endswith(".json")]
+    hashes = {doc["provenance"]["config_hash"] for doc in docs if "provenance" in doc}
+    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    assert hashes == {summary["config_hash"]}
+
+
 def test_print_config_round_trips(tmp_path, capsys):
     assert main(["--print-config", "check-derivatives"]) == 0
     text = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Configuration parsing, strictness, and round-trip stability."""
 
+import re
+
 import pytest
 
 from gprclutter.errors import ConfigError
@@ -84,6 +86,23 @@ def test_non_numeric_values_rejected():
         parse_config("geometry:\n  n_tx: 2.5\n")
     with pytest.raises(ConfigError, match="weights must be numbers"):
         parse_config("random_field:\n  weights: [1, 1, heavy, 1, 1]\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("experiments: {kappa_grid: [.nan]}\n", "kappa_grid"),
+    ("experiments: {snr_grid_db: [0, -.inf]}\n", "snr_grid_db"),
+    ("experiments: {amplitude_grid: [1e400]}\n", "amplitude_grid"),
+    ("experiments: {target_grid: [[0, 0, .inf]]}\n", "target_grid[0]"),
+    ("experiments: {validity_threshold: .nan}\n", "validity_threshold"),
+    ("random_field: {weights: [1, 1, .nan, 1, 1]}\n", "weights"),
+    ("random_field: {corr_length: .inf}\n", "corr_length"),
+    ("random_field: {sample_count: .nan}\n", "sample_count"),
+    ("geometry: {f0: 1e400}\n", "f0"),
+    ("geometry: {n_x: .inf}\n", "n_x"),
+])
+def test_non_finite_numbers_rejected_by_key(text, key):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite"):
+        parse_config(text)
 
 
 def test_empty_document_gives_defaults():

@@ -12,6 +12,7 @@ from gprclutter import (
     build_covariance,
     build_default_geometry,
     get_scenario,
+    montecarlo,
     randfield,
 )
 from gprclutter.forward import ForwardMatrix
@@ -172,9 +173,14 @@ def test_closure_run_reports_small_discrepancies():
         assert matrix.shape == (64, 64)
 
 
-def test_closure_draws_each_sample_once_per_scenario(monkeypatch):
+@pytest.mark.parametrize("block, tiles", [
+    (None, [(0, 64), (64, 64), (128, 22)]),
+    (40, [(0, 40), (40, 40), (80, 40), (120, 30)]),
+], ids=["default-budget", "binding-budget"])
+def test_closure_draws_each_sample_once_per_scenario(monkeypatch, block, tiles):
     # The linear and exact ensembles share one draw per scenario, streamed in
-    # blocks of SAMPLE_BLOCK samples that cover 0..L-1 exactly once.
+    # blocks of SAMPLE_BLOCK samples, or fewer under a binding byte budget,
+    # that cover 0..L-1 exactly once.
     ranges = []
     original = randfield.standard_normal_draws
 
@@ -184,7 +190,10 @@ def test_closure_draws_each_sample_once_per_scenario(monkeypatch):
 
     monkeypatch.setattr(randfield, "standard_normal_draws", counting)
     assert SAMPLE_BLOCK == 64
-    for sample_count, blocks in ((16, [(0, 16)]), (150, [(0, 64), (64, 64), (128, 22)])):
+    if block is not None:
+        # 3 x 2 cells: 30 entries of 8 bytes per sample.
+        monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK_BYTES", block * 8 * 30)
+    for sample_count, blocks in ((16, [(0, 16)]), (150, tiles)):
         ranges.clear()
         config = _config(
             scenarios=("S1", "S4"),

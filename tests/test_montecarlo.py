@@ -1,6 +1,7 @@
 """Snapshot synthesis, covariance closure, validity scan."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gprclutter.constitutive import DENOMINATOR_FLOOR, exact_contrast_field
 from gprclutter.errors import ConfigError, DomainError, TauFloorError, UndefinedSpectrumError
 from gprclutter.montecarlo import (
     SNAPSHOT_MODES,
+    NearestRankSelector,
     closure_covariances,
     closure_from_covariances,
     closure_report,
@@ -209,6 +211,67 @@ def test_nearest_rank_percentile():
         nearest_rank_percentile(np.array([]), 0.95)
 
 
+_SELECTOR_VALUES = st.one_of(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=400),
+    # Many ties.
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=400),
+    # Constant arrays, size 1 among them.
+    st.tuples(st.floats(-1e6, 1e6), st.integers(1, 400)).map(lambda t: [t[0]] * t[1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=_SELECTOR_VALUES,
+    q=st.floats(0.0, 1.0, exclude_min=True),
+    cuts=st.lists(st.integers(0, 400), max_size=10),
+)
+def test_streaming_selector_equals_a_sorted_nearest_rank(values, q, cuts):
+    values = np.asarray(values)
+    expected = np.sort(values)[max(math.ceil(q * values.size), 1) - 1]
+    selector = NearestRankSelector(values.size, q)
+    for chunk in np.split(values, sorted(c % (values.size + 1) for c in cuts)):
+        selector.add(chunk)
+    assert selector.value() == expected
+    assert nearest_rank_percentile(values, q) == expected
+
+
+def test_streaming_selector_checks_its_count_and_level():
+    selector = NearestRankSelector(3, 0.95)
+    selector.add([1.0, 2.0])
+    with pytest.raises(ConfigError, match="announced"):
+        selector.value()
+    with pytest.raises(ConfigError, match="announced"):
+        selector.add([3.0, 4.0])
+    for q in (-0.1, 1.5, math.nan):
+        with pytest.raises(ConfigError, match="level"):
+            NearestRankSelector(3, q)
+    with pytest.raises(ConfigError, match="empty"):
+        NearestRankSelector(0, 0.95)
+
+
+def test_validity_scan_never_holds_the_contrast_error_pool():
+    # 16 frequencies make the L N P contrast errors (8 L N P bytes as floats)
+    # outweigh the (L, 5P) base samples (40 L P bytes). The errors stream
+    # into the selector chunk by chunk, so the traced peak stays below the
+    # pool that holding them all would take.
+    geometry = build_default_geometry(GeometryConfig(n_tx=16, n_rx=2))
+    scenario = get_scenario("S4")
+    forward = assemble_forward(scenario, geometry)
+    cov = build_covariance(scenario, geometry.cell_centers, 0.15, 0.3, np.ones(5), 1.0)
+    count = 400
+    pool = 8 * count * geometry.frequencies.size * geometry.n_cells
+    tracemalloc.start()
+    try:
+        validity_scan(forward, scenario, geometry, cov, amplitude_grid=(0.5,),
+                      sample_count=count, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert geometry.frequencies.size == 16
+    assert peak < pool
+
+
 def test_validity_scan_monotone_and_recommending():
     geometry, scenario, forward, cov = _setup(sid="S4")
     report = validity_scan(forward, scenario, geometry, cov,
@@ -276,9 +339,13 @@ def test_exact_synthesis_is_invariant_to_the_chunk_budget(monkeypatch):
     assert report_rows.recommended_s_mu == report.recommended_s_mu
 
 
-def test_streamed_closure_covariances_match_the_full_snapshot_arrays():
-    # L = 150 streams as blocks of 64, 64 and 22 samples.
+@pytest.mark.parametrize("block", [None, 10], ids=["default-budget", "binding-budget"])
+def test_streamed_closure_covariances_match_the_full_snapshot_arrays(monkeypatch, block):
+    # L = 150 streams as blocks of 64, 64 and 22 samples, or with a byte
+    # budget of 10 samples as 15 blocks of 10.
     geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
+    if block is not None:
+        monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK_BYTES", block * 8 * cov.dim)
     samples = sample_perturbations(cov, 150, seed=11)
     streamed = closure_covariances(forward, scenario, geometry, cov, 150, 11)
     for mode, rhat in zip(SNAPSHOT_MODES, streamed):

@@ -341,6 +341,15 @@ def test_indefinite_input_rejected():
         _summary_of(np.diag([1.0, -1e-3]).astype(complex))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_input_rejected(bad):
+    # eigh of a NaN matrix would otherwise give r_eff 1.0 without complaint.
+    matrix = np.eye(4, dtype=complex)
+    matrix[2, 2] = bad
+    with pytest.raises(InvariantError, match="non-finite"):
+        _summary_of(matrix)
+
+
 def test_zero_covariance_has_no_spectrum():
     with pytest.raises(UndefinedSpectrumError):
         _summary_of(np.zeros((4, 4), dtype=complex))
@@ -395,8 +404,9 @@ def test_scaling_composes():
     once = scale_covariance(base, 4.0)
     assert np.array_equal(twice.matrix, once.matrix)
     assert np.array_equal(scale_covariance(base, 1.0).matrix, base.matrix)
-    with pytest.raises(ConfigError):
-        scale_covariance(base, 0.0)
+    for kappa in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError, match="scale factor"):
+            scale_covariance(base, kappa)
 
 
 def test_noise_floor_vanishes_at_extreme_snr():
@@ -437,6 +447,15 @@ def test_low_snr_inflates_low_rank_spectrum():
     nu = shifted / shifted.sum()
     oracle = math.exp(-(nu * np.log(nu)).sum())
     assert noisy.r_eff == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.parametrize("snr_db", [-4000.0, math.nan])
+def test_noise_floor_overflow_is_a_config_error(snr_db):
+    # 10^400 overflows a float: the error names snr_db instead of escaping
+    # as a bare OverflowError.
+    base = ClutterCovariance(matrix=np.eye(4, dtype=complex), provenance="theoretical")
+    with pytest.raises(ConfigError, match="snr_db"):
+        add_noise_floor(base, snr_db)
 
 
 def test_noise_floor_needs_positive_trace():
