@@ -28,8 +28,6 @@ from .forward import (
 from .montecarlo import (
     ClosureReport,
     ValidityReport,
-    closure_report,
-    simulate_snapshots,
     validity_scan,
 )
 from .randfield import (
@@ -80,8 +78,6 @@ __all__ = [
     "steering_vector",
     "ClosureReport",
     "ValidityReport",
-    "closure_report",
-    "simulate_snapshots",
     "validity_scan",
     "PerturbationCovariance",
     "build_covariance",

@@ -121,7 +121,6 @@ class ForwardMatrix:
     n_tx: int
     n_rx: int
     n_cells: int
-    scenario_id: str
     geometry_fingerprint: str
 
     def __post_init__(self):
@@ -197,7 +196,6 @@ def assemble_forward(scenario: Scenario, geometry: SceneGeometry) -> ForwardMatr
         n_tx=n_tx,
         n_rx=n_rx,
         n_cells=n_cells,
-        scenario_id=scenario.id,
         geometry_fingerprint=geometry.fingerprint(),
     )
 

@@ -81,6 +81,8 @@ class ExperimentSettings:
             targets = tuple(self.target_grid)
         except TypeError:
             raise ConfigError(f"target_grid must be a list, got {self.target_grid!r}") from None
+        if not targets:
+            raise ConfigError("target_grid must hold at least one target")
         object.__setattr__(self, "target_grid", tuple(
             coerce_floats(t, f"target_grid[{i}]") for i, t in enumerate(targets)))
         object.__setattr__(self, "validity_sample_count",

@@ -8,8 +8,11 @@ the operator through its factors, the kernels K and the sensitivities Psi
 of ``ForwardMatrix``; no path here reads the dense ``entries``. Comparing
 the two isolates the constitutive linearization error; comparing their
 sample covariances with the propagated theoretical covariance closes the
-loop on the statistical chain. Synthesis is noise-free throughout: the
-additive noise floor enters analytically downstream.
+loop on the statistical chain. Closure has one path:
+:func:`closure_covariances` streams both sample covariances and
+:func:`closure_from_covariances` compares them with the theory. Synthesis
+is noise-free throughout: the additive noise floor enters analytically
+downstream.
 
 Memory does not grow with the sample count times 5P. Samples are drawn,
 synthesized and accumulated in blocks of at most SAMPLE_BLOCK samples and
@@ -258,20 +261,6 @@ def snapshots_from_perturbations(
     return out
 
 
-def simulate_snapshots(
-    forward: ForwardMatrix,
-    scenario: Scenario,
-    geometry: SceneGeometry,
-    cov: PerturbationCovariance,
-    count: int,
-    seed: int,
-    mode: str,
-) -> np.ndarray:
-    """Draw perturbations from the field covariance and synthesize snapshots."""
-    samples = sample_perturbations(cov, count, seed)
-    return snapshots_from_perturbations(forward, scenario, geometry, samples, mode)
-
-
 def sample_covariance(snapshots: np.ndarray) -> np.ndarray:
     """Zero-mean sample covariance (1/L) sum c c^H of stacked snapshots.
 
@@ -377,24 +366,6 @@ def closure_from_covariances(
         eps_sub=eps_sub,
         sample_count=int(sample_count),
         subspace_dim=int(p),
-    )
-
-
-def closure_report(
-    theory: ClutterCovariance,
-    snapshots_linear: np.ndarray,
-    snapshots_exact: np.ndarray,
-    subspace_dim: int | None = None,
-) -> ClosureReport:
-    """Closure of snapshot-ensemble covariances against the propagated one."""
-    if snapshots_linear.shape[0] < 2 or snapshots_exact.shape[0] < 2:
-        raise ConfigError("closure needs at least two snapshots per mode")
-    return closure_from_covariances(
-        theory,
-        sample_covariance(snapshots_linear),
-        sample_covariance(snapshots_exact),
-        sample_count=snapshots_exact.shape[0],
-        subspace_dim=subspace_dim,
     )
 
 

@@ -52,9 +52,6 @@ RNG_SCHEME = (
 
 SPATIAL_KERNELS = ("squared_exponential", "exponential")
 
-#: Rows per block of the factor symmetry check.
-SYMMETRY_BLOCK = 64
-
 
 def build_spatial_factor(
     cell_centers: np.ndarray, corr_length: float, kernel: str = "squared_exponential"
@@ -67,8 +64,8 @@ def build_spatial_factor(
     """
     _check_kernel(corr_length, kernel)
     pts = np.asarray(cell_centers, dtype=float)
-    dist_sq = _squared_differences(pts[:, 0])
-    dist_sq += _squared_differences(pts[:, 2])
+    dist_sq = _pairwise_squares(pts[:, 0])
+    dist_sq += _pairwise_squares(pts[:, 2])
     if kernel == "squared_exponential":
         dist_sq /= -(2.0 * corr_length * corr_length)
     else:
@@ -91,18 +88,6 @@ def _pairwise_squares(values: np.ndarray) -> np.ndarray:
     table = values[:, None] - values[None, :]
     table *= table
     return table
-
-
-def _squared_differences(coords: np.ndarray) -> np.ndarray:
-    """(c_i - c_j)^2 for all pairs, shape (P, P).
-
-    Differences are formed once per pair of distinct values and gathered
-    to the cell pairs: a tensor grid has only n_x (or n_z) distinct values
-    per axis.
-    """
-    values, index = np.unique(coords, return_inverse=True)
-    table = _pairwise_squares(values)
-    return np.take(np.take(table, index, axis=0), index, axis=1)
 
 
 def _grid_axes(cell_centers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -173,7 +158,6 @@ class PerturbationCovariance:
         spatial_factor: np.ndarray | None = None,
         *,
         amplitude: float,
-        corr_length: float,
         spatial_axes: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         if (spatial_factor is None) == (spatial_axes is None):
@@ -193,7 +177,6 @@ class PerturbationCovariance:
             spatial_axes=axes,
             _dense=dense,
             amplitude=amplitude,
-            corr_length=corr_length,
         )
 
     def __setattr__(self, name, value):
@@ -286,24 +269,10 @@ def _frozen_factor(name: str, value) -> np.ndarray:
     scale = np.abs(value).max()
     if not np.isfinite(scale):
         raise ConfigError(f"{name} has non-finite entries")
-    if _asymmetry(value) > 1e-12 * max(1.0, scale):
+    if np.abs(value - value.T).max() > 1e-12 * max(1.0, scale):
         raise ConfigError(f"{name} must be symmetric")
     value.flags.writeable = False
     return value
-
-
-def _asymmetry(matrix: np.ndarray) -> float:
-    """max |m - m^T| over the upper triangle, one block row at a time.
-
-    Each block row is compared with the matching block column, whose
-    transposed read touches short contiguous runs, so the check stays
-    cache-friendly at large P and visits every pair once.
-    """
-    worst = 0.0
-    for start in range(0, matrix.shape[0], SYMMETRY_BLOCK):
-        rows = slice(start, start + SYMMETRY_BLOCK)
-        worst = max(worst, float(np.abs(matrix[rows, start:] - matrix[start:, rows].T).max()))
-    return worst
 
 
 def _cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -340,7 +309,6 @@ def build_covariance(
             param_factor=param,
             spatial_factor=build_spatial_factor(cell_centers, corr_length, kernel),
             amplitude=amplitude,
-            corr_length=corr_length,
         )
     _check_kernel(corr_length, kernel)
     scale = -(2.0 * corr_length * corr_length)
@@ -348,7 +316,6 @@ def build_covariance(
         param_factor=param,
         spatial_axes=tuple(np.exp(_pairwise_squares(v) / scale) for v in axes),
         amplitude=amplitude,
-        corr_length=corr_length,
     )
 
 

@@ -98,14 +98,22 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, source):
 
 
 def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
-    # Before, boundary-scale ran with kappa NaN, exited 0 and wrote r_eff 1.0.
-    out = tmp_path / "results"
-    config_path = tmp_path / "nan.yaml"
-    config_path.write_text("experiments: {kappa_grid: [.nan]}\n")
-    assert main(["--config", str(config_path), "--out", str(out), "boundary-scale"]) == 1
-    err = capsys.readouterr().err
-    assert "configuration error" in err and "kappa_grid" in err
-    assert not out.exists()
+    # Each input must stop the run before anything is written: a NaN kappa
+    # once exited 0 with r_eff 1.0, an empty target grid once died in
+    # scan-targets and report with a bare numpy ValueError.
+    cases = [
+        ("experiments: {kappa_grid: [.nan]}\n", "boundary-scale", "kappa_grid"),
+        ("experiments: {target_grid: []}\n", "scan-targets", "target_grid"),
+        ("experiments: {target_grid: []}\n", "report", "target_grid"),
+    ]
+    for index, (text, subcommand, key) in enumerate(cases):
+        out = tmp_path / f"results{index}"
+        config_path = tmp_path / f"bad{index}.yaml"
+        config_path.write_text(text)
+        assert main(["--config", str(config_path), "--out", str(out), subcommand]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+        assert not out.exists()
 
 
 def test_overflowing_snr_is_recorded_per_scenario(tmp_path, capsys):

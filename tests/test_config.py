@@ -53,6 +53,11 @@ def test_bad_block_shape_rejected():
         parse_config("geometry: [1, 2, 3]\n")
 
 
+def test_empty_target_grid_rejected():
+    with pytest.raises(ConfigError, match="^target_grid must hold at least one target"):
+        parse_config("experiments: {target_grid: []}\n")
+
+
 def test_weights_length_validated():
     with pytest.raises(ConfigError, match="weights"):
         parse_config("random_field:\n  weights: [1, 1, 1]\n")

@@ -26,11 +26,9 @@ from gprclutter.montecarlo import (
     NearestRankSelector,
     closure_covariances,
     closure_from_covariances,
-    closure_report,
     convergence_ratio,
     nearest_rank_percentile,
     sample_covariance,
-    simulate_snapshots,
     snapshots_from_perturbations,
     validity_scan,
 )
@@ -52,15 +50,15 @@ def _setup(sid="S_syn", n_x=3, n_z=2, amplitude=1.0, corr_length=0.1):
         param_factor=build_param_factor(scenario, np.ones(5), 0.3),
         spatial_factor=build_spatial_factor(geometry.cell_centers, corr_length),
         amplitude=amplitude,
-        corr_length=corr_length,
     )
     return geometry, scenario, forward, cov
 
 
 def test_zero_amplitude_gives_zero_snapshots():
     geometry, scenario, forward, cov = _setup(amplitude=0.0)
-    for mode in ("linear", "exact"):
-        snaps = simulate_snapshots(forward, scenario, geometry, cov, 5, 1, mode)
+    samples = sample_perturbations(cov, 5, 1)
+    for mode in SNAPSHOT_MODES:
+        snaps = snapshots_from_perturbations(forward, scenario, geometry, samples, mode)
         assert np.all(snaps == 0.0)
 
 
@@ -95,7 +93,6 @@ def test_linear_snapshots_match_the_dense_operator(
             param_factor=build_param_factor(scenario, np.ones(5), rho_c),
             spatial_factor=build_spatial_factor(geometry.cell_centers, corr_length, structure),
             amplitude=amplitude,
-            corr_length=corr_length,
         )
     forward = assemble_forward(scenario, geometry)
     samples = sample_perturbations(cov, count, seed)
@@ -138,8 +135,9 @@ def test_exact_mode_matches_hand_rolled_loop():
 
 def test_snapshot_mode_validation():
     geometry, scenario, forward, cov = _setup()
-    with pytest.raises(ConfigError):
-        simulate_snapshots(forward, scenario, geometry, cov, 2, 0, "hybrid")
+    samples = sample_perturbations(cov, 2, 0)
+    with pytest.raises(ConfigError, match="unknown snapshot mode"):
+        snapshots_from_perturbations(forward, scenario, geometry, samples, "hybrid")
     with pytest.raises(ConfigError):
         snapshots_from_perturbations(forward, scenario, geometry, np.zeros((2, 7)), "linear")
 
@@ -161,15 +159,20 @@ def test_closure_with_theory_fed_back_is_exact():
     assert report.eps_sub == pytest.approx(0.0, abs=1e-12)
 
 
-def test_closure_rejects_degenerate_inputs():
-    _, _, forward, cov = _setup()
+def test_closure_rejects_degenerate_inputs(monkeypatch):
+    geometry, scenario, forward, cov = _setup()
     theory = clutter_covariance(forward, cov)
     zero = ClutterCovariance(matrix=np.zeros_like(theory.matrix), provenance="theoretical")
-    snaps = np.zeros((5, theory.size), dtype=complex)
+    sampled = np.zeros_like(theory.matrix)
     with pytest.raises(UndefinedSpectrumError):
-        closure_report(zero, snaps, snaps)
-    with pytest.raises(ConfigError):
-        closure_report(theory, snaps[:1], snaps)
+        closure_from_covariances(zero, sampled, sampled, sample_count=5)
+
+    def never(*args, **kwargs):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(montecarlo, "sample_perturbations", never)
+    with pytest.raises(ConfigError, match="at least two"):
+        closure_covariances(forward, scenario, geometry, cov, 1, 0)
 
 
 def test_closure_error_shrinks_like_root_sample_count():
@@ -180,10 +183,10 @@ def test_closure_error_shrinks_like_root_sample_count():
         param_factor=build_param_factor(scenario, np.ones(5), 0.3),
         spatial_factor=build_spatial_factor(geometry.cell_centers, 0.05),
         amplitude=1.0,
-        corr_length=0.05,
     )
     theory = clutter_covariance(forward, cov)
-    snaps = simulate_snapshots(forward, scenario, geometry, cov, 2000, 20260405, "linear")
+    samples = sample_perturbations(cov, 2000, 20260405)
+    snaps = snapshots_from_perturbations(forward, scenario, geometry, samples, "linear")
     # Quadrupling the sample count should roughly halve the error. The
     # estimator spreads wider on this small instance than at full scale
     # (where the acceptance suite pins the [1.4, 2.9] band), so allow slack.
@@ -195,9 +198,8 @@ def test_closure_reports_are_deterministic():
     theory = clutter_covariance(forward, cov)
 
     def run():
-        lin = simulate_snapshots(forward, scenario, geometry, cov, 64, 3, "linear")
-        exact = simulate_snapshots(forward, scenario, geometry, cov, 64, 3, "exact")
-        return closure_report(theory, lin, exact)
+        rhats = closure_covariances(forward, scenario, geometry, cov, 64, 3)
+        return closure_from_covariances(theory, *rhats, sample_count=64)
 
     assert run() == run()
 

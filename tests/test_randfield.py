@@ -45,7 +45,6 @@ def _toy_covariance(n_cells=6, corr_length=0.1, rho_c=0.3, amplitude=1.0):
         param_factor=build_param_factor(scenario, np.ones(5), rho_c),
         spatial_factor=build_spatial_factor(_line_cells(n_cells), corr_length),
         amplitude=amplitude,
-        corr_length=corr_length,
     )
 
 
@@ -138,7 +137,7 @@ def test_non_finite_factor_rejected(name, bad):
                "spatial_factor": cov.spatial_factor.copy()}
     factors[name][1, 1] = bad
     with pytest.raises(ConfigError, match=f"{name} has non-finite"):
-        PerturbationCovariance(**factors, amplitude=1.0, corr_length=0.1)
+        PerturbationCovariance(**factors, amplitude=1.0)
 
 
 def test_asymmetric_factors_rejected():
@@ -146,12 +145,12 @@ def test_asymmetric_factors_rejected():
     param = cov.param_factor.copy()
     param[0, 4] += 1e-6
     with pytest.raises(ConfigError, match="param_factor must be symmetric"):
-        PerturbationCovariance(param, cov.spatial_factor, amplitude=1.0, corr_length=0.1)
-    # Several block rows of the check, the defect in the last one.
+        PerturbationCovariance(param, cov.spatial_factor, amplitude=1.0)
+    # A defect far off the diagonal of a larger factor.
     spatial = build_spatial_factor(_line_cells(150), 0.1)
     spatial[3, 140] += 1e-6
     with pytest.raises(ConfigError, match="spatial_factor must be symmetric"):
-        PerturbationCovariance(cov.param_factor, spatial, amplitude=1.0, corr_length=0.1)
+        PerturbationCovariance(cov.param_factor, spatial, amplitude=1.0)
 
 
 def test_corr_length_must_be_positive():
@@ -196,7 +195,6 @@ def test_zero_weight_makes_factorization_fail():
         param_factor=build_param_factor(scenario, [1, 0, 1, 1, 1], 0.0),
         spatial_factor=build_spatial_factor(_line_cells(3), 0.1),
         amplitude=1.0,
-        corr_length=0.1,
     )
     with pytest.raises(NonPositiveDefiniteError):
         _ = cov.param_cholesky
@@ -278,7 +276,6 @@ def test_materialize_scalar_spatial_factor():
         param_factor=build_param_factor(scenario, np.ones(5), 0.3),
         spatial_factor=np.ones((1, 1)) + 1e-10,
         amplitude=2.0,
-        corr_length=0.15,
     )
     full = materialize_full(cov)
     assert np.allclose(full, 4.0 * cov.param_factor * (1 + 1e-10), rtol=1e-15)
@@ -346,7 +343,6 @@ def test_sampling_on_default_geometry_shapes():
         param_factor=build_param_factor(scenario, np.ones(5), 0.3),
         spatial_factor=build_spatial_factor(geometry.cell_centers, 0.15),
         amplitude=1.0,
-        corr_length=0.15,
     )
     samples = sample_perturbations(cov, 3, seed=0)
     assert samples.shape == (3, 5 * 20)
@@ -391,7 +387,6 @@ def test_directly_passed_dense_factor_stays_dense():
         param_factor=build_param_factor(get_scenario("S1"), np.ones(5), 0.3),
         spatial_factor=build_spatial_factor(cells, 0.1),
         amplitude=1.0,
-        corr_length=0.1,
     )
     assert cov.spatial_axes is None
 
@@ -399,10 +394,10 @@ def test_directly_passed_dense_factor_stays_dense():
 def test_separable_covariance_rejects_bad_inputs():
     cov = _grid_covariance()
     with pytest.raises(ConfigError, match="exactly one"):
-        PerturbationCovariance(cov.param_factor, amplitude=1.0, corr_length=0.1)
+        PerturbationCovariance(cov.param_factor, amplitude=1.0)
     with pytest.raises(ConfigError, match="exactly one"):
         PerturbationCovariance(cov.param_factor, cov.spatial_factor, amplitude=1.0,
-                               corr_length=0.1, spatial_axes=cov.spatial_axes)
+                               spatial_axes=cov.spatial_axes)
     with pytest.raises(ConfigError, match="correlation length"):
         build_covariance(get_scenario("S1"), build_default_geometry().cell_centers,
                          0.0, 0.3, np.ones(5), 1.0)
@@ -417,7 +412,7 @@ def test_non_finite_axis_factor_rejected(axis, bad):
     axes[axis][0, 0] = bad
     with pytest.raises(ConfigError, match=rf"spatial_axes\[{axis}\] has non-finite"):
         PerturbationCovariance(_grid_covariance().param_factor, amplitude=1.0,
-                               corr_length=0.1, spatial_axes=tuple(axes))
+                               spatial_axes=tuple(axes))
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -426,13 +421,13 @@ def test_asymmetric_axis_factor_rejected(axis):
     axes[axis][0, -1] += 1e-6
     with pytest.raises(ConfigError, match=rf"spatial_axes\[{axis}\] must be symmetric"):
         PerturbationCovariance(_grid_covariance().param_factor, amplitude=1.0,
-                               corr_length=0.1, spatial_axes=tuple(axes))
+                               spatial_axes=tuple(axes))
 
 
 def test_indefinite_separable_factor_fails_to_sample():
     cov = _grid_covariance()
     c_x, c_z = cov.spatial_axes
-    flipped = PerturbationCovariance(cov.param_factor, amplitude=1.0, corr_length=0.1,
+    flipped = PerturbationCovariance(cov.param_factor, amplitude=1.0,
                                      spatial_axes=(-c_x, c_z))
     with pytest.raises(NonPositiveDefiniteError, match="spatial factor"):
         sample_perturbations(flipped, 2, seed=0)

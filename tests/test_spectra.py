@@ -48,7 +48,6 @@ def _toy_setup(n_x=2, n_z=1, rho_c=0.3, amplitude=1.0, corr_length=0.1):
         param_factor=build_param_factor(scenario, np.ones(5), rho_c),
         spatial_factor=build_spatial_factor(geometry.cell_centers, corr_length),
         amplitude=amplitude,
-        corr_length=corr_length,
     )
     return geometry, scenario, forward, cov
 
@@ -150,7 +149,7 @@ def test_separable_covariance_matches_dense_factor(
     dense_factor = build_spatial_factor(geometry.cell_centers, corr_length)
     dense = PerturbationCovariance(
         param_factor=separable.param_factor, spatial_factor=dense_factor,
-        amplitude=separable.amplitude, corr_length=corr_length)
+        amplitude=separable.amplitude)
     forward = assemble_forward(scenario, geometry)
     assert np.abs(separable.spatial_factor - dense_factor).max() <= 1e-15
     assert _within(clutter_covariance(forward, separable).matrix,
@@ -222,7 +221,6 @@ def test_rank_one_perturbation_covariance_gives_rank_one_clutter():
         param_factor=np.outer(direction, direction),
         spatial_factor=np.ones((geometry.n_cells, geometry.n_cells)),
         amplitude=1.0,
-        corr_length=1e9,
     )
     modal = modal_decomposition(forward, cov)
     assert modal.mode_weights[0] > 0.0
@@ -362,7 +360,6 @@ def test_overlap_with_own_eigenvectors(geometry):
         param_factor=build_param_factor(scenario, np.ones(5), 0.3),
         spatial_factor=build_spatial_factor(geometry.cell_centers, 0.15),
         amplitude=1.0,
-        corr_length=0.15,
     )
     summary = spectral_summary(clutter_covariance(forward, cov))
 
