@@ -22,7 +22,6 @@ from .forward import (
     SteeringVector,
     assemble_forward,
     forward_discrepancy,
-    green_kernel,
     steering_vector,
 )
 from .montecarlo import (
@@ -35,7 +34,6 @@ from .randfield import (
     build_covariance,
     build_param_factor,
     build_spatial_factor,
-    materialize_full,
     sample_perturbations,
 )
 from .scene import (
@@ -74,7 +72,6 @@ __all__ = [
     "SteeringVector",
     "assemble_forward",
     "forward_discrepancy",
-    "green_kernel",
     "steering_vector",
     "ClosureReport",
     "ValidityReport",
@@ -83,7 +80,6 @@ __all__ = [
     "build_covariance",
     "build_param_factor",
     "build_spatial_factor",
-    "materialize_full",
     "sample_perturbations",
     "GeometryConfig",
     "Scenario",

@@ -131,10 +131,15 @@ def complex_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.nda
     base j*omega*tau has argument pi/2, so the branch is smooth over the
     whole admissible alpha range.
     """
+    return _cole_cole(eps_inf, delta_eps, tau, alpha, sigma, omega)[1]
+
+
+def _cole_cole(eps_inf, delta_eps, tau, alpha, sigma, omega) -> tuple[np.ndarray, np.ndarray]:
+    """u = (j omega tau)^(1-alpha) and eps_c of :func:`complex_permittivity`."""
     omega = np.asarray(omega, dtype=float)
     u = (1j * omega * np.asarray(tau)) ** (1.0 - np.asarray(alpha))
     relative = eps_inf + delta_eps / (1.0 + u) - 1j * np.asarray(sigma) / (omega * EPSILON_0)
-    return EPSILON_0 * relative
+    return u, EPSILON_0 * relative
 
 
 def eval_permittivity(params: ColeColeParams, omega: float) -> ComplexPermittivity:
@@ -178,10 +183,9 @@ def sensitivity_components(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.n
     """
     omega = np.asarray(omega, dtype=float)
     tau = np.asarray(tau)
-    eps_b = complex_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega)
+    u, eps_b = _cole_cole(eps_inf, delta_eps, tau, alpha, sigma, omega)
     if np.any(eps_b == 0.0):
         raise SingularBackgroundError("background permittivity is zero")
-    u = (1j * omega * tau) ** (1.0 - np.asarray(alpha))
     log_base = np.log(1j * omega * tau)
     one_plus_u_sq = (1.0 + u) ** 2
     shape = np.broadcast(u, omega).shape

@@ -46,19 +46,6 @@ def background_wavenumber(background: ColeColeParams, omega: float) -> complex:
     return complex(k)
 
 
-def green_kernel(src, dst, omega: float, background: ColeColeParams) -> complex:
-    """Scalar whole-space Green response between two points."""
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
-    r = float(np.linalg.norm(dst - src))
-    if r < MIN_SEPARATION:
-        raise NearSingularityError(
-            f"separation {r!r} m below the {MIN_SEPARATION} m kernel minimum"
-        )
-    k = background_wavenumber(background, omega)
-    return complex(np.exp(-1j * k * r) / (4.0 * np.pi * r))
-
-
 def _two_way_kernels(
     background: ColeColeParams, geometry: SceneGeometry, points: np.ndarray
 ) -> np.ndarray:

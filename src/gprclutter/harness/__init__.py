@@ -9,7 +9,6 @@ from .config import (
     dump_config,
     load_config,
     parse_config,
-    save_config,
 )
 from .experiments import (
     ExperimentResult,
@@ -37,7 +36,6 @@ __all__ = [
     "dump_config",
     "load_config",
     "parse_config",
-    "save_config",
     "ExperimentResult",
     "MetricTable",
     "run_boundary",

@@ -81,20 +81,28 @@ class ExperimentSettings:
             targets = tuple(self.target_grid)
         except TypeError:
             raise ConfigError(f"target_grid must be a list, got {self.target_grid!r}") from None
-        if not targets:
-            raise ConfigError("target_grid must hold at least one target")
         object.__setattr__(self, "target_grid", tuple(
             coerce_floats(t, f"target_grid[{i}]") for i, t in enumerate(targets)))
         object.__setattr__(self, "validity_sample_count",
                            coerce_int(self.validity_sample_count, "validity_sample_count"))
         object.__setattr__(self, "validity_threshold",
                            coerce_float(self.validity_threshold, "validity_threshold"))
+        if self.validity_threshold <= 0.0:
+            raise ConfigError(
+                f"validity_threshold must be positive, got {self.validity_threshold!r}")
         object.__setattr__(self, "weight_presets", tuple(self.weight_presets))
         object.__setattr__(self, "boundary_scenarios", tuple(self.boundary_scenarios))
         object.__setattr__(self, "kernel_diff_scenarios", tuple(self.kernel_diff_scenarios))
         unknown = set(self.weight_presets) - set(WEIGHT_PRESETS)
         if unknown:
             raise ConfigError(f"unknown weight presets {sorted(unknown)!r}")
+
+
+#: The list fields of ExperimentSettings: each runs once per entry, so an
+#: empty one would write an empty table.
+_SETTINGS_LISTS = ("amplitude_grid", "delta_f_grid", "corr_length_grid", "rho_c_grid",
+                   "weight_presets", "kappa_grid", "snr_grid_db", "target_grid",
+                   "boundary_scenarios", "kernel_diff_scenarios")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,6 +115,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        lists = {"scenarios": self.scenarios}
+        lists.update((name, getattr(self.experiments, name)) for name in _SETTINGS_LISTS)
+        for name, values in lists.items():
+            if not values:
+                raise ConfigError(f"{name} must hold at least one entry")
+            if name.endswith("scenarios") and len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats a scenario id: {list(values)!r}")
         registry = scenario_registry()
         for sid in tuple(self.scenarios) + (self.experiments.lx_scan_scenario,
                                             self.experiments.coupling_scenario) \
@@ -196,11 +211,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def dump_config(config: ExperimentConfig) -> str:
     return yaml.safe_dump(config_to_dict(config), sort_keys=True, default_flow_style=None)
-
-
-def save_config(config: ExperimentConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_config(config))
 
 
 def config_hash(config: ExperimentConfig) -> str:

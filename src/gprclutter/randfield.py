@@ -26,7 +26,7 @@ import functools
 import numpy as np
 
 from .constitutive import N_PARAMS
-from .errors import ConfigError, NonPositiveDefiniteError, SizeCapError
+from .errors import ConfigError, NonPositiveDefiniteError
 from .scene import Scenario
 
 #: Diagonal nugget applied to the spatial factor before factorization;
@@ -38,9 +38,6 @@ SPATIAL_NUGGET = 1e-10
 # the dense factor; the tail of the clutter spectrum sits at nugget level
 # and resolves the 1e-16 difference.
 _STORED_NUGGET = (1.0 + SPATIAL_NUGGET) - 1.0
-
-#: materialize_full and modal_decomposition refuse more rows than this.
-MATERIALIZE_ROW_CAP = 10_000
 
 #: Identifier of the sampling RNG scheme and of the spatial square root,
 #: recorded in output metadata.
@@ -147,9 +144,9 @@ class PerturbationCovariance:
     without it: for cells ordered p = ix * n_z + iz,
     C = C_x x C_z + SPATIAL_NUGGET * I. Products with C, its square root
     and its eigenvectors then go through the axis factors; the dense
-    ``spatial_factor`` is formed only when read, like the full 5P x 5P
-    matrix amplitude^2 * (param_factor x spatial_factor), which only
-    :func:`materialize_full` forms. Instances are immutable.
+    ``spatial_factor`` is formed only when read, and the full 5P x 5P
+    matrix amplitude^2 * (param_factor x spatial_factor) never. Instances
+    are immutable.
     """
 
     def __init__(
@@ -378,28 +375,3 @@ def sample_perturbations(
         samples = _kron_rows(rows, u_x, u_z, out=rows)
     return samples.reshape(count, cov.dim)
 
-
-def sample_perturbations_dense(cov: PerturbationCovariance, count: int, seed: int) -> np.ndarray:
-    """Reference sampler through the Cholesky factor of the materialized R_mu.
-
-    Consumes the same substream normals as :func:`sample_perturbations`, so
-    on a dense spatial factor the two routes agree up to factorization
-    rounding. Quadratic memory; intended for small instances and
-    cross-checks.
-    """
-    full = materialize_full(cov)
-    if cov.amplitude == 0.0:
-        return np.zeros((count, cov.dim))
-    factor = _cholesky(full / cov.amplitude**2, "materialized covariance")
-    z = standard_normal_draws(cov.dim, count, seed)
-    return cov.amplitude * (z @ factor.T)
-
-
-def materialize_full(cov: PerturbationCovariance) -> np.ndarray:
-    """The dense 5P x 5P covariance amplitude^2 (param x spatial)."""
-    if cov.dim > MATERIALIZE_ROW_CAP:
-        raise SizeCapError(
-            f"refusing to materialize a {cov.dim} x {cov.dim} covariance "
-            f"(cap {MATERIALIZE_ROW_CAP} rows)"
-        )
-    return cov.amplitude**2 * np.kron(cov.param_factor, cov.spatial_factor)

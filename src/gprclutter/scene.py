@@ -65,23 +65,6 @@ class Scenario:
         object.__setattr__(self, "d_mu", d_mu)
         self.background.validate_background()
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "label": self.label,
-            "background": dataclasses.asdict(self.background),
-            "d_mu": self.d_mu.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        return cls(
-            id=data["id"],
-            label=data["label"],
-            background=ColeColeParams(**data["background"]),
-            d_mu=np.asarray(data["d_mu"], dtype=float),
-        )
-
 
 def _scenario(id_: str, label: str, *values: float) -> Scenario:
     background = ColeColeParams(*values)

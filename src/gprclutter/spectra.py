@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError, SizeCapError, UndefinedSpectrumError
 from .forward import ForwardMatrix, SteeringVector
-from .randfield import MATERIALIZE_ROW_CAP, PerturbationCovariance
+from .randfield import PerturbationCovariance
 
 #: Hermitian deviation tolerated, relative to the largest entry magnitude.
 HERMITIAN_RTOL = 1e-12
@@ -29,6 +29,9 @@ HERMITIAN_RTOL = 1e-12
 NEGATIVE_EIG_RTOL = 1e-10
 
 DEFAULT_RHO_LEVELS = (0.9, 0.95)
+
+#: modal_decomposition refuses perturbation dimensions above this.
+MATERIALIZE_ROW_CAP = 10_000
 
 PROVENANCES = ("theoretical", "monte-carlo-linear", "monte-carlo-exact")
 

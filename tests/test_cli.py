@@ -100,17 +100,32 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, source):
 def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
     # Each input must stop the run before anything is written: a NaN kappa
     # once exited 0 with r_eff 1.0, an empty target grid once died in
-    # scan-targets and report with a bare numpy ValueError.
+    # scan-targets and report with a bare numpy ValueError, other empty
+    # lists and a negative threshold exited 0 with empty or null tables,
+    # and a repeated scenario ran twice.
     cases = [
         ("experiments: {kappa_grid: [.nan]}\n", "boundary-scale", "kappa_grid"),
         ("experiments: {target_grid: []}\n", "scan-targets", "target_grid"),
         ("experiments: {target_grid: []}\n", "report", "target_grid"),
+        ("scenarios: []\n", "check-derivatives", "scenarios"),
+        ("experiments: {amplitude_grid: []}\n", "scan-validity", "amplitude_grid"),
+        ("experiments: {delta_f_grid: []}\n", "scan-fda", "delta_f_grid"),
+        ("experiments: {kappa_grid: []}\n", "boundary-scale", "kappa_grid"),
+        ("experiments: {snr_grid_db: []}\n", "boundary-noise", "snr_grid_db"),
+        ("experiments: {corr_length_grid: []}\n", "scan-lx", "corr_length_grid"),
+        ("experiments: {rho_c_grid: []}\n", "scan-coupling", "rho_c_grid"),
+        ("experiments: {weight_presets: []}\n", "scan-coupling", "weight_presets"),
+        ("experiments: {boundary_scenarios: []}\n", "boundary-noise", "boundary_scenarios"),
+        ("experiments: {kernel_diff_scenarios: []}\n", "kernel-diff", "kernel_diff_scenarios"),
+        ("experiments: {validity_threshold: -1}\n", "scan-validity", "validity_threshold"),
+        ("scenarios: [S1]\n", "--scenario S1,S1 check-derivatives", "scenarios"),
     ]
-    for index, (text, subcommand, key) in enumerate(cases):
+    for index, (text, command, key) in enumerate(cases):
         out = tmp_path / f"results{index}"
         config_path = tmp_path / f"bad{index}.yaml"
         config_path.write_text(text)
-        assert main(["--config", str(config_path), "--out", str(out), subcommand]) == 1
+        argv = ["--config", str(config_path), "--out", str(out), *command.split()]
+        assert main(argv) == 1, text
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
         assert not out.exists()

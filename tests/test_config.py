@@ -12,7 +12,6 @@ from gprclutter.harness.config import (
     dump_config,
     load_config,
     parse_config,
-    save_config,
 )
 
 
@@ -26,9 +25,9 @@ def test_default_config_round_trips_to_a_fixed_point():
 
 def test_file_round_trip(tmp_path):
     config = ExperimentConfig(scenarios=("S2", "S4"), output_dir="out")
-    path = str(tmp_path / "config.yaml")
-    save_config(config, path)
-    assert load_config(path) == config
+    path = tmp_path / "config.yaml"
+    path.write_text(dump_config(config))
+    assert load_config(str(path)) == config
 
 
 def test_unknown_top_level_key_rejected():
@@ -54,8 +53,24 @@ def test_bad_block_shape_rejected():
 
 
 def test_empty_target_grid_rejected():
-    with pytest.raises(ConfigError, match="^target_grid must hold at least one target"):
+    with pytest.raises(ConfigError, match="^target_grid must hold at least one entry"):
         parse_config("experiments: {target_grid: []}\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("scenarios: []\n", "scenarios"),
+    *((f"experiments: {{{key}: []}}\n", key) for key in (
+        "amplitude_grid", "delta_f_grid", "corr_length_grid", "rho_c_grid", "weight_presets",
+        "kappa_grid", "snr_grid_db", "boundary_scenarios", "kernel_diff_scenarios")),
+    ("scenarios: [S1, S2, S1]\n", "scenarios"),
+    ("experiments: {boundary_scenarios: [S4, S4]}\n", "boundary_scenarios"),
+    ("experiments: {kernel_diff_scenarios: [S1, S2, S2]}\n", "kernel_diff_scenarios"),
+    ("experiments: {validity_threshold: 0}\n", "validity_threshold"),
+    ("experiments: {validity_threshold: -1}\n", "validity_threshold"),
+])
+def test_empty_lists_repeated_ids_and_non_positive_threshold_rejected_by_key(text, key):
+    with pytest.raises(ConfigError, match=rf"^{key} (must hold|repeats|must be positive)"):
+        parse_config(text)
 
 
 def test_weights_length_validated():

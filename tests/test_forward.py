@@ -15,7 +15,6 @@ from gprclutter import (
     eval_sensitivities,
     forward_discrepancy,
     get_scenario,
-    green_kernel,
     steering_vector,
 )
 from gprclutter import forward as forward_module
@@ -24,6 +23,7 @@ from gprclutter.constitutive import sensitivity_components
 from gprclutter.errors import AssemblyError, ConfigError, NearSingularityError
 from gprclutter.forward import background_wavenumber, born_kernel_tensor
 from gprclutter.scene import Scenario, default_perturbation_scales
+from oracles import green_kernel
 
 OMEGA_100MHZ = 2.0 * math.pi * 100e6
 
@@ -78,9 +78,10 @@ def test_kernel_reciprocity_is_exact():
     )
 
 
-def test_kernel_minimum_separation():
-    with pytest.raises(NearSingularityError):
-        green_kernel((0, 0, 0), (0, 0, 1e-7), OMEGA_100MHZ, VACUUM)
+def test_kernel_minimum_separation(geometry):
+    target = geometry.rx_positions[2] + np.array([0.0, 0.0, 1e-7])
+    with pytest.raises(NearSingularityError, match="below the 1e-06 m kernel minimum"):
+        steering_vector(geometry, get_scenario("S1"), target)
 
 
 def test_toy_forward_shape(small_geometry):

@@ -15,7 +15,6 @@ from gprclutter import (
     clutter_covariance,
     exact_contrast,
     get_scenario,
-    green_kernel,
     montecarlo,
     scenario_registry,
 )
@@ -40,6 +39,7 @@ from gprclutter.randfield import (
     sample_perturbations,
 )
 from gprclutter.spectra import ClutterCovariance
+from oracles import green_kernel
 
 
 def _setup(sid="S_syn", n_x=3, n_z=2, amplitude=1.0, corr_length=0.1):

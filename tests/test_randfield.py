@@ -12,18 +12,17 @@ from gprclutter import (
     build_param_factor,
     build_spatial_factor,
     get_scenario,
-    materialize_full,
     sample_perturbations,
 )
-from gprclutter.errors import ConfigError, NonPositiveDefiniteError, SizeCapError
+from gprclutter.errors import ConfigError, NonPositiveDefiniteError
 from gprclutter.randfield import (
     SPATIAL_KERNELS,
     SPATIAL_NUGGET,
     PerturbationCovariance,
-    sample_perturbations_dense,
     standard_normal_draws,
 )
 from gprclutter.scene import Scenario
+from oracles import materialize_full, sample_perturbations_dense
 
 
 def _line_cells(count, spacing=0.05):
@@ -290,14 +289,6 @@ def test_materialized_entries_match_definition():
         rho = 1.0 if q == qp else 0.3
         expected = 1.5**2 * d[q] * rho * d[qp] * cov.spatial_factor[p, pp]
         assert full[q * 4 + p, qp * 4 + pp] == pytest.approx(expected, rel=1e-12)
-
-
-def test_materialize_respects_size_cap():
-    # 69 x 29 cells: 5P = 10005 rows, just over MATERIALIZE_ROW_CAP.
-    cov = _grid_covariance(n_x=69, n_z=29)
-    with pytest.raises(SizeCapError, match="10005"):
-        materialize_full(cov)
-    assert "spatial_factor" not in cov.__dict__
 
 
 def test_randomized_covariances_are_symmetric_psd():

@@ -7,7 +7,7 @@ import pytest
 
 from gprclutter import GeometryConfig, build_default_geometry, get_scenario
 from gprclutter.errors import ConfigError
-from gprclutter.scene import Scenario, SceneGeometry, default_perturbation_scales
+from gprclutter.scene import SceneGeometry, default_perturbation_scales
 
 REGISTRY_VALUES = {
     "S1": (3.0285, 0.0, 1e-12, 0.0, 1e-5),
@@ -43,15 +43,6 @@ def test_default_scales_follow_the_documented_rule(registry):
     assert s1.d_mu[3] == 0.001   # fixed alpha scale
     assert s1.d_mu[4] == 5e-7    # sigma floor
     assert s1.d_mu[2] == 0.005 * 1e-12  # tau is always relative
-
-
-def test_scenario_round_trips_through_serialization(registry):
-    for scenario in registry.values():
-        rebuilt = Scenario.from_dict(scenario.to_dict())
-        assert rebuilt.id == scenario.id
-        assert rebuilt.label == scenario.label
-        assert rebuilt.background == scenario.background
-        assert np.array_equal(rebuilt.d_mu, scenario.d_mu)
 
 
 def test_unknown_scenario_id_raises():

@@ -16,7 +16,6 @@ from gprclutter import (
     build_spatial_factor,
     clutter_covariance,
     get_scenario,
-    materialize_full,
     scenario_registry,
     modal_decomposition,
     scale_covariance,
@@ -38,6 +37,7 @@ from gprclutter.randfield import (
     sample_perturbations,
 )
 from gprclutter.spectra import ClutterCovariance, jacobi_eigh
+from oracles import materialize_full
 
 
 def _toy_setup(n_x=2, n_z=1, rho_c=0.3, amplitude=1.0, corr_length=0.1):
