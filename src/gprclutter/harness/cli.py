@@ -24,6 +24,7 @@ from ..forward import KERNEL_NAME, assemble_forward
 from ..randfield import RNG_SCHEME
 from ..scene import build_default_geometry, get_scenario
 from . import experiments as exp_mod
+from . import plots
 from .cmat import persist_matrix, write_atomic
 from .config import (
     ExperimentConfig,
@@ -133,9 +134,7 @@ def _cmd_build_forward(config: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def _maybe_plots(config: ExperimentConfig, results: dict, summaries: dict) -> list[str]:
-    from . import plots
-
+def _plots(config: ExperimentConfig, results: dict, summaries: dict) -> list[str]:
     out_dir = config.output_dir
     written = []
     written += plots.plot_eigen_spectra(summaries, out_dir)
@@ -162,6 +161,8 @@ def _maybe_plots(config: ExperimentConfig, results: dict, summaries: dict) -> li
 
 
 def _cmd_report(config: ExperimentConfig, args) -> int:
+    if args.plots:
+        plots.pyplot()  # fail before any experiment runs, not after
     results = {}
     for name, run in _REPORT.items():
         result = run(config)
@@ -178,7 +179,7 @@ def _cmd_report(config: ExperimentConfig, args) -> int:
     )
     artifacts = []
     if args.plots:
-        artifacts = _maybe_plots(config, results, summaries)
+        artifacts = _plots(config, results, summaries)
         for path in artifacts:
             print(f"plot {path}")
     summary = {

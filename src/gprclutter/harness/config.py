@@ -10,11 +10,13 @@ import io
 import yaml
 
 from ..errors import ConfigError
+from ..randfield import SPATIAL_KERNELS
 from ..scene import (
     GeometryConfig,
     coerce_float,
     coerce_floats,
     coerce_int,
+    coerce_list,
     scenario_registry,
 )
 
@@ -45,6 +47,8 @@ class RandomFieldConfig:
             raise ConfigError(f"sample count must be >= 1, got {self.sample_count!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        if self.kernel not in SPATIAL_KERNELS:
+            raise ConfigError(f"kernel must be one of {SPATIAL_KERNELS}, got {self.kernel!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,27 +79,39 @@ class ExperimentSettings:
 
     def __post_init__(self):
         for name in ("amplitude_grid", "delta_f_grid", "corr_length_grid",
-                     "rho_c_grid", "kappa_grid", "snr_grid_db", "target"):
+                     "rho_c_grid", "kappa_grid", "snr_grid_db"):
             object.__setattr__(self, name, coerce_floats(getattr(self, name), name))
+        object.__setattr__(self, "target", _point(self.target, "target"))
         try:
-            targets = tuple(self.target_grid)
+            targets = coerce_list(self.target_grid, "target_grid")
         except TypeError:
             raise ConfigError(f"target_grid must be a list, got {self.target_grid!r}") from None
         object.__setattr__(self, "target_grid", tuple(
-            coerce_floats(t, f"target_grid[{i}]") for i, t in enumerate(targets)))
+            _point(t, f"target_grid[{i}]") for i, t in enumerate(targets)))
         object.__setattr__(self, "validity_sample_count",
                            coerce_int(self.validity_sample_count, "validity_sample_count"))
+        if self.validity_sample_count < 1:
+            raise ConfigError(f"validity_sample_count must be >= 1, "
+                              f"got {self.validity_sample_count!r}")
         object.__setattr__(self, "validity_threshold",
                            coerce_float(self.validity_threshold, "validity_threshold"))
         if self.validity_threshold <= 0.0:
             raise ConfigError(
                 f"validity_threshold must be positive, got {self.validity_threshold!r}")
-        object.__setattr__(self, "weight_presets", tuple(self.weight_presets))
-        object.__setattr__(self, "boundary_scenarios", tuple(self.boundary_scenarios))
-        object.__setattr__(self, "kernel_diff_scenarios", tuple(self.kernel_diff_scenarios))
+        for name in ("weight_presets", "boundary_scenarios", "kernel_diff_scenarios"):
+            object.__setattr__(self, name, coerce_list(getattr(self, name), name))
         unknown = set(self.weight_presets) - set(WEIGHT_PRESETS)
         if unknown:
             raise ConfigError(f"unknown weight presets {sorted(unknown)!r}")
+
+
+def _point(value, name: str) -> tuple[float, float, float]:
+    """A target (x, y, z): exactly 3 numbers, with the depth z positive."""
+    point = coerce_floats(value, name)
+    if len(point) != 3 or point[2] <= 0.0:
+        raise ConfigError(f"{name} must be 3 numbers (x, y, depth) with a positive depth, "
+                          f"got {value!r}")
+    return point
 
 
 #: The list fields of ExperimentSettings: each runs once per entry, so an
@@ -114,7 +130,7 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        object.__setattr__(self, "scenarios", coerce_list(self.scenarios, "scenarios"))
         lists = {"scenarios": self.scenarios}
         lists.update((name, getattr(self.experiments, name)) for name in _SETTINGS_LISTS)
         for name, values in lists.items():

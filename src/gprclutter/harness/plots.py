@@ -4,22 +4,24 @@ from __future__ import annotations
 
 import os
 
+from ..errors import ConfigError
 
-def _pyplot():
+
+def pyplot():
+    """matplotlib.pyplot on the Agg backend, or a ConfigError if matplotlib is missing."""
     try:
         import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-        return plt
     except ImportError:
-        return None
+        raise ConfigError("--plots needs matplotlib, which is not installed "
+                          "(install the 'plots' extra)") from None
+    matplotlib.use("Agg")
+    import matplotlib.pyplot as plt
+    return plt
 
 
 def plot_eigen_spectra(summaries: dict, out_dir: str) -> list[str]:
     """Normalized eigenvalue spectra per scenario, one semilog figure."""
-    plt = _pyplot()
-    if plt is None:
-        return []
+    plt = pyplot()
     fig, ax = plt.subplots(figsize=(6, 4))
     for sid, summary in summaries.items():
         ax.semilogy(range(1, len(summary.normalized_eigenvalues) + 1),
@@ -38,9 +40,7 @@ def plot_eigen_spectra(summaries: dict, out_dir: str) -> list[str]:
 
 def plot_scan_curve(xs, ys_by_label: dict, xlabel: str, ylabel: str,
                     name: str, out_dir: str) -> list[str]:
-    plt = _pyplot()
-    if plt is None:
-        return []
+    plt = pyplot()
     fig, ax = plt.subplots(figsize=(6, 4))
     for label, ys in ys_by_label.items():
         ax.plot(xs, ys, marker="o", label=label)

@@ -369,36 +369,6 @@ def closure_from_covariances(
     )
 
 
-def convergence_ratio(
-    theory: ClutterCovariance, snapshots: np.ndarray, block_count: int = 4
-) -> float:
-    """Closure-error ratio between 1/block_count of the ensemble and all of it.
-
-    The small-sample error is averaged over the disjoint equal blocks of the
-    given snapshots, which estimates the convergence rate from a single
-    seeded ensemble: under 1/sqrt(L) Monte Carlo behavior the ratio
-    concentrates near sqrt(block_count). A single small-sample draw would
-    fluctuate too much on low-rank covariances to test the rate reliably.
-    """
-    count = snapshots.shape[0]
-    if block_count < 2 or count < 2 * block_count:
-        raise ConfigError(
-            f"need at least {2 * block_count} snapshots for {block_count} blocks"
-        )
-    norm = np.linalg.norm(theory.matrix)
-    if norm == 0.0:
-        raise UndefinedSpectrumError("convergence ratio undefined for a zero covariance")
-    full = np.linalg.norm(sample_covariance(snapshots) - theory.matrix) / norm
-    size = count // block_count
-    block_errors = [
-        np.linalg.norm(
-            sample_covariance(snapshots[k * size:(k + 1) * size]) - theory.matrix
-        ) / norm
-        for k in range(block_count)
-    ]
-    return float(np.mean(block_errors) / full)
-
-
 def validity_scan(
     forward: ForwardMatrix,
     scenario: Scenario,

@@ -110,10 +110,17 @@ def coerce_float(value, name: str) -> float:
     return number
 
 
+def coerce_list(values, name: str) -> tuple:
+    """A list config value; a bare string would otherwise split into its characters."""
+    if isinstance(values, str):
+        raise ConfigError(f"{name} must be a list, got the string {values!r}")
+    return tuple(values)
+
+
 def coerce_floats(values, name: str) -> tuple[float, ...]:
     """Parse a sequence of finite numeric config values, naming the key."""
     try:
-        numbers = tuple(float(v) for v in values)
+        numbers = tuple(float(v) for v in coerce_list(values, name))
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be numbers, got {values!r}") from None
     if not all(math.isfinite(v) for v in numbers):

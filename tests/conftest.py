@@ -9,6 +9,7 @@ from gprclutter import (
     build_default_geometry,
     scenario_registry,
 )
+from gprclutter.montecarlo import sample_covariance
 
 ACCEPTANCE_LINES = []
 
@@ -65,3 +66,21 @@ def default_covariance(scenario, geometry, **overrides):
 @pytest.fixture
 def make_covariance():
     return default_covariance
+
+
+def closure_statistic(theory, pseudo, snapshots, block_count=16):
+    """Calibrated closure error T of linear snapshots y = A x, x real Gaussian.
+
+    T = n mean_k ||R_k - R||_F^2 / ((tr R)^2 + ||R~||_F^2) over block_count
+    disjoint blocks of n snapshots, with R_k the blocks' sample covariances,
+    R the theory and R~ = E[y y^T] the pseudo-covariance. Isserlis' theorem
+    gives E ||R_k - R||_F^2 = ((tr R)^2 + ||R~||_F^2) / n, so E T = 1
+    exactly; R~ does not vanish for improper y (Picinbono, IEEE TSP 1996).
+    Averaging over blocks tames the heavy tail that a low-rank R gives a
+    single error.
+    """
+    n = snapshots.shape[0] // block_count
+    errors = [np.linalg.norm(sample_covariance(snapshots[k * n:(k + 1) * n]) - theory) ** 2
+              for k in range(block_count)]
+    level = np.trace(theory).real ** 2 + np.linalg.norm(pseudo) ** 2
+    return float(n * np.mean(errors) / level)

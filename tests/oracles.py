@@ -16,6 +16,11 @@ def materialize_full(cov):
     return cov.amplitude**2 * np.kron(cov.param_factor, cov.spatial_factor)
 
 
+def pseudo_covariance(forward, cov):
+    """The pseudo-covariance E[y y^T] = A R_mu A^T of linear snapshots y = A x."""
+    return forward.entries @ materialize_full(cov) @ forward.entries.T
+
+
 def sample_perturbations_dense(cov, count, seed):
     """Samples through the Cholesky factor of the materialized R_mu.
 

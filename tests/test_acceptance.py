@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import default_covariance, record_acceptance
-from oracles import materialize_full, sample_perturbations_dense
+from conftest import closure_statistic, default_covariance, record_acceptance
+from oracles import materialize_full, pseudo_covariance, sample_perturbations_dense
 
 from gprclutter import (
     GeometryConfig,
@@ -33,7 +33,6 @@ from gprclutter import (
 from gprclutter.montecarlo import (
     closure_covariances,
     closure_from_covariances,
-    convergence_ratio,
     snapshots_from_perturbations,
     validity_scan,
 )
@@ -42,6 +41,9 @@ from gprclutter.randfield import PerturbationCovariance, sample_perturbations
 SEED = 20260405
 PHYSICAL = ("S1", "S2", "S3", "S4")
 REPRESENTATIVE_TARGET = (0.0, 0.0, 0.2625)
+#: Band on the closure statistic T (E T = 1): its spread over seeds 1-300 on
+#: S1-S4, 0.454-2.266, widened by 1.25 on each side and rounded outward.
+T_BAND = (0.35, 2.85)
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str) -> None:
@@ -108,27 +110,23 @@ def validity_results(registry, geometry, forwards, default_covariances):
 
 
 @pytest.fixture(scope="module")
-def closure_results(registry, geometry, forwards):
+def closure_results(registry, geometry, forwards, default_covariances, theories):
+    """Closure reports, and the inputs of the statistic T, per physical scenario."""
     started = time.perf_counter()
-    reports, ratios = {}, {}
+    reports, statistic_inputs = {}, {}
     for sid in PHYSICAL:
-        forward, scenario = forwards[sid], registry[sid]
-        # The streamed closure that `gprclutter closure` runs, on the dense
-        # spatial factor (Cholesky root) at SEED, not on build_covariance's
-        # separable eigen root: the [1.4, 2.9] ratio band holds at only 17 of
-        # 30 seeds, and the eigen root draws another realization whose ratios
-        # (1.33-1.49) fall outside it by chance.
-        cov = _dense_covariance(scenario, geometry.cell_centers)
-        theory = clutter_covariance(forward, cov)
+        forward, scenario, cov = forwards[sid], registry[sid], default_covariances[sid]
+        # The streamed closure that `gprclutter closure` runs.
         reports[sid] = closure_from_covariances(
-            theory,
+            theories[sid],
             *closure_covariances(forward, scenario, geometry, cov, 2000, SEED),
             sample_count=2000,
         )
         snaps_linear = snapshots_from_perturbations(
             forward, scenario, geometry, sample_perturbations(cov, 2000, SEED), "linear")
-        ratios[sid] = convergence_ratio(theory, snaps_linear, block_count=4)
-    return reports, ratios, time.perf_counter() - started
+        statistic_inputs[sid] = (theories[sid].matrix, pseudo_covariance(forward, cov),
+                                 snaps_linear)
+    return reports, statistic_inputs, time.perf_counter() - started
 
 
 def test_criterion_1_derivative_validation(registry, geometry):
@@ -164,21 +162,33 @@ def test_criterion_2_validity_scan(validity_results):
 
 
 def test_criterion_3_covariance_closure(closure_results):
-    reports, ratios, elapsed = closure_results
+    reports, statistic_inputs, elapsed = closure_results
     eps_ok = all(
         0.005 <= r.eps_cov_lin <= 0.15 and 0.005 <= r.eps_cov_exact <= 0.15
         for r in reports.values()
     )
     gap = max(abs(r.eps_cov_lin - r.eps_cov_exact) for r in reports.values())
-    ratio_ok = all(1.4 <= ratio <= 2.9 for ratio in ratios.values())
-    ok = eps_ok and gap < 1e-2 and ratio_ok and elapsed < 300.0
+    statistics = [closure_statistic(*inputs) for inputs in statistic_inputs.values()]
+    t_ok = all(T_BAND[0] <= t <= T_BAND[1] for t in statistics)
+    ok = eps_ok and gap < 1e-2 and t_ok and elapsed < 300.0
     eps_range = (min(r.eps_cov_exact for r in reports.values()),
                  max(r.eps_cov_exact for r in reports.values()))
     _verdict(3, "covariance closure", ok,
              f"eps_cov in [{eps_range[0]:.4f}, {eps_range[1]:.4f}] within "
-             f"[0.005, 0.15], max |lin-exact| {gap:.1e} < 1e-2, block ratios "
-             f"{min(ratios.values()):.2f}..{max(ratios.values()):.2f} in "
-             f"[1.4, 2.9], runtime {elapsed:.0f}s < 300s")
+             f"[0.005, 0.15], max |lin-exact| {gap:.1e} < 1e-2, T "
+             f"{min(statistics):.2f}..{max(statistics):.2f} in "
+             f"[{T_BAND[0]}, {T_BAND[1]}], runtime {elapsed:.0f}s < 300s")
+
+
+def test_criterion_3_statistic_rejects_a_misscaled_theory(closure_results):
+    # A theory 1.3 times too large or 0.8 times too small, R and R~ both
+    # scaled, leaves the band at SEED: T is 3.8-4.1 and 3.4-3.7 on S1-S4,
+    # against 0.98-1.18 for the true theory.
+    _, statistic_inputs, _ = closure_results
+    for theory, pseudo, snaps_linear in statistic_inputs.values():
+        for scale in (1.3, 0.8):
+            t = closure_statistic(scale * theory, scale * pseudo, snaps_linear)
+            assert t > T_BAND[1], (scale, t)
 
 
 def test_criterion_4_exact_algebraic_identities(registry, geometry, forwards,

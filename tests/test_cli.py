@@ -102,7 +102,9 @@ def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
     # once exited 0 with r_eff 1.0, an empty target grid once died in
     # scan-targets and report with a bare numpy ValueError, other empty
     # lists and a negative threshold exited 0 with empty or null tables,
-    # and a repeated scenario ran twice.
+    # a repeated scenario ran twice, a malformed target, a zero validity
+    # sample count and an unknown kernel exited 2 with partial tables, and
+    # a bare string was split into one-letter scenario ids.
     cases = [
         ("experiments: {kappa_grid: [.nan]}\n", "boundary-scale", "kappa_grid"),
         ("experiments: {target_grid: []}\n", "scan-targets", "target_grid"),
@@ -119,6 +121,13 @@ def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
         ("experiments: {kernel_diff_scenarios: []}\n", "kernel-diff", "kernel_diff_scenarios"),
         ("experiments: {validity_threshold: -1}\n", "scan-validity", "validity_threshold"),
         ("scenarios: [S1]\n", "--scenario S1,S1 check-derivatives", "scenarios"),
+        ("experiments: {target: [0, 0.2]}\n", "scan-fda", "target"),
+        ("experiments: {target: [0, 0, -0.2]}\n", "scan-fda", "target"),
+        ("experiments: {target_grid: [[0, 0.2]]}\n", "scan-targets", "target_grid"),
+        ("experiments: {validity_sample_count: 0}\n", "scan-validity", "validity_sample_count"),
+        ("random_field: {kernel: matern}\n", "scan-lx", "kernel"),
+        ("scenarios: S1\n", "check-derivatives", "scenarios"),
+        ("experiments: {boundary_scenarios: S4}\n", "boundary-noise", "boundary_scenarios"),
     ]
     for index, (text, command, key) in enumerate(cases):
         out = tmp_path / f"results{index}"
@@ -129,6 +138,17 @@ def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
         assert not out.exists()
+
+
+def test_report_plots_without_matplotlib_exits_1_and_writes_nothing(tmp_path, capsys,
+                                                                   monkeypatch):
+    # Once it ran every experiment, wrote no plot and exited 0.
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
+    out = tmp_path / "results"
+    assert main(["--out", str(out), "--scenario", "S1", "report", "--plots"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "matplotlib" in err
+    assert not out.exists()
 
 
 def test_overflowing_snr_is_recorded_per_scenario(tmp_path, capsys):

@@ -67,9 +67,25 @@ def test_empty_target_grid_rejected():
     ("experiments: {kernel_diff_scenarios: [S1, S2, S2]}\n", "kernel_diff_scenarios"),
     ("experiments: {validity_threshold: 0}\n", "validity_threshold"),
     ("experiments: {validity_threshold: -1}\n", "validity_threshold"),
+    ("experiments: {target: [0, 0.2]}\n", "target"),
+    ("experiments: {target: [0, 0, 0.1, 0.2]}\n", "target"),
+    ("experiments: {target: [0, 0, 0]}\n", "target"),
+    ("experiments: {target: [0, 0, -0.2]}\n", "target"),
+    ("experiments: {target_grid: [[0, 0, 0.2], [0, 0.2]]}\n", r"target_grid\[1\]"),
+    ("experiments: {target_grid: [[0, 0, -0.2]]}\n", r"target_grid\[0\]"),
+    ("experiments: {validity_sample_count: 0}\n", "validity_sample_count"),
+    ("random_field: {kernel: matern}\n", "kernel"),
+    ("scenarios: S1\n", "scenarios"),
+    ("experiments: {weight_presets: uniform}\n", "weight_presets"),
+    ("experiments: {boundary_scenarios: S4}\n", "boundary_scenarios"),
+    ("experiments: {kernel_diff_scenarios: S1}\n", "kernel_diff_scenarios"),
+    ("random_field: {weights: '11111'}\n", "weights"),
+    ("experiments: {target: '012'}\n", "target"),
+    ("experiments: {kappa_grid: '14'}\n", "kappa_grid"),
+    ("experiments: {target_grid: abc}\n", "target_grid"),
 ])
-def test_empty_lists_repeated_ids_and_non_positive_threshold_rejected_by_key(text, key):
-    with pytest.raises(ConfigError, match=rf"^{key} (must hold|repeats|must be positive)"):
+def test_malformed_values_rejected_by_key(text, key):
+    with pytest.raises(ConfigError, match=rf"^{key} (must|repeats)"):
         parse_config(text)
 
 

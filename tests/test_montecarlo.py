@@ -25,7 +25,6 @@ from gprclutter.montecarlo import (
     NearestRankSelector,
     closure_covariances,
     closure_from_covariances,
-    convergence_ratio,
     nearest_rank_percentile,
     sample_covariance,
     snapshots_from_perturbations,
@@ -39,7 +38,8 @@ from gprclutter.randfield import (
     sample_perturbations,
 )
 from gprclutter.spectra import ClutterCovariance
-from oracles import green_kernel
+from conftest import closure_statistic
+from oracles import green_kernel, pseudo_covariance
 
 
 def _setup(sid="S_syn", n_x=3, n_z=2, amplitude=1.0, corr_length=0.1):
@@ -184,13 +184,15 @@ def test_closure_error_shrinks_like_root_sample_count():
         spatial_factor=build_spatial_factor(geometry.cell_centers, 0.05),
         amplitude=1.0,
     )
-    theory = clutter_covariance(forward, cov)
+    theory = clutter_covariance(forward, cov).matrix
     samples = sample_perturbations(cov, 2000, 20260405)
     snaps = snapshots_from_perturbations(forward, scenario, geometry, samples, "linear")
-    # Quadrupling the sample count should roughly halve the error. The
-    # estimator spreads wider on this small instance than at full scale
-    # (where the acceptance suite pins the [1.4, 2.9] band), so allow slack.
-    assert 1.2 <= convergence_ratio(theory, snaps, block_count=4) <= 3.2
+    # The squared error of 125-snapshot sample covariances has mean
+    # ((tr R)^2 + ||R~||^2) / 125, so T has mean 1. The band is T's spread
+    # over seeds 1-300 here, 0.595-1.688, widened by 1.25 on each side and
+    # rounded outward, as for acceptance criterion 3.
+    t = closure_statistic(theory, pseudo_covariance(forward, cov), snaps)
+    assert 0.45 <= t <= 2.15
 
 
 def test_closure_reports_are_deterministic():

@@ -1,0 +1,25 @@
+"""The README's examples stay true to the code."""
+
+import pathlib
+import re
+
+from gprclutter.harness.config import ExperimentConfig, parse_config
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _block(language: str) -> str:
+    """The README's one fenced code block in ``language``."""
+    blocks = re.findall(rf"^```{language}\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1, f"{len(blocks)} {language} blocks in the README"
+    return blocks[0]
+
+
+def test_readme_configuration_block_is_the_default():
+    assert parse_config(_block("yaml")) == ExperimentConfig()
+
+
+def test_readme_python_api_block_runs(capsys):
+    exec(compile(_block("python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
