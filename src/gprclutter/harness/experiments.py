@@ -18,7 +18,7 @@ from .. import __version__
 from ..constitutive import ColeColeParams, finite_difference_check, PARAMETER_NAMES
 from ..errors import GprClutterError
 from ..forward import ForwardMatrix, assemble_forward, forward_discrepancy, steering_vector
-from ..montecarlo import closure_covariances, closure_from_covariances, validity_scan
+from ..montecarlo import closure_from_covariances, shared_closure_covariances, validity_scan
 from ..randfield import build_covariance
 from ..scene import (
     Scenario,
@@ -266,7 +266,10 @@ def run_fda_scan(config: ExperimentConfig) -> ExperimentResult:
 def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> ExperimentResult:
     """Monte Carlo covariance closure per scenario at the configured L.
 
-    With ``keep_matrices`` the theoretical covariance and both sample
+    Every scenario synthesizes the same standardized samples, so one
+    streamed draw serves them all (:func:`shared_closure_covariances`); a
+    scenario that fails drops out of it and the others go on. With
+    ``keep_matrices`` the theoretical covariance and both sample
     covariances are attached for CMAT persistence.
     """
     rf = config.random_field
@@ -276,15 +279,26 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
          "sample_count", "subspace_dim"),
     )
     geometry = _geometry(config)
+    models, theories = {}, {}
     for sid in config.scenarios:
         with _recorded(result, sid):
             scenario = get_scenario(sid)
             forward = assemble_forward(scenario, geometry)
             cov = _covariance(scenario, geometry, rf)
-            theory = clutter_covariance(forward, cov)
-            # Both modes synthesize from one streamed draw.
-            rhat_linear, rhat_exact = closure_covariances(
-                forward, scenario, geometry, cov, rf.sample_count, rf.seed)
+            theories[sid] = clutter_covariance(forward, cov)
+            models[sid] = (forward, scenario, cov)
+    try:
+        # Both modes of every scenario synthesize from one streamed draw.
+        outcomes = dict(zip(models, shared_closure_covariances(
+            list(models.values()), geometry, rf.sample_count, rf.seed)))
+    except GprClutterError as exc:
+        outcomes = dict.fromkeys(models, exc)
+    for sid, outcome in outcomes.items():
+        with _recorded(result, sid):
+            if isinstance(outcome, GprClutterError):
+                raise outcome
+            rhat_linear, rhat_exact = outcome
+            theory = theories[sid]
             report = closure_from_covariances(
                 theory, rhat_linear, rhat_exact, sample_count=rf.sample_count)
             result.reports[sid] = report

@@ -9,22 +9,25 @@ of ``ForwardMatrix``; no path here reads the dense ``entries``. Comparing
 the two isolates the constitutive linearization error; comparing their
 sample covariances with the propagated theoretical covariance closes the
 loop on the statistical chain. Closure has one path:
-:func:`closure_covariances` streams both sample covariances and
-:func:`closure_from_covariances` compares them with the theory. Synthesis
-is noise-free throughout: the additive noise floor enters analytically
-downstream.
+:func:`shared_closure_covariances` streams both sample covariances of
+every scenario of a run from one draw, :func:`closure_covariances` is its
+one-scenario case, and :func:`closure_from_covariances` compares them with
+the theory. Synthesis is noise-free throughout: the additive noise floor
+enters analytically downstream. A forward operator assembled on another
+geometry than the one passed is refused.
 
 Memory does not grow with the sample count times 5P. Samples are drawn,
 synthesized and accumulated in blocks of at most SAMPLE_BLOCK samples and
 SAMPLE_BLOCK_BYTES bytes of samples, so a block shrinks at large P.
-Closure holds one block of samples and snapshots and one MN x MN sum of
-y y^H per mode. The validity scan fills its (L, 5P) base samples one block
-at a time and keeps the (L, MN) linear and exact snapshots and the L
-per-sample snapshot errors. Its L N P contrast errors stream, one exact
-chunk at a time, into a :class:`NearestRankSelector`, which keeps only the
-values above the percentile's rank: about a tenth of the pool at the 95th
-percentile. Exact contrast is evaluated in chunks of at most
-EXACT_CHUNK_VALUES values.
+Closure draws each block's standard normals once for all scenarios and
+holds that block, one scenario's samples and snapshots of it, and one
+MN x MN sum of y y^H per mode and scenario. The validity scan fills its
+(L, 5P) base samples one block at a time and keeps the (L, MN) linear and
+exact snapshots and the L per-sample snapshot errors. Its L N P contrast
+errors stream, one exact chunk at a time, into a
+:class:`NearestRankSelector`, which keeps only the values above the
+percentile's rank: about a tenth of the pool at the 95th percentile. Exact
+contrast is evaluated in chunks of at most EXACT_CHUNK_VALUES values.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from .constitutive import (
     N_PARAMS,
     exact_contrast_field,
 )
-from .errors import ConfigError, TauFloorError, UndefinedSpectrumError
+from .errors import ConfigError, GprClutterError, TauFloorError, UndefinedSpectrumError
 from .forward import ForwardMatrix
-from .randfield import PerturbationCovariance, sample_perturbations
+from .randfield import PerturbationCovariance, _mix, sample_perturbations, standard_normal_draws
 from .scene import Scenario, SceneGeometry
 from .spectra import ClutterCovariance, spectral_summary
 
@@ -236,6 +239,7 @@ def snapshots_from_perturbations(
     """
     if mode not in SNAPSHOT_MODES:
         raise ConfigError(f"unknown snapshot mode {mode!r} (known: {SNAPSHOT_MODES})")
+    _check_geometry(forward, geometry)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != forward.shape[1]:
         raise ConfigError(
@@ -271,16 +275,25 @@ def sample_covariance(snapshots: np.ndarray) -> np.ndarray:
     return _hermitian_mean(snapshots.T @ snapshots.conj(), snapshots.shape[0])
 
 
-def _sample_blocks(cov: PerturbationCovariance, count: int, seed: int):
-    """Yield (start, samples) for consecutive blocks of samples 0..count-1.
+def _block_starts(dim: int, count: int):
+    """Yield (start, size) for consecutive blocks of samples 0..count-1.
 
-    Every block holds the same number of samples, the last one at most
-    that: SAMPLE_BLOCK, or fewer where their bytes would exceed
+    Every block holds the same number of dim-entry samples, the last one at
+    most that: SAMPLE_BLOCK, or fewer where their bytes would exceed
     SAMPLE_BLOCK_BYTES.
     """
-    size = min(SAMPLE_BLOCK, max(1, SAMPLE_BLOCK_BYTES // (8 * cov.dim)))
+    size = min(SAMPLE_BLOCK, max(1, SAMPLE_BLOCK_BYTES // (8 * dim)))
     for start in range(0, count, size):
-        yield start, sample_perturbations(cov, min(size, count - start), seed, start=start)
+        yield start, min(size, count - start)
+
+
+def _check_geometry(forward: ForwardMatrix, geometry: SceneGeometry) -> None:
+    """Refuse a forward operator assembled on another geometry."""
+    if forward.geometry_fingerprint != geometry.fingerprint():
+        raise ConfigError(
+            f"forward operator assembled on geometry {forward.geometry_fingerprint}, "
+            f"used with geometry {geometry.fingerprint()}"
+        )
 
 
 def _hermitian_mean(total: np.ndarray, count: int) -> np.ndarray:
@@ -299,22 +312,71 @@ def closure_covariances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear- and exact-mode sample covariances of one draw of ``count`` samples.
 
-    Samples are drawn in the blocks of :func:`_sample_blocks`; each block
-    is synthesized in both modes and its y y^H added into one MN x MN sum
-    per mode. The sums equal those of :func:`sample_covariance` on the full
+    The one-model case of :func:`shared_closure_covariances`; its error is
+    raised.
+    """
+    (outcome,) = shared_closure_covariances([(forward, scenario, cov)], geometry, count, seed)
+    if isinstance(outcome, GprClutterError):
+        raise outcome
+    return outcome
+
+
+def shared_closure_covariances(
+    models: list[tuple[ForwardMatrix, Scenario, PerturbationCovariance]],
+    geometry: SceneGeometry,
+    count: int,
+    seed: int,
+) -> list[tuple[np.ndarray, np.ndarray] | GprClutterError]:
+    """Closure sample covariances of several models from one draw of ``count`` samples.
+
+    ``models`` holds (forward, scenario, cov) triples on ``geometry``. The
+    standard normals of each block of :func:`_block_starts` are drawn once;
+    each live model mixes them with its covariance, synthesizes the samples
+    in both modes and adds their y y^H into one MN x MN sum per mode. A
+    model's sums equal those of :func:`sample_covariance` on its full
     snapshot arrays up to summation order (Chan, Golub & LeVeque, Am. Stat.
-    1983), and memory holds one block, not the (count, 5P) samples.
+    1983), and memory holds one block of normals, samples and snapshots,
+    not the (count, 5P) samples. Sample i is the same for every model, and
+    the same as a one-model run gives.
+
+    Returns, per model, its (linear, exact) sample covariances, or the
+    :class:`GprClutterError` that dropped it; the other models go on.
     """
     if count < 2:
         raise ConfigError("closure needs at least two snapshots per mode")
-    size = forward.shape[0]
-    sums = {mode: np.zeros((size, size), dtype=complex) for mode in SNAPSHOT_MODES}
-    for start, samples in _sample_blocks(cov, count, seed):
-        for mode, total in sums.items():
-            snapshots = snapshots_from_perturbations(
-                forward, scenario, geometry, samples, mode, start=start)
-            total += snapshots.T @ snapshots.conj()
-    return _hermitian_mean(sums["linear"], count), _hermitian_mean(sums["exact"], count)
+    dim = N_PARAMS * geometry.n_cells
+    outcomes: list = [None] * len(models)
+    sums = {}
+    for index, (forward, _, cov) in enumerate(models):
+        try:
+            _check_geometry(forward, geometry)
+            if cov.dim != dim:
+                raise ConfigError(
+                    f"covariance of dimension {cov.dim}, not 5 x {geometry.n_cells} cells")
+        except GprClutterError as exc:
+            outcomes[index] = exc
+            continue
+        size = forward.shape[0]
+        sums[index] = {mode: np.zeros((size, size), dtype=complex) for mode in SNAPSHOT_MODES}
+    for start, size in _block_starts(dim, count):
+        if not sums:
+            break
+        normals = standard_normal_draws(dim, size, seed, start=start)
+        for index, totals in list(sums.items()):
+            forward, scenario, cov = models[index]
+            try:
+                samples = _mix(cov, normals)
+                for mode, total in totals.items():
+                    snapshots = snapshots_from_perturbations(
+                        forward, scenario, geometry, samples, mode, start=start)
+                    total += snapshots.T @ snapshots.conj()
+            except GprClutterError as exc:
+                outcomes[index] = exc
+                del sums[index]
+    for index, totals in sums.items():
+        outcomes[index] = (_hermitian_mean(totals["linear"], count),
+                           _hermitian_mean(totals["exact"], count))
+    return outcomes
 
 
 def closure_from_covariances(
@@ -397,10 +459,11 @@ def validity_scan(
     if sample_count < 1:
         raise ConfigError(f"sample count must be >= 1, got {sample_count!r}")
 
+    _check_geometry(forward, geometry)
     unit = cov_template.with_amplitude(1.0)
     base = np.empty((sample_count, unit.dim))
-    for start, samples in _sample_blocks(unit, sample_count, seed):
-        base[start:start + samples.shape[0]] = samples
+    for start, size in _block_starts(unit.dim, sample_count):
+        base[start:start + size] = sample_perturbations(unit, size, seed, start=start)
     # The linear snapshot is homogeneous in the amplitude: synthesize it once.
     y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
     y_exact = np.empty_like(y_lin)

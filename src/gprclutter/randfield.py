@@ -341,9 +341,19 @@ def sample_perturbations(
 ) -> np.ndarray:
     """Draw perturbation samples start, ..., start + count - 1, shape (count, 5P).
 
-    Each sample is amplitude * (L_param x S) z with z standard normal,
-    L_param the Cholesky factor of the parameter factor and S S^T = C. The
-    Kronecker product is applied in factored matrix form: the 5x5
+    The normals of :func:`standard_normal_draws`, mixed by :func:`_mix`.
+    The normals of sample i depend only on (seed, i). The mixed values can
+    differ in the last bit between batch sizes, because the GEMM's
+    rounding depends on the row count.
+    """
+    return _mix(cov, standard_normal_draws(cov.dim, count, seed, start=start))
+
+
+def _mix(cov: PerturbationCovariance, normals: np.ndarray) -> np.ndarray:
+    """The samples amplitude * (L_param x S) z of standard normals z, shape (count, 5P).
+
+    L_param is the Cholesky factor of the parameter factor and S S^T = C.
+    The Kronecker product is applied in factored matrix form: the 5x5
     parameter mix of every sample, then S on all 5 * count parameter rows
     at once. S is the Cholesky factor of a dense C, applied as one GEMM. A
     separable C takes the exact eigen root
@@ -352,14 +362,14 @@ def sample_perturbations(
     into the mixed rows. Entry q * P + p of a sample is the perturbation of
     parameter q at cell p.
 
-    The normals of sample i depend only on (seed, i). The mixed values can
-    differ in the last bit between batch sizes, because the GEMM's
-    rounding depends on the row count.
+    ``normals`` holds one z per row and is read, not written, so one block
+    of normals can be mixed with several covariances of the same size.
     """
-    z = standard_normal_draws(cov.dim, count, seed, start=start)
-    z = z.reshape(count, N_PARAMS, cov.n_cells)
-    mixed = np.matmul(cov.param_cholesky, z)
-    del z
+    count = normals.shape[0]
+    mixed = np.matmul(cov.param_cholesky, normals.reshape(count, N_PARAMS, cov.n_cells))
+    # Frees the normals before the spatial mix when the caller keeps none,
+    # as in sample_perturbations.
+    del normals
     rows = mixed.reshape(count * N_PARAMS, cov.n_cells)
     if cov.spatial_axes is None:
         samples = rows @ cov.spatial_cholesky.T
@@ -374,4 +384,3 @@ def sample_perturbations(
         rows *= cov.amplitude * np.sqrt(lam)
         samples = _kron_rows(rows, u_x, u_z, out=rows)
     return samples.reshape(count, cov.dim)
-

@@ -9,6 +9,7 @@ cross-section to give the integration volume per cell.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -218,6 +219,11 @@ class SceneGeometry:
         return self.n_tx * self.n_rx
 
     def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
+        # The arrays are read-only copies, so the digest never goes stale.
         digest = hashlib.sha256()
         for arr in (self.tx_positions, self.rx_positions, self.frequencies, self.cell_centers):
             digest.update(np.ascontiguousarray(arr).tobytes())

@@ -16,8 +16,10 @@ from gprclutter import (
     build_default_geometry,
     clutter_covariance,
     get_scenario,
+    montecarlo,
     spectral_summary,
 )
+from gprclutter.errors import TauFloorError
 from gprclutter.harness.cli import main
 from gprclutter.harness.cmat import load_matrix
 from gprclutter.harness.config import load_config
@@ -338,6 +340,49 @@ def test_closure_with_one_sample_exits_2_and_is_recorded(tmp_path):
     assert main(["--config", str(config_path), "--out", out, "closure"]) == 2
     errors = json.loads(open(os.path.join(out, "closure_errors.json")).read())
     assert errors == {"S1": "closure needs at least two snapshots per mode"}
+
+
+def test_closure_failure_in_a_later_block_drops_only_its_scenario(tmp_path, monkeypatch):
+    # S1 and S4 share one streamed draw of 150 samples in blocks of 64. S1's
+    # exact contrast fails in its second block: its error keeps the ensemble
+    # numbering, and S4's row and matrices are those of a run without S1.
+    config_path = tmp_path / "two.yaml"
+    config_path.write_text(
+        "scenarios: [S1, S4]\n"
+        "geometry: {n_tx: 2, n_rx: 2, n_x: 3, n_z: 2}\n"
+        "random_field: {sample_count: 150}\n"
+    )
+    solo = str(tmp_path / "solo")
+    assert main(["--config", str(config_path), "--out", solo, "--scenario", "S4",
+                 "closure", "--dump-matrices"]) == 0
+
+    failing = get_scenario("S1").background
+    original = montecarlo.exact_contrast_field
+    chunks = []
+
+    def flaky(background, delta, omega):
+        if background == failing:
+            chunks.append(delta.shape[1])
+            if len(chunks) == 2:
+                raise TauFloorError((1, 0, 2), 0.0, 1e-15)
+        return original(background, delta, omega)
+
+    monkeypatch.setattr(montecarlo, "exact_contrast_field", flaky)
+    out = str(tmp_path / "shared")
+    assert main(["--config", str(config_path), "--out", out,
+                 "closure", "--dump-matrices"]) == 2
+    assert chunks == [64, 64]
+    errors = json.loads(open(os.path.join(out, "closure_errors.json")).read())
+    assert list(errors) == ["S1"]
+    assert errors["S1"].startswith("samples 64..127: perturbed tau at index (65, 0, 2)")
+    rows = json.loads(open(os.path.join(out, "closure.json")).read())["rows"]
+    assert rows == json.loads(open(os.path.join(solo, "closure.json")).read())["rows"]
+    matrices = sorted(name for name in os.listdir(out) if name.endswith(".cmat"))
+    assert matrices == sorted(name for name in os.listdir(solo) if name.endswith(".cmat"))
+    assert all(name.startswith("closure_S4_") for name in matrices) and len(matrices) == 3
+    for name in matrices:
+        assert (open(os.path.join(out, name), "rb").read()
+                == open(os.path.join(solo, name), "rb").read())
 
 
 def test_closure_dump_matrices(tmp_path):

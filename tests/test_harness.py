@@ -185,10 +185,10 @@ def test_closure_run_reports_small_discrepancies():
     (None, [(0, 64), (64, 64), (128, 22)]),
     (40, [(0, 40), (40, 40), (80, 40), (120, 30)]),
 ], ids=["default-budget", "binding-budget"])
-def test_closure_draws_each_sample_once_per_scenario(monkeypatch, block, tiles):
-    # The linear and exact ensembles share one draw per scenario, streamed in
-    # blocks of SAMPLE_BLOCK samples, or fewer under a binding byte budget,
-    # that cover 0..L-1 exactly once.
+def test_closure_draws_each_sample_once_per_run(monkeypatch, block, tiles):
+    # The linear and exact ensembles of every scenario share one draw per
+    # run, streamed in blocks of SAMPLE_BLOCK samples, or fewer under a
+    # binding byte budget, that cover 0..L-1 exactly once.
     ranges = []
     original = randfield.standard_normal_draws
 
@@ -197,6 +197,7 @@ def test_closure_draws_each_sample_once_per_scenario(monkeypatch, block, tiles):
         return original(dim, count, seed, start=start)
 
     monkeypatch.setattr(randfield, "standard_normal_draws", counting)
+    monkeypatch.setattr(montecarlo, "standard_normal_draws", counting)
     assert SAMPLE_BLOCK == 64
     if block is not None:
         # 3 x 2 cells: 30 entries of 8 bytes per sample.
@@ -210,8 +211,36 @@ def test_closure_draws_each_sample_once_per_scenario(monkeypatch, block, tiles):
         )
         result = run_closure(config)
         assert result.ok
-        # Each scenario's blocks tile 0..L-1: no sample drawn twice or skipped.
-        assert ranges == blocks * 2
+        # The run's blocks tile 0..L-1 once for both scenarios: no sample
+        # drawn twice or skipped.
+        assert ranges == blocks
+
+
+@pytest.mark.parametrize("block", [None, 40], ids=["default-budget", "binding-budget"])
+def test_shared_closure_stream_equals_the_per_scenario_path(monkeypatch, block):
+    # run_closure streams S1 and S4 from one draw; each scenario's sample
+    # covariances are bit for bit those of its own closure_covariances run.
+    if block is not None:
+        # 3 x 2 cells: 30 entries of 8 bytes per sample.
+        monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK_BYTES", block * 8 * 30)
+    config = _config(
+        scenarios=("S1", "S4"),
+        geometry=GeometryConfig(n_tx=2, n_rx=2, n_x=3, n_z=2),
+        random_field=dataclasses.replace(RandomFieldConfig(), sample_count=150),
+    )
+    result = run_closure(config, keep_matrices=True)
+    assert result.ok
+    rf = config.random_field
+    geometry = build_default_geometry(config.geometry)
+    for sid in config.scenarios:
+        scenario = get_scenario(sid)
+        forward = assemble_forward(scenario, geometry)
+        cov = build_covariance(scenario, geometry.cell_centers, rf.corr_length, rf.rho_c,
+                               rf.weights, rf.amplitude, rf.kernel)
+        solo = montecarlo.closure_covariances(
+            forward, scenario, geometry, cov, rf.sample_count, rf.seed)
+        for name, rhat in zip(("rhat_linear", "rhat_exact"), solo):
+            assert result.matrices[f"closure_{sid}_{name}"].tobytes() == rhat.tobytes()
 
 
 def test_monte_carlo_paths_never_read_the_dense_operator(monkeypatch):

@@ -1,5 +1,6 @@
 """Snapshot synthesis, covariance closure, validity scan."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -27,6 +28,7 @@ from gprclutter.montecarlo import (
     closure_from_covariances,
     nearest_rank_percentile,
     sample_covariance,
+    shared_closure_covariances,
     snapshots_from_perturbations,
     validity_scan,
 )
@@ -170,9 +172,41 @@ def test_closure_rejects_degenerate_inputs(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("drew samples")
 
-    monkeypatch.setattr(montecarlo, "sample_perturbations", never)
+    monkeypatch.setattr(montecarlo, "standard_normal_draws", never)
     with pytest.raises(ConfigError, match="at least two"):
         closure_covariances(forward, scenario, geometry, cov, 1, 0)
+
+
+def test_monte_carlo_paths_refuse_a_forward_of_another_geometry():
+    # A forward assembled at the default delta_f, used with a delta_f = 0
+    # geometry of the same shapes, would give exact snapshots at frequencies
+    # its kernels were not built for.
+    config = GeometryConfig(n_tx=2, n_rx=2, n_x=3, n_z=2)
+    assembled_on = build_default_geometry(config)
+    geometry = build_default_geometry(dataclasses.replace(config, delta_f=0.0))
+    scenario = get_scenario("S4")
+    forward = assemble_forward(scenario, assembled_on)
+    cov = build_covariance(scenario, geometry.cell_centers, 0.15, 0.3, np.ones(5), 1.0)
+    samples = sample_perturbations(cov, 4, 1)
+    names_both = f"{assembled_on.fingerprint()}, used with geometry {geometry.fingerprint()}"
+    for mode in SNAPSHOT_MODES:
+        with pytest.raises(ConfigError, match=names_both):
+            snapshots_from_perturbations(forward, scenario, geometry, samples, mode)
+    with pytest.raises(ConfigError, match=names_both):
+        validity_scan(forward, scenario, geometry, cov, sample_count=4)
+    with pytest.raises(ConfigError, match=names_both):
+        closure_covariances(forward, scenario, geometry, cov, 4, 0)
+    # In a shared stream only the mismatched model drops out.
+    matched = assemble_forward(scenario, geometry)
+    kept, dropped = shared_closure_covariances(
+        [(matched, scenario, cov), (forward, scenario, cov)], geometry, 4, 0)
+    assert isinstance(dropped, ConfigError) and names_both in str(dropped)
+    solo = closure_covariances(matched, scenario, geometry, cov, 4, 0)
+    assert [a.tobytes() for a in kept] == [a.tobytes() for a in solo]
+    # A covariance over another cell count is refused too.
+    other = build_covariance(scenario, assembled_on.cell_centers[:4], 0.15, 0.3, np.ones(5), 1.0)
+    with pytest.raises(ConfigError, match="covariance of dimension 20, not 5 x 6 cells"):
+        closure_covariances(matched, scenario, geometry, other, 4, 0)
 
 
 def test_closure_error_shrinks_like_root_sample_count():
@@ -395,15 +429,25 @@ def _tau_floor_hit(monkeypatch, scenario, geometry, sample, cell):
     """Streamed draws in 15-sample exact chunks, with tau of one sample at one cell at 0."""
     monkeypatch.setattr(
         montecarlo, "EXACT_CHUNK_VALUES", 15 * geometry.frequencies.size * geometry.n_cells)
-    original = montecarlo.sample_perturbations
+    draw, mix, sample_all = (
+        montecarlo.standard_normal_draws, montecarlo._mix, montecarlo.sample_perturbations)
+    starts = []
 
-    def hitting(cov, count, seed, *, start=0):
-        samples = original(cov, count, seed, start=start)
-        if start <= sample < start + count:
+    def hit(samples, start):
+        if start <= sample < start + samples.shape[0]:
             samples[sample - start, 2 * geometry.n_cells + cell] = -scenario.background.tau
         return samples
 
-    monkeypatch.setattr(montecarlo, "sample_perturbations", hitting)
+    def drawing(dim, count, seed, *, start=0):
+        starts.append(start)
+        return draw(dim, count, seed, start=start)
+
+    # Closure mixes each drawn block itself; the scan draws whole samples.
+    monkeypatch.setattr(montecarlo, "standard_normal_draws", drawing)
+    monkeypatch.setattr(montecarlo, "_mix", lambda cov, normals: hit(mix(cov, normals), starts[-1]))
+    monkeypatch.setattr(montecarlo, "sample_perturbations",
+                        lambda cov, count, seed, *, start=0:
+                        hit(sample_all(cov, count, seed, start=start), start))
 
 
 @pytest.mark.parametrize(
