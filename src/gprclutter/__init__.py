@@ -9,8 +9,6 @@ Carlo machinery that validates each link at desk scale.
 from .constants import EPSILON_0, MU_0
 from .constitutive import (
     ColeColeParams,
-    ComplexPermittivity,
-    SensitivityVector,
     eval_permittivity,
     eval_sensitivities,
     exact_contrast,
@@ -61,8 +59,6 @@ __all__ = [
     "EPSILON_0",
     "MU_0",
     "ColeColeParams",
-    "ComplexPermittivity",
-    "SensitivityVector",
     "eval_permittivity",
     "eval_sensitivities",
     "exact_contrast",

@@ -9,8 +9,8 @@ under the e^{j omega t} convention, together with its five closed-form
 parameter derivatives, the dimensionless contrast sensitivities, and the
 exact versus first-order electromagnetic contrast of a perturbed state.
 
-All evaluation cores broadcast over numpy arrays; the dataclass wrappers
-provide the scalar single-point interface.
+All evaluation cores broadcast over numpy arrays; ``eval_permittivity`` and
+``eval_sensitivities`` evaluate one state at one frequency as plain values.
 """
 
 from __future__ import annotations
@@ -92,38 +92,6 @@ class ColeColeParams:
         return ColeColeParams.from_array(self.as_array() + np.asarray(delta_mu, dtype=float))
 
 
-@dataclasses.dataclass(frozen=True)
-class ComplexPermittivity:
-    """Absolute complex permittivity (F/m) evaluated at one angular frequency."""
-
-    value: complex
-    omega: float
-
-    @property
-    def relative(self) -> complex:
-        """Permittivity relative to vacuum, eps_c / eps0."""
-        return self.value / EPSILON_0
-
-
-@dataclasses.dataclass(frozen=True)
-class SensitivityVector:
-    """Contrast sensitivities psi_q = (1/eps_b) dF/dmu_q, one per parameter.
-
-    Each entry is the dimensionless contrast produced by a unit physical
-    perturbation of the corresponding Cole-Cole parameter.
-    """
-
-    psi: np.ndarray
-    omega: float
-
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=complex)
-        if psi.shape != (5,):
-            raise DomainError(f"sensitivity vector must have 5 entries, got {psi.shape}")
-        psi.flags.writeable = False
-        object.__setattr__(self, "psi", psi)
-
-
 def complex_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.ndarray:
     """Broadcasting core of the Cole-Cole law. Returns eps_c in F/m.
 
@@ -142,8 +110,8 @@ def _cole_cole(eps_inf, delta_eps, tau, alpha, sigma, omega) -> tuple[np.ndarray
     return u, EPSILON_0 * relative
 
 
-def eval_permittivity(params: ColeColeParams, omega: float) -> ComplexPermittivity:
-    """Evaluate the Cole-Cole permittivity of one state at omega (rad/s)."""
+def eval_permittivity(params: ColeColeParams, omega: float) -> complex:
+    """Cole-Cole permittivity eps_c (F/m) of one state at omega (rad/s)."""
     if omega <= 0.0:
         raise DomainError(f"angular frequency must be positive, got {omega!r}")
     value = complex(complex_permittivity(*params.as_array(), omega))
@@ -152,7 +120,7 @@ def eval_permittivity(params: ColeColeParams, omega: float) -> ComplexPermittivi
         raise DomainError(
             f"permittivity overflow at omega={omega!r}; offending parameter {culprit!r}"
         )
-    return ComplexPermittivity(value=value, omega=float(omega))
+    return value
 
 
 def _nonfinite_culprit(params: ColeColeParams, omega: float) -> str:
@@ -198,12 +166,15 @@ def sensitivity_components(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.n
     return components / eps_b
 
 
-def eval_sensitivities(params: ColeColeParams, omega: float) -> SensitivityVector:
-    """Analytic contrast sensitivities of one background state at omega."""
+def eval_sensitivities(params: ColeColeParams, omega: float) -> np.ndarray:
+    """Contrast sensitivities psi_q = (1/eps_b) dF/dmu_q of one background state.
+
+    Returns a (5,) complex array ordered as ``PARAMETER_NAMES``; entry q is
+    the dimensionless contrast of a unit physical perturbation of parameter q.
+    """
     if omega <= 0.0:
         raise DomainError(f"angular frequency must be positive, got {omega!r}")
-    psi = sensitivity_components(*params.as_array(), omega)
-    return SensitivityVector(psi=psi.reshape(5), omega=float(omega))
+    return sensitivity_components(*params.as_array(), omega).reshape(5)
 
 
 def finite_difference_check(
@@ -226,16 +197,16 @@ def finite_difference_check(
     if not 0.0 < rel_step <= 1e-2:
         raise DomainError(f"rel_step must lie in (0, 1e-2], got {rel_step!r}")
     base = params.as_array()
-    eps_b = eval_permittivity(params, omega).value
-    psi = eval_sensitivities(params, omega).psi * (1.0 + analytic_bias)
+    eps_b = eval_permittivity(params, omega)
+    psi = eval_sensitivities(params, omega) * (1.0 + analytic_bias)
     errors = np.empty(5)
     for q in range(5):
         step = rel_step * abs(base[q]) if base[q] != 0.0 else FD_STEP_FLOORS[q]
         plus, minus = base.copy(), base.copy()
         plus[q] += step
         minus[q] -= step
-        f_plus = eval_permittivity(ColeColeParams.from_array(plus), omega).value
-        f_minus = eval_permittivity(ColeColeParams.from_array(minus), omega).value
+        f_plus = eval_permittivity(ColeColeParams.from_array(plus), omega)
+        f_minus = eval_permittivity(ColeColeParams.from_array(minus), omega)
         psi_fd = (f_plus - f_minus) / ((plus[q] - minus[q]) * eps_b)
         errors[q] = abs(psi[q] - psi_fd) / max(abs(psi_fd), DENOMINATOR_FLOOR)
     return errors
@@ -329,7 +300,7 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
     return contrast
 
 
-def linear_contrast(psi: SensitivityVector, delta_mu) -> complex:
+def linear_contrast(psi: np.ndarray, delta_mu) -> complex:
     """First-order contrast: the inner product sum_q psi_q delta_mu_q."""
     delta_mu = np.asarray(delta_mu, dtype=float)
-    return complex(np.dot(psi.psi, delta_mu))
+    return complex(np.dot(psi, delta_mu))

@@ -86,7 +86,7 @@ def born_kernel_tensor(background: ColeColeParams, geometry: SceneGeometry) -> n
     return _two_way_kernels(background, geometry, geometry.cell_centers) * geometry.cell_volume
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ForwardMatrix:
     """The stacked Born observation operator, shape (M N, 5 P), in factored form.
 
@@ -137,12 +137,11 @@ class ForwardMatrix:
         return np.repeat(self.sensitivities, self.n_rx, axis=1)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SteeringVector:
     """Unit-norm two-way channel response of a point target."""
 
     values: np.ndarray
-    target_position: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -151,9 +150,6 @@ class SteeringVector:
             raise AssemblyError(f"steering vector norm {norm!r} deviates from 1")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        target = np.asarray(self.target_position, dtype=float).copy()
-        target.flags.writeable = False
-        object.__setattr__(self, "target_position", target)
 
 
 def assemble_forward(scenario: Scenario, geometry: SceneGeometry) -> ForwardMatrix:
@@ -195,7 +191,7 @@ def steering_vector(geometry: SceneGeometry, scenario: Scenario, target) -> Stee
     if target[2] <= 0.0:
         raise ConfigError(f"target depth must be positive, got z={target[2]!r}")
     values = _two_way_kernels(scenario.background, geometry, target[None, :]).ravel()
-    return SteeringVector(values=values / np.linalg.norm(values), target_position=target)
+    return SteeringVector(values=values / np.linalg.norm(values))
 
 
 def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> float:

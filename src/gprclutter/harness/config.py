@@ -10,6 +10,7 @@ import io
 import yaml
 
 from ..errors import ConfigError
+from ..montecarlo import DEFAULT_AMPLITUDE_GRID
 from ..randfield import SPATIAL_KERNELS
 from ..scene import (
     GeometryConfig,
@@ -55,7 +56,7 @@ class RandomFieldConfig:
 class ExperimentSettings:
     """Per-experiment grids and probes."""
 
-    amplitude_grid: tuple[float, ...] = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
+    amplitude_grid: tuple[float, ...] = DEFAULT_AMPLITUDE_GRID
     validity_sample_count: int = 200
     validity_threshold: float = 0.05
     delta_f_grid: tuple[float, ...] = (0.0, 20e6, 40e6)

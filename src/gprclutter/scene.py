@@ -48,7 +48,7 @@ def default_perturbation_scales(background: ColeColeParams) -> np.ndarray:
     ])
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Scenario:
     """A named background medium plus its perturbation scaling diagonal."""
 
@@ -166,7 +166,7 @@ class GeometryConfig:
             raise ConfigError("need f0 > 0 and delta_f >= 0")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SceneGeometry:
     """Element positions, transmit frequencies, and the discretized grid.
 

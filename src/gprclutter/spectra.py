@@ -36,7 +36,7 @@ MATERIALIZE_ROW_CAP = 10_000
 PROVENANCES = ("theoretical", "monte-carlo-linear", "monte-carlo-exact")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ClutterCovariance:
     """Hermitian channel-domain covariance with a provenance tag."""
 
@@ -62,7 +62,7 @@ class ClutterCovariance:
         return float(np.trace(self.matrix).real)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SpectralSummary:
     """Descending eigenvalues of a clutter covariance and derived metrics."""
 
@@ -86,7 +86,7 @@ class SpectralSummary:
         }
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ModalDecomposition:
     """Perturbation modes mapped through the forward operator.
 

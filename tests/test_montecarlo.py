@@ -258,7 +258,7 @@ _SELECTOR_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     values=_SELECTOR_VALUES,
     q=st.floats(0.0, 1.0, exclude_min=True),

@@ -394,6 +394,26 @@ def test_scaling_preserves_normalized_metrics_bitwise():
         assert abs(scaled.trace - kappa * summary.trace) <= 1e-12 * scaled.trace
 
 
+def test_degenerate_eigenvectors_have_a_real_positive_pivot(make_covariance):
+    # At delta_f = 0 every transmit frequency is equal, so the S2 spectrum is
+    # degenerate and eigh alone leaves each eigenvector's phase arbitrary.
+    geometry = build_default_geometry(GeometryConfig(delta_f=0.0))
+    scenario = get_scenario("S2")
+
+    def summary():
+        forward = assemble_forward(scenario, geometry)
+        return spectral_summary(clutter_covariance(forward, make_covariance(scenario, geometry)))
+
+    first = summary()
+    distinct = np.unique(np.round(first.eigenvalues / first.eigenvalues[0], 9))
+    assert distinct.size < first.eigenvalues.size
+    for vector in first.eigenvectors.T:
+        pivot = vector[np.flatnonzero(np.abs(vector) > 1e-12)[0]]
+        assert pivot.real > 0.0
+        assert abs(pivot.imag) <= 1e-15 * abs(pivot)
+    assert np.array_equal(summary().eigenvectors, first.eigenvectors)
+
+
 def test_scaling_composes():
     _, _, forward, cov = _toy_setup()
     base = clutter_covariance(forward, cov)
@@ -479,3 +499,22 @@ def test_summary_serializes_to_json_document():
     assert doc["p_rho"] == {"0.9": 2, "0.95": 3}
     assert doc["eigenvalues"] == [0.7, 0.2, 0.1]
     assert sum(doc["normalized_eigenvalues"]) == pytest.approx(1.0, abs=1e-12)
+
+
+_ARRAY_RECORDS = {
+    "Scenario": lambda: get_scenario("S_syn"),
+    "SceneGeometry": lambda: _toy_setup()[0],
+    "ForwardMatrix": lambda: _toy_setup()[2],
+    "SteeringVector": lambda: steering_vector(*_toy_setup()[:2], (0.0, 0.0, 0.2)),
+    "ClutterCovariance": lambda: clutter_covariance(*_toy_setup()[2:]),
+    "SpectralSummary": lambda: spectral_summary(clutter_covariance(*_toy_setup()[2:])),
+    "ModalDecomposition": lambda: modal_decomposition(*_toy_setup()[2:]),
+}
+
+
+@pytest.mark.parametrize("make", _ARRAY_RECORDS.values(), ids=_ARRAY_RECORDS.keys())
+def test_array_records_compare_by_identity(make):
+    # Records holding arrays compare by identity; equal values never raise.
+    a, b = make(), make()
+    assert (a == a) is True
+    assert (a == b) is False
