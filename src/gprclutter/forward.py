@@ -61,7 +61,7 @@ def _two_way_kernels(
         if np.any(r < MIN_SEPARATION):
             ia, ib = np.unravel_index(int(np.argmin(r)), r.shape)
             raise NearSingularityError(
-                f"separation {r[ia, ib]!r} m between antenna {ia} and point {ib} "
+                f"separation {float(r[ia, ib])!r} m between antenna {ia} and point {ib} "
                 f"below the {MIN_SEPARATION} m kernel minimum"
             )
         distances.append(r)
@@ -101,6 +101,7 @@ class ForwardMatrix:
     = ``sensitivities[q, n]``. The dense ``entries`` are assembled from the
     factors on first access and cached; only ``build-forward`` and
     ``kernel-diff`` need them, every other computation uses the factors.
+    ``background`` and ``geometry_fingerprint`` record what it was built for.
     """
 
     kernels: np.ndarray
@@ -108,6 +109,7 @@ class ForwardMatrix:
     n_tx: int
     n_rx: int
     n_cells: int
+    background: ColeColeParams
     geometry_fingerprint: str
 
     def __post_init__(self):
@@ -147,7 +149,7 @@ class SteeringVector:
         values = np.asarray(self.values, dtype=complex)
         norm = np.linalg.norm(values)
         if abs(norm - 1.0) > 1e-12:
-            raise AssemblyError(f"steering vector norm {norm!r} deviates from 1")
+            raise AssemblyError(f"steering vector norm {float(norm)!r} deviates from 1")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -179,6 +181,7 @@ def assemble_forward(scenario: Scenario, geometry: SceneGeometry) -> ForwardMatr
         n_tx=n_tx,
         n_rx=n_rx,
         n_cells=n_cells,
+        background=scenario.background,
         geometry_fingerprint=geometry.fingerprint(),
     )
 
@@ -189,7 +192,7 @@ def steering_vector(geometry: SceneGeometry, scenario: Scenario, target) -> Stee
     if target.shape != (3,):
         raise ConfigError(f"target must be a 3D point, got shape {target.shape}")
     if target[2] <= 0.0:
-        raise ConfigError(f"target depth must be positive, got z={target[2]!r}")
+        raise ConfigError(f"target depth must be positive, got z={float(target[2])!r}")
     values = _two_way_kernels(scenario.background, geometry, target[None, :]).ravel()
     return SteeringVector(values=values / np.linalg.norm(values))
 

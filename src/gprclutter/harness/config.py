@@ -12,14 +12,7 @@ import yaml
 from ..errors import ConfigError
 from ..montecarlo import DEFAULT_AMPLITUDE_GRID
 from ..randfield import SPATIAL_KERNELS
-from ..scene import (
-    GeometryConfig,
-    coerce_float,
-    coerce_floats,
-    coerce_int,
-    coerce_list,
-    scenario_registry,
-)
+from ..scene import GeometryConfig, coerce_fields, config_from_mapping, scenario_registry
 
 DEFAULT_SEED = 20260405
 
@@ -37,11 +30,7 @@ class RandomFieldConfig:
     kernel: str = "squared_exponential"
 
     def __post_init__(self):
-        for name in ("corr_length", "rho_c", "amplitude"):
-            object.__setattr__(self, name, coerce_float(getattr(self, name), name))
-        for name in ("sample_count", "seed"):
-            object.__setattr__(self, name, coerce_int(getattr(self, name), name))
-        object.__setattr__(self, "weights", coerce_floats(self.weights, "weights"))
+        coerce_fields(self)
         if len(self.weights) != 5:
             raise ConfigError(f"weights must have 5 entries, got {self.weights!r}")
         if self.sample_count < 1:
@@ -79,47 +68,16 @@ class ExperimentSettings:
     kernel_diff_scenarios: tuple[str, ...] = ("S1", "S2", "S3")
 
     def __post_init__(self):
-        for name in ("amplitude_grid", "delta_f_grid", "corr_length_grid",
-                     "rho_c_grid", "kappa_grid", "snr_grid_db"):
-            object.__setattr__(self, name, coerce_floats(getattr(self, name), name))
-        object.__setattr__(self, "target", _point(self.target, "target"))
-        try:
-            targets = coerce_list(self.target_grid, "target_grid")
-        except TypeError:
-            raise ConfigError(f"target_grid must be a list, got {self.target_grid!r}") from None
-        object.__setattr__(self, "target_grid", tuple(
-            _point(t, f"target_grid[{i}]") for i, t in enumerate(targets)))
-        object.__setattr__(self, "validity_sample_count",
-                           coerce_int(self.validity_sample_count, "validity_sample_count"))
+        coerce_fields(self)
         if self.validity_sample_count < 1:
             raise ConfigError(f"validity_sample_count must be >= 1, "
                               f"got {self.validity_sample_count!r}")
-        object.__setattr__(self, "validity_threshold",
-                           coerce_float(self.validity_threshold, "validity_threshold"))
         if self.validity_threshold <= 0.0:
             raise ConfigError(
                 f"validity_threshold must be positive, got {self.validity_threshold!r}")
-        for name in ("weight_presets", "boundary_scenarios", "kernel_diff_scenarios"):
-            object.__setattr__(self, name, coerce_list(getattr(self, name), name))
         unknown = set(self.weight_presets) - set(WEIGHT_PRESETS)
         if unknown:
             raise ConfigError(f"unknown weight presets {sorted(unknown)!r}")
-
-
-def _point(value, name: str) -> tuple[float, float, float]:
-    """A target (x, y, z): exactly 3 numbers, with the depth z positive."""
-    point = coerce_floats(value, name)
-    if len(point) != 3 or point[2] <= 0.0:
-        raise ConfigError(f"{name} must be 3 numbers (x, y, depth) with a positive depth, "
-                          f"got {value!r}")
-    return point
-
-
-#: The list fields of ExperimentSettings: each runs once per entry, so an
-#: empty one would write an empty table.
-_SETTINGS_LISTS = ("amplitude_grid", "delta_f_grid", "corr_length_grid", "rho_c_grid",
-                   "weight_presets", "kappa_grid", "snr_grid_db", "target_grid",
-                   "boundary_scenarios", "kernel_diff_scenarios")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,19 +89,11 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        object.__setattr__(self, "scenarios", coerce_list(self.scenarios, "scenarios"))
-        lists = {"scenarios": self.scenarios}
-        lists.update((name, getattr(self.experiments, name)) for name in _SETTINGS_LISTS)
-        for name, values in lists.items():
-            if not values:
-                raise ConfigError(f"{name} must hold at least one entry")
-            if name.endswith("scenarios") and len(set(values)) < len(values):
-                raise ConfigError(f"{name} repeats a scenario id: {list(values)!r}")
+        coerce_fields(self)
+        exp = self.experiments
         registry = scenario_registry()
-        for sid in tuple(self.scenarios) + (self.experiments.lx_scan_scenario,
-                                            self.experiments.coupling_scenario) \
-                + self.experiments.boundary_scenarios \
-                + self.experiments.kernel_diff_scenarios:
+        for sid in self.scenarios + (exp.lx_scan_scenario, exp.coupling_scenario) \
+                + exp.boundary_scenarios + exp.kernel_diff_scenarios:
             if sid not in registry:
                 raise ConfigError(f"unknown scenario id {sid!r} in configuration")
 
@@ -159,56 +109,19 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_BLOCK_TYPES = {
-    "geometry": GeometryConfig,
-    "random_field": RandomFieldConfig,
-    "experiments": ExperimentSettings,
-}
-
-
-def _build_block(cls, data: dict, context: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context} block must be a mapping, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in {context} block: {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad {context} block: {exc}") from exc
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"configuration must be a mapping, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _BLOCK_TYPES:
-            kwargs[key] = _build_block(_BLOCK_TYPES[key], value, key)
-        else:
-            kwargs[key] = value
-    return ExperimentConfig(**kwargs)
+    return config_from_mapping(ExperimentConfig, data)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
         if isinstance(value, tuple):
             return [plain(v) for v in value]
         return value
 
-    out = {
-        "scenarios": list(config.scenarios),
-        "output_dir": config.output_dir,
-    }
-    for block in ("geometry", "random_field", "experiments"):
-        fields = dataclasses.asdict(getattr(config, block))
-        out[block] = {k: plain(v) for k, v in fields.items()}
-    return out
+    return plain(dataclasses.asdict(config))
 
 
 def load_config(path: str) -> ExperimentConfig:

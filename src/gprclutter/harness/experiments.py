@@ -454,19 +454,15 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
     for sid in exp.kernel_diff_scenarios:
         with _recorded(result, sid):
             forwards[sid] = assemble_forward(get_scenario(sid), geometry)
-    free = assemble_forward(free_space_scenario(), geometry)
+    with _recorded(result, "free_space"):
+        forwards["free_space"] = assemble_forward(free_space_scenario(), geometry)
+    targets = [sid for sid in (*exp.kernel_diff_scenarios, "free_space") if sid in forwards]
     for sid_from in exp.kernel_diff_scenarios:
         if sid_from not in forwards:
             continue
-        for sid_to in exp.kernel_diff_scenarios:
-            if sid_to not in forwards:
-                continue
+        for sid_to in targets:
             result.table.add_row(
                 from_scenario=sid_from, to_scenario=sid_to,
                 delta_a=forward_discrepancy(forwards[sid_to], forwards[sid_from]),
             )
-        result.table.add_row(
-            from_scenario=sid_from, to_scenario="free_space",
-            delta_a=forward_discrepancy(free, forwards[sid_from]),
-        )
     return result

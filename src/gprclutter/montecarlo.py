@@ -239,7 +239,7 @@ def snapshots_from_perturbations(
     """
     if mode not in SNAPSHOT_MODES:
         raise ConfigError(f"unknown snapshot mode {mode!r} (known: {SNAPSHOT_MODES})")
-    _check_geometry(forward, geometry)
+    _check_forward(forward, scenario, geometry)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != forward.shape[1]:
         raise ConfigError(
@@ -287,12 +287,17 @@ def _block_starts(dim: int, count: int):
         yield start, min(size, count - start)
 
 
-def _check_geometry(forward: ForwardMatrix, geometry: SceneGeometry) -> None:
-    """Refuse a forward operator assembled on another geometry."""
+def _check_forward(forward: ForwardMatrix, scenario: Scenario, geometry: SceneGeometry) -> None:
+    """Refuse a forward operator assembled on another geometry or background."""
     if forward.geometry_fingerprint != geometry.fingerprint():
         raise ConfigError(
             f"forward operator assembled on geometry {forward.geometry_fingerprint}, "
             f"used with geometry {geometry.fingerprint()}"
+        )
+    if forward.background != scenario.background:
+        raise ConfigError(
+            f"forward operator assembled for background {forward.background}, "
+            f"used with scenario {scenario.id} of background {scenario.background}"
         )
 
 
@@ -347,9 +352,9 @@ def shared_closure_covariances(
     dim = N_PARAMS * geometry.n_cells
     outcomes: list = [None] * len(models)
     sums = {}
-    for index, (forward, _, cov) in enumerate(models):
+    for index, (forward, scenario, cov) in enumerate(models):
         try:
-            _check_geometry(forward, geometry)
+            _check_forward(forward, scenario, geometry)
             if cov.dim != dim:
                 raise ConfigError(
                     f"covariance of dimension {cov.dim}, not 5 x {geometry.n_cells} cells")
@@ -459,7 +464,7 @@ def validity_scan(
     if sample_count < 1:
         raise ConfigError(f"sample count must be >= 1, got {sample_count!r}")
 
-    _check_geometry(forward, geometry)
+    _check_forward(forward, scenario, geometry)
     unit = cov_template.with_amplitude(1.0)
     base = np.empty((sample_count, unit.dim))
     for start, size in _block_starts(unit.dim, sample_count):

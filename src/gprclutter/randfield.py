@@ -379,7 +379,8 @@ def _mix(cov: PerturbationCovariance, normals: np.ndarray) -> np.ndarray:
         lam, (u_x, u_z) = cov._spatial_eigh
         if lam.min() <= 0.0:
             raise NonPositiveDefiniteError(
-                f"spatial factor is not positive definite: smallest eigenvalue {lam.min()!r}"
+                "spatial factor is not positive definite: "
+                f"smallest eigenvalue {float(lam.min())!r}"
             )
         rows *= cov.amplitude * np.sqrt(lam)
         samples = _kron_rows(rows, u_x, u_z, out=rows)

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import typing
 
 import numpy as np
 
@@ -100,10 +101,10 @@ def coerce_float(value, name: str) -> float:
     """Parse a finite numeric config value; YAML 1.1 reads 1.0e8 as a string.
 
     NaN and infinities, including a literal such as 1e400 that overflows,
-    are a ConfigError naming the key.
+    are a ConfigError naming the key, and so is a boolean.
     """
     try:
-        number = float(value)
+        number = _number(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(number):
@@ -111,17 +112,27 @@ def coerce_float(value, name: str) -> float:
     return number
 
 
+def _number(value) -> float:
+    """float(value) of a number; YAML reads ``true`` as a boolean, and float(True) is 1.0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
 def coerce_list(values, name: str) -> tuple:
-    """A list config value; a bare string would otherwise split into its characters."""
-    if isinstance(values, str):
-        raise ConfigError(f"{name} must be a list, got the string {values!r}")
-    return tuple(values)
+    """A non-empty list config value; a bare string would otherwise split into its characters."""
+    if isinstance(values, (str, dict)) or not np.iterable(values):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    items = tuple(values)
+    if not items:
+        raise ConfigError(f"{name} must hold at least one entry")
+    return items
 
 
 def coerce_floats(values, name: str) -> tuple[float, ...]:
     """Parse a sequence of finite numeric config values, naming the key."""
     try:
-        numbers = tuple(float(v) for v in coerce_list(values, name))
+        numbers = tuple(_number(v) for v in coerce_list(values, name))
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be numbers, got {values!r}") from None
     if not all(math.isfinite(v) for v in numbers):
@@ -134,6 +145,79 @@ def coerce_int(value, name: str) -> int:
     if number != int(number):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(number)
+
+
+def coerce_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def coerce_strs(values, name: str) -> tuple[str, ...]:
+    """A list of names, each given once: a repeated one would run twice."""
+    names = tuple(coerce_str(v, f"{name}[{i}]") for i, v in enumerate(coerce_list(values, name)))
+    if len(set(names)) < len(names):
+        raise ConfigError(f"{name} repeats an entry: {list(names)!r}")
+    return names
+
+
+def coerce_point(value, name: str) -> tuple[float, float, float]:
+    """A target (x, y, z): exactly 3 numbers, with the depth z positive."""
+    point = coerce_floats(value, name)
+    if len(point) != 3 or point[2] <= 0.0:
+        raise ConfigError(f"{name} must be 3 numbers (x, y, depth) with a positive depth, "
+                          f"got {value!r}")
+    return point
+
+
+def coerce_points(values, name: str) -> tuple[tuple[float, float, float], ...]:
+    return tuple(coerce_point(v, f"{name}[{i}]") for i, v in enumerate(coerce_list(values, name)))
+
+
+#: The parser of each config field type. A field of another type must be a
+#: config block: a config dataclass, given as one or as its mapping.
+_FIELD_PARSERS = {
+    int: coerce_int,
+    float: coerce_float,
+    str: coerce_str,
+    tuple[float, ...]: coerce_floats,
+    tuple[str, ...]: coerce_strs,
+    tuple[float, float, float]: coerce_point,
+    tuple[tuple[float, float, float], ...]: coerce_points,
+}
+
+
+#: The resolved field types of a config class, looked up once per class.
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def coerce_fields(config) -> None:
+    """Parse every field of a frozen config dataclass in place, by its declared type.
+
+    A type with neither a parser nor a config block is a TypeError: no field goes unparsed.
+    """
+    types = _field_types(type(config))
+    for field in dataclasses.fields(config):
+        kind, value = types[field.name], getattr(config, field.name)
+        if kind in _FIELD_PARSERS:
+            value = _FIELD_PARSERS[kind](value, field.name)
+        elif not dataclasses.is_dataclass(kind):
+            raise TypeError(f"{type(config).__name__}.{field.name}: no config parser for {kind!r}")
+        elif not isinstance(value, kind):
+            value = config_from_mapping(kind, value, field.name)
+        object.__setattr__(config, field.name, value)
+
+
+def config_from_mapping(cls, data, name: str | None = None):
+    """Config class ``cls`` from a mapping of its fields; ``name`` is its block's key."""
+    what = f"{name} block" if name else "configuration"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a mapping, got {type(data).__name__}")
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)}, key=str)
+    if unknown:
+        where = f"keys in {what}" if name else "top-level keys"
+        raise ConfigError(f"unknown {where}: {unknown}")
+    return cls(**data)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,10 +236,7 @@ class GeometryConfig:
     strip_width: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_tx", "n_rx", "n_x", "n_z"):
-            object.__setattr__(self, name, coerce_int(getattr(self, name), name))
-        for name in ("f0", "delta_f", "element_spacing", "dx", "dz", "strip_width"):
-            object.__setattr__(self, name, coerce_float(getattr(self, name), name))
+        coerce_fields(self)
         if self.n_tx < 1 or self.n_rx < 1:
             raise ConfigError("need at least one transmit and one receive element")
         if self.n_x < 1 or self.n_z < 1:

@@ -233,8 +233,8 @@ def _validated_eigensystem(cov: ClutterCovariance) -> tuple[np.ndarray, np.ndarr
     deviation = np.abs(matrix - matrix.conj().T).max()
     if deviation > HERMITIAN_RTOL * scale:
         raise InvariantError(
-            f"covariance deviates from Hermitian symmetry by {deviation!r} "
-            f"(tolerance {HERMITIAN_RTOL * scale!r})"
+            f"covariance deviates from Hermitian symmetry by {float(deviation)!r} "
+            f"(tolerance {float(HERMITIAN_RTOL * scale)!r})"
         )
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     order = np.argsort(eigenvalues, kind="stable")[::-1]
@@ -243,8 +243,8 @@ def _validated_eigensystem(cov: ClutterCovariance) -> tuple[np.ndarray, np.ndarr
     lam_max = max(eigenvalues[0], 0.0)
     if eigenvalues[-1] < -NEGATIVE_EIG_RTOL * lam_max:
         raise InvariantError(
-            f"eigenvalue {eigenvalues[-1]!r} below the PSD tolerance "
-            f"{-NEGATIVE_EIG_RTOL * lam_max!r}"
+            f"eigenvalue {float(eigenvalues[-1])!r} below the PSD tolerance "
+            f"{float(-NEGATIVE_EIG_RTOL * lam_max)!r}"
         )
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     # Deterministic representation under degenerate spectra: rotate each

@@ -106,7 +106,10 @@ def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
     # lists and a negative threshold exited 0 with empty or null tables,
     # a repeated scenario ran twice, a malformed target, a zero validity
     # sample count and an unknown kernel exited 2 with partial tables, and
-    # a bare string was split into one-letter scenario ids.
+    # a bare string was split into one-letter scenario ids. A string or list
+    # field of the wrong type crashed with a bare TypeError or named no key,
+    # a boolean was read as 1, a repeated weight preset ran twice, and
+    # unknown keys of mixed types crashed while being sorted.
     cases = [
         ("experiments: {kappa_grid: [.nan]}\n", "boundary-scale", "kappa_grid"),
         ("experiments: {target_grid: []}\n", "scan-targets", "target_grid"),
@@ -130,6 +133,19 @@ def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
         ("random_field: {kernel: matern}\n", "scan-lx", "kernel"),
         ("scenarios: S1\n", "check-derivatives", "scenarios"),
         ("experiments: {boundary_scenarios: S4}\n", "boundary-noise", "boundary_scenarios"),
+        ("output_dir: 5\n", "check-derivatives", "output_dir must be a string"),
+        ("scenarios: [[S1]]\n", "check-derivatives", "scenarios[0] must be a string"),
+        ("experiments: {lx_scan_scenario: [S2]}\n", "scan-lx", "lx_scan_scenario must be"),
+        ("experiments: {weight_presets: [[uniform]]}\n", "scan-coupling",
+         "weight_presets[0] must be"),
+        ("geometry: {n_tx: true}\n", "check-derivatives", "n_tx must be a number"),
+        ("random_field: {seed: true}\n", "closure", "seed must be a number"),
+        ("experiments: {target_grid: [[0, 0, true]]}\n", "scan-targets",
+         "target_grid[0] must be numbers"),
+        ("experiments: {weight_presets: [uniform, uniform]}\n", "scan-coupling",
+         "weight_presets repeats"),
+        ("geometry: {1: 2, gain: 3}\n", "check-derivatives",
+         "unknown keys in geometry block: [1, 'gain']"),
     ]
     for index, (text, command, key) in enumerate(cases):
         out = tmp_path / f"results{index}"
@@ -307,6 +323,25 @@ def test_failing_scenario_is_recorded_and_report_finishes(tmp_path, capsys):
     assert json.loads(open(os.path.join(out, "baseline_summaries.json")).read()) == {}
     assert os.path.exists(os.path.join(out, "config.yaml"))
     assert "configuration error" not in capsys.readouterr().err
+
+
+def test_report_without_a_free_space_reference_writes_every_file(tmp_path, capsys):
+    # Cells 0.5 um below the receivers: no forward assembles, the free-space
+    # reference included. report once stopped at kernel-diff with exit 2.
+    out = tmp_path / "results"
+    config_path = tmp_path / "shallow.yaml"
+    config_path.write_text(
+        "scenarios: [S1]\ngeometry: {n_x: 3, n_z: 2, dz: 1.0e-6, n_tx: 2, n_rx: 2}\n")
+    assert main(["--config", str(config_path), "--out", str(out), "report"]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["experiments"]) == {
+        "check-derivatives", "scan-validity", "kernel-diff", "scan-fda", "closure", "scan-lx",
+        "scan-coupling", "scan-targets", "boundary"}
+    assert "free_space" in summary["experiments"]["kernel-diff"]["errors"]
+    for table in ("derivative_check", "validity_scan", "kernel_diff", "fda_scan", "closure",
+                  "lx_scan", "coupling_scan", "target_scan", "boundary"):
+        assert (out / f"{table}.csv").exists() and (out / f"{table}.json").exists(), table
+    assert (out / "config.yaml").exists() and (out / "baseline_summaries.json").exists()
 
 
 def test_boundary_subcommands(tmp_path):

@@ -80,8 +80,10 @@ def test_kernel_reciprocity_is_exact():
 
 def test_kernel_minimum_separation(geometry):
     target = geometry.rx_positions[2] + np.array([0.0, 0.0, 1e-7])
-    with pytest.raises(NearSingularityError, match="below the 1e-06 m kernel minimum"):
+    with pytest.raises(NearSingularityError, match="below the 1e-06 m kernel minimum") as info:
         steering_vector(geometry, get_scenario("S1"), target)
+    # The separation prints as a plain number, not as np.float64(1e-07).
+    assert "np.float64" not in str(info.value)
 
 
 def test_toy_forward_shape(small_geometry):

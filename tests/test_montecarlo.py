@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -207,6 +208,26 @@ def test_monte_carlo_paths_refuse_a_forward_of_another_geometry():
     other = build_covariance(scenario, assembled_on.cell_centers[:4], 0.15, 0.3, np.ones(5), 1.0)
     with pytest.raises(ConfigError, match="covariance of dimension 20, not 5 x 6 cells"):
         closure_covariances(matched, scenario, geometry, other, 4, 0)
+
+
+def test_monte_carlo_paths_refuse_a_forward_of_another_background():
+    # A forward assembled for S1 and used with S4 once gave this validity
+    # scan p95 contrast errors of about 76, and no error.
+    geometry = build_default_geometry(GeometryConfig(n_tx=2, n_rx=2, n_x=4, n_z=3))
+    s1, s4 = get_scenario("S1"), get_scenario("S4")
+    forward = assemble_forward(s1, geometry)
+    cov = build_covariance(s4, geometry.cell_centers, 0.15, 0.3, np.ones(5), 1.0)
+    names_both = rf"background {re.escape(str(s1.background))}, used with scenario S4 " \
+        rf"of background {re.escape(str(s4.background))}"
+    with pytest.raises(ConfigError, match=names_both):
+        validity_scan(forward, s4, geometry, cov, sample_count=4)
+    for mode in SNAPSHOT_MODES:
+        with pytest.raises(ConfigError, match=names_both):
+            snapshots_from_perturbations(forward, s4, geometry, sample_perturbations(cov, 2, 1),
+                                         mode)
+    kept, dropped = shared_closure_covariances(
+        [(assemble_forward(s4, geometry), s4, cov), (forward, s4, cov)], geometry, 4, 0)
+    assert isinstance(kept, tuple) and isinstance(dropped, ConfigError)
 
 
 def test_closure_error_shrinks_like_root_sample_count():

@@ -3,7 +3,9 @@
 import pathlib
 import re
 
-from gprclutter.harness.config import ExperimentConfig, parse_config
+import yaml
+
+from gprclutter.harness.config import ExperimentConfig, config_to_dict, parse_config
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,6 +20,15 @@ def _block(language: str) -> str:
 
 def test_readme_configuration_block_is_the_default():
     assert parse_config(_block("yaml")) == ExperimentConfig()
+
+
+def test_readme_configuration_block_lists_every_field():
+    block = yaml.safe_load(_block("yaml"))
+    fields = config_to_dict(ExperimentConfig())
+    assert block.keys() == fields.keys()
+    for key, value in fields.items():
+        if isinstance(value, dict):
+            assert block[key].keys() == value.keys(), key
 
 
 def test_readme_python_api_block_runs(capsys):

@@ -1,5 +1,6 @@
 """Scenario registry values, geometry construction, grid invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from gprclutter import GeometryConfig, build_default_geometry, get_scenario
 from gprclutter.errors import ConfigError
-from gprclutter.scene import SceneGeometry, default_perturbation_scales
+from gprclutter.scene import SceneGeometry, coerce_fields, default_perturbation_scales
 
 REGISTRY_VALUES = {
     "S1": (3.0285, 0.0, 1e-12, 0.0, 1e-5),
@@ -127,6 +128,20 @@ def test_invalid_configs_raise():
         GeometryConfig(f0=0.0)
     with pytest.raises(ConfigError):
         GeometryConfig(delta_f=-1.0)
+
+
+def test_a_config_field_type_without_a_parser_is_refused():
+    # Every config field is parsed by its declared type, so a field of a
+    # type the parser table lacks fails at construction, not in a run.
+    @dataclasses.dataclass(frozen=True)
+    class Block:
+        gain: complex = 1j
+
+        def __post_init__(self):
+            coerce_fields(self)
+
+    with pytest.raises(TypeError, match="Block.gain: no config parser"):
+        Block()
 
 
 def test_inconsistent_grid_dims_rejected(geometry):
