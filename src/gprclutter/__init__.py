@@ -11,9 +11,7 @@ from .constitutive import (
     ColeColeParams,
     eval_permittivity,
     eval_sensitivities,
-    exact_contrast,
     finite_difference_check,
-    linear_contrast,
 )
 from .forward import (
     ForwardMatrix,
@@ -61,9 +59,7 @@ __all__ = [
     "ColeColeParams",
     "eval_permittivity",
     "eval_sensitivities",
-    "exact_contrast",
     "finite_difference_check",
-    "linear_contrast",
     "ForwardMatrix",
     "SteeringVector",
     "assemble_forward",

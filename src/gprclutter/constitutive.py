@@ -6,8 +6,9 @@ Evaluates the complex permittivity of a dispersive conducting medium
                            - j sigma / (omega eps0)]
 
 under the e^{j omega t} convention, together with its five closed-form
-parameter derivatives, the dimensionless contrast sensitivities, and the
-exact versus first-order electromagnetic contrast of a perturbed state.
+parameter derivatives, the dimensionless contrast sensitivities psi, and
+the exact electromagnetic contrast of stacked perturbed states. The
+first-order contrast of a perturbation delta is psi @ delta.
 
 All evaluation cores broadcast over numpy arrays; ``eval_permittivity`` and
 ``eval_sensitivities`` evaluate one state at one frequency as plain values.
@@ -86,10 +87,6 @@ class ColeColeParams:
         if values.shape != (5,):
             raise DomainError(f"expected 5 Cole-Cole parameters, got shape {values.shape}")
         return cls(*values.tolist())
-
-    def perturbed(self, delta_mu) -> "ColeColeParams":
-        """Return the state shifted by a physical perturbation vector."""
-        return ColeColeParams.from_array(self.as_array() + np.asarray(delta_mu, dtype=float))
 
 
 def complex_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.ndarray:
@@ -248,20 +245,6 @@ def _relative_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.n
     return result
 
 
-def exact_contrast(background: ColeColeParams, delta_mu, omega: float) -> complex:
-    """Exact electromagnetic contrast (F(mu_b + delta_mu) - eps_b) / eps_b."""
-    if omega <= 0.0:
-        raise DomainError(f"angular frequency must be positive, got {omega!r}")
-    perturbed = background.perturbed(delta_mu)
-    value = complex(exact_contrast_field(background, delta_mu, omega).ravel()[0])
-    if not np.isfinite(value):
-        culprit = _nonfinite_culprit(perturbed, omega)
-        raise DomainError(
-            f"contrast overflow at omega={omega!r}; offending parameter {culprit!r}"
-        )
-    return value
-
-
 def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega) -> np.ndarray:
     """Vectorized exact contrast for stacked perturbations.
 
@@ -299,8 +282,3 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
     contrast *= 1.0 / eps_b
     return contrast
 
-
-def linear_contrast(psi: np.ndarray, delta_mu) -> complex:
-    """First-order contrast: the inner product sum_q psi_q delta_mu_q."""
-    delta_mu = np.asarray(delta_mu, dtype=float)
-    return complex(np.dot(psi, delta_mu))

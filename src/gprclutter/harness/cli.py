@@ -225,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also emit static plots (needs matplotlib)")
     parser.add_argument("--print-config", action="store_true",
                         help="print the effective configuration and exit")
+    parser.set_defaults(plots=False, dump_matrices=False)
     return parser
 
 
@@ -233,8 +234,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command is None and not args.print_config:
         parser.error("the following arguments are required: command")
-    if not hasattr(args, "plots"):
-        args.plots = False
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
         config = _apply_overrides(config, args)
@@ -245,7 +244,7 @@ def main(argv=None) -> int:
             return _cmd_build_forward(config, args)
         if args.command == "report":
             return _cmd_report(config, args)
-        if args.command == "closure" and getattr(args, "dump_matrices", False):
+        if args.dump_matrices:
             result = exp_mod.run_closure(config, keep_matrices=True)
         else:
             result = _EXPERIMENTS[args.command](config)

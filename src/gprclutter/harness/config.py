@@ -10,13 +10,19 @@ import io
 import yaml
 
 from ..errors import ConfigError
-from ..montecarlo import DEFAULT_AMPLITUDE_GRID
+from ..montecarlo import (
+    DEFAULT_AMPLITUDE_GRID,
+    DEFAULT_VALIDITY_SAMPLE_COUNT,
+    DEFAULT_VALIDITY_THRESHOLD,
+)
 from ..randfield import SPATIAL_KERNELS
 from ..scene import GeometryConfig, coerce_fields, config_from_mapping, scenario_registry
 
 DEFAULT_SEED = 20260405
 
-WEIGHT_PRESETS = ("uniform", "permittivity", "relaxation", "conductivity")
+#: Channel-weight presets of the coupling scan: each name doubles the weight
+#: of one parameter channel (by index), "uniform" none.
+WEIGHT_PRESETS = {"uniform": None, "permittivity": 0, "relaxation": 2, "conductivity": 4}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,7 +40,7 @@ class RandomFieldConfig:
         if len(self.weights) != 5:
             raise ConfigError(f"weights must have 5 entries, got {self.weights!r}")
         if self.sample_count < 1:
-            raise ConfigError(f"sample count must be >= 1, got {self.sample_count!r}")
+            raise ConfigError(f"sample_count must be >= 1, got {self.sample_count!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.kernel not in SPATIAL_KERNELS:
@@ -46,12 +52,12 @@ class ExperimentSettings:
     """Per-experiment grids and probes."""
 
     amplitude_grid: tuple[float, ...] = DEFAULT_AMPLITUDE_GRID
-    validity_sample_count: int = 200
-    validity_threshold: float = 0.05
+    validity_sample_count: int = DEFAULT_VALIDITY_SAMPLE_COUNT
+    validity_threshold: float = DEFAULT_VALIDITY_THRESHOLD
     delta_f_grid: tuple[float, ...] = (0.0, 20e6, 40e6)
     corr_length_grid: tuple[float, ...] = (0.05, 0.10, 0.20, 0.40)
     rho_c_grid: tuple[float, ...] = (0.0, 0.3, 0.6, 0.9)
-    weight_presets: tuple[str, ...] = WEIGHT_PRESETS
+    weight_presets: tuple[str, ...] = tuple(WEIGHT_PRESETS)
     kappa_grid: tuple[float, ...] = (0.25, 1.0, 4.0)
     snr_grid_db: tuple[float, ...] = (0.0, 20.0)
     target: tuple[float, float, float] = (0.0, 0.0, 0.2625)
@@ -75,9 +81,10 @@ class ExperimentSettings:
         if self.validity_threshold <= 0.0:
             raise ConfigError(
                 f"validity_threshold must be positive, got {self.validity_threshold!r}")
-        unknown = set(self.weight_presets) - set(WEIGHT_PRESETS)
-        if unknown:
-            raise ConfigError(f"unknown weight presets {sorted(unknown)!r}")
+        for i, preset in enumerate(self.weight_presets):
+            if preset not in WEIGHT_PRESETS:
+                raise ConfigError(f"weight_presets[{i}] must be one of "
+                                  f"{tuple(WEIGHT_PRESETS)}, got {preset!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,11 +98,15 @@ class ExperimentConfig:
     def __post_init__(self):
         coerce_fields(self)
         exp = self.experiments
+        ids = [(f"scenarios[{i}]", sid) for i, sid in enumerate(self.scenarios)]
+        ids += [("lx_scan_scenario", exp.lx_scan_scenario),
+                ("coupling_scenario", exp.coupling_scenario)]
+        for key in ("boundary_scenarios", "kernel_diff_scenarios"):
+            ids += [(f"{key}[{i}]", sid) for i, sid in enumerate(getattr(exp, key))]
         registry = scenario_registry()
-        for sid in self.scenarios + (exp.lx_scan_scenario, exp.coupling_scenario) \
-                + exp.boundary_scenarios + exp.kernel_diff_scenarios:
+        for name, sid in ids:
             if sid not in registry:
-                raise ConfigError(f"unknown scenario id {sid!r} in configuration")
+                raise ConfigError(f"{name} must be a known scenario id, got {sid!r}")
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return dataclasses.replace(self, **kwargs)

@@ -34,7 +34,7 @@ from ..spectra import (
     spectral_summary,
     target_overlap,
 )
-from .config import ExperimentConfig, RandomFieldConfig, config_hash
+from .config import WEIGHT_PRESETS, ExperimentConfig, RandomFieldConfig, config_hash
 
 #: Derivative validation passes below this maximum relative error.
 DERIVATIVE_THRESHOLD = 1e-5
@@ -153,7 +153,7 @@ def _covariance(scenario: Scenario, geometry: SceneGeometry, rf: RandomFieldConf
 def preset_weights(preset: str) -> np.ndarray:
     """Channel weights of a named preset: x2 on the named channel."""
     weights = np.ones(5)
-    index = {"uniform": None, "permittivity": 0, "relaxation": 2, "conductivity": 4}[preset]
+    index = WEIGHT_PRESETS[preset]
     if index is not None:
         weights[index] = 2.0
     return weights

@@ -51,6 +51,8 @@ from .spectra import ClutterCovariance, spectral_summary
 SNAPSHOT_MODES = ("linear", "exact")
 
 DEFAULT_AMPLITUDE_GRID = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
+DEFAULT_VALIDITY_SAMPLE_COUNT = 200
+DEFAULT_VALIDITY_THRESHOLD = 0.05
 
 #: Sample x frequency x cell values per exact-contrast chunk (at least one
 #: sample). About 1 MB of complex contrast, so a chunk's temporaries stay in
@@ -442,8 +444,8 @@ def validity_scan(
     geometry: SceneGeometry,
     cov_template: PerturbationCovariance,
     amplitude_grid=DEFAULT_AMPLITUDE_GRID,
-    sample_count: int = 200,
-    threshold: float = 0.05,
+    sample_count: int = DEFAULT_VALIDITY_SAMPLE_COUNT,
+    threshold: float = DEFAULT_VALIDITY_THRESHOLD,
     seed: int = 0,
 ) -> ValidityReport:
     """Scan the linearization error over the standardized amplitude grid.

@@ -237,14 +237,14 @@ class GeometryConfig:
 
     def __post_init__(self):
         coerce_fields(self)
-        if self.n_tx < 1 or self.n_rx < 1:
-            raise ConfigError("need at least one transmit and one receive element")
-        if self.n_x < 1 or self.n_z < 1:
-            raise ConfigError("grid dimensions must be positive")
-        if min(self.dx, self.dz, self.strip_width, self.element_spacing) <= 0.0:
-            raise ConfigError("spacings and strip width must be positive")
-        if self.f0 <= 0.0 or self.delta_f < 0.0:
-            raise ConfigError("need f0 > 0 and delta_f >= 0")
+        for key in ("n_tx", "n_rx", "n_x", "n_z"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)!r}")
+        for key in ("element_spacing", "dx", "dz", "strip_width", "f0"):
+            if getattr(self, key) <= 0.0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)!r}")
+        if self.delta_f < 0.0:
+            raise ConfigError(f"delta_f must be nonnegative, got {self.delta_f!r}")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -294,10 +294,6 @@ class SceneGeometry:
     @property
     def n_cells(self) -> int:
         return len(self.cell_centers)
-
-    @property
-    def n_channels(self) -> int:
-        return self.n_tx * self.n_rx
 
     def fingerprint(self) -> str:
         return self._fingerprint

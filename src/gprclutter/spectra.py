@@ -33,7 +33,7 @@ DEFAULT_RHO_LEVELS = (0.9, 0.95)
 #: modal_decomposition refuses perturbation dimensions above this.
 MATERIALIZE_ROW_CAP = 10_000
 
-PROVENANCES = ("theoretical", "monte-carlo-linear", "monte-carlo-exact")
+PROVENANCES = ("theoretical", "monte-carlo-exact")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

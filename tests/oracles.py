@@ -7,6 +7,7 @@ runs them.
 
 import numpy as np
 
+from gprclutter.constitutive import ColeColeParams, eval_permittivity
 from gprclutter.forward import background_wavenumber
 from gprclutter.randfield import standard_normal_draws
 
@@ -36,3 +37,14 @@ def green_kernel(src, dst, omega, background):
     r = float(np.linalg.norm(np.subtract(dst, src, dtype=float)))
     k = background_wavenumber(background, omega)
     return complex(np.exp(-1j * k * r) / (4.0 * np.pi * r))
+
+
+def exact_contrast(background, delta_mu, omega):
+    """Exact contrast (F(mu_b + delta_mu) - F(mu_b)) / F(mu_b) of one perturbed state.
+
+    Both permittivities go through the complex-power core of
+    ``eval_permittivity``, not the factored kernel of ``exact_contrast_field``.
+    """
+    eps_b = eval_permittivity(background, omega)
+    perturbed = ColeColeParams.from_array(background.as_array() + delta_mu)
+    return (eval_permittivity(perturbed, omega) - eps_b) / eps_b

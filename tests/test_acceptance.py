@@ -224,7 +224,7 @@ def test_criterion_4_exact_algebraic_identities(registry, geometry, forwards,
 def test_criterion_5_structural_invariants(registry, geometry, forwards,
                                            theories, summaries):
     herm_ok = psd_ok = bounds_ok = overlap_ok = True
-    size = geometry.n_channels
+    size = geometry.n_tx * geometry.n_rx
     for sid, theory in theories.items():
         matrix = theory.matrix
         herm_ok &= bool(
@@ -275,7 +275,7 @@ def test_criterion_6_scaling_boundary(registry, geometry, theories, summaries):
 def test_criterion_7_noise_boundary(registry, geometry, theories, summaries):
     ok = True
     details = []
-    size = geometry.n_channels
+    size = geometry.n_tx * geometry.n_rx
     for sid in ("S2", "S4"):
         clean = summaries[sid]
         steering = steering_vector(geometry, registry[sid], REPRESENTATIVE_TARGET)

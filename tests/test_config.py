@@ -42,11 +42,6 @@ def test_unknown_nested_key_rejected():
         parse_config("random_field:\n  wavelength: 3\n")
 
 
-def test_unknown_scenario_rejected():
-    with pytest.raises(ConfigError, match="unknown scenario"):
-        parse_config("scenarios: [S1, S9]\n")
-
-
 def test_bad_block_shape_rejected():
     with pytest.raises(ConfigError, match="mapping"):
         parse_config("geometry: [1, 2, 3]\n")
@@ -74,6 +69,7 @@ def test_empty_target_grid_rejected():
     ("experiments: {target_grid: [[0, 0, 0.2], [0, 0.2]]}\n", r"target_grid\[1\]"),
     ("experiments: {target_grid: [[0, 0, -0.2]]}\n", r"target_grid\[0\]"),
     ("experiments: {validity_sample_count: 0}\n", "validity_sample_count"),
+    ("random_field: {sample_count: 0}\n", "sample_count"),
     ("random_field: {kernel: matern}\n", "kernel"),
     ("scenarios: S1\n", "scenarios"),
     ("experiments: {weight_presets: uniform}\n", "weight_presets"),
@@ -83,6 +79,16 @@ def test_empty_target_grid_rejected():
     ("experiments: {target: '012'}\n", "target"),
     ("experiments: {kappa_grid: '14'}\n", "kappa_grid"),
     ("experiments: {target_grid: abc}\n", "target_grid"),
+    *((f"geometry: {{{key}: 0}}\n", key) for key in ("n_tx", "n_rx", "n_x", "n_z")),
+    *((f"geometry: {{{key}: -1}}\n", key) for key in (
+        "element_spacing", "dx", "dz", "strip_width", "f0")),
+    ("geometry: {delta_f: -1}\n", "delta_f"),
+    ("scenarios: [S1, S9]\n", r"scenarios\[1\]"),
+    ("experiments: {lx_scan_scenario: S9}\n", "lx_scan_scenario"),
+    ("experiments: {coupling_scenario: S9}\n", "coupling_scenario"),
+    ("experiments: {boundary_scenarios: [S9]}\n", r"boundary_scenarios\[0\]"),
+    ("experiments: {kernel_diff_scenarios: [S1, S9]}\n", r"kernel_diff_scenarios\[1\]"),
+    ("experiments: {weight_presets: [uniform, foo]}\n", r"weight_presets\[1\]"),
 ])
 def test_malformed_values_rejected_by_key(text, key):
     with pytest.raises(ConfigError, match=rf"^{key} (must|repeats)"):

@@ -14,13 +14,12 @@ from gprclutter.constitutive import (
     complex_permittivity,
     eval_permittivity,
     eval_sensitivities,
-    exact_contrast,
     exact_contrast_field,
     finite_difference_check,
-    linear_contrast,
     sensitivity_components,
 )
 from gprclutter.errors import DomainError
+from oracles import exact_contrast
 
 OMEGA_100MHZ = 2.0 * math.pi * 100e6
 FDA_FREQUENCIES = 100e6 + 20e6 * np.arange(8)
@@ -163,18 +162,18 @@ def test_zero_perturbation_gives_zero_contrast(registry):
     zero = np.zeros(5)
     for scenario in registry.values():
         psi = eval_sensitivities(scenario.background, OMEGA_100MHZ)
-        assert exact_contrast(scenario.background, zero, OMEGA_100MHZ) == 0.0
-        assert linear_contrast(psi, zero) == 0.0
+        assert exact_contrast_field(scenario.background, zero[:, None], OMEGA_100MHZ) == 0.0
+        assert psi @ zero == 0.0
 
 
 def test_eps_inf_channel_is_exactly_affine():
     background = get_scenario("S_syn").background
     delta = np.array([0.37, 0.0, 0.0, 0.0, 0.0])
     eps_b = eval_permittivity(background, OMEGA_100MHZ)
-    exact = exact_contrast(background, delta, OMEGA_100MHZ)
+    exact = exact_contrast_field(background, delta[:, None], OMEGA_100MHZ)[0]
     assert exact == pytest.approx(EPSILON_0 * 0.37 / eps_b, rel=1e-13)
     psi = eval_sensitivities(background, OMEGA_100MHZ)
-    linear = linear_contrast(psi, delta)
+    linear = psi @ delta
     assert abs(exact - linear) <= 5e-15 * abs(exact)
 
 
@@ -183,7 +182,7 @@ def test_single_channel_unit_perturbation_returns_sensitivity():
     for q in range(5):
         unit = np.zeros(5)
         unit[q] = 1.0
-        assert linear_contrast(psi, unit) == psi[q]
+        assert psi @ unit == psi[q]
 
 
 def test_linearization_error_scales_quadratically():
@@ -195,9 +194,8 @@ def test_linearization_error_scales_quadratically():
     errors = []
     for s in scales:
         delta = s * direction
-        exact = exact_contrast(scenario.background, delta, OMEGA_100MHZ)
-        linear = linear_contrast(psi, delta)
-        errors.append(abs(exact - linear))
+        exact = exact_contrast_field(scenario.background, delta[:, None], OMEGA_100MHZ)[0]
+        errors.append(abs(exact - psi @ delta))
     slope = np.polyfit(np.log(scales), np.log(errors), 1)[0]
     assert 1.8 <= slope <= 2.2
 
@@ -221,7 +219,7 @@ def test_perturbed_tau_below_floor_raises():
     delta = np.zeros(5)
     delta[2] = -background.tau  # would drive tau to zero
     with pytest.raises(DomainError, match="tau"):
-        exact_contrast(background, delta, OMEGA_100MHZ)
+        exact_contrast_field(background, delta[:, None], OMEGA_100MHZ)
 
 
 def test_exact_contrast_field_matches_scalar_route():
@@ -230,8 +228,18 @@ def test_exact_contrast_field_matches_scalar_route():
     draws = 0.01 * background.as_array()[:, None] * rng.standard_normal((5, 8))
     field = exact_contrast_field(background, draws, OMEGA_100MHZ)
     for i in range(8):
-        scalar = exact_contrast(background, draws[:, i], OMEGA_100MHZ)
-        assert field[i] == pytest.approx(scalar, rel=1e-14)
+        # A column evaluated without its neighbours gives the same bits. It
+        # is repeated to the stack's width because numpy's in-place complex
+        # multiply rounds a one-element array differently in the last bit.
+        alone = exact_contrast_field(background, np.repeat(draws[:, i:i + 1], 8, axis=1),
+                                     OMEGA_100MHZ)
+        assert np.array_equal(alone, np.full(8, field[i]))
+        # The oracle takes the complex power, not the factored kernel. The
+        # gap is at most 7.3e-14 on these draws and 6.7e-13 over seeds 0-19
+        # at this scale; the contrast is a difference of two permittivities,
+        # so cancellation widens it at smaller perturbations.
+        oracle = exact_contrast(background, draws[:, i], OMEGA_100MHZ)
+        assert abs(field[i] - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_background_validation_rejects_bad_states():

@@ -15,7 +15,6 @@ from gprclutter import (
     assemble_forward,
     build_default_geometry,
     clutter_covariance,
-    exact_contrast,
     get_scenario,
     montecarlo,
     scenario_registry,
@@ -42,7 +41,7 @@ from gprclutter.randfield import (
 )
 from gprclutter.spectra import ClutterCovariance
 from conftest import closure_statistic
-from oracles import green_kernel, pseudo_covariance
+from oracles import exact_contrast, green_kernel, pseudo_covariance
 
 
 def _setup(sid="S_syn", n_x=3, n_z=2, amplitude=1.0, corr_length=0.1):
@@ -116,7 +115,8 @@ def test_eps_inf_only_perturbations_are_linearized_exactly():
 
 
 def test_exact_mode_matches_hand_rolled_loop():
-    # Brute-force oracle: loop over cells and channels with scalar calls.
+    # Brute-force oracle: loop over cells and channels with scalar calls,
+    # the contrast through the complex-power core.
     geometry, scenario, forward, cov = _setup(sid="S4", n_x=2, n_z=1)
     samples = sample_perturbations(cov, 1, seed=5)
     fast = snapshots_from_perturbations(forward, scenario, geometry, samples, "exact")[0]
