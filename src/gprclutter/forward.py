@@ -16,7 +16,7 @@ swapped in without touching the covariance layer.
 from __future__ import annotations
 
 import dataclasses
-import functools
+import math
 
 import numpy as np
 
@@ -98,9 +98,9 @@ class ForwardMatrix:
     with each row scaled by the sensitivity of its transmit frequency:
     A_q = D_q K with K = ``kernels`` (M N x P, rows ordered like A) and
     D_q = diag(psi_q(omega_n)) repeated over the M receivers, psi_q(omega_n)
-    = ``sensitivities[q, n]``. The dense ``entries`` are assembled from the
-    factors on first access and cached; only ``build-forward`` and
-    ``kernel-diff`` need them, every other computation uses the factors.
+    = ``sensitivities[q, n]``. The dense matrix is never kept: every
+    computation, the discrepancy of two operators included, works on the
+    factors, and ``build-forward`` forms the dense matrix only to write it.
     ``background`` and ``geometry_fingerprint`` record what it was built for.
     """
 
@@ -125,14 +125,6 @@ class ForwardMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_tx * self.n_rx, N_PARAMS * self.n_cells)
-
-    @functools.cached_property
-    def entries(self) -> np.ndarray:
-        """The dense (M N, 5 P) matrix, entry psi_q(omega_n) * K[(m, n), p]."""
-        psi = self.row_sensitivities().T  # (M N, 5)
-        entries = (psi[:, :, None] * self.kernels[:, None, :]).reshape(self.shape)
-        entries.flags.writeable = False
-        return entries
 
     def row_sensitivities(self) -> np.ndarray:
         """psi_q(omega_n) of every row (m, n), shape (5, M N)."""
@@ -202,13 +194,47 @@ def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> f
 
     The second argument sets the normalization. For a medium change S -> S'
     the convention is forward_discrepancy(A_{S'}, A_S): the discrepancy of
-    the destination operator measured against the starting one.
+    the destination operator measured against the starting one. Both
+    operators must be assembled on one geometry.
+
+    Computed from the factors: with A_1 = candidate, A_2 = reference,
+    dK = K_1 - K_2 and dpsi = psi_1 - psi_2, row r of block q of A_1 - A_2
+    is psi_1 dK_r + dpsi K_2,r, so
+
+        ||A_1 - A_2||^2 = sum_r |psi_1|^2 ||dK_r||^2 + |dpsi|^2 ||K_2,r||^2
+                          + 2 Re(psi_1 conj(dpsi) <dK_r, K_2,r>),
+
+    each psi product summed over the 5 channels of row r. dK is the one
+    (M N, P) temporary. Equal operators give exactly 0.
     """
     if candidate.shape != reference.shape:
         raise AssemblyError(
             f"shape mismatch {candidate.shape} vs {reference.shape}"
         )
-    return float(
-        np.linalg.norm(candidate.entries - reference.entries)
-        / np.linalg.norm(reference.entries)
-    )
+    if candidate.geometry_fingerprint != reference.geometry_fingerprint:
+        raise ConfigError(
+            f"forward operators assembled on geometries {candidate.geometry_fingerprint} "
+            f"and {reference.geometry_fingerprint}"
+        )
+    kernels = reference.kernels
+    d_kernels = candidate.kernels - kernels
+    psi = candidate.row_sensitivities()
+    psi_reference = reference.row_sensitivities()
+    d_psi = psi - psi_reference
+    # Squared row norms on the float views: each (re, im) pair summed together.
+    d_norms = _row_dots(d_kernels.view(float), d_kernels.view(float))
+    norms = _row_dots(kernels.view(float), kernels.view(float))
+    # <dK_r, K_2,r> = sum_p dK_rp conj(K_2,rp)
+    inner = (_row_dots(d_kernels.view(float), kernels.view(float))
+             + 1j * (_row_dots(d_kernels.imag, kernels.real)
+                     - _row_dots(d_kernels.real, kernels.imag)))
+    total = (np.sum(np.abs(psi) ** 2, axis=0) @ d_norms
+             + np.sum(np.abs(d_psi) ** 2, axis=0) @ norms
+             + 2.0 * np.real(np.sum(psi * d_psi.conj(), axis=0) @ inner))
+    scale = np.sum(np.abs(psi_reference) ** 2, axis=0) @ norms
+    return math.sqrt(max(float(total), 0.0)) / math.sqrt(float(scale))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_p a[r, p] b[r, p] for every row r, without a temporary array."""
+    return np.einsum("ij,ij->i", a, b)

@@ -116,7 +116,10 @@ def _cmd_build_forward(config: ExperimentConfig, args) -> int:
         scenario = get_scenario(sid)
         forward = assemble_forward(scenario, geometry)
         path = os.path.join(out_dir, f"forward_{sid}.cmat")
-        persist_matrix(forward.entries, path)
+        # The dense operator exists only here: entry psi_q(omega_n) * K[(m, n), p].
+        psi = forward.row_sensitivities().T
+        persist_matrix((psi[:, :, None] * forward.kernels[:, None, :]).reshape(forward.shape),
+                       path)
         sidecar = {
             "scenario": sid,
             "kernel": KERNEL_NAME,
@@ -229,7 +232,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fix_allocator_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds so freed temporaries are reused.
+
+    By default glibc maps each block above a dynamic threshold (128 KiB at
+    start) on its own and unmaps it on free, and it trims the heap top above
+    another; both rise only once a larger mapped block has been freed. Until
+    then every clutter covariance faults its (MN, P) temporaries in afresh.
+    The fixed values are the largest the dynamic rule reaches on 64-bit
+    glibc. Without glibc's ``mallopt`` this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD: smaller blocks come from the heap
+    mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD: free heap top kept up to this
+
+
 def main(argv=None) -> int:
+    _fix_allocator_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None and not args.print_config:

@@ -17,9 +17,22 @@ def materialize_full(cov):
     return cov.amplitude**2 * np.kron(cov.param_factor, cov.spatial_factor)
 
 
+def dense_entries(forward):
+    """The dense (M N, 5 P) operator, entry psi_q(omega_n) * K[(m, n), p]."""
+    psi = forward.row_sensitivities().T  # (M N, 5)
+    return (psi[:, :, None] * forward.kernels[:, None, :]).reshape(forward.shape)
+
+
+def dense_discrepancy(candidate, reference):
+    """||A_candidate - A_reference||_F / ||A_reference||_F on the dense operators."""
+    dense = dense_entries(reference)
+    return float(np.linalg.norm(dense_entries(candidate) - dense) / np.linalg.norm(dense))
+
+
 def pseudo_covariance(forward, cov):
     """The pseudo-covariance E[y y^T] = A R_mu A^T of linear snapshots y = A x."""
-    return forward.entries @ materialize_full(cov) @ forward.entries.T
+    entries = dense_entries(forward)
+    return entries @ materialize_full(cov) @ entries.T
 
 
 def sample_perturbations_dense(cov, count, seed):

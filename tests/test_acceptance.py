@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import closure_statistic, default_covariance, record_acceptance
-from oracles import materialize_full, pseudo_covariance, sample_perturbations_dense
+from oracles import dense_entries, materialize_full, pseudo_covariance, sample_perturbations_dense
 
 from gprclutter import (
     GeometryConfig,
@@ -195,7 +195,8 @@ def test_criterion_4_exact_algebraic_identities(registry, geometry, forwards,
                                                 default_covariances):
     forward = forwards["S2"]
     cov = default_covariances["S2"]
-    dense = forward.entries @ materialize_full(cov) @ forward.entries.conj().T
+    entries = dense_entries(forward)
+    dense = entries @ materialize_full(cov) @ entries.conj().T
     dense_norm = np.linalg.norm(dense)
     block_err = np.linalg.norm(
         clutter_covariance(forward, cov).matrix - dense) / dense_norm

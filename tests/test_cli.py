@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, overrides, exit codes, artifacts."""
 
+import ctypes
 import json
 import os
 import re
@@ -23,6 +24,7 @@ from gprclutter.errors import TauFloorError
 from gprclutter.harness.cli import main
 from gprclutter.harness.cmat import load_matrix
 from gprclutter.harness.config import load_config
+from oracles import dense_entries
 
 
 def _tiny_config(directory, corr_length=0.15):
@@ -239,6 +241,23 @@ def test_cli_import_pulls_in_no_heavy_packages():
     assert out.strip() == "[]"
 
 
+class _NoMallopt:
+    """A C library without ``mallopt``, as on macOS or musl."""
+
+
+def _cdll_raises(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_cdll_raises, lambda name: _NoMallopt()],
+                         ids=["cdll-raises", "no-mallopt"])
+def test_main_runs_without_glibc_mallopt(tmp_path, monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    out = str(tmp_path / "results")
+    assert main(["--out", out, "--scenario", "S1", "check-derivatives"]) == 0
+    assert os.path.exists(os.path.join(out, "derivative_check.csv"))
+
+
 def test_output_path_collision_exits_3(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
@@ -252,6 +271,8 @@ def test_build_forward_persists_matrix_and_sidecar(tmp_path):
     matrix = load_matrix(os.path.join(out, "forward_S2.cmat"))
     assert matrix.shape == (64, 2625)
     assert np.all(np.isfinite(matrix))
+    forward = assemble_forward(get_scenario("S2"), build_default_geometry())
+    assert matrix.tobytes() == dense_entries(forward).tobytes()
     sidecar = json.loads(open(os.path.join(out, "forward_S2.cmat.json")).read())
     assert sidecar["kernel"] == "homogeneous-dispersive-scalar"
     assert sidecar["n_cells"] == 525

@@ -13,6 +13,7 @@ from gprclutter.harness.cmat import (
     matrix_to_bytes,
     persist_matrix,
 )
+from oracles import dense_entries
 
 
 def test_complex_round_trip_is_bit_identical(tmp_path):
@@ -38,14 +39,15 @@ def test_forward_matrix_round_trip(tmp_path):
     geometry = build_default_geometry(GeometryConfig(n_tx=2, n_rx=2, n_x=3, n_z=1))
     forward = assemble_forward(get_scenario("S2"), geometry)
     path = str(tmp_path / "forward.cmat")
-    persist_matrix(forward.entries, path)
-    assert np.array_equal(load_matrix(path), forward.entries)
+    entries = dense_entries(forward)
+    persist_matrix(entries, path)
+    assert np.array_equal(load_matrix(path), entries)
 
 
 def test_header_encodes_shape_and_kind():
     geometry = build_default_geometry(GeometryConfig(n_tx=2, n_rx=2, n_x=3, n_z=1))
     forward = assemble_forward(get_scenario("S1"), geometry)
-    blob = matrix_to_bytes(forward.entries)
+    blob = matrix_to_bytes(dense_entries(forward))
     magic, version, kind, rows, cols = struct.unpack_from("<4sHBQQ", blob, 0)
     assert magic == b"CMAT"
     assert version == 1

@@ -1,6 +1,7 @@
 """Green kernel, Born operator assembly, steering vectors, discrepancies."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from gprclutter import (
     eval_sensitivities,
     forward_discrepancy,
     get_scenario,
+    scenario_registry,
     steering_vector,
 )
 from gprclutter import forward as forward_module
@@ -22,8 +24,9 @@ from gprclutter.constants import MU_0
 from gprclutter.constitutive import sensitivity_components
 from gprclutter.errors import AssemblyError, ConfigError, NearSingularityError
 from gprclutter.forward import background_wavenumber, born_kernel_tensor
+from gprclutter.harness.experiments import free_space_scenario
 from gprclutter.scene import Scenario, default_perturbation_scales
-from oracles import green_kernel
+from oracles import dense_discrepancy, dense_entries, green_kernel
 
 OMEGA_100MHZ = 2.0 * math.pi * 100e6
 
@@ -90,7 +93,7 @@ def test_toy_forward_shape(small_geometry):
     forward = assemble_forward(get_scenario("S1"), small_geometry)
     assert forward.shape == (4, 30)
     # row n * M + m, column q * P + p: receiver 1, transmitter 1, channel 4, cell 5
-    assert forward.entries[1 * 2 + 1, 4 * 6 + 5] == (
+    assert dense_entries(forward)[1 * 2 + 1, 4 * 6 + 5] == (
         forward.sensitivities[4, 1] * forward.kernels[3, 5])
 
 
@@ -102,7 +105,7 @@ def test_two_by_two_with_three_cells_is_4x15():
 
 def test_dispersionless_scenarios_have_zero_tau_alpha_blocks(geometry):
     forward = assemble_forward(get_scenario("S1"), geometry)
-    blocks = forward.entries.reshape(forward.shape[0], 5, geometry.n_cells)
+    blocks = dense_entries(forward).reshape(forward.shape[0], 5, geometry.n_cells)
     assert np.all(blocks[:, 2] == 0.0)
     assert np.all(blocks[:, 3] == 0.0)
     assert np.any(blocks[:, 0] != 0.0)
@@ -121,7 +124,7 @@ def test_single_cell_entry_is_the_hand_composed_product(tiny_geometry):
             g_t = green_kernel(cell, tiny_geometry.tx_positions[n], omega, scenario.background)
             for q in range(5):
                 expected = g_r * psi[q] * g_t * tiny_geometry.cell_volume
-                got = forward.entries[n * 2 + m, q * tiny_geometry.n_cells]
+                got = dense_entries(forward)[n * 2 + m, q * tiny_geometry.n_cells]
                 assert got == pytest.approx(expected, rel=1e-13)
 
 
@@ -131,7 +134,7 @@ def test_snapshot_linearity_against_brute_force_loop(small_geometry):
     forward = assemble_forward(scenario, small_geometry)
     rng = np.random.default_rng(11)
     dmu = rng.standard_normal(forward.shape[1]) * np.repeat(scenario.d_mu, small_geometry.n_cells)
-    fast = forward.entries @ dmu
+    fast = dense_entries(forward) @ dmu
     slow = np.zeros(forward.shape[0], dtype=complex)
     for n in range(small_geometry.n_tx):
         omega = 2 * math.pi * small_geometry.frequencies[n]
@@ -164,9 +167,8 @@ def test_entries_match_the_dense_assembly_loop(geometry, sid):
         for q in range(5):
             expected[n * n_rx:(n + 1) * n_rx, q * n_cells:(q + 1) * n_cells] = (
                 psi[q, n] * kernels[n])
-    entries = assemble_forward(scenario, geometry).entries
+    entries = dense_entries(assemble_forward(scenario, geometry))
     assert entries.tobytes() == expected.tobytes()
-    assert not entries.flags.writeable
 
 
 def test_non_finite_factor_is_an_assembly_error(small_geometry, monkeypatch):
@@ -189,7 +191,8 @@ def test_non_finite_factor_is_an_assembly_error(small_geometry, monkeypatch):
 def test_assembly_is_deterministic(geometry):
     first = assemble_forward(get_scenario("S3"), geometry)
     second = assemble_forward(get_scenario("S3"), geometry)
-    assert np.array_equal(first.entries, second.entries)
+    assert np.array_equal(first.kernels, second.kernels)
+    assert np.array_equal(first.sensitivities, second.sensitivities)
 
 
 def test_steering_vector_unit_norm(geometry, registry):
@@ -235,7 +238,7 @@ def test_steering_parallel_to_matching_forward_column(geometry):
     p = 10 * 21 + 10  # interior cell
     target = geometry.cell_centers[p]
     steering = steering_vector(geometry, scenario, target).values
-    column = forward.entries[:, p]  # channel q = 0
+    column = dense_entries(forward)[:, p]  # channel q = 0
     cosine = abs(np.vdot(steering, column)) / np.linalg.norm(column)
     assert cosine > 1.0 - 1e-6
 
@@ -265,6 +268,45 @@ def test_discrepancy_shape_mismatch(geometry, small_geometry):
         forward_discrepancy(big, small)
 
 
+def _agrees_with_dense(value, dense):
+    return value == dense if dense == 0.0 else abs(value - dense) <= 1e-12 * dense
+
+
+def test_factored_discrepancy_matches_the_dense_norm():
+    # Oracle: the Frobenius norm of the dense operators' difference, on
+    # every ordered pair of the registry scenarios and free space.
+    geometry = build_default_geometry(GeometryConfig(n_x=6, n_z=5))
+    scenarios = [*scenario_registry().values(), free_space_scenario()]
+    forwards = [assemble_forward(scenario, geometry) for scenario in scenarios]
+    assert len(forwards) == 7
+    norms = {id(f): np.linalg.norm(dense_entries(f)) for f in forwards}
+    for candidate, reference in itertools.product(forwards, forwards):
+        dense = dense_discrepancy(candidate, reference)
+        factored = forward_discrepancy(candidate, reference)
+        if candidate is reference:
+            assert factored == 0.0
+        assert _agrees_with_dense(factored, dense)
+        # The comparison resolves a kernel wrong by one part in 1e9, except
+        # where one operator dwarfs the other (S4 and S_syn, by 1e4 and
+        # more): the ratio is then near 1 whatever the smaller one's scale.
+        if 0.1 <= norms[id(candidate)] / norms[id(reference)] <= 10.0:
+            nudged = dataclasses.replace(candidate, kernels=candidate.kernels * (1 + 1e-9))
+            assert not _agrees_with_dense(forward_discrepancy(nudged, reference), dense)
+
+
+def test_discrepancy_refuses_operators_of_another_geometry(small_geometry):
+    # Same shape, another frequency increment.
+    other = build_default_geometry(GeometryConfig(
+        n_tx=2, n_rx=2, n_x=3, n_z=2, dx=0.1, dz=0.05, delta_f=40e6))
+    first = assemble_forward(get_scenario("S1"), small_geometry)
+    second = assemble_forward(get_scenario("S1"), other)
+    assert first.shape == second.shape
+    with pytest.raises(ConfigError) as info:
+        forward_discrepancy(first, second)
+    assert small_geometry.fingerprint() in str(info.value)
+    assert other.fingerprint() in str(info.value)
+
+
 def test_medium_change_ordering(geometry):
     # Recomputation oracle for the qualitative medium-dependence ordering:
     # leaving S2 changes the operator the most, S1 -> S2 the least.
@@ -281,4 +323,4 @@ def test_free_space_background_kernel_is_usable(geometry):
     scenario = Scenario(id="free_space", label="Free space", background=background,
                         d_mu=default_perturbation_scales(background))
     forward = assemble_forward(scenario, geometry)
-    assert np.all(np.isfinite(forward.entries))
+    assert np.all(np.isfinite(dense_entries(forward)))

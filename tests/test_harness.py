@@ -17,7 +17,6 @@ from gprclutter import (
     montecarlo,
     randfield,
 )
-from gprclutter.forward import ForwardMatrix
 from gprclutter.harness.config import ExperimentConfig, ExperimentSettings, RandomFieldConfig
 from gprclutter.harness.experiments import (
     MetricTable,
@@ -33,12 +32,7 @@ from gprclutter.harness.experiments import (
     run_target_scan,
     run_validity_scan,
 )
-from gprclutter.montecarlo import (
-    SAMPLE_BLOCK,
-    SNAPSHOT_MODES,
-    snapshots_from_perturbations,
-    validity_scan,
-)
+from gprclutter.montecarlo import SAMPLE_BLOCK
 
 
 def _config(**kwargs):
@@ -241,38 +235,6 @@ def test_shared_closure_stream_equals_the_per_scenario_path(monkeypatch, block):
             forward, scenario, geometry, cov, rf.sample_count, rf.seed)
         for name, rhat in zip(("rhat_linear", "rhat_exact"), solo):
             assert result.matrices[f"closure_{sid}_{name}"].tobytes() == rhat.tobytes()
-
-
-def test_monte_carlo_paths_never_read_the_dense_operator(monkeypatch):
-    # Snapshots of both modes, the validity scan and closure apply the
-    # operator through its factors K and Psi only.
-    reads = []
-    dense = ForwardMatrix.entries
-
-    def counted(forward):
-        reads.append(forward)
-        return dense.func(forward)
-
-    monkeypatch.setattr(ForwardMatrix, "entries", property(counted))
-    config = _config(
-        scenarios=("S1", "S4"),
-        geometry=GeometryConfig(n_tx=2, n_rx=2, n_x=4, n_z=3),
-        random_field=dataclasses.replace(RandomFieldConfig(), sample_count=16),
-        experiments=dataclasses.replace(ExperimentSettings(), validity_sample_count=8),
-    )
-    scenario = get_scenario("S4")
-    geometry = build_default_geometry(config.geometry)
-    forward = assemble_forward(scenario, geometry)
-    cov = build_covariance(scenario, geometry.cell_centers, 0.15, 0.3, np.ones(5), 1.0)
-    samples = randfield.sample_perturbations(cov, 8, seed=3)
-    for mode in SNAPSHOT_MODES:
-        snapshots_from_perturbations(forward, scenario, geometry, samples, mode)
-    validity_scan(forward, scenario, geometry, cov, sample_count=8, seed=3)
-    assert run_validity_scan(config).ok
-    assert run_closure(config).ok
-    assert reads == []
-    forward.entries  # the counter sees a read
-    assert len(reads) == 1 and reads[0] is forward
 
 
 def test_lx_scan_concentrates_the_spectrum():
