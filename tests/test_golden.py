@@ -1,14 +1,17 @@
-"""Golden gate: the seed-free outputs against ``tests/golden/golden.json``.
+"""Golden gate: the program's outputs against ``tests/golden/golden.json``.
 
 ``tests/golden/make_golden.py`` generates the golden set: every seed-free
-table at a small configuration and the baseline spectral summaries. A
-change may alter rounding, not results. Each float is compared under the
-tolerance of its kind below; integers (``p_0.9``, ``p_0.95``, ``p_rho``),
-flags, names and grid inputs of another type must match exactly.
+table at a small configuration, the closure and validity-scan tables and
+reports at one fixed seed, and the baseline spectral summaries. A change
+may alter rounding, not results. Each float is compared under the
+tolerance of its kind below; integers (``p_0.9``, ``p_0.95``, ``p_rho``,
+``subspace_dim``, ``sample_count``), ``recommended_s_mu``, flags, names and
+grid inputs of another type must match exactly.
 """
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +36,19 @@ ZERO_DB_SHARE_ATOL = 1.5e-9
 #: them by 40%, which is 2.2e-8 of the largest (5.5e-8, S_balance).
 DERIVATIVE_ERROR_ATOL = 2.2e-8
 
+#: The validity scan's per-amplitude p95 errors sit at their rounding floor
+#: at small amplitudes. Each bound is the largest drift of its column under
+#: three equivalent exact-contrast formulations (the complex-power core,
+#: the relaxation difference in real arithmetic, and a division by eps_b
+#: instead of a product with its reciprocal), from ``make_golden.py
+#: --diff``: 2.35e-12 (S4, s = 0.0625) and 4.82e-13 (S_syn, s = 0.125),
+#: up to 4.2e-7 relative (S2, s = 0.0625).
+P95_ATOL = {"p95_contrast_error": 2.4e-12, "p95_snapshot_error": 4.9e-13}
+
+#: Floats compared exactly: the recommendation is a grid value, not a result
+#: of arithmetic.
+EXACT_FLOATS = frozenset(("recommended_s_mu",))
+
 #: The argmax of rounding-level errors: not compared.
 UNCOMPARED = frozenset(("worst_channel", "worst_frequency_hz"))
 
@@ -45,6 +61,8 @@ def _close(got: float, want: float, rtol: float = 0.0, atol: float = 0.0) -> boo
 
 
 def _float_ok(table: str, row: dict, column: str, got: float, want: float) -> bool:
+    if column in P95_ATOL:
+        return _close(got, want, rtol=STRUCTURAL_RTOL, atol=P95_ATOL[column])
     if column in SHARE_COLUMNS:
         zero_db = table == "boundary" and row["snr_db"] == 0.0
         return _close(got, want, atol=ZERO_DB_SHARE_ATOL if zero_db else SHARE_ATOL)
@@ -66,12 +84,33 @@ def _table_mismatches(table: str, rows: list, golden_rows: list):
             got = row[column]
             if column in UNCOMPARED:
                 continue
-            if isinstance(want, float) and isinstance(got, float):
-                ok = _float_ok(table, ref, column, got, want)
-            else:
-                ok = got == want and type(got) is type(want)
-            if not ok:
+            if not _value_ok(table, ref, column, got, want):
                 yield f"{where}.{column}: {got!r}, golden {want!r}"
+
+
+def _value_ok(table: str, row: dict, column: str, got, want) -> bool:
+    if isinstance(want, float) and isinstance(got, float) and column not in EXACT_FLOATS:
+        return _float_ok(table, row, column, got, want)
+    return got == want and type(got) is type(want)
+
+
+def _report_mismatches(name: str, sid: str, report: dict, ref: dict):
+    where = f"reports.{name}.{sid}"
+    if set(report) != set(ref):
+        yield f"{where}: keys {sorted(set(report) ^ set(ref))} differ"
+        return
+    for key, want in ref.items():
+        got = report[key]
+        if isinstance(want, list):
+            if not isinstance(got, list) or len(got) != len(want):
+                yield f"{where}.{key}: {got!r}, golden {want!r}"
+                continue
+            pairs = [(f"{where}.{key}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
+        else:
+            pairs = [(f"{where}.{key}", got, want)]
+        for at, g, w in pairs:
+            if not _value_ok(name, report, key, g, w):
+                yield f"{at}: {g!r}, golden {w!r}"
 
 
 def _summary_mismatches(sid: str, summary: dict, ref: dict):
@@ -103,6 +142,14 @@ def mismatches(current: dict, golden: dict) -> list[str]:
             found.append(f"{name}: table missing on one side")
             continue
         found.extend(_table_mismatches(name, current["tables"][name], golden["tables"][name]))
+    reports, golden_reports = current["reports"], golden["reports"]
+    for name in sorted(set(reports) | set(golden_reports)):
+        scenarios, golden_scenarios = reports.get(name, {}), golden_reports.get(name, {})
+        if set(scenarios) != set(golden_scenarios):
+            found.append(f"reports.{name}: scenarios {sorted(scenarios)}, "
+                         f"golden {sorted(golden_scenarios)}")
+        for sid in sorted(set(scenarios) & set(golden_scenarios)):
+            found.extend(_report_mismatches(name, sid, scenarios[sid], golden_scenarios[sid]))
     summaries, golden_summaries = current["baseline_summaries"], golden["baseline_summaries"]
     if set(summaries) != set(golden_summaries):
         found.append(f"baseline_summaries: scenarios {sorted(summaries)}, "
@@ -144,6 +191,24 @@ PERTURBATIONS = {
     "eigenvalue": (("baseline_summaries", "S4", "eigenvalues", 0),
                    lambda v: v * (1 + 2 * EIGENVALUE_TOL_OF_MAX)),
     "p_rho": (("baseline_summaries", "S2", "p_rho", "0.9"), lambda v: v + 1),
+    "eps_cov_exact": (("tables", "closure", 3, "eps_cov_exact"),
+                      lambda v: v * (1 + 2 * STRUCTURAL_RTOL)),
+    "subspace_dim": (("tables", "closure", 0, "subspace_dim"), lambda v: v + 1),
+    "worst p95": (("tables", "validity_scan", 1, "worst_p95_contrast"),
+                  lambda v: v * (1 + 2 * STRUCTURAL_RTOL)),
+    "recommended_s_mu": (("tables", "validity_scan", 0, "recommended_s_mu"),
+                         lambda v: math.nextafter(v, 0.0)),
+    "report eps_sub": (("reports", "closure", "S4", "eps_sub"),
+                       lambda v: v * (1 + 2 * STRUCTURAL_RTOL)),
+    "report sample_count": (("reports", "closure", "S1", "sample_count"), lambda v: v - 1),
+    # The largest drift of each p95 column was at small amplitude: twice the
+    # bound there is still a few parts in 1e6 of the value.
+    "p95 contrast": (("reports", "validity_scan", "S4", "p95_contrast_error", 0),
+                     lambda v: v + 2 * P95_ATOL["p95_contrast_error"]),
+    "p95 snapshot": (("reports", "validity_scan", "S_syn", "p95_snapshot_error", 1),
+                     lambda v: v + 2 * P95_ATOL["p95_snapshot_error"]),
+    "report recommended_s_mu": (("reports", "validity_scan", "S2", "recommended_s_mu"),
+                                lambda v: math.nextafter(v, 0.0)),
 }
 
 
