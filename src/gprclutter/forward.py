@@ -51,8 +51,11 @@ def _two_way_kernels(
 ) -> np.ndarray:
     """Two-way kernels g(rx_m, x_q; omega_n) * g(x_q, tx_n; omega_n), shape (N, M, Q).
 
-    The receiver-point and transmitter-point distances are taken once for
-    the point set (Q, 3); the Green function is evaluated once per frequency.
+    The receiver-point and transmitter-point distances and their 4 pi r are
+    taken once for the point set (Q, 3). The receive Green table (M, Q)
+    depends on the frequency alone, so it is evaluated only where the
+    frequency changes from one transmitter to the next: once in all at
+    delta_f = 0. Each frequency's product is written into the output.
     """
     distances = []
     for antennas in (geometry.rx_positions, geometry.tx_positions):
@@ -66,12 +69,18 @@ def _two_way_kernels(
             )
         distances.append(r)
     r_rx, r_tx = distances
+    spread_rx, spread_tx = 4.0 * np.pi * r_rx, 4.0 * np.pi * r_tx
     kernels = np.empty((geometry.n_tx, geometry.n_rx, len(points)), dtype=complex)
-    for n in range(geometry.n_tx):
-        k = background_wavenumber(background, 2.0 * np.pi * geometry.frequencies[n])
-        g_rx = np.exp(-1j * k * r_rx) / (4.0 * np.pi * r_rx)
-        g_tx = np.exp(-1j * k * r_tx[n]) / (4.0 * np.pi * r_tx[n])
-        kernels[n] = g_rx * g_tx
+    frequency = None
+    for n, f_n in enumerate(geometry.frequencies):
+        if f_n != frequency:
+            frequency = f_n
+            k = background_wavenumber(background, 2.0 * np.pi * f_n)
+            g_rx = np.exp(-1j * k * r_rx)
+            g_rx /= spread_rx
+        g_tx = np.exp(-1j * k * r_tx[n])
+        g_tx /= spread_tx[n]
+        np.multiply(g_rx, g_tx, out=kernels[n])
     return kernels
 
 
@@ -83,7 +92,9 @@ def born_kernel_tensor(background: ColeColeParams, geometry: SceneGeometry) -> n
     contrast factored out. Shared by forward assembly and the exact-contrast
     snapshot synthesizer so both use identical kernels and discretization.
     """
-    return _two_way_kernels(background, geometry, geometry.cell_centers) * geometry.cell_volume
+    kernels = _two_way_kernels(background, geometry, geometry.cell_centers)
+    kernels *= geometry.cell_volume
+    return kernels
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -20,6 +20,10 @@ from ..scene import GeometryConfig, coerce_fields, config_from_mapping, scenario
 
 DEFAULT_SEED = 20260405
 
+#: libyaml's emitter where PyYAML was built with it: the same text as the
+#: pure-Python SafeDumper, about four times faster.
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 #: Channel-weight presets of the coupling scan: each name doubles the weight
 #: of one parameter channel (by index), "uniform" none.
 WEIGHT_PRESETS = {"uniform": None, "permittivity": 0, "relaxation": 2, "conductivity": 4}
@@ -116,7 +120,7 @@ class ExperimentConfig:
         """:func:`config_hash`, emitted once per config object: it is immutable."""
         content = config_to_dict(self)
         content.pop("output_dir")
-        text = yaml.safe_dump(content, sort_keys=True, default_flow_style=None)
+        text = _dump(content)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -151,7 +155,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def dump_config(config: ExperimentConfig) -> str:
-    return yaml.safe_dump(config_to_dict(config), sort_keys=True, default_flow_style=None)
+    return _dump(config_to_dict(config))
+
+
+def _dump(content: dict) -> str:
+    return yaml.dump(content, Dumper=YAML_DUMPER, sort_keys=True, default_flow_style=None)
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -19,7 +19,7 @@ from ..constitutive import ColeColeParams, finite_difference_check, PARAMETER_NA
 from ..errors import GprClutterError
 from ..forward import ForwardMatrix, assemble_forward, forward_discrepancy, steering_vector
 from ..montecarlo import closure_from_covariances, shared_closure_covariances, validity_scan
-from ..randfield import build_covariance
+from ..randfield import build_covariance, build_param_factor
 from ..scene import (
     Scenario,
     SceneGeometry,
@@ -30,9 +30,11 @@ from ..scene import (
 from ..spectra import (
     add_noise_floor,
     clutter_covariance,
+    kernel_gram,
     scale_covariance,
     spectral_summary,
     target_overlap,
+    weighted_gram,
 )
 from .config import WEIGHT_PRESETS, ExperimentConfig, RandomFieldConfig, config_hash
 
@@ -343,17 +345,19 @@ def run_coupling_scan(config: ExperimentConfig) -> ExperimentResult:
         scenario = get_scenario(sid)
         forward = assemble_forward(scenario, geometry)
         steering = steering_vector(geometry, scenario, exp.target)
-        for rho_c in exp.rho_c_grid:
-            cov = _covariance(scenario, geometry, dataclasses.replace(rf, rho_c=rho_c))
-            metrics = _structural_metrics(forward, steering, cov)
-            result.table.add_row(scenario=sid, configuration=f"rho_c={rho_c:g}",
-                                 rho_c=rho_c, weight_preset=None, **metrics)
-        for preset in exp.weight_presets:
-            cov = _covariance(
-                scenario, geometry, dataclasses.replace(rf, weights=preset_weights(preset)))
-            metrics = _structural_metrics(forward, steering, cov)
-            result.table.add_row(scenario=sid, configuration=f"weights={preset}",
-                                 rho_c=rf.rho_c, weight_preset=preset, **metrics)
+        # Only the parameter factor changes across the configurations: one
+        # Gram K C K^H serves them all.
+        gram = kernel_gram(forward, _covariance(scenario, geometry, rf))
+        configurations = [(f"rho_c={rho_c:g}", rho_c, None, rf.weights)
+                          for rho_c in exp.rho_c_grid]
+        configurations += [(f"weights={preset}", rf.rho_c, preset, preset_weights(preset))
+                           for preset in exp.weight_presets]
+        for name, rho_c, preset, weights in configurations:
+            covariance = weighted_gram(
+                forward, gram, build_param_factor(scenario, weights, rho_c), rf.amplitude)
+            metrics = _summary_metrics(spectral_summary(covariance), steering)
+            result.table.add_row(scenario=sid, configuration=name,
+                                 rho_c=rho_c, weight_preset=preset, **metrics)
     return result
 
 

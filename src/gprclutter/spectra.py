@@ -109,18 +109,37 @@ def clutter_covariance(
     With A_q = D_q K (``forward.kernels`` and ``forward.sensitivities``),
     R_c = s^2 sum_{q,q'} B[q,q'] D_q K C K^H D_q'^* = s^2 (K C K^H) o W,
     where B is the parameter factor, C the spatial factor and W[i, j] =
-    sum_{q,q'} psi_q(row i) B[q,q'] psi_q'(row j)^*. The result is
-    Hermitian-symmetrized before it is returned.
+    sum_{q,q'} psi_q(row i) B[q,q'] psi_q'(row j)^*: the
+    :func:`kernel_gram` weighted by :func:`weighted_gram`.
+    """
+    return weighted_gram(forward, kernel_gram(forward, cov), cov.param_factor, cov.amplitude)
+
+
+def kernel_gram(forward: ForwardMatrix, cov: PerturbationCovariance) -> np.ndarray:
+    """The Gram K C K^H of the kernels under the spatial factor, shape (M N, M N).
+
+    It does not depend on the parameter factor or the amplitude, so one
+    Gram serves every such setting over one spatial factor.
     """
     if forward.n_cells != cov.n_cells:
         raise ConfigError(
             f"forward operator has {forward.n_cells} cells, covariance {cov.n_cells}"
         )
     kernels = forward.kernels
-    matrix = _kernel_product(cov.spatial_product, kernels) @ kernels.conj().T  # K C K^H
+    return _kernel_product(cov.spatial_product, kernels) @ kernels.conj().T
+
+
+def weighted_gram(
+    forward: ForwardMatrix, gram: np.ndarray, param_factor: np.ndarray, amplitude: float
+) -> ClutterCovariance:
+    """s^2 gram o W, Hermitian-symmetrized, for a :func:`kernel_gram` of ``forward``.
+
+    W[i, j] = sum_{q,q'} psi_q(row i) B[q,q'] psi_q'(row j)^* with B the
+    parameter factor. ``gram`` is read, not changed.
+    """
     psi = forward.row_sensitivities()                       # (5, MN)
-    matrix *= psi.T @ cov.param_factor @ psi.conj()
-    matrix *= cov.amplitude**2
+    matrix = gram * (psi.T @ param_factor @ psi.conj())
+    matrix *= amplitude**2
     matrix = 0.5 * (matrix + matrix.conj().T)
     return ClutterCovariance(matrix=matrix, provenance="theoretical")
 

@@ -52,6 +52,27 @@ def green_kernel(src, dst, omega, background):
     return complex(np.exp(-1j * k * r) / (4.0 * np.pi * r))
 
 
+def born_kernel_reference(background, geometry):
+    """The (N, M, P) kernel tensor built afresh for every frequency.
+
+    Each frequency takes its own distances, receive and transmit Green
+    tables and product, and the tensor is scaled by the cell volume at the
+    end. Every operation matches the program's, so the two agree bit for bit.
+    """
+    def distances(antennas):
+        diff = antennas[:, None, :] - geometry.cell_centers[None, :, :]
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+
+    slabs = []
+    for n, frequency in enumerate(geometry.frequencies):
+        k = background_wavenumber(background, 2.0 * np.pi * frequency)
+        r_rx, r_tx = distances(geometry.rx_positions), distances(geometry.tx_positions)[n]
+        g_rx = np.exp(-1j * k * r_rx) / (4.0 * np.pi * r_rx)
+        g_tx = np.exp(-1j * k * r_tx) / (4.0 * np.pi * r_tx)
+        slabs.append(g_rx * g_tx)
+    return np.stack(slabs) * geometry.cell_volume
+
+
 def exact_contrast(background, delta_mu, omega):
     """Exact contrast (F(mu_b + delta_mu) - F(mu_b)) / F(mu_b) of one perturbed state.
 

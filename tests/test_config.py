@@ -173,3 +173,53 @@ def test_defaults_match_common_settings_table():
 def test_config_from_dict_type_check():
     with pytest.raises(ConfigError):
         config_from_dict([1, 2])
+
+
+#: Every field away from its default; the floats include values whose
+#: shortest repr is long or in exponent form, and output_dir needs quoting.
+ALL_OFF_DEFAULT = """
+scenarios: [S4, S1]
+output_dir: "out dir/#1: ü"
+geometry: {n_tx: 4, n_rx: 6, element_spacing: 0.0333333333333333, f0: 1.5e8,
+           delta_f: 1.0e-3, n_x: 7, n_z: 5, dx: 0.07, dz: 0.031, strip_width: 2.5}
+random_field: {corr_length: 0.123456789012345, rho_c: 0.45, weights: [1, 2, 0.5, 1e-3, 3],
+               amplitude: 0.75, sample_count: 123, seed: 7, kernel: exponential}
+experiments:
+  amplitude_grid: [0.1, 1.0e-5]
+  validity_sample_count: 17
+  validity_threshold: 0.125
+  delta_f_grid: [0, 1.0e+9]
+  corr_length_grid: [0.3]
+  rho_c_grid: [0.1, 0.2]
+  weight_presets: [conductivity]
+  kappa_grid: [3.0e+20]
+  snr_grid_db: [-10.5]
+  target: [0.1, 0.0, 0.3]
+  target_grid: [[0.1, 0.2, 0.3]]
+  lx_scan_scenario: S3
+  coupling_scenario: S1
+  boundary_scenarios: [S1]
+  kernel_diff_scenarios: [S4, S_syn]
+"""
+
+
+def test_libyaml_and_python_dumpers_emit_identical_text(monkeypatch):
+    yaml = pytest.importorskip("yaml")
+    if not hasattr(yaml, "CSafeDumper"):
+        pytest.skip("PyYAML built without libyaml")
+    from gprclutter.harness import config as config_module
+
+    default = config_module.config_to_dict(ExperimentConfig())
+    blocks = config_module.config_to_dict(parse_config(ALL_OFF_DEFAULT))
+    for key, value in blocks.items():
+        fields = value.items() if isinstance(value, dict) else [(key, value)]
+        for name, field in fields:
+            reference = default[key][name] if isinstance(value, dict) else default[key]
+            assert field != reference, name
+    texts = {}
+    for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
+        monkeypatch.setattr(config_module, "YAML_DUMPER", dumper)
+        config = parse_config(ALL_OFF_DEFAULT)  # a fresh object: the hash is cached per config
+        texts[dumper] = (dump_config(config), config_hash(config))
+    assert texts[yaml.SafeDumper] == texts[yaml.CSafeDumper]
+    assert parse_config(texts[yaml.CSafeDumper][0]) == parse_config(ALL_OFF_DEFAULT)

@@ -26,7 +26,7 @@ from gprclutter.errors import AssemblyError, ConfigError, NearSingularityError
 from gprclutter.forward import background_wavenumber, born_kernel_tensor
 from gprclutter.harness.experiments import free_space_scenario
 from gprclutter.scene import Scenario, default_perturbation_scales
-from oracles import dense_discrepancy, dense_entries, green_kernel
+from oracles import born_kernel_reference, dense_discrepancy, dense_entries, green_kernel
 
 OMEGA_100MHZ = 2.0 * math.pi * 100e6
 
@@ -169,6 +169,28 @@ def test_entries_match_the_dense_assembly_loop(geometry, sid):
                 psi[q, n] * kernels[n])
     entries = dense_entries(assemble_forward(scenario, geometry))
     assert entries.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sid", sorted(scenario_registry()))
+def test_kernel_tensor_equals_the_per_frequency_reference(sid):
+    scenario = get_scenario(sid)
+    for delta_f in (0.0, 20e6):
+        geometry = build_default_geometry(GeometryConfig(n_x=6, n_z=5, delta_f=delta_f))
+        kernels = born_kernel_tensor(scenario.background, geometry)
+        assert kernels.tobytes() == born_kernel_reference(scenario.background, geometry).tobytes()
+
+
+@pytest.mark.parametrize("delta_f", [0.0, 20e6])
+def test_each_kernel_slab_equals_that_of_a_one_frequency_geometry(delta_f):
+    # At delta_f = 0 one receive Green table serves every transmitter; each
+    # slab must still equal the one a geometry of that transmitter alone gives.
+    geometry = build_default_geometry(GeometryConfig(n_x=6, n_z=5, delta_f=delta_f))
+    background = get_scenario("S4").background
+    kernels = born_kernel_tensor(background, geometry)
+    for n in range(geometry.n_tx):
+        alone = dataclasses.replace(geometry, tx_positions=geometry.tx_positions[n:n + 1],
+                                    frequencies=geometry.frequencies[n:n + 1])
+        assert kernels[n].tobytes() == born_kernel_tensor(background, alone)[0].tobytes()
 
 
 def test_non_finite_factor_is_an_assembly_error(small_geometry, monkeypatch):

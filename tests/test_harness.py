@@ -14,8 +14,12 @@ from gprclutter import (
     build_covariance,
     build_default_geometry,
     get_scenario,
+    clutter_covariance,
     montecarlo,
     randfield,
+    spectral_summary,
+    steering_vector,
+    target_overlap,
 )
 from gprclutter.harness.config import ExperimentConfig, ExperimentSettings, RandomFieldConfig
 from gprclutter.harness.experiments import (
@@ -267,6 +271,35 @@ def test_coupling_scan_is_a_secondary_effect():
     assert (max(r_effs) - min(r_effs)) / min(r_effs) < 0.05
     p09s = {r["p_0.9"] for r in preset_rows}
     assert len(p09s) == 1
+
+
+@pytest.mark.parametrize("sid", ["S_balance", "S4"])
+def test_coupling_scan_rows_equal_per_configuration_covariances(sid):
+    # The scan weights one Gram per scenario; each row must equal the one a
+    # full clutter covariance of its configuration gives, bit for bit.
+    config = _config(
+        geometry=GeometryConfig(n_x=12, n_z=10),
+        random_field=RandomFieldConfig(amplitude=0.7),
+        experiments=ExperimentSettings(coupling_scenario=sid),
+    )
+    result = run_coupling_scan(config)
+    assert result.ok
+    rf, exp = config.random_field, config.experiments
+    scenario, geometry = get_scenario(sid), build_default_geometry(config.geometry)
+    forward = assemble_forward(scenario, geometry)
+    steering = steering_vector(geometry, scenario, exp.target)
+    settings = [(rho_c, rf.weights) for rho_c in exp.rho_c_grid]
+    settings += [(rf.rho_c, preset_weights(preset)) for preset in exp.weight_presets]
+    assert len(result.table.rows) == len(settings)
+    for row, (rho_c, weights) in zip(result.table.rows, settings):
+        cov = build_covariance(scenario, geometry.cell_centers, corr_length=rf.corr_length,
+                               rho_c=rho_c, weights=weights, amplitude=rf.amplitude)
+        summary = spectral_summary(clutter_covariance(forward, cov))
+        eta, gamma = target_overlap(summary, steering, summary.p_rho[0.9])
+        expected = {"r_eff": summary.r_eff, "p_0.9": summary.p_rho[0.9],
+                    "p_0.95": summary.p_rho[0.95], "eta_0.9": eta, "gamma_0.9": gamma,
+                    "trace": summary.trace}
+        assert {key: row[key] for key in expected} == expected
 
 
 def test_preset_weights_definition():
