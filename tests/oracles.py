@@ -55,9 +55,11 @@ def green_kernel(src, dst, omega, background):
 def born_kernel_reference(background, geometry):
     """The (N, M, P) kernel tensor built afresh for every frequency.
 
-    Each frequency takes its own distances, receive and transmit Green
-    tables and product, and the tensor is scaled by the cell volume at the
-    end. Every operation matches the program's, so the two agree bit for bit.
+    Each frequency takes its own distances, evaluates the Green function
+    at every antenna-cell pair and forms its product; the tensor is scaled
+    by the cell volume at the end. The program evaluates the same
+    elementwise operations once per distinct distance, so the two agree
+    bit for bit.
     """
     def distances(antennas):
         diff = antennas[:, None, :] - geometry.cell_centers[None, :, :]
