@@ -107,17 +107,36 @@ def _cole_cole(eps_inf, delta_eps, tau, alpha, sigma, omega) -> tuple[np.ndarray
     return u, EPSILON_0 * relative
 
 
+def positive_omega(omega) -> np.ndarray:
+    """``omega`` (rad/s) as a float array, every entry positive.
+
+    A non-positive or NaN entry is a DomainError that names it, and its
+    index when ``omega`` is an array.
+    """
+    omega = np.asarray(omega, dtype=float)
+    bad = ~(omega > 0.0)
+    if np.any(bad):
+        if omega.ndim == 0:
+            raise DomainError(f"angular frequency must be positive, got {float(omega)!r}")
+        at = np.unravel_index(int(np.argmax(bad)), omega.shape)
+        where = ", ".join(str(int(i)) for i in at)
+        raise DomainError(
+            f"angular frequency must be positive, got omega[{where}] = {float(omega[at])!r}")
+    return omega
+
+
 def eval_permittivity(params: ColeColeParams, omega: float) -> complex:
     """Cole-Cole permittivity eps_c (F/m) of one state at omega (rad/s)."""
-    if omega <= 0.0:
-        raise DomainError(f"angular frequency must be positive, got {omega!r}")
-    value = complex(complex_permittivity(*params.as_array(), omega))
+    value = complex(complex_permittivity(*params.as_array(), positive_omega(omega)))
     if not np.isfinite(value):
-        culprit = _nonfinite_culprit(params, omega)
-        raise DomainError(
-            f"permittivity overflow at omega={omega!r}; offending parameter {culprit!r}"
-        )
+        raise _overflow_error(params, float(omega))
     return value
+
+
+def _overflow_error(params: ColeColeParams, omega: float) -> DomainError:
+    """The error of a permittivity that is not finite, naming the parameter that made it so."""
+    culprit = _nonfinite_culprit(params, omega)
+    return DomainError(f"permittivity overflow at omega={omega!r}; offending parameter {culprit!r}")
 
 
 def _nonfinite_culprit(params: ColeColeParams, omega: float) -> str:
@@ -169,44 +188,48 @@ def eval_sensitivities(params: ColeColeParams, omega: float) -> np.ndarray:
     Returns a (5,) complex array ordered as ``PARAMETER_NAMES``; entry q is
     the dimensionless contrast of a unit physical perturbation of parameter q.
     """
-    if omega <= 0.0:
-        raise DomainError(f"angular frequency must be positive, got {omega!r}")
-    return sensitivity_components(*params.as_array(), omega).reshape(5)
+    return sensitivity_components(*params.as_array(), positive_omega(omega)).reshape(5)
 
 
 def finite_difference_check(
     params: ColeColeParams,
-    omega: float,
+    omega,
     rel_step: float = 1e-5,
     analytic_bias: float = 0.0,
 ) -> np.ndarray:
     """Relative error of each analytic sensitivity against central differences.
 
-    The step for channel q is ``rel_step * |mu_q|``, falling back to
-    ``FD_STEP_FLOORS[q]`` when the parameter is exactly zero. The difference
-    quotient divides by the actually realized step (x_plus - x_minus) so that
-    affine channels are exact up to arithmetic rounding. Channels where both
-    the analytic and the differenced derivative vanish report zero.
+    Broadcasts over ``omega`` (rad/s): the result has shape (5,) plus the
+    shape of ``omega``, channel leading. The step for channel q is
+    ``rel_step * |mu_q|``, falling back to ``FD_STEP_FLOORS[q]`` when the
+    parameter is exactly zero. The difference quotient divides by the
+    actually realized step (x_plus - x_minus) so that affine channels are
+    exact up to arithmetic rounding. Channels where both the analytic and
+    the differenced derivative vanish report zero. The background and its
+    10 stepped states go through one evaluation of the Cole-Cole law at
+    every frequency.
 
     ``analytic_bias`` scales the analytic values by (1 + bias); it exists
     only so the harness can prove the check is able to fail.
     """
     if not 0.0 < rel_step <= 1e-2:
         raise DomainError(f"rel_step must lie in (0, 1e-2], got {rel_step!r}")
+    omega = positive_omega(omega)
     base = params.as_array()
-    eps_b = eval_permittivity(params, omega)
-    psi = eval_sensitivities(params, omega) * (1.0 + analytic_bias)
-    errors = np.empty(5)
-    for q in range(5):
-        step = rel_step * abs(base[q]) if base[q] != 0.0 else FD_STEP_FLOORS[q]
-        plus, minus = base.copy(), base.copy()
-        plus[q] += step
-        minus[q] -= step
-        f_plus = eval_permittivity(ColeColeParams.from_array(plus), omega)
-        f_minus = eval_permittivity(ColeColeParams.from_array(minus), omega)
-        psi_fd = (f_plus - f_minus) / ((plus[q] - minus[q]) * eps_b)
-        errors[q] = abs(psi[q] - psi_fd) / max(abs(psi_fd), DENOMINATOR_FLOOR)
-    return errors
+    steps = np.diag(np.where(base != 0.0, rel_step * np.abs(base), FD_STEP_FLOORS))
+    plus, minus = base + steps, base - steps  # row q: channel q stepped
+    states = np.vstack((base, plus, minus)).T.reshape((5, 11) + (1,) * omega.ndim)
+    values = complex_permittivity(*states, omega)  # (11,) + omega.shape
+    if not np.all(np.isfinite(values)):
+        # A stepped parameter that is itself not finite is named by from_array.
+        state, *at = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
+        raise _overflow_error(ColeColeParams.from_array(states[:, state].ravel()),
+                              float(omega[tuple(at)]))
+    eps_b, f_plus, f_minus = values[0], values[1:6], values[6:]
+    psi = sensitivity_components(*base, omega) * (1.0 + analytic_bias)
+    realized = (np.diagonal(plus) - np.diagonal(minus)).reshape((5,) + (1,) * omega.ndim)
+    psi_fd = (f_plus - f_minus) / (realized * eps_b)
+    return np.abs(psi - psi_fd) / np.maximum(np.abs(psi_fd), DENOMINATOR_FLOOR)
 
 
 def _relative_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.ndarray:

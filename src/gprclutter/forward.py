@@ -25,70 +25,53 @@ from .constitutive import (
     N_PARAMS,
     ColeColeParams,
     complex_permittivity,
+    positive_omega,
     sensitivity_components,
 )
-from .errors import AssemblyError, ConfigError, NearSingularityError
-from .scene import Scenario, SceneGeometry
-
-#: Kernel evaluations closer than this to the source are refused.
-MIN_SEPARATION = 1e-6
+from .errors import AssemblyError, ConfigError
+from .scene import DistanceTable, Scenario, SceneGeometry, distance_table
 
 #: Identifier recorded in persisted metadata.
 KERNEL_NAME = "homogeneous-dispersive-scalar"
 
 
-def background_wavenumber(background: ColeColeParams, omega: float) -> complex:
-    """Complex background wavenumber with the decaying branch (Im k <= 0)."""
+def background_wavenumber(background: ColeColeParams, omega) -> complex | np.ndarray:
+    """Complex background wavenumber with the decaying branch (Im k <= 0).
+
+    Broadcasts over ``omega`` (rad/s); a scalar gives a complex. A
+    non-positive frequency is a DomainError that names it.
+    """
+    omega = positive_omega(omega)
     eps_b = complex_permittivity(*background.as_array(), omega)
     k = omega * np.sqrt(MU_0 * eps_b)
-    if k.imag > 0.0:
-        k = -k
-    return complex(k)
+    k = np.where(k.imag > 0.0, -k, k)
+    return complex(k) if k.ndim == 0 else k
 
 
 def _two_way_kernels(
-    background: ColeColeParams, geometry: SceneGeometry, points: np.ndarray
+    background: ColeColeParams, geometry: SceneGeometry, table: DistanceTable
 ) -> np.ndarray:
     """Two-way kernels g(rx_m, x_q; omega_n) * g(x_q, tx_n; omega_n), shape (N, M, Q).
 
-    The Green function depends on the distance alone, and a regular array
-    over a regular grid repeats distances: at 8 x 8 elements over 48 x 36
-    cells the 27,648 antenna-point distances take 2,435 values. So it is
-    evaluated once per distinct distance (4 pi r included) and frequency,
-    and the tables of the receivers and of each transmitter are gathered
-    from it; equal inputs give equal bits, so the kernels are those of an
-    evaluation per pair. The table is evaluated only where the frequency
-    changes from one transmitter to the next, once in all at delta_f = 0,
-    and each frequency's product is written into the output.
+    ``table`` holds the antenna distances of the Q points. The Green
+    function (4 pi r included) is evaluated once per distinct distance and
+    distinct frequency, all wavenumbers in one call, and the tables of the
+    receivers and of each transmitter are gathered from it; equal inputs
+    give equal bits, so the kernels are those of an evaluation per pair.
+    Each frequency's product is written into the output.
     """
     # The output comes before the temporaries, which then free memory above
     # it, not a hole below: allocated after them, it raised the peak memory
     # of a closure run at P = 1728 by 0.9 MB.
-    kernels = np.empty((geometry.n_tx, geometry.n_rx, len(points)), dtype=complex)
-    distances = []
-    for antennas in (geometry.rx_positions, geometry.tx_positions):
-        diff = antennas[:, None, :] - points[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
-        if np.any(r < MIN_SEPARATION):
-            ia, ib = np.unravel_index(int(np.argmin(r)), r.shape)
-            raise NearSingularityError(
-                f"separation {float(r[ia, ib])!r} m between antenna {ia} and point {ib} "
-                f"below the {MIN_SEPARATION} m kernel minimum"
-            )
-        distances.append(r)
-    r_rx, r_tx = distances
-    r, index = np.unique(np.concatenate((r_rx.ravel(), r_tx.ravel())), return_inverse=True)
-    index_rx = index[:r_rx.size].reshape(r_rx.shape)
-    index_tx = index[r_rx.size:].reshape(r_tx.shape)
-    spread = 4.0 * np.pi * r
-    frequency = None
-    for n, f_n in enumerate(geometry.frequencies):
-        if f_n != frequency:
-            frequency = f_n
-            k = background_wavenumber(background, 2.0 * np.pi * f_n)
-            green = np.exp(-1j * k * r)
-            green /= spread
-        np.multiply(green[index_rx], green[index_tx[n]], out=kernels[n])
+    kernels = np.empty((geometry.n_tx,) + table.rx_index.shape, dtype=complex)
+    r = table.distances
+    frequencies, which = np.unique(geometry.frequencies, return_inverse=True)
+    k = background_wavenumber(background, 2.0 * np.pi * frequencies)
+    greens = np.exp(-1j * k[:, None] * r)
+    greens /= 4.0 * np.pi * r
+    for n, row in enumerate(which):
+        green = greens[row]
+        np.multiply(green[table.rx_index], green[table.tx_index[n]], out=kernels[n])
     return kernels
 
 
@@ -100,7 +83,7 @@ def born_kernel_tensor(background: ColeColeParams, geometry: SceneGeometry) -> n
     contrast factored out. Shared by forward assembly and the exact-contrast
     snapshot synthesizer so both use identical kernels and discretization.
     """
-    kernels = _two_way_kernels(background, geometry, geometry.cell_centers)
+    kernels = _two_way_kernels(background, geometry, geometry.cell_distances())
     kernels *= geometry.cell_volume
     return kernels
 
@@ -158,6 +141,9 @@ class SteeringVector:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
+        if not np.all(np.isfinite(values)):
+            channel = int(np.argmin(np.isfinite(values.ravel())))
+            raise AssemblyError(f"non-finite steering vector entry at channel {channel}")
         norm = np.linalg.norm(values)
         if abs(norm - 1.0) > 1e-12:
             raise AssemblyError(f"steering vector norm {float(norm)!r} deviates from 1")
@@ -204,7 +190,8 @@ def steering_vector(geometry: SceneGeometry, scenario: Scenario, target) -> Stee
         raise ConfigError(f"target must be a 3D point, got shape {target.shape}")
     if target[2] <= 0.0:
         raise ConfigError(f"target depth must be positive, got z={float(target[2])!r}")
-    values = _two_way_kernels(scenario.background, geometry, target[None, :]).ravel()
+    table = distance_table(geometry, target[None, :])
+    values = _two_way_kernels(scenario.background, geometry, table).ravel()
     return SteeringVector(values=values / np.linalg.norm(values))
 
 

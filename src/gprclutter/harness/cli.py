@@ -144,20 +144,21 @@ def _plots(config: ExperimentConfig, results: dict, summaries: dict) -> list[str
     lx = results.get("scan-lx")
     if lx is not None and lx.table.rows:
         written += plots.plot_scan_curve(
-            lx.table.column("corr_length_m"),
-            {"r_eff": lx.table.column("r_eff")},
+            {"r_eff": (lx.table.column("corr_length_m"), lx.table.column("r_eff"))},
             "correlation length (m)", "effective rank", "lx_scan", out_dir,
         )
     fda = results.get("scan-fda")
     if fda is not None and fda.table.rows:
-        by_scenario = {}
-        xs = sorted({row["delta_f_hz"] for row in fda.table.rows})
-        for sid in {row["scenario"] for row in fda.table.rows}:
-            rows = [r for r in fda.table.rows if r["scenario"] == sid]
-            rows.sort(key=lambda r: r["delta_f_hz"])
-            by_scenario[sid] = [r["eta_0.9"] for r in rows]
+        # In the configured order, each scenario over the delta_f values it
+        # reached: a scan that failed part-way has fewer rows than the grid.
+        curves = {}
+        for sid in config.scenarios:
+            rows = sorted((r for r in fda.table.rows if r["scenario"] == sid),
+                          key=lambda r: r["delta_f_hz"])
+            if rows:
+                curves[sid] = ([r["delta_f_hz"] for r in rows], [r["eta_0.9"] for r in rows])
         written += plots.plot_scan_curve(
-            xs, by_scenario, "frequency increment (Hz)",
+            curves, "frequency increment (Hz)",
             "target overlap eta_0.9", "fda_scan", out_dir,
         )
     return written

@@ -38,11 +38,12 @@ def plot_eigen_spectra(summaries: dict, out_dir: str) -> list[str]:
     return [path]
 
 
-def plot_scan_curve(xs, ys_by_label: dict, xlabel: str, ylabel: str,
+def plot_scan_curve(curves: dict, xlabel: str, ylabel: str,
                     name: str, out_dir: str) -> list[str]:
+    """One line per label of ``curves``, which maps it to its (xs, ys), in that order."""
     plt = pyplot()
     fig, ax = plt.subplots(figsize=(6, 4))
-    for label, ys in ys_by_label.items():
+    for label, (xs, ys) in curves.items():
         ax.plot(xs, ys, marker="o", label=label)
     ax.set_xlabel(xlabel)
     ax.set_ylabel(ylabel)

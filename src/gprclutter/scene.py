@@ -17,7 +17,7 @@ import typing
 import numpy as np
 
 from .constitutive import ColeColeParams
-from .errors import ConfigError
+from .errors import ConfigError, NearSingularityError
 
 #: Default relative perturbation scale per Cole-Cole parameter channel.
 SCALE_RELATIVE_RATE = 0.005
@@ -29,6 +29,9 @@ SCALE_FLOOR_EPS_INF = 0.005
 SCALE_FLOOR_DELTA_EPS = 0.005
 SCALE_ALPHA = 0.001
 SCALE_FLOOR_SIGMA = 5e-7
+
+#: Kernel evaluations closer than this to the source are refused.
+MIN_SEPARATION = 1e-6
 
 
 def default_perturbation_scales(background: ColeColeParams) -> np.ndarray:
@@ -266,6 +269,10 @@ class SceneGeometry:
     def __post_init__(self):
         for name in ("tx_positions", "rx_positions", "frequencies", "cell_centers"):
             value = np.asarray(getattr(self, name), dtype=float).copy()
+            if not np.all(np.isfinite(value)):
+                at = np.unravel_index(int(np.argmin(np.isfinite(value))), value.shape)
+                raise ConfigError(f"{name} must be finite, got {float(value[at])!r} "
+                                  f"at index {tuple(int(i) for i in at)}")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         n_x, n_z = self.grid_dims
@@ -273,8 +280,12 @@ class SceneGeometry:
             raise ConfigError(
                 f"cell count {self.cell_centers.shape} inconsistent with grid dims {self.grid_dims}"
             )
-        if self.cell_volume <= 0.0:
-            raise ConfigError("cell volume must be positive")
+        if not 0.0 < self.cell_volume < math.inf:
+            raise ConfigError(f"cell volume must be positive and finite, got {self.cell_volume!r}")
+        if np.any(self.frequencies <= 0.0):
+            n = int(np.argmax(self.frequencies <= 0.0))
+            raise ConfigError(f"frequencies must be positive, got {float(self.frequencies[n])!r} "
+                              f"at index {n}")
         if np.any(self.cell_centers[:, 2] <= 0.0):
             raise ConfigError("all cells must lie strictly below the surface")
         if np.any(self.tx_positions[:, 2] != 0.0) or np.any(self.rx_positions[:, 2] != 0.0):
@@ -298,6 +309,14 @@ class SceneGeometry:
     def fingerprint(self) -> str:
         return self._fingerprint
 
+    def cell_distances(self) -> DistanceTable:
+        """The antenna-cell :func:`distance_table`, computed once per geometry."""
+        return self._cell_distances
+
+    @functools.cached_property
+    def _cell_distances(self) -> DistanceTable:
+        return distance_table(self, self.cell_centers)
+
     @functools.cached_property
     def _fingerprint(self) -> str:
         # The arrays are read-only copies, so the digest never goes stale.
@@ -307,6 +326,54 @@ class SceneGeometry:
         digest.update(np.float64(self.cell_volume).tobytes())
         digest.update(repr(self.grid_dims).encode())
         return digest.hexdigest()[:16]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class DistanceTable:
+    """Antenna-point distances as their distinct values and gather indices.
+
+    ``distances[rx_index[m, q]]`` is the distance from receiver m to point q
+    and ``distances[tx_index[n, q]]`` the one from transmitter n;
+    ``distances`` is ascending. The arrays are read-only.
+    """
+
+    distances: np.ndarray
+    rx_index: np.ndarray
+    tx_index: np.ndarray
+
+    def __post_init__(self):
+        for name in ("distances", "rx_index", "tx_index"):
+            getattr(self, name).flags.writeable = False
+
+
+def distance_table(geometry: SceneGeometry, points: np.ndarray) -> DistanceTable:
+    """The distances from every antenna of ``geometry`` to each of ``points`` (Q x 3).
+
+    A regular array over a regular grid repeats distances: at 8 x 8
+    elements over 48 x 36 cells the 27,648 antenna-cell distances take
+    2,435 values. Functions of the distance alone are evaluated once per
+    distinct value and gathered through the int32 indices. A distance
+    below ``MIN_SEPARATION`` is a NearSingularityError naming the pair.
+    """
+    distances = []
+    for antennas in (geometry.rx_positions, geometry.tx_positions):
+        diff = antennas[:, None, :] - points[None, :, :]
+        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        if np.any(r < MIN_SEPARATION):
+            ia, ib = np.unravel_index(int(np.argmin(r)), r.shape)
+            raise NearSingularityError(
+                f"separation {float(r[ia, ib])!r} m between antenna {ia} and point {ib} "
+                f"below the {MIN_SEPARATION} m kernel minimum"
+            )
+        distances.append(r)
+    r_rx, r_tx = distances
+    r, index = np.unique(np.concatenate((r_rx.ravel(), r_tx.ravel())), return_inverse=True)
+    index = index.astype(np.int32)
+    return DistanceTable(
+        distances=r,
+        rx_index=index[:r_rx.size].reshape(r_rx.shape),
+        tx_index=index[r_rx.size:].reshape(r_tx.shape),
+    )
 
 
 def build_default_geometry(config: GeometryConfig | None = None) -> SceneGeometry:

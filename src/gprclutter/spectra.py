@@ -266,15 +266,22 @@ def _validated_eigensystem(cov: ClutterCovariance) -> tuple[np.ndarray, np.ndarr
             f"{float(-NEGATIVE_EIG_RTOL * lam_max)!r}"
         )
     eigenvalues = np.clip(eigenvalues, 0.0, None)
-    # Deterministic representation under degenerate spectra: rotate each
-    # eigenvector so its first nonnegligible component is real positive.
-    for idx in range(eigenvectors.shape[1]):
-        column = eigenvectors[:, idx]
-        nonzero = np.flatnonzero(np.abs(column) > 1e-12)
-        if nonzero.size:
-            pivot = column[nonzero[0]]
-            eigenvectors[:, idx] = column * (abs(pivot) / pivot)
-    return eigenvalues, eigenvectors
+    return eigenvalues, _canonical_phases(eigenvectors)
+
+
+def _canonical_phases(eigenvectors: np.ndarray) -> np.ndarray:
+    """Rotate each column in place so its first entry with |v| > 1e-12 is real positive.
+
+    This fixes the representation under degenerate spectra. A unit column
+    of n < 1e24 entries has an entry of at least 1/sqrt(n), so every
+    column has such a pivot p. |p| is taken with ``np.hypot``, the
+    function numpy's complex abs calls on a scalar; on an array that abs
+    takes another route, which can round differently.
+    """
+    first = np.argmax(np.abs(eigenvectors) > 1e-12, axis=0)
+    pivots = eigenvectors[first, np.arange(eigenvectors.shape[1])]
+    eigenvectors *= np.hypot(pivots.real, pivots.imag) / pivots
+    return eigenvectors
 
 
 def spectral_summary(

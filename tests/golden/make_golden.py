@@ -16,9 +16,10 @@ Regenerate only when a change is meant to alter these outputs, and say so
 in that change.
 
 ``--diff`` writes nothing: it prints, for each golden column, the largest
-absolute and relative drift of the current outputs from golden.json. A
-tolerance for values at their rounding floor is taken from that listing
-under equivalent rewrites of the program.
+absolute and relative drift of the current outputs from golden.json, then
+every golden location the current outputs lack and every location only
+they have, by name. A tolerance for values at their rounding floor is
+taken from that listing under equivalent rewrites of the program.
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ def _columns(doc: dict) -> dict:
 
 def drift(current: dict, golden: dict) -> list[tuple]:
     """(column, largest absolute drift, its location, largest relative drift,
-    its location) of every golden float column found in ``current``.
+    its location) of every golden float column, over the locations found
+    in ``current`` (see :func:`unmatched` for the others).
 
     A golden 0.0 that moved has infinite relative drift.
     """
@@ -147,6 +149,25 @@ def drift(current: dict, golden: dict) -> list[tuple]:
     return rows
 
 
+def unmatched(current: dict, golden: dict) -> tuple[list[str], list[str]]:
+    """(golden float locations missing from ``current``, locations only ``current`` has)."""
+    now = {where for values in _columns(current).values() for where in values}
+    then = {where for values in _columns(golden).values() for where in values}
+    return sorted(then - now), sorted(now - then)
+
+
+def diff_lines(current: dict, golden: dict) -> list[str]:
+    """The ``--diff`` listing: each column's drift, then the unmatched locations."""
+    lines = [f"{'column':52s} {'max abs':>10s} {'max rel':>10s}  where (abs | rel)"]
+    for column, d_abs, at_abs, d_rel, at_rel in drift(current, golden):
+        lines.append(
+            f"{column:52s} {d_abs:10.3g} {d_rel:10.3g}  {at_abs or '-'} | {at_rel or '-'}")
+    missing, extra = unmatched(current, golden)
+    lines += [f"missing from the current outputs: {where}" for where in missing]
+    lines += [f"only in the current outputs: {where}" for where in extra]
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--diff", action="store_true",
@@ -155,9 +176,7 @@ def main(argv=None) -> int:
     if args.diff:
         with open(GOLDEN_PATH, encoding="utf-8") as handle:
             golden = json.load(handle)
-        print(f"{'column':52s} {'max abs':>10s} {'max rel':>10s}  where (abs | rel)")
-        for column, d_abs, at_abs, d_rel, at_rel in drift(collect(), golden):
-            print(f"{column:52s} {d_abs:10.3g} {d_rel:10.3g}  {at_abs or '-'} | {at_rel or '-'}")
+        print("\n".join(diff_lines(collect(), golden)))
         return 0
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(collect(), handle, indent=1, sort_keys=True)

@@ -7,7 +7,13 @@ runs them.
 
 import numpy as np
 
-from gprclutter.constitutive import ColeColeParams, eval_permittivity
+from gprclutter.constitutive import (
+    DENOMINATOR_FLOOR,
+    FD_STEP_FLOORS,
+    ColeColeParams,
+    eval_permittivity,
+    eval_sensitivities,
+)
 from gprclutter.forward import background_wavenumber
 from gprclutter.randfield import standard_normal_draws
 
@@ -84,3 +90,38 @@ def exact_contrast(background, delta_mu, omega):
     eps_b = eval_permittivity(background, omega)
     perturbed = ColeColeParams.from_array(background.as_array() + delta_mu)
     return (eval_permittivity(perturbed, omega) - eps_b) / eps_b
+
+
+def finite_difference_errors(params, omega, rel_step=1e-5):
+    """The (5,) relative sensitivity errors of ``finite_difference_check`` at one frequency.
+
+    One channel at a time: each stepped state is its own scalar
+    permittivity evaluation, in Python complex arithmetic.
+    """
+    base = params.as_array()
+    eps_b = eval_permittivity(params, omega)
+    psi = eval_sensitivities(params, omega)
+    errors = np.empty(5)
+    for q in range(5):
+        step = rel_step * abs(base[q]) if base[q] != 0.0 else FD_STEP_FLOORS[q]
+        plus, minus = base.copy(), base.copy()
+        plus[q] += step
+        minus[q] -= step
+        f_plus = eval_permittivity(ColeColeParams.from_array(plus), omega)
+        f_minus = eval_permittivity(ColeColeParams.from_array(minus), omega)
+        psi_fd = (f_plus - f_minus) / ((plus[q] - minus[q]) * eps_b)
+        errors[q] = abs(psi[q] - psi_fd) / max(abs(psi_fd), DENOMINATOR_FLOOR)
+    return errors
+
+
+def canonical_phases(eigenvectors):
+    """A copy of ``eigenvectors`` with each column rotated, one at a time, so
+    its first entry with |v| > 1e-12 is real positive."""
+    vectors = np.array(eigenvectors)
+    for idx in range(vectors.shape[1]):
+        column = vectors[:, idx]
+        nonzero = np.flatnonzero(np.abs(column) > 1e-12)
+        if nonzero.size:
+            pivot = column[nonzero[0]]
+            vectors[:, idx] = column * (abs(pivot) / pivot)
+    return vectors

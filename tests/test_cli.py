@@ -171,6 +171,46 @@ def test_report_plots_without_matplotlib_exits_1_and_writes_nothing(tmp_path, ca
     assert not out.exists()
 
 
+#: Runs scan-fda at a small grid, drops S3's rows after its first delta_f as
+#: a scan that failed there would, and prints what ``_plots`` asks each plot
+#: for. matplotlib is replaced by recorders.
+_PLOTS_SCRIPT = """
+import json
+from gprclutter.harness import cli, plots
+from gprclutter.harness.config import ExperimentConfig
+from gprclutter.harness.experiments import run_fda_scan
+from gprclutter.scene import GeometryConfig
+
+calls = []
+plots.pyplot = lambda: None
+plots.plot_eigen_spectra = lambda summaries, out_dir: calls.append(list(summaries)) or []
+plots.plot_scan_curve = lambda curves, xlabel, ylabel, name, out_dir: calls.append(
+    [name, [[label, list(xs), list(ys)] for label, (xs, ys) in curves.items()]]) or []
+config = ExperimentConfig(scenarios=("S_syn", "S4", "S1", "S_balance", "S3", "S2"),
+                          geometry=GeometryConfig(n_x=4, n_z=3))
+fda = run_fda_scan(config)
+fda.table.rows = [r for r in fda.table.rows if r["scenario"] != "S3" or r["delta_f_hz"] == 0.0]
+cli._plots(config, {"scan-fda": fda}, {})
+print(json.dumps(calls))
+"""
+
+
+def test_report_plots_follow_the_configured_order_whatever_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(gprclutter.__file__))
+    outputs = [
+        subprocess.run([sys.executable, "-c", _PLOTS_SCRIPT], check=True, capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    spectra, (name, curves) = json.loads(outputs[0])
+    assert spectra == [] and name == "fda_scan"
+    assert [label for label, _, _ in curves] == ["S_syn", "S4", "S1", "S_balance", "S3", "S2"]
+    for label, xs, ys in curves:
+        assert xs == ([0.0] if label == "S3" else [0.0, 20e6, 40e6])
+        assert len(ys) == len(xs)
+
+
 def test_overflowing_snr_is_recorded_per_scenario(tmp_path, capsys):
     out = tmp_path / "results"
     config_path = tmp_path / "snr.yaml"

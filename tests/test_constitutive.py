@@ -19,7 +19,7 @@ from gprclutter.constitutive import (
     sensitivity_components,
 )
 from gprclutter.errors import DomainError
-from oracles import exact_contrast
+from oracles import exact_contrast, finite_difference_errors
 
 OMEGA_100MHZ = 2.0 * math.pi * 100e6
 FDA_FREQUENCIES = 100e6 + 20e6 * np.arange(8)
@@ -138,6 +138,37 @@ def test_step_sweep_shows_truncation_decay_then_rounding_plateau():
     }
     assert errs[1e-3] > 10.0 * errs[1e-4] > 100.0 * errs[1e-5]
     assert errs[1e-6] > errs[1e-5] / 10.0  # rounding stops the decay
+
+
+def test_broadcast_check_agrees_with_one_scalar_check_per_frequency(registry):
+    omegas = 2.0 * math.pi * FDA_FREQUENCIES
+    for scenario in registry.values():
+        errors = finite_difference_check(scenario.background, omegas)
+        assert errors.shape == (5, len(omegas))
+        reference = np.stack([finite_difference_errors(scenario.background, omega)
+                              for omega in omegas], axis=1)
+        assert np.abs(errors - reference).max() <= 2.2e-8
+        scalar = finite_difference_check(scenario.background, omegas[3])
+        assert scalar.shape == (5,)
+        assert np.abs(scalar - errors[:, 3]).max() <= 2.2e-8
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_a_non_positive_frequency_among_many_is_named(bad):
+    omegas = 2.0 * math.pi * FDA_FREQUENCIES
+    omegas[6] = bad
+    with pytest.raises(DomainError, match=rf"omega\[6\] = {bad!r}"):
+        finite_difference_check(get_scenario("S_syn").background, omegas)
+    with pytest.raises(DomainError, match=rf"positive, got {bad!r}$"):
+        eval_sensitivities(get_scenario("S_syn").background, bad)
+
+
+def test_overflow_among_many_frequencies_names_the_parameter():
+    params = ColeColeParams(3.0, 1.0, 1e300, 0.5, 0.0)
+    omegas = 2.0 * math.pi * FDA_FREQUENCIES
+    with pytest.raises(DomainError, match="permittivity overflow at omega=.*'tau'"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        finite_difference_check(params, omegas)
 
 
 def test_fd_rel_step_domain():

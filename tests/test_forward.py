@@ -20,10 +20,11 @@ from gprclutter import (
     steering_vector,
 )
 from gprclutter import forward as forward_module
+from gprclutter import scene
 from gprclutter.constants import MU_0
 from gprclutter.constitutive import sensitivity_components
-from gprclutter.errors import AssemblyError, ConfigError, NearSingularityError
-from gprclutter.forward import background_wavenumber, born_kernel_tensor
+from gprclutter.errors import AssemblyError, ConfigError, DomainError, NearSingularityError
+from gprclutter.forward import SteeringVector, background_wavenumber, born_kernel_tensor
 from gprclutter.harness.experiments import free_space_scenario
 from gprclutter.scene import Scenario, default_perturbation_scales
 from oracles import born_kernel_reference, dense_discrepancy, dense_entries, green_kernel
@@ -31,6 +32,8 @@ from oracles import born_kernel_reference, dense_discrepancy, dense_entries, gre
 OMEGA_100MHZ = 2.0 * math.pi * 100e6
 
 VACUUM = ColeColeParams(1.0, 0.0, 1e-12, 0.0, 0.0)
+
+FDA_FREQUENCIES = 100e6 + 20e6 * np.arange(8)
 
 
 def test_vacuum_kernel_amplitude_at_unit_distance():
@@ -71,6 +74,23 @@ def test_wavenumber_branch_decays(registry):
         k = background_wavenumber(scenario.background, OMEGA_100MHZ)
         assert k.imag <= 0.0
         assert k.real > 0.0
+
+
+def test_wavenumbers_broadcast_over_frequency(registry):
+    omegas = 2.0 * np.pi * FDA_FREQUENCIES
+    for scenario in registry.values():
+        k = background_wavenumber(scenario.background, omegas)
+        assert k.shape == omegas.shape
+        for omega, value in zip(omegas, k):
+            assert value == background_wavenumber(scenario.background, omega)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e8, np.nan])
+def test_a_non_positive_frequency_among_many_is_named(bad):
+    omegas = 2.0 * np.pi * FDA_FREQUENCIES
+    omegas[5] = bad
+    with pytest.raises(DomainError, match=rf"omega\[5\] = {bad!r}"):
+        background_wavenumber(get_scenario("S4").background, omegas)
 
 
 def test_kernel_reciprocity_is_exact():
@@ -173,15 +193,56 @@ def test_entries_match_the_dense_assembly_loop(geometry, sid):
 
 @pytest.mark.parametrize("sid", sorted(scenario_registry()))
 def test_kernel_tensor_equals_the_per_frequency_reference(sid):
-    # The regular grid repeats distances, the jittered cells do not.
+    # The regular grid repeats distances, the jittered cells do not. A
+    # steering vector is the normalized kernel column of a one-cell grid of
+    # unit volume at its target.
     scenario = get_scenario(sid)
     jitter = np.random.default_rng(7).uniform(-0.01, 0.01, (30, 3)) * [1.0, 0.0, 1.0]
+    targets = ((0.0, 0.0, 0.3), (0.0125, 0.0, 0.3), (-0.11, 0.0, 0.0625))
     for delta_f in (0.0, 20e6):
         geometry = build_default_geometry(GeometryConfig(n_x=6, n_z=5, delta_f=delta_f))
         jittered = dataclasses.replace(geometry, cell_centers=geometry.cell_centers + jitter)
         for grid in (geometry, jittered):
             kernels = born_kernel_tensor(scenario.background, grid)
             assert kernels.tobytes() == born_kernel_reference(scenario.background, grid).tobytes()
+        for target in targets:
+            cell = dataclasses.replace(geometry, cell_centers=np.array([target]),
+                                       cell_volume=1.0, grid_dims=(1, 1))
+            column = born_kernel_reference(scenario.background, cell).ravel()
+            steering = steering_vector(geometry, scenario, target).values
+            assert steering.tobytes() == (column / np.linalg.norm(column)).tobytes()
+
+
+def test_one_distance_table_per_geometry(monkeypatch):
+    # Every kernel build on one geometry object reads the same antenna-cell
+    # table; a new geometry object builds its own.
+    built = []
+    original = scene.distance_table
+
+    def counting(geometry, points):
+        built.append(geometry)
+        return original(geometry, points)
+
+    monkeypatch.setattr(scene, "distance_table", counting)
+    geometry = build_default_geometry(GeometryConfig(n_x=6, n_z=5))
+    first = born_kernel_tensor(get_scenario("S1").background, geometry)
+    for sid in ("S1", "S4", "S_syn"):
+        assemble_forward(get_scenario(sid), geometry)
+    assert born_kernel_tensor(get_scenario("S1").background, geometry).tobytes() == first.tobytes()
+    assert built == [geometry]
+    assemble_forward(get_scenario("S1"), build_default_geometry(GeometryConfig(n_x=6, n_z=5)))
+    assert len(built) == 2
+    table = geometry.cell_distances()
+    assert table.rx_index.dtype == table.tx_index.dtype == np.int32
+    assert not table.distances.flags.writeable
+
+
+def test_cells_at_an_antenna_are_refused_by_name(tiny_geometry):
+    cells = tiny_geometry.tx_positions[1:2] + np.array([[0.0, 0.0, 1e-7]])
+    geometry = dataclasses.replace(tiny_geometry, cell_centers=cells)
+    with pytest.raises(NearSingularityError,
+                       match=r"between antenna 1 and point 0 below the 1e-06 m kernel minimum"):
+        born_kernel_tensor(get_scenario("S1").background, geometry)
 
 
 @pytest.mark.parametrize("delta_f", [0.0, 20e6])
@@ -232,6 +293,14 @@ def test_steering_rejects_surface_targets(geometry):
         steering_vector(geometry, get_scenario("S1"), (0.0, 0.0, 0.0))
     with pytest.raises(ConfigError):
         steering_vector(geometry, get_scenario("S1"), (0.0, 0.0, -0.1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_steering_vector_refuses_non_finite_values(bad):
+    values = np.full(4, 0.5, dtype=complex)
+    values[2] = bad
+    with pytest.raises(AssemblyError, match="non-finite steering vector entry at channel 2"):
+        SteeringVector(values=values)
 
 
 def test_steering_rejects_targets_on_elements(geometry):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from golden.make_golden import GOLDEN_PATH, collect
+from golden.make_golden import GOLDEN_PATH, collect, diff_lines
 
 #: Structural metrics (r_eff, trace, delta_a, ...): relative.
 STRUCTURAL_RTOL = 1e-9
@@ -225,3 +225,18 @@ def test_golden_comparator_rejects_a_perturbed_value(current, golden, name):
     where = f"{part}[{key}]" if section == "tables" else f"{section}.{part}.{key}"
     assert found.startswith(where), found
     assert golden["tables"]["boundary"][10]["snr_db"] == 0.0
+
+
+def test_drift_listing_names_a_dropped_row_and_an_added_one(current, golden):
+    dropped = copy.deepcopy(current)
+    row = dropped["tables"]["kernel_diff"].pop()
+    index = len(dropped["tables"]["kernel_diff"])
+    lines = diff_lines(dropped, golden)
+    assert f"missing from the current outputs: tables.kernel_diff[{index}].delta_a" in lines
+    assert not any(line.startswith("only in") for line in lines)
+    added = copy.deepcopy(current)
+    added["tables"]["kernel_diff"].append(row)
+    lines = diff_lines(added, golden)
+    assert f"only in the current outputs: tables.kernel_diff[{index + 1}].delta_a" in lines
+    assert not any(line.startswith("missing") for line in lines)
+    assert not any(line.startswith(("missing", "only in")) for line in diff_lines(current, golden))

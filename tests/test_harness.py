@@ -36,7 +36,14 @@ from gprclutter.harness.experiments import (
     run_target_scan,
     run_validity_scan,
 )
+from gprclutter import forward as forward_module
+from gprclutter import scene
+from gprclutter.constitutive import PARAMETER_NAMES
 from gprclutter.montecarlo import SAMPLE_BLOCK
+from oracles import finite_difference_errors
+
+#: The golden gate's bound on a finite-difference error: rounding noise.
+DERIVATIVE_ERROR_ATOL = 2.2e-8
 
 
 def _config(**kwargs):
@@ -90,6 +97,46 @@ def test_derivative_check_passes_and_the_bug_hook_flips_it():
 
     broken = run_derivative_check(config, inject_error=True)
     assert all(not row["passed"] for row in broken.table.rows)
+
+
+def test_derivative_check_agrees_with_per_frequency_scalar_checks():
+    # One broadcast check per scenario against one scalar check per
+    # frequency, each worst entry taken as a scan in frequency order keeping
+    # ties would: the values agree to rounding, their places exactly.
+    config = _config()
+    frequencies = build_default_geometry(config.geometry).frequencies
+    result = run_derivative_check(config)
+    assert [row["scenario"] for row in result.table.rows] == list(config.scenarios)
+    for row in result.table.rows:
+        worst, channel, frequency = 0.0, "", 0.0
+        for f in frequencies:
+            errors = finite_difference_errors(get_scenario(row["scenario"]).background,
+                                              2.0 * np.pi * f)
+            q = int(np.argmax(errors))
+            if errors[q] >= worst:
+                worst, channel, frequency = float(errors[q]), PARAMETER_NAMES[q], float(f)
+        assert abs(row["max_rel_error"] - worst) <= DERIVATIVE_ERROR_ATOL
+        assert (row["worst_channel"], row["worst_frequency_hz"]) == (channel, frequency)
+
+
+def test_fda_scan_builds_one_distance_table_per_geometry(monkeypatch):
+    # Three delta_f values, two scenarios: three antenna-cell tables, not
+    # one per forward operator. The steering vectors' one-point tables are
+    # the other calls.
+    sizes = []
+    original = scene.distance_table
+
+    def counting(geometry, points):
+        sizes.append(len(points))
+        return original(geometry, points)
+
+    monkeypatch.setattr(scene, "distance_table", counting)
+    monkeypatch.setattr(forward_module, "distance_table", counting)
+    config = _config(scenarios=("S1", "S4"), geometry=GeometryConfig(n_x=6, n_z=5))
+    result = run_fda_scan(config)
+    assert result.ok and len(result.table.rows) == 6
+    assert sizes.count(30) == 3
+    assert sizes.count(1) == 6 and len(sizes) == 9
 
 
 def test_validity_scan_recommends_full_amplitude_everywhere():

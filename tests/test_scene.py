@@ -156,6 +156,32 @@ def test_inconsistent_grid_dims_rejected(geometry):
         )
 
 
+@pytest.mark.parametrize("field, index", [
+    ("tx_positions", (3, 0)), ("rx_positions", (0, 1)),
+    ("cell_centers", (7, 2)), ("frequencies", (2,)),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_geometry_arrays_are_refused_by_name(geometry, field, index, bad):
+    # A NaN depth passes a "<= 0" check, and NaN frequencies gave an
+    # all-NaN steering vector.
+    value = np.array(getattr(geometry, field))
+    value[index] = bad
+    with pytest.raises(ConfigError, match=rf"{field} must be finite, got {bad!r} at index"):
+        dataclasses.replace(geometry, **{field: value})
+
+
+@pytest.mark.parametrize("frequencies", [np.zeros(8), -100e6 - 20e6 * np.arange(8)])
+def test_non_positive_frequencies_are_refused(geometry, frequencies):
+    with pytest.raises(ConfigError, match="frequencies must be positive, got .* at index 0"):
+        dataclasses.replace(geometry, frequencies=frequencies)
+
+
+@pytest.mark.parametrize("volume", [0.0, -1.0, np.nan, np.inf])
+def test_cell_volume_must_be_positive_and_finite(geometry, volume):
+    with pytest.raises(ConfigError, match="cell volume must be positive and finite"):
+        dataclasses.replace(geometry, cell_volume=volume)
+
+
 def test_fingerprint_distinguishes_geometries(geometry):
     other = build_default_geometry(GeometryConfig(delta_f=0.0))
     assert geometry.fingerprint() != other.fingerprint()

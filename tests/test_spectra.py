@@ -36,9 +36,9 @@ from gprclutter.randfield import (
     build_covariance,
     sample_perturbations,
 )
-from gprclutter.spectra import ClutterCovariance, jacobi_eigh
+from gprclutter.spectra import ClutterCovariance, _canonical_phases, jacobi_eigh
 from gprclutter.forward import ForwardMatrix
-from oracles import dense_entries, materialize_full
+from oracles import canonical_phases, dense_entries, materialize_full
 
 
 def _toy_setup(n_x=2, n_z=1, rho_c=0.3, amplitude=1.0, corr_length=0.1):
@@ -417,6 +417,20 @@ def test_degenerate_eigenvectors_have_a_real_positive_pivot(make_covariance):
         assert pivot.real > 0.0
         assert abs(pivot.imag) <= 1e-15 * abs(pivot)
     assert np.array_equal(summary().eigenvectors, first.eigenvectors)
+
+
+@pytest.mark.parametrize("sid, delta_f", [(sid, 20e6) for sid in sorted(scenario_registry())]
+                         + [("S2", 0.0)])
+def test_phase_pass_equals_the_per_column_loop(make_covariance, sid, delta_f):
+    geometry = build_default_geometry(GeometryConfig(n_x=12, n_z=10, delta_f=delta_f))
+    scenario = get_scenario(sid)
+    cov = clutter_covariance(assemble_forward(scenario, geometry),
+                             make_covariance(scenario, geometry))
+    eigenvalues, eigenvectors = np.linalg.eigh(cov.matrix)
+    raw = eigenvectors[:, np.argsort(eigenvalues, kind="stable")[::-1]]
+    expected = canonical_phases(raw)
+    assert _canonical_phases(raw.copy()).tobytes() == expected.tobytes()
+    assert spectral_summary(cov).eigenvectors.tobytes() == expected.tobytes()
 
 
 def test_scaling_composes():
