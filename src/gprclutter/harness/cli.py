@@ -10,6 +10,7 @@ failure, 3 I/O or format error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -68,7 +69,11 @@ def _write_text_atomic(path: str, text: str) -> None:
 
 
 def write_result(result: ExperimentResult, out_dir: str) -> list[str]:
-    """Persist one experiment result; returns the written paths."""
+    """Persist one experiment result; returns the written paths.
+
+    A ``_reports.json`` or ``_errors.json`` sidecar of the table that this
+    result does not write is removed, so none survives from an earlier run.
+    """
     os.makedirs(out_dir, exist_ok=True)
     written = []
     base = os.path.join(out_dir, result.table.name)
@@ -76,16 +81,21 @@ def write_result(result: ExperimentResult, out_dir: str) -> list[str]:
     written.append(base + ".csv")
     _write_text_atomic(base + ".json", result.table.to_json_text())
     written.append(base + ".json")
+    sidecars = {"_reports.json": None, "_errors.json": None}
     if result.reports:
         doc = {sid: report.to_dict() for sid, report in result.reports.items()}
         doc["provenance"] = dict(result.table.provenance, rng_scheme=RNG_SCHEME)
-        path = base + "_reports.json"
-        _write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        written.append(path)
+        sidecars["_reports.json"] = doc
     if result.errors:
-        path = base + "_errors.json"
-        _write_text_atomic(path, json.dumps(result.errors, indent=2, sort_keys=True) + "\n")
-        written.append(path)
+        sidecars["_errors.json"] = result.errors
+    for suffix, doc in sidecars.items():
+        path = base + suffix
+        if doc is None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        else:
+            _write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            written.append(path)
     for name, matrix in result.matrices.items():
         path = os.path.join(out_dir, f"{name}.cmat")
         persist_matrix(matrix, path)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -19,8 +20,9 @@ from ..constitutive import ColeColeParams, finite_difference_check, PARAMETER_NA
 from ..errors import GprClutterError
 from ..forward import ForwardMatrix, assemble_forward, forward_discrepancy, steering_vector
 from ..montecarlo import closure_from_covariances, shared_closure_covariances, validity_scan
-from ..randfield import build_covariance, build_param_factor
+from ..randfield import PerturbationCovariance, build_covariance, build_param_factor
 from ..scene import (
+    GeometryConfig,
     Scenario,
     SceneGeometry,
     build_default_geometry,
@@ -28,6 +30,8 @@ from ..scene import (
     get_scenario,
 )
 from ..spectra import (
+    ClutterCovariance,
+    SpectralSummary,
     add_noise_floor,
     clutter_covariance,
     kernel_gram,
@@ -36,10 +40,23 @@ from ..spectra import (
     target_overlap,
     weighted_gram,
 )
-from .config import WEIGHT_PRESETS, ExperimentConfig, RandomFieldConfig, config_hash
+from .config import (
+    DEFAULT_SEED,
+    WEIGHT_PRESETS,
+    ExperimentConfig,
+    RandomFieldConfig,
+    config_hash,
+)
 
 #: Derivative validation passes below this maximum relative error.
 DERIVATIVE_THRESHOLD = 1e-5
+
+#: Geometries one process keeps: scan-fda's delta_f grid plus the configured one.
+GEOMETRY_MEMO_SIZE = 8
+
+#: Baselines one process keeps: one per scenario of a configuration, about
+#: 130 KB each at the default 8 x 8 array.
+BASELINE_MEMO_SIZE = 8
 
 METRIC_COLUMNS = ("r_eff", "p_0.9", "p_0.95", "eta_0.9", "gamma_0.9", "trace")
 
@@ -137,6 +154,12 @@ def _geometry(config: ExperimentConfig, delta_f: float | None = None) -> SceneGe
     cfg = config.geometry
     if delta_f is not None:
         cfg = dataclasses.replace(cfg, delta_f=delta_f)
+    return _shared_geometry(cfg)
+
+
+@functools.lru_cache(maxsize=GEOMETRY_MEMO_SIZE)
+def _shared_geometry(cfg: GeometryConfig) -> SceneGeometry:
+    """One geometry per config in a process, with its cached distance table."""
     return build_default_geometry(cfg)
 
 
@@ -152,6 +175,41 @@ def _covariance(scenario: Scenario, geometry: SceneGeometry, rf: RandomFieldConf
     )
 
 
+#: Shared baselines, oldest first, at most BASELINE_MEMO_SIZE of them.
+_BASELINES: dict[tuple, tuple[ClutterCovariance, SpectralSummary]] = {}
+
+
+def _baseline(
+    config: ExperimentConfig, sid: str, cov: PerturbationCovariance | None = None
+) -> tuple[ClutterCovariance, SpectralSummary]:
+    """Scenario ``sid``'s clutter covariance and its spectrum at the configured
+    geometry and field, built once per process and shared by the experiments.
+
+    A caller that holds the field covariance of ``sid`` under ``config``
+    passes it as ``cov``, so that a miss does not build it again. A
+    failure is not kept.
+    """
+    # The seed and the sample count do not enter the covariance: fix them in the key.
+    field = dataclasses.replace(config.random_field, seed=DEFAULT_SEED, sample_count=1)
+    key = (sid, config.geometry, field)
+    if key not in _BASELINES:
+        scenario, geometry = get_scenario(sid), _geometry(config)
+        forward = assemble_forward(scenario, geometry)
+        covariance = clutter_covariance(
+            forward, cov if cov is not None else _covariance(scenario, geometry, field))
+        entry = covariance, spectral_summary(covariance)
+        if len(_BASELINES) == BASELINE_MEMO_SIZE:
+            del _BASELINES[next(iter(_BASELINES))]
+        _BASELINES[key] = entry
+    return _BASELINES[key]
+
+
+def clear_memos() -> None:
+    """Forget every shared geometry and baseline."""
+    _shared_geometry.cache_clear()
+    _BASELINES.clear()
+
+
 def preset_weights(preset: str) -> np.ndarray:
     """Channel weights of a named preset: x2 on the named channel."""
     weights = np.ones(5)
@@ -159,11 +217,6 @@ def preset_weights(preset: str) -> np.ndarray:
     if index is not None:
         weights[index] = 2.0
     return weights
-
-
-def _structural_metrics(forward: ForwardMatrix, steering, cov) -> dict:
-    """The standard metric block at one configuration point."""
-    return _summary_metrics(spectral_summary(clutter_covariance(forward, cov)), steering)
 
 
 def _summary_metrics(summary, steering) -> dict:
@@ -244,23 +297,20 @@ def run_fda_scan(config: ExperimentConfig) -> ExperimentResult:
     """Structural metrics across the transmit frequency-increment grid."""
     exp = config.experiments
     result = _result(config, "fda_scan", ("scenario", "delta_f_hz") + METRIC_COLUMNS)
-    # The cell grid, and with it the field covariance, does not depend on
-    # delta_f: build one covariance per scenario and one geometry per delta_f.
-    base = _geometry(config)
-    geometries: dict[float, SceneGeometry] = {}
     for sid in config.scenarios:
         with _recorded(result, sid):
             scenario = get_scenario(sid)
-            cov = _covariance(scenario, base, config.random_field)
+            # The cell grid, and with it the field covariance, does not depend on delta_f.
+            cov = _covariance(scenario, _geometry(config), config.random_field)
             for delta_f in exp.delta_f_grid:
-                if delta_f not in geometries:
-                    geometries[delta_f] = _geometry(config, delta_f=delta_f)
-                geometry = geometries[delta_f]
-                metrics = _structural_metrics(
-                    assemble_forward(scenario, geometry),
-                    steering_vector(geometry, scenario, exp.target),
-                    cov,
-                )
+                geometry = _geometry(config, delta_f=delta_f)
+                if delta_f == config.geometry.delta_f:
+                    summary = _baseline(config, sid, cov)[1]
+                else:
+                    summary = spectral_summary(
+                        clutter_covariance(assemble_forward(scenario, geometry), cov))
+                metrics = _summary_metrics(
+                    summary, steering_vector(geometry, scenario, exp.target))
                 result.table.add_row(scenario=sid, delta_f_hz=delta_f, **metrics)
     return result
 
@@ -326,7 +376,8 @@ def run_lx_scan(config: ExperimentConfig) -> ExperimentResult:
         for corr_length in exp.corr_length_grid:
             cov = _covariance(
                 scenario, geometry, dataclasses.replace(rf, corr_length=corr_length))
-            metrics = _structural_metrics(forward, steering, cov)
+            metrics = _summary_metrics(
+                spectral_summary(clutter_covariance(forward, cov)), steering)
             result.table.add_row(scenario=sid, corr_length_m=corr_length, **metrics)
     return result
 
@@ -376,9 +427,7 @@ def run_target_scan(config: ExperimentConfig) -> ExperimentResult:
     for sid in config.scenarios:
         with _recorded(result, sid):
             scenario = get_scenario(sid)
-            forward = assemble_forward(scenario, geometry)
-            cov = _covariance(scenario, geometry, config.random_field)
-            summary = spectral_summary(clutter_covariance(forward, cov))
+            summary = _baseline(config, sid)[1]
             result.summaries[sid] = summary
             etas = []
             for target in exp.target_grid:
@@ -414,9 +463,7 @@ def run_boundary(config: ExperimentConfig, which: str = "both") -> ExperimentRes
     for sid in exp.boundary_scenarios:
         with _recorded(result, sid):
             scenario = get_scenario(sid)
-            forward = assemble_forward(scenario, geometry)
-            cov = _covariance(scenario, geometry, config.random_field)
-            base = clutter_covariance(forward, cov)
+            base, base_summary = _baseline(config, sid)
             steering = steering_vector(geometry, scenario, exp.target)
             if "scale" in rows:
                 for kappa in exp.kappa_grid:
@@ -426,10 +473,11 @@ def run_boundary(config: ExperimentConfig, which: str = "both") -> ExperimentRes
                         **_summary_metrics(summary, steering)))
             if "noise" in rows:
                 for snr_db in (None,) + exp.snr_grid_db:
-                    noisy = base if snr_db is None else add_noise_floor(base, snr_db)
+                    summary = (base_summary if snr_db is None
+                               else spectral_summary(add_noise_floor(base, snr_db)))
                     rows["noise"].append(dict(
                         scenario=sid, boundary="noise", kappa=None, snr_db=snr_db,
-                        **_summary_metrics(spectral_summary(noisy), steering)))
+                        **_summary_metrics(summary, steering)))
     for pass_rows in rows.values():
         for row in pass_rows:
             result.table.add_row(**row)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import types
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -64,15 +66,26 @@ class ClutterCovariance:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralSummary:
-    """Descending eigenvalues of a clutter covariance and derived metrics."""
+    """Descending eigenvalues of a clutter covariance and derived metrics.
+
+    Instances are immutable: the arrays are read-only copies and ``p_rho``
+    a read-only mapping, so one summary can be shared.
+    """
 
     eigenvalues: np.ndarray
     normalized_eigenvalues: np.ndarray
     r_eff: float
-    p_rho: dict[float, int]
+    p_rho: Mapping[float, int]
     trace: float
     eigenvectors: np.ndarray
     provenance: str
+
+    def __post_init__(self):
+        for name in ("eigenvalues", "normalized_eigenvalues", "eigenvectors"):
+            value = np.array(getattr(self, name))
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "p_rho", types.MappingProxyType(dict(self.p_rho)))
 
     def to_dict(self) -> dict:
         """JSON-ready document: eigenvalues, metrics, provenance."""

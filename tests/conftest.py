@@ -9,6 +9,7 @@ from gprclutter import (
     build_default_geometry,
     scenario_registry,
 )
+from gprclutter.harness.experiments import clear_memos
 from gprclutter.montecarlo import sample_covariance
 
 ACCEPTANCE_LINES = []
@@ -23,6 +24,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memos():
+    """Every test starts without shared geometries or baselines, so call
+    counts and monkeypatched layers do not depend on test order."""
+    clear_memos()
 
 
 @pytest.fixture(scope="session")

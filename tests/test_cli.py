@@ -21,6 +21,7 @@ from gprclutter import (
     spectral_summary,
 )
 from gprclutter.errors import TauFloorError
+from gprclutter.harness import experiments
 from gprclutter.harness.cli import main
 from gprclutter.harness.cmat import load_matrix
 from gprclutter.harness.config import load_config
@@ -491,3 +492,80 @@ def test_closure_dump_matrices(tmp_path):
     theory = load_matrix(os.path.join(out, "closure_S1_theory.cmat"))
     assert rhat.shape == theory.shape == (64, 64)
     assert np.allclose(theory, theory.conj().T)
+
+
+@pytest.mark.parametrize("order", [("failing", "clean"), ("clean", "failing")])
+def test_rerun_leaves_no_stale_sidecar(tmp_path, order):
+    # A failing closure writes closure_errors.json and no reports, a clean
+    # one the reverse; a rerun into the same directory keeps only its own.
+    configs = {"failing": "random_field: {sample_count: 1}\nscenarios: [S1]\n",
+               "clean": "random_field: {sample_count: 16}\nscenarios: [S1]\n"
+                        "geometry: {n_x: 3, n_z: 2}\n"}
+    out = str(tmp_path / "results")
+    for name in order:
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(configs[name])
+        assert main(["--config", str(path), "--out", out, "closure"]) == (
+            2 if name == "failing" else 0)
+    names = set(os.listdir(out))
+    if order[-1] == "clean":
+        assert names == {"closure.csv", "closure.json", "closure_reports.json"}
+    else:
+        assert names == {"closure.csv", "closure.json", "closure_errors.json"}
+
+
+_STRUCTURAL = ("check-derivatives", "kernel-diff", "scan-fda", "scan-lx", "scan-coupling",
+               "scan-targets", "boundary-scale", "boundary-noise")
+
+#: Configurations that share scenarios and differ in the correlation length,
+#: the geometry or only the seed, run one after another in one process.
+_MEMO_CONFIGS = {
+    "base": ("scenarios: [S1, S4]\ngeometry: {n_x: 6, n_z: 5}\n", "3"),
+    "corr": ("scenarios: [S1, S4]\ngeometry: {n_x: 6, n_z: 5}\n"
+             "random_field: {corr_length: 0.08}\n", "3"),
+    "grid": ("scenarios: [S1, S4]\ngeometry: {n_x: 5, n_z: 5}\n", "3"),
+    "seed": ("scenarios: [S1, S4]\ngeometry: {n_x: 6, n_z: 5}\n", "11"),
+}
+
+
+def test_shared_baselines_leave_every_output_unchanged(tmp_path):
+    paths = {}
+    for name, (text, _) in _MEMO_CONFIGS.items():
+        paths[name] = tmp_path / f"{name}.yaml"
+        paths[name].write_text(text)
+
+    def run(name, command, out):
+        seed = _MEMO_CONFIGS[name][1]
+        assert main(["--config", str(paths[name]), "--seed", seed, "--out", str(out),
+                     command]) == 0
+        return _read_tree(out)
+
+    shared = {(name, command): run(name, command, tmp_path / "shared" / name / command)
+              for name in _MEMO_CONFIGS for command in _STRUCTURAL}
+    for (name, command), tree in shared.items():
+        experiments.clear_memos()
+        assert run(name, command, tmp_path / "alone" / name / command) == tree, (name, command)
+
+
+def test_structural_passes_after_scan_fda_assemble_nothing(tmp_path, monkeypatch):
+    calls = []
+    for layer in ("assemble_forward", "clutter_covariance", "build_default_geometry"):
+        original = getattr(experiments, layer)
+
+        def counting(*args, _layer=layer, _original=original, **kwargs):
+            calls.append(_layer)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, layer, counting)
+    config = tmp_path / "small.yaml"
+    config.write_text("scenarios: [S1, S4]\ngeometry: {n_x: 6, n_z: 5}\n"
+                      "experiments: {boundary_scenarios: [S4, S1]}\n")
+    assert main(["--config", str(config), "--out", str(tmp_path / "fda"), "scan-fda"]) == 0
+    # Two scenarios at three delta_f values over three geometries.
+    assert (calls.count("assemble_forward"), calls.count("clutter_covariance"),
+            calls.count("build_default_geometry")) == (6, 6, 3)
+    calls.clear()
+    for command in ("scan-targets", "boundary-scale", "boundary-noise"):
+        assert main(["--config", str(config), "--seed", "5", "--out",
+                     str(tmp_path / command), command]) == 0
+    assert calls == []

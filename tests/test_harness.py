@@ -21,6 +21,7 @@ from gprclutter import (
     steering_vector,
     target_overlap,
 )
+from gprclutter.harness import experiments
 from gprclutter.harness.config import ExperimentConfig, ExperimentSettings, RandomFieldConfig
 from gprclutter.harness.experiments import (
     MetricTable,
@@ -427,3 +428,15 @@ def test_experiments_reproduce_bit_identical_outputs():
     second = run_fda_scan(config)
     assert first.table.to_json_text() == second.table.to_json_text()
     assert first.table.to_csv_text() == second.table.to_csv_text()
+
+
+def test_baseline_memo_keeps_at_most_its_bound():
+    # Two fields over six scenarios are twelve baselines; the oldest go.
+    geometry = GeometryConfig(n_x=4, n_z=3)
+    for corr_length in (0.1, 0.2):
+        config = _config(geometry=geometry, random_field=RandomFieldConfig(corr_length=corr_length))
+        assert run_target_scan(config).ok
+    kept = experiments._BASELINES
+    assert len(kept) == experiments.BASELINE_MEMO_SIZE
+    assert {field.corr_length for _, _, field in kept} == {0.1, 0.2}
+    assert [sid for sid, _, field in kept if field.corr_length == 0.2] == list(config.scenarios)

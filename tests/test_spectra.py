@@ -520,6 +520,33 @@ def test_summary_serializes_to_json_document():
     assert sum(doc["normalized_eigenvalues"]) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["eigenvalues", "normalized_eigenvalues", "eigenvectors"])
+def test_summary_arrays_are_read_only(name):
+    # Experiments share one baseline summary: none of them may change it.
+    summary = _summary_of(np.diag([0.7, 0.2, 0.1]).astype(complex))
+    array = getattr(summary, name)
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        array *= 2.0
+
+
+def test_summary_levels_are_read_only_and_copied():
+    levels = {0.9: 2}
+    summary = spectral_summary(
+        ClutterCovariance(matrix=np.diag([0.7, 0.2, 0.1]).astype(complex),
+                          provenance="theoretical"))
+    with pytest.raises(TypeError):
+        summary.p_rho[0.9] = 1
+    eigenvalues = np.array([1.0, 0.0])
+    made = type(summary)(eigenvalues=eigenvalues, normalized_eigenvalues=eigenvalues,
+                         r_eff=1.0, p_rho=levels, trace=1.0,
+                         eigenvectors=np.eye(2, dtype=complex), provenance="theoretical")
+    levels[0.9] = 5
+    eigenvalues[0] = 3.0
+    assert made.p_rho == {0.9: 2} and made.eigenvalues[0] == 1.0
+
+
 _ARRAY_RECORDS = {
     "Scenario": lambda: get_scenario("S_syn"),
     "SceneGeometry": lambda: _toy_setup()[0],
