@@ -45,7 +45,6 @@ from .spectra import (
     SpectralSummary,
     add_noise_floor,
     clutter_covariance,
-    modal_decomposition,
     scale_covariance,
     spectral_summary,
     target_overlap,
@@ -83,7 +82,6 @@ __all__ = [
     "SpectralSummary",
     "add_noise_floor",
     "clutter_covariance",
-    "modal_decomposition",
     "scale_covariance",
     "spectral_summary",
     "target_overlap",

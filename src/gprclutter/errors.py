@@ -48,10 +48,6 @@ class NonPositiveDefiniteError(GprClutterError, RuntimeError):
     """Cholesky factorization failed on a covariance factor."""
 
 
-class SizeCapError(GprClutterError, RuntimeError):
-    """Refused to materialize a matrix above the configured size cap."""
-
-
 class UndefinedSpectrumError(GprClutterError, ValueError):
     """Spectral metrics requested for a zero (or invalid) covariance."""
 

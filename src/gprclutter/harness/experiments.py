@@ -141,15 +141,6 @@ def _result(config: ExperimentConfig, name: str, columns: tuple[str, ...]) -> Ex
     return ExperimentResult(MetricTable(name, columns, provenance))
 
 
-@contextlib.contextmanager
-def _recorded(result: ExperimentResult, sid: str):
-    """Record a failure of scenario ``sid`` in ``result`` and let the batch go on."""
-    try:
-        yield
-    except GprClutterError as exc:
-        result.errors[sid] = str(exc)
-
-
 def _geometry(config: ExperimentConfig, delta_f: float | None = None) -> SceneGeometry:
     cfg = config.geometry
     if delta_f is not None:
@@ -179,29 +170,60 @@ def _covariance(scenario: Scenario, geometry: SceneGeometry, rf: RandomFieldConf
 _BASELINES: dict[tuple, tuple[ClutterCovariance, SpectralSummary]] = {}
 
 
-def _baseline(
-    config: ExperimentConfig, sid: str, cov: PerturbationCovariance | None = None
-) -> tuple[ClutterCovariance, SpectralSummary]:
-    """Scenario ``sid``'s clutter covariance and its spectrum at the configured
-    geometry and field, built once per process and shared by the experiments.
+class _Scene:
+    """One scenario of an experiment at the configured geometry and field.
 
-    A caller that holds the field covariance of ``sid`` under ``config``
-    passes it as ``cov``, so that a miss does not build it again. A
-    failure is not kept.
+    ``forward``, ``cov`` and ``baseline`` are built on first use.
     """
-    # The seed and the sample count do not enter the covariance: fix them in the key.
-    field = dataclasses.replace(config.random_field, seed=DEFAULT_SEED, sample_count=1)
-    key = (sid, config.geometry, field)
-    if key not in _BASELINES:
-        scenario, geometry = get_scenario(sid), _geometry(config)
-        forward = assemble_forward(scenario, geometry)
-        covariance = clutter_covariance(
-            forward, cov if cov is not None else _covariance(scenario, geometry, field))
-        entry = covariance, spectral_summary(covariance)
-        if len(_BASELINES) == BASELINE_MEMO_SIZE:
-            del _BASELINES[next(iter(_BASELINES))]
-        _BASELINES[key] = entry
-    return _BASELINES[key]
+
+    def __init__(self, config: ExperimentConfig, scenario: Scenario, geometry: SceneGeometry):
+        self.config, self.scenario, self.geometry = config, scenario, geometry
+
+    @functools.cached_property
+    def forward(self) -> ForwardMatrix:
+        return assemble_forward(self.scenario, self.geometry)
+
+    @functools.cached_property
+    def cov(self) -> PerturbationCovariance:
+        """The field covariance under ``config.random_field``."""
+        return _covariance(self.scenario, self.geometry, self.config.random_field)
+
+    @functools.cached_property
+    def baseline(self) -> tuple[ClutterCovariance, SpectralSummary]:
+        """The clutter covariance and its spectrum, built once per process
+        and shared by the experiments. A failure is not kept."""
+        # The seed and the sample count do not enter the covariance: fix them in the key.
+        field = dataclasses.replace(self.config.random_field, seed=DEFAULT_SEED, sample_count=1)
+        key = (self.scenario.id, self.config.geometry, field)
+        if key not in _BASELINES:
+            # An operator built here is not kept: scan-fda goes on to build
+            # its operators at other frequency increments.
+            forward = vars(self).get("forward") or assemble_forward(self.scenario, self.geometry)
+            covariance = clutter_covariance(forward, self.cov)
+            entry = covariance, spectral_summary(covariance)
+            if len(_BASELINES) == BASELINE_MEMO_SIZE:
+                del _BASELINES[next(iter(_BASELINES))]
+            _BASELINES[key] = entry
+        return _BASELINES[key]
+
+    def steering(self, target=None, geometry: SceneGeometry | None = None):
+        """The steering vector of ``target``, by default the configured one."""
+        return steering_vector(
+            self.geometry if geometry is None else geometry, self.scenario,
+            self.config.experiments.target if target is None else target)
+
+
+@contextlib.contextmanager
+def _scene(result: ExperimentResult, config: ExperimentConfig, sid: str,
+           scenario: Scenario | None = None):
+    """The scene of scenario ``sid``. A failure in the body is recorded in
+    ``result`` and the batch goes on; nothing may raise before the yield."""
+    scene = _Scene(config, get_scenario(sid) if scenario is None else scenario,
+                   _geometry(config))
+    try:
+        yield scene
+    except GprClutterError as exc:
+        result.errors[sid] = str(exc)
 
 
 def clear_memos() -> None:
@@ -239,11 +261,11 @@ def run_derivative_check(config: ExperimentConfig, inject_error: bool = False) -
         config, "derivative_check",
         ("scenario", "max_rel_error", "worst_channel", "worst_frequency_hz", "passed"),
     )
-    frequencies = _geometry(config).frequencies
     for sid in config.scenarios:
-        with _recorded(result, sid):
+        with _scene(result, config, sid) as scene:
+            frequencies = scene.geometry.frequencies
             errors = finite_difference_check(
-                get_scenario(sid).background, 2.0 * np.pi * frequencies,
+                scene.scenario.background, 2.0 * np.pi * frequencies,
                 analytic_bias=1e-3 if inject_error else 0.0,
             )  # (5, N)
             # The last frequency whose largest error is the overall largest,
@@ -269,14 +291,10 @@ def run_validity_scan(config: ExperimentConfig) -> ExperimentResult:
         config, "validity_scan",
         ("scenario", "recommended_s_mu", "worst_p95_contrast", "worst_p95_snapshot", "threshold"),
     )
-    geometry = _geometry(config)
     for sid in config.scenarios:
-        with _recorded(result, sid):
-            scenario = get_scenario(sid)
-            forward = assemble_forward(scenario, geometry)
-            cov = _covariance(scenario, geometry, config.random_field)
+        with _scene(result, config, sid) as scene:
             report = validity_scan(
-                forward, scenario, geometry, cov,
+                scene.forward, scene.scenario, scene.geometry, scene.cov,
                 amplitude_grid=exp.amplitude_grid,
                 sample_count=exp.validity_sample_count,
                 threshold=exp.validity_threshold,
@@ -298,19 +316,16 @@ def run_fda_scan(config: ExperimentConfig) -> ExperimentResult:
     exp = config.experiments
     result = _result(config, "fda_scan", ("scenario", "delta_f_hz") + METRIC_COLUMNS)
     for sid in config.scenarios:
-        with _recorded(result, sid):
-            scenario = get_scenario(sid)
+        with _scene(result, config, sid) as scene:
             # The cell grid, and with it the field covariance, does not depend on delta_f.
-            cov = _covariance(scenario, _geometry(config), config.random_field)
             for delta_f in exp.delta_f_grid:
                 geometry = _geometry(config, delta_f=delta_f)
                 if delta_f == config.geometry.delta_f:
-                    summary = _baseline(config, sid, cov)[1]
+                    summary = scene.baseline[1]
                 else:
                     summary = spectral_summary(
-                        clutter_covariance(assemble_forward(scenario, geometry), cov))
-                metrics = _summary_metrics(
-                    summary, steering_vector(geometry, scenario, exp.target))
+                        clutter_covariance(assemble_forward(scene.scenario, geometry), scene.cov))
+                metrics = _summary_metrics(summary, scene.steering(geometry=geometry))
                 result.table.add_row(scenario=sid, delta_f_hz=delta_f, **metrics)
     return result
 
@@ -330,23 +345,20 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
         ("scenario", "eps_cov_lin", "eps_cov_exact", "eps_lambda", "eps_sub",
          "sample_count", "subspace_dim"),
     )
-    geometry = _geometry(config)
-    models, theories = {}, {}
+    scenes, theories = {}, {}
     for sid in config.scenarios:
-        with _recorded(result, sid):
-            scenario = get_scenario(sid)
-            forward = assemble_forward(scenario, geometry)
-            cov = _covariance(scenario, geometry, rf)
-            theories[sid] = clutter_covariance(forward, cov)
-            models[sid] = (forward, scenario, cov)
+        with _scene(result, config, sid) as scene:
+            theories[sid] = clutter_covariance(scene.forward, scene.cov)
+            scenes[sid] = scene
     try:
         # Both modes of every scenario synthesize from one streamed draw.
-        outcomes = dict(zip(models, shared_closure_covariances(
-            list(models.values()), geometry, rf.sample_count, rf.seed)))
+        outcomes = dict(zip(scenes, shared_closure_covariances(
+            [(scene.forward, scene.scenario, scene.cov) for scene in scenes.values()],
+            _geometry(config), rf.sample_count, rf.seed)))
     except GprClutterError as exc:
-        outcomes = dict.fromkeys(models, exc)
+        outcomes = dict.fromkeys(scenes, exc)
     for sid, outcome in outcomes.items():
-        with _recorded(result, sid):
+        with _scene(result, config, sid, scenes[sid].scenario):
             if isinstance(outcome, GprClutterError):
                 raise outcome
             rhat_linear, rhat_exact = outcome
@@ -368,14 +380,11 @@ def run_lx_scan(config: ExperimentConfig) -> ExperimentResult:
     rf = config.random_field
     result = _result(config, "lx_scan", ("scenario", "corr_length_m") + METRIC_COLUMNS)
     sid = exp.lx_scan_scenario
-    geometry = _geometry(config)
-    with _recorded(result, sid):
-        scenario = get_scenario(sid)
-        forward = assemble_forward(scenario, geometry)
-        steering = steering_vector(geometry, scenario, exp.target)
+    with _scene(result, config, sid) as scene:
+        forward, steering = scene.forward, scene.steering()
         for corr_length in exp.corr_length_grid:
-            cov = _covariance(
-                scenario, geometry, dataclasses.replace(rf, corr_length=corr_length))
+            cov = _covariance(scene.scenario, scene.geometry,
+                              dataclasses.replace(rf, corr_length=corr_length))
             metrics = _summary_metrics(
                 spectral_summary(clutter_covariance(forward, cov)), steering)
             result.table.add_row(scenario=sid, corr_length_m=corr_length, **metrics)
@@ -391,21 +400,18 @@ def run_coupling_scan(config: ExperimentConfig) -> ExperimentResult:
         ("scenario", "configuration", "rho_c", "weight_preset") + METRIC_COLUMNS,
     )
     sid = exp.coupling_scenario
-    geometry = _geometry(config)
-    with _recorded(result, sid):
-        scenario = get_scenario(sid)
-        forward = assemble_forward(scenario, geometry)
-        steering = steering_vector(geometry, scenario, exp.target)
+    with _scene(result, config, sid) as scene:
+        forward, steering = scene.forward, scene.steering()
         # Only the parameter factor changes across the configurations: one
         # Gram K C K^H serves them all.
-        gram = kernel_gram(forward, _covariance(scenario, geometry, rf))
+        gram = kernel_gram(forward, scene.cov)
         configurations = [(f"rho_c={rho_c:g}", rho_c, None, rf.weights)
                           for rho_c in exp.rho_c_grid]
         configurations += [(f"weights={preset}", rf.rho_c, preset, preset_weights(preset))
                            for preset in exp.weight_presets]
         for name, rho_c, preset, weights in configurations:
             covariance = weighted_gram(
-                forward, gram, build_param_factor(scenario, weights, rho_c), rf.amplitude)
+                forward, gram, build_param_factor(scene.scenario, weights, rho_c), rf.amplitude)
             metrics = _summary_metrics(spectral_summary(covariance), steering)
             result.table.add_row(scenario=sid, configuration=name,
                                  rho_c=rho_c, weight_preset=preset, **metrics)
@@ -423,16 +429,13 @@ def run_target_scan(config: ExperimentConfig) -> ExperimentResult:
         ("scenario", "kind", "target_x_m", "target_z_m", "eta_0.9", "gamma_0.9",
          "mean_eta", "std_eta", "min_eta", "max_eta"),
     )
-    geometry = _geometry(config)
     for sid in config.scenarios:
-        with _recorded(result, sid):
-            scenario = get_scenario(sid)
-            summary = _baseline(config, sid)[1]
+        with _scene(result, config, sid) as scene:
+            summary = scene.baseline[1]
             result.summaries[sid] = summary
             etas = []
             for target in exp.target_grid:
-                steering = steering_vector(geometry, scenario, target)
-                eta, gamma = target_overlap(summary, steering, summary.p_rho[0.9])
+                eta, gamma = target_overlap(summary, scene.steering(target), summary.p_rho[0.9])
                 etas.append(eta)
                 result.table.add_row(
                     scenario=sid, kind="target", target_x_m=target[0], target_z_m=target[2],
@@ -459,12 +462,10 @@ def run_boundary(config: ExperimentConfig, which: str = "both") -> ExperimentRes
     result = _result(
         config, "boundary", ("scenario", "boundary", "kappa", "snr_db") + METRIC_COLUMNS)
     rows = {name: [] for name in (("scale", "noise") if which == "both" else (which,))}
-    geometry = _geometry(config)
     for sid in exp.boundary_scenarios:
-        with _recorded(result, sid):
-            scenario = get_scenario(sid)
-            base, base_summary = _baseline(config, sid)
-            steering = steering_vector(geometry, scenario, exp.target)
+        with _scene(result, config, sid) as scene:
+            base, base_summary = scene.baseline
+            steering = scene.steering()
             if "scale" in rows:
                 for kappa in exp.kappa_grid:
                     summary = spectral_summary(scale_covariance(base, kappa))
@@ -501,13 +502,11 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
     """
     exp = config.experiments
     result = _result(config, "kernel_diff", ("from_scenario", "to_scenario", "delta_a"))
-    geometry = _geometry(config)
     forwards: dict[str, ForwardMatrix] = {}
-    for sid in exp.kernel_diff_scenarios:
-        with _recorded(result, sid):
-            forwards[sid] = assemble_forward(get_scenario(sid), geometry)
-    with _recorded(result, "free_space"):
-        forwards["free_space"] = assemble_forward(free_space_scenario(), geometry)
+    sources = [(sid, None) for sid in exp.kernel_diff_scenarios]
+    for sid, scenario in sources + [("free_space", free_space_scenario())]:
+        with _scene(result, config, sid, scenario) as scene:
+            forwards[sid] = scene.forward
     targets = [sid for sid in (*exp.kernel_diff_scenarios, "free_space") if sid in forwards]
     for sid_from in exp.kernel_diff_scenarios:
         if sid_from not in forwards:

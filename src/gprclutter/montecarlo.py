@@ -10,11 +10,10 @@ the two isolates the constitutive linearization error; comparing their
 sample covariances with the propagated theoretical covariance closes the
 loop on the statistical chain. Closure has one path:
 :func:`shared_closure_covariances` streams both sample covariances of
-every scenario of a run from one draw, :func:`closure_covariances` is its
-one-scenario case, and :func:`closure_from_covariances` compares them with
-the theory. Synthesis is noise-free throughout: the additive noise floor
-enters analytically downstream. A forward operator assembled on another
-geometry than the one passed is refused.
+every scenario of a run from one draw, and :func:`closure_from_covariances`
+compares them with the theory. Synthesis is noise-free throughout: the
+additive noise floor enters analytically downstream. A forward operator
+assembled on another geometry than the one passed is refused.
 
 Memory does not grow with the sample count times 5P. Samples are drawn,
 synthesized and accumulated in blocks of at most SAMPLE_BLOCK samples and
@@ -331,25 +330,6 @@ def _hermitian_mean(total: np.ndarray, count: int) -> np.ndarray:
     """The Hermitian part of total / count, for a sum of count outer products."""
     matrix = total / count
     return 0.5 * (matrix + matrix.conj().T)
-
-
-def closure_covariances(
-    forward: ForwardMatrix,
-    scenario: Scenario,
-    geometry: SceneGeometry,
-    cov: PerturbationCovariance,
-    count: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear- and exact-mode sample covariances of one draw of ``count`` samples.
-
-    The one-model case of :func:`shared_closure_covariances`; its error is
-    raised.
-    """
-    (outcome,) = shared_closure_covariances([(forward, scenario, cov)], geometry, count, seed)
-    if isinstance(outcome, GprClutterError):
-        raise outcome
-    return outcome
 
 
 def shared_closure_covariances(

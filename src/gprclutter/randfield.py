@@ -209,24 +209,13 @@ class PerturbationCovariance:
         return _cholesky(self.spatial_factor, "spatial factor")
 
     @functools.cached_property
-    def _spatial_eigh(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Eigenvalues of C and its eigenvectors, as (U,) or as (U_x, U_z).
-
-        Separable: lam_x x lam_z + nugget, with eigenvectors U_x x U_z in
-        the same order.
-        """
-        if self.spatial_axes is None:
-            lam, vectors = np.linalg.eigh(self._dense)
-            return lam, (vectors,)
+    def _spatial_eigh(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Eigenvalues lam_x x lam_z + nugget of a separable C, and its
+        eigenvectors U_x x U_z in the same order, as (U_x, U_z)."""
         (lam_x, u_x), (lam_z, u_z) = (np.linalg.eigh(f) for f in self.spatial_axes)
         lam = np.outer(lam_x, lam_z).ravel()
         lam += _STORED_NUGGET
         return lam, (u_x, u_z)
-
-    @property
-    def spatial_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of C, in the column order of :meth:`spatial_mode_product`."""
-        return self._spatial_eigh[0]
 
     def spatial_product(self, block: np.ndarray) -> np.ndarray:
         """block @ C for a real (m, P) block."""
@@ -235,14 +224,6 @@ class PerturbationCovariance:
         product = _kron_rows(block, *self.spatial_axes)
         product += _STORED_NUGGET * block
         return product
-
-    def spatial_mode_product(self, block: np.ndarray) -> np.ndarray:
-        """block @ U for a real (m, P) block, U the eigenvectors of C as columns."""
-        vectors = self._spatial_eigh[1]
-        if self.spatial_axes is None:
-            return block @ vectors[0]
-        u_x, u_z = vectors
-        return _kron_rows(block, u_x.T, u_z.T)
 
     def with_amplitude(self, amplitude: float) -> "PerturbationCovariance":
         """The same factors, and their cached factorizations, at another amplitude."""

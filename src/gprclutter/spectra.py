@@ -19,7 +19,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, SizeCapError, UndefinedSpectrumError
+from .errors import ConfigError, InvariantError, UndefinedSpectrumError
 from .forward import ForwardMatrix, SteeringVector
 from .randfield import PerturbationCovariance
 
@@ -31,9 +31,6 @@ HERMITIAN_RTOL = 1e-12
 NEGATIVE_EIG_RTOL = 1e-10
 
 DEFAULT_RHO_LEVELS = (0.9, 0.95)
-
-#: modal_decomposition refuses perturbation dimensions above this.
-MATERIALIZE_ROW_CAP = 10_000
 
 PROVENANCES = ("theoretical", "monte-carlo-exact")
 
@@ -99,21 +96,6 @@ class SpectralSummary:
         }
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class ModalDecomposition:
-    """Perturbation modes mapped through the forward operator.
-
-    ``mode_weights`` are the eigenvalues of R_mu (descending),
-    ``modes`` their observation-domain images A u as columns, and
-    ``reconstruction`` the weighted superposition of the modal outer
-    products, equal to the clutter covariance.
-    """
-
-    mode_weights: np.ndarray
-    modes: np.ndarray
-    reconstruction: np.ndarray
-
-
 def clutter_covariance(
     forward: ForwardMatrix, cov: PerturbationCovariance
 ) -> ClutterCovariance:
@@ -166,93 +148,6 @@ def _kernel_product(operation, kernels: np.ndarray) -> np.ndarray:
     n_rows = kernels.shape[0]
     product = operation(np.concatenate((kernels.real, kernels.imag)))
     return product[:n_rows] + 1j * product[n_rows:]
-
-
-def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a small symmetric PSD matrix.
-
-    Unlike QR-based solvers, Jacobi reaches high relative accuracy on badly
-    graded positive semidefinite matrices: its backward error at entry
-    (i, j) scales with sqrt(a_ii a_jj) instead of the largest eigenvalue.
-    The parameter factor mixes channels whose physical units differ by many
-    orders of magnitude and the forward operator inverts that grading, so
-    this property is what keeps modal reconstructions exact.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    vectors = np.eye(n)
-    for _ in range(60):
-        converged = True
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                threshold = 1e-16 * math.sqrt(abs(a[i, i] * a[j, j]))
-                if abs(a[i, j]) <= threshold:
-                    continue
-                converged = False
-                gap = a[j, j] - a[i, i]
-                if abs(gap) + 100.0 * abs(a[i, j]) == abs(gap):
-                    # a_ij is negligible against the gap: t = 1 / (2 spread)
-                    # to working precision, and spread itself could overflow.
-                    t = a[i, j] / gap
-                else:
-                    spread = gap / (2.0 * a[i, j])
-                    t = math.copysign(1.0, spread) / (abs(spread) + math.hypot(1.0, spread))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                shift = t * a[i, j]
-                row_i, row_j = a[i].copy(), a[j].copy()
-                a[i] = c * row_i - s * row_j
-                a[j] = s * row_i + c * row_j
-                col_i, col_j = a[:, i].copy(), a[:, j].copy()
-                a[:, i] = c * col_i - s * col_j
-                a[:, j] = s * col_i + c * col_j
-                a[i, i] = row_i[i] - shift
-                a[j, j] = row_j[j] + shift
-                a[i, j] = a[j, i] = 0.0
-                v_i, v_j = vectors[:, i].copy(), vectors[:, j].copy()
-                vectors[:, i] = c * v_i - s * v_j
-                vectors[:, j] = s * v_i + c * v_j
-        if converged:
-            break
-    return np.diag(a).copy(), vectors
-
-
-def modal_decomposition(
-    forward: ForwardMatrix, cov: PerturbationCovariance
-) -> ModalDecomposition:
-    """Eigendecompose R_mu and map its modes through the forward operator.
-
-    Uses the Kronecker eigenstructure eig(B x C) = eig(B) x eig(C): the
-    graded parameter factor goes through the relative-accuracy Jacobi
-    solver and the well-scaled spatial correlation factor through the
-    standard Hermitian solver, so the mapped modes stay accurate despite
-    the spread of physical units across channels. A separable spatial
-    factor contributes eig(C_x) x eig(C_z), with the nugget added to the
-    products of the axis eigenvalues; its eigenvectors reach K through the
-    two axis factors.
-    """
-    if cov.dim > MATERIALIZE_ROW_CAP:
-        raise SizeCapError(
-            f"refusing a modal decomposition of dimension {cov.dim} (cap {MATERIALIZE_ROW_CAP})"
-        )
-    if forward.shape[1] != cov.dim:
-        raise ConfigError(
-            f"forward operator expects {forward.shape[1]} perturbation entries, "
-            f"covariance has {cov.dim}"
-        )
-    lam_param, u_param = jacobi_eigh(cov.param_factor)
-    weights = cov.amplitude**2 * np.outer(lam_param, cov.spatial_eigenvalues).ravel()
-    # Mode (i, j) is A (u_param_i x u_spatial_j) = (Psi^T u_param_i) o (K u_spatial_j).
-    mapped = _kernel_product(cov.spatial_mode_product, forward.kernels)  # K U, (MN, P)
-    coupling = forward.row_sensitivities().T @ u_param      # (MN, 5)
-    modes = (coupling[:, :, None] * mapped[:, None, :]).reshape(forward.shape[0], cov.dim)
-    order = np.argsort(weights, kind="stable")[::-1]
-    weights = np.clip(weights[order], 0.0, None)
-    modes = np.ascontiguousarray(modes[:, order])
-    reconstruction = (modes * weights) @ modes.conj().T
-    return ModalDecomposition(
-        mode_weights=weights, modes=modes, reconstruction=reconstruction
-    )
 
 
 def _validated_eigensystem(cov: ClutterCovariance) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 """Shared fixtures: registry, geometries, and covariance helpers."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from gprclutter import (
     build_default_geometry,
     scenario_registry,
 )
-from gprclutter.harness.experiments import clear_memos
-from gprclutter.montecarlo import sample_covariance
+from gprclutter.errors import GprClutterError
+from gprclutter.harness.config import ExperimentConfig
+from gprclutter.harness.experiments import clear_memos, run_validity_scan
+from gprclutter.montecarlo import sample_covariance, shared_closure_covariances
 
 ACCEPTANCE_LINES = []
 
@@ -60,6 +64,16 @@ def tiny_geometry():
     ))
 
 
+@pytest.fixture(scope="session")
+def default_validity_scan():
+    """``run_validity_scan`` at the default configuration and seed, and its
+    wall time in seconds. It is the slowest experiment at the default size,
+    so the tests that read it share one run."""
+    started = time.perf_counter()
+    result = run_validity_scan(ExperimentConfig())
+    return result, time.perf_counter() - started
+
+
 def default_covariance(scenario, geometry, **overrides):
     kwargs = dict(
         corr_length=0.15,
@@ -92,3 +106,14 @@ def closure_statistic(theory, pseudo, snapshots, block_count=16):
               for k in range(block_count)]
     level = np.trace(theory).real ** 2 + np.linalg.norm(pseudo) ** 2
     return float(n * np.mean(errors) / level)
+
+
+def closure_covariances(forward, scenario, geometry, cov, count, seed):
+    """Linear- and exact-mode sample covariances of one draw of ``count`` samples.
+
+    The one-model case of ``shared_closure_covariances``; its error is raised.
+    """
+    (outcome,) = shared_closure_covariances([(forward, scenario, cov)], geometry, count, seed)
+    if isinstance(outcome, GprClutterError):
+        raise outcome
+    return outcome

@@ -11,8 +11,19 @@ import time
 import numpy as np
 import pytest
 
-from conftest import closure_statistic, default_covariance, record_acceptance
-from oracles import dense_entries, materialize_full, pseudo_covariance, sample_perturbations_dense
+from conftest import (
+    closure_covariances,
+    closure_statistic,
+    default_covariance,
+    record_acceptance,
+)
+from oracles import (
+    dense_entries,
+    materialize_full,
+    modal_decomposition,
+    pseudo_covariance,
+    sample_perturbations_dense,
+)
 
 from gprclutter import (
     GeometryConfig,
@@ -23,7 +34,6 @@ from gprclutter import (
     build_spatial_factor,
     clutter_covariance,
     finite_difference_check,
-    modal_decomposition,
     scale_covariance,
     scenario_registry,
     spectral_summary,
@@ -31,10 +41,8 @@ from gprclutter import (
     target_overlap,
 )
 from gprclutter.montecarlo import (
-    closure_covariances,
     closure_from_covariances,
     snapshots_from_perturbations,
-    validity_scan,
 )
 from gprclutter.randfield import PerturbationCovariance, sample_perturbations
 
@@ -97,19 +105,6 @@ def summaries(theories):
 
 
 @pytest.fixture(scope="module")
-def validity_results(registry, geometry, forwards, default_covariances):
-    started = time.perf_counter()
-    reports = {
-        sid: validity_scan(
-            forwards[sid], registry[sid], geometry, default_covariances[sid],
-            sample_count=200, threshold=0.05, seed=SEED,
-        )
-        for sid in registry
-    }
-    return reports, time.perf_counter() - started
-
-
-@pytest.fixture(scope="module")
 def closure_results(registry, geometry, forwards, default_covariances, theories):
     """Closure reports, and the inputs of the statistic T, per physical scenario."""
     started = time.perf_counter()
@@ -142,8 +137,13 @@ def test_criterion_1_derivative_validation(registry, geometry):
              f"max rel error {worst:.2e} < 1e-5, runtime {elapsed:.2f}s < 5s")
 
 
-def test_criterion_2_validity_scan(validity_results):
-    reports, elapsed = validity_results
+def test_criterion_2_validity_scan(registry, default_validity_scan):
+    # The CLI's scan-validity at the default configuration: seed SEED, 200
+    # samples, threshold 0.05, every scenario.
+    result, elapsed = default_validity_scan
+    reports = result.reports
+    assert result.table.provenance["seed"] == SEED
+    assert all((r.sample_count, r.threshold) == (200, 0.05) for r in reports.values())
     worst_p95 = 0.0
     recommended_ok = True
     slopes = []
@@ -154,7 +154,8 @@ def test_criterion_2_validity_scan(validity_results):
         slopes.append(np.polyfit(np.log(report.amplitude_grid),
                                  np.log(report.p95_snapshot_error), 1)[0])
     slopes_ok = all(0.7 <= s <= 1.5 for s in slopes)
-    ok = worst_p95 < 0.05 and recommended_ok and slopes_ok and elapsed < 120.0
+    ok = (result.ok and set(reports) == set(registry) and worst_p95 < 0.05
+          and recommended_ok and slopes_ok and elapsed < 120.0)
     _verdict(2, "validity scan", ok,
              f"worst p95 {worst_p95:.3f} < 0.05, recommended 4.0 everywhere: "
              f"{recommended_ok}, slopes {min(slopes):.2f}..{max(slopes):.2f} in "

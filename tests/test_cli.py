@@ -20,7 +20,8 @@ from gprclutter import (
     montecarlo,
     spectral_summary,
 )
-from gprclutter.errors import TauFloorError
+from gprclutter.constitutive import ColeColeParams
+from gprclutter.errors import GprClutterError, TauFloorError
 from gprclutter.harness import experiments
 from gprclutter.harness.cli import main
 from gprclutter.harness.cmat import load_matrix
@@ -385,6 +386,57 @@ def test_failing_scenario_is_recorded_and_report_finishes(tmp_path, capsys):
     assert json.loads(open(os.path.join(out, "baseline_summaries.json")).read()) == {}
     assert os.path.exists(os.path.join(out, "config.yaml"))
     assert "configuration error" not in capsys.readouterr().err
+
+
+#: Per subcommand: the table it writes and the experiment layer that fails
+#: for one scenario. "report" runs run_boundary(which="both").
+_FAILING_LAYERS = {
+    "check-derivatives": ("derivative_check", "finite_difference_check"),
+    "scan-validity": ("validity_scan", "validity_scan"),
+    "kernel-diff": ("kernel_diff", "assemble_forward"),
+    "closure": ("closure", "assemble_forward"),
+    "scan-fda": ("fda_scan", "steering_vector"),
+    "scan-lx": ("lx_scan", "assemble_forward"),
+    "scan-coupling": ("coupling_scan", "steering_vector"),
+    "scan-targets": ("target_scan", "assemble_forward"),
+    "boundary-scale": ("boundary", "steering_vector"),
+    "boundary-noise": ("boundary", "assemble_forward"),
+    "report": ("boundary", "steering_vector"),
+}
+
+
+@pytest.mark.parametrize("command", _FAILING_LAYERS)
+def test_every_experiment_records_a_failing_scenario_and_goes_on(tmp_path, monkeypatch,
+                                                                 command):
+    # S4 comes first in every experiment and its layer fails: the error is
+    # recorded under its id, S1 still writes its rows, and the run exits 2.
+    table, layer = _FAILING_LAYERS[command]
+    background = get_scenario("S4").background
+    original = getattr(experiments, layer)
+
+    def failing(*args, **kwargs):
+        if any(getattr(arg, "id", None) == "S4"
+               or isinstance(arg, ColeColeParams) and arg == background for arg in args):
+            raise GprClutterError(f"{layer} failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, layer, failing)
+    config = tmp_path / "failing.yaml"
+    config.write_text(
+        "scenarios: [S4, S1]\n"
+        "geometry: {n_tx: 2, n_rx: 2, n_x: 3, n_z: 2}\n"
+        "random_field: {sample_count: 16}\n"
+        "experiments: {validity_sample_count: 4, lx_scan_scenario: S4, coupling_scenario: S4,\n"
+        "              boundary_scenarios: [S4, S1], kernel_diff_scenarios: [S4, S1]}\n"
+    )
+    out = tmp_path / "results"
+    assert main(["--config", str(config), "--out", str(out), command]) == 2
+    assert json.loads((out / f"{table}_errors.json").read_text()) == {"S4": f"{layer} failed"}
+    rows = json.loads((out / f"{table}.json").read_text())["rows"]
+    key = "from_scenario" if table == "kernel_diff" else "scenario"
+    # scan-lx and scan-coupling run their one scenario only.
+    others = set() if command in ("scan-lx", "scan-coupling") else {"S1"}
+    assert {row[key] for row in rows} == others
 
 
 def test_report_without_a_free_space_reference_writes_every_file(tmp_path, capsys):

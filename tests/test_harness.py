@@ -41,6 +41,7 @@ from gprclutter import forward as forward_module
 from gprclutter import scene
 from gprclutter.constitutive import PARAMETER_NAMES
 from gprclutter.montecarlo import SAMPLE_BLOCK
+from conftest import closure_covariances
 from oracles import finite_difference_errors
 
 #: The golden gate's bound on a finite-difference error: rounding noise.
@@ -140,9 +141,9 @@ def test_fda_scan_builds_one_distance_table_per_geometry(monkeypatch):
     assert sizes.count(1) == 6 and len(sizes) == 9
 
 
-def test_validity_scan_recommends_full_amplitude_everywhere():
+def test_validity_scan_recommends_full_amplitude_everywhere(default_validity_scan):
     config = _config()
-    result = run_validity_scan(config)
+    result = default_validity_scan[0]
     assert result.ok
     assert set(result.reports) == set(config.scenarios)
     for row in result.table.rows:
@@ -283,7 +284,7 @@ def test_shared_closure_stream_equals_the_per_scenario_path(monkeypatch, block):
         forward = assemble_forward(scenario, geometry)
         cov = build_covariance(scenario, geometry.cell_centers, rf.corr_length, rf.rho_c,
                                rf.weights, rf.amplitude, rf.kernel)
-        solo = montecarlo.closure_covariances(
+        solo = closure_covariances(
             forward, scenario, geometry, cov, rf.sample_count, rf.seed)
         for name, rhat in zip(("rhat_linear", "rhat_exact"), solo):
             assert result.matrices[f"closure_{sid}_{name}"].tobytes() == rhat.tobytes()

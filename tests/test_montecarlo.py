@@ -24,7 +24,6 @@ from gprclutter.errors import ConfigError, DomainError, TauFloorError, Undefined
 from gprclutter.montecarlo import (
     SNAPSHOT_MODES,
     NearestRankSelector,
-    closure_covariances,
     closure_from_covariances,
     nearest_rank_percentile,
     sample_covariance,
@@ -40,7 +39,7 @@ from gprclutter.randfield import (
     sample_perturbations,
 )
 from gprclutter.spectra import ClutterCovariance
-from conftest import closure_statistic
+from conftest import closure_covariances, closure_statistic
 from oracles import dense_entries, exact_contrast, green_kernel, pseudo_covariance
 
 

@@ -22,7 +22,7 @@ from gprclutter.randfield import (
     standard_normal_draws,
 )
 from gprclutter.scene import Scenario
-from oracles import materialize_full, sample_perturbations_dense
+from oracles import materialize_full, sample_perturbations_dense, spatial_eigenpairs
 
 
 def _line_cells(count, spacing=0.05):
@@ -54,9 +54,9 @@ def _grid_covariance(n_x=3, n_z=4, corr_length=0.1, rho_c=0.3, amplitude=1.0):
 
 
 def _eigen_root(cov):
-    # S = U diag(sqrt(lam)) through the public eigen-interface of the factor.
-    vectors = cov.spatial_mode_product(np.eye(cov.n_cells))
-    return vectors * np.sqrt(cov.spatial_eigenvalues)
+    # S = U diag(sqrt(lam)) from the eigenpairs of the factor.
+    lam, vectors = spatial_eigenpairs(cov)
+    return vectors * np.sqrt(lam)
 
 
 def test_spatial_diagonal_carries_the_nugget():
@@ -347,11 +347,11 @@ def test_tensor_grid_with_squared_exponential_kernel_is_separable():
     assert c_x.shape == (25, 25) and c_z.shape == (21, 21)
     assert cov.n_cells == 525 and cov.dim == 2625
     assert "spatial_factor" not in cov.__dict__
-    lam = cov.spatial_eigenvalues
+    lam = spatial_eigenpairs(cov)[0]
     scaled = cov.with_amplitude(2.0)
     assert scaled.amplitude == 2.0 and cov.amplitude == 1.0
     assert scaled.spatial_axes is cov.spatial_axes
-    assert scaled.spatial_eigenvalues is lam  # the eigenpairs are carried, not recomputed
+    assert spatial_eigenpairs(scaled)[0] is lam  # the eigenpairs are carried, not recomputed
 
 
 def _permuted_grid_cells():

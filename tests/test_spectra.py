@@ -17,7 +17,6 @@ from gprclutter import (
     clutter_covariance,
     get_scenario,
     scenario_registry,
-    modal_decomposition,
     scale_covariance,
     spectral_summary,
     steering_vector,
@@ -26,7 +25,6 @@ from gprclutter import (
 from gprclutter.errors import (
     ConfigError,
     InvariantError,
-    SizeCapError,
     UndefinedSpectrumError,
 )
 from gprclutter.montecarlo import validity_scan
@@ -36,9 +34,16 @@ from gprclutter.randfield import (
     build_covariance,
     sample_perturbations,
 )
-from gprclutter.spectra import ClutterCovariance, _canonical_phases, jacobi_eigh
+from gprclutter.spectra import ClutterCovariance, _canonical_phases
 from gprclutter.forward import ForwardMatrix
-from oracles import canonical_phases, dense_entries, materialize_full
+from oracles import (
+    canonical_phases,
+    dense_entries,
+    jacobi_eigh,
+    materialize_full,
+    modal_decomposition,
+    spatial_eigenpairs,
+)
 
 
 def _toy_setup(n_x=2, n_z=1, rho_c=0.3, amplitude=1.0, corr_length=0.1):
@@ -107,7 +112,7 @@ def test_factored_covariance_matches_dense_oracle(
 
 
 def test_factored_covariance_matches_dense_oracle_at_default_size(geometry, make_covariance):
-    # 8x8 array, 25x21 grid: 5P = 2625 stays under the materialization cap.
+    # 8x8 array, 25x21 grid: 5P = 2625, the default size.
     scenario = get_scenario("S4")
     _assert_matches_dense_oracle(
         assemble_forward(scenario, geometry), make_covariance(scenario, geometry))
@@ -120,7 +125,6 @@ def test_structural_path_never_assembles_the_dense_operator(geometry, make_covar
     summary = spectral_summary(clutter_covariance(forward, cov))
     steering = steering_vector(geometry, scenario, (0.0, 0.0, 0.2625))
     target_overlap(summary, steering, summary.p_rho[0.9])
-    modal_decomposition(forward, cov)
     assert not hasattr(ForwardMatrix, "entries")
     assert not hasattr(forward, "entries")
 
@@ -161,8 +165,8 @@ def test_separable_covariance_matches_dense_factor(
     assert _within(modal_decomposition(forward, separable).reconstruction,
                    modal_decomposition(forward, dense).reconstruction)
     # The sampler's eigen root S = U diag(sqrt(lam)) squares to the dense factor.
-    root = (separable.spatial_mode_product(np.eye(separable.n_cells))
-            * np.sqrt(separable.spatial_eigenvalues))
+    lam, vectors = spatial_eigenpairs(separable)
+    root = vectors * np.sqrt(lam)
     assert np.abs(root @ root.T - dense_factor).max() <= 1e-12 * np.abs(dense_factor).max()
 
 
@@ -179,7 +183,6 @@ def test_default_geometry_never_forms_the_dense_spatial_factor(
     cov = make_covariance(scenario, geometry)
     assert cov.spatial_axes is not None
     clutter_covariance(forward, cov)
-    modal_decomposition(forward, cov)
     sample_perturbations(cov, 3, seed=0)
     validity_scan(forward, scenario, geometry, cov, amplitude_grid=(0.5, 1.0),
                   sample_count=3, seed=0)
@@ -237,17 +240,6 @@ def test_rank_one_perturbation_covariance_gives_rank_one_clutter():
     b = modal.modes[:, 0]
     rank_one = lam * np.outer(b, b.conj())
     assert np.linalg.norm(rank_one - result.matrix) / np.linalg.norm(result.matrix) < 1e-10
-
-
-def test_modal_cap_refusal():
-    # 69 x 29 cells: 5P = 10005 rows, just over MATERIALIZE_ROW_CAP.
-    geometry = build_default_geometry(GeometryConfig(n_tx=1, n_rx=1, n_x=69, n_z=29))
-    scenario = get_scenario("S_syn")
-    cov = build_covariance(scenario, geometry.cell_centers, 0.1, 0.3, np.ones(5), 1.0)
-    with pytest.raises(SizeCapError, match="10005"):
-        modal_decomposition(assemble_forward(scenario, geometry), cov)
-    assert "spatial_factor" not in cov.__dict__
-    assert "_spatial_eigh" not in cov.__dict__
 
 
 def test_jacobi_matches_lapack_on_benign_matrices():
