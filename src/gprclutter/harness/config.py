@@ -146,7 +146,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     try:
-        data = yaml.safe_load(io.StringIO(text))
+        # libyaml's loader where PyYAML was built with it, as YAML_DUMPER.
+        data = yaml.load(io.StringIO(text), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
     if data is None:

@@ -196,10 +196,11 @@ class _Scene:
         field = dataclasses.replace(self.config.random_field, seed=DEFAULT_SEED, sample_count=1)
         key = (self.scenario.id, self.config.geometry, field)
         if key not in _BASELINES:
-            # An operator built here is not kept: scan-fda goes on to build
-            # its operators at other frequency increments.
-            forward = vars(self).get("forward") or assemble_forward(self.scenario, self.geometry)
-            covariance = clutter_covariance(forward, self.cov)
+            # The operator is not kept: no experiment that reads the baseline
+            # reads ``forward``, and scan-fda builds its own operators at other
+            # frequency increments.
+            covariance = clutter_covariance(assemble_forward(self.scenario, self.geometry),
+                                            self.cov)
             entry = covariance, spectral_summary(covariance)
             if len(_BASELINES) == BASELINE_MEMO_SIZE:
                 del _BASELINES[next(iter(_BASELINES))]

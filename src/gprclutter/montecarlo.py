@@ -15,21 +15,20 @@ compares them with the theory. Synthesis is noise-free throughout: the
 additive noise floor enters analytically downstream. A forward operator
 assembled on another geometry than the one passed is refused.
 
-Memory does not grow with the sample count times 5P. Samples are drawn,
-synthesized and accumulated in blocks of at most SAMPLE_BLOCK samples and
-SAMPLE_BLOCK_BYTES bytes of samples, so a block shrinks at large P.
+Memory does not grow with the sample count times 5P. Both Monte Carlo
+passes draw, synthesize and reduce the samples in the blocks of
+:func:`_block_starts`, at most SAMPLE_BLOCK samples and SAMPLE_BLOCK_BYTES
+bytes of samples, so a block shrinks at large P. Within a block, exact
+contrast is evaluated in chunks of at most EXACT_CHUNK_VALUES values.
 Closure draws each block's standard normals once for all scenarios and
-holds that block, one scenario's samples and snapshots of it, and one
-MN x MN sum of y y^H per mode and scenario. The validity scan fills its
-(L, 5P) base samples one block at a time and keeps the (L, MN) linear
-snapshots and the L per-sample snapshot errors of each amplitude. It runs
-over the exact chunks, and within each chunk over the amplitudes, so the
-linear contrast of a chunk is formed once. Each amplitude's L N P contrast
-errors stream, one chunk at a time, into its own
+reduces the block's snapshots into one MN x MN sum of y y^H per mode and
+scenario. The validity scan synthesizes a block's linear snapshots once
+and runs, per chunk, over the amplitudes, so a chunk's linear contrast is
+also formed once. It keeps the L per-sample snapshot errors of each
+amplitude; each amplitude's L N P contrast errors stream into its own
 :class:`NearestRankSelector`, which keeps only candidates for the values
 above the percentile's rank: at most 1.25 times a twentieth of the pool at
-the 95th percentile. Exact contrast is evaluated in chunks of at most
-EXACT_CHUNK_VALUES values.
+the 95th percentile.
 """
 
 from __future__ import annotations
@@ -472,28 +471,29 @@ def validity_scan(
 
     _check_forward(forward, scenario, geometry)
     unit = cov_template.with_amplitude(1.0)
-    base = np.empty((sample_count, unit.dim))
-    for start, size in _block_starts(unit.dim, sample_count):
-        base[start:start + size] = sample_perturbations(unit, size, seed, start=start)
-    # The linear snapshot is homogeneous in the amplitude: synthesize it once.
-    y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
     # Per amplitude: one selector of the contrast errors and the relative
     # snapshot errors, both filled chunk by chunk.
     selectors = [NearestRankSelector(sample_count * geometry.frequencies.size
                                      * geometry.n_cells, 0.95) for _ in grid]
     snapshot_errors = np.empty((len(grid), sample_count))
-    for rows in _exact_chunks(geometry, sample_count):
-        # The linear contrast is homogeneous in the amplitude too: once per chunk.
-        linear = _linear_contrast(forward, base[rows])
-        y_exact = np.empty_like(y_lin[rows])
-        for s, selector, rel in zip(grid, selectors, snapshot_errors):
-            contrast = _exact_contrast(scenario, geometry, base[rows], scale=s, start=rows.start)
-            _born_sum(forward, contrast, y_exact)
-            norms = np.linalg.norm(y_exact, axis=1)
-            rel[rows] = (np.linalg.norm(y_exact - s * y_lin[rows], axis=1)
-                         / np.maximum(norms, DENOMINATOR_FLOOR))
-            selector.add(_contrast_errors(contrast, linear, s))
-            del contrast  # freed before the next amplitude's evaluation
+    for start, size in _block_starts(unit.dim, sample_count):
+        base = sample_perturbations(unit, size, seed, start=start)
+        # The linear snapshot is homogeneous in the amplitude: synthesize it once.
+        y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
+        for rows in _exact_chunks(geometry, size):
+            # The linear contrast is homogeneous in the amplitude too: once per chunk.
+            linear = _linear_contrast(forward, base[rows])
+            y_exact = np.empty_like(y_lin[rows])
+            ensemble = slice(start + rows.start, start + rows.stop)
+            for s, selector, rel in zip(grid, selectors, snapshot_errors):
+                contrast = _exact_contrast(scenario, geometry, base[rows], scale=s,
+                                           start=ensemble.start)
+                _born_sum(forward, contrast, y_exact)
+                norms = np.linalg.norm(y_exact, axis=1)
+                rel[ensemble] = (np.linalg.norm(y_exact - s * y_lin[rows], axis=1)
+                                 / np.maximum(norms, DENOMINATOR_FLOOR))
+                selector.add(_contrast_errors(contrast, linear, s))
+                del contrast  # freed before the next amplitude's evaluation
     p95_contrast = [selector.value() for selector in selectors]
     p95_snapshot = [nearest_rank_percentile(rel, 0.95) for rel in snapshot_errors]
 

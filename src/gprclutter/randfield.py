@@ -142,11 +142,11 @@ class PerturbationCovariance:
     ``spatial_factor`` with the nugget, or separable, as the pair
     ``spatial_axes = (C_x, C_z)`` of n_x x n_x and n_z x n_z axis factors
     without it: for cells ordered p = ix * n_z + iz,
-    C = C_x x C_z + SPATIAL_NUGGET * I. Products with C, its square root
-    and its eigenvectors then go through the axis factors; the dense
-    ``spatial_factor`` is formed only when read, and the full 5P x 5P
-    matrix amplitude^2 * (param_factor x spatial_factor) never. Instances
-    are immutable.
+    C = C_x x C_z + SPATIAL_NUGGET * I. The form not given reads None.
+    Products with a separable C, its square root and its eigenvectors go
+    through the axis factors: its P x P matrix is never formed, nor, for
+    either form, the 5P x 5P matrix amplitude^2 * (param_factor x C).
+    Instances are immutable.
     """
 
     def __init__(
@@ -171,28 +171,18 @@ class PerturbationCovariance:
             axes = (_frozen_factor("spatial_axes[0]", c_x), _frozen_factor("spatial_axes[1]", c_z))
         self.__dict__.update(
             param_factor=_frozen_factor("param_factor", param),
+            spatial_factor=dense,
             spatial_axes=axes,
-            _dense=dense,
             amplitude=amplitude,
         )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @functools.cached_property
-    def spatial_factor(self) -> np.ndarray:
-        """The dense P x P spatial factor with the nugget."""
-        if self.spatial_axes is None:
-            return self._dense
-        factor = np.kron(*self.spatial_axes)
-        factor[np.diag_indices_from(factor)] += SPATIAL_NUGGET
-        factor.flags.writeable = False
-        return factor
-
     @property
     def n_cells(self) -> int:
         if self.spatial_axes is None:
-            return self._dense.shape[0]
+            return self.spatial_factor.shape[0]
         c_x, c_z = self.spatial_axes
         return c_x.shape[0] * c_z.shape[0]
 
@@ -206,6 +196,10 @@ class PerturbationCovariance:
 
     @functools.cached_property
     def spatial_cholesky(self) -> np.ndarray:
+        """The Cholesky factor of a dense C; a separable C is sampled
+        through its eigen root (see :func:`_mix`) and has none."""
+        if self.spatial_factor is None:
+            raise ConfigError("a separable spatial factor has no dense Cholesky factor")
         return _cholesky(self.spatial_factor, "spatial factor")
 
     @functools.cached_property
@@ -220,7 +214,7 @@ class PerturbationCovariance:
     def spatial_product(self, block: np.ndarray) -> np.ndarray:
         """block @ C for a real (m, P) block."""
         if self.spatial_axes is None:
-            return block @ self._dense
+            return block @ self.spatial_factor
         product = _kron_rows(block, *self.spatial_axes)
         product += _STORED_NUGGET * block
         return product

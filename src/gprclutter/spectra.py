@@ -143,11 +143,13 @@ def _kernel_product(operation, kernels: np.ndarray) -> np.ndarray:
     """K M for a real P-column operator M given as ``operation(X) = X M``.
 
     The operation runs once, on the real rows of K stacked over its
-    imaginary rows, and the two halves are recombined.
+    imaginary rows, and the two halves are written into one complex array.
     """
     n_rows = kernels.shape[0]
     product = operation(np.concatenate((kernels.real, kernels.imag)))
-    return product[:n_rows] + 1j * product[n_rows:]
+    result = np.empty((n_rows, product.shape[1]), dtype=complex)
+    result.real, result.imag = product[:n_rows], product[n_rows:]
+    return result
 
 
 def _validated_eigensystem(cov: ClutterCovariance) -> tuple[np.ndarray, np.ndarray]:

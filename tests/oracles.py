@@ -18,12 +18,22 @@ from gprclutter.constitutive import (
     eval_sensitivities,
 )
 from gprclutter.forward import background_wavenumber
-from gprclutter.randfield import standard_normal_draws
+from gprclutter.randfield import SPATIAL_NUGGET, standard_normal_draws
+
+
+def dense_spatial_factor(cov):
+    """The P x P spatial factor C with the nugget: the dense factor itself,
+    or C_x x C_z + SPATIAL_NUGGET * I of a separable one."""
+    if cov.spatial_axes is None:
+        return cov.spatial_factor
+    factor = np.kron(*cov.spatial_axes)
+    factor[np.diag_indices_from(factor)] += SPATIAL_NUGGET
+    return factor
 
 
 def materialize_full(cov):
     """The dense 5P x 5P covariance s^2 kron(B, C)."""
-    return cov.amplitude**2 * np.kron(cov.param_factor, cov.spatial_factor)
+    return cov.amplitude**2 * np.kron(cov.param_factor, dense_spatial_factor(cov))
 
 
 def dense_entries(forward):

@@ -223,3 +223,25 @@ def test_libyaml_and_python_dumpers_emit_identical_text(monkeypatch):
         texts[dumper] = (dump_config(config), config_hash(config))
     assert texts[yaml.SafeDumper] == texts[yaml.CSafeDumper]
     assert parse_config(texts[yaml.CSafeDumper][0]) == parse_config(ALL_OFF_DEFAULT)
+
+
+def test_libyaml_and_python_loaders_read_the_same_configs(monkeypatch):
+    yaml = pytest.importorskip("yaml")
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    from test_readme import _block
+
+    # YAML 1.1 reads 1.0e8 (no exponent sign) as a string under both.
+    documents = (_block("yaml"), ALL_OFF_DEFAULT, "geometry:\n  f0: 1.0e8\n")
+    malformed = "geometry: [unclosed\n"
+    for text in documents:
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader))
+    assert yaml.load(documents[2], Loader=yaml.CSafeLoader)["geometry"]["f0"] == "1.0e8"
+    configs = [parse_config(text) for text in documents]
+    with pytest.raises(ConfigError, match="malformed"):
+        parse_config(malformed)
+    monkeypatch.delattr(yaml, "CSafeLoader")  # parse_config falls back to SafeLoader
+    assert [parse_config(text) for text in documents] == configs
+    with pytest.raises(ConfigError, match="malformed"):
+        parse_config(malformed)

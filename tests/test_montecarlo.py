@@ -330,6 +330,36 @@ def test_validity_scan_never_holds_the_contrast_error_pool():
     assert peak < pool
 
 
+def test_validity_scan_holds_its_samples_one_block_at_a_time():
+    # From L to 4L samples the scan's own state grows by the selector's
+    # candidate buffer (twice while a merge concatenates it) and by the L
+    # snapshot errors per amplitude. Samples and snapshots are held one block
+    # at a time, so the traced peak grows by at most those plus one block;
+    # holding the (L, 5P) samples would add 3L x 5P floats.
+    geometry, scenario, forward, cov = _setup(sid="S4", n_x=8, n_z=6)
+    count, grid = 100, (0.5,)
+    values_per_sample = geometry.frequencies.size * geometry.n_cells
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            validity_scan(forward, scenario, geometry, cov, amplitude_grid=grid,
+                          sample_count=samples, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def buffer_bytes(samples):
+        return NearestRankSelector(samples * values_per_sample, 0.95)._buffer.nbytes
+
+    peak(count)  # first-call allocations
+    growth = peak(4 * count) - peak(count)
+    own = 2 * (buffer_bytes(4 * count) - buffer_bytes(count)) + 8 * len(grid) * 3 * count
+    block = 8 * montecarlo.SAMPLE_BLOCK * cov.dim
+    assert growth < own + block
+    assert growth < 8 * 3 * count * cov.dim
+
+
 def test_validity_scan_monotone_and_recommending():
     geometry, scenario, forward, cov = _setup(sid="S4")
     report = validity_scan(forward, scenario, geometry, cov,
@@ -462,7 +492,8 @@ def _tau_floor_hit(monkeypatch, scenario, geometry, sample, cell):
         starts.append(start)
         return draw(dim, count, seed, start=start)
 
-    # Closure mixes each drawn block itself; the scan draws whole samples.
+    # Closure mixes each drawn block itself; the scan draws each block
+    # through sample_perturbations.
     monkeypatch.setattr(montecarlo, "standard_normal_draws", drawing)
     monkeypatch.setattr(montecarlo, "_mix", lambda cov, normals: hit(mix(cov, normals), starts[-1]))
     monkeypatch.setattr(montecarlo, "sample_perturbations",
@@ -472,12 +503,13 @@ def _tau_floor_hit(monkeypatch, scenario, geometry, sample, cell):
 
 @pytest.mark.parametrize(
     ("count", "sample", "closure_rows", "scan_rows"),
-    [(40, 17, "15..29", "15..29"), (100, 70, "64..78", "60..74")],
+    [(40, 17, "15..29", "15..29"), (100, 70, "64..78", "64..78")],
 )
 def test_tau_floor_error_names_the_ensemble_sample(
     monkeypatch, count, sample, closure_rows, scan_rows
 ):
-    # Closure chunks each 64-sample block; the scan chunks the whole base.
+    # Both passes chunk each 64-sample block: sample 70 lies in the chunk of
+    # samples 64..78, the second block's first.
     geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
     _tau_floor_hit(monkeypatch, scenario, geometry, sample, 9)
     with pytest.raises(TauFloorError) as closure_error:

@@ -22,7 +22,12 @@ from gprclutter.randfield import (
     standard_normal_draws,
 )
 from gprclutter.scene import Scenario
-from oracles import materialize_full, sample_perturbations_dense, spatial_eigenpairs
+from oracles import (
+    dense_spatial_factor,
+    materialize_full,
+    sample_perturbations_dense,
+    spatial_eigenpairs,
+)
 
 
 def _line_cells(count, spacing=0.05):
@@ -346,7 +351,7 @@ def test_tensor_grid_with_squared_exponential_kernel_is_separable():
     c_x, c_z = cov.spatial_axes
     assert c_x.shape == (25, 25) and c_z.shape == (21, 21)
     assert cov.n_cells == 525 and cov.dim == 2625
-    assert "spatial_factor" not in cov.__dict__
+    assert cov.spatial_factor is None
     lam = spatial_eigenpairs(cov)[0]
     scaled = cov.with_amplitude(2.0)
     assert scaled.amplitude == 2.0 and cov.amplitude == 1.0
@@ -387,13 +392,15 @@ def test_separable_covariance_rejects_bad_inputs():
     with pytest.raises(ConfigError, match="exactly one"):
         PerturbationCovariance(cov.param_factor, amplitude=1.0)
     with pytest.raises(ConfigError, match="exactly one"):
-        PerturbationCovariance(cov.param_factor, cov.spatial_factor, amplitude=1.0,
+        PerturbationCovariance(cov.param_factor, dense_spatial_factor(cov), amplitude=1.0,
                                spatial_axes=cov.spatial_axes)
     with pytest.raises(ConfigError, match="correlation length"):
         build_covariance(get_scenario("S1"), build_default_geometry().cell_centers,
                          0.0, 0.3, np.ones(5), 1.0)
     with pytest.raises(AttributeError):
         cov.amplitude = 2.0
+    with pytest.raises(ConfigError, match="no dense Cholesky"):
+        cov.spatial_cholesky
 
 
 @pytest.mark.parametrize("axis", [0, 1])
