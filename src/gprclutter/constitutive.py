@@ -142,7 +142,7 @@ def _overflow_error(params: ColeColeParams, omega: float) -> DomainError:
 def _nonfinite_culprit(params: ColeColeParams, omega: float) -> str:
     if not np.isfinite(omega * params.tau):
         return "tau"
-    u = (1j * omega * params.tau) ** (1.0 - params.alpha)
+    u, _ = _cole_cole(*params.as_array(), omega)
     if not np.isfinite(u):
         return "alpha"
     if not np.isfinite(params.sigma / (omega * EPSILON_0)):

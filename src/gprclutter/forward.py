@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -48,31 +49,49 @@ def background_wavenumber(background: ColeColeParams, omega) -> complex | np.nda
     return complex(k) if k.ndim == 0 else k
 
 
-def _two_way_kernels(
-    background: ColeColeParams, geometry: SceneGeometry, table: DistanceTable
-) -> np.ndarray:
-    """Two-way kernels g(rx_m, x_q; omega_n) * g(x_q, tx_n; omega_n), shape (N, M, Q).
+def transmit_kernels(
+    background: ColeColeParams,
+    geometry: SceneGeometry,
+    table: DistanceTable | None = None,
+    out: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Two-way kernels one transmitter at a time: block n = 0, ..., N - 1, shape (M, Q).
 
-    ``table`` holds the antenna distances of the Q points. The Green
-    function (4 pi r included) is evaluated once per distinct distance and
-    distinct frequency, all wavenumbers in one call, and the tables of the
-    receivers and of each transmitter are gathered from it; equal inputs
-    give equal bits, so the kernels are those of an evaluation per pair.
-    Each frequency's product is written into the output.
+    Entry (m, q) of block n is g(rx_m, x_q; omega_n) * g(x_q, tx_n; omega_n)
+    for the Q points whose antenna distances ``table`` holds. Without a
+    table the points are the cells and each block carries the cell volume:
+    block n is then rows n M to (n + 1) M - 1 of the forward operator's
+    kernels. With ``out``, shape (N, M, Q), block n is written into
+    ``out[n]``; otherwise each block is a new array.
+
+    The Green function (4 pi r included) is evaluated when the first block
+    is asked for, once per distinct distance and distinct frequency, all
+    wavenumbers in one call, and the tables of the receivers and of each
+    transmitter are gathered from it; equal inputs give equal bits, so the
+    kernels are those of an evaluation per pair.
     """
-    # The output comes before the temporaries, which then free memory above
-    # it, not a hole below: allocated after them, it raised the peak memory
-    # of a closure run at P = 1728 by 0.9 MB.
-    kernels = np.empty((geometry.n_tx,) + table.rx_index.shape, dtype=complex)
+    volume = None
+    if table is None:
+        table, volume = geometry.cell_distances(), geometry.cell_volume
     r = table.distances
     frequencies, which = np.unique(geometry.frequencies, return_inverse=True)
     k = background_wavenumber(background, 2.0 * np.pi * frequencies)
-    greens = np.exp(-1j * k[:, None] * r)
+    greens = -1j * k[:, None] * r
+    np.exp(greens, out=greens)
     greens /= 4.0 * np.pi * r
+
+    # The blocks are formed in a function so this frame keeps none of them
+    # while the caller works on the next.
+    def block(n, green):
+        gathered = green[table.rx_index]
+        values = np.multiply(gathered, green[table.tx_index[n]],
+                             out=gathered if out is None else out[n])
+        if volume is not None:
+            values *= volume
+        return values
+
     for n, row in enumerate(which):
-        green = greens[row]
-        np.multiply(green[table.rx_index], green[table.tx_index[n]], out=kernels[n])
-    return kernels
+        yield block(n, greens[row])
 
 
 def born_kernel_tensor(background: ColeColeParams, geometry: SceneGeometry) -> np.ndarray:
@@ -83,8 +102,12 @@ def born_kernel_tensor(background: ColeColeParams, geometry: SceneGeometry) -> n
     contrast factored out. Shared by forward assembly and the exact-contrast
     snapshot synthesizer so both use identical kernels and discretization.
     """
-    kernels = _two_way_kernels(background, geometry, geometry.cell_distances())
-    kernels *= geometry.cell_volume
+    # The output comes before the Green table, which then frees memory above
+    # it, not a hole below: allocated after it, it raised the peak memory of
+    # a closure run at P = 1728 by 0.9 MB.
+    kernels = np.empty((geometry.n_tx, geometry.n_rx, geometry.n_cells), dtype=complex)
+    for _ in transmit_kernels(background, geometry, out=kernels):
+        pass
     return kernels
 
 
@@ -164,13 +187,8 @@ def assemble_forward(scenario: Scenario, geometry: SceneGeometry) -> ForwardMatr
     omegas = 2.0 * np.pi * geometry.frequencies
     psi = sensitivity_components(*scenario.background.as_array(), omegas)  # (5, N)
 
-    if not np.all(np.isfinite(kernels)):
-        row, p = divmod(int(np.flatnonzero(~np.isfinite(kernels.ravel()))[0]), n_cells)
-        n, m = divmod(row, n_rx)
-        raise AssemblyError(f"non-finite forward kernel at (m={m}, n={n}, p={p})")
-    if not np.all(np.isfinite(psi)):
-        q, n = divmod(int(np.flatnonzero(~np.isfinite(psi.ravel()))[0]), n_tx)
-        raise AssemblyError(f"non-finite forward sensitivity at (q={q}, n={n})")
+    check_kernels(kernels, n_rx)
+    check_sensitivities(psi)
 
     return ForwardMatrix(
         kernels=kernels,
@@ -191,7 +209,8 @@ def steering_vector(geometry: SceneGeometry, scenario: Scenario, target) -> Stee
     if target[2] <= 0.0:
         raise ConfigError(f"target depth must be positive, got z={float(target[2])!r}")
     table = distance_table(geometry, target[None, :])
-    values = _two_way_kernels(scenario.background, geometry, table).ravel()
+    values = np.concatenate(
+        [block.ravel() for block in transmit_kernels(scenario.background, geometry, table)])
     return SteeringVector(values=values / np.linalg.norm(values))
 
 
@@ -210,8 +229,10 @@ def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> f
         ||A_1 - A_2||^2 = sum_r |psi_1|^2 ||dK_r||^2 + |dpsi|^2 ||K_2,r||^2
                           + 2 Re(psi_1 conj(dpsi) <dK_r, K_2,r>),
 
-    each psi product summed over the 5 channels of row r. dK is the one
-    (M N, P) temporary. Equal operators give exactly 0.
+    each psi product summed over the 5 channels of row r. The row sums
+    (:func:`kernel_row_sums`) may be taken over any split of the rows, so
+    kernel-diff forms them one transmit block at a time. Equal operators
+    give exactly 0.
     """
     if candidate.shape != reference.shape:
         raise AssemblyError(
@@ -222,18 +243,56 @@ def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> f
             f"forward operators assembled on geometries {candidate.geometry_fingerprint} "
             f"and {reference.geometry_fingerprint}"
         )
-    kernels = reference.kernels
-    d_kernels = candidate.kernels - kernels
-    psi = candidate.row_sensitivities()
-    psi_reference = reference.row_sensitivities()
-    d_psi = psi - psi_reference
+    row_sums = kernel_row_sums(candidate.kernels, reference.kernels)
+    return relative_discrepancy(candidate.sensitivities, reference.sensitivities,
+                                candidate.n_rx, row_sums)
+
+
+def check_kernels(kernels: np.ndarray, n_rx: int, first_row: int = 0) -> None:
+    """Raise an AssemblyError naming the first non-finite entry of forward kernel rows.
+
+    ``kernels`` holds rows ``first_row`` onward of an operator's kernels,
+    row (m, n) -> n * n_rx + m.
+    """
+    finite = np.isfinite(kernels)
+    if not finite.all():
+        row, p = divmod(int(np.argmin(finite)), kernels.shape[1])
+        n, m = divmod(first_row + row, n_rx)
+        raise AssemblyError(f"non-finite forward kernel at (m={m}, n={n}, p={p})")
+
+
+def check_sensitivities(psi: np.ndarray) -> None:
+    """Raise an AssemblyError naming the first non-finite forward sensitivity psi[q, n]."""
+    finite = np.isfinite(psi)
+    if not finite.all():
+        q, n = divmod(int(np.argmin(finite)), psi.shape[1])
+        raise AssemblyError(f"non-finite forward sensitivity at (q={q}, n={n})")
+
+
+def kernel_row_sums(candidate: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, ...]:
+    """||dK_r||^2, ||K_r||^2 and <dK_r, K_r> of every row r, with dK = candidate - reference
+    and K = reference, two (rows, P) blocks of kernels. dK is the one temporary.
+    """
+    d_kernels = candidate - reference
     # Squared row norms on the float views: each (re, im) pair summed together.
     d_norms = _row_dots(d_kernels.view(float), d_kernels.view(float))
-    norms = _row_dots(kernels.view(float), kernels.view(float))
-    # <dK_r, K_2,r> = sum_p dK_rp conj(K_2,rp)
-    inner = (_row_dots(d_kernels.view(float), kernels.view(float))
-             + 1j * (_row_dots(d_kernels.imag, kernels.real)
-                     - _row_dots(d_kernels.real, kernels.imag)))
+    norms = _row_dots(reference.view(float), reference.view(float))
+    # <dK_r, K_r> = sum_p dK_rp conj(K_rp)
+    inner = (_row_dots(d_kernels.view(float), reference.view(float))
+             + 1j * (_row_dots(d_kernels.imag, reference.real)
+                     - _row_dots(d_kernels.real, reference.imag)))
+    return d_norms, norms, inner
+
+
+def relative_discrepancy(candidate_psi: np.ndarray, reference_psi: np.ndarray, n_rx: int,
+                         row_sums: tuple[np.ndarray, ...]) -> float:
+    """||A_1 - A_2|| / ||A_2|| from the sensitivities (5, N) of A_1 and A_2 and the
+    :func:`kernel_row_sums` of all their kernel rows, see :func:`forward_discrepancy`.
+    """
+    d_norms, norms, inner = row_sums
+    psi = np.repeat(candidate_psi, n_rx, axis=1)
+    psi_reference = np.repeat(reference_psi, n_rx, axis=1)
+    d_psi = psi - psi_reference
     total = (np.sum(np.abs(psi) ** 2, axis=0) @ d_norms
              + np.sum(np.abs(d_psi) ** 2, axis=0) @ norms
              + 2.0 * np.real(np.sum(psi * d_psi.conj(), axis=0) @ inner))

@@ -29,6 +29,13 @@ YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 WEIGHT_PRESETS = {"uniform": None, "permittivity": 0, "relaxation": 2, "conductivity": 4}
 
 
+def _check_each(key: str, values: tuple[float, ...], ok, rule: str) -> None:
+    """A ConfigError naming ``key[i]`` for the first value that is not ``ok``."""
+    for i, value in enumerate(values):
+        if not ok(value):
+            raise ConfigError(f"{key}[{i}] must {rule}, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class RandomFieldConfig:
     corr_length: float = 0.15
@@ -49,6 +56,13 @@ class RandomFieldConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.kernel not in SPATIAL_KERNELS:
             raise ConfigError(f"kernel must be one of {SPATIAL_KERNELS}, got {self.kernel!r}")
+        if self.corr_length <= 0.0:
+            raise ConfigError(f"corr_length must be positive, got {self.corr_length!r}")
+        if not 0.0 <= self.rho_c < 1.0:
+            raise ConfigError(f"rho_c must lie in [0, 1), got {self.rho_c!r}")
+        if self.amplitude < 0.0:
+            raise ConfigError(f"amplitude must be nonnegative, got {self.amplitude!r}")
+        _check_each("weights", self.weights, lambda w: w >= 0.0, "be nonnegative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,6 +103,15 @@ class ExperimentSettings:
             if preset not in WEIGHT_PRESETS:
                 raise ConfigError(f"weight_presets[{i}] must be one of "
                                   f"{tuple(WEIGHT_PRESETS)}, got {preset!r}")
+        _check_each("amplitude_grid", self.amplitude_grid, lambda s: s > 0.0, "be positive")
+        for i in range(1, len(self.amplitude_grid)):
+            if self.amplitude_grid[i] < self.amplitude_grid[i - 1]:
+                raise ConfigError(f"amplitude_grid[{i}] must not be below amplitude_grid[{i - 1}]"
+                                  f" (ascending), got {self.amplitude_grid[i]!r}")
+        _check_each("delta_f_grid", self.delta_f_grid, lambda f: f >= 0.0, "be nonnegative")
+        _check_each("corr_length_grid", self.corr_length_grid, lambda x: x > 0.0, "be positive")
+        _check_each("rho_c_grid", self.rho_c_grid, lambda r: 0.0 <= r < 1.0, "lie in [0, 1)")
+        _check_each("kappa_grid", self.kappa_grid, lambda k: k > 0.0, "be positive")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -16,9 +16,23 @@ import json
 import numpy as np
 
 from .. import __version__
-from ..constitutive import ColeColeParams, finite_difference_check, PARAMETER_NAMES
+from ..constitutive import (
+    ColeColeParams,
+    finite_difference_check,
+    PARAMETER_NAMES,
+    sensitivity_components,
+)
 from ..errors import GprClutterError
-from ..forward import ForwardMatrix, assemble_forward, forward_discrepancy, steering_vector
+from ..forward import (
+    ForwardMatrix,
+    assemble_forward,
+    check_kernels,
+    check_sensitivities,
+    kernel_row_sums,
+    relative_discrepancy,
+    steering_vector,
+    transmit_kernels,
+)
 from ..montecarlo import closure_from_covariances, shared_closure_covariances, validity_scan
 from ..randfield import PerturbationCovariance, build_covariance, build_param_factor
 from ..scene import (
@@ -215,16 +229,23 @@ class _Scene:
 
 
 @contextlib.contextmanager
-def _scene(result: ExperimentResult, config: ExperimentConfig, sid: str,
-           scenario: Scenario | None = None):
-    """The scene of scenario ``sid``. A failure in the body is recorded in
-    ``result`` and the batch goes on; nothing may raise before the yield."""
-    scene = _Scene(config, get_scenario(sid) if scenario is None else scenario,
-                   _geometry(config))
+def _recorded(result: ExperimentResult, sid: str):
+    """A failure in the body is recorded in ``result`` under ``sid`` and the batch goes on."""
     try:
-        yield scene
+        yield
     except GprClutterError as exc:
         result.errors[sid] = str(exc)
+
+
+@contextlib.contextmanager
+def _scene(result: ExperimentResult, config: ExperimentConfig, sid: str,
+           scenario: Scenario | None = None):
+    """The scene of scenario ``sid``, failures :func:`_recorded`; nothing may
+    raise before the yield."""
+    scene = _Scene(config, get_scenario(sid) if scenario is None else scenario,
+                   _geometry(config))
+    with _recorded(result, sid):
+        yield scene
 
 
 def clear_memos() -> None:
@@ -500,21 +521,53 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
     relative change of the observation operator when the medium moves from
     the start scenario to the destination. Rows against ``free_space``
     report the same quantity toward the vacuum-kernel surrogate.
+
+    No operator is assembled: the media's kernels are walked side by side,
+    one transmit block (M rows) at a time, with the checks of
+    :func:`assemble_forward`, and each pair keeps only the row sums
+    :func:`forward_discrepancy` reduces. A medium that fails is recorded
+    and its pairs are dropped.
     """
     exp = config.experiments
     result = _result(config, "kernel_diff", ("from_scenario", "to_scenario", "delta_a"))
-    forwards: dict[str, ForwardMatrix] = {}
-    sources = [(sid, None) for sid in exp.kernel_diff_scenarios]
-    for sid, scenario in sources + [("free_space", free_space_scenario())]:
-        with _scene(result, config, sid, scenario) as scene:
-            forwards[sid] = scene.forward
-    targets = [sid for sid in (*exp.kernel_diff_scenarios, "free_space") if sid in forwards]
+    geometry = _geometry(config)
+    n_rx, omegas = geometry.n_rx, 2.0 * np.pi * geometry.frequencies
+    media = {sid: get_scenario(sid) for sid in exp.kernel_diff_scenarios}
+    media["free_space"] = free_space_scenario()
+    walks, psi = {}, {}
+    for sid, scenario in media.items():
+        with _recorded(result, sid):
+            psi[sid] = sensitivity_components(*scenario.background.as_array(), omegas)
+            walks[sid] = transmit_kernels(scenario.background, geometry)
+    n_rows = geometry.n_tx * n_rx
+    sums = {(sid_from, sid_to): (np.empty(n_rows), np.empty(n_rows), np.empty(n_rows, complex))
+            for sid_from in exp.kernel_diff_scenarios for sid_to in media}
+    for n in range(geometry.n_tx):
+        blocks = {}
+        for sid in list(walks):
+            with _recorded(result, sid):
+                blocks[sid] = next(walks[sid])
+                check_kernels(blocks[sid], n_rx, n * n_rx)
+            if sid in result.errors:
+                del walks[sid]
+                blocks.pop(sid, None)
+        for (sid_from, sid_to), pair_sums in sums.items():
+            if sid_from in blocks and sid_to in blocks:
+                parts = kernel_row_sums(blocks[sid_to], blocks[sid_from])
+                for total, part in zip(pair_sums, parts):
+                    total[n * n_rx:(n + 1) * n_rx] = part
+    for sid in list(walks):
+        with _recorded(result, sid):
+            check_sensitivities(psi[sid])
+        if sid in result.errors:
+            del walks[sid]
     for sid_from in exp.kernel_diff_scenarios:
-        if sid_from not in forwards:
+        if sid_from not in walks:
             continue
-        for sid_to in targets:
+        for sid_to in walks:
             result.table.add_row(
                 from_scenario=sid_from, to_scenario=sid_to,
-                delta_a=forward_discrepancy(forwards[sid_to], forwards[sid_from]),
+                delta_a=relative_discrepancy(psi[sid_to], psi[sid_from], n_rx,
+                                             sums[sid_from, sid_to]),
             )
     return result

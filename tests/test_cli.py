@@ -29,13 +29,13 @@ from gprclutter.harness.config import load_config
 from oracles import dense_entries
 
 
-def _tiny_config(directory, corr_length=0.15):
+def _tiny_config(directory):
     """A config whose full report takes well under a second: 2 scenarios, 6x4 grid, L = 64."""
     path = directory / "tiny.yaml"
     path.write_text(
         "scenarios: [S1, S4]\n"
         "geometry: {n_x: 6, n_z: 4}\n"
-        f"random_field: {{sample_count: 64, corr_length: {corr_length!r}}}\n"
+        "random_field: {sample_count: 64, corr_length: 0.15}\n"
         "experiments: {validity_sample_count: 8}\n"
     )
     return str(path)
@@ -113,7 +113,9 @@ def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
     # a bare string was split into one-letter scenario ids. A string or list
     # field of the wrong type crashed with a bare TypeError or named no key,
     # a boolean was read as 1, a repeated weight preset ran twice, and
-    # unknown keys of mixed types crashed while being sorted.
+    # unknown keys of mixed types crashed while being sorted. An out-of-range
+    # grid or field value (a negative correlation length, a descending
+    # amplitude grid, rho_c >= 1, ...) exited 2 after the rows before it.
     cases = [
         ("experiments: {kappa_grid: [.nan]}\n", "boundary-scale", "kappa_grid"),
         ("experiments: {target_grid: []}\n", "scan-targets", "target_grid"),
@@ -148,6 +150,15 @@ def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
          "target_grid[0] must be numbers"),
         ("experiments: {weight_presets: [uniform, uniform]}\n", "scan-coupling",
          "weight_presets repeats"),
+        ("experiments: {corr_length_grid: [0.1, -0.2]}\n", "scan-lx", "corr_length_grid[1]"),
+        ("experiments: {amplitude_grid: [1.0, 0.5]}\n", "scan-validity", "amplitude_grid[1]"),
+        ("experiments: {kappa_grid: [0.0]}\n", "boundary-scale", "kappa_grid[0]"),
+        ("experiments: {rho_c_grid: [1.5]}\n", "scan-coupling", "rho_c_grid[0]"),
+        ("experiments: {delta_f_grid: [-1.0e+6]}\n", "scan-fda", "delta_f_grid[0]"),
+        ("random_field: {corr_length: -0.1}\n", "scan-lx", "corr_length must"),
+        ("random_field: {rho_c: 1.0}\n", "scan-coupling", "rho_c must"),
+        ("random_field: {amplitude: -1.0}\n", "boundary-scale", "amplitude must"),
+        ("random_field: {weights: [1, -1, 1, 1, 1]}\n", "scan-targets", "weights[1]"),
         ("geometry: {1: 2, gain: 3}\n", "check-derivatives",
          "unknown keys in geometry block: [1, 'gain']"),
     ]
@@ -373,9 +384,18 @@ def test_report_baseline_summaries_are_the_configured_spectra(tiny_report):
     assert baseline == json.loads(json.dumps(expected))
 
 
-def test_failing_scenario_is_recorded_and_report_finishes(tmp_path, capsys):
+def test_failing_scenario_is_recorded_and_report_finishes(tmp_path, capsys, monkeypatch):
+    # Every field covariance is built with a negative correlation length,
+    # which build_covariance refuses per scenario. The configuration refuses
+    # one when it loads, so the value is passed past it.
+    original = experiments.build_covariance
+
+    def negative_length(*args, **kwargs):
+        return original(*args, **dict(kwargs, corr_length=-1.0))
+
+    monkeypatch.setattr(experiments, "build_covariance", negative_length)
     out = str(tmp_path / "results")
-    config = _tiny_config(tmp_path, corr_length=-1.0)
+    config = _tiny_config(tmp_path)
     assert main(["--config", config, "--out", out, "report"]) == 2
     summary = json.loads(open(os.path.join(out, "summary.json")).read())
     assert set(summary["experiments"]["closure"]["errors"]) == {"S1", "S4"}
@@ -393,7 +413,7 @@ def test_failing_scenario_is_recorded_and_report_finishes(tmp_path, capsys):
 _FAILING_LAYERS = {
     "check-derivatives": ("derivative_check", "finite_difference_check"),
     "scan-validity": ("validity_scan", "validity_scan"),
-    "kernel-diff": ("kernel_diff", "assemble_forward"),
+    "kernel-diff": ("kernel_diff", "transmit_kernels"),
     "closure": ("closure", "assemble_forward"),
     "scan-fda": ("fda_scan", "steering_vector"),
     "scan-lx": ("lx_scan", "assemble_forward"),

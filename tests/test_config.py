@@ -89,6 +89,18 @@ def test_empty_target_grid_rejected():
     ("experiments: {boundary_scenarios: [S9]}\n", r"boundary_scenarios\[0\]"),
     ("experiments: {kernel_diff_scenarios: [S1, S9]}\n", r"kernel_diff_scenarios\[1\]"),
     ("experiments: {weight_presets: [uniform, foo]}\n", r"weight_presets\[1\]"),
+    ("experiments: {corr_length_grid: [0.1, -0.2]}\n", r"corr_length_grid\[1\]"),
+    ("experiments: {amplitude_grid: [1.0, 0.5]}\n", r"amplitude_grid\[1\]"),
+    ("experiments: {amplitude_grid: [0.0, 0.5]}\n", r"amplitude_grid\[0\]"),
+    ("experiments: {kappa_grid: [0.0]}\n", r"kappa_grid\[0\]"),
+    ("experiments: {rho_c_grid: [0.3, 1.5]}\n", r"rho_c_grid\[1\]"),
+    ("experiments: {rho_c_grid: [-0.1]}\n", r"rho_c_grid\[0\]"),
+    ("experiments: {delta_f_grid: [-1.0e+6]}\n", r"delta_f_grid\[0\]"),
+    ("random_field: {corr_length: -0.1}\n", "corr_length"),
+    ("random_field: {corr_length: 0}\n", "corr_length"),
+    ("random_field: {rho_c: 1.0}\n", "rho_c"),
+    ("random_field: {amplitude: -1.0}\n", "amplitude"),
+    ("random_field: {weights: [1, 1, 1, -1, 1]}\n", r"weights\[3\]"),
 ])
 def test_malformed_values_rejected_by_key(text, key):
     with pytest.raises(ConfigError, match=rf"^{key} (must|repeats)"):
@@ -185,7 +197,7 @@ geometry: {n_tx: 4, n_rx: 6, element_spacing: 0.0333333333333333, f0: 1.5e8,
 random_field: {corr_length: 0.123456789012345, rho_c: 0.45, weights: [1, 2, 0.5, 1e-3, 3],
                amplitude: 0.75, sample_count: 123, seed: 7, kernel: exponential}
 experiments:
-  amplitude_grid: [0.1, 1.0e-5]
+  amplitude_grid: [1.0e-5, 0.1]
   validity_sample_count: 17
   validity_threshold: 0.125
   delta_f_grid: [0, 1.0e+9]

@@ -85,6 +85,18 @@ def test_overflowing_relaxation_time_raises_domain_error():
         eval_permittivity(params, OMEGA_100MHZ)
 
 
+@pytest.mark.parametrize("params, culprit", [
+    # (j omega tau)^40 overflows: Python's complex power would raise a bare OverflowError.
+    (ColeColeParams(3.0, 1.0, 1e2, -39.0, 0.0), "alpha"),
+    (ColeColeParams(3.0, 1.0, 1e-9, 0.0, 1e308), "sigma"),
+])
+@pytest.mark.parametrize("evaluate", [eval_permittivity, finite_difference_check])
+def test_overflow_names_the_offending_parameter(params, culprit, evaluate):
+    with pytest.raises(DomainError, match=f"offending parameter '{culprit}'"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        evaluate(params, OMEGA_100MHZ)
+
+
 def test_eps_inf_sensitivity_is_vacuum_over_background(registry):
     for scenario in registry.values():
         eps_b = eval_permittivity(scenario.background, OMEGA_100MHZ)

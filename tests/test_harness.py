@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from gprclutter import (
     build_default_geometry,
     get_scenario,
     clutter_covariance,
+    forward_discrepancy,
     montecarlo,
     randfield,
+    scenario_registry,
     spectral_summary,
     steering_vector,
     target_overlap,
@@ -415,6 +418,60 @@ def test_kernel_diff_table():
     assert rows[("S2", "S3")] > rows[("S1", "S3")] > rows[("S1", "S2")]
     for sid in ("S1", "S2", "S3"):
         assert rows[(sid, "free_space")] > 0.0
+
+
+def test_kernel_diff_equals_the_discrepancy_of_assembled_operators():
+    # Every pair of the registry media and free space, bit for bit.
+    media = tuple(scenario_registry())
+    config = _config(geometry=GeometryConfig(n_x=6, n_z=5),
+                     experiments=ExperimentSettings(kernel_diff_scenarios=media))
+    result = run_kernel_diff(config)
+    assert result.ok and len(result.table.rows) == len(media) * (len(media) + 1)
+    geometry = build_default_geometry(config.geometry)
+    forwards = {sid: assemble_forward(get_scenario(sid), geometry) for sid in media}
+    forwards["free_space"] = assemble_forward(free_space_scenario(), geometry)
+    for row in result.table.rows:
+        assert row["delta_a"] == forward_discrepancy(
+            forwards[row["to_scenario"]], forwards[row["from_scenario"]]), row
+
+
+def test_kernel_diff_holds_less_than_two_operators():
+    # The media are walked one transmit block at a time. Assembling them
+    # once held four operators and a difference array: about five.
+    config = _config(geometry=GeometryConfig(n_x=24, n_z=18))
+    first = run_kernel_diff(config)  # builds the geometry and its distance table
+    operator_bytes = 64 * config.geometry.n_x * config.geometry.n_z * 16
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run_kernel_diff(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * operator_bytes
+    assert result.table.rows == first.table.rows
+
+
+def test_kernel_diff_drops_a_medium_whose_later_block_fails(monkeypatch):
+    # The error is the one assemble_forward raises for the same kernels, and
+    # the other pairs keep their values.
+    config = _config(geometry=GeometryConfig(n_x=6, n_z=5))
+    clean = {(r["from_scenario"], r["to_scenario"]): r["delta_a"]
+             for r in run_kernel_diff(config).table.rows}
+    original = experiments.transmit_kernels
+    background = get_scenario("S2").background
+
+    def poisoned(medium, geometry):
+        for n, block in enumerate(original(medium, geometry)):
+            if medium == background and n == 1:
+                block[0, 4] = np.inf
+            yield block
+
+    monkeypatch.setattr(experiments, "transmit_kernels", poisoned)
+    result = run_kernel_diff(config)
+    assert result.errors == {"S2": "non-finite forward kernel at (m=0, n=1, p=4)"}
+    rows = {(r["from_scenario"], r["to_scenario"]): r["delta_a"] for r in result.table.rows}
+    assert rows == {(a, b): clean[a, b] for a in ("S1", "S3") for b in ("S1", "S3", "free_space")}
 
 
 def test_free_space_scenario_is_valid():

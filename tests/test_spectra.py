@@ -35,7 +35,8 @@ from gprclutter.randfield import (
     build_covariance,
     sample_perturbations,
 )
-from gprclutter.spectra import ClutterCovariance, _canonical_phases
+from gprclutter import spectra
+from gprclutter.spectra import ClutterCovariance, _canonical_phases, kernel_gram
 from gprclutter.forward import ForwardMatrix
 from oracles import (
     canonical_phases,
@@ -198,6 +199,26 @@ def test_default_geometry_never_forms_the_dense_spatial_factor(
         finally:
             tracemalloc.stop()
         assert peak < 8 * geometry.n_cells**2
+
+
+def test_kernel_gram_holds_less_than_one_operator(make_covariance):
+    # K C K^H is formed in tiles over quarters of K's rows. Full-size K C and
+    # conj(K) copies once grew the traced peak by three operators' bytes.
+    geometry = build_default_geometry(GeometryConfig(n_x=24, n_z=18))
+    scenario = get_scenario("S2")
+    forward = assemble_forward(scenario, geometry)
+    cov = make_covariance(scenario, geometry)
+    kernels = forward.kernels
+    direct = spectra._kernel_product(cov.spatial_product, kernels) @ kernels.conj().T
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        gram = kernel_gram(forward, cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < kernels.nbytes
+    assert np.linalg.norm(gram - direct) <= 1e-14 * np.linalg.norm(direct)
 
 
 def test_channel_block_sum_equals_direct_product():
