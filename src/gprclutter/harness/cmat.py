@@ -61,12 +61,21 @@ def matrix_from_bytes(blob: bytes) -> np.ndarray:
 
 
 def write_atomic(path: str, blob: bytes) -> None:
-    """Write bytes atomically: a temp file in the target directory, then a rename."""
+    """Write bytes atomically: a temp file in the target directory, then a rename.
+
+    The file gets the mode ``open(path, "w")`` would give, 0o666 less the
+    umask, not mkstemp's 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    # Reading the umask sets it for the whole process a moment; the CLI
+    # writes from one thread only.
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(blob)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

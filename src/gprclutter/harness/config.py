@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import io
 
 import yaml
@@ -16,7 +15,13 @@ from ..montecarlo import (
     DEFAULT_VALIDITY_THRESHOLD,
 )
 from ..randfield import SPATIAL_KERNELS
-from ..scene import GeometryConfig, coerce_fields, config_from_mapping, scenario_registry
+from ..scene import (
+    GeometryConfig,
+    coerce_fields,
+    config_from_mapping,
+    scenario_registry,
+    short_digest,
+)
 
 DEFAULT_SEED = 20260405
 
@@ -144,7 +149,7 @@ class ExperimentConfig:
         content = config_to_dict(self)
         content.pop("output_dir")
         text = _dump(content)
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return short_digest(text.encode())
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

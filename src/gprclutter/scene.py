@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import math
 import typing
 
@@ -18,6 +17,16 @@ import numpy as np
 
 from .constitutive import ColeColeParams
 from .errors import ConfigError, NearSingularityError
+
+# CPython's built-in SHA-256 gives hashlib's bytes without loading OpenSSL,
+# as the standard library's ``random`` does for SHA-512.
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:  # an interpreter built without the built-in hashes
+        from hashlib import sha256 as _sha256
 
 #: Default relative perturbation scale per Cole-Cole parameter channel.
 SCALE_RELATIVE_RATE = 0.005
@@ -250,6 +259,14 @@ class GeometryConfig:
             raise ConfigError(f"delta_f must be nonnegative, got {self.delta_f!r}")
 
 
+def short_digest(*parts: bytes) -> str:
+    """The package's content digest: SHA-256 of the concatenated parts, 16 hex chars."""
+    digest = _sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()[:16]
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class SceneGeometry:
     """Element positions, transmit frequencies, and the discretized grid.
@@ -320,12 +337,10 @@ class SceneGeometry:
     @functools.cached_property
     def _fingerprint(self) -> str:
         # The arrays are read-only copies, so the digest never goes stale.
-        digest = hashlib.sha256()
-        for arr in (self.tx_positions, self.rx_positions, self.frequencies, self.cell_centers):
-            digest.update(np.ascontiguousarray(arr).tobytes())
-        digest.update(np.float64(self.cell_volume).tobytes())
-        digest.update(repr(self.grid_dims).encode())
-        return digest.hexdigest()[:16]
+        arrays = (self.tx_positions, self.rx_positions, self.frequencies, self.cell_centers)
+        return short_digest(*(np.ascontiguousarray(arr).tobytes() for arr in arrays),
+                            np.float64(self.cell_volume).tobytes(),
+                            repr(self.grid_dims).encode())
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

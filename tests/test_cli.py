@@ -294,6 +294,25 @@ def test_cli_import_pulls_in_no_heavy_packages():
     assert out.strip() == "[]"
 
 
+def test_structural_jobs_never_load_openssl(tmp_path):
+    # The digests use CPython's built-in SHA-256, so a structural job maps no
+    # libcrypto; only numpy.random (the Monte Carlo jobs) still loads it.
+    src = os.path.dirname(os.path.dirname(gprclutter.__file__))
+    config = _tiny_config(tmp_path)
+    out = str(tmp_path / "results")
+    code = (
+        "import sys\n"
+        "from gprclutter.harness.cli import main\n"
+        "for command in ('check-derivatives', 'kernel-diff'):\n"
+        f"    assert main(['--config', {config!r}, '--out', {out!r}, command]) == 0\n"
+        "print('_hashlib' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 class _NoMallopt:
     """A C library without ``mallopt``, as on macOS or musl."""
 

@@ -1,5 +1,7 @@
 """CMAT binary matrix format round-trips and error reporting."""
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -12,6 +14,7 @@ from gprclutter.harness.cmat import (
     matrix_from_bytes,
     matrix_to_bytes,
     persist_matrix,
+    write_atomic,
 )
 from oracles import dense_entries
 
@@ -96,3 +99,16 @@ def test_unsupported_version_rejected():
 def test_only_two_dimensional_payloads():
     with pytest.raises(FormatError):
         matrix_to_bytes(np.zeros(3))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    # As open(path, "w") would, not mkstemp's 0o600.
+    path = str(tmp_path / "table.csv")
+    previous = os.umask(umask)
+    try:
+        write_atomic(path, b"a,b\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode

@@ -166,6 +166,8 @@ def test_empty_document_gives_defaults():
 def test_hash_tracks_content():
     base = ExperimentConfig()
     assert config_hash(base) == config_hash(ExperimentConfig())
+    # Every summary records the hash: its bytes must not drift.
+    assert config_hash(base) == "ff32d3d94016b87b"
     changed = base.replace(scenarios=("S1",))
     assert config_hash(changed) != config_hash(base)
 

@@ -1,13 +1,19 @@
 """Scenario registry values, geometry construction, grid invariants."""
 
 import dataclasses
+import hashlib
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from gprclutter import GeometryConfig, build_default_geometry, get_scenario
+from gprclutter import scene
 from gprclutter.errors import ConfigError
+from gprclutter.harness import config as config_module
+from gprclutter.harness.config import ExperimentConfig, config_hash
 from gprclutter.scene import SceneGeometry, coerce_fields, default_perturbation_scales
 
 REGISTRY_VALUES = {
@@ -186,6 +192,24 @@ def test_fingerprint_distinguishes_geometries(geometry):
     other = build_default_geometry(GeometryConfig(delta_f=0.0))
     assert geometry.fingerprint() != other.fingerprint()
     assert geometry.fingerprint() == build_default_geometry().fingerprint()
+    # Every summary records the fingerprint: its bytes must not drift.
+    assert geometry.fingerprint() == "2cee97b183a0b2b5"
+
+
+def test_digests_fall_back_to_hashlib_with_the_same_bytes(monkeypatch):
+    # An interpreter built without the built-in SHA-256 modules: a fresh copy
+    # of scene.py must take hashlib's and give the pinned digests.
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    spec = importlib.util.spec_from_file_location("gprclutter._scene_without_builtin_sha",
+                                                  scene.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fresh)
+    spec.loader.exec_module(fresh)
+    assert fresh._sha256 is hashlib.sha256
+    assert fresh.build_default_geometry().fingerprint() == "2cee97b183a0b2b5"
+    monkeypatch.setattr(config_module, "short_digest", fresh.short_digest)
+    assert config_hash(ExperimentConfig()) == "ff32d3d94016b87b"
 
 
 def test_scale_rule_floors_only_lift(registry):
