@@ -261,9 +261,13 @@ def _relative_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.n
     np.divide(delta_eps, relaxation, out=relaxation)
     re *= relaxation
     im *= relaxation
-    im += sigma / (omega * EPSILON_0)
+    # sigma / (omega eps0) reuses the relaxation's buffer, which is freed
+    # before the result is allocated, and re goes once it is written.
+    im += np.divide(sigma, omega * EPSILON_0, out=relaxation)
+    del relaxation
     result = np.empty(re.shape, dtype=complex)
     np.add(eps_inf, re, out=result.real)
+    del re
     np.negative(im, out=result.imag)
     return result
 

@@ -29,12 +29,24 @@ amplitude; each amplitude's L N P contrast errors stream into its own
 :class:`NearestRankSelector`, which keeps only candidates for the values
 above the percentile's rank: at most 1.25 times a twentieth of the pool at
 the 95th percentile.
+
+Each Monte Carlo array is released before its successor is allocated: a
+scenario's samples and snapshots before the next scenario mixes the block
+(a dropped scenario's kept error included), the block's normals, or the
+scan's base samples and linear snapshots, before the next draw, and a
+chunk's contrast before the next chunk is evaluated. At its peak closure
+holds two blocks, the normals and one scenario's samples, and, evaluating
+one chunk, two chunks more: the contrast being written and the Cole-Cole
+kernel's real and imaginary parts. Two scenarios on a 24 x 18 grid at
+L = 130 (blocks of 1.05 MiB, chunks of 0.95 MiB) peak 4.79 MiB above
+their start under tracemalloc.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import traceback
 
 import numpy as np
 
@@ -45,7 +57,13 @@ from .constitutive import (
 )
 from .errors import ConfigError, GprClutterError, TauFloorError, UndefinedSpectrumError
 from .forward import ForwardMatrix
-from .randfield import PerturbationCovariance, _mix, sample_perturbations, standard_normal_draws
+from .randfield import (
+    EXACT_CHUNK_VALUES,
+    PerturbationCovariance,
+    _mix,
+    sample_perturbations,
+    standard_normal_draws,
+)
 from .scene import Scenario, SceneGeometry
 from .spectra import ClutterCovariance, spectral_summary
 
@@ -55,11 +73,6 @@ DEFAULT_AMPLITUDE_GRID = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
 DEFAULT_VALIDITY_SAMPLE_COUNT = 200
 DEFAULT_VALIDITY_THRESHOLD = 0.05
 
-#: Sample x frequency x cell values per exact-contrast chunk (at least one
-#: sample). About 1 MB of complex contrast, so a chunk's temporaries stay in
-#: cache and peak memory does not grow with the sample count.
-EXACT_CHUNK_VALUES = 2**16
-
 #: Samples drawn, synthesized and accumulated at a time, at most. Fixed, so
 #: the summation order, and with it every output byte, does not depend on
 #: the machine.
@@ -68,7 +81,8 @@ SAMPLE_BLOCK = 64
 #: Bytes of float samples per block, at most (at least one sample). A block
 #: of 5P-entry samples holds min(SAMPLE_BLOCK, SAMPLE_BLOCK_BYTES // (8 * 5P))
 #: samples: 64 at P=525, 30 at P=1728, 1 at P=32000. The sampler holds the
-#: normals and the mixed rows of one block.
+#: normals and the mixed rows of one block, and one row group of the
+#: spatial mix.
 SAMPLE_BLOCK_BYTES = 2 * 2**20
 
 
@@ -212,8 +226,11 @@ def _exact_contrast(
     """
     omegas = 2.0 * np.pi * geometry.frequencies
     per_channel = samples.reshape(samples.shape[0], N_PARAMS, geometry.n_cells)
-    # (5, L, 1, P) perturbations against (N, 1) frequencies
-    delta = scale * per_channel.transpose(1, 0, 2)[:, :, None, :]
+    # (5, L, 1, P) perturbations against (N, 1) frequencies; 1.0 * x is x,
+    # so unit scale needs no scaled copy.
+    delta = per_channel.transpose(1, 0, 2)[:, :, None, :]
+    if scale != 1.0:
+        delta = scale * delta
     try:
         return exact_contrast_field(scenario.background, delta, omegas[:, None])
     except TauFloorError as exc:
@@ -284,8 +301,10 @@ def snapshots_from_perturbations(
         return out
 
     for rows in _exact_chunks(geometry, samples.shape[0]):
-        contrast = _exact_contrast(scenario, geometry, samples[rows], start=start + rows.start)
-        _born_sum(forward, contrast, out[rows])
+        # No name keeps a chunk's contrast once its sum is written, so the
+        # next chunk is evaluated without it.
+        _born_sum(forward, _exact_contrast(scenario, geometry, samples[rows],
+                                           start=start + rows.start), out[rows])
     return out
 
 
@@ -373,20 +392,50 @@ def shared_closure_covariances(
             break
         normals = standard_normal_draws(dim, size, seed, start=start)
         for index, totals in list(sums.items()):
-            forward, scenario, cov = models[index]
             try:
-                samples = _mix(cov, normals)
-                for mode, total in totals.items():
-                    snapshots = snapshots_from_perturbations(
-                        forward, scenario, geometry, samples, mode, start=start)
-                    total += snapshots.T @ snapshots.conj()
+                _add_outer_products(models[index], geometry, normals, start, totals)
             except GprClutterError as exc:
-                outcomes[index] = exc
+                outcomes[index] = _without_locals(exc)
                 del sums[index]
+        del normals  # freed before the next block's draw
     for index, totals in sums.items():
         outcomes[index] = (_hermitian_mean(totals["linear"], count),
                            _hermitian_mean(totals["exact"], count))
     return outcomes
+
+
+def _add_outer_products(
+    model: tuple[ForwardMatrix, Scenario, PerturbationCovariance],
+    geometry: SceneGeometry,
+    normals: np.ndarray,
+    start: int,
+    totals: dict[str, np.ndarray],
+) -> None:
+    """Add y y^H of one block, mixed by ``model``, to its sum per mode.
+
+    The block's samples and snapshots are this call's own: they are freed
+    when it returns, before the next model mixes the block.
+    """
+    forward, scenario, cov = model
+    samples = _mix(cov, normals)
+    for mode, total in totals.items():
+        snapshots = snapshots_from_perturbations(
+            forward, scenario, geometry, samples, mode, start=start)
+        total += snapshots.T @ snapshots.conj()
+        del snapshots  # freed before the next mode's synthesis
+
+
+def _without_locals(error: GprClutterError) -> GprClutterError:
+    """``error``, with the locals of the finished frames in its traceback and its causes' cleared.
+
+    A dropped model's error is kept until closure returns; those frames
+    would otherwise keep the model's block of samples alive.
+    """
+    link = error
+    while link is not None:
+        traceback.clear_frames(link.__traceback__)
+        link = link.__cause__ or link.__context__
+    return error
 
 
 def closure_from_covariances(
@@ -494,6 +543,8 @@ def validity_scan(
                                  / np.maximum(norms, DENOMINATOR_FLOOR))
                 selector.add(_contrast_errors(contrast, linear, s))
                 del contrast  # freed before the next amplitude's evaluation
+            del linear, y_exact  # freed before the next chunk's
+        del base, y_lin  # freed before the next block's draw
     p95_contrast = [selector.value() for selector in selectors]
     p95_snapshot = [nearest_rank_percentile(rel, 0.95) for rel in snapshot_errors]
 

@@ -360,6 +360,114 @@ def test_validity_scan_holds_its_samples_one_block_at_a_time():
     assert growth < 8 * 3 * count * cov.dim
 
 
+def _grid_models(sids, amplitudes=None):
+    """The default 8 x 8 array over a 24 x 18 grid, and one (forward, scenario, cov) per id."""
+    geometry = build_default_geometry(GeometryConfig(n_x=24, n_z=18))
+    models = []
+    for sid, amplitude in zip(sids, amplitudes or [1.0] * len(sids)):
+        scenario = get_scenario(sid)
+        cov = build_covariance(scenario, geometry.cell_centers, 0.15, 0.3, np.ones(5), amplitude)
+        models.append((assemble_forward(scenario, geometry), scenario, cov))
+    return geometry, models
+
+
+def _chunk_rows(geometry):
+    return montecarlo.EXACT_CHUNK_VALUES // (geometry.frequencies.size * geometry.n_cells)
+
+
+def _traced_peak(run):
+    """The traced peak of run() above the memory traced when it starts."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("s4_amplitude", [1.0, 1e4], ids=["both-run", "s4-dropped"])
+def test_closure_holds_one_block_and_one_chunk_at_a_time(monkeypatch, s4_amplitude):
+    # P = 432 cells: 64-sample blocks of 1.05 MiB and 18-sample exact chunks
+    # of 0.95 MiB of complex contrast. At its peak closure holds the block's
+    # normals and one model's samples (two blocks) and, evaluating one
+    # chunk, the contrast being written and the kernel's real and imaginary
+    # parts (two chunks), plus the chunk's perturbed states, snapshots and
+    # the MN x MN sums: less than a third chunk. A model's samples alive
+    # while the next one mixes, the previous chunk's contrast, a fifth
+    # chunk-sized kernel temporary or a scaled copy of unit-scale
+    # perturbations each exceed that. When a later block is drawn nothing
+    # of the one before is alive: less than one mode's snapshots of it. That
+    # holds too when S4, at a tau-floor amplitude, drops out in the first
+    # block: its kept error pins none of its arrays.
+    geometry, models = _grid_models(("S_syn", "S4"), (1.0, s4_amplitude))
+    draw, at_draw = montecarlo.standard_normal_draws, []
+
+    def drawing(*args, **kwargs):
+        at_draw.append(tracemalloc.get_traced_memory()[0])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "standard_normal_draws", drawing)
+    shared_closure_covariances(models, geometry, 2, 3)  # first-call allocations
+    at_draw.clear()
+    outcomes = []
+    peak = _traced_peak(
+        lambda: outcomes.extend(shared_closure_covariances(models, geometry, 130, 3)))
+    assert isinstance(outcomes[1], TauFloorError) == (s4_amplitude > 1.0)
+    dim = models[0][2].dim
+    size = next(montecarlo._block_starts(dim, 130))[1]
+    block = 8 * dim * size
+    chunk = 16 * _chunk_rows(geometry) * geometry.frequencies.size * geometry.n_cells
+    assert peak < 2 * block + 3 * chunk
+    assert len(at_draw) == 3
+    assert max(at_draw[1:]) - at_draw[0] < 16 * size * models[0][0].shape[0]
+
+
+def test_exact_synthesis_holds_one_chunk_contrast_at_a_time():
+    # From one chunk to four the traced peak grows by the three chunks'
+    # snapshots alone: no name keeps a chunk's contrast, so none is alive
+    # while the next chunk is evaluated.
+    geometry, [(forward, scenario, cov)] = _grid_models(("S4",))
+    rows = _chunk_rows(geometry)
+    samples = sample_perturbations(cov, 4 * rows, seed=5)
+
+    def peak(count):
+        def run():
+            snapshots_from_perturbations(forward, scenario, geometry, samples[:count], "exact")
+        run()  # first-call allocations
+        return _traced_peak(run)
+
+    chunk = 16 * rows * geometry.frequencies.size * geometry.n_cells
+    snapshots = 16 * 3 * rows * forward.shape[0]
+    assert peak(4 * rows) - peak(rows) < snapshots + chunk / 4
+
+
+def test_validity_scan_releases_each_block_before_the_next_draw(monkeypatch):
+    # L = 130 is three blocks. When a later block is drawn the scan holds
+    # what it held at the first draw (its selectors and snapshot errors)
+    # and nothing of the block before: less than that block's linear
+    # snapshots, let alone its (64, 5P) base samples.
+    geometry, [(forward, scenario, cov)] = _grid_models(("S4",))
+    draw, at_draw = montecarlo.sample_perturbations, []
+
+    def drawing(*args, **kwargs):
+        at_draw.append(tracemalloc.get_traced_memory()[0])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_perturbations", drawing)
+
+    def run():
+        validity_scan(forward, scenario, geometry, cov, amplitude_grid=(0.5, 1.0),
+                      sample_count=130, seed=5)
+
+    run()  # first-call allocations
+    at_draw.clear()
+    _traced_peak(run)
+    y_lin = 16 * montecarlo.SAMPLE_BLOCK * forward.shape[0]
+    assert len(at_draw) == 3
+    assert max(at_draw[1:]) - at_draw[0] < y_lin
+
+
 def test_validity_scan_monotone_and_recommending():
     geometry, scenario, forward, cov = _setup(sid="S4")
     report = validity_scan(forward, scenario, geometry, cov,

@@ -1,6 +1,7 @@
 """Kronecker covariance factors, factored sampling, convergence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ from gprclutter import (
     get_scenario,
     sample_perturbations,
 )
+from gprclutter import randfield
 from gprclutter.errors import ConfigError, NonPositiveDefiniteError
 from gprclutter.randfield import (
     SPATIAL_KERNELS,
     SPATIAL_NUGGET,
     PerturbationCovariance,
+    _kron_rows,
+    _mix,
     standard_normal_draws,
 )
 from gprclutter.scene import Scenario
@@ -241,6 +245,46 @@ def test_separable_sampler_applies_the_eigen_root_to_shared_normals():
     z = standard_normal_draws(cov.dim, 20, seed=9)
     expected = cov.amplitude * (z @ np.kron(cov.param_cholesky, _eigen_root(cov)).T)
     assert np.linalg.norm(samples - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("group", [1, 7, 151])
+def test_grouped_in_place_kron_rows_equal_the_one_shot_product(monkeypatch, group):
+    # 320 rows of a 24 x 18 grid, as one 64-sample block mixes them, in
+    # groups of `group` rows: 320, 46 and 3 groups, the last ragged unless
+    # one row each. The same GEMMs on fewer rows give the same bits.
+    rng = np.random.default_rng(3)
+    n_x, n_z, rows = 24, 18, 320
+    a, b = rng.standard_normal((n_x, n_x)), rng.standard_normal((n_z, n_z))
+    block = rng.standard_normal((rows, n_x * n_z))
+    inner = (block.reshape(rows * n_x, n_z) @ b.T).reshape(rows, n_x, n_z)
+    expected = np.matmul(a, inner).reshape(rows, n_x * n_z)
+    oracle = block @ np.kron(a, b).T
+    assert np.abs(expected - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    monkeypatch.setattr(randfield, "EXACT_CHUNK_VALUES", group * n_x * n_z + n_x)
+    assert np.array_equal(_kron_rows(block.copy(), a, b), expected)
+    grouped = _kron_rows(block, a, b, out=block)
+    assert grouped is block
+    assert np.array_equal(grouped, expected)
+
+
+def test_separable_mix_holds_one_row_group_of_its_intermediate():
+    # Mixing a kept 64-sample block of normals on a 24 x 18 grid allocates
+    # the mixed block and, one row group at a time, the product with U_z:
+    # EXACT_CHUNK_VALUES floats, not a second block.
+    geometry = build_default_geometry(GeometryConfig(n_x=24, n_z=18))
+    cov = build_covariance(get_scenario("S4"), geometry.cell_centers, 0.15, 0.3,
+                           np.ones(5), 1.0)
+    normals = standard_normal_draws(cov.dim, 64, seed=1)
+    _mix(cov, normals)  # first-call allocations: the eigen root
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _mix(cov, normals)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    block = normals.nbytes
+    assert peak < block + 8 * randfield.EXACT_CHUNK_VALUES + block // 16
 
 
 def test_kronecker_and_dense_samplers_agree_on_shared_normals():
