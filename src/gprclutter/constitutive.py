@@ -8,7 +8,9 @@ Evaluates the complex permittivity of a dispersive conducting medium
 under the e^{j omega t} convention, together with its five closed-form
 parameter derivatives, the dimensionless contrast sensitivities psi, and
 the exact electromagnetic contrast of stacked perturbed states. The
-first-order contrast of a perturbation delta is psi @ delta.
+first-order contrast of a perturbation delta is psi @ delta. The exact
+contrast differences only the relaxation term, the one nonlinear term, and
+divides by the same background eps_c that psi and the forward operator use.
 
 All evaluation cores broadcast over numpy arrays; ``eval_permittivity`` and
 ``eval_sensitivities`` evaluate one state at one frequency as plain values.
@@ -232,19 +234,17 @@ def finite_difference_check(
     return np.abs(psi - psi_fd) / np.maximum(np.abs(psi_fd), DENOMINATOR_FLOOR)
 
 
-def _relative_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.ndarray:
-    """Cole-Cole law eps_c / eps0 through the factored branch identity
+def _relaxation(delta_eps, tau, alpha, omega) -> tuple[np.ndarray, np.ndarray]:
+    """Real part and minus the imaginary part of delta_eps / (1 + u), with
 
-        (j omega tau)^(1-alpha) = exp((1-alpha)(ln omega + ln tau)) e^{j pi (1-alpha)/2},
+        u = (j omega tau)^(1-alpha) = exp((1-alpha)(ln omega + ln tau)) e^{j pi (1-alpha)/2},
 
-    which is the principal branch for omega tau > 0. The five parameters
-    share one shape (or are scalars) that broadcasts against ``omega``; the
-    result has at least one dimension. The logarithm of tau and the cosine
-    and sine of the phase are taken at the parameters' own shape, so a
-    state shared by many frequencies pays for them once; 1 / (1 + u) is
-    formed in real arithmetic. Rounding differs from
-    :func:`complex_permittivity` in the last bits, so the structural chain
-    keeps that core.
+    the principal branch for omega tau > 0. The three parameters share one
+    shape (or are scalars) that broadcasts against ``omega``; both results
+    have at least one dimension. The logarithm of tau and the cosine and
+    sine of the phase are taken at the parameters' own shape, so a state
+    shared by many frequencies pays for them once; 1 / (1 + u) is formed in
+    real arithmetic.
     """
     omega = np.atleast_1d(omega)  # the in-place updates below need arrays
     order = 1.0 - np.asarray(alpha)
@@ -256,20 +256,12 @@ def _relative_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.n
     re += 1.0
     im = magnitude
     im *= np.sin(phase)
-    relaxation = re * re
-    relaxation += im * im
-    np.divide(delta_eps, relaxation, out=relaxation)
-    re *= relaxation
-    im *= relaxation
-    # sigma / (omega eps0) reuses the relaxation's buffer, which is freed
-    # before the result is allocated, and re goes once it is written.
-    im += np.divide(sigma, omega * EPSILON_0, out=relaxation)
-    del relaxation
-    result = np.empty(re.shape, dtype=complex)
-    np.add(eps_inf, re, out=result.real)
-    del re
-    np.negative(im, out=result.imag)
-    return result
+    scale = re * re
+    scale += im * im
+    np.divide(delta_eps, scale, out=scale)
+    re *= scale
+    im *= scale
+    return re, im
 
 
 def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega) -> np.ndarray:
@@ -279,10 +271,18 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
     ``omega`` broadcasts against the trailing shape. Raises TauFloorError
     with the offending index if any perturbed tau hits the hard floor.
 
-    Background and perturbed states go through the same factored kernel, so
-    a zero perturbation gives exactly zero contrast. Perturbations shaped
-    (5, L, 1, P) against frequencies shaped (N, 1) evaluate the per-state
-    logarithm and phase once per (sample, cell), not once per frequency.
+    Only the relaxation term is nonlinear, so the contrast is formed as
+
+        (eps0 / eps_b) [d_eps_inf + R(mu_b + delta) - R(mu_b) - j d_sigma / (omega eps0)],
+
+    with R = delta_eps / (1 + (j omega tau)^(1-alpha)) from
+    :func:`_relaxation` for both states, in real arithmetic, and eps_b the
+    value of the :func:`complex_permittivity` core, so eps0 / eps_b is the
+    eps_inf sensitivity bit for bit. A zero perturbation gives exactly zero
+    contrast. Perturbations shaped (5, L, 1, P) against frequencies shaped
+    (N, 1) evaluate the per-state logarithm and phase once per
+    (sample, cell), not once per frequency, and the background terms once
+    per frequency.
     """
     delta_mu = np.asarray(delta_mu, dtype=float)
     if delta_mu.shape[:1] != (len(PARAMETER_NAMES),):
@@ -296,16 +296,16 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
         index = tuple(int(i) for i in np.unravel_index(
             int(np.argmax(perturbed_tau <= floor)), perturbed_tau.shape))
         raise TauFloorError(index, float(perturbed_tau[index]), float(floor))
-    eps_b = _relative_permittivity(*base, omega)
-    contrast = _relative_permittivity(
-        base[0] + delta_mu[0],
-        base[1] + delta_mu[1],
-        perturbed_tau,
-        base[3] + delta_mu[3],
-        base[4] + delta_mu[4],
-        omega,
-    )
-    contrast -= eps_b
-    contrast *= 1.0 / eps_b
+    re_b, im_b = _relaxation(base[1], base[2], base[3], omega)
+    loss_per_sigma = 1.0 / (omega * EPSILON_0)
+    re, im = _relaxation(base[1] + delta_mu[1], perturbed_tau, base[3] + delta_mu[3], omega)
+    contrast = np.empty(re.shape, dtype=complex)
+    re -= re_b
+    np.add(re, delta_mu[0], out=contrast.real)
+    # The imaginary part -(im - im_b + s), s = d_sigma / (omega eps0), as
+    # (im_b - im) - s, with s written into re's buffer: no chunk is allocated.
+    np.subtract(im_b, im, out=im)
+    np.multiply(delta_mu[4], loss_per_sigma, out=re)
+    np.subtract(im, re, out=contrast.imag)
+    contrast *= EPSILON_0 / _cole_cole(*base, omega)[1]
     return contrast
-
