@@ -169,14 +169,18 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_config(text)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     try:
         # libyaml's loader where PyYAML was built with it, as YAML_DUMPER.
         data = yaml.load(io.StringIO(text), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a scalar its constructor refuses
         raise ConfigError(f"malformed configuration: {exc}") from exc
     if data is None:
         data = {}

@@ -238,12 +238,10 @@ def _recorded(result: ExperimentResult, sid: str):
 
 
 @contextlib.contextmanager
-def _scene(result: ExperimentResult, config: ExperimentConfig, sid: str,
-           scenario: Scenario | None = None):
+def _scene(result: ExperimentResult, config: ExperimentConfig, sid: str):
     """The scene of scenario ``sid``, failures :func:`_recorded`; nothing may
     raise before the yield."""
-    scene = _Scene(config, get_scenario(sid) if scenario is None else scenario,
-                   _geometry(config))
+    scene = _Scene(config, get_scenario(sid), _geometry(config))
     with _recorded(result, sid):
         yield scene
 
@@ -380,7 +378,7 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
     except GprClutterError as exc:
         outcomes = dict.fromkeys(scenes, exc)
     for sid, outcome in outcomes.items():
-        with _scene(result, config, sid, scenes[sid].scenario):
+        with _recorded(result, sid):
             if isinstance(outcome, GprClutterError):
                 raise outcome
             rhat_linear, rhat_exact = outcome

@@ -18,28 +18,24 @@ assembled on another geometry than the one passed is refused.
 Memory does not grow with the sample count times 5P. Both Monte Carlo
 passes draw, synthesize and reduce the samples in the blocks of
 :func:`_block_starts`, at most SAMPLE_BLOCK samples and SAMPLE_BLOCK_BYTES
-bytes of samples, so a block shrinks at large P. Within a block, exact
-contrast is evaluated in chunks of at most EXACT_CHUNK_VALUES values.
+bytes of samples, and evaluate exact contrast in chunks of at most
+EXACT_CHUNK_VALUES values. Each array is released before its successor is
+allocated: a scenario's samples and snapshots before the next scenario
+mixes the block (a dropped scenario's kept error included), the block's
+normals, or the scan's base samples and linear snapshots, before the next
+draw, and a chunk's contrast before the next chunk is evaluated.
+
 Closure draws each block's standard normals once for all scenarios and
 reduces the block's snapshots into one MN x MN sum of y y^H per mode and
-scenario. The validity scan synthesizes a block's linear snapshots once
-and runs, per chunk, over the amplitudes, so a chunk's linear contrast is
-also formed once. It keeps the L per-sample snapshot errors of each
-amplitude; each amplitude's L N P contrast errors stream into its own
-:class:`NearestRankSelector`, which keeps only candidates for the values
-above the percentile's rank: at most 1.25 times a twentieth of the pool at
-the 95th percentile.
-
-Each Monte Carlo array is released before its successor is allocated: a
-scenario's samples and snapshots before the next scenario mixes the block
-(a dropped scenario's kept error included), the block's normals, or the
-scan's base samples and linear snapshots, before the next draw, and a
-chunk's contrast before the next chunk is evaluated. At its peak closure
-holds two blocks, the normals and one scenario's samples, and, evaluating
-one chunk, two chunks more: the contrast being written and the Cole-Cole
-kernel's real and imaginary parts. Two scenarios on a 24 x 18 grid at
-L = 130 (blocks of 1.05 MiB, chunks of 0.95 MiB) peak 4.79 MiB above
-their start under tracemalloc.
+scenario. At its peak it holds two blocks, the normals and one scenario's
+samples, and two chunks while one is evaluated: the contrast being
+written and the Cole-Cole kernel's real and imaginary parts. The validity
+scan holds one block of base samples and its linear snapshots, which it
+synthesizes once, and per chunk the linear contrast, formed once for all
+amplitudes, and one amplitude's exact evaluation. It keeps the L
+per-sample snapshot errors of each amplitude; each amplitude's L N P
+contrast errors stream into its own :class:`NearestRankSelector`, which
+keeps at most 1.25 times a twentieth of them at the 95th percentile.
 """
 
 from __future__ import annotations

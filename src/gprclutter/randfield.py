@@ -55,8 +55,7 @@ SPATIAL_KERNELS = ("squared_exponential", "exponential")
 #: (1 MiB, ``montecarlo``); evaluating one holds two chunks, the contrast
 #: being written and the kernel's real and imaginary parts. The spatial mix
 #: goes through row groups of this many floats (512 KiB, :func:`_kron_rows`)
-#: beside the mixed block. ``report`` at the default size peaks at 11.2 MiB
-#: under tracemalloc.
+#: beside the mixed block.
 EXACT_CHUNK_VALUES = 2**16
 
 

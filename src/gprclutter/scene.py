@@ -128,7 +128,10 @@ def _number(value) -> float:
     """float(value) of a number; YAML reads ``true`` as a boolean, and float(True) is 1.0."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError("a boolean is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range, as YAML reads 1e400
+        return math.inf if value > 0 else -math.inf
 
 
 def coerce_list(values, name: str) -> tuple:
@@ -156,7 +159,7 @@ def coerce_int(value, name: str) -> int:
     number = coerce_float(value, name)
     if number != int(number):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(number)
+    return int(value) if isinstance(value, (int, np.integer)) else int(number)  # integers as given
 
 
 def coerce_str(value, name: str) -> str:

@@ -25,7 +25,7 @@ from gprclutter.errors import GprClutterError, TauFloorError
 from gprclutter.harness import experiments
 from gprclutter.harness.cli import main
 from gprclutter.harness.cmat import load_matrix
-from gprclutter.harness.config import load_config
+from gprclutter.harness.config import load_config, parse_config
 from oracles import dense_entries
 
 
@@ -161,6 +161,8 @@ def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
         ("random_field: {weights: [1, -1, 1, 1, 1]}\n", "scan-targets", "weights[1]"),
         ("geometry: {1: 2, gain: 3}\n", "check-derivatives",
          "unknown keys in geometry block: [1, 'gain']"),
+        (f"random_field: {{corr_length: {10**400}}}\n", "scan-lx", "corr_length must"),
+        (f"random_field: {{sample_count: {10**400}}}\n", "closure", "sample_count must"),
     ]
     for index, (text, command, key) in enumerate(cases):
         out = tmp_path / f"results{index}"
@@ -171,6 +173,23 @@ def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
         assert not out.exists()
+
+
+def test_non_utf8_config_file_exits_1_and_writes_nothing(tmp_path, capsys):
+    # It once escaped as a bare UnicodeDecodeError traceback.
+    out = tmp_path / "results"
+    config_path = tmp_path / "latin1.yaml"
+    config_path.write_bytes("output_dir: r\u00e9sultats\n".encode("latin-1"))
+    assert main(["--config", str(config_path), "--out", str(out), "check-derivatives"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(config_path) in err
+    assert not out.exists()
+
+
+def test_seed_flag_beyond_float_precision_runs_exactly(capsys):
+    # 2**53 + 1 once ran, and was recorded, as 2**53.
+    assert main(["--seed", str(2**53 + 1), "--print-config"]) == 0
+    assert parse_config(capsys.readouterr().out).random_field.seed == 2**53 + 1
 
 
 def test_report_plots_without_matplotlib_exits_1_and_writes_nothing(tmp_path, capsys,

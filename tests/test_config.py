@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from gprclutter.errors import ConfigError
@@ -13,6 +14,7 @@ from gprclutter.harness.config import (
     load_config,
     parse_config,
 )
+from gprclutter.scene import coerce_int
 
 
 def test_default_config_round_trips_to_a_fixed_point():
@@ -125,6 +127,16 @@ def test_malformed_yaml_is_a_config_error():
         parse_config("geometry: [unclosed\n")
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param(f"random_field: {{seed: {'1' * 5000}}}\n", id="int-of-5000-digits"),
+    pytest.param("output_dir: 2020-13-45\n", id="impossible-date"),
+])
+def test_scalars_the_yaml_constructors_refuse_are_config_errors(text):
+    # Each once escaped as a bare ValueError.
+    with pytest.raises(ConfigError, match="malformed"):
+        parse_config(text)
+
+
 def test_unsigned_exponent_literals_coerce():
     # YAML 1.1 reads 1.0e8 (no exponent sign) as a string; numeric config
     # fields coerce it anyway.
@@ -153,10 +165,28 @@ def test_non_numeric_values_rejected():
     ("random_field: {sample_count: .nan}\n", "sample_count"),
     ("geometry: {f0: 1e400}\n", "f0"),
     ("geometry: {n_x: .inf}\n", "n_x"),
+    # Integers beyond the float range once escaped as a bare OverflowError.
+    pytest.param(f"random_field: {{corr_length: {10**400}}}\n", "corr_length",
+                 id="corr_length-400-digits"),
+    pytest.param(f"random_field: {{sample_count: {10**400}}}\n", "sample_count",
+                 id="sample_count-400-digits"),
+    pytest.param(f"experiments: {{kappa_grid: [1, -{10**400}]}}\n", "kappa_grid",
+                 id="kappa_grid-400-digits"),
 ])
 def test_non_finite_numbers_rejected_by_key(text, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite"):
         parse_config(text)
+
+
+def test_large_integers_pass_exactly():
+    # 2**53 + 1 once ran, and was recorded and hashed, as 2**53.
+    seed = 2**53 + 1
+    config = parse_config(f"random_field: {{seed: {seed}}}\n")
+    assert config.random_field.seed == seed
+    assert config_hash(config) != config_hash(parse_config(f"random_field: {{seed: {2**53}}}\n"))
+    assert coerce_int(np.uint64(2**64 - 1), "seed") == 2**64 - 1
+    with pytest.raises(ConfigError, match="must be a number"):
+        coerce_int(np.True_, "seed")
 
 
 def test_empty_document_gives_defaults():

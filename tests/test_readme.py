@@ -7,7 +7,8 @@ import yaml
 
 from gprclutter.harness.config import ExperimentConfig, config_to_dict, parse_config
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+TESTS = pathlib.Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def _block(language: str) -> str:
@@ -34,3 +35,21 @@ def test_readme_configuration_block_lists_every_field():
 def test_readme_python_api_block_runs(capsys):
     exec(compile(_block("python"), "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def _unknown_tests(text: str) -> list[str]:
+    """The ``tests/....py`` paths and ``test_...`` names in ``text`` that do not exist."""
+    sources = list(TESTS.rglob("*.py"))
+    known = {path.stem for path in sources}
+    for path in sources:
+        known.update(re.findall(r"^\s*def (test_\w+)", path.read_text(encoding="utf-8"), re.M))
+    paths = re.findall(r"\btests/[\w/]+\.py\b", text)
+    paths = [path for path in paths if not (TESTS.parent / path).is_file()]
+    return paths + sorted(set(re.findall(r"\btest_\w+", text)) - known)
+
+
+def test_readme_names_only_tests_that_exist():
+    assert _unknown_tests(README.read_text(encoding="utf-8")) == []
+    misspelt = "`test_rerun_reproduces_identical_byte` in `tests/test_clii.py`"
+    assert _unknown_tests(misspelt) == [
+        "tests/test_clii.py", "test_clii", "test_rerun_reproduces_identical_byte"]
