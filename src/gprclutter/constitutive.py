@@ -19,6 +19,7 @@ All evaluation cores broadcast over numpy arrays; ``eval_permittivity`` and
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -264,12 +265,35 @@ def _relaxation(delta_eps, tau, alpha, omega) -> tuple[np.ndarray, np.ndarray]:
     return re, im
 
 
+@functools.lru_cache(maxsize=8)
+def _background_terms(background: ColeColeParams, omega_bytes: bytes, shape: tuple[int, ...]):
+    """Read-only terms of the background at the float frequencies ``omega_bytes`` of ``shape``.
+
+    Returns the real part and minus the imaginary part of the background's
+    relaxation term, 1 / (omega eps0) and eps0 / eps_b. The frequencies come
+    as bytes because arrays do not hash. Every chunk of a scenario shares
+    one background and one frequency set, so the terms are formed once per
+    pair, and read-only because every caller shares them.
+    """
+    omega = np.frombuffer(omega_bytes).reshape(shape)
+    base = background.as_array()
+    terms = tuple(np.asarray(term) for term in (
+        *_relaxation(base[1], base[2], base[3], omega),
+        1.0 / (omega * EPSILON_0),
+        EPSILON_0 / _cole_cole(*base, omega)[1],
+    ))
+    for term in terms:
+        term.flags.writeable = False
+    return terms
+
+
 def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega) -> np.ndarray:
     """Vectorized exact contrast for stacked perturbations.
 
     ``delta_mu`` has shape (5, ...) with the parameter channel leading;
     ``omega`` broadcasts against the trailing shape. Raises TauFloorError
-    with the offending index if any perturbed tau hits the hard floor.
+    with the offending index into ``delta_mu[2]`` if any perturbed tau hits
+    the hard floor.
 
     Only the relaxation term is nonlinear, so the contrast is formed as
 
@@ -279,10 +303,11 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
     :func:`_relaxation` for both states, in real arithmetic, and eps_b the
     value of the :func:`complex_permittivity` core, so eps0 / eps_b is the
     eps_inf sensitivity bit for bit. A zero perturbation gives exactly zero
-    contrast. Perturbations shaped (5, L, 1, P) against frequencies shaped
-    (N, 1) evaluate the per-state logarithm and phase once per
-    (sample, cell), not once per frequency, and the background terms once
-    per frequency.
+    contrast. The background terms are formed once per (background,
+    frequencies) pair. Perturbations shaped (5, 1, L, P) against frequencies
+    shaped (N, 1, 1) give an (N, L, P) contrast: the per-state logarithm and
+    phase are evaluated once per (sample, cell), not once per frequency, and
+    every full-size operation broadcasts only along the outermost axis.
     """
     delta_mu = np.asarray(delta_mu, dtype=float)
     if delta_mu.shape[:1] != (len(PARAMETER_NAMES),):
@@ -296,8 +321,8 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
         index = tuple(int(i) for i in np.unravel_index(
             int(np.argmax(perturbed_tau <= floor)), perturbed_tau.shape))
         raise TauFloorError(index, float(perturbed_tau[index]), float(floor))
-    re_b, im_b = _relaxation(base[1], base[2], base[3], omega)
-    loss_per_sigma = 1.0 / (omega * EPSILON_0)
+    omega = np.asarray(omega, dtype=float)
+    re_b, im_b, loss_per_sigma, scale = _background_terms(background, omega.tobytes(), omega.shape)
     re, im = _relaxation(base[1] + delta_mu[1], perturbed_tau, base[3] + delta_mu[3], omega)
     contrast = np.empty(re.shape, dtype=complex)
     re -= re_b
@@ -307,5 +332,5 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
     np.subtract(im_b, im, out=im)
     np.multiply(delta_mu[4], loss_per_sigma, out=re)
     np.subtract(im, re, out=contrast.imag)
-    contrast *= EPSILON_0 / _cole_cole(*base, omega)[1]
+    contrast *= scale
     return contrast

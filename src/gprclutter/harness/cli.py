@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto the experiment implementations; ``report``
 runs the full suite. Outputs are written atomically under the output
 directory as CSV + JSON metric tables, JSON reports, and CMAT matrices.
-Exit codes: 0 success, 1 configuration error, 2 numerical or invariant
-failure, 3 I/O or format error.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical or
+invariant failure, 3 I/O or format error.
 """
 
 from __future__ import annotations
@@ -214,15 +214,24 @@ def _cmd_report(config: ExperimentConfig, args) -> int:
     return EXIT_OK if all(result.ok for result in results.values()) else EXIT_NUMERICAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_CONFIG, with the message on stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gprclutter",
         description="Clutter-covariance experiments for FDA-MIMO GPR over "
                     "dispersive Cole-Cole backgrounds.",
     )
     parser.add_argument("--config", help="YAML configuration file")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, help="master RNG seed (overrides config)")
+    # Parsed, as the YAML key is, when the configuration is built.
+    parser.add_argument("--seed", help="master RNG seed (overrides config)")
     parser.add_argument(
         "--scenario", action="append", default=None, metavar="ID",
         help="restrict to scenario ID (repeatable or comma separated)",

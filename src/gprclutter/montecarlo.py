@@ -15,6 +15,15 @@ compares them with the theory. Synthesis is noise-free throughout: the
 additive noise floor enters analytically downstream. A forward operator
 assembled on another geometry than the one passed is refused.
 
+Contrast is laid out frequency outermost, (N, L, P) for N frequencies, L
+samples and P cells. :func:`_exact_contrast` evaluates (5, 1, L, P)
+perturbations against (N, 1, 1) frequencies, so each full-size operation
+of :func:`exact_contrast_field` reads contiguous (L, P) operands and
+broadcasts only along the outermost axis; a stride-0 axis inside the
+array would be walked value by value. The linear contrast has the same
+layout, and the Born sum multiplies each frequency's contiguous (L, P)
+slice by its transmit's kernels.
+
 Memory does not grow with the sample count times 5P. Both Monte Carlo
 passes draw, synthesize and reduce the samples in the blocks of
 :func:`_block_starts`, at most SAMPLE_BLOCK samples and SAMPLE_BLOCK_BYTES
@@ -191,15 +200,23 @@ def nearest_rank_percentile(values: np.ndarray, q: float) -> float:
 
 
 def _linear_contrast(forward: ForwardMatrix, samples: np.ndarray) -> np.ndarray:
-    """First-order per-cell contrast of each sample at each frequency, shape (L, N, P)."""
+    """First-order per-cell contrast of each sample at each frequency, shape (N, L, P).
+
+    Frequency outermost and C-contiguous, as :func:`_exact_contrast` lays out
+    the exact contrast it is compared with.
+    """
     per_channel = samples.reshape(samples.shape[0], N_PARAMS, forward.n_cells)
-    return np.matmul(forward.sensitivities.T, per_channel)
+    contrast = np.empty((forward.n_tx, samples.shape[0], forward.n_cells), dtype=complex)
+    # The same per-sample (N, 5) x (5, P) products as an (L, N, P) result,
+    # written through its transposed view.
+    np.matmul(forward.sensitivities.T, per_channel, out=contrast.transpose(1, 0, 2))
+    return contrast
 
 
 def _exact_chunks(geometry: SceneGeometry, count: int):
     """Row slices of ``count`` samples, one exact-contrast chunk each.
 
-    A chunk's (rows, N, P) contrast holds at most EXACT_CHUNK_VALUES values
+    A chunk's (N, rows, P) contrast holds at most EXACT_CHUNK_VALUES values
     unless one sample alone exceeds that.
     """
     step = max(1, EXACT_CHUNK_VALUES // (geometry.frequencies.size * geometry.n_cells))
@@ -214,26 +231,27 @@ def _exact_contrast(
     scale: float = 1.0,
     start: int = 0,
 ) -> np.ndarray:
-    """Exact per-cell contrast of ``scale * samples``, shape (L, N, P).
+    """Exact per-cell contrast of ``scale * samples``, frequency outermost: shape (N, L, P).
 
+    (5, 1, L, P) perturbations meet (N, 1, 1) frequencies, so the broadcast
+    runs along the outermost axis only (see the module docstring).
     ``samples[0]`` is sample ``start`` of the ensemble: a tau-floor error
     names the samples and the offending (sample, 0, cell) index in ensemble
     numbering.
     """
     omegas = 2.0 * np.pi * geometry.frequencies
     per_channel = samples.reshape(samples.shape[0], N_PARAMS, geometry.n_cells)
-    # (5, L, 1, P) perturbations against (N, 1) frequencies; 1.0 * x is x,
-    # so unit scale needs no scaled copy.
-    delta = per_channel.transpose(1, 0, 2)[:, :, None, :]
+    # 1.0 * x is x, so unit scale needs no scaled copy.
+    delta = per_channel.transpose(1, 0, 2)[:, None, :, :]
     if scale != 1.0:
         delta = scale * delta
     try:
-        return exact_contrast_field(scenario.background, delta, omegas[:, None])
+        return exact_contrast_field(scenario.background, delta, omegas[:, None, None])
     except TauFloorError as exc:
         first, last = start, start + samples.shape[0] - 1
-        index = (first + exc.index[0],) + exc.index[1:]
+        _, sample, cell = exc.index
         where = f"samples {first}..{last}: "
-        raise TauFloorError(index, exc.value, exc.floor, where) from exc
+        raise TauFloorError((first + sample, 0, cell), exc.value, exc.floor, where) from exc
 
 
 def _contrast_errors(exact: np.ndarray, linear: np.ndarray, scale: float) -> np.ndarray:
@@ -250,11 +268,15 @@ def _contrast_errors(exact: np.ndarray, linear: np.ndarray, scale: float) -> np.
 
 
 def _born_sum(forward: ForwardMatrix, contrast: np.ndarray, out: np.ndarray) -> None:
-    """Write sum_p K[n * M + m, p] contrast[l, n, p] to out[l, n * M + m]."""
+    """Write sum_p K[n * M + m, p] contrast[n, l, p] to out[l, n * M + m].
+
+    ``contrast`` is (N, L, P), so each transmit's GEMM reads the contiguous
+    (L, P) slice ``contrast[n]``.
+    """
     n_rx = forward.n_rx
     for n in range(forward.n_tx):
         rows = slice(n * n_rx, (n + 1) * n_rx)
-        out[:, rows] = contrast[:, n, :] @ forward.kernels[rows].T
+        out[:, rows] = contrast[n] @ forward.kernels[rows].T
 
 
 def snapshots_from_perturbations(

@@ -156,6 +156,15 @@ def coerce_floats(values, name: str) -> tuple[float, ...]:
 
 
 def coerce_int(value, name: str) -> int:
+    """Parse an integral config value: a number, or a string such as "1e3" or "12".
+
+    A string of digits, as ``--seed`` gives, is taken exactly, beyond float precision.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
     number = coerce_float(value, name)
     if number != int(number):
         raise ConfigError(f"{name} must be an integer, got {value!r}")

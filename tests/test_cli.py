@@ -192,6 +192,27 @@ def test_seed_flag_beyond_float_precision_runs_exactly(capsys):
     assert parse_config(capsys.readouterr().out).random_field.seed == 2**53 + 1
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_seed_flag_and_file_read_1e3_as_1000(tmp_path, capsys, source):
+    # The flag once refused 1e3 as a usage error (exit 2) that the file ran as 1000.
+    if source == "flag":
+        argv = ["--seed", "1e3", "--print-config"]
+    else:
+        config_path = tmp_path / "seed.yaml"
+        config_path.write_text("random_field: {seed: 1e3}\n")
+        argv = ["--config", str(config_path), "--print-config"]
+    assert main(argv) == 0
+    assert parse_config(capsys.readouterr().out).random_field.seed == 1000
+
+
+def test_malformed_seed_flag_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "results"
+    assert main(["--out", str(out), "--seed", "abc", "closure"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: seed must be a number" in err
+    assert not out.exists()
+
+
 def test_report_plots_without_matplotlib_exits_1_and_writes_nothing(tmp_path, capsys,
                                                                    monkeypatch):
     # Once it ran every experiment, wrote no plot and exited 0.
@@ -292,9 +313,11 @@ def test_print_config_needs_no_subcommand(capsys):
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
+    # A usage error exits 1, as a configuration error does: 2 is kept for
+    # numerical or invariant failures.
     with pytest.raises(SystemExit) as exit_info:
         main([])
-    assert exit_info.value.code == 2
+    assert exit_info.value.code == 1
     assert "required: command" in capsys.readouterr().err
 
 
@@ -569,9 +592,9 @@ def test_closure_failure_in_a_later_block_drops_only_its_scenario(tmp_path, monk
 
     def flaky(background, delta, omega):
         if background == failing:
-            chunks.append(delta.shape[1])
+            chunks.append(delta.shape[2])  # delta is (5, 1, samples, cells)
             if len(chunks) == 2:
-                raise TauFloorError((1, 0, 2), 0.0, 1e-15)
+                raise TauFloorError((0, 1, 2), 0.0, 1e-15)
         return original(background, delta, omega)
 
     monkeypatch.setattr(montecarlo, "exact_contrast_field", flaky)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gprclutter import EPSILON_0, ColeColeParams, get_scenario, scenario_registry
 from gprclutter.constitutive import (
     FD_STEP_FLOORS,
+    _background_terms,
     _relaxation,
     complex_permittivity,
     eval_permittivity,
@@ -271,6 +272,36 @@ def test_perturbed_tau_below_floor_raises():
     delta[2] = -background.tau  # would drive tau to zero
     with pytest.raises(DomainError, match="tau"):
         exact_contrast_field(background, delta[:, None], OMEGA_100MHZ)
+
+
+def test_cached_background_terms_are_read_only_and_follow_the_frequencies():
+    # The background terms are cached per (background, frequencies): a switch
+    # to another frequency set and back gives the values of a cold cache.
+    background = get_scenario("S4").background
+    rng = np.random.default_rng(5)
+    draws = 0.01 * background.as_array()[:, None, None, None] * rng.standard_normal((5, 1, 3, 4))
+    ladders = [2.0 * np.pi * (100e6 + delta_f * np.arange(8))[:, None, None]
+               for delta_f in (20e6, 40e6)]
+    cold = []
+    for omega in ladders:
+        _background_terms.cache_clear()
+        cold.append((_background_terms(background, omega.tobytes(), omega.shape),
+                     exact_contrast_field(background, draws, omega)))
+    _background_terms.cache_clear()
+    for which in (0, 1, 0):
+        omega = ladders[which]
+        contrast = exact_contrast_field(background, draws, omega)
+        terms = _background_terms(background, omega.tobytes(), omega.shape)
+        assert np.array_equal(contrast, cold[which][1])
+        for term, reference in zip(terms, cold[which][0]):
+            assert term.shape == omega.shape and np.array_equal(term, reference)
+            assert not term.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                term += 0.0
+    # The first two calls filled the cache; every later lookup hit it.
+    assert _background_terms.cache_info().misses == 2
+    assert np.array_equal(cold[0][0][3], EPSILON_0 / complex_permittivity(
+        *background.as_array(), ladders[0]))
 
 
 def test_exact_contrast_field_matches_scalar_route():

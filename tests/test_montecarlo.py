@@ -583,6 +583,43 @@ def test_streamed_validity_scan_matches_a_full_array_reference(sid):
     assert np.allclose(report.p95_snapshot_error, snapshot, rtol=0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("sid", sorted(scenario_registry()))
+def test_frequency_outer_exact_contrast_is_the_sample_outer_one_transposed(sid):
+    # The Monte Carlo paths evaluate (5, 1, L, P) perturbations against
+    # (N, 1, 1) frequencies; each value is the one that (5, L, 1, P) against
+    # (N, 1) gives, bit for bit.
+    geometry, scenario, _, cov = _setup(sid=sid, n_x=4, n_z=3)
+    samples = sample_perturbations(cov, 7, 5)
+    per_channel = samples.reshape(7, 5, geometry.n_cells).transpose(1, 0, 2)
+    omegas = 2.0 * np.pi * geometry.frequencies
+    for scale in (1.0, 4.0):
+        outer = montecarlo._exact_contrast(scenario, geometry, samples, scale=scale)
+        inner = exact_contrast_field(scenario.background, scale * per_channel[:, :, None],
+                                     omegas[:, None])
+        assert outer.shape == (geometry.frequencies.size, 7, geometry.n_cells)
+        assert outer.flags.c_contiguous
+        transposed = np.ascontiguousarray(inner.transpose(1, 0, 2))
+        assert np.array_equal(outer.view(np.uint64), transposed.view(np.uint64))
+    linear = montecarlo._linear_contrast(assemble_forward(scenario, geometry), samples)
+    assert linear.shape == outer.shape and linear.flags.c_contiguous
+
+
+def test_tau_floor_hit_in_the_frequency_outer_layout_keeps_its_ensemble_index():
+    geometry, scenario, _, cov = _setup(sid="S4", n_x=4, n_z=3)
+    samples = sample_perturbations(cov, 6, 5)
+    samples[4, 2 * geometry.n_cells + 9] = -scenario.background.tau
+    per_channel = samples.reshape(6, 5, geometry.n_cells).transpose(1, 0, 2)
+    omegas = 2.0 * np.pi * geometry.frequencies
+    with pytest.raises(TauFloorError) as sample_outer:
+        exact_contrast_field(scenario.background, per_channel[:, :, None], omegas[:, None])
+    assert sample_outer.value.index == (4, 0, 9)
+    with pytest.raises(TauFloorError) as named:
+        montecarlo._exact_contrast(scenario, geometry, samples, start=30)
+    assert named.value.__cause__.index == (0, 4, 9)
+    assert named.value.index == (34, 0, 9)
+    assert str(named.value).startswith("samples 30..35: perturbed tau at index (34, 0, 9)")
+
+
 def _tau_floor_hit(monkeypatch, scenario, geometry, sample, cell):
     """Streamed draws in 15-sample exact chunks, with tau of one sample at one cell at 0."""
     monkeypatch.setattr(
