@@ -28,17 +28,22 @@ Memory does not grow with the sample count times 5P. Both Monte Carlo
 passes draw, synthesize and reduce the samples in the blocks of
 :func:`_block_starts`, at most SAMPLE_BLOCK samples and SAMPLE_BLOCK_BYTES
 bytes of samples, and evaluate exact contrast in chunks of at most
-EXACT_CHUNK_VALUES values. Each array is released before its successor is
-allocated: a scenario's samples and snapshots before the next scenario
-mixes the block (a dropped scenario's kept error included), the block's
-normals, or the scan's base samples and linear snapshots, before the next
-draw, and a chunk's contrast before the next chunk is evaluated.
+EXACT_CHUNK_VALUES values, split into balanced chunks (:func:`_exact_chunks`).
+Each array is released before its successor is allocated: a scenario's
+samples and snapshots before the next scenario mixes the block (a dropped
+scenario's kept error included), the block's normals, or the scan's base
+samples and linear snapshots, before the next draw, and a chunk's contrast
+before the next chunk is evaluated.
 
 Closure draws each block's standard normals once for all scenarios and
-reduces the block's snapshots into one MN x MN sum of y y^H per mode and
-scenario. At its peak it holds two blocks, the normals and one scenario's
-samples, and two chunks while one is evaluated: the contrast being
-written and the Cole-Cole kernel's real and imaginary parts. The validity
+applies each distinct spatial root among them once per block, in place
+(:func:`randfield._spatial_mix`); each scenario then applies only its 5x5
+parameter factor and reduces the block's snapshots into one MN x MN sum of
+y y^H per mode. At its peak it holds two blocks, the spatially mixed
+normals and one scenario's samples, and two chunks while one is
+evaluated: the contrast being written and the Cole-Cole kernel's real and
+imaginary parts. Scenarios with several distinct spatial factors add a
+third block, a copy of the normals for each root but the last. The validity
 scan holds one block of base samples and its linear snapshots, which it
 synthesizes once, and per chunk the linear contrast, formed once for all
 amplitudes, and one amplitude's exact evaluation. It keeps the L
@@ -65,7 +70,8 @@ from .forward import ForwardMatrix
 from .randfield import (
     EXACT_CHUNK_VALUES,
     PerturbationCovariance,
-    _mix,
+    _parameter_mix,
+    _spatial_mix,
     sample_perturbations,
     standard_normal_draws,
 )
@@ -214,14 +220,25 @@ def _linear_contrast(forward: ForwardMatrix, samples: np.ndarray) -> np.ndarray:
 
 
 def _exact_chunks(geometry: SceneGeometry, count: int):
-    """Row slices of ``count`` samples, one exact-contrast chunk each.
+    """Row slices of ``count`` samples, in order, one exact-contrast chunk each.
 
     A chunk's (N, rows, P) contrast holds at most EXACT_CHUNK_VALUES values
-    unless one sample alone exceeds that.
+    unless one sample alone exceeds that: there are ceil(count / cap)
+    chunks for a cap of that many rows, at least one, and their sizes
+    differ by at most one, the larger first. 64 samples at P = 525 give 13,
+    13, 13, 13 and 12 rows rather than a ragged 4-row tail, the chunk that
+    costs most per value. No samples give no chunk.
     """
-    step = max(1, EXACT_CHUNK_VALUES // (geometry.frequencies.size * geometry.n_cells))
-    for row in range(0, count, step):
-        yield slice(row, min(row + step, count))
+    if count == 0:
+        return
+    cap = max(1, EXACT_CHUNK_VALUES // (geometry.frequencies.size * geometry.n_cells))
+    chunks = -(-count // cap)
+    size, larger = divmod(count, chunks)
+    row = 0
+    for chunk in range(chunks):
+        rows = size + (chunk < larger)
+        yield slice(row, row + rows)
+        row += rows
 
 
 def _exact_contrast(
@@ -290,7 +307,7 @@ def snapshots_from_perturbations(
 ) -> np.ndarray:
     """Noise-free Born snapshots of given perturbation samples, shape (L, MN).
 
-    ``linear`` applies the forward operator block by block,
+    ``linear`` applies the forward operator through its factors,
     y = sum_q D_q K x_q; ``exact`` evaluates the exact contrast per cell and
     frequency and contracts it against the same two-way kernels K.
     ``samples[0]`` is sample ``start`` of the ensemble, as errors report it.
@@ -303,22 +320,21 @@ def snapshots_from_perturbations(
         raise ConfigError(
             f"samples of shape {samples.shape} incompatible with forward {forward.shape}"
         )
-    out = np.zeros((samples.shape[0], forward.shape[0]), dtype=complex)
+    count, channels = samples.shape[0], forward.shape[0]
     if mode == "linear":
-        # y = sum_q D_q K x_q. Each parameter block x_q is a strided view of
-        # the samples, multiplied by K^T in one real GEMM with each complex
-        # entry of K^T split into adjacent (real, imag) columns; the float
-        # product read as complex is K x_q. One block at a time keeps the
-        # temporaries at the size of the output.
+        # y = sum_q D_q K x_q. The L * 5 rows x_q of the samples meet K^T in
+        # one real GEMM, which reads K once, with each complex entry of K^T
+        # split into adjacent (real, imag) columns; the float product read
+        # as complex is K x_q for every sample and parameter. Weighted by
+        # psi_q, the 5 parameter blocks are summed in order.
         columns = np.ascontiguousarray(forward.kernels.T).view(float)
-        per_channel = samples.reshape(samples.shape[0], N_PARAMS, forward.n_cells)
-        for q, psi in enumerate(forward.row_sensitivities()):
-            block = (per_channel[:, q] @ columns).view(complex)
-            block *= psi
-            out += block
-        return out
+        per_row = (samples.reshape(count * N_PARAMS, forward.n_cells) @ columns).view(complex)
+        per_channel = per_row.reshape(count, N_PARAMS, channels)
+        per_channel *= forward.row_sensitivities()
+        return per_channel.sum(axis=1)
 
-    for rows in _exact_chunks(geometry, samples.shape[0]):
+    out = np.empty((count, channels), dtype=complex)
+    for rows in _exact_chunks(geometry, count):
         # No name keeps a chunk's contrast once its sum is written, so the
         # next chunk is evaluated without it.
         _born_sum(forward, _exact_contrast(scenario, geometry, samples[rows],
@@ -377,17 +393,19 @@ def shared_closure_covariances(
     """Closure sample covariances of several models from one draw of ``count`` samples.
 
     ``models`` holds (forward, scenario, cov) triples on ``geometry``. The
-    standard normals of each block of :func:`_block_starts` are drawn once;
-    each live model mixes them with its covariance, synthesizes the samples
-    in both modes and adds their y y^H into one MN x MN sum per mode. A
-    model's sums equal those of :func:`sample_covariance` on its full
-    snapshot arrays up to summation order (Chan, Golub & LeVeque, Am. Stat.
-    1983), and memory holds one block of normals, samples and snapshots,
-    not the (count, 5P) samples. Sample i is the same for every model, and
+    standard normals of each block of :func:`_block_starts` are drawn once
+    and mixed once per distinct spatial factor of the live models
+    (:func:`_shared_roots`); each of those models applies its parameter
+    factor, synthesizes the samples in both modes and adds their y y^H into
+    one MN x MN sum per mode. A model's sums equal those of
+    :func:`sample_covariance` on its full snapshot arrays up to summation
+    order (Chan, Golub & LeVeque, Am. Stat. 1983), and memory holds one
+    block of normals, samples and snapshots, not the (count, 5P) samples. Sample i is the same for every model, and
     the same as a one-model run gives.
 
     Returns, per model, its (linear, exact) sample covariances, or the
-    :class:`GprClutterError` that dropped it; the other models go on.
+    :class:`GprClutterError` that dropped it; the other models go on. A
+    spatial root that fails drops exactly the models that share it.
     """
     if count < 2:
         raise ConfigError("closure needs at least two snapshots per mode")
@@ -405,16 +423,35 @@ def shared_closure_covariances(
             continue
         size = forward.shape[0]
         sums[index] = {mode: np.zeros((size, size), dtype=complex) for mode in SNAPSHOT_MODES}
+    roots = _shared_roots(models, list(sums))
     for start, size in _block_starts(dim, count):
-        if not sums:
+        live = [[index for index in root if index in sums] for root in roots]
+        live = [group for group in live if group]
+        if not live:
             break
         normals = standard_normal_draws(dim, size, seed, start=start)
-        for index, totals in list(sums.items()):
+        for k, group in enumerate(live):
+            # The spatial step overwrites its block: the last root takes the
+            # normals themselves, every other one a copy.
+            block = normals if k == len(live) - 1 else normals.copy()
             try:
-                _add_outer_products(models[index], geometry, normals, start, totals)
+                spatial = _spatial_mix(models[group[0]][2], block)
             except GprClutterError as exc:
-                outcomes[index] = _without_locals(exc)
-                del sums[index]
+                # A failed root drops exactly the models that share it.
+                error = _without_locals(exc)
+                for index in group:
+                    outcomes[index] = error
+                    del sums[index]
+                continue
+            finally:
+                del block
+            for index in group:
+                try:
+                    _add_outer_products(models[index], geometry, spatial, start, sums[index])
+                except GprClutterError as exc:
+                    outcomes[index] = _without_locals(exc)
+                    del sums[index]
+            del spatial  # freed before the next root's mix
         del normals  # freed before the next block's draw
     for index, totals in sums.items():
         outcomes[index] = (_hermitian_mean(totals["linear"], count),
@@ -422,20 +459,48 @@ def shared_closure_covariances(
     return outcomes
 
 
+def _shared_roots(
+    models: list[tuple[ForwardMatrix, Scenario, PerturbationCovariance]], indices: list[int]
+) -> list[list[int]]:
+    """``indices`` grouped by equal spatial factor, compared by value, in first-seen order.
+
+    Covariances with equal axis factors, or an equal dense factor, have one
+    spatial root, so one :func:`_spatial_mix` of a block serves them all.
+    """
+    roots: list[list[int]] = []
+    for index in indices:
+        cov = models[index][2]
+        for root in roots:
+            first = models[root[0]][2]
+            if first.spatial_axes is None or cov.spatial_axes is None:
+                same = (first.spatial_axes is cov.spatial_axes
+                        and np.array_equal(first.spatial_factor, cov.spatial_factor))
+            else:
+                same = all(map(np.array_equal, first.spatial_axes, cov.spatial_axes))
+            if same:
+                root.append(index)
+                break
+        else:
+            roots.append([index])
+    return roots
+
+
 def _add_outer_products(
     model: tuple[ForwardMatrix, Scenario, PerturbationCovariance],
     geometry: SceneGeometry,
-    normals: np.ndarray,
+    spatial: np.ndarray,
     start: int,
     totals: dict[str, np.ndarray],
 ) -> None:
-    """Add y y^H of one block, mixed by ``model``, to its sum per mode.
+    """Add y y^H of one block, mixed by ``model``'s parameter factor, to its sum per mode.
 
-    The block's samples and snapshots are this call's own: they are freed
-    when it returns, before the next model mixes the block.
+    ``spatial`` is the block's :func:`_spatial_mix` rows, shared by every
+    model of one spatial root. The block's samples and snapshots are this
+    call's own: they are freed when it returns, before the next model
+    mixes the block.
     """
     forward, scenario, cov = model
-    samples = _mix(cov, normals)
+    samples = _parameter_mix(cov, spatial)
     for mode, total in totals.items():
         snapshots = snapshots_from_perturbations(
             forward, scenario, geometry, samples, mode, start=start)

@@ -13,7 +13,10 @@ through the two axis factors and the PxP matrix is never formed. Samples
 are amplitude * (L_param x S) z with L_param the Cholesky factor of the
 parameter factor and S S^T = C: S is the Cholesky factor of a dense C, and
 the exact eigen root (U_x x U_z) diag(sqrt(lam_x x lam_z + nugget)) of a
-separable one. Each sample's standard normals come from a private substream
+separable one. They are applied as (L_param x I)(I x S) z: the spatial
+root once per block of normals, in place, then each covariance's 5x5
+parameter factor, so covariances with equal spatial factors mix one block
+of normals once. Each sample's standard normals come from a private substream
 keyed on (master seed, sample index), so draws are reproducible and
 independent of batching or worker count.
 """
@@ -55,7 +58,7 @@ SPATIAL_KERNELS = ("squared_exponential", "exponential")
 #: (1 MiB, ``montecarlo``); evaluating one holds two chunks, the contrast
 #: being written and the kernel's real and imaginary parts. The spatial mix
 #: goes through row groups of this many floats (512 KiB, :func:`_kron_rows`)
-#: beside the mixed block.
+#: inside the block it overwrites.
 EXACT_CHUNK_VALUES = 2**16
 
 
@@ -216,7 +219,7 @@ class PerturbationCovariance:
     @functools.cached_property
     def spatial_cholesky(self) -> np.ndarray:
         """The Cholesky factor of a dense C; a separable C is sampled
-        through its eigen root (see :func:`_mix`) and has none."""
+        through its eigen root (see :func:`_spatial_mix`) and has none."""
         if self.spatial_factor is None:
             raise ConfigError("a separable spatial factor has no dense Cholesky factor")
         return _cholesky(self.spatial_factor, "spatial factor")
@@ -335,47 +338,54 @@ def sample_perturbations(
 ) -> np.ndarray:
     """Draw perturbation samples start, ..., start + count - 1, shape (count, 5P).
 
-    The normals of :func:`standard_normal_draws`, mixed by :func:`_mix`.
-    The normals of sample i depend only on (seed, i). The mixed values can
-    differ in the last bit between batch sizes, because the GEMM's
-    rounding depends on the row count.
+    The normals of :func:`standard_normal_draws`, mixed in place by
+    :func:`_spatial_mix` and then by :func:`_parameter_mix`. The normals of
+    sample i depend only on (seed, i). The mixed values can differ in the
+    last bit between batch sizes, because the GEMM's rounding depends on
+    the row count.
     """
-    return _mix(cov, standard_normal_draws(cov.dim, count, seed, start=start))
+    # No name keeps the normals: a dense root's GEMM writes new rows, and
+    # the normals are freed before the parameter step allocates the samples.
+    return _parameter_mix(cov, _spatial_mix(cov, standard_normal_draws(
+        cov.dim, count, seed, start=start)))
 
 
-def _mix(cov: PerturbationCovariance, normals: np.ndarray) -> np.ndarray:
-    """The samples amplitude * (L_param x S) z of standard normals z, shape (count, 5P).
+def _spatial_mix(cov: PerturbationCovariance, normals: np.ndarray) -> np.ndarray:
+    """The rows (I x S) z of standard normals z, shape (count * 5, P), with S S^T = C.
 
-    L_param is the Cholesky factor of the parameter factor and S S^T = C.
-    The Kronecker product is applied in factored matrix form: the 5x5
-    parameter mix of every sample, then S on all 5 * count parameter rows
-    at once. S is the Cholesky factor of a dense C, applied as one GEMM. A
-    separable C takes the exact eigen root
+    Row 5 i + q is the spatial root applied to the P normals of parameter q
+    of sample i. S is the Cholesky factor of a dense C, applied as one GEMM
+    into new rows. A separable C takes the exact eigen root
     S = (U_x x U_z) diag(sqrt(lam_x x lam_z + nugget)), whose S S^T is
-    C_x x C_z + nugget I, applied through the axis factors and written back
-    into the mixed rows. Entry q * P + p of a sample is the perturbation of
-    parameter q at cell p.
-
-    ``normals`` holds one z per row and is read, not written, so one block
-    of normals can be mixed with several covariances of the same size.
+    C_x x C_z + nugget I, applied through the axis factors in place: the
+    C-contiguous ``normals`` are overwritten, and only one row group of the
+    intermediate is allocated (:func:`_kron_rows`). The step does not
+    depend on the parameter factor or the amplitude, so covariances with
+    equal spatial factors can share its rows (see :func:`_parameter_mix`).
     """
-    count = normals.shape[0]
-    mixed = np.matmul(cov.param_cholesky, normals.reshape(count, N_PARAMS, cov.n_cells))
-    # Frees the normals before the spatial mix when the caller keeps none,
-    # as in sample_perturbations.
-    del normals
-    rows = mixed.reshape(count * N_PARAMS, cov.n_cells)
+    rows = normals.reshape(-1, cov.n_cells)
     if cov.spatial_axes is None:
-        samples = rows @ cov.spatial_cholesky.T
-        del mixed, rows
-        samples *= cov.amplitude
-    else:
-        lam, (u_x, u_z) = cov._spatial_eigh
-        if lam.min() <= 0.0:
-            raise NonPositiveDefiniteError(
-                "spatial factor is not positive definite: "
-                f"smallest eigenvalue {float(lam.min())!r}"
-            )
-        rows *= cov.amplitude * np.sqrt(lam)
-        samples = _kron_rows(rows, u_x, u_z, out=rows)
+        return rows @ cov.spatial_cholesky.T
+    lam, (u_x, u_z) = cov._spatial_eigh
+    if lam.min() <= 0.0:
+        raise NonPositiveDefiniteError(
+            "spatial factor is not positive definite: "
+            f"smallest eigenvalue {float(lam.min())!r}"
+        )
+    rows *= np.sqrt(lam)
+    return _kron_rows(rows, u_x, u_z, out=rows)
+
+
+def _parameter_mix(cov: PerturbationCovariance, spatial: np.ndarray) -> np.ndarray:
+    """The samples amplitude * (L_param x I) of :func:`_spatial_mix` rows, shape (count, 5P).
+
+    L_param is the Cholesky factor of the parameter factor; together the two
+    steps give amplitude * (L_param x S) z. Entry q * P + p of a sample is
+    the perturbation of parameter q at cell p. ``spatial`` is read, not
+    written, so one block of rows can be mixed with several parameter
+    factors.
+    """
+    count = spatial.shape[0] // N_PARAMS
+    per_sample = spatial.reshape(count, N_PARAMS, cov.n_cells)
+    samples = np.matmul(cov.amplitude * cov.param_cholesky, per_sample)
     return samples.reshape(count, cov.dim)

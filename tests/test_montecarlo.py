@@ -17,10 +17,17 @@ from gprclutter import (
     clutter_covariance,
     get_scenario,
     montecarlo,
+    randfield,
     scenario_registry,
 )
 from gprclutter.constitutive import DENOMINATOR_FLOOR, exact_contrast_field
-from gprclutter.errors import ConfigError, DomainError, TauFloorError, UndefinedSpectrumError
+from gprclutter.errors import (
+    ConfigError,
+    DomainError,
+    NonPositiveDefiniteError,
+    TauFloorError,
+    UndefinedSpectrumError,
+)
 from gprclutter.montecarlo import (
     SNAPSHOT_MODES,
     NearestRankSelector,
@@ -551,6 +558,125 @@ def test_streamed_closure_covariances_match_the_full_snapshot_arrays(monkeypatch
         assert np.linalg.norm(rhat - full) <= 1e-13 * np.linalg.norm(full)
 
 
+def _root_models(specs):
+    """One (forward, scenario, cov) per (id, corr_length, kernel) on a 4 x 3 grid."""
+    geometry = build_default_geometry(GeometryConfig(n_tx=2, n_rx=2, n_x=4, n_z=3))
+    models = []
+    for sid, corr_length, kernel in specs:
+        scenario = get_scenario(sid)
+        cov = build_covariance(scenario, geometry.cell_centers, corr_length, 0.3, np.ones(5),
+                               1.0, kernel)
+        models.append((assemble_forward(scenario, geometry), scenario, cov))
+    return geometry, models
+
+
+def _solo_bytes(model, geometry, count, seed):
+    forward, scenario, cov = model
+    solo = closure_covariances(forward, scenario, geometry, cov, count, seed)
+    return [rhat.tobytes() for rhat in solo]
+
+
+def test_shared_closure_mixes_each_spatial_root_once_and_equals_solo_runs(monkeypatch):
+    # Three spatial roots among five models: two axis-factor pairs
+    # (corr_length 0.15 and 0.08) and one dense exponential factor, the
+    # 0.15 pair shared by three models, one of them at amplitude 2: the
+    # amplitude belongs to the parameter step. Each model's sums are those
+    # of its own run, bit for bit; the 0.15 root's rows serve its three models.
+    specs = [("S1", 0.15, "squared_exponential"), ("S4", 0.08, "squared_exponential"),
+             ("S_syn", 0.15, "exponential"), ("S2", 0.15, "squared_exponential"),
+             ("S3", 0.15, "squared_exponential")]
+    geometry, models = _root_models(specs)
+    forward, scenario, cov = models[3]
+    models[3] = (forward, scenario, cov.with_amplitude(2.0))
+    assert montecarlo._shared_roots(models, list(range(5))) == [[0, 3, 4], [1], [2]]
+    spatial_mix, roots = montecarlo._spatial_mix, []
+
+    def counting(cov, normals):
+        roots.append(next(i for i, model in enumerate(models) if model[2] is cov))
+        return spatial_mix(cov, normals)
+
+    monkeypatch.setattr(montecarlo, "_spatial_mix", counting)
+    shared = shared_closure_covariances(models, geometry, 150, 6)
+    assert roots == [0, 1, 2] * 3  # three blocks, each root once per block
+    monkeypatch.setattr(montecarlo, "_spatial_mix", spatial_mix)
+    for model, outcome in zip(models, shared):
+        assert [rhat.tobytes() for rhat in outcome] == _solo_bytes(model, geometry, 150, 6)
+
+
+def test_one_spatial_root_runs_once_per_block_for_three_models(monkeypatch):
+    # Three scenarios on one grid and correlation length: the axis-factor
+    # product runs once per block, not once per model and block.
+    geometry, models = _root_models([(sid, 0.15, "squared_exponential")
+                                     for sid in ("S1", "S4", "S_syn")])
+    kron_rows, calls = randfield._kron_rows, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return kron_rows(*args, **kwargs)
+
+    monkeypatch.setattr(randfield, "_kron_rows", counting)
+    outcomes = shared_closure_covariances(models, geometry, 150, 2)
+    assert calls == [5 * 64, 5 * 64, 5 * 22]
+    assert all(isinstance(outcome, tuple) for outcome in outcomes)
+
+
+@pytest.mark.parametrize("form", ["dense", "separable"])
+def test_a_failed_spatial_root_drops_exactly_the_models_that_share_it(form):
+    # Models 0 and 2 hold equal (by value, not by identity) spatial factors
+    # that are not positive definite: both drop out with the root's error,
+    # and models 1 and 3 give the numbers of their own runs.
+    geometry, models = _root_models([(sid, 0.15, "squared_exponential")
+                                     for sid in ("S1", "S4", "S_syn", "S2")])
+    if form == "dense":
+        good = build_spatial_factor(geometry.cell_centers, 0.15)
+        bad = {"spatial_factor": good - 2.0 * np.eye(geometry.n_cells)}
+    else:
+        c_x, c_z = models[0][2].spatial_axes
+        bad = {"spatial_axes": (c_x - 2.0 * np.eye(c_x.shape[0]), c_z)}
+    for index in (0, 2):
+        forward, scenario, cov = models[index]
+        models[index] = (forward, scenario, PerturbationCovariance(
+            param_factor=cov.param_factor, amplitude=1.0, **bad))
+    outcomes = shared_closure_covariances(models, geometry, 150, 4)
+    for index in (0, 2):
+        assert isinstance(outcomes[index], NonPositiveDefiniteError)
+        assert "spatial factor is not positive definite" in str(outcomes[index])
+    for index in (1, 3):
+        solo = _solo_bytes(models[index], geometry, 150, 4)
+        assert [rhat.tobytes() for rhat in outcomes[index]] == solo
+
+
+@pytest.mark.parametrize(("n_x", "n_z", "cap", "block", "split"), [
+    (25, 21, 15, 64, [13, 13, 13, 13, 12]),
+    (48, 36, 4, 30, [4, 4, 4, 4, 4, 4, 3, 3]),
+], ids=["P525", "P1728"])
+def test_exact_chunks_are_balanced_in_order_and_capped(n_x, n_z, cap, block, split):
+    # ceil(count / cap) chunks whose sizes differ by at most one, the
+    # larger first, tiling 0..count-1 in order; a full block of samples
+    # splits as `split`.
+    geometry = build_default_geometry(GeometryConfig(n_x=n_x, n_z=n_z))
+    assert _chunk_rows(geometry) == cap
+    for count in (1, cap - 1, cap, cap + 1, 64, 30):
+        chunks = list(montecarlo._exact_chunks(geometry, count))
+        sizes = [rows.stop - rows.start for rows in chunks]
+        assert len(chunks) == math.ceil(count / cap)
+        assert [rows.start for rows in chunks] == [0] + list(np.cumsum(sizes[:-1]))
+        assert chunks[-1].stop == count and all(rows.step is None for rows in chunks)
+        assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)
+    assert list(montecarlo._exact_chunks(geometry, 0)) == []
+    assert [rows.stop - rows.start for rows in montecarlo._exact_chunks(geometry, block)] == split
+
+
+def test_zero_samples_give_empty_snapshots_in_both_modes():
+    geometry, scenario, forward, _ = _setup(sid="S4", n_x=4, n_z=3)
+    samples = np.empty((0, forward.shape[1]))
+    for mode in SNAPSHOT_MODES:
+        snapshots = snapshots_from_perturbations(forward, scenario, geometry, samples, mode)
+        assert snapshots.shape == (0, forward.shape[0])
+        assert snapshots.dtype == complex
+
+
 def _validity_reference(forward, scenario, geometry, cov, grid, count, seed):
     """p95 contrast and snapshot errors from full (L, 5P) and (L, N, P) arrays."""
     base = sample_perturbations(cov.with_amplitude(1.0), count, seed)
@@ -621,11 +747,12 @@ def test_tau_floor_hit_in_the_frequency_outer_layout_keeps_its_ensemble_index():
 
 
 def _tau_floor_hit(monkeypatch, scenario, geometry, sample, cell):
-    """Streamed draws in 15-sample exact chunks, with tau of one sample at one cell at 0."""
+    """Streamed draws in exact chunks of at most 15 samples, with tau of one sample at one cell at 0."""
     monkeypatch.setattr(
         montecarlo, "EXACT_CHUNK_VALUES", 15 * geometry.frequencies.size * geometry.n_cells)
     draw, mix, sample_all = (
-        montecarlo.standard_normal_draws, montecarlo._mix, montecarlo.sample_perturbations)
+        montecarlo.standard_normal_draws, montecarlo._parameter_mix,
+        montecarlo.sample_perturbations)
     starts = []
 
     def hit(samples, start):
@@ -637,10 +764,11 @@ def _tau_floor_hit(monkeypatch, scenario, geometry, sample, cell):
         starts.append(start)
         return draw(dim, count, seed, start=start)
 
-    # Closure mixes each drawn block itself; the scan draws each block
-    # through sample_perturbations.
+    # Closure mixes each drawn block itself, each model through its own
+    # parameter step; the scan draws each block through sample_perturbations.
     monkeypatch.setattr(montecarlo, "standard_normal_draws", drawing)
-    monkeypatch.setattr(montecarlo, "_mix", lambda cov, normals: hit(mix(cov, normals), starts[-1]))
+    monkeypatch.setattr(montecarlo, "_parameter_mix",
+                        lambda cov, spatial: hit(mix(cov, spatial), starts[-1]))
     monkeypatch.setattr(montecarlo, "sample_perturbations",
                         lambda cov, count, seed, *, start=0:
                         hit(sample_all(cov, count, seed, start=start), start))
@@ -648,13 +776,15 @@ def _tau_floor_hit(monkeypatch, scenario, geometry, sample, cell):
 
 @pytest.mark.parametrize(
     ("count", "sample", "closure_rows", "scan_rows"),
-    [(40, 17, "15..29", "15..29"), (100, 70, "64..78", "64..78")],
+    [(40, 17, "14..26", "14..26"), (100, 70, "64..75", "64..75")],
 )
 def test_tau_floor_error_names_the_ensemble_sample(
     monkeypatch, count, sample, closure_rows, scan_rows
 ):
-    # Both passes chunk each 64-sample block: sample 70 lies in the chunk of
-    # samples 64..78, the second block's first.
+    # Both passes split each block into balanced chunks of at most 15
+    # samples: 40 samples into 14, 13 and 13, so sample 17 lies in 14..26;
+    # the second block of 100, samples 64..99, into three of 12, so sample
+    # 70 lies in 64..75, that block's first chunk.
     geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
     _tau_floor_hit(monkeypatch, scenario, geometry, sample, 9)
     with pytest.raises(TauFloorError) as closure_error:

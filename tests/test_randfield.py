@@ -22,7 +22,8 @@ from gprclutter.randfield import (
     SPATIAL_NUGGET,
     PerturbationCovariance,
     _kron_rows,
-    _mix,
+    _parameter_mix,
+    _spatial_mix,
     standard_normal_draws,
 )
 from gprclutter.scene import Scenario
@@ -268,23 +269,29 @@ def test_grouped_in_place_kron_rows_equal_the_one_shot_product(monkeypatch, grou
 
 
 def test_separable_mix_holds_one_row_group_of_its_intermediate():
-    # Mixing a kept 64-sample block of normals on a 24 x 18 grid allocates
-    # the mixed block and, one row group at a time, the product with U_z:
-    # EXACT_CHUNK_VALUES floats, not a second block.
+    # Mixing a fresh 64-sample block of normals on a 24 x 18 grid: the
+    # spatial step overwrites the block and allocates, one row group at a
+    # time, the product with U_z (EXACT_CHUNK_VALUES floats), and the
+    # parameter step allocates the samples. A copy of the block in the
+    # spatial step, or a second block beside the samples, exceeds that.
     geometry = build_default_geometry(GeometryConfig(n_x=24, n_z=18))
     cov = build_covariance(get_scenario("S4"), geometry.cell_centers, 0.15, 0.3,
                            np.ones(5), 1.0)
     normals = standard_normal_draws(cov.dim, 64, seed=1)
-    _mix(cov, normals)  # first-call allocations: the eigen root
+    _parameter_mix(cov, _spatial_mix(cov, normals.copy()))  # first-call allocations
+    block = normals.copy()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _mix(cov, normals)
+        spatial = _spatial_mix(cov, block)
+        spatial_peak = tracemalloc.get_traced_memory()[1] - start
+        _parameter_mix(cov, spatial)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    block = normals.nbytes
-    assert peak < block + 8 * randfield.EXACT_CHUNK_VALUES + block // 16
+    assert np.shares_memory(spatial, block)
+    assert spatial_peak < 8 * randfield.EXACT_CHUNK_VALUES + normals.nbytes // 16
+    assert peak < normals.nbytes + 8 * randfield.EXACT_CHUNK_VALUES + normals.nbytes // 16
 
 
 def test_kronecker_and_dense_samplers_agree_on_shared_normals():
