@@ -35,21 +35,21 @@ scenario's kept error included), the block's normals, or the scan's base
 samples and linear snapshots, before the next draw, and a chunk's contrast
 before the next chunk is evaluated.
 
-Closure draws each block's standard normals once for all scenarios and
-applies each distinct spatial root among them once per block, in place
-(:func:`randfield._spatial_mix`); each scenario then applies only its 5x5
-parameter factor and reduces the block's snapshots into one MN x MN sum of
-y y^H per mode. At its peak it holds two blocks, the spatially mixed
-normals and one scenario's samples, and two chunks while one is
-evaluated: the contrast being written and the Cole-Cole kernel's real and
-imaginary parts. Scenarios with several distinct spatial factors add a
-third block, a copy of the normals for each root but the last. The validity
-scan holds one block of base samples and its linear snapshots, which it
-synthesizes once, and per chunk the linear contrast, formed once for all
-amplitudes, and one amplitude's exact evaluation. It keeps the L
-per-sample snapshot errors of each amplitude; each amplitude's L N P
-contrast errors stream into its own :class:`NearestRankSelector`, which
-keeps at most 1.25 times a twentieth of them at the 95th percentile.
+Closure draws from the run's one spatial correlation: a scenario whose
+spatial factor differs is refused before the first draw. Each block's
+standard normals are drawn once and mixed once by the one spatial root, in
+place for a separable factor (:func:`randfield._spatial_mix`); each
+scenario then applies only its 5x5 parameter factor and reduces the
+block's snapshots into one MN x MN sum of y y^H per mode. At its peak it
+holds two blocks, the spatially mixed normals and one scenario's samples,
+and two chunks while one is evaluated: the contrast being written and the
+Cole-Cole kernel's real and imaginary parts. The validity scan holds one
+block of base samples and its linear snapshots, which it synthesizes once,
+and per chunk the linear contrast, formed once for all amplitudes, and one
+amplitude's exact evaluation. It keeps the L per-sample snapshot errors of
+each amplitude; each amplitude's L N P contrast errors stream into its own
+:class:`NearestRankSelector`, which keeps at most 1.25 times a twentieth of
+them at the 95th percentile.
 """
 
 from __future__ import annotations
@@ -72,7 +72,9 @@ from .randfield import (
     PerturbationCovariance,
     _parameter_mix,
     _spatial_mix,
+    same_spatial_factor,
     sample_perturbations,
+    spatial_root,
     standard_normal_draws,
 )
 from .scene import Scenario, SceneGeometry
@@ -392,97 +394,62 @@ def shared_closure_covariances(
 ) -> list[tuple[np.ndarray, np.ndarray] | GprClutterError]:
     """Closure sample covariances of several models from one draw of ``count`` samples.
 
-    ``models`` holds (forward, scenario, cov) triples on ``geometry``. The
-    standard normals of each block of :func:`_block_starts` are drawn once
-    and mixed once per distinct spatial factor of the live models
-    (:func:`_shared_roots`); each of those models applies its parameter
+    ``models`` holds (forward, scenario, cov) triples on ``geometry`` with
+    one spatial factor. Before the first draw each model's forward,
+    dimension and parameter factor are checked, the first passing model's
+    spatial root too, and every later spatial factor must equal that one.
+    The standard normals of each block of :func:`_block_starts` are drawn
+    once and mixed once by that root; each model applies its parameter
     factor, synthesizes the samples in both modes and adds their y y^H into
     one MN x MN sum per mode. A model's sums equal those of
     :func:`sample_covariance` on its full snapshot arrays up to summation
-    order (Chan, Golub & LeVeque, Am. Stat. 1983), and memory holds one
-    block of normals, samples and snapshots, not the (count, 5P) samples. Sample i is the same for every model, and
-    the same as a one-model run gives.
+    order (Chan, Golub & LeVeque, Am. Stat. 1983). Sample i is the same for
+    every model, and the same as a one-model run gives.
 
     Returns, per model, its (linear, exact) sample covariances, or the
-    :class:`GprClutterError` that dropped it; the other models go on. A
-    spatial root that fails drops exactly the models that share it.
+    :class:`GprClutterError` of the failed check, or of the tau floor in a
+    block, that dropped it; the other models go on.
     """
     if count < 2:
         raise ConfigError("closure needs at least two snapshots per mode")
     dim = N_PARAMS * geometry.n_cells
     outcomes: list = [None] * len(models)
-    sums = {}
+    sums, root = {}, None
     for index, (forward, scenario, cov) in enumerate(models):
         try:
             _check_forward(forward, scenario, geometry)
             if cov.dim != dim:
                 raise ConfigError(
                     f"covariance of dimension {cov.dim}, not 5 x {geometry.n_cells} cells")
+            _ = cov.param_cholesky
+            if root is None:
+                spatial_root(cov)
+            elif not same_spatial_factor(root[2], cov):
+                raise ConfigError(
+                    f"scenario {scenario.id}: spatial factor differs from that of scenario "
+                    f"{root[1].id}; closure mixes one spatial root")
         except GprClutterError as exc:
             outcomes[index] = exc
             continue
+        root = root or models[index]
         size = forward.shape[0]
         sums[index] = {mode: np.zeros((size, size), dtype=complex) for mode in SNAPSHOT_MODES}
-    roots = _shared_roots(models, list(sums))
     for start, size in _block_starts(dim, count):
-        live = [[index for index in root if index in sums] for root in roots]
-        live = [group for group in live if group]
-        if not live:
+        if not sums:
             break
-        normals = standard_normal_draws(dim, size, seed, start=start)
-        for k, group in enumerate(live):
-            # The spatial step overwrites its block: the last root takes the
-            # normals themselves, every other one a copy.
-            block = normals if k == len(live) - 1 else normals.copy()
+        # No name keeps the normals: a dense root's GEMM frees them.
+        spatial = _spatial_mix(root[2], standard_normal_draws(dim, size, seed, start=start))
+        for index in list(sums):
             try:
-                spatial = _spatial_mix(models[group[0]][2], block)
-            except GprClutterError as exc:
-                # A failed root drops exactly the models that share it.
-                error = _without_locals(exc)
-                for index in group:
-                    outcomes[index] = error
-                    del sums[index]
-                continue
-            finally:
-                del block
-            for index in group:
-                try:
-                    _add_outer_products(models[index], geometry, spatial, start, sums[index])
-                except GprClutterError as exc:
-                    outcomes[index] = _without_locals(exc)
-                    del sums[index]
-            del spatial  # freed before the next root's mix
-        del normals  # freed before the next block's draw
+                _add_outer_products(models[index], geometry, spatial, start, sums[index])
+            except TauFloorError as exc:
+                outcomes[index] = _without_locals(exc)
+                del sums[index]
+        del spatial  # freed before the next block's draw
     for index, totals in sums.items():
         outcomes[index] = (_hermitian_mean(totals["linear"], count),
                            _hermitian_mean(totals["exact"], count))
     return outcomes
-
-
-def _shared_roots(
-    models: list[tuple[ForwardMatrix, Scenario, PerturbationCovariance]], indices: list[int]
-) -> list[list[int]]:
-    """``indices`` grouped by equal spatial factor, compared by value, in first-seen order.
-
-    Covariances with equal axis factors, or an equal dense factor, have one
-    spatial root, so one :func:`_spatial_mix` of a block serves them all.
-    """
-    roots: list[list[int]] = []
-    for index in indices:
-        cov = models[index][2]
-        for root in roots:
-            first = models[root[0]][2]
-            if first.spatial_axes is None or cov.spatial_axes is None:
-                same = (first.spatial_axes is cov.spatial_axes
-                        and np.array_equal(first.spatial_factor, cov.spatial_factor))
-            else:
-                same = all(map(np.array_equal, first.spatial_axes, cov.spatial_axes))
-            if same:
-                root.append(index)
-                break
-        else:
-            roots.append([index])
-    return roots
 
 
 def _add_outer_products(
@@ -495,9 +462,8 @@ def _add_outer_products(
     """Add y y^H of one block, mixed by ``model``'s parameter factor, to its sum per mode.
 
     ``spatial`` is the block's :func:`_spatial_mix` rows, shared by every
-    model of one spatial root. The block's samples and snapshots are this
-    call's own: they are freed when it returns, before the next model
-    mixes the block.
+    model. The block's samples and snapshots are this call's own: they are
+    freed when it returns, before the next model mixes the block.
     """
     forward, scenario, cov = model
     samples = _parameter_mix(cov, spatial)

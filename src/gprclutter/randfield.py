@@ -28,7 +28,7 @@ import functools
 
 import numpy as np
 
-from .constitutive import N_PARAMS
+from .constitutive import N_PARAMS, PARAMETER_NAMES
 from .errors import ConfigError, NonPositiveDefiniteError
 from .scene import Scenario
 
@@ -214,6 +214,12 @@ class PerturbationCovariance:
 
     @functools.cached_property
     def param_cholesky(self) -> np.ndarray:
+        """The parameter factor's Cholesky factor; a singular one's error names
+        each channel of zero variance."""
+        zero = [repr(q) for q, v in zip(PARAMETER_NAMES, np.diag(self.param_factor)) if v == 0]
+        if zero:
+            raise NonPositiveDefiniteError("parameter factor is not positive definite: "
+                                           f"zero variance in channel(s) {', '.join(zero)}")
         return _cholesky(self.param_factor, "parameter factor")
 
     @functools.cached_property
@@ -226,11 +232,14 @@ class PerturbationCovariance:
 
     @functools.cached_property
     def _spatial_eigh(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """Eigenvalues lam_x x lam_z + nugget of a separable C, and its
-        eigenvectors U_x x U_z in the same order, as (U_x, U_z)."""
+        """Eigenvalues lam_x x lam_z + nugget of a positive definite separable
+        C, and its eigenvectors U_x x U_z in the same order, as (U_x, U_z)."""
         (lam_x, u_x), (lam_z, u_z) = (np.linalg.eigh(f) for f in self.spatial_axes)
         lam = np.outer(lam_x, lam_z).ravel()
         lam += _STORED_NUGGET
+        if lam.min() <= 0.0:
+            raise NonPositiveDefiniteError("spatial factor is not positive definite: "
+                                           f"smallest eigenvalue {float(lam.min())!r}")
         return lam, (u_x, u_z)
 
     def spatial_product(self, block: np.ndarray) -> np.ndarray:
@@ -350,28 +359,33 @@ def sample_perturbations(
         cov.dim, count, seed, start=start)))
 
 
+def spatial_root(cov: PerturbationCovariance):
+    """The cached root of C that :func:`_spatial_mix` applies; C must be positive definite."""
+    return cov.spatial_cholesky if cov.spatial_axes is None else cov._spatial_eigh
+
+
+def same_spatial_factor(a: PerturbationCovariance, b: PerturbationCovariance) -> bool:
+    """Whether ``a`` and ``b`` hold equal spatial factors in one form, so one root."""
+    if a.spatial_axes is None or b.spatial_axes is None:
+        return (a.spatial_axes is b.spatial_axes
+                and np.array_equal(a.spatial_factor, b.spatial_factor))
+    return all(map(np.array_equal, a.spatial_axes, b.spatial_axes))
+
+
 def _spatial_mix(cov: PerturbationCovariance, normals: np.ndarray) -> np.ndarray:
     """The rows (I x S) z of standard normals z, shape (count * 5, P), with S S^T = C.
 
-    Row 5 i + q is the spatial root applied to the P normals of parameter q
-    of sample i. S is the Cholesky factor of a dense C, applied as one GEMM
-    into new rows. A separable C takes the exact eigen root
-    S = (U_x x U_z) diag(sqrt(lam_x x lam_z + nugget)), whose S S^T is
-    C_x x C_z + nugget I, applied through the axis factors in place: the
-    C-contiguous ``normals`` are overwritten, and only one row group of the
-    intermediate is allocated (:func:`_kron_rows`). The step does not
-    depend on the parameter factor or the amplitude, so covariances with
-    equal spatial factors can share its rows (see :func:`_parameter_mix`).
+    Row 5 i + q is S applied to the P normals of parameter q of sample i.
+    A dense C's Cholesky factor is applied as one GEMM into new rows; a
+    separable C's eigen root goes through the axis factors in place,
+    overwriting the C-contiguous ``normals`` and allocating one row group of
+    the intermediate (:func:`_kron_rows`). The rows depend on neither the
+    parameter factor nor the amplitude.
     """
     rows = normals.reshape(-1, cov.n_cells)
     if cov.spatial_axes is None:
         return rows @ cov.spatial_cholesky.T
     lam, (u_x, u_z) = cov._spatial_eigh
-    if lam.min() <= 0.0:
-        raise NonPositiveDefiniteError(
-            "spatial factor is not positive definite: "
-            f"smallest eigenvalue {float(lam.min())!r}"
-        )
     rows *= np.sqrt(lam)
     return _kron_rows(rows, u_x, u_z, out=rows)
 
@@ -381,9 +395,7 @@ def _parameter_mix(cov: PerturbationCovariance, spatial: np.ndarray) -> np.ndarr
 
     L_param is the Cholesky factor of the parameter factor; together the two
     steps give amplitude * (L_param x S) z. Entry q * P + p of a sample is
-    the perturbation of parameter q at cell p. ``spatial`` is read, not
-    written, so one block of rows can be mixed with several parameter
-    factors.
+    the perturbation of parameter q at cell p. ``spatial`` is only read.
     """
     count = spatial.shape[0] // N_PARAMS
     per_sample = spatial.reshape(count, N_PARAMS, cov.n_cells)

@@ -563,6 +563,27 @@ def test_numerical_failures_exit_2_and_are_recorded(tmp_path, capsys):
     assert "error in S3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("command", "table"), [
+    ("closure", "closure"), ("scan-validity", "validity_scan"),
+], ids=["closure", "scan-validity"])
+def test_a_zero_weight_is_named_in_each_sampling_scenario_error(tmp_path, command, table):
+    # Weights [0, 1, 1, 1, 1] load and leave the structural experiments
+    # running, but the parameter factor is singular: both sampling
+    # subcommands record, per scenario, the channel of zero variance.
+    config_path = tmp_path / "zero.yaml"
+    config_path.write_text(
+        "scenarios: [S1, S4]\n"
+        "geometry: {n_tx: 2, n_rx: 2, n_x: 3, n_z: 2}\n"
+        "random_field: {sample_count: 16, weights: [0, 1, 1, 1, 1]}\n"
+        "experiments: {validity_sample_count: 4}\n"
+    )
+    out = tmp_path / "results"
+    assert main(["--config", str(config_path), "--out", str(out), command]) == 2
+    message = "parameter factor is not positive definite: zero variance in channel(s) 'eps_inf'"
+    assert json.loads((out / f"{table}_errors.json").read_text()) == {
+        "S1": message, "S4": message}
+
+
 def test_closure_with_one_sample_exits_2_and_is_recorded(tmp_path):
     out = str(tmp_path / "results")
     config_path = tmp_path / "one.yaml"

@@ -293,6 +293,30 @@ def test_shared_closure_stream_equals_the_per_scenario_path(monkeypatch, block):
             assert result.matrices[f"closure_{sid}_{name}"].tobytes() == rhat.tobytes()
 
 
+def test_exponential_kernel_runs_equal_their_one_scenario_runs():
+    # The exponential kernel does not separate, so every scenario samples
+    # through the dense Cholesky root, and closure mixes one dense root for
+    # all three. Each scenario's rows and report equal its own run's.
+    config = _config(
+        scenarios=("S1", "S4", "S_syn"),
+        geometry=GeometryConfig(n_tx=2, n_rx=2, n_x=4, n_z=3),
+        random_field=dataclasses.replace(RandomFieldConfig(), kernel="exponential",
+                                         sample_count=150),
+        experiments=dataclasses.replace(ExperimentSettings(), validity_sample_count=8),
+    )
+    geometry = build_default_geometry(config.geometry)
+    rf = config.random_field
+    assert build_covariance(get_scenario("S1"), geometry.cell_centers, rf.corr_length, rf.rho_c,
+                            rf.weights, rf.amplitude, rf.kernel).spatial_axes is None
+    for run in (run_closure, run_validity_scan):
+        shared = run(config)
+        assert shared.ok and list(shared.reports) == list(config.scenarios)
+        for sid in config.scenarios:
+            solo = run(dataclasses.replace(config, scenarios=(sid,)))
+            assert _rows_by(shared.table, scenario=sid) == solo.table.rows
+            assert shared.reports[sid] == solo.reports[sid]
+
+
 def test_lx_scan_concentrates_the_spectrum():
     result = run_lx_scan(_config())
     assert result.ok

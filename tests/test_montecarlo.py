@@ -576,31 +576,87 @@ def _solo_bytes(model, geometry, count, seed):
     return [rhat.tobytes() for rhat in solo]
 
 
-def test_shared_closure_mixes_each_spatial_root_once_and_equals_solo_runs(monkeypatch):
-    # Three spatial roots among five models: two axis-factor pairs
-    # (corr_length 0.15 and 0.08) and one dense exponential factor, the
-    # 0.15 pair shared by three models, one of them at amplitude 2: the
-    # amplitude belongs to the parameter step. Each model's sums are those
-    # of its own run, bit for bit; the 0.15 root's rows serve its three models.
-    specs = [("S1", 0.15, "squared_exponential"), ("S4", 0.08, "squared_exponential"),
-             ("S_syn", 0.15, "exponential"), ("S2", 0.15, "squared_exponential"),
-             ("S3", 0.15, "squared_exponential")]
-    geometry, models = _root_models(specs)
+def test_shared_closure_mixes_one_spatial_root_once_per_block_and_equals_solo_runs(
+        monkeypatch):
+    # Five models share one spatial factor, S2 at amplitude 2: the amplitude
+    # belongs to the parameter step. Each block is mixed once, by the first
+    # model's root, and each model's sums are those of its own run, bit for
+    # bit.
+    geometry, models = _root_models([(sid, 0.15, "squared_exponential")
+                                     for sid in ("S1", "S4", "S_syn", "S2", "S3")])
     forward, scenario, cov = models[3]
     models[3] = (forward, scenario, cov.with_amplitude(2.0))
-    assert montecarlo._shared_roots(models, list(range(5))) == [[0, 3, 4], [1], [2]]
-    spatial_mix, roots = montecarlo._spatial_mix, []
+    spatial_mix, mixed = montecarlo._spatial_mix, []
 
     def counting(cov, normals):
-        roots.append(next(i for i, model in enumerate(models) if model[2] is cov))
+        mixed.append(cov)
         return spatial_mix(cov, normals)
 
     monkeypatch.setattr(montecarlo, "_spatial_mix", counting)
     shared = shared_closure_covariances(models, geometry, 150, 6)
-    assert roots == [0, 1, 2] * 3  # three blocks, each root once per block
     monkeypatch.setattr(montecarlo, "_spatial_mix", spatial_mix)
+    assert len(mixed) == 3 and all(cov is models[0][2] for cov in mixed)  # three blocks
     for model, outcome in zip(models, shared):
         assert [rhat.tobytes() for rhat in outcome] == _solo_bytes(model, geometry, 150, 6)
+
+
+@pytest.mark.parametrize(("corr_length", "kernel"), [
+    (0.08, "squared_exponential"), (0.15, "exponential"),
+], ids=["corr_length", "dense"])
+def test_closure_refuses_a_model_of_another_spatial_factor_by_scenario(corr_length, kernel):
+    # Closure mixes one spatial root. S4's axis factors of another length,
+    # or its dense exponential factor, differ from S1's: S4 is refused with
+    # an error that names it, and S1 and S_syn give the numbers of their own
+    # runs.
+    geometry, models = _root_models([("S1", 0.15, "squared_exponential"),
+                                     ("S4", corr_length, kernel),
+                                     ("S_syn", 0.15, "squared_exponential")])
+    outcomes = shared_closure_covariances(models, geometry, 150, 5)
+    assert isinstance(outcomes[1], ConfigError)
+    assert str(outcomes[1]).startswith(
+        "scenario S4: spatial factor differs from that of scenario S1")
+    for index in (0, 2):
+        assert [rhat.tobytes() for rhat in outcomes[index]] == _solo_bytes(
+            models[index], geometry, 150, 5)
+
+
+@pytest.mark.parametrize("factor", ["dense", "separable", "parameter"])
+def test_a_factor_not_positive_definite_is_reported_before_any_draw(monkeypatch, factor):
+    # S1 and S4 hold equal (by value, not by identity) spatial roots or
+    # parameter factors that are not positive definite. Closure checks them
+    # before it draws: alone they drop out with no draw made, and beside
+    # S_syn they drop out while S_syn gives the numbers of its own run.
+    geometry, models = _root_models([(sid, 0.15, "squared_exponential")
+                                     for sid in ("S1", "S4", "S_syn")])
+    c_x, c_z = models[0][2].spatial_axes
+    if factor == "dense":
+        good = build_spatial_factor(geometry.cell_centers, 0.15)
+        bad = {"spatial_factor": good - 2.0 * np.eye(geometry.n_cells)}
+        message = "spatial factor is not positive definite: Matrix"
+    elif factor == "separable":
+        bad = {"spatial_axes": (c_x - 2.0 * np.eye(c_x.shape[0]), c_z)}
+        message = "spatial factor is not positive definite: smallest eigenvalue"
+    else:
+        zero_weight = build_param_factor(get_scenario("S1"), [0, 1, 1, 1, 1], 0.3)
+        bad = {"param_factor": zero_weight, "spatial_axes": (c_x, c_z)}
+        message = "parameter factor is not positive definite: zero variance in channel(s) " \
+            "'eps_inf'"
+    for index in (0, 1):
+        forward, scenario, cov = models[index]
+        models[index] = (forward, scenario, PerturbationCovariance(
+            **{"param_factor": cov.param_factor, "amplitude": 1.0, **bad}))
+
+    def never(*args, **kwargs):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(montecarlo, "standard_normal_draws", never)
+    for outcome in shared_closure_covariances(models[:2], geometry, 150, 4):
+        assert isinstance(outcome, NonPositiveDefiniteError)
+        assert str(outcome).startswith(message)
+    monkeypatch.undo()
+    outcomes = shared_closure_covariances(models, geometry, 150, 4)
+    assert all(isinstance(outcome, NonPositiveDefiniteError) for outcome in outcomes[:2])
+    assert [rhat.tobytes() for rhat in outcomes[2]] == _solo_bytes(models[2], geometry, 150, 4)
 
 
 def test_one_spatial_root_runs_once_per_block_for_three_models(monkeypatch):
@@ -618,32 +674,6 @@ def test_one_spatial_root_runs_once_per_block_for_three_models(monkeypatch):
     outcomes = shared_closure_covariances(models, geometry, 150, 2)
     assert calls == [5 * 64, 5 * 64, 5 * 22]
     assert all(isinstance(outcome, tuple) for outcome in outcomes)
-
-
-@pytest.mark.parametrize("form", ["dense", "separable"])
-def test_a_failed_spatial_root_drops_exactly_the_models_that_share_it(form):
-    # Models 0 and 2 hold equal (by value, not by identity) spatial factors
-    # that are not positive definite: both drop out with the root's error,
-    # and models 1 and 3 give the numbers of their own runs.
-    geometry, models = _root_models([(sid, 0.15, "squared_exponential")
-                                     for sid in ("S1", "S4", "S_syn", "S2")])
-    if form == "dense":
-        good = build_spatial_factor(geometry.cell_centers, 0.15)
-        bad = {"spatial_factor": good - 2.0 * np.eye(geometry.n_cells)}
-    else:
-        c_x, c_z = models[0][2].spatial_axes
-        bad = {"spatial_axes": (c_x - 2.0 * np.eye(c_x.shape[0]), c_z)}
-    for index in (0, 2):
-        forward, scenario, cov = models[index]
-        models[index] = (forward, scenario, PerturbationCovariance(
-            param_factor=cov.param_factor, amplitude=1.0, **bad))
-    outcomes = shared_closure_covariances(models, geometry, 150, 4)
-    for index in (0, 2):
-        assert isinstance(outcomes[index], NonPositiveDefiniteError)
-        assert "spatial factor is not positive definite" in str(outcomes[index])
-    for index in (1, 3):
-        solo = _solo_bytes(models[index], geometry, 150, 4)
-        assert [rhat.tobytes() for rhat in outcomes[index]] == solo
 
 
 @pytest.mark.parametrize(("n_x", "n_z", "cap", "block", "split"), [

@@ -199,14 +199,18 @@ def test_param_factor_rejects_bad_inputs():
 
 
 def test_zero_weight_makes_factorization_fail():
+    # The error names each channel of zero variance.
     scenario = get_scenario("S1")
-    cov = PerturbationCovariance(
-        param_factor=build_param_factor(scenario, [1, 0, 1, 1, 1], 0.0),
-        spatial_factor=build_spatial_factor(_line_cells(3), 0.1),
-        amplitude=1.0,
-    )
-    with pytest.raises(NonPositiveDefiniteError):
-        _ = cov.param_cholesky
+    for weights, names in (([1, 0, 1, 1, 1], "'delta_eps'"),
+                           ([0, 1, 1, 1, 0], "'eps_inf', 'sigma'")):
+        cov = PerturbationCovariance(
+            param_factor=build_param_factor(scenario, weights, 0.0),
+            spatial_factor=build_spatial_factor(_line_cells(3), 0.1),
+            amplitude=1.0,
+        )
+        with pytest.raises(NonPositiveDefiniteError,
+                           match=rf"zero variance in channel\(s\) {names}$"):
+            _ = cov.param_cholesky
 
 
 def test_sampling_is_deterministic_and_batch_independent():
