@@ -27,10 +27,12 @@ from .montecarlo import (
 )
 from .randfield import (
     PerturbationCovariance,
+    SpatialCorrelation,
     build_covariance,
     build_param_factor,
     build_spatial_factor,
     sample_perturbations,
+    spatial_correlation,
 )
 from .scene import (
     GeometryConfig,
@@ -68,10 +70,12 @@ __all__ = [
     "ValidityReport",
     "validity_scan",
     "PerturbationCovariance",
+    "SpatialCorrelation",
     "build_covariance",
     "build_param_factor",
     "build_spatial_factor",
     "sample_perturbations",
+    "spatial_correlation",
     "GeometryConfig",
     "Scenario",
     "SceneGeometry",

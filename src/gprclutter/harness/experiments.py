@@ -34,7 +34,12 @@ from ..forward import (
     transmit_kernels,
 )
 from ..montecarlo import closure_from_covariances, shared_closure_covariances, validity_scan
-from ..randfield import PerturbationCovariance, build_covariance, build_param_factor
+from ..randfield import (
+    PerturbationCovariance,
+    _shared_correlation,
+    build_covariance,
+    build_param_factor,
+)
 from ..scene import (
     GeometryConfig,
     Scenario,
@@ -247,8 +252,9 @@ def _scene(result: ExperimentResult, config: ExperimentConfig, sid: str):
 
 
 def clear_memos() -> None:
-    """Forget every shared geometry and baseline."""
+    """Forget every shared geometry, spatial correlation and baseline."""
     _shared_geometry.cache_clear()
+    _shared_correlation.cache_clear()
     _BASELINES.clear()
 
 

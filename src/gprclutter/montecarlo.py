@@ -35,10 +35,10 @@ scenario's kept error included), the block's normals, or the scan's base
 samples and linear snapshots, before the next draw, and a chunk's contrast
 before the next chunk is evaluated.
 
-Closure draws from the run's one spatial correlation: a scenario whose
-spatial factor differs is refused before the first draw. Each block's
-standard normals are drawn once and mixed once by the one spatial root, in
-place for a separable factor (:func:`randfield._spatial_mix`); each
+Closure draws from the run's one :class:`SpatialCorrelation`: a scenario
+on another is refused before the first draw. Each block's standard normals
+are drawn once and mixed once by its root, in place for a separable factor
+(:meth:`SpatialCorrelation.mix`); each
 scenario then applies only its 5x5 parameter factor and reduces the
 block's snapshots into one MN x MN sum of y y^H per mode. At its peak it
 holds two blocks, the spatially mixed normals and one scenario's samples,
@@ -71,10 +71,7 @@ from .randfield import (
     EXACT_CHUNK_VALUES,
     PerturbationCovariance,
     _parameter_mix,
-    _spatial_mix,
-    same_spatial_factor,
     sample_perturbations,
-    spatial_root,
     standard_normal_draws,
 )
 from .scene import Scenario, SceneGeometry
@@ -394,10 +391,10 @@ def shared_closure_covariances(
 ) -> list[tuple[np.ndarray, np.ndarray] | GprClutterError]:
     """Closure sample covariances of several models from one draw of ``count`` samples.
 
-    ``models`` holds (forward, scenario, cov) triples on ``geometry`` with
-    one spatial factor. Before the first draw each model's forward,
+    ``models`` holds (forward, scenario, cov) triples on ``geometry`` that
+    share one ``cov.spatial``. Before the first draw each model's forward,
     dimension and parameter factor are checked, the first passing model's
-    spatial root too, and every later spatial factor must equal that one.
+    spatial root too, and every later model must hold that same instance.
     The standard normals of each block of :func:`_block_starts` are drawn
     once and mixed once by that root; each model applies its parameter
     factor, synthesizes the samples in both modes and adds their y y^H into
@@ -414,7 +411,7 @@ def shared_closure_covariances(
         raise ConfigError("closure needs at least two snapshots per mode")
     dim = N_PARAMS * geometry.n_cells
     outcomes: list = [None] * len(models)
-    sums, root = {}, None
+    sums, correlation, owner = {}, None, None
     for index, (forward, scenario, cov) in enumerate(models):
         try:
             _check_forward(forward, scenario, geometry)
@@ -422,23 +419,23 @@ def shared_closure_covariances(
                 raise ConfigError(
                     f"covariance of dimension {cov.dim}, not 5 x {geometry.n_cells} cells")
             _ = cov.param_cholesky
-            if root is None:
-                spatial_root(cov)
-            elif not same_spatial_factor(root[2], cov):
+            if correlation is None:
+                _ = cov.spatial.root
+                correlation, owner = cov.spatial, scenario
+            elif cov.spatial is not correlation:
                 raise ConfigError(
-                    f"scenario {scenario.id}: spatial factor differs from that of scenario "
-                    f"{root[1].id}; closure mixes one spatial root")
+                    f"scenario {scenario.id}: spatial correlation is not that of scenario "
+                    f"{owner.id}; closure mixes one spatial root")
         except GprClutterError as exc:
             outcomes[index] = exc
             continue
-        root = root or models[index]
         size = forward.shape[0]
         sums[index] = {mode: np.zeros((size, size), dtype=complex) for mode in SNAPSHOT_MODES}
     for start, size in _block_starts(dim, count):
         if not sums:
             break
         # No name keeps the normals: a dense root's GEMM frees them.
-        spatial = _spatial_mix(root[2], standard_normal_draws(dim, size, seed, start=start))
+        spatial = correlation.mix(standard_normal_draws(dim, size, seed, start=start))
         for index in list(sums):
             try:
                 _add_outer_products(models[index], geometry, spatial, start, sums[index])
@@ -461,7 +458,7 @@ def _add_outer_products(
 ) -> None:
     """Add y y^H of one block, mixed by ``model``'s parameter factor, to its sum per mode.
 
-    ``spatial`` is the block's :func:`_spatial_mix` rows, shared by every
+    ``spatial`` is the block's :meth:`SpatialCorrelation.mix` rows, shared by every
     model. The block's samples and snapshots are this call's own: they are
     freed when it returns, before the next model mixes the block.
     """

@@ -6,25 +6,28 @@ The covariance of the stacked physical perturbation vector is
 
 a Kronecker product of a 5x5 parameter factor (scales D, weights W, uniform
 cross-correlation Rho) and a PxP spatial correlation factor C (nugget
-included). On the tensor grid the squared-exponential kernel separates per
-axis, C = C_x x C_z + nugget I, and the spatial factor is held as C_x and
-C_z alone: products, the sampler's square root and the eigenvectors all go
-through the two axis factors and the PxP matrix is never formed. Samples
-are amplitude * (L_param x S) z with L_param the Cholesky factor of the
+included). C depends only on the cells, the correlation length and the
+kernel, so one :class:`SpatialCorrelation` serves every scenario of a run
+(:func:`spatial_correlation`) and its square root is factored once. On the
+tensor grid the squared-exponential kernel separates per axis,
+C = C_x x C_z + nugget I, and C is held as C_x and C_z alone: products,
+the sampler's square root and the eigenvectors all go through the two axis
+factors and the PxP matrix is never formed. Samples are
+amplitude * (L_param x S) z with L_param the Cholesky factor of the
 parameter factor and S S^T = C: S is the Cholesky factor of a dense C, and
 the exact eigen root (U_x x U_z) diag(sqrt(lam_x x lam_z + nugget)) of a
 separable one. They are applied as (L_param x I)(I x S) z: the spatial
 root once per block of normals, in place, then each covariance's 5x5
-parameter factor, so covariances with equal spatial factors mix one block
-of normals once. Each sample's standard normals come from a private substream
+parameter factor, so covariances on one correlation mix one block of
+normals once. Each sample's standard normals come from a private substream
 keyed on (master seed, sample index), so draws are reproducible and
 independent of batching or worker count.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
+import math
 
 import numpy as np
 
@@ -71,8 +74,7 @@ def build_spatial_factor(
     exponential kernel exp(-d / l) is available behind the same interface.
     One isotropic length governs both axes.
     """
-    _check_kernel(corr_length, kernel)
-    pts = np.asarray(cell_centers, dtype=float)
+    pts = _checked_cells(cell_centers, corr_length, kernel)
     dist_sq = _pairwise_squares(pts[:, 0])
     dist_sq += _pairwise_squares(pts[:, 2])
     if kernel == "squared_exponential":
@@ -85,11 +87,16 @@ def build_spatial_factor(
     return factor
 
 
-def _check_kernel(corr_length: float, kernel: str) -> None:
-    if corr_length <= 0.0:
-        raise ConfigError(f"correlation length must be positive, got {corr_length!r}")
+def _checked_cells(cell_centers, corr_length: float, kernel: str) -> np.ndarray:
+    """The checked (P, 3) cell centers, C-contiguous, for a checked length and kernel."""
+    if not 0.0 < corr_length < math.inf:
+        raise ConfigError(f"corr_length must be positive and finite, got {corr_length!r}")
     if kernel not in SPATIAL_KERNELS:
         raise ConfigError(f"unknown spatial kernel {kernel!r} (known: {SPATIAL_KERNELS})")
+    cells = np.ascontiguousarray(cell_centers, dtype=float)
+    if cells.ndim != 2 or cells.shape[1] != 3 or cells.shape[0] == 0:
+        raise ConfigError(f"cell_centers must have shape (P, 3), P >= 1, got {cells.shape}")
+    return cells
 
 
 def _pairwise_squares(values: np.ndarray) -> np.ndarray:
@@ -157,60 +164,96 @@ def build_param_factor(scenario: Scenario, weights, rho_c: float) -> np.ndarray:
     return scaled[:, None] * rho * scaled[None, :]
 
 
-class PerturbationCovariance:
-    """R_mu in Kronecker form plus its sampler inputs.
+class SpatialCorrelation:
+    """The P x P spatial correlation factor C of R_mu, with its square root.
 
-    The spatial factor C is given either dense, as the P x P
-    ``spatial_factor`` with the nugget, or separable, as the pair
-    ``spatial_axes = (C_x, C_z)`` of n_x x n_x and n_z x n_z axis factors
-    without it: for cells ordered p = ix * n_z + iz,
-    C = C_x x C_z + SPATIAL_NUGGET * I. The form not given reads None.
-    Products with a separable C, its square root and its eigenvectors go
-    through the axis factors: its P x P matrix is never formed, nor, for
-    either form, the 5P x 5P matrix amplitude^2 * (param_factor x C).
+    ``factors`` holds either C, P x P with the nugget (dense), or the axis
+    factors (C_x, C_z) without it (separable): for cells ordered
+    p = ix * n_z + iz, C = C_x x C_z + SPATIAL_NUGGET * I. Only this class
+    reads the form. A separable C's products, root and eigenvectors go
+    through the axis factors; its P x P matrix is never formed. The root is
+    factored on first use and kept for every covariance on this instance.
     Instances are immutable.
     """
 
-    def __init__(
-        self,
-        param_factor: np.ndarray,
-        spatial_factor: np.ndarray | None = None,
-        *,
-        amplitude: float,
-        spatial_axes: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
-        if (spatial_factor is None) == (spatial_axes is None):
-            raise ConfigError("give exactly one of spatial_factor and spatial_axes")
-        param = np.asarray(param_factor, dtype=float)
-        if param.shape != (N_PARAMS, N_PARAMS):
-            raise ConfigError(f"param factor must be 5x5, got {param.shape}")
-        _check_amplitude(amplitude)
-        if spatial_axes is None:
-            dense, axes = _frozen_factor("spatial_factor", spatial_factor), None
-        else:
-            c_x, c_z = spatial_axes
-            dense = None
-            axes = (_frozen_factor("spatial_axes[0]", c_x), _frozen_factor("spatial_axes[1]", c_z))
-        self.__dict__.update(
-            param_factor=_frozen_factor("param_factor", param),
-            spatial_factor=dense,
-            spatial_axes=axes,
-            amplitude=amplitude,
-        )
+    def __init__(self, *factors):
+        if len(factors) not in (1, 2):
+            raise ConfigError(f"give one dense or two axis factors, got {len(factors)}")
+        self.__dict__["factors"] = tuple(_frozen_factor(f"spatial factors[{i}]", f)
+                                         for i, f in enumerate(factors))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n_cells(self) -> int:
-        if self.spatial_axes is None:
-            return self.spatial_factor.shape[0]
-        c_x, c_z = self.spatial_axes
-        return c_x.shape[0] * c_z.shape[0]
+        return math.prod(f.shape[0] for f in self.factors)
+
+    @functools.cached_property
+    def root(self):
+        """The root S, S S^T = C, that :meth:`mix` applies; C must be positive
+        definite. A dense C's is its Cholesky factor; a separable C's is
+        (lam, (U_x, U_z)): the eigenvalues lam_x x lam_z + nugget and, in the
+        same order, the eigenvectors U_x x U_z."""
+        if len(self.factors) == 1:
+            return _cholesky(self.factors[0], "spatial factor")
+        (lam_x, u_x), (lam_z, u_z) = (np.linalg.eigh(f) for f in self.factors)
+        lam = np.outer(lam_x, lam_z).ravel()
+        lam += _STORED_NUGGET
+        if lam.min() <= 0.0:
+            raise NonPositiveDefiniteError("spatial factor is not positive definite: "
+                                           f"smallest eigenvalue {float(lam.min())!r}")
+        return lam, (u_x, u_z)
+
+    def product(self, block: np.ndarray) -> np.ndarray:
+        """block @ C for a real (m, P) block."""
+        if len(self.factors) == 1:
+            return block @ self.factors[0]
+        product = _kron_rows(block, *self.factors)
+        product += _STORED_NUGGET * block
+        return product
+
+    def mix(self, normals: np.ndarray) -> np.ndarray:
+        """The rows (I x S) z of standard normals z, shape (count * 5, P).
+
+        Row 5 i + q is S applied to the P normals of parameter q of sample i.
+        A dense root is one GEMM into new rows; a separable one overwrites the
+        C-contiguous ``normals`` and allocates one row group (:func:`_kron_rows`).
+        """
+        rows = normals.reshape(-1, self.n_cells)
+        if len(self.factors) == 1:
+            return rows @ self.root.T
+        lam, (u_x, u_z) = self.root
+        rows *= np.sqrt(lam)
+        return _kron_rows(rows, u_x, u_z, out=rows)
+
+
+class PerturbationCovariance:
+    """R_mu = amplitude^2 * (param_factor x C) in Kronecker form.
+
+    ``spatial`` is C, a :class:`SpatialCorrelation` that the covariances of
+    a run share with its root. The 5P x 5P matrix is never formed.
+    Instances are immutable.
+    """
+
+    def __init__(self, param_factor: np.ndarray, spatial: SpatialCorrelation,
+                 amplitude: float):
+        param = np.asarray(param_factor, dtype=float)
+        if param.shape != (N_PARAMS, N_PARAMS):
+            raise ConfigError(f"param factor must be 5x5, got {param.shape}")
+        if not isinstance(spatial, SpatialCorrelation):
+            raise ConfigError(f"spatial must be a SpatialCorrelation, got {type(spatial).__name__}")
+        if amplitude < 0.0:
+            raise ConfigError(f"amplitude must be nonnegative, got {amplitude!r}")
+        self.__dict__.update(param_factor=_frozen_factor("param_factor", param),
+                             spatial=spatial, amplitude=amplitude)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def dim(self) -> int:
-        return N_PARAMS * self.n_cells
+        return N_PARAMS * self.spatial.n_cells
 
     @functools.cached_property
     def param_cholesky(self) -> np.ndarray:
@@ -222,45 +265,9 @@ class PerturbationCovariance:
                                            f"zero variance in channel(s) {', '.join(zero)}")
         return _cholesky(self.param_factor, "parameter factor")
 
-    @functools.cached_property
-    def spatial_cholesky(self) -> np.ndarray:
-        """The Cholesky factor of a dense C; a separable C is sampled
-        through its eigen root (see :func:`_spatial_mix`) and has none."""
-        if self.spatial_factor is None:
-            raise ConfigError("a separable spatial factor has no dense Cholesky factor")
-        return _cholesky(self.spatial_factor, "spatial factor")
-
-    @functools.cached_property
-    def _spatial_eigh(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """Eigenvalues lam_x x lam_z + nugget of a positive definite separable
-        C, and its eigenvectors U_x x U_z in the same order, as (U_x, U_z)."""
-        (lam_x, u_x), (lam_z, u_z) = (np.linalg.eigh(f) for f in self.spatial_axes)
-        lam = np.outer(lam_x, lam_z).ravel()
-        lam += _STORED_NUGGET
-        if lam.min() <= 0.0:
-            raise NonPositiveDefiniteError("spatial factor is not positive definite: "
-                                           f"smallest eigenvalue {float(lam.min())!r}")
-        return lam, (u_x, u_z)
-
-    def spatial_product(self, block: np.ndarray) -> np.ndarray:
-        """block @ C for a real (m, P) block."""
-        if self.spatial_axes is None:
-            return block @ self.spatial_factor
-        product = _kron_rows(block, *self.spatial_axes)
-        product += _STORED_NUGGET * block
-        return product
-
     def with_amplitude(self, amplitude: float) -> "PerturbationCovariance":
-        """The same factors, and their cached factorizations, at another amplitude."""
-        _check_amplitude(amplitude)
-        clone = copy.copy(self)
-        clone.__dict__["amplitude"] = amplitude
-        return clone
-
-
-def _check_amplitude(amplitude: float) -> None:
-    if amplitude < 0.0:
-        raise ConfigError(f"amplitude must be nonnegative, got {amplitude!r}")
+        """The same factors at another amplitude, on the same ``spatial`` and its root."""
+        return PerturbationCovariance(self.param_factor, self.spatial, amplitude)
 
 
 def _frozen_factor(name: str, value) -> np.ndarray:
@@ -287,6 +294,39 @@ def _cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
     return factor
 
 
+#: Spatial correlations one process keeps. A run needs one: C depends on
+#: neither the scenario nor the amplitude. A dense one at P=1728 holds
+#: 24 MB, and its Cholesky root 24 MB more, so the memo keeps only one.
+SPATIAL_MEMO_SIZE = 1
+
+
+def spatial_correlation(
+    cell_centers: np.ndarray, corr_length: float, kernel: str = "squared_exponential"
+) -> SpatialCorrelation:
+    """The spatial correlation of ``kernel`` over the cells; equal cells,
+    length and kernel give the memo's one instance.
+
+    The squared-exponential kernel separates per axis,
+    exp(-(dx^2 + dz^2) / (2 l^2)) = exp(-dx^2 / (2 l^2)) exp(-dz^2 / (2 l^2)),
+    so on cells forming the tensor grid (see :class:`SceneGeometry`) C is
+    built as its axis factors over the distinct x and z values. The
+    exponential kernel, which does not separate, and any other cell set get
+    the dense :func:`build_spatial_factor`.
+    """
+    cells = _checked_cells(cell_centers, corr_length, kernel)
+    return _shared_correlation(cells.tobytes(), cells.shape[0], float(corr_length), kernel)
+
+
+@functools.lru_cache(maxsize=SPATIAL_MEMO_SIZE)
+def _shared_correlation(cells: bytes, n_cells: int, corr_length: float, kernel: str):
+    pts = np.frombuffer(cells).reshape(n_cells, 3)
+    axes = _grid_axes(pts) if kernel == "squared_exponential" else None
+    if axes is None:
+        return SpatialCorrelation(build_spatial_factor(pts, corr_length, kernel))
+    scale = -(2.0 * corr_length * corr_length)
+    return SpatialCorrelation(*(np.exp(_pairwise_squares(v) / scale) for v in axes))
+
+
 def build_covariance(
     scenario: Scenario,
     cell_centers: np.ndarray,
@@ -296,30 +336,11 @@ def build_covariance(
     amplitude: float,
     kernel: str = "squared_exponential",
 ) -> PerturbationCovariance:
-    """Convenience constructor assembling both Kronecker factors.
-
-    The squared-exponential kernel separates per axis,
-    exp(-(dx^2 + dz^2) / (2 l^2)) = exp(-dx^2 / (2 l^2)) exp(-dz^2 / (2 l^2)),
-    so on cells forming the tensor grid (see :class:`SceneGeometry`) the
-    spatial factor is built as its axis factors over the distinct x and z
-    values. The exponential kernel, which does not separate, and any other
-    cell set get the dense :func:`build_spatial_factor`.
-    """
-    param = build_param_factor(scenario, weights, rho_c)
-    axes = _grid_axes(cell_centers) if kernel == "squared_exponential" else None
-    if axes is None:
-        return PerturbationCovariance(
-            param_factor=param,
-            spatial_factor=build_spatial_factor(cell_centers, corr_length, kernel),
-            amplitude=amplitude,
-        )
-    _check_kernel(corr_length, kernel)
-    scale = -(2.0 * corr_length * corr_length)
-    return PerturbationCovariance(
-        param_factor=param,
-        spatial_axes=tuple(np.exp(_pairwise_squares(v) / scale) for v in axes),
-        amplitude=amplitude,
-    )
+    """Convenience constructor assembling both Kronecker factors, the
+    spatial one from :func:`spatial_correlation`."""
+    return PerturbationCovariance(build_param_factor(scenario, weights, rho_c),
+                                  spatial_correlation(cell_centers, corr_length, kernel),
+                                  amplitude)
 
 
 def standard_normal_draws(dim: int, count: int, seed: int, *, start: int = 0) -> np.ndarray:
@@ -348,56 +369,26 @@ def sample_perturbations(
     """Draw perturbation samples start, ..., start + count - 1, shape (count, 5P).
 
     The normals of :func:`standard_normal_draws`, mixed in place by
-    :func:`_spatial_mix` and then by :func:`_parameter_mix`. The normals of
+    :meth:`SpatialCorrelation.mix` and then by :func:`_parameter_mix`. The normals of
     sample i depend only on (seed, i). The mixed values can differ in the
     last bit between batch sizes, because the GEMM's rounding depends on
     the row count.
     """
     # No name keeps the normals: a dense root's GEMM writes new rows, and
     # the normals are freed before the parameter step allocates the samples.
-    return _parameter_mix(cov, _spatial_mix(cov, standard_normal_draws(
+    return _parameter_mix(cov, cov.spatial.mix(standard_normal_draws(
         cov.dim, count, seed, start=start)))
 
 
-def spatial_root(cov: PerturbationCovariance):
-    """The cached root of C that :func:`_spatial_mix` applies; C must be positive definite."""
-    return cov.spatial_cholesky if cov.spatial_axes is None else cov._spatial_eigh
-
-
-def same_spatial_factor(a: PerturbationCovariance, b: PerturbationCovariance) -> bool:
-    """Whether ``a`` and ``b`` hold equal spatial factors in one form, so one root."""
-    if a.spatial_axes is None or b.spatial_axes is None:
-        return (a.spatial_axes is b.spatial_axes
-                and np.array_equal(a.spatial_factor, b.spatial_factor))
-    return all(map(np.array_equal, a.spatial_axes, b.spatial_axes))
-
-
-def _spatial_mix(cov: PerturbationCovariance, normals: np.ndarray) -> np.ndarray:
-    """The rows (I x S) z of standard normals z, shape (count * 5, P), with S S^T = C.
-
-    Row 5 i + q is S applied to the P normals of parameter q of sample i.
-    A dense C's Cholesky factor is applied as one GEMM into new rows; a
-    separable C's eigen root goes through the axis factors in place,
-    overwriting the C-contiguous ``normals`` and allocating one row group of
-    the intermediate (:func:`_kron_rows`). The rows depend on neither the
-    parameter factor nor the amplitude.
-    """
-    rows = normals.reshape(-1, cov.n_cells)
-    if cov.spatial_axes is None:
-        return rows @ cov.spatial_cholesky.T
-    lam, (u_x, u_z) = cov._spatial_eigh
-    rows *= np.sqrt(lam)
-    return _kron_rows(rows, u_x, u_z, out=rows)
-
-
 def _parameter_mix(cov: PerturbationCovariance, spatial: np.ndarray) -> np.ndarray:
-    """The samples amplitude * (L_param x I) of :func:`_spatial_mix` rows, shape (count, 5P).
+    """The samples amplitude * (L_param x I) of :meth:`SpatialCorrelation.mix` rows,
+    shape (count, 5P).
 
     L_param is the Cholesky factor of the parameter factor; together the two
     steps give amplitude * (L_param x S) z. Entry q * P + p of a sample is
     the perturbation of parameter q at cell p. ``spatial`` is only read.
     """
     count = spatial.shape[0] // N_PARAMS
-    per_sample = spatial.reshape(count, N_PARAMS, cov.n_cells)
+    per_sample = spatial.reshape(count, N_PARAMS, cov.spatial.n_cells)
     samples = np.matmul(cov.amplitude * cov.param_cholesky, per_sample)
     return samples.reshape(count, cov.dim)

@@ -123,9 +123,9 @@ def kernel_gram(forward: ForwardMatrix, cov: PerturbationCovariance) -> np.ndarr
     tiles over GRAM_ROW_BLOCKS blocks of K's rows: block i of K C times the
     conjugate transpose of block j, so no (M N, P) copy of K is made.
     """
-    if forward.n_cells != cov.n_cells:
+    if forward.n_cells != cov.spatial.n_cells:
         raise ConfigError(
-            f"forward operator has {forward.n_cells} cells, covariance {cov.n_cells}"
+            f"forward operator has {forward.n_cells} cells, covariance {cov.spatial.n_cells}"
         )
     kernels = forward.kernels
     n_rows = kernels.shape[0]
@@ -133,7 +133,7 @@ def kernel_gram(forward: ForwardMatrix, cov: PerturbationCovariance) -> np.ndarr
     blocks = [slice(start, start + step) for start in range(0, n_rows, step)]
     gram = np.empty((n_rows, n_rows), dtype=complex)
     for i in blocks:
-        weighted = _kernel_product(cov.spatial_product, kernels[i])
+        weighted = _kernel_product(cov.spatial.product, kernels[i])
         for j in blocks:
             np.matmul(weighted, kernels[j].conj().T, out=gram[i, j])
         del weighted  # the next row block's product is formed without this one

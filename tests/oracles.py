@@ -24,9 +24,10 @@ from gprclutter.randfield import SPATIAL_NUGGET, standard_normal_draws
 def dense_spatial_factor(cov):
     """The P x P spatial factor C with the nugget: the dense factor itself,
     or C_x x C_z + SPATIAL_NUGGET * I of a separable one."""
-    if cov.spatial_axes is None:
-        return cov.spatial_factor
-    factor = np.kron(*cov.spatial_axes)
+    factors = cov.spatial.factors
+    if len(factors) == 1:
+        return factors[0]
+    factor = np.kron(*factors)
     factor[np.diag_indices_from(factor)] += SPATIAL_NUGGET
     return factor
 
@@ -143,9 +144,10 @@ def canonical_phases(eigenvectors):
 def spatial_eigenpairs(cov):
     """Eigenvalues of the spatial factor C and its eigenvectors as dense P x P
     columns, in one order. A separable C gives the sampler's own eigenvalues."""
-    if cov.spatial_axes is None:
-        return np.linalg.eigh(cov.spatial_factor)
-    lam, axes = cov._spatial_eigh
+    factors = cov.spatial.factors
+    if len(factors) == 1:
+        return np.linalg.eigh(factors[0])
+    lam, axes = cov.spatial.root
     return lam, np.kron(*axes)
 
 

@@ -44,7 +44,7 @@ from gprclutter.montecarlo import (
     closure_from_covariances,
     snapshots_from_perturbations,
 )
-from gprclutter.randfield import PerturbationCovariance, sample_perturbations
+from gprclutter.randfield import PerturbationCovariance, SpatialCorrelation, sample_perturbations
 
 SEED = 20260405
 PHYSICAL = ("S1", "S2", "S3", "S4")
@@ -81,7 +81,7 @@ def _dense_covariance(scenario, cell_centers):
     """The default covariance with a dense spatial factor, sampled through its Cholesky root."""
     return PerturbationCovariance(
         param_factor=build_param_factor(scenario, np.ones(5), 0.3),
-        spatial_factor=build_spatial_factor(cell_centers, 0.15),
+        spatial=SpatialCorrelation(build_spatial_factor(cell_centers, 0.15)),
         amplitude=1.0,
     )
 
@@ -244,7 +244,7 @@ def test_criterion_5_structural_invariants(registry, geometry, forwards,
     direction = np.array([1.0, 0.4, 0.0, 0.1, 0.2])
     rank_one = PerturbationCovariance(
         param_factor=np.outer(direction, direction),
-        spatial_factor=np.ones((geometry.n_cells, geometry.n_cells)),
+        spatial=SpatialCorrelation(np.ones((geometry.n_cells, geometry.n_cells))),
         amplitude=1.0,
     )
     eig = np.linalg.eigvalsh(clutter_covariance(forwards["S2"], rank_one).matrix)

@@ -672,11 +672,14 @@ _STRUCTURAL = ("check-derivatives", "kernel-diff", "scan-fda", "scan-lx", "scan-
                "scan-targets", "boundary-scale", "boundary-noise")
 
 #: Configurations that share scenarios and differ in the correlation length,
-#: the geometry or only the seed, run one after another in one process.
+#: the spatial kernel (a dense C), the geometry or only the seed, run one
+#: after another in one process.
 _MEMO_CONFIGS = {
     "base": ("scenarios: [S1, S4]\ngeometry: {n_x: 6, n_z: 5}\n", "3"),
     "corr": ("scenarios: [S1, S4]\ngeometry: {n_x: 6, n_z: 5}\n"
              "random_field: {corr_length: 0.08}\n", "3"),
+    "dense": ("scenarios: [S1, S4]\ngeometry: {n_x: 6, n_z: 5}\n"
+              "random_field: {kernel: exponential}\n", "3"),
     "grid": ("scenarios: [S1, S4]\ngeometry: {n_x: 5, n_z: 5}\n", "3"),
     "seed": ("scenarios: [S1, S4]\ngeometry: {n_x: 6, n_z: 5}\n", "11"),
 }

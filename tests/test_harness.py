@@ -306,8 +306,9 @@ def test_exponential_kernel_runs_equal_their_one_scenario_runs():
     )
     geometry = build_default_geometry(config.geometry)
     rf = config.random_field
-    assert build_covariance(get_scenario("S1"), geometry.cell_centers, rf.corr_length, rf.rho_c,
-                            rf.weights, rf.amplitude, rf.kernel).spatial_axes is None
+    cov = build_covariance(get_scenario("S1"), geometry.cell_centers, rf.corr_length, rf.rho_c,
+                           rf.weights, rf.amplitude, rf.kernel)
+    assert len(cov.spatial.factors) == 1
     for run in (run_closure, run_validity_scan):
         shared = run(config)
         assert shared.ok and list(shared.reports) == list(config.scenarios)
@@ -315,6 +316,41 @@ def test_exponential_kernel_runs_equal_their_one_scenario_runs():
             solo = run(dataclasses.replace(config, scenarios=(sid,)))
             assert _rows_by(shared.table, scenario=sid) == solo.table.rows
             assert shared.reports[sid] == solo.reports[sid]
+
+
+def test_one_spatial_correlation_and_root_serve_each_run(monkeypatch):
+    # With the exponential kernel C is dense. Each run builds it once for
+    # its three scenarios and factors it at most once: closure and the
+    # validity scan sample through its Cholesky root, scan-fda does not.
+    config = _config(
+        scenarios=("S1", "S4", "S_syn"),
+        geometry=GeometryConfig(n_tx=2, n_rx=2, n_x=4, n_z=3),
+        random_field=dataclasses.replace(RandomFieldConfig(), kernel="exponential",
+                                         sample_count=16),
+        experiments=dataclasses.replace(ExperimentSettings(), validity_sample_count=4),
+    )
+    n_cells = build_default_geometry(config.geometry).n_cells
+    builds, factorizations = [], []
+    build, cholesky = randfield.build_spatial_factor, np.linalg.cholesky
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    def counting_cholesky(matrix):
+        if matrix.shape == (n_cells, n_cells):
+            factorizations.append(matrix)
+        return cholesky(matrix)
+
+    monkeypatch.setattr(randfield, "build_spatial_factor", counting_build)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    for run, roots in ((run_closure, 1), (run_validity_scan, 1), (run_fda_scan, 0)):
+        experiments.clear_memos()
+        builds.clear()
+        factorizations.clear()
+        result = run(config)
+        assert result.ok and len(result.table.rows) >= 3
+        assert (len(builds), len(factorizations)) == (1, roots), run.__name__
 
 
 def test_lx_scan_concentrates_the_spectrum():

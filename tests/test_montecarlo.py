@@ -40,10 +40,12 @@ from gprclutter.montecarlo import (
 )
 from gprclutter.randfield import (
     PerturbationCovariance,
+    SpatialCorrelation,
     build_covariance,
     build_param_factor,
     build_spatial_factor,
     sample_perturbations,
+    spatial_correlation,
 )
 from gprclutter.spectra import ClutterCovariance
 from conftest import closure_covariances, closure_statistic
@@ -56,7 +58,7 @@ def _setup(sid="S_syn", n_x=3, n_z=2, amplitude=1.0, corr_length=0.1):
     forward = assemble_forward(scenario, geometry)
     cov = PerturbationCovariance(
         param_factor=build_param_factor(scenario, np.ones(5), 0.3),
-        spatial_factor=build_spatial_factor(geometry.cell_centers, corr_length),
+        spatial=SpatialCorrelation(build_spatial_factor(geometry.cell_centers, corr_length)),
         amplitude=amplitude,
     )
     return geometry, scenario, forward, cov
@@ -95,11 +97,12 @@ def test_linear_snapshots_match_the_dense_operator(
     if structure == "separable":
         cov = build_covariance(scenario, geometry.cell_centers, corr_length, rho_c,
                                np.ones(5), amplitude)
-        assert cov.spatial_axes is not None
+        assert len(cov.spatial.factors) == 2
     else:
         cov = PerturbationCovariance(
             param_factor=build_param_factor(scenario, np.ones(5), rho_c),
-            spatial_factor=build_spatial_factor(geometry.cell_centers, corr_length, structure),
+            spatial=SpatialCorrelation(
+                build_spatial_factor(geometry.cell_centers, corr_length, structure)),
             amplitude=amplitude,
         )
     forward = assemble_forward(scenario, geometry)
@@ -242,7 +245,7 @@ def test_closure_error_shrinks_like_root_sample_count():
     forward = assemble_forward(scenario, geometry)
     cov = PerturbationCovariance(
         param_factor=build_param_factor(scenario, np.ones(5), 0.3),
-        spatial_factor=build_spatial_factor(geometry.cell_centers, 0.05),
+        spatial=SpatialCorrelation(build_spatial_factor(geometry.cell_centers, 0.05)),
         amplitude=1.0,
     )
     theory = clutter_covariance(forward, cov).matrix
@@ -559,13 +562,17 @@ def test_streamed_closure_covariances_match_the_full_snapshot_arrays(monkeypatch
 
 
 def _root_models(specs):
-    """One (forward, scenario, cov) per (id, corr_length, kernel) on a 4 x 3 grid."""
+    """One (forward, scenario, cov) per (id, corr_length, kernel) on a 4 x 3 grid;
+    models of one length and kernel share one spatial correlation."""
     geometry = build_default_geometry(GeometryConfig(n_tx=2, n_rx=2, n_x=4, n_z=3))
-    models = []
+    models, correlations = [], {}
     for sid, corr_length, kernel in specs:
         scenario = get_scenario(sid)
-        cov = build_covariance(scenario, geometry.cell_centers, corr_length, 0.3, np.ones(5),
-                               1.0, kernel)
+        if (corr_length, kernel) not in correlations:
+            correlations[corr_length, kernel] = spatial_correlation(
+                geometry.cell_centers, corr_length, kernel)
+        cov = PerturbationCovariance(build_param_factor(scenario, np.ones(5), 0.3),
+                                     correlations[corr_length, kernel], 1.0)
         models.append((assemble_forward(scenario, geometry), scenario, cov))
     return geometry, models
 
@@ -586,35 +593,40 @@ def test_shared_closure_mixes_one_spatial_root_once_per_block_and_equals_solo_ru
                                      for sid in ("S1", "S4", "S_syn", "S2", "S3")])
     forward, scenario, cov = models[3]
     models[3] = (forward, scenario, cov.with_amplitude(2.0))
-    spatial_mix, mixed = montecarlo._spatial_mix, []
+    mix, mixed = SpatialCorrelation.mix, []
 
-    def counting(cov, normals):
-        mixed.append(cov)
-        return spatial_mix(cov, normals)
+    def counting(spatial, normals):
+        mixed.append(spatial)
+        return mix(spatial, normals)
 
-    monkeypatch.setattr(montecarlo, "_spatial_mix", counting)
+    monkeypatch.setattr(SpatialCorrelation, "mix", counting)
     shared = shared_closure_covariances(models, geometry, 150, 6)
-    monkeypatch.setattr(montecarlo, "_spatial_mix", spatial_mix)
-    assert len(mixed) == 3 and all(cov is models[0][2] for cov in mixed)  # three blocks
+    monkeypatch.undo()
+    assert len(mixed) == 3 and all(spatial is models[0][2].spatial for spatial in mixed)
     for model, outcome in zip(models, shared):
         assert [rhat.tobytes() for rhat in outcome] == _solo_bytes(model, geometry, 150, 6)
 
 
 @pytest.mark.parametrize(("corr_length", "kernel"), [
-    (0.08, "squared_exponential"), (0.15, "exponential"),
-], ids=["corr_length", "dense"])
+    (0.08, "squared_exponential"), (0.15, "exponential"), (0.15, "squared_exponential"),
+], ids=["corr_length", "dense", "equal-copy"])
 def test_closure_refuses_a_model_of_another_spatial_factor_by_scenario(corr_length, kernel):
-    # Closure mixes one spatial root. S4's axis factors of another length,
-    # or its dense exponential factor, differ from S1's: S4 is refused with
-    # an error that names it, and S1 and S_syn give the numbers of their own
-    # runs.
+    # Closure mixes the root of one SpatialCorrelation. S4's axis factors of
+    # another length, its dense exponential factor, or S1's own factors in a
+    # second instance are not S1's correlation: S4 is refused with an error
+    # that names both scenarios, and S1 and S_syn give the numbers of their
+    # own runs.
     geometry, models = _root_models([("S1", 0.15, "squared_exponential"),
                                      ("S4", corr_length, kernel),
                                      ("S_syn", 0.15, "squared_exponential")])
+    forward, scenario, cov = models[1]
+    if cov.spatial is models[0][2].spatial:
+        copy = SpatialCorrelation(*cov.spatial.factors)
+        models[1] = (forward, scenario, PerturbationCovariance(cov.param_factor, copy, 1.0))
     outcomes = shared_closure_covariances(models, geometry, 150, 5)
     assert isinstance(outcomes[1], ConfigError)
     assert str(outcomes[1]).startswith(
-        "scenario S4: spatial factor differs from that of scenario S1")
+        "scenario S4: spatial correlation is not that of scenario S1")
     for index in (0, 2):
         assert [rhat.tobytes() for rhat in outcomes[index]] == _solo_bytes(
             models[index], geometry, 150, 5)
@@ -622,29 +634,30 @@ def test_closure_refuses_a_model_of_another_spatial_factor_by_scenario(corr_leng
 
 @pytest.mark.parametrize("factor", ["dense", "separable", "parameter"])
 def test_a_factor_not_positive_definite_is_reported_before_any_draw(monkeypatch, factor):
-    # S1 and S4 hold equal (by value, not by identity) spatial roots or
-    # parameter factors that are not positive definite. Closure checks them
-    # before it draws: alone they drop out with no draw made, and beside
+    # S1 and S4 hold equal (by value, not by identity) spatial correlations
+    # or parameter factors that are not positive definite. Closure checks
+    # them before it draws: alone they drop out with no draw made, and beside
     # S_syn they drop out while S_syn gives the numbers of its own run.
     geometry, models = _root_models([(sid, 0.15, "squared_exponential")
                                      for sid in ("S1", "S4", "S_syn")])
-    c_x, c_z = models[0][2].spatial_axes
+    c_x, c_z = models[0][2].spatial.factors
+    param = None
     if factor == "dense":
         good = build_spatial_factor(geometry.cell_centers, 0.15)
-        bad = {"spatial_factor": good - 2.0 * np.eye(geometry.n_cells)}
+        factors = (good - 2.0 * np.eye(geometry.n_cells),)
         message = "spatial factor is not positive definite: Matrix"
     elif factor == "separable":
-        bad = {"spatial_axes": (c_x - 2.0 * np.eye(c_x.shape[0]), c_z)}
+        factors = (c_x - 2.0 * np.eye(c_x.shape[0]), c_z)
         message = "spatial factor is not positive definite: smallest eigenvalue"
     else:
-        zero_weight = build_param_factor(get_scenario("S1"), [0, 1, 1, 1, 1], 0.3)
-        bad = {"param_factor": zero_weight, "spatial_axes": (c_x, c_z)}
+        param = build_param_factor(get_scenario("S1"), [0, 1, 1, 1, 1], 0.3)
+        factors = (c_x, c_z)
         message = "parameter factor is not positive definite: zero variance in channel(s) " \
             "'eps_inf'"
     for index in (0, 1):
         forward, scenario, cov = models[index]
         models[index] = (forward, scenario, PerturbationCovariance(
-            **{"param_factor": cov.param_factor, "amplitude": 1.0, **bad}))
+            cov.param_factor if param is None else param, SpatialCorrelation(*factors), 1.0))
 
     def never(*args, **kwargs):
         raise AssertionError("drew samples")

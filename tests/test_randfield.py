@@ -17,13 +17,15 @@ from gprclutter import (
 )
 from gprclutter import randfield
 from gprclutter.errors import ConfigError, NonPositiveDefiniteError
+from gprclutter.harness.experiments import clear_memos
 from gprclutter.randfield import (
     SPATIAL_KERNELS,
     SPATIAL_NUGGET,
     PerturbationCovariance,
+    SpatialCorrelation,
     _kron_rows,
     _parameter_mix,
-    _spatial_mix,
+    spatial_correlation,
     standard_normal_draws,
 )
 from gprclutter.scene import Scenario
@@ -52,7 +54,7 @@ def _toy_covariance(n_cells=6, corr_length=0.1, rho_c=0.3, amplitude=1.0):
     scenario = get_scenario("S_syn")
     return PerturbationCovariance(
         param_factor=build_param_factor(scenario, np.ones(5), rho_c),
-        spatial_factor=build_spatial_factor(_line_cells(n_cells), corr_length),
+        spatial=SpatialCorrelation(build_spatial_factor(_line_cells(n_cells), corr_length)),
         amplitude=amplitude,
     )
 
@@ -142,11 +144,12 @@ def test_spatial_factor_equals_pairwise_oracle(cells, kernel):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_factor_rejected(name, bad):
     cov = _toy_covariance()
-    factors = {"param_factor": cov.param_factor.copy(),
-               "spatial_factor": cov.spatial_factor.copy()}
-    factors[name][1, 1] = bad
-    with pytest.raises(ConfigError, match=f"{name} has non-finite"):
-        PerturbationCovariance(**factors, amplitude=1.0)
+    param, (spatial,) = cov.param_factor.copy(), cov.spatial.factors
+    spatial = spatial.copy()
+    {"param_factor": param, "spatial_factor": spatial}[name][1, 1] = bad
+    label = {"param_factor": "param_factor", "spatial_factor": r"spatial factors\[0\]"}[name]
+    with pytest.raises(ConfigError, match=f"{label} has non-finite"):
+        PerturbationCovariance(param, SpatialCorrelation(spatial), amplitude=1.0)
 
 
 def test_asymmetric_factors_rejected():
@@ -154,17 +157,58 @@ def test_asymmetric_factors_rejected():
     param = cov.param_factor.copy()
     param[0, 4] += 1e-6
     with pytest.raises(ConfigError, match="param_factor must be symmetric"):
-        PerturbationCovariance(param, cov.spatial_factor, amplitude=1.0)
+        PerturbationCovariance(param, cov.spatial, amplitude=1.0)
     # A defect far off the diagonal of a larger factor.
     spatial = build_spatial_factor(_line_cells(150), 0.1)
     spatial[3, 140] += 1e-6
-    with pytest.raises(ConfigError, match="spatial_factor must be symmetric"):
-        PerturbationCovariance(cov.param_factor, spatial, amplitude=1.0)
+    with pytest.raises(ConfigError, match=r"spatial factors\[0\] must be symmetric"):
+        SpatialCorrelation(spatial)
 
 
 def test_corr_length_must_be_positive():
     with pytest.raises(ConfigError):
         build_spatial_factor(_line_cells(3), 0.0)
+
+
+@pytest.mark.parametrize("kernel", SPATIAL_KERNELS)
+def test_spatial_builders_refuse_a_length_or_cells_outside_their_domain(kernel):
+    # A NaN length used to surface as a non-finite factor, an infinite one
+    # as an all-ones rank-one C, and (P, 2) cells as an IndexError.
+    cells = build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers
+    builders = (
+        lambda c, length: spatial_correlation(c, length, kernel),
+        lambda c, length: build_spatial_factor(c, length, kernel),
+        lambda c, length: build_covariance(get_scenario("S1"), c, length, 0.3, np.ones(5),
+                                           1.0, kernel=kernel),
+    )
+    for build in builders:
+        for length in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match=r"^corr_length must be positive and finite"):
+                build(cells, length)
+        for bad in (cells[:, :2], cells[:0], cells[0]):
+            with pytest.raises(ConfigError, match=r"^cell_centers must have shape \(P, 3\)"):
+                build(bad, 0.1)
+
+
+def test_equal_cells_length_and_kernel_share_one_correlation():
+    cells = build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers
+    for kernel in SPATIAL_KERNELS:
+        clear_memos()
+        first = build_covariance(get_scenario("S1"), cells, 0.1, 0.3, np.ones(5), 1.0, kernel)
+        other = build_covariance(get_scenario("S4"), cells.copy(order="F"), 0.1, 0.0,
+                                 np.ones(5), 2.0, kernel)
+        assert other.spatial is first.spatial
+        root = first.spatial.root
+        assert other.with_amplitude(0.5).spatial.root is root  # factored once
+        # The memo keeps one correlation: another length evicts it.
+        longer = spatial_correlation(cells, 0.2, kernel)
+        assert longer is not first.spatial
+        rebuilt = spatial_correlation(cells, 0.1, kernel)
+        assert rebuilt is not first.spatial
+        assert all(map(np.array_equal, rebuilt.factors, first.spatial.factors))
+        assert spatial_correlation(cells, 0.1, kernel) is rebuilt
+        clear_memos()
+        assert spatial_correlation(cells, 0.1, kernel) is not rebuilt
 
 
 def test_uncorrelated_param_factor_is_diagonal():
@@ -205,7 +249,7 @@ def test_zero_weight_makes_factorization_fail():
                            ([0, 1, 1, 1, 0], "'eps_inf', 'sigma'")):
         cov = PerturbationCovariance(
             param_factor=build_param_factor(scenario, weights, 0.0),
-            spatial_factor=build_spatial_factor(_line_cells(3), 0.1),
+            spatial=SpatialCorrelation(build_spatial_factor(_line_cells(3), 0.1)),
             amplitude=1.0,
         )
         with pytest.raises(NonPositiveDefiniteError,
@@ -245,7 +289,7 @@ def test_sample_covariance_converges_to_materialized_truth():
 
 def test_separable_sampler_applies_the_eigen_root_to_shared_normals():
     cov = _grid_covariance(n_x=4, n_z=3, corr_length=0.07, amplitude=0.8)
-    assert cov.spatial_axes is not None
+    assert len(cov.spatial.factors) == 2
     samples = sample_perturbations(cov, 20, seed=9)
     z = standard_normal_draws(cov.dim, 20, seed=9)
     expected = cov.amplitude * (z @ np.kron(cov.param_cholesky, _eigen_root(cov)).T)
@@ -282,12 +326,12 @@ def test_separable_mix_holds_one_row_group_of_its_intermediate():
     cov = build_covariance(get_scenario("S4"), geometry.cell_centers, 0.15, 0.3,
                            np.ones(5), 1.0)
     normals = standard_normal_draws(cov.dim, 64, seed=1)
-    _parameter_mix(cov, _spatial_mix(cov, normals.copy()))  # first-call allocations
+    _parameter_mix(cov, cov.spatial.mix(normals.copy()))  # first-call allocations
     block = normals.copy()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        spatial = _spatial_mix(cov, block)
+        spatial = cov.spatial.mix(block)
         spatial_peak = tracemalloc.get_traced_memory()[1] - start
         _parameter_mix(cov, spatial)
         peak = tracemalloc.get_traced_memory()[1] - start
@@ -308,7 +352,7 @@ def test_kronecker_and_dense_samplers_agree_on_shared_normals():
 
 def test_mixed_product_identity():
     cov = _toy_covariance(n_cells=8, amplitude=0.7)
-    factored = np.kron(cov.param_cholesky, cov.spatial_cholesky)
+    factored = np.kron(cov.param_cholesky, cov.spatial.root)
     rebuilt = cov.amplitude**2 * (factored @ factored.T)
     exact = materialize_full(cov)
     assert np.linalg.norm(rebuilt - exact) / np.linalg.norm(exact) < 1e-12
@@ -333,7 +377,7 @@ def test_materialize_scalar_spatial_factor():
     scenario = get_scenario("S2")
     cov = PerturbationCovariance(
         param_factor=build_param_factor(scenario, np.ones(5), 0.3),
-        spatial_factor=np.ones((1, 1)) + 1e-10,
+        spatial=SpatialCorrelation(np.ones((1, 1)) + 1e-10),
         amplitude=2.0,
     )
     full = materialize_full(cov)
@@ -347,7 +391,7 @@ def test_materialized_entries_match_definition():
     d = scenario.d_mu
     for q, qp, p, pp in ((0, 3, 1, 2), (2, 2, 0, 3), (4, 1, 3, 3)):
         rho = 1.0 if q == qp else 0.3
-        expected = 1.5**2 * d[q] * rho * d[qp] * cov.spatial_factor[p, pp]
+        expected = 1.5**2 * d[q] * rho * d[qp] * cov.spatial.factors[0][p, pp]
         assert full[q * 4 + p, qp * 4 + pp] == pytest.approx(expected, rel=1e-12)
 
 
@@ -392,7 +436,7 @@ def test_sampling_on_default_geometry_shapes():
     scenario = get_scenario("S1")
     cov = PerturbationCovariance(
         param_factor=build_param_factor(scenario, np.ones(5), 0.3),
-        spatial_factor=build_spatial_factor(geometry.cell_centers, 0.15),
+        spatial=SpatialCorrelation(build_spatial_factor(geometry.cell_centers, 0.15)),
         amplitude=1.0,
     )
     samples = sample_perturbations(cov, 3, seed=0)
@@ -403,14 +447,13 @@ def test_sampling_on_default_geometry_shapes():
 def test_tensor_grid_with_squared_exponential_kernel_is_separable():
     geometry = build_default_geometry()
     cov = build_covariance(get_scenario("S1"), geometry.cell_centers, 0.15, 0.3, np.ones(5), 1.0)
-    c_x, c_z = cov.spatial_axes
+    c_x, c_z = cov.spatial.factors
     assert c_x.shape == (25, 25) and c_z.shape == (21, 21)
-    assert cov.n_cells == 525 and cov.dim == 2625
-    assert cov.spatial_factor is None
+    assert cov.spatial.n_cells == 525 and cov.dim == 2625
     lam = spatial_eigenpairs(cov)[0]
     scaled = cov.with_amplitude(2.0)
     assert scaled.amplitude == 2.0 and cov.amplitude == 1.0
-    assert scaled.spatial_axes is cov.spatial_axes
+    assert scaled.spatial is cov.spatial
     assert spatial_eigenpairs(scaled)[0] is lam  # the eigenpairs are carried, not recomputed
 
 
@@ -428,59 +471,61 @@ def _permuted_grid_cells():
 ], ids=["exponential-kernel", "permuted-rows", "scattered", "incomplete-grid"])
 def test_non_separable_inputs_take_the_dense_path(cells, kernel):
     cov = build_covariance(get_scenario("S1"), cells, 0.1, 0.3, np.ones(5), 1.0, kernel=kernel)
-    assert cov.spatial_axes is None
-    assert np.array_equal(cov.spatial_factor, build_spatial_factor(cells, 0.1, kernel))
+    (factor,) = cov.spatial.factors
+    assert np.array_equal(factor, build_spatial_factor(cells, 0.1, kernel))
 
 
 def test_directly_passed_dense_factor_stays_dense():
     cells = build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers
     cov = PerturbationCovariance(
         param_factor=build_param_factor(get_scenario("S1"), np.ones(5), 0.3),
-        spatial_factor=build_spatial_factor(cells, 0.1),
+        spatial=SpatialCorrelation(build_spatial_factor(cells, 0.1)),
         amplitude=1.0,
     )
-    assert cov.spatial_axes is None
+    assert len(cov.spatial.factors) == 1
+    assert cov.spatial.root.shape == (12, 12)  # its Cholesky factor
 
 
 def test_separable_covariance_rejects_bad_inputs():
     cov = _grid_covariance()
-    with pytest.raises(ConfigError, match="exactly one"):
-        PerturbationCovariance(cov.param_factor, amplitude=1.0)
-    with pytest.raises(ConfigError, match="exactly one"):
-        PerturbationCovariance(cov.param_factor, dense_spatial_factor(cov), amplitude=1.0,
-                               spatial_axes=cov.spatial_axes)
-    with pytest.raises(ConfigError, match="correlation length"):
+    with pytest.raises(ConfigError, match="one dense or two axis factors, got 0"):
+        SpatialCorrelation()
+    with pytest.raises(ConfigError, match="one dense or two axis factors, got 3"):
+        SpatialCorrelation(*cov.spatial.factors, cov.spatial.factors[0])
+    with pytest.raises(ConfigError, match="spatial must be a SpatialCorrelation, got ndarray"):
+        PerturbationCovariance(cov.param_factor, dense_spatial_factor(cov), amplitude=1.0)
+    with pytest.raises(ConfigError, match="corr_length"):
         build_covariance(get_scenario("S1"), build_default_geometry().cell_centers,
                          0.0, 0.3, np.ones(5), 1.0)
     with pytest.raises(AttributeError):
         cov.amplitude = 2.0
-    with pytest.raises(ConfigError, match="no dense Cholesky"):
-        cov.spatial_cholesky
+    with pytest.raises(AttributeError):
+        cov.spatial.factors = ()
+    # A separable root is the eigen root, never a dense Cholesky factor.
+    lam, (u_x, u_z) = cov.spatial.root
+    assert lam.shape == (12,) and u_x.shape == (3, 3) and u_z.shape == (4, 4)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_axis_factor_rejected(axis, bad):
-    axes = [f.copy() for f in _grid_covariance().spatial_axes]
+    axes = [f.copy() for f in _grid_covariance().spatial.factors]
     axes[axis][0, 0] = bad
-    with pytest.raises(ConfigError, match=rf"spatial_axes\[{axis}\] has non-finite"):
-        PerturbationCovariance(_grid_covariance().param_factor, amplitude=1.0,
-                               spatial_axes=tuple(axes))
+    with pytest.raises(ConfigError, match=rf"spatial factors\[{axis}\] has non-finite"):
+        SpatialCorrelation(*axes)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_asymmetric_axis_factor_rejected(axis):
-    axes = [f.copy() for f in _grid_covariance().spatial_axes]
+    axes = [f.copy() for f in _grid_covariance().spatial.factors]
     axes[axis][0, -1] += 1e-6
-    with pytest.raises(ConfigError, match=rf"spatial_axes\[{axis}\] must be symmetric"):
-        PerturbationCovariance(_grid_covariance().param_factor, amplitude=1.0,
-                               spatial_axes=tuple(axes))
+    with pytest.raises(ConfigError, match=rf"spatial factors\[{axis}\] must be symmetric"):
+        SpatialCorrelation(*axes)
 
 
 def test_indefinite_separable_factor_fails_to_sample():
     cov = _grid_covariance()
-    c_x, c_z = cov.spatial_axes
-    flipped = PerturbationCovariance(cov.param_factor, amplitude=1.0,
-                                     spatial_axes=(-c_x, c_z))
+    c_x, c_z = cov.spatial.factors
+    flipped = PerturbationCovariance(cov.param_factor, SpatialCorrelation(-c_x, c_z), 1.0)
     with pytest.raises(NonPositiveDefiniteError, match="spatial factor"):
         sample_perturbations(flipped, 2, seed=0)

@@ -32,6 +32,7 @@ from gprclutter.montecarlo import validity_scan
 from gprclutter.randfield import (
     SPATIAL_KERNELS,
     PerturbationCovariance,
+    SpatialCorrelation,
     build_covariance,
     sample_perturbations,
 )
@@ -55,7 +56,7 @@ def _toy_setup(n_x=2, n_z=1, rho_c=0.3, amplitude=1.0, corr_length=0.1):
     forward = assemble_forward(scenario, geometry)
     cov = PerturbationCovariance(
         param_factor=build_param_factor(scenario, np.ones(5), rho_c),
-        spatial_factor=build_spatial_factor(geometry.cell_centers, corr_length),
+        spatial=SpatialCorrelation(build_spatial_factor(geometry.cell_centers, corr_length)),
         amplitude=amplitude,
     )
     return geometry, scenario, forward, cov
@@ -156,10 +157,10 @@ def test_separable_covariance_matches_dense_factor(
     corr_length = 10.0**log_corr_length
     separable = build_covariance(scenario, geometry.cell_centers, corr_length, rho_c,
                                  weights, amplitude=10.0**log_amplitude)
-    assert separable.spatial_axes is not None
+    assert len(separable.spatial.factors) == 2
     dense_factor = build_spatial_factor(geometry.cell_centers, corr_length)
     dense = PerturbationCovariance(
-        param_factor=separable.param_factor, spatial_factor=dense_factor,
+        param_factor=separable.param_factor, spatial=SpatialCorrelation(dense_factor),
         amplitude=separable.amplitude)
     forward = assemble_forward(scenario, geometry)
     assert np.abs(dense_spatial_factor(separable) - dense_factor).max() <= 1e-15
@@ -176,14 +177,17 @@ def test_separable_covariance_matches_dense_factor(
 def test_default_geometry_never_forms_the_dense_spatial_factor(
     geometry, make_covariance, monkeypatch
 ):
-    def refuse(self):
-        raise AssertionError("a P x P spatial matrix was factored")
+    cholesky = np.linalg.cholesky
 
-    monkeypatch.setattr(PerturbationCovariance, "spatial_cholesky", property(refuse))
+    def refuse(matrix):
+        assert matrix.shape[-1] <= 5, "a P x P spatial matrix was factored"
+        return cholesky(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
     scenario = get_scenario("S4")
     forward = assemble_forward(scenario, geometry)
     cov = make_covariance(scenario, geometry)
-    assert cov.spatial_axes is not None and cov.spatial_factor is None
+    assert [f.shape for f in cov.spatial.factors] == [(25, 25), (21, 21)]
     runs = (
         lambda: clutter_covariance(forward, cov),
         lambda: sample_perturbations(cov, 3, seed=0),
@@ -209,7 +213,7 @@ def test_kernel_gram_holds_less_than_one_operator(make_covariance):
     forward = assemble_forward(scenario, geometry)
     cov = make_covariance(scenario, geometry)
     kernels = forward.kernels
-    direct = spectra._kernel_product(cov.spatial_product, kernels) @ kernels.conj().T
+    direct = spectra._kernel_product(cov.spatial.product, kernels) @ kernels.conj().T
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -231,7 +235,7 @@ def test_channel_block_sum_equals_direct_product():
         a_q = entries[:, q * n_cells:(q + 1) * n_cells]
         for qp in range(5):
             a_qp = entries[:, qp * n_cells:(qp + 1) * n_cells]
-            block = cov.param_factor[q, qp] * cov.spatial_factor[:n_cells, :n_cells]
+            block = cov.param_factor[q, qp] * cov.spatial.factors[0]
             slow += a_q @ block @ a_qp.conj().T
     slow *= cov.amplitude**2
     fast = clutter_covariance(forward, cov).matrix
@@ -260,7 +264,7 @@ def test_rank_one_perturbation_covariance_gives_rank_one_clutter():
     direction = np.array([1.0, 0.5, 0.0, 0.0, 0.2])
     cov = PerturbationCovariance(
         param_factor=np.outer(direction, direction),
-        spatial_factor=np.ones((geometry.n_cells, geometry.n_cells)),
+        spatial=SpatialCorrelation(np.ones((geometry.n_cells, geometry.n_cells))),
         amplitude=1.0,
     )
     modal = modal_decomposition(forward, cov)
@@ -388,7 +392,7 @@ def test_overlap_with_own_eigenvectors(geometry):
     forward = assemble_forward(scenario, geometry)
     cov = PerturbationCovariance(
         param_factor=build_param_factor(scenario, np.ones(5), 0.3),
-        spatial_factor=build_spatial_factor(geometry.cell_centers, 0.15),
+        spatial=SpatialCorrelation(build_spatial_factor(geometry.cell_centers, 0.15)),
         amplitude=1.0,
     )
     summary = spectral_summary(clutter_covariance(forward, cov))
