@@ -276,11 +276,15 @@ def _frozen_factor(name: str, value) -> np.ndarray:
     if value.ndim != 2 or value.shape[0] != value.shape[1]:
         raise ConfigError(f"{name} must be square, got {value.shape}")
     # The largest magnitude is nan or inf exactly when an entry is.
-    scale = np.abs(value).max()
+    scale = max(value.max(), -value.min())
     if not np.isfinite(scale):
         raise ConfigError(f"{name} has non-finite entries")
-    if np.abs(value - value.T).max() > 1e-12 * max(1.0, scale):
-        raise ConfigError(f"{name} must be symmetric")
+    # Symmetry is checked in row blocks of EXACT_CHUNK_VALUES values: no P x P temporary.
+    step = max(1, EXACT_CHUNK_VALUES // value.shape[0])
+    for first in range(0, value.shape[0], step):
+        deviation = value[first:first + step] - value[:, first:first + step].T
+        if np.abs(deviation, out=deviation).max() > 1e-12 * max(1.0, scale):
+            raise ConfigError(f"{name} must be symmetric")
     value.flags.writeable = False
     return value
 
@@ -359,7 +363,7 @@ def standard_normal_draws(dim: int, count: int, seed: int, *, start: int = 0) ->
     draws = np.empty((count, dim))
     for row, i in enumerate(range(start, start + count)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        draws[row] = rng.standard_normal(dim)
+        rng.standard_normal(out=draws[row])
     return draws
 
 

@@ -86,26 +86,27 @@ def _scenario(id_: str, label: str, *values: float) -> Scenario:
                     d_mu=default_perturbation_scales(background))
 
 
+_SCENARIOS = {s.id: s for s in (
+    _scenario("S1", "Lunar regolith", 3.0285, 0.0, 1e-12, 0.0, 1e-5),
+    _scenario("S2", "Dry basalt/lava", 9.0, 0.0, 1e-12, 0.0, 1e-5),
+    _scenario("S3", "Pure ice", 3.16, 88.34, 2.1e-5, 0.0, 1e-5),
+    _scenario("S4", "Moist sandy-loam soil", 21.60, 30.49, 3.60e-8, 0.45, 1.95e-2),
+    _scenario("S_syn", "Synthetic reference", 4.0, 2.0, 1.0610e-9, 0.25, 5e-3),
+    _scenario("S_balance", "Balanced synthetic case",
+              5.43374, 0.110543, 6.12549e-6, 0.49, 6.89221e-5),
+)}
+
+
 def scenario_registry() -> dict[str, Scenario]:
-    """The six named background scenarios, keyed by id."""
-    rows = (
-        _scenario("S1", "Lunar regolith", 3.0285, 0.0, 1e-12, 0.0, 1e-5),
-        _scenario("S2", "Dry basalt/lava", 9.0, 0.0, 1e-12, 0.0, 1e-5),
-        _scenario("S3", "Pure ice", 3.16, 88.34, 2.1e-5, 0.0, 1e-5),
-        _scenario("S4", "Moist sandy-loam soil", 21.60, 30.49, 3.60e-8, 0.45, 1.95e-2),
-        _scenario("S_syn", "Synthetic reference", 4.0, 2.0, 1.0610e-9, 0.25, 5e-3),
-        _scenario("S_balance", "Balanced synthetic case",
-                  5.43374, 0.110543, 6.12549e-6, 0.49, 6.89221e-5),
-    )
-    return {s.id: s for s in rows}
+    """The six named background scenarios, built once, in a new dict keyed by id."""
+    return dict(_SCENARIOS)
 
 
 def get_scenario(scenario_id: str) -> Scenario:
-    registry = scenario_registry()
     try:
-        return registry[scenario_id]
+        return _SCENARIOS[scenario_id]
     except KeyError:
-        known = ", ".join(registry)
+        known = ", ".join(_SCENARIOS)
         raise ConfigError(f"unknown scenario {scenario_id!r} (known: {known})") from None
 
 

@@ -70,6 +70,10 @@ class ClutterCovariance:
 class SpectralSummary:
     """Descending eigenvalues of a clutter covariance and derived metrics.
 
+    ``eigenvectors`` holds LAPACK's unit columns in that order. A column's
+    phase is unspecified but the same for equal input: every output reads
+    the columns only through |U_p^H a|^2 and U_p U_p^H, which it leaves.
+
     Instances are immutable: the arrays are read-only copies and ``p_rho``
     a read-only mapping, so one summary can be shared.
     """
@@ -182,9 +186,7 @@ def _validated_eigensystem(cov: ClutterCovariance) -> tuple[np.ndarray, np.ndarr
             f"(tolerance {float(HERMITIAN_RTOL * scale)!r})"
         )
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    order = np.argsort(eigenvalues, kind="stable")[::-1]
-    eigenvalues = eigenvalues[order]
-    eigenvectors = eigenvectors[:, order]
+    eigenvalues, eigenvectors = eigenvalues[::-1], eigenvectors[:, ::-1]  # eigh ascends
     lam_max = max(eigenvalues[0], 0.0)
     if eigenvalues[-1] < -NEGATIVE_EIG_RTOL * lam_max:
         raise InvariantError(
@@ -192,22 +194,7 @@ def _validated_eigensystem(cov: ClutterCovariance) -> tuple[np.ndarray, np.ndarr
             f"{float(-NEGATIVE_EIG_RTOL * lam_max)!r}"
         )
     eigenvalues = np.clip(eigenvalues, 0.0, None)
-    return eigenvalues, _canonical_phases(eigenvectors)
-
-
-def _canonical_phases(eigenvectors: np.ndarray) -> np.ndarray:
-    """Rotate each column in place so its first entry with |v| > 1e-12 is real positive.
-
-    This fixes the representation under degenerate spectra. A unit column
-    of n < 1e24 entries has an entry of at least 1/sqrt(n), so every
-    column has such a pivot p. |p| is taken with ``np.hypot``, the
-    function numpy's complex abs calls on a scalar; on an array that abs
-    takes another route, which can round differently.
-    """
-    first = np.argmax(np.abs(eigenvectors) > 1e-12, axis=0)
-    pivots = eigenvectors[first, np.arange(eigenvectors.shape[1])]
-    eigenvectors *= np.hypot(pivots.real, pivots.imag) / pivots
-    return eigenvectors
+    return eigenvalues, eigenvectors
 
 
 def spectral_summary(

@@ -128,19 +128,6 @@ def finite_difference_errors(params, omega, rel_step=1e-5):
     return errors
 
 
-def canonical_phases(eigenvectors):
-    """A copy of ``eigenvectors`` with each column rotated, one at a time, so
-    its first entry with |v| > 1e-12 is real positive."""
-    vectors = np.array(eigenvectors)
-    for idx in range(vectors.shape[1]):
-        column = vectors[:, idx]
-        nonzero = np.flatnonzero(np.abs(column) > 1e-12)
-        if nonzero.size:
-            pivot = column[nonzero[0]]
-            vectors[:, idx] = column * (abs(pivot) / pivot)
-    return vectors
-
-
 def spatial_eigenpairs(cov):
     """Eigenvalues of the spatial factor C and its eigenvectors as dense P x P
     columns, in one order. A separable C gives the sampler's own eigenvalues."""

@@ -211,6 +211,24 @@ def test_equal_cells_length_and_kernel_share_one_correlation():
         assert spatial_correlation(cells, 0.1, kernel) is not rebuilt
 
 
+def test_dense_correlation_is_built_without_factor_sized_temporaries():
+    # Building the exponential kernel's factor holds it and one distance
+    # table; checking it holds it and its read-only copy, plus one row block
+    # of EXACT_CHUNK_VALUES values. |C| or C - C^T beside them exceeds 2.1x.
+    cells = build_default_geometry(GeometryConfig(n_x=48, n_z=36)).cell_centers
+    clear_memos()
+    tracemalloc.start()
+    try:
+        correlation = spatial_correlation(cells, 0.15, "exponential")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_memos()
+    (factor,) = correlation.factors
+    assert factor.shape == (1728, 1728)
+    assert peak <= 2.1 * factor.nbytes
+
+
 def test_uncorrelated_param_factor_is_diagonal():
     scenario = get_scenario("S3")
     factor = build_param_factor(scenario, np.ones(5), 0.0)

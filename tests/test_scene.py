@@ -52,6 +52,13 @@ def test_default_scales_follow_the_documented_rule(registry):
     assert s1.d_mu[2] == 0.005 * 1e-12  # tau is always relative
 
 
+def test_registry_scenarios_are_built_once():
+    assert get_scenario("S4") is get_scenario("S4")
+    registry = scene.scenario_registry()
+    assert registry is not scene.scenario_registry()
+    assert all(registry[sid] is get_scenario(sid) for sid in REGISTRY_VALUES)
+
+
 def test_unknown_scenario_id_raises():
     with pytest.raises(ConfigError, match="unknown scenario"):
         get_scenario("S99")

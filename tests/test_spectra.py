@@ -1,5 +1,6 @@
 """Clutter covariance algebra and spectral diagnostics."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -37,10 +38,9 @@ from gprclutter.randfield import (
     sample_perturbations,
 )
 from gprclutter import spectra
-from gprclutter.spectra import ClutterCovariance, _canonical_phases, kernel_gram
+from gprclutter.spectra import ClutterCovariance, kernel_gram
 from gprclutter.forward import ForwardMatrix
 from oracles import (
-    canonical_phases,
     dense_entries,
     dense_spatial_factor,
     jacobi_eigh,
@@ -428,7 +428,7 @@ def test_scaling_preserves_normalized_metrics_bitwise():
         assert abs(scaled.trace - kappa * summary.trace) <= 1e-12 * scaled.trace
 
 
-def test_degenerate_eigenvectors_have_a_real_positive_pivot(make_covariance):
+def test_degenerate_eigenvectors_are_the_same_for_equal_input(make_covariance):
     # At delta_f = 0 every transmit frequency is equal, so the S2 spectrum is
     # degenerate and eigh alone leaves each eigenvector's phase arbitrary.
     geometry = build_default_geometry(GeometryConfig(delta_f=0.0))
@@ -441,25 +441,45 @@ def test_degenerate_eigenvectors_have_a_real_positive_pivot(make_covariance):
     first = summary()
     distinct = np.unique(np.round(first.eigenvalues / first.eigenvalues[0], 9))
     assert distinct.size < first.eigenvalues.size
-    for vector in first.eigenvectors.T:
-        pivot = vector[np.flatnonzero(np.abs(vector) > 1e-12)[0]]
-        assert pivot.real > 0.0
-        assert abs(pivot.imag) <= 1e-15 * abs(pivot)
     assert np.array_equal(summary().eigenvectors, first.eigenvectors)
 
 
-@pytest.mark.parametrize("sid, delta_f", [(sid, 20e6) for sid in sorted(scenario_registry())]
-                         + [("S2", 0.0)])
-def test_phase_pass_equals_the_per_column_loop(make_covariance, sid, delta_f):
+#: Every scenario at the default frequency increment, and S2's degenerate spectrum.
+_SPECTRUM_CASES = [(sid, 20e6) for sid in sorted(scenario_registry())] + [("S2", 0.0)]
+
+
+def _case_covariance(make_covariance, sid, delta_f):
     geometry = build_default_geometry(GeometryConfig(n_x=12, n_z=10, delta_f=delta_f))
     scenario = get_scenario(sid)
     cov = clutter_covariance(assemble_forward(scenario, geometry),
                              make_covariance(scenario, geometry))
-    eigenvalues, eigenvectors = np.linalg.eigh(cov.matrix)
-    raw = eigenvectors[:, np.argsort(eigenvalues, kind="stable")[::-1]]
-    expected = canonical_phases(raw)
-    assert _canonical_phases(raw.copy()).tobytes() == expected.tobytes()
-    assert spectral_summary(cov).eigenvectors.tobytes() == expected.tobytes()
+    return geometry, scenario, cov
+
+
+@pytest.mark.parametrize("sid, delta_f", _SPECTRUM_CASES)
+def test_eigenvalues_are_eighs_reversed_bit_for_bit(make_covariance, sid, delta_f):
+    _, _, cov = _case_covariance(make_covariance, sid, delta_f)
+    expected = np.clip(np.linalg.eigh(cov.matrix)[0][::-1], 0.0, None)
+    assert spectral_summary(cov).eigenvalues.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sid, delta_f", _SPECTRUM_CASES)
+def test_overlap_and_projector_ignore_eigenvector_phases(make_covariance, sid, delta_f):
+    # Every output reads the eigenvectors through |U_p^H a|^2 and U_p U_p^H:
+    # a unit phase on each column moves neither beyond rounding.
+    geometry, scenario, cov = _case_covariance(make_covariance, sid, delta_f)
+    summary = spectral_summary(cov)
+    vectors = summary.eigenvectors
+    phases = np.exp(2j * np.pi * np.random.default_rng(32).random(vectors.shape[1]))
+    rotated = dataclasses.replace(summary, eigenvectors=vectors * phases)
+    steering = steering_vector(geometry, scenario, (0.0, 0.0, 0.2625))
+    for p in sorted({1, *summary.p_rho.values(), vectors.shape[1]}):
+        eta, _ = target_overlap(summary, steering, p)
+        eta_rotated, _ = target_overlap(rotated, steering, p)
+        assert abs(eta_rotated - eta) <= 1e-15
+        basis, basis_rotated = vectors[:, :p], rotated.eigenvectors[:, :p]
+        projector = basis @ basis.conj().T
+        assert np.abs(basis_rotated @ basis_rotated.conj().T - projector).max() <= 1e-15
 
 
 def test_scaling_composes():
@@ -577,7 +597,8 @@ def test_summary_levels_are_read_only_and_copied():
 
 
 _ARRAY_RECORDS = {
-    "Scenario": lambda: get_scenario("S_syn"),
+    # A registry scenario is one instance: a copy holds equal values.
+    "Scenario": lambda: dataclasses.replace(get_scenario("S_syn")),
     "SceneGeometry": lambda: _toy_setup()[0],
     "ForwardMatrix": lambda: _toy_setup()[2],
     "SteeringVector": lambda: steering_vector(*_toy_setup()[:2], (0.0, 0.0, 0.2)),
