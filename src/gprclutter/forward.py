@@ -206,6 +206,8 @@ def steering_vector(geometry: SceneGeometry, scenario: Scenario, target) -> Stee
     target = np.asarray(target, dtype=float)
     if target.shape != (3,):
         raise ConfigError(f"target must be a 3D point, got shape {target.shape}")
+    if not np.all(np.isfinite(target)):
+        raise ConfigError(f"target must be finite, got {target.tolist()!r}")
     if target[2] <= 0.0:
         raise ConfigError(f"target depth must be positive, got z={float(target[2])!r}")
     table = distance_table(geometry, target[None, :])

@@ -24,7 +24,6 @@ from ..constitutive import (
 )
 from ..errors import GprClutterError
 from ..forward import (
-    ForwardMatrix,
     assemble_forward,
     check_kernels,
     check_sensitivities,
@@ -35,7 +34,6 @@ from ..forward import (
 )
 from ..montecarlo import closure_from_covariances, shared_closure_covariances, validity_scan
 from ..randfield import (
-    PerturbationCovariance,
     _shared_correlation,
     build_covariance,
     build_param_factor,
@@ -185,52 +183,21 @@ def _covariance(scenario: Scenario, geometry: SceneGeometry, rf: RandomFieldConf
     )
 
 
-#: Shared baselines, oldest first, at most BASELINE_MEMO_SIZE of them.
-_BASELINES: dict[tuple, tuple[ClutterCovariance, SpectralSummary]] = {}
+def _baseline(config: ExperimentConfig, sid: str) -> tuple[ClutterCovariance, SpectralSummary]:
+    # The seed and the sample count do not enter the covariance: fix them in the key.
+    field = dataclasses.replace(config.random_field, seed=DEFAULT_SEED, sample_count=1)
+    return _shared_baseline(sid, config.geometry, field)
 
 
-class _Scene:
-    """One scenario of an experiment at the configured geometry and field.
-
-    ``forward``, ``cov`` and ``baseline`` are built on first use.
-    """
-
-    def __init__(self, config: ExperimentConfig, scenario: Scenario, geometry: SceneGeometry):
-        self.config, self.scenario, self.geometry = config, scenario, geometry
-
-    @functools.cached_property
-    def forward(self) -> ForwardMatrix:
-        return assemble_forward(self.scenario, self.geometry)
-
-    @functools.cached_property
-    def cov(self) -> PerturbationCovariance:
-        """The field covariance under ``config.random_field``."""
-        return _covariance(self.scenario, self.geometry, self.config.random_field)
-
-    @functools.cached_property
-    def baseline(self) -> tuple[ClutterCovariance, SpectralSummary]:
-        """The clutter covariance and its spectrum, built once per process
-        and shared by the experiments. A failure is not kept."""
-        # The seed and the sample count do not enter the covariance: fix them in the key.
-        field = dataclasses.replace(self.config.random_field, seed=DEFAULT_SEED, sample_count=1)
-        key = (self.scenario.id, self.config.geometry, field)
-        if key not in _BASELINES:
-            # The operator is not kept: no experiment that reads the baseline
-            # reads ``forward``, and scan-fda builds its own operators at other
-            # frequency increments.
-            covariance = clutter_covariance(assemble_forward(self.scenario, self.geometry),
-                                            self.cov)
-            entry = covariance, spectral_summary(covariance)
-            if len(_BASELINES) == BASELINE_MEMO_SIZE:
-                del _BASELINES[next(iter(_BASELINES))]
-            _BASELINES[key] = entry
-        return _BASELINES[key]
-
-    def steering(self, target=None, geometry: SceneGeometry | None = None):
-        """The steering vector of ``target``, by default the configured one."""
-        return steering_vector(
-            self.geometry if geometry is None else geometry, self.scenario,
-            self.config.experiments.target if target is None else target)
+@functools.lru_cache(maxsize=BASELINE_MEMO_SIZE)
+def _shared_baseline(sid: str, cfg: GeometryConfig, field: RandomFieldConfig) -> tuple:
+    """Scenario ``sid``'s clutter covariance and spectrum, shared by the
+    experiments of a process. Neither a failure nor the operator is kept:
+    scan-fda builds its own operators at other frequency increments."""
+    scenario, geometry = get_scenario(sid), _shared_geometry(cfg)
+    covariance = clutter_covariance(assemble_forward(scenario, geometry),
+                                    _covariance(scenario, geometry, field))
+    return covariance, spectral_summary(covariance)
 
 
 @contextlib.contextmanager
@@ -242,20 +209,11 @@ def _recorded(result: ExperimentResult, sid: str):
         result.errors[sid] = str(exc)
 
 
-@contextlib.contextmanager
-def _scene(result: ExperimentResult, config: ExperimentConfig, sid: str):
-    """The scene of scenario ``sid``, failures :func:`_recorded`; nothing may
-    raise before the yield."""
-    scene = _Scene(config, get_scenario(sid), _geometry(config))
-    with _recorded(result, sid):
-        yield scene
-
-
 def clear_memos() -> None:
     """Forget every shared geometry, spatial correlation and baseline."""
     _shared_geometry.cache_clear()
     _shared_correlation.cache_clear()
-    _BASELINES.clear()
+    _shared_baseline.cache_clear()
 
 
 def preset_weights(preset: str) -> np.ndarray:
@@ -287,11 +245,11 @@ def run_derivative_check(config: ExperimentConfig, inject_error: bool = False) -
         config, "derivative_check",
         ("scenario", "max_rel_error", "worst_channel", "worst_frequency_hz", "passed"),
     )
+    frequencies = _geometry(config).frequencies
     for sid in config.scenarios:
-        with _scene(result, config, sid) as scene:
-            frequencies = scene.geometry.frequencies
+        with _recorded(result, sid):
             errors = finite_difference_check(
-                scene.scenario.background, 2.0 * np.pi * frequencies,
+                get_scenario(sid).background, 2.0 * np.pi * frequencies,
                 analytic_bias=1e-3 if inject_error else 0.0,
             )  # (5, N)
             # The last frequency whose largest error is the overall largest,
@@ -317,10 +275,13 @@ def run_validity_scan(config: ExperimentConfig) -> ExperimentResult:
         config, "validity_scan",
         ("scenario", "recommended_s_mu", "worst_p95_contrast", "worst_p95_snapshot", "threshold"),
     )
+    geometry = _geometry(config)
     for sid in config.scenarios:
-        with _scene(result, config, sid) as scene:
+        with _recorded(result, sid):
+            scenario = get_scenario(sid)
             report = validity_scan(
-                scene.forward, scene.scenario, scene.geometry, scene.cov,
+                assemble_forward(scenario, geometry), scenario, geometry,
+                _covariance(scenario, geometry, config.random_field),
                 amplitude_grid=exp.amplitude_grid,
                 sample_count=exp.validity_sample_count,
                 threshold=exp.validity_threshold,
@@ -342,16 +303,19 @@ def run_fda_scan(config: ExperimentConfig) -> ExperimentResult:
     exp = config.experiments
     result = _result(config, "fda_scan", ("scenario", "delta_f_hz") + METRIC_COLUMNS)
     for sid in config.scenarios:
-        with _scene(result, config, sid) as scene:
+        with _recorded(result, sid):
+            scenario = get_scenario(sid)
             # The cell grid, and with it the field covariance, does not depend on delta_f.
+            cov = _covariance(scenario, _geometry(config), config.random_field)
             for delta_f in exp.delta_f_grid:
                 geometry = _geometry(config, delta_f=delta_f)
                 if delta_f == config.geometry.delta_f:
-                    summary = scene.baseline[1]
+                    summary = _baseline(config, sid)[1]
                 else:
                     summary = spectral_summary(
-                        clutter_covariance(assemble_forward(scene.scenario, geometry), scene.cov))
-                metrics = _summary_metrics(summary, scene.steering(geometry=geometry))
+                        clutter_covariance(assemble_forward(scenario, geometry), cov))
+                metrics = _summary_metrics(summary,
+                                           steering_vector(geometry, scenario, exp.target))
                 result.table.add_row(scenario=sid, delta_f_hz=delta_f, **metrics)
     return result
 
@@ -371,18 +335,21 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
         ("scenario", "eps_cov_lin", "eps_cov_exact", "eps_lambda", "eps_sub",
          "sample_count", "subspace_dim"),
     )
-    scenes, theories = {}, {}
+    geometry = _geometry(config)
+    models, theories = {}, {}
     for sid in config.scenarios:
-        with _scene(result, config, sid) as scene:
-            theories[sid] = clutter_covariance(scene.forward, scene.cov)
-            scenes[sid] = scene
+        with _recorded(result, sid):
+            scenario = get_scenario(sid)
+            forward = assemble_forward(scenario, geometry)
+            cov = _covariance(scenario, geometry, rf)
+            theories[sid] = clutter_covariance(forward, cov)
+            models[sid] = forward, scenario, cov
     try:
         # Both modes of every scenario synthesize from one streamed draw.
-        outcomes = dict(zip(scenes, shared_closure_covariances(
-            [(scene.forward, scene.scenario, scene.cov) for scene in scenes.values()],
-            _geometry(config), rf.sample_count, rf.seed)))
+        outcomes = dict(zip(models, shared_closure_covariances(
+            list(models.values()), geometry, rf.sample_count, rf.seed)))
     except GprClutterError as exc:
-        outcomes = dict.fromkeys(scenes, exc)
+        outcomes = dict.fromkeys(models, exc)
     for sid, outcome in outcomes.items():
         with _recorded(result, sid):
             if isinstance(outcome, GprClutterError):
@@ -405,12 +372,13 @@ def run_lx_scan(config: ExperimentConfig) -> ExperimentResult:
     exp = config.experiments
     rf = config.random_field
     result = _result(config, "lx_scan", ("scenario", "corr_length_m") + METRIC_COLUMNS)
-    sid = exp.lx_scan_scenario
-    with _scene(result, config, sid) as scene:
-        forward, steering = scene.forward, scene.steering()
+    sid, geometry = exp.lx_scan_scenario, _geometry(config)
+    with _recorded(result, sid):
+        scenario = get_scenario(sid)
+        forward = assemble_forward(scenario, geometry)
+        steering = steering_vector(geometry, scenario, exp.target)
         for corr_length in exp.corr_length_grid:
-            cov = _covariance(scene.scenario, scene.geometry,
-                              dataclasses.replace(rf, corr_length=corr_length))
+            cov = _covariance(scenario, geometry, dataclasses.replace(rf, corr_length=corr_length))
             metrics = _summary_metrics(
                 spectral_summary(clutter_covariance(forward, cov)), steering)
             result.table.add_row(scenario=sid, corr_length_m=corr_length, **metrics)
@@ -425,19 +393,21 @@ def run_coupling_scan(config: ExperimentConfig) -> ExperimentResult:
         config, "coupling_scan",
         ("scenario", "configuration", "rho_c", "weight_preset") + METRIC_COLUMNS,
     )
-    sid = exp.coupling_scenario
-    with _scene(result, config, sid) as scene:
-        forward, steering = scene.forward, scene.steering()
+    sid, geometry = exp.coupling_scenario, _geometry(config)
+    with _recorded(result, sid):
+        scenario = get_scenario(sid)
+        forward = assemble_forward(scenario, geometry)
+        steering = steering_vector(geometry, scenario, exp.target)
         # Only the parameter factor changes across the configurations: one
         # Gram K C K^H serves them all.
-        gram = kernel_gram(forward, scene.cov)
+        gram = kernel_gram(forward, _covariance(scenario, geometry, rf))
         configurations = [(f"rho_c={rho_c:g}", rho_c, None, rf.weights)
                           for rho_c in exp.rho_c_grid]
         configurations += [(f"weights={preset}", rf.rho_c, preset, preset_weights(preset))
                            for preset in exp.weight_presets]
         for name, rho_c, preset, weights in configurations:
             covariance = weighted_gram(
-                forward, gram, build_param_factor(scene.scenario, weights, rho_c), rf.amplitude)
+                forward, gram, build_param_factor(scenario, weights, rho_c), rf.amplitude)
             metrics = _summary_metrics(spectral_summary(covariance), steering)
             result.table.add_row(scenario=sid, configuration=name,
                                  rho_c=rho_c, weight_preset=preset, **metrics)
@@ -455,13 +425,15 @@ def run_target_scan(config: ExperimentConfig) -> ExperimentResult:
         ("scenario", "kind", "target_x_m", "target_z_m", "eta_0.9", "gamma_0.9",
          "mean_eta", "std_eta", "min_eta", "max_eta"),
     )
+    geometry = _geometry(config)
     for sid in config.scenarios:
-        with _scene(result, config, sid) as scene:
-            summary = scene.baseline[1]
+        with _recorded(result, sid):
+            summary = _baseline(config, sid)[1]
             result.summaries[sid] = summary
             etas = []
             for target in exp.target_grid:
-                eta, gamma = target_overlap(summary, scene.steering(target), summary.p_rho[0.9])
+                steering = steering_vector(geometry, get_scenario(sid), target)
+                eta, gamma = target_overlap(summary, steering, summary.p_rho[0.9])
                 etas.append(eta)
                 result.table.add_row(
                     scenario=sid, kind="target", target_x_m=target[0], target_z_m=target[2],
@@ -488,10 +460,11 @@ def run_boundary(config: ExperimentConfig, which: str = "both") -> ExperimentRes
     result = _result(
         config, "boundary", ("scenario", "boundary", "kappa", "snr_db") + METRIC_COLUMNS)
     rows = {name: [] for name in (("scale", "noise") if which == "both" else (which,))}
+    geometry = _geometry(config)
     for sid in exp.boundary_scenarios:
-        with _scene(result, config, sid) as scene:
-            base, base_summary = scene.baseline
-            steering = scene.steering()
+        with _recorded(result, sid):
+            base, base_summary = _baseline(config, sid)
+            steering = steering_vector(geometry, get_scenario(sid), exp.target)
             if "scale" in rows:
                 for kappa in exp.kappa_grid:
                     summary = spectral_summary(scale_covariance(base, kappa))

@@ -558,9 +558,11 @@ def validity_scan(
     """
     grid = tuple(float(s) for s in amplitude_grid)
     if len(grid) == 0:
-        raise ConfigError("amplitude grid is empty")
-    if any(s <= 0.0 for s in grid) or list(grid) != sorted(grid):
-        raise ConfigError(f"amplitude grid must be positive ascending, got {grid!r}")
+        raise ConfigError("amplitude_grid must not be empty")
+    if not all(0.0 < s < math.inf for s in grid) or list(grid) != sorted(grid):
+        raise ConfigError(f"amplitude_grid must be positive, finite and ascending, got {grid!r}")
+    if not 0.0 < threshold < math.inf:
+        raise ConfigError(f"threshold must be positive and finite, got {threshold!r}")
     if sample_count < 1:
         raise ConfigError(f"sample count must be >= 1, got {sample_count!r}")
 

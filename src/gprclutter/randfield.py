@@ -156,8 +156,8 @@ def build_param_factor(scenario: Scenario, weights, rho_c: float) -> np.ndarray:
     if not 0.0 <= rho_c < 1.0:
         raise ConfigError(f"rho_c must lie in [0, 1), got {rho_c!r}")
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (N_PARAMS,) or np.any(weights < 0.0):
-        raise ConfigError(f"weights must be 5 nonnegative reals, got {weights!r}")
+    if weights.shape != (N_PARAMS,) or not np.all((weights >= 0.0) & (weights < math.inf)):
+        raise ConfigError(f"weights must be 5 nonnegative finite reals, got {weights!r}")
     rho = np.full((N_PARAMS, N_PARAMS), rho_c)
     np.fill_diagonal(rho, 1.0)
     scaled = scenario.d_mu * weights
@@ -243,8 +243,8 @@ class PerturbationCovariance:
             raise ConfigError(f"param factor must be 5x5, got {param.shape}")
         if not isinstance(spatial, SpatialCorrelation):
             raise ConfigError(f"spatial must be a SpatialCorrelation, got {type(spatial).__name__}")
-        if amplitude < 0.0:
-            raise ConfigError(f"amplitude must be nonnegative, got {amplitude!r}")
+        if not 0.0 <= amplitude < math.inf:
+            raise ConfigError(f"amplitude must be nonnegative and finite, got {amplitude!r}")
         self.__dict__.update(param_factor=_frozen_factor("param_factor", param),
                              spatial=spatial, amplitude=amplitude)
 

@@ -704,9 +704,10 @@ def test_shared_baselines_leave_every_output_unchanged(tmp_path):
         assert run(name, command, tmp_path / "alone" / name / command) == tree, (name, command)
 
 
-def test_structural_passes_after_scan_fda_assemble_nothing(tmp_path, monkeypatch):
+def _counted_layers(monkeypatch, layers) -> list:
+    """The names of the ``experiments`` layers called, one entry per call."""
     calls = []
-    for layer in ("assemble_forward", "clutter_covariance", "build_default_geometry"):
+    for layer in layers:
         original = getattr(experiments, layer)
 
         def counting(*args, _layer=layer, _original=original, **kwargs):
@@ -714,6 +715,12 @@ def test_structural_passes_after_scan_fda_assemble_nothing(tmp_path, monkeypatch
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(experiments, layer, counting)
+    return calls
+
+
+def test_structural_passes_after_scan_fda_assemble_nothing(tmp_path, monkeypatch):
+    calls = _counted_layers(
+        monkeypatch, ("assemble_forward", "clutter_covariance", "build_default_geometry"))
     config = tmp_path / "small.yaml"
     config.write_text("scenarios: [S1, S4]\ngeometry: {n_x: 6, n_z: 5}\n"
                       "experiments: {boundary_scenarios: [S4, S1]}\n")
@@ -726,3 +733,20 @@ def test_structural_passes_after_scan_fda_assemble_nothing(tmp_path, monkeypatch
         assert main(["--config", str(config), "--seed", "5", "--out",
                      str(tmp_path / command), command]) == 0
     assert calls == []
+
+
+def test_report_builds_each_operator_only_where_an_experiment_needs_it(tmp_path, monkeypatch):
+    layers = ("assemble_forward", "clutter_covariance", "build_default_geometry",
+              "steering_vector")
+    calls = _counted_layers(monkeypatch, layers)
+    config = tmp_path / "small.yaml"
+    config.write_text("scenarios: [S1, S4]\ngeometry: {n_x: 6, n_z: 5}\n"
+                      "random_field: {sample_count: 16}\n"
+                      "experiments: {validity_sample_count: 4, boundary_scenarios: [S4, S1]}\n")
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), "report"]) == 0
+    # Operators: scan-validity 2, scan-fda 2 x 3 delta_f, closure 2, scan-lx 1
+    # and scan-coupling 1; scan-targets and boundary read scan-fda's baselines.
+    # Clutter covariances: scan-fda 6, closure 2, scan-lx 4 lengths. Steering
+    # vectors: scan-fda 6, scan-lx 1, scan-coupling 1, scan-targets 2 x 5
+    # targets, boundary 2. Geometries: one per delta_f.
+    assert tuple(calls.count(layer) for layer in layers) == (12, 12, 3, 20)

@@ -549,12 +549,18 @@ def test_experiments_reproduce_bit_identical_outputs():
 
 
 def test_baseline_memo_keeps_at_most_its_bound():
-    # Two fields over six scenarios are twelve baselines; the oldest go.
+    # Two fields over six scenarios are twelve baselines; the least recently
+    # used go, so the second field's six stay and the first field's first does not.
     geometry = GeometryConfig(n_x=4, n_z=3)
-    for corr_length in (0.1, 0.2):
-        config = _config(geometry=geometry, random_field=RandomFieldConfig(corr_length=corr_length))
+    first, second = (_config(geometry=geometry, random_field=RandomFieldConfig(corr_length=c))
+                     for c in (0.1, 0.2))
+    assert len(second.scenarios) == 6
+    for config in (first, second):
         assert run_target_scan(config).ok
-    kept = experiments._BASELINES
-    assert len(kept) == experiments.BASELINE_MEMO_SIZE
-    assert {field.corr_length for _, _, field in kept} == {0.1, 0.2}
-    assert [sid for sid, _, field in kept if field.corr_length == 0.2] == list(config.scenarios)
+    memo = experiments._shared_baseline
+    assert memo.cache_info() == (0, 12, experiments.BASELINE_MEMO_SIZE,
+                                 experiments.BASELINE_MEMO_SIZE)
+    assert run_target_scan(second).ok
+    assert memo.cache_info().hits == 6
+    experiments._baseline(first, first.scenarios[0])
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (6, 13)

@@ -19,6 +19,7 @@ from gprclutter import (
     montecarlo,
     randfield,
     scenario_registry,
+    steering_vector,
 )
 from gprclutter.constitutive import DENOMINATOR_FLOOR, exact_contrast_field
 from gprclutter.errors import (
@@ -510,6 +511,28 @@ def test_validity_scan_grid_validation():
         validity_scan(forward, scenario, geometry, cov, amplitude_grid=(1.0, 0.5))
     with pytest.raises(ConfigError):
         validity_scan(forward, scenario, geometry, cov, amplitude_grid=(-1.0, 1.0))
+
+
+# Each call takes _setup()'s (geometry, scenario, forward, cov) and one bad value.
+_NAMED_INPUTS = {
+    "amplitude": lambda g, s, f, c, bad: build_covariance(
+        s, g.cell_centers, 0.1, 0.3, np.ones(5), bad),
+    "weights": lambda g, s, f, c, bad: build_param_factor(s, [1.0, 1.0, bad, 1.0, 1.0], 0.3),
+    "threshold": lambda g, s, f, c, bad: validity_scan(f, s, g, c, sample_count=2,
+                                                      threshold=bad),
+    "amplitude_grid": lambda g, s, f, c, bad: validity_scan(f, s, g, c, sample_count=2,
+                                                           amplitude_grid=(0.5, bad)),
+    "target": lambda g, s, f, c, bad: steering_vector(g, s, (0.0, 0.0, bad)),
+}
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in _NAMED_INPUTS for bad in (math.nan, math.inf)
+] + [("threshold", -1.0)])
+def test_non_finite_api_inputs_are_config_errors_naming_the_argument(name, bad):
+    # The configuration refuses these values; the API must not compute with them.
+    with pytest.raises(ConfigError, match=rf"^{name} must"):
+        _NAMED_INPUTS[name](*_setup(), bad)
 
 
 def test_exact_mode_domain_violation_names_the_cell():
