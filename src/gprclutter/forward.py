@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -49,49 +48,29 @@ def background_wavenumber(background: ColeColeParams, omega) -> complex | np.nda
     return complex(k) if k.ndim == 0 else k
 
 
-def transmit_kernels(
-    background: ColeColeParams,
-    geometry: SceneGeometry,
-    table: DistanceTable | None = None,
-    out: np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
-    """Two-way kernels one transmitter at a time: block n = 0, ..., N - 1, shape (M, Q).
+def transmit_kernels(k: np.ndarray, table: DistanceTable, n: int,
+                     volume: float | None = None) -> np.ndarray:
+    """Two-way kernels of transmitter n, shape (M, Q).
 
-    Entry (m, q) of block n is g(rx_m, x_q; omega_n) * g(x_q, tx_n; omega_n)
-    for the Q points whose antenna distances ``table`` holds. Without a
-    table the points are the cells and each block carries the cell volume:
-    block n is then rows n M to (n + 1) M - 1 of the forward operator's
-    kernels. With ``out``, shape (N, M, Q), block n is written into
-    ``out[n]``; otherwise each block is a new array.
+    Entry (m, q) is g(rx_m, x_q; omega_n) * g(x_q, tx_n; omega_n) for the Q
+    points whose antenna distances ``table`` holds, times ``volume`` if
+    given; ``k`` holds the background wavenumbers of the N transmit
+    frequencies. With the cell table and the cell volume this is rows n M
+    to (n + 1) M - 1 of the forward operator's kernels.
 
-    The Green function (4 pi r included) is evaluated when the first block
-    is asked for, once per distinct distance and distinct frequency, all
-    wavenumbers in one call, and the tables of the receivers and of each
-    transmitter are gathered from it; equal inputs give equal bits, so the
-    kernels are those of an evaluation per pair.
+    The Green function (4 pi r included) is evaluated once per distinct
+    distance and gathered for the receivers and for transmitter n; equal
+    inputs give equal bits, so the kernels are those of an evaluation per pair.
     """
-    volume = None
-    if table is None:
-        table, volume = geometry.cell_distances(), geometry.cell_volume
     r = table.distances
-    frequencies, which = np.unique(geometry.frequencies, return_inverse=True)
-    k = background_wavenumber(background, 2.0 * np.pi * frequencies)
-    greens = -1j * k[:, None] * r
-    np.exp(greens, out=greens)
-    greens /= 4.0 * np.pi * r
-
-    # The blocks are formed in a function so this frame keeps none of them
-    # while the caller works on the next.
-    def block(n, green):
-        gathered = green[table.rx_index]
-        values = np.multiply(gathered, green[table.tx_index[n]],
-                             out=gathered if out is None else out[n])
-        if volume is not None:
-            values *= volume
-        return values
-
-    for n, row in enumerate(which):
-        yield block(n, greens[row])
+    green = -1j * k[n] * r
+    np.exp(green, out=green)
+    green /= 4.0 * np.pi * r
+    kernels = green[table.rx_index]
+    kernels *= green[table.tx_index[n]]
+    if volume is not None:
+        kernels *= volume
+    return kernels
 
 
 def born_kernel_tensor(background: ColeColeParams, geometry: SceneGeometry) -> np.ndarray:
@@ -102,12 +81,11 @@ def born_kernel_tensor(background: ColeColeParams, geometry: SceneGeometry) -> n
     contrast factored out. Shared by forward assembly and the exact-contrast
     snapshot synthesizer so both use identical kernels and discretization.
     """
-    # The output comes before the Green table, which then frees memory above
-    # it, not a hole below: allocated after it, it raised the peak memory of
-    # a closure run at P = 1728 by 0.9 MB.
+    table = geometry.cell_distances()
+    k = background_wavenumber(background, 2.0 * np.pi * geometry.frequencies)
     kernels = np.empty((geometry.n_tx, geometry.n_rx, geometry.n_cells), dtype=complex)
-    for _ in transmit_kernels(background, geometry, out=kernels):
-        pass
+    for n in range(geometry.n_tx):
+        kernels[n] = transmit_kernels(k, table, n, geometry.cell_volume)
     return kernels
 
 
@@ -211,8 +189,9 @@ def steering_vector(geometry: SceneGeometry, scenario: Scenario, target) -> Stee
     if target[2] <= 0.0:
         raise ConfigError(f"target depth must be positive, got z={float(target[2])!r}")
     table = distance_table(geometry, target[None, :])
-    values = np.concatenate(
-        [block.ravel() for block in transmit_kernels(scenario.background, geometry, table)])
+    k = background_wavenumber(scenario.background, 2.0 * np.pi * geometry.frequencies)
+    values = np.concatenate([transmit_kernels(k, table, n).ravel()
+                             for n in range(geometry.n_tx)])
     return SteeringVector(values=values / np.linalg.norm(values))
 
 
@@ -234,7 +213,7 @@ def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> f
     each psi product summed over the 5 channels of row r. The row sums
     (:func:`kernel_row_sums`) may be taken over any split of the rows, so
     kernel-diff forms them one transmit block at a time. Equal operators
-    give exactly 0.
+    give exactly 0, and a reference of zero norm is an AssemblyError.
     """
     if candidate.shape != reference.shape:
         raise AssemblyError(
@@ -290,6 +269,7 @@ def relative_discrepancy(candidate_psi: np.ndarray, reference_psi: np.ndarray, n
                          row_sums: tuple[np.ndarray, ...]) -> float:
     """||A_1 - A_2|| / ||A_2|| from the sensitivities (5, N) of A_1 and A_2 and the
     :func:`kernel_row_sums` of all their kernel rows, see :func:`forward_discrepancy`.
+    A reference A_2 of zero norm is an AssemblyError.
     """
     d_norms, norms, inner = row_sums
     psi = np.repeat(candidate_psi, n_rx, axis=1)
@@ -298,8 +278,11 @@ def relative_discrepancy(candidate_psi: np.ndarray, reference_psi: np.ndarray, n
     total = (np.sum(np.abs(psi) ** 2, axis=0) @ d_norms
              + np.sum(np.abs(d_psi) ** 2, axis=0) @ norms
              + 2.0 * np.real(np.sum(psi * d_psi.conj(), axis=0) @ inner))
-    scale = np.sum(np.abs(psi_reference) ** 2, axis=0) @ norms
-    return math.sqrt(max(float(total), 0.0)) / math.sqrt(float(scale))
+    scale = float(np.sum(np.abs(psi_reference) ** 2, axis=0) @ norms)
+    if not scale > 0.0:
+        raise AssemblyError("reference forward operator has zero norm: "
+                            "its relative discrepancy is undefined")
+    return math.sqrt(max(float(total), 0.0)) / math.sqrt(scale)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

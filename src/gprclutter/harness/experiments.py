@@ -25,6 +25,7 @@ from ..constitutive import (
 from ..errors import GprClutterError
 from ..forward import (
     assemble_forward,
+    background_wavenumber,
     check_kernels,
     check_sensitivities,
     kernel_row_sums,
@@ -451,36 +452,39 @@ def run_target_scan(config: ExperimentConfig) -> ExperimentResult:
 def run_boundary(config: ExperimentConfig, which: str = "both") -> ExperimentResult:
     """Interpretation-boundary transforms: global scaling and noise floor.
 
-    With ``which="both"`` the table holds the rows of the scale pass and
-    then those of the noise pass, as if the two had run one after the other.
+    With ``which="both"`` the scale pass runs over every scenario and then
+    the noise pass; a scenario that fails in the first is not run again.
+    Each scenario's baseline is the memoized one and its steering vector is
+    formed once.
     """
     if which not in ("both", "scale", "noise"):
         raise ValueError(f"unknown boundary selector {which!r}")
     exp = config.experiments
     result = _result(
         config, "boundary", ("scenario", "boundary", "kappa", "snr_db") + METRIC_COLUMNS)
-    rows = {name: [] for name in (("scale", "noise") if which == "both" else (which,))}
     geometry = _geometry(config)
-    for sid in exp.boundary_scenarios:
-        with _recorded(result, sid):
-            base, base_summary = _baseline(config, sid)
-            steering = steering_vector(geometry, get_scenario(sid), exp.target)
-            if "scale" in rows:
-                for kappa in exp.kappa_grid:
-                    summary = spectral_summary(scale_covariance(base, kappa))
-                    rows["scale"].append(dict(
-                        scenario=sid, boundary="scale", kappa=kappa, snr_db=None,
-                        **_summary_metrics(summary, steering)))
-            if "noise" in rows:
-                for snr_db in (None,) + exp.snr_grid_db:
-                    summary = (base_summary if snr_db is None
-                               else spectral_summary(add_noise_floor(base, snr_db)))
-                    rows["noise"].append(dict(
-                        scenario=sid, boundary="noise", kappa=None, snr_db=snr_db,
-                        **_summary_metrics(summary, steering)))
-    for pass_rows in rows.values():
-        for row in pass_rows:
-            result.table.add_row(**row)
+    steerings = {}
+    for boundary in ("scale", "noise") if which == "both" else (which,):
+        for sid in exp.boundary_scenarios:
+            if sid in result.errors:
+                continue
+            with _recorded(result, sid):
+                base, base_summary = _baseline(config, sid)
+                if sid not in steerings:
+                    steerings[sid] = steering_vector(geometry, get_scenario(sid), exp.target)
+                if boundary == "scale":
+                    for kappa in exp.kappa_grid:
+                        summary = spectral_summary(scale_covariance(base, kappa))
+                        result.table.add_row(
+                            scenario=sid, boundary="scale", kappa=kappa, snr_db=None,
+                            **_summary_metrics(summary, steerings[sid]))
+                else:
+                    for snr_db in (None,) + exp.snr_grid_db:
+                        summary = (base_summary if snr_db is None
+                                   else spectral_summary(add_noise_floor(base, snr_db)))
+                        result.table.add_row(
+                            scenario=sid, boundary="noise", kappa=None, snr_db=snr_db,
+                            **_summary_metrics(summary, steerings[sid]))
     return result
 
 
@@ -499,11 +503,12 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
     the start scenario to the destination. Rows against ``free_space``
     report the same quantity toward the vacuum-kernel surrogate.
 
-    No operator is assembled: the media's kernels are walked side by side,
+    No operator is assembled: the media's kernels are formed side by side,
     one transmit block (M rows) at a time, with the checks of
     :func:`assemble_forward`, and each pair keeps only the row sums
     :func:`forward_discrepancy` reduces. A medium that fails is recorded
-    and its pairs are dropped.
+    and its pairs are dropped; a start medium whose operator has zero norm
+    is recorded and the rows toward it are kept.
     """
     exp = config.experiments
     result = _result(config, "kernel_diff", ("from_scenario", "to_scenario", "delta_a"))
@@ -511,40 +516,42 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
     n_rx, omegas = geometry.n_rx, 2.0 * np.pi * geometry.frequencies
     media = {sid: get_scenario(sid) for sid in exp.kernel_diff_scenarios}
     media["free_space"] = free_space_scenario()
-    walks, psi = {}, {}
+    ks, psi = {}, {}
     for sid, scenario in media.items():
         with _recorded(result, sid):
             psi[sid] = sensitivity_components(*scenario.background.as_array(), omegas)
-            walks[sid] = transmit_kernels(scenario.background, geometry)
+            ks[sid] = background_wavenumber(scenario.background, omegas)
     n_rows = geometry.n_tx * n_rx
     sums = {(sid_from, sid_to): (np.empty(n_rows), np.empty(n_rows), np.empty(n_rows, complex))
             for sid_from in exp.kernel_diff_scenarios for sid_to in media}
     for n in range(geometry.n_tx):
         blocks = {}
-        for sid in list(walks):
+        for sid in list(ks):
             with _recorded(result, sid):
-                blocks[sid] = next(walks[sid])
+                blocks[sid] = transmit_kernels(ks[sid], geometry.cell_distances(), n,
+                                               geometry.cell_volume)
                 check_kernels(blocks[sid], n_rx, n * n_rx)
             if sid in result.errors:
-                del walks[sid]
+                del ks[sid]
                 blocks.pop(sid, None)
         for (sid_from, sid_to), pair_sums in sums.items():
             if sid_from in blocks and sid_to in blocks:
                 parts = kernel_row_sums(blocks[sid_to], blocks[sid_from])
                 for total, part in zip(pair_sums, parts):
                     total[n * n_rx:(n + 1) * n_rx] = part
-    for sid in list(walks):
+    for sid in list(ks):
         with _recorded(result, sid):
             check_sensitivities(psi[sid])
         if sid in result.errors:
-            del walks[sid]
+            del ks[sid]
     for sid_from in exp.kernel_diff_scenarios:
-        if sid_from not in walks:
+        if sid_from not in ks:
             continue
-        for sid_to in walks:
-            result.table.add_row(
-                from_scenario=sid_from, to_scenario=sid_to,
-                delta_a=relative_discrepancy(psi[sid_to], psi[sid_from], n_rx,
-                                             sums[sid_from, sid_to]),
-            )
+        with _recorded(result, sid_from):
+            for sid_to in ks:
+                result.table.add_row(
+                    from_scenario=sid_from, to_scenario=sid_to,
+                    delta_a=relative_discrepancy(psi[sid_to], psi[sid_from], n_rx,
+                                                 sums[sid_from, sid_to]),
+                )
     return result

@@ -93,6 +93,9 @@ def _checked_cells(cell_centers, corr_length: float, kernel: str) -> np.ndarray:
         raise ConfigError(f"corr_length must be positive and finite, got {corr_length!r}")
     if kernel not in SPATIAL_KERNELS:
         raise ConfigError(f"unknown spatial kernel {kernel!r} (known: {SPATIAL_KERNELS})")
+    if kernel == "squared_exponential" and 2.0 * corr_length * corr_length == 0.0:
+        raise ConfigError(f"corr_length {corr_length!r} is too small for the squared-exponential "
+                          "kernel: 2 corr_length^2 underflows to 0")
     cells = np.ascontiguousarray(cell_centers, dtype=float)
     if cells.ndim != 2 or cells.shape[1] != 3 or cells.shape[0] == 0:
         raise ConfigError(f"cell_centers must have shape (P, 3), P >= 1, got {cells.shape}")

@@ -474,7 +474,7 @@ def test_failing_scenario_is_recorded_and_report_finishes(tmp_path, capsys, monk
 _FAILING_LAYERS = {
     "check-derivatives": ("derivative_check", "finite_difference_check"),
     "scan-validity": ("validity_scan", "validity_scan"),
-    "kernel-diff": ("kernel_diff", "transmit_kernels"),
+    "kernel-diff": ("kernel_diff", "background_wavenumber"),
     "closure": ("closure", "assemble_forward"),
     "scan-fda": ("fda_scan", "steering_vector"),
     "scan-lx": ("lx_scan", "assemble_forward"),
@@ -537,6 +537,29 @@ def test_report_without_a_free_space_reference_writes_every_file(tmp_path, capsy
                   "lx_scan", "coupling_scan", "target_scan", "boundary"):
         assert (out / f"{table}.csv").exists() and (out / f"{table}.json").exists(), table
     assert (out / "config.yaml").exists() and (out / "baseline_summaries.json").exists()
+
+
+@pytest.mark.parametrize("command", ["kernel-diff", "report"])
+def test_a_start_medium_of_zero_norm_is_recorded_and_the_run_goes_on(tmp_path, command):
+    # Cells 2 km deep: S4's kernels underflow to 0, so a discrepancy measured
+    # against its operator is undefined. kernel-diff once died of a
+    # ZeroDivisionError, and report stopped before writing summary.json.
+    config_path = tmp_path / "deep.yaml"
+    config_path.write_text("geometry: {n_x: 3, n_z: 2, dz: 2000}\n"
+                           "experiments: {kernel_diff_scenarios: [S4, S1]}\n")
+    out = tmp_path / "results"
+    assert main(["--config", str(config_path), "--out", str(out), command]) == 2
+    assert json.loads((out / "kernel_diff_errors.json").read_text()) == {
+        "S4": "reference forward operator has zero norm: its relative discrepancy is undefined"}
+    rows = json.loads((out / "kernel_diff.json").read_text())["rows"]
+    assert [(row["from_scenario"], row["to_scenario"]) for row in rows] == [
+        ("S1", "S4"), ("S1", "S1"), ("S1", "free_space")]
+    if command == "report":
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(summary["experiments"]) == 9
+        for table in ("derivative_check", "validity_scan", "kernel_diff", "fda_scan", "closure",
+                      "lx_scan", "coupling_scan", "target_scan", "boundary"):
+            assert (out / f"{table}.csv").exists() and (out / f"{table}.json").exists(), table
 
 
 def test_boundary_subcommands(tmp_path):

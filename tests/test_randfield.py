@@ -190,6 +190,20 @@ def test_spatial_builders_refuse_a_length_or_cells_outside_their_domain(kernel):
                 build(bad, 0.1)
 
 
+def test_a_squared_exponential_length_whose_square_underflows_is_named():
+    # Below about 1.6e-162, 2 l^2 is 0: both squared-exponential paths used
+    # to warn of a division by zero and refuse "spatial factors[0]".
+    grid = build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers
+    message = r"^corr_length .* too small for the squared-exponential kernel"
+    for cells in (grid, grid[[0, 5, 7]]):  # the separable grid, then three scattered cells
+        for length in (1e-163, 5e-324):
+            with pytest.raises(ConfigError, match=message):
+                spatial_correlation(cells, length)
+            with pytest.raises(ConfigError, match=message):
+                build_spatial_factor(cells, length)
+        assert spatial_correlation(cells, 1e-163, "exponential").n_cells == len(cells)
+
+
 def test_equal_cells_length_and_kernel_share_one_correlation():
     cells = build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers
     for kernel in SPATIAL_KERNELS:
