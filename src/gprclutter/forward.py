@@ -203,17 +203,10 @@ def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> f
     the destination operator measured against the starting one. Both
     operators must be assembled on one geometry.
 
-    Computed from the factors: with A_1 = candidate, A_2 = reference,
-    dK = K_1 - K_2 and dpsi = psi_1 - psi_2, row r of block q of A_1 - A_2
-    is psi_1 dK_r + dpsi K_2,r, so
-
-        ||A_1 - A_2||^2 = sum_r |psi_1|^2 ||dK_r||^2 + |dpsi|^2 ||K_2,r||^2
-                          + 2 Re(psi_1 conj(dpsi) <dK_r, K_2,r>),
-
-    each psi product summed over the 5 channels of row r. The row sums
-    (:func:`kernel_row_sums`) may be taken over any split of the rows, so
-    kernel-diff forms them one transmit block at a time. Equal operators
-    give exactly 0, and a reference of zero norm is an AssemblyError.
+    Computed from the factors, one transmit block at a time
+    (:func:`block_discrepancy`), summed in transmit order. Equal operators
+    give exactly 0, a candidate of zero kernels exactly 1, and a reference
+    of zero norm is an AssemblyError.
     """
     if candidate.shape != reference.shape:
         raise AssemblyError(
@@ -224,9 +217,13 @@ def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> f
             f"forward operators assembled on geometries {candidate.geometry_fingerprint} "
             f"and {reference.geometry_fingerprint}"
         )
-    row_sums = kernel_row_sums(candidate.kernels, reference.kernels)
-    return relative_discrepancy(candidate.sensitivities, reference.sensitivities,
-                                candidate.n_rx, row_sums)
+    n_rx = candidate.n_rx
+    total = np.zeros(2)
+    for n in range(candidate.n_tx):
+        rows = slice(n * n_rx, (n + 1) * n_rx)
+        total += block_discrepancy(candidate.sensitivities[:, n], candidate.kernels[rows],
+                                   reference.sensitivities[:, n], reference.kernels[rows])
+    return discrepancy_ratio(total)
 
 
 def check_kernels(kernels: np.ndarray, n_rx: int, first_row: int = 0) -> None:
@@ -250,41 +247,41 @@ def check_sensitivities(psi: np.ndarray) -> None:
         raise AssemblyError(f"non-finite forward sensitivity at (q={q}, n={n})")
 
 
-def kernel_row_sums(candidate: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, ...]:
-    """||dK_r||^2, ||K_r||^2 and <dK_r, K_r> of every row r, with dK = candidate - reference
-    and K = reference, two (rows, P) blocks of kernels. dK is the one temporary.
+def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,
+                      reference_psi: np.ndarray, reference_kernels: np.ndarray) -> np.ndarray:
+    """[||A_c - A_r||^2, ||A_r||^2] over one transmit block of two operators.
+
+    Every row of transmit block n carries one sensitivity 5-vector psi (the
+    ``sensitivities[:, n]`` of the operator), and the block's kernels K are
+    (M, P). With dpsi = psi_c - psi_r = c psi_r + psi_perp, c = <psi_r, dpsi>
+    / |psi_r|^2 (0 if psi_r = 0) and psi_perp orthogonal to psi_r, the block
+    difference splits into two orthogonal parts:
+
+        ||A_c - A_r||^2 = |psi_perp|^2 ||K_c||^2 + |psi_r|^2 ||(K_c - K_r) + c K_c||^2,
+        ||A_r||^2 = |psi_r|^2 ||K_r||^2.
+
+    Both terms are nonnegative, so nothing cancels: equal blocks give
+    exactly 0, and zero candidate kernels give exactly ||A_r||^2.
     """
-    d_kernels = candidate - reference
-    # Squared row norms on the float views: each (re, im) pair summed together.
-    d_norms = _row_dots(d_kernels.view(float), d_kernels.view(float))
-    norms = _row_dots(reference.view(float), reference.view(float))
-    # <dK_r, K_r> = sum_p dK_rp conj(K_rp)
-    inner = (_row_dots(d_kernels.view(float), reference.view(float))
-             + 1j * (_row_dots(d_kernels.imag, reference.real)
-                     - _row_dots(d_kernels.real, reference.imag)))
-    return d_norms, norms, inner
+    d_psi = candidate_psi - reference_psi
+    psi_sq = np.vdot(reference_psi, reference_psi).real
+    c = np.vdot(reference_psi, d_psi) / psi_sq if psi_sq > 0.0 else 0.0
+    d_kernels = candidate_kernels - reference_kernels
+    d_kernels += c * candidate_kernels
+    perp = d_psi - c * reference_psi
+    return np.array([
+        np.vdot(perp, perp).real * np.vdot(candidate_kernels, candidate_kernels).real
+        + psi_sq * np.vdot(d_kernels, d_kernels).real,
+        psi_sq * np.vdot(reference_kernels, reference_kernels).real,
+    ])
 
 
-def relative_discrepancy(candidate_psi: np.ndarray, reference_psi: np.ndarray, n_rx: int,
-                         row_sums: tuple[np.ndarray, ...]) -> float:
-    """||A_1 - A_2|| / ||A_2|| from the sensitivities (5, N) of A_1 and A_2 and the
-    :func:`kernel_row_sums` of all their kernel rows, see :func:`forward_discrepancy`.
-    A reference A_2 of zero norm is an AssemblyError.
+def discrepancy_ratio(total: np.ndarray) -> float:
+    """sqrt(numerator / denominator) of summed :func:`block_discrepancy` terms.
+    A reference of zero norm is an AssemblyError.
     """
-    d_norms, norms, inner = row_sums
-    psi = np.repeat(candidate_psi, n_rx, axis=1)
-    psi_reference = np.repeat(reference_psi, n_rx, axis=1)
-    d_psi = psi - psi_reference
-    total = (np.sum(np.abs(psi) ** 2, axis=0) @ d_norms
-             + np.sum(np.abs(d_psi) ** 2, axis=0) @ norms
-             + 2.0 * np.real(np.sum(psi * d_psi.conj(), axis=0) @ inner))
-    scale = float(np.sum(np.abs(psi_reference) ** 2, axis=0) @ norms)
-    if not scale > 0.0:
+    numerator, denominator = total
+    if not denominator > 0.0:
         raise AssemblyError("reference forward operator has zero norm: "
                             "its relative discrepancy is undefined")
-    return math.sqrt(max(float(total), 0.0)) / math.sqrt(scale)
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_p a[r, p] b[r, p] for every row r, without a temporary array."""
-    return np.einsum("ij,ij->i", a, b)
+    return math.sqrt(numerator) / math.sqrt(denominator)

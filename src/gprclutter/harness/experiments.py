@@ -26,10 +26,10 @@ from ..errors import GprClutterError
 from ..forward import (
     assemble_forward,
     background_wavenumber,
+    block_discrepancy,
     check_kernels,
     check_sensitivities,
-    kernel_row_sums,
-    relative_discrepancy,
+    discrepancy_ratio,
     steering_vector,
     transmit_kernels,
 )
@@ -505,10 +505,10 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
 
     No operator is assembled: the media's kernels are formed side by side,
     one transmit block (M rows) at a time, with the checks of
-    :func:`assemble_forward`, and each pair keeps only the row sums
-    :func:`forward_discrepancy` reduces. A medium that fails is recorded
-    and its pairs are dropped; a start medium whose operator has zero norm
-    is recorded and the rows toward it are kept.
+    :func:`assemble_forward`, and each pair keeps the two running sums of
+    :func:`block_discrepancy` that :func:`forward_discrepancy` adds up. A
+    medium that fails is recorded and its pairs are dropped; a start medium
+    whose operator has zero norm is recorded and the rows toward it are kept.
     """
     exp = config.experiments
     result = _result(config, "kernel_diff", ("from_scenario", "to_scenario", "delta_a"))
@@ -520,10 +520,10 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
     for sid, scenario in media.items():
         with _recorded(result, sid):
             psi[sid] = sensitivity_components(*scenario.background.as_array(), omegas)
+            check_sensitivities(psi[sid])
             ks[sid] = background_wavenumber(scenario.background, omegas)
-    n_rows = geometry.n_tx * n_rx
-    sums = {(sid_from, sid_to): (np.empty(n_rows), np.empty(n_rows), np.empty(n_rows, complex))
-            for sid_from in exp.kernel_diff_scenarios for sid_to in media}
+    totals = {(sid_from, sid_to): np.zeros(2)
+              for sid_from in exp.kernel_diff_scenarios for sid_to in media}
     for n in range(geometry.n_tx):
         blocks = {}
         for sid in list(ks):
@@ -534,24 +534,15 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
             if sid in result.errors:
                 del ks[sid]
                 blocks.pop(sid, None)
-        for (sid_from, sid_to), pair_sums in sums.items():
+        for (sid_from, sid_to), total in totals.items():
             if sid_from in blocks and sid_to in blocks:
-                parts = kernel_row_sums(blocks[sid_to], blocks[sid_from])
-                for total, part in zip(pair_sums, parts):
-                    total[n * n_rx:(n + 1) * n_rx] = part
-    for sid in list(ks):
-        with _recorded(result, sid):
-            check_sensitivities(psi[sid])
-        if sid in result.errors:
-            del ks[sid]
+                total += block_discrepancy(psi[sid_to][:, n], blocks[sid_to],
+                                           psi[sid_from][:, n], blocks[sid_from])
     for sid_from in exp.kernel_diff_scenarios:
         if sid_from not in ks:
             continue
         with _recorded(result, sid_from):
             for sid_to in ks:
-                result.table.add_row(
-                    from_scenario=sid_from, to_scenario=sid_to,
-                    delta_a=relative_discrepancy(psi[sid_to], psi[sid_from], n_rx,
-                                                 sums[sid_from, sid_to]),
-                )
+                result.table.add_row(from_scenario=sid_from, to_scenario=sid_to,
+                                     delta_a=discrepancy_ratio(totals[sid_from, sid_to]))
     return result

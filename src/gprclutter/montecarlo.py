@@ -286,13 +286,13 @@ def _contrast_errors(exact: np.ndarray, linear: np.ndarray, scale: float) -> np.
 def _born_sum(forward: ForwardMatrix, contrast: np.ndarray, out: np.ndarray) -> None:
     """Write sum_p K[n * M + m, p] contrast[n, l, p] to out[l, n * M + m].
 
-    ``contrast`` is (N, L, P), so each transmit's GEMM reads the contiguous
-    (L, P) slice ``contrast[n]``.
+    ``contrast`` is (N, L, P) and ``out`` a C-contiguous (L, M N): one
+    stacked product, a GEMM per transmit n, reads the contiguous (L, P)
+    slice ``contrast[n]`` and writes the columns of transmit n in place.
     """
-    n_rx = forward.n_rx
-    for n in range(forward.n_tx):
-        rows = slice(n * n_rx, (n + 1) * n_rx)
-        out[:, rows] = contrast[n] @ forward.kernels[rows].T
+    n_tx, n_rx = forward.n_tx, forward.n_rx
+    np.matmul(contrast, forward.kernels.reshape(n_tx, n_rx, -1).transpose(0, 2, 1),
+              out=out.reshape(-1, n_tx, n_rx).transpose(1, 0, 2))
 
 
 def snapshots_from_perturbations(

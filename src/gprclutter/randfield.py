@@ -77,12 +77,15 @@ def build_spatial_factor(
     pts = _checked_cells(cell_centers, corr_length, kernel)
     dist_sq = _pairwise_squares(pts[:, 0])
     dist_sq += _pairwise_squares(pts[:, 2])
-    if kernel == "squared_exponential":
-        dist_sq /= -(2.0 * corr_length * corr_length)
-    else:
-        np.sqrt(dist_sq, out=dist_sq)
-        dist_sq /= -corr_length
-    factor = np.exp(dist_sq, out=dist_sq)
+    # A tiny length divides distances into -inf, and exp(-inf) = 0 is the
+    # kernel's own limit: the overflow is not an error.
+    with np.errstate(over="ignore"):
+        if kernel == "squared_exponential":
+            dist_sq /= -(2.0 * corr_length * corr_length)
+        else:
+            np.sqrt(dist_sq, out=dist_sq)
+            dist_sq /= -corr_length
+        factor = np.exp(dist_sq, out=dist_sq)
     factor[np.diag_indices_from(factor)] += SPATIAL_NUGGET
     return factor
 
@@ -331,7 +334,9 @@ def _shared_correlation(cells: bytes, n_cells: int, corr_length: float, kernel: 
     if axes is None:
         return SpatialCorrelation(build_spatial_factor(pts, corr_length, kernel))
     scale = -(2.0 * corr_length * corr_length)
-    return SpatialCorrelation(*(np.exp(_pairwise_squares(v) / scale) for v in axes))
+    with np.errstate(over="ignore"):  # exp(-inf) = 0, as in build_spatial_factor
+        factors = [np.exp(_pairwise_squares(v) / scale) for v in axes]
+    return SpatialCorrelation(*factors)
 
 
 def build_covariance(

@@ -554,6 +554,8 @@ def test_a_start_medium_of_zero_norm_is_recorded_and_the_run_goes_on(tmp_path, c
     rows = json.loads((out / "kernel_diff.json").read_text())["rows"]
     assert [(row["from_scenario"], row["to_scenario"]) for row in rows] == [
         ("S1", "S4"), ("S1", "S1"), ("S1", "free_space")]
+    # Toward an operator of zero kernels the discrepancy is exactly 1.
+    assert rows[0]["delta_a"] == 1.0
     if command == "report":
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["experiments"]) == 9

@@ -24,7 +24,12 @@ from gprclutter import scene
 from gprclutter.constants import MU_0
 from gprclutter.constitutive import sensitivity_components
 from gprclutter.errors import AssemblyError, ConfigError, DomainError, NearSingularityError
-from gprclutter.forward import SteeringVector, background_wavenumber, born_kernel_tensor
+from gprclutter.forward import (
+    SteeringVector,
+    background_wavenumber,
+    block_discrepancy,
+    born_kernel_tensor,
+)
 from gprclutter.harness.experiments import free_space_scenario
 from gprclutter.scene import Scenario, default_perturbation_scales
 from oracles import born_kernel_reference, dense_discrepancy, dense_entries, green_kernel
@@ -354,6 +359,10 @@ def test_discrepancy_identity_and_scaling(geometry):
     doubled = dataclasses.replace(forward, kernels=2.0 * forward.kernels)
     assert forward_discrepancy(forward, doubled) == pytest.approx(0.5, rel=1e-12)
     assert forward_discrepancy(doubled, forward) == pytest.approx(1.0, rel=1e-12)
+    silent = dataclasses.replace(forward, sensitivities=np.zeros_like(forward.sensitivities))
+    assert forward_discrepancy(silent, forward) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(AssemblyError, match="zero norm"):
+        forward_discrepancy(forward, silent)
 
 
 def test_discrepancy_shape_mismatch(geometry, small_geometry):
@@ -369,24 +378,79 @@ def _agrees_with_dense(value, dense):
 
 def test_factored_discrepancy_matches_the_dense_norm():
     # Oracle: the Frobenius norm of the dense operators' difference, on
-    # every ordered pair of the registry scenarios and free space.
-    geometry = build_default_geometry(GeometryConfig(n_x=6, n_z=5))
+    # every ordered pair of the registry scenarios and free space. With
+    # cells 2 km deep, S4's and S_syn's kernels are exactly 0: the
+    # discrepancy toward them is exactly 1, and from them it is undefined.
     scenarios = [*scenario_registry().values(), free_space_scenario()]
-    forwards = [assemble_forward(scenario, geometry) for scenario in scenarios]
-    assert len(forwards) == 7
-    norms = {id(f): np.linalg.norm(dense_entries(f)) for f in forwards}
+    for geometry in (build_default_geometry(GeometryConfig(n_x=6, n_z=5)),
+                     build_default_geometry(GeometryConfig(n_x=6, n_z=5, dz=2000))):
+        forwards = [assemble_forward(scenario, geometry) for scenario in scenarios]
+        assert len(forwards) == 7
+        norms = {id(f): np.linalg.norm(dense_entries(f)) for f in forwards}
+        for candidate, reference in itertools.product(forwards, forwards):
+            if norms[id(reference)] == 0.0:
+                with pytest.raises(AssemblyError, match="zero norm"):
+                    forward_discrepancy(candidate, reference)
+                continue
+            dense = dense_discrepancy(candidate, reference)
+            factored = forward_discrepancy(candidate, reference)
+            if candidate is reference:
+                assert factored == 0.0
+            if norms[id(candidate)] == 0.0:
+                assert factored == 1.0
+            assert _agrees_with_dense(factored, dense)
+            # The comparison resolves a kernel wrong by one part in 1e9, except
+            # where one operator dwarfs the other (S4 and S_syn, by 1e4 and
+            # more): the ratio is then near 1 whatever the smaller one's scale.
+            if 0.1 <= norms[id(candidate)] / norms[id(reference)] <= 10.0:
+                nudged = dataclasses.replace(candidate, kernels=candidate.kernels * (1 + 1e-9))
+                assert not _agrees_with_dense(forward_discrepancy(nudged, reference), dense)
+    # The deep geometry, last, did zero exactly these two media's kernels.
+    assert {f.background for f in forwards if norms[id(f)] == 0.0} == {
+        get_scenario(sid).background for sid in ("S4", "S_syn")}
+
+
+def _transmit_block(forward, n):
+    """Transmit block n of an operator: its sensitivities (5,) and kernels (M, P)."""
+    return forward.sensitivities[:, n], forward.kernels[n * forward.n_rx:(n + 1) * forward.n_rx]
+
+
+def _dense_block(psi, kernels):
+    return np.kron(psi[:, None], kernels)
+
+
+def test_block_discrepancy_is_two_nonnegative_terms_of_the_dense_block(small_geometry):
+    forwards = [assemble_forward(scenario, small_geometry)
+                for scenario in (*scenario_registry().values(), free_space_scenario())]
     for candidate, reference in itertools.product(forwards, forwards):
-        dense = dense_discrepancy(candidate, reference)
-        factored = forward_discrepancy(candidate, reference)
-        if candidate is reference:
-            assert factored == 0.0
-        assert _agrees_with_dense(factored, dense)
-        # The comparison resolves a kernel wrong by one part in 1e9, except
-        # where one operator dwarfs the other (S4 and S_syn, by 1e4 and
-        # more): the ratio is then near 1 whatever the smaller one's scale.
-        if 0.1 <= norms[id(candidate)] / norms[id(reference)] <= 10.0:
-            nudged = dataclasses.replace(candidate, kernels=candidate.kernels * (1 + 1e-9))
-            assert not _agrees_with_dense(forward_discrepancy(nudged, reference), dense)
+        for n in range(small_geometry.n_tx):
+            c_block, r_block = _transmit_block(candidate, n), _transmit_block(reference, n)
+            numerator, denominator = block_discrepancy(*c_block, *r_block)
+            dense = _dense_block(*r_block)
+            assert numerator >= 0.0
+            assert numerator == pytest.approx(
+                np.linalg.norm(_dense_block(*c_block) - dense) ** 2, rel=1e-12)
+            assert denominator == pytest.approx(np.linalg.norm(dense) ** 2, rel=1e-12)
+            if candidate is reference:
+                assert numerator == 0.0
+    # Blocks one rounding apart: the numerator is a sum of squares, never negative.
+    psi, kernels = _transmit_block(forwards[0], 0)
+    for scale in (1 + 2**-52, 1 - 2**-53, 1j):
+        assert block_discrepancy(psi * scale, kernels, psi, kernels)[0] >= 0.0
+        assert block_discrepancy(psi, kernels * scale, psi, kernels)[0] >= 0.0
+
+
+def test_scaling_both_sensitivities_leaves_the_block_ratio(small_geometry):
+    candidate = _transmit_block(assemble_forward(get_scenario("S2"), small_geometry), 1)
+    reference = _transmit_block(assemble_forward(get_scenario("S3"), small_geometry), 1)
+    ratio = np.divide(*block_discrepancy(*candidate, *reference))
+
+    def scaled_ratio(factor):
+        return np.divide(*block_discrepancy(factor * candidate[0], candidate[1],
+                                            factor * reference[0], reference[1]))
+
+    assert scaled_ratio(2.0**-40) == ratio  # a power of two scales without rounding
+    assert scaled_ratio(3.7e4 * np.exp(0.3j)) == pytest.approx(ratio, rel=1e-13)
 
 
 def test_discrepancy_refuses_operators_of_another_geometry(small_geometry):

@@ -204,6 +204,22 @@ def test_a_squared_exponential_length_whose_square_underflows_is_named():
         assert spatial_correlation(cells, 1e-163, "exponential").n_cells == len(cells)
 
 
+def test_a_tiny_length_gives_the_identity_plus_nugget_without_a_warning():
+    # A length that passes the checks but divides cell distances into -inf:
+    # every off-diagonal correlation is exp(-inf) = 0. Both paths used to
+    # warn of an overflow in the division.
+    grid = build_default_geometry(GeometryConfig(n_x=2, n_z=2)).cell_centers
+    for cells in (grid, grid[[0, 1, 3]]):  # the separable grid, then three scattered cells
+        expected = np.eye(len(cells))
+        expected[np.diag_indices_from(expected)] += SPATIAL_NUGGET
+        for kernel, length in (("squared_exponential", 1e-160), ("exponential", 5e-324)):
+            clear_memos()
+            cov = build_covariance(get_scenario("S1"), cells, length, 0.0, np.ones(5), 1.0,
+                                   kernel)
+            assert np.array_equal(dense_spatial_factor(cov), expected)
+            assert np.array_equal(build_spatial_factor(cells, length, kernel), expected)
+
+
 def test_equal_cells_length_and_kernel_share_one_correlation():
     cells = build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers
     for kernel in SPATIAL_KERNELS:
