@@ -218,11 +218,12 @@ def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> f
             f"and {reference.geometry_fingerprint}"
         )
     n_rx = candidate.n_rx
-    total = np.zeros(2)
+    total = (np.zeros(2), 0)
     for n in range(candidate.n_tx):
         rows = slice(n * n_rx, (n + 1) * n_rx)
-        total += block_discrepancy(candidate.sensitivities[:, n], candidate.kernels[rows],
-                                   reference.sensitivities[:, n], reference.kernels[rows])
+        total = add_discrepancy(total, block_discrepancy(
+            candidate.sensitivities[:, n], candidate.kernels[rows],
+            reference.sensitivities[:, n], reference.kernels[rows]))
     return discrepancy_ratio(total)
 
 
@@ -248,8 +249,9 @@ def check_sensitivities(psi: np.ndarray) -> None:
 
 
 def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,
-                      reference_psi: np.ndarray, reference_kernels: np.ndarray) -> np.ndarray:
-    """[||A_c - A_r||^2, ||A_r||^2] over one transmit block of two operators.
+                      reference_psi: np.ndarray, reference_kernels: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """([||A_c - A_r||^2, ||A_r||^2] / 4^e, e) over one transmit block of two operators.
 
     Every row of transmit block n carries one sensitivity 5-vector psi (the
     ``sensitivities[:, n]`` of the operator), and the block's kernels K are
@@ -261,27 +263,78 @@ def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,
         ||A_r||^2 = |psi_r|^2 ||K_r||^2.
 
     Both terms are nonnegative, so nothing cancels: equal blocks give
-    exactly 0, and zero candidate kernels give exactly ||A_r||^2.
+    exactly 0, and zero candidate kernels give exactly ||A_r||^2. Where
+    |1 + c| < 1/16 the sum (K_c - K_r) + c K_c would lose more than 4 bits,
+    so it is formed as a K_c - K_r, a = <psi_r, psi_c> / |psi_r|^2, with
+    psi_perp = psi_c - a psi_r.
+
+    Squares summed within [2^-900, 2^900] are kept as they are, e = 0:
+    an entry whose square underflows there is below 2^-450 of the largest.
+    Otherwise 2^e bounds the largest real or imaginary part of a kernel
+    (np.frexp, at least 2^-1021) of the pair for the first term and of the
+    reference for the second, and the kernels are scaled by 2^-e before
+    they are squared. That scaling is exact wherever nothing is subnormal.
     """
-    d_psi = candidate_psi - reference_psi
+    candidate_kernels, reference_kernels = (np.ascontiguousarray(kernels, dtype=complex)
+                                            for kernels in (candidate_kernels, reference_kernels))
+    candidate_sq, reference_sq = (np.vdot(kernels, kernels).real
+                                  for kernels in (candidate_kernels, reference_kernels))
+    pair = own = 0
+    if not all(2.0**-900 <= square <= 2.0**900 for square in (candidate_sq, reference_sq)):
+        parts = candidate_kernels.view(float), reference_kernels.view(float)
+        largest = [max(part.max(initial=0.0), -part.min(initial=0.0)) for part in parts]
+        pair, own = np.maximum(np.frexp([max(largest), largest[1]])[1], -1021)
+        scaled = np.multiply(parts[1], 2.0 ** -own).view(complex)
+        reference_sq = np.vdot(scaled, scaled).real
+        np.multiply(parts[0], 2.0 ** -pair, out=scaled.view(float))
+        candidate_sq = np.vdot(scaled, scaled).real
+        del scaled  # freed before the difference is formed
     psi_sq = np.vdot(reference_psi, reference_psi).real
-    c = np.vdot(reference_psi, d_psi) / psi_sq if psi_sq > 0.0 else 0.0
-    d_kernels = candidate_kernels - reference_kernels
-    d_kernels += c * candidate_kernels
-    perp = d_psi - c * reference_psi
+    a = np.vdot(reference_psi, candidate_psi) / psi_sq if psi_sq > 0.0 else 1.0
+    if abs(a) >= 1.0 / 16.0:
+        d_psi = candidate_psi - reference_psi
+        c = np.vdot(reference_psi, d_psi) / psi_sq if psi_sq > 0.0 else 0.0
+        perp = d_psi - c * reference_psi
+        d_kernels = candidate_kernels - reference_kernels
+        d_kernels += c * candidate_kernels
+    else:
+        perp = candidate_psi - a * reference_psi
+        d_kernels = a * candidate_kernels
+        d_kernels -= reference_kernels
+    if pair:
+        # Scaled once formed: the power of two commutes with each rounding.
+        d_kernels.view(float)[:] *= 2.0 ** -pair
     return np.array([
-        np.vdot(perp, perp).real * np.vdot(candidate_kernels, candidate_kernels).real
-        + psi_sq * np.vdot(d_kernels, d_kernels).real,
-        psi_sq * np.vdot(reference_kernels, reference_kernels).real,
-    ])
+        np.vdot(perp, perp).real * candidate_sq + psi_sq * np.vdot(d_kernels, d_kernels).real,
+        psi_sq * reference_sq,
+    ]), np.array([pair, own])
 
 
-def discrepancy_ratio(total: np.ndarray) -> float:
-    """sqrt(numerator / denominator) of summed :func:`block_discrepancy` terms.
-    A reference of zero norm is an AssemblyError.
+def add_discrepancy(total: tuple[np.ndarray, np.ndarray], block: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of two scaled terms of :func:`block_discrepancy`, each at the larger e.
+
+    ``(np.zeros(2), 0)`` is the empty sum, and a zero term takes the other
+    summand's e. Rescaling is exact wherever nothing is subnormal, so a sum
+    in transmit order keeps the bits of the unscaled one there.
     """
-    numerator, denominator = total
+    (terms, exponents), (more, more_exponents) = total, block
+    exponents = np.where(terms > 0.0, exponents, more_exponents)
+    more_exponents = np.where(more > 0.0, more_exponents, exponents)
+    top = np.maximum(exponents, more_exponents)
+    return np.ldexp(terms, 2 * (exponents - top)) + np.ldexp(more, 2 * (more_exponents - top)), top
+
+
+def discrepancy_ratio(total: tuple[np.ndarray, np.ndarray]) -> float:
+    """sqrt(numerator / denominator) of summed :func:`block_discrepancy` terms.
+    A reference of zero norm, or a ratio beyond the float range, is an AssemblyError.
+    """
+    (numerator, denominator), (numerator_exponent, denominator_exponent) = total
     if not denominator > 0.0:
         raise AssemblyError("reference forward operator has zero norm: "
                             "its relative discrepancy is undefined")
-    return math.sqrt(numerator) / math.sqrt(denominator)
+    try:
+        return math.ldexp(math.sqrt(numerator) / math.sqrt(denominator),
+                          int(numerator_exponent - denominator_exponent))
+    except OverflowError:
+        raise AssemblyError("relative discrepancy exceeds the float range") from None

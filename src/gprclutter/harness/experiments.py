@@ -24,6 +24,7 @@ from ..constitutive import (
 )
 from ..errors import GprClutterError
 from ..forward import (
+    add_discrepancy,
     assemble_forward,
     background_wavenumber,
     block_discrepancy,
@@ -505,8 +506,8 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
 
     No operator is assembled: the media's kernels are formed side by side,
     one transmit block (M rows) at a time, with the checks of
-    :func:`assemble_forward`, and each pair keeps the two running sums of
-    :func:`block_discrepancy` that :func:`forward_discrepancy` adds up. A
+    :func:`assemble_forward`, and each pair keeps the running sum of
+    :func:`block_discrepancy` terms that :func:`forward_discrepancy` adds up. A
     medium that fails is recorded and its pairs are dropped; a start medium
     whose operator has zero norm is recorded and the rows toward it are kept.
     """
@@ -522,7 +523,7 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
             psi[sid] = sensitivity_components(*scenario.background.as_array(), omegas)
             check_sensitivities(psi[sid])
             ks[sid] = background_wavenumber(scenario.background, omegas)
-    totals = {(sid_from, sid_to): np.zeros(2)
+    totals = {(sid_from, sid_to): (np.zeros(2), 0)
               for sid_from in exp.kernel_diff_scenarios for sid_to in media}
     for n in range(geometry.n_tx):
         blocks = {}
@@ -536,8 +537,8 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
                 blocks.pop(sid, None)
         for (sid_from, sid_to), total in totals.items():
             if sid_from in blocks and sid_to in blocks:
-                total += block_discrepancy(psi[sid_to][:, n], blocks[sid_to],
-                                           psi[sid_from][:, n], blocks[sid_from])
+                totals[sid_from, sid_to] = add_discrepancy(total, block_discrepancy(
+                    psi[sid_to][:, n], blocks[sid_to], psi[sid_from][:, n], blocks[sid_from]))
     for sid_from in exp.kernel_diff_scenarios:
         if sid_from not in ks:
             continue

@@ -16,24 +16,27 @@ additive noise floor enters analytically downstream. A forward operator
 assembled on another geometry than the one passed is refused.
 
 Contrast is laid out frequency outermost, (N, L, P) for N frequencies, L
-samples and P cells. :func:`_exact_contrast` evaluates (5, 1, L, P)
-perturbations against (N, 1, 1) frequencies, so each full-size operation
-of :func:`exact_contrast_field` reads contiguous (L, P) operands and
-broadcasts only along the outermost axis; a stride-0 axis inside the
-array would be walked value by value. The linear contrast has the same
-layout, and the Born sum multiplies each frequency's contiguous (L, P)
-slice by its transmit's kernels.
+samples and P cells: (5, 1, L, P) perturbations meet (N, 1, 1)
+frequencies, so each full-size operation of :func:`exact_contrast_field`
+reads contiguous (L, P) operands and broadcasts only along the outermost
+axis; a stride-0 axis inside the array would be walked value by value.
+The linear contrast has the same layout, and the Born sum multiplies each
+frequency's contiguous (L, P) slice by its transmit's kernels.
+
+Exact contrast has one path, :func:`_exact_walk`, for exact synthesis and
+the validity scan alike. It evaluates the samples in chunks of at most
+EXACT_CHUNK_VALUES values (:func:`_exact_chunks`), each at every scale it
+is given, writes each chunk's Born sum into that chunk's own rows of the
+snapshots and hands contrast and snapshots on in ensemble order.
 
 Memory does not grow with the sample count times 5P. Both Monte Carlo
 passes draw, synthesize and reduce the samples in the blocks of
 :func:`_block_starts`, at most SAMPLE_BLOCK samples and SAMPLE_BLOCK_BYTES
-bytes of samples, and evaluate exact contrast in chunks of at most
-EXACT_CHUNK_VALUES values, split into balanced chunks (:func:`_exact_chunks`).
-Each array is released before its successor is allocated: a scenario's
-samples and snapshots before the next scenario mixes the block (a dropped
-scenario's kept error included), the block's normals, or the scan's base
-samples and linear snapshots, before the next draw, and a chunk's contrast
-before the next chunk is evaluated.
+bytes of samples. Each array is released before its successor is
+allocated: a scenario's samples and snapshots before the next scenario
+mixes the block (a dropped scenario's kept error included), the block's
+normals, or the scan's base samples and snapshots, before the next draw,
+and a chunk's contrast before the next chunk or scale is evaluated.
 
 Closure draws from the run's one :class:`SpatialCorrelation`: a scenario
 on another is refused before the first draw. Each block's standard normals
@@ -44,8 +47,8 @@ block's snapshots into one MN x MN sum of y y^H per mode. At its peak it
 holds two blocks, the spatially mixed normals and one scenario's samples,
 and two chunks while one is evaluated: the contrast being written and the
 Cole-Cole kernel's real and imaginary parts. The validity scan holds one
-block of base samples and its linear snapshots, which it synthesizes once,
-and per chunk the linear contrast, formed once for all amplitudes, and one
+block of base samples, its linear snapshots, which it synthesizes once,
+and its exact snapshots, and per chunk the linear contrast, formed once for all amplitudes, and one
 amplitude's exact evaluation. It keeps the L per-sample snapshot errors of
 each amplitude; each amplitude's L N P contrast errors stream into its own
 :class:`NearestRankSelector`, which keeps at most 1.25 times a twentieth of
@@ -207,7 +210,7 @@ def nearest_rank_percentile(values: np.ndarray, q: float) -> float:
 def _linear_contrast(forward: ForwardMatrix, samples: np.ndarray) -> np.ndarray:
     """First-order per-cell contrast of each sample at each frequency, shape (N, L, P).
 
-    Frequency outermost and C-contiguous, as :func:`_exact_contrast` lays out
+    Frequency outermost and C-contiguous, as :func:`_exact_walk` lays out
     the exact contrast it is compared with.
     """
     per_channel = samples.reshape(samples.shape[0], N_PARAMS, forward.n_cells)
@@ -240,36 +243,6 @@ def _exact_chunks(geometry: SceneGeometry, count: int):
         row += rows
 
 
-def _exact_contrast(
-    scenario: Scenario,
-    geometry: SceneGeometry,
-    samples: np.ndarray,
-    scale: float = 1.0,
-    start: int = 0,
-) -> np.ndarray:
-    """Exact per-cell contrast of ``scale * samples``, frequency outermost: shape (N, L, P).
-
-    (5, 1, L, P) perturbations meet (N, 1, 1) frequencies, so the broadcast
-    runs along the outermost axis only (see the module docstring).
-    ``samples[0]`` is sample ``start`` of the ensemble: a tau-floor error
-    names the samples and the offending (sample, 0, cell) index in ensemble
-    numbering.
-    """
-    omegas = 2.0 * np.pi * geometry.frequencies
-    per_channel = samples.reshape(samples.shape[0], N_PARAMS, geometry.n_cells)
-    # 1.0 * x is x, so unit scale needs no scaled copy.
-    delta = per_channel.transpose(1, 0, 2)[:, None, :, :]
-    if scale != 1.0:
-        delta = scale * delta
-    try:
-        return exact_contrast_field(scenario.background, delta, omegas[:, None, None])
-    except TauFloorError as exc:
-        first, last = start, start + samples.shape[0] - 1
-        _, sample, cell = exc.index
-        where = f"samples {first}..{last}: "
-        raise TauFloorError((first + sample, 0, cell), exc.value, exc.floor, where) from exc
-
-
 def _contrast_errors(exact: np.ndarray, linear: np.ndarray, scale: float) -> np.ndarray:
     """|exact - scale * linear| / max(|exact|, DENOMINATOR_FLOOR); overwrites ``exact``.
 
@@ -283,16 +256,43 @@ def _contrast_errors(exact: np.ndarray, linear: np.ndarray, scale: float) -> np.
     return errors
 
 
-def _born_sum(forward: ForwardMatrix, contrast: np.ndarray, out: np.ndarray) -> None:
-    """Write sum_p K[n * M + m, p] contrast[n, l, p] to out[l, n * M + m].
+def _exact_walk(forward: ForwardMatrix, scenario: Scenario, geometry: SceneGeometry,
+                samples: np.ndarray, scales: tuple[float, ...], out: np.ndarray, *, start: int):
+    """Exact contrast and Born snapshots of each ``scale * samples``, chunk by chunk.
 
-    ``contrast`` is (N, L, P) and ``out`` a C-contiguous (L, M N): one
-    stacked product, a GEMM per transmit n, reads the contiguous (L, P)
-    slice ``contrast[n]`` and writes the columns of transmit n in place.
+    For each chunk of :func:`_exact_chunks` in order, and each scale in
+    order, yields (rows, k, contrast, snapshots): the (N, rows, P) exact
+    contrast of ``scales[k] * samples[rows]`` and its Born sum, written to
+    ``out[rows]`` of the (L, M N) ``out``. A chunk's Born sum lands only in
+    its own rows, and consumers see the chunks in ensemble order. The walk
+    drops each contrast it hands on, so a consumer that drops it too holds
+    one at a time. ``samples[0]`` is sample ``start`` of the ensemble: a
+    tau-floor error names the chunk's samples and the offending (sample, 0,
+    cell) index in ensemble numbering.
     """
-    n_tx, n_rx = forward.n_tx, forward.n_rx
-    np.matmul(contrast, forward.kernels.reshape(n_tx, n_rx, -1).transpose(0, 2, 1),
-              out=out.reshape(-1, n_tx, n_rx).transpose(1, 0, 2))
+    omegas = 2.0 * np.pi * geometry.frequencies[:, None, None]
+    # Transmit n's (P, M) kernels: one stacked product, a GEMM per transmit,
+    # reads the contiguous (rows, P) slice contrast[n] and writes the
+    # columns of transmit n in place.
+    kernels = forward.kernels.reshape(forward.n_tx, forward.n_rx, -1).transpose(0, 2, 1)
+    for rows in _exact_chunks(geometry, samples.shape[0]):
+        # (5, 1, rows, P) against (N, 1, 1): see the module docstring.
+        unit = samples[rows].reshape(-1, N_PARAMS, geometry.n_cells).transpose(1, 0, 2)[:, None]
+        snapshots = out[rows]
+        for k, scale in enumerate(scales):
+            try:
+                # 1.0 * x is x, so unit scale needs no scaled copy.
+                contrast = exact_contrast_field(
+                    scenario.background, unit if scale == 1.0 else scale * unit, omegas)
+            except TauFloorError as exc:
+                first, last = start + rows.start, start + rows.stop - 1
+                _, sample, cell = exc.index
+                raise TauFloorError((first + sample, 0, cell), exc.value, exc.floor,
+                                    f"samples {first}..{last}: ") from exc
+            np.matmul(contrast, kernels,
+                      out=snapshots.reshape(-1, forward.n_tx, forward.n_rx).transpose(1, 0, 2))
+            yield rows, k, contrast, snapshots
+            del contrast  # freed before the next evaluation
 
 
 def snapshots_from_perturbations(
@@ -333,11 +333,9 @@ def snapshots_from_perturbations(
         return per_channel.sum(axis=1)
 
     out = np.empty((count, channels), dtype=complex)
-    for rows in _exact_chunks(geometry, count):
-        # No name keeps a chunk's contrast once its sum is written, so the
-        # next chunk is evaluated without it.
-        _born_sum(forward, _exact_contrast(scenario, geometry, samples[rows],
-                                           start=start + rows.start), out[rows])
+    for _, _, contrast, _ in _exact_walk(forward, scenario, geometry, samples, (1.0,), out,
+                                         start=start):
+        del contrast  # freed before the next chunk is evaluated
     return out
 
 
@@ -577,22 +575,21 @@ def validity_scan(
         base = sample_perturbations(unit, size, seed, start=start)
         # The linear snapshot is homogeneous in the amplitude: synthesize it once.
         y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
-        for rows in _exact_chunks(geometry, size):
-            # The linear contrast is homogeneous in the amplitude too: once per chunk.
-            linear = _linear_contrast(forward, base[rows])
-            y_exact = np.empty_like(y_lin[rows])
-            ensemble = slice(start + rows.start, start + rows.stop)
-            for s, selector, rel in zip(grid, selectors, snapshot_errors):
-                contrast = _exact_contrast(scenario, geometry, base[rows], scale=s,
-                                           start=ensemble.start)
-                _born_sum(forward, contrast, y_exact)
-                norms = np.linalg.norm(y_exact, axis=1)
-                rel[ensemble] = (np.linalg.norm(y_exact - s * y_lin[rows], axis=1)
-                                 / np.maximum(norms, DENOMINATOR_FLOOR))
-                selector.add(_contrast_errors(contrast, linear, s))
-                del contrast  # freed before the next amplitude's evaluation
-            del linear, y_exact  # freed before the next chunk's
-        del base, y_lin  # freed before the next block's draw
+        y_exact = np.empty_like(y_lin)
+        for rows, k, contrast, y in _exact_walk(forward, scenario, geometry, base, grid, y_exact,
+                                                start=start):
+            if k == 0:
+                # The linear contrast is homogeneous in the amplitude too: once per chunk.
+                linear = _linear_contrast(forward, base[rows])
+            s = grid[k]
+            snapshot_errors[k, start + rows.start:start + rows.stop] = (
+                np.linalg.norm(y - s * y_lin[rows], axis=1)
+                / np.maximum(np.linalg.norm(y, axis=1), DENOMINATOR_FLOOR))
+            selectors[k].add(_contrast_errors(contrast, linear, s))
+            del contrast  # freed before the next evaluation
+            if k == len(grid) - 1:
+                del linear  # freed before the next chunk's
+        del base, y_lin, y_exact, y  # freed before the next block's draw
     p95_contrast = [selector.value() for selector in selectors]
     p95_snapshot = [nearest_rank_percentile(rel, 0.95) for rel in snapshot_errors]
 

@@ -126,6 +126,8 @@ def kernel_gram(forward: ForwardMatrix, cov: PerturbationCovariance) -> np.ndarr
     Gram serves every such setting over one spatial factor. It is formed in
     tiles over GRAM_ROW_BLOCKS blocks of K's rows: block i of K C times the
     conjugate transpose of block j, so no (M N, P) copy of K is made.
+    Nonzero kernels whose Gram underflows to zero are an
+    UndefinedSpectrumError that names the underflow.
     """
     if forward.n_cells != cov.spatial.n_cells:
         raise ConfigError(
@@ -141,6 +143,10 @@ def kernel_gram(forward: ForwardMatrix, cov: PerturbationCovariance) -> np.ndarr
         for j in blocks:
             np.matmul(weighted, kernels[j].conj().T, out=gram[i, j])
         del weighted  # the next row block's product is formed without this one
+    if not gram.any() and kernels.any():
+        raise UndefinedSpectrumError(
+            "covariance underflows to zero: the kernel Gram is below the float range, "
+            f"with a largest kernel magnitude of {float(np.abs(kernels).max())!r}")
     return gram
 
 

@@ -49,6 +49,26 @@ def dense_discrepancy(candidate, reference):
     return float(np.linalg.norm(dense_entries(candidate) - dense) / np.linalg.norm(dense))
 
 
+def mp_discrepancy(candidate, reference):
+    """dense_discrepancy with every entry formed and summed in 30-digit mpmath
+    arithmetic, whose exponents do not underflow.
+
+    None for a reference of zero norm.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        entries = []
+        for forward in (candidate, reference):
+            psi = [[mpmath.mpc(value) for value in row] for row in forward.row_sensitivities().T]
+            kernels = [[mpmath.mpc(value) for value in row] for row in forward.kernels]
+            entries.append([weight * kernel for row_psi, row_kernels in zip(psi, kernels)
+                            for weight in row_psi for kernel in row_kernels])
+        numerator = mpmath.fsum(abs(c - r) ** 2 for c, r in zip(*entries))
+        denominator = mpmath.fsum(abs(r) ** 2 for r in entries[1])
+        return None if denominator == 0 else float(mpmath.sqrt(numerator / denominator))
+
+
 def pseudo_covariance(forward, cov):
     """The pseudo-covariance E[y y^T] = A R_mu A^T of linear snapshots y = A x."""
     entries = dense_entries(forward)

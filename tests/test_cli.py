@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, overrides, exit codes, artifacts."""
 
 import ctypes
+import dataclasses
 import json
 import os
 import re
@@ -562,6 +563,28 @@ def test_a_start_medium_of_zero_norm_is_recorded_and_the_run_goes_on(tmp_path, c
         for table in ("derivative_check", "validity_scan", "kernel_diff", "fda_scan", "closure",
                       "lx_scan", "coupling_scan", "target_scan", "boundary"):
             assert (out / f"{table}.csv").exists() and (out / f"{table}.json").exists(), table
+
+
+def test_a_covariance_that_underflows_is_refused_as_underflow(tmp_path):
+    # Cells 400 m deep: S4's kernels are nonzero, the largest about 1e-250,
+    # but their Gram underflows to zero. scan-fda once recorded S4 as
+    # "covariance is identically zero"; the refusal names the underflow and
+    # the largest kernel magnitude, and the other scenarios go on.
+    config_path = tmp_path / "deep.yaml"
+    config_path.write_text("geometry: {n_x: 6, n_z: 4, dz: 400}\n")
+    out = tmp_path / "results"
+    assert main(["--config", str(config_path), "--out", str(out), "scan-fda"]) == 2
+    # The scan's first increment, 0 Hz, is the first to refuse S4.
+    config = load_config(str(config_path))
+    geometry = build_default_geometry(dataclasses.replace(
+        config.geometry, delta_f=config.experiments.delta_f_grid[0]))
+    largest = float(np.abs(assemble_forward(get_scenario("S4"), geometry).kernels).max())
+    assert 0.0 < largest < 1e-200
+    assert json.loads((out / "fda_scan_errors.json").read_text()) == {
+        "S4": "covariance underflows to zero: the kernel Gram is below the float range, "
+              f"with a largest kernel magnitude of {largest!r}"}
+    rows = json.loads((out / "fda_scan.json").read_text())["rows"]
+    assert {row["scenario"] for row in rows} == {"S1", "S2", "S3", "S_syn", "S_balance"}
 
 
 def test_boundary_subcommands(tmp_path):

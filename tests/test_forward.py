@@ -29,10 +29,17 @@ from gprclutter.forward import (
     background_wavenumber,
     block_discrepancy,
     born_kernel_tensor,
+    discrepancy_ratio,
 )
 from gprclutter.harness.experiments import free_space_scenario
 from gprclutter.scene import Scenario, default_perturbation_scales
-from oracles import born_kernel_reference, dense_discrepancy, dense_entries, green_kernel
+from oracles import (
+    born_kernel_reference,
+    dense_discrepancy,
+    dense_entries,
+    green_kernel,
+    mp_discrepancy,
+)
 
 OMEGA_100MHZ = 2.0 * math.pi * 100e6
 
@@ -410,6 +417,34 @@ def test_factored_discrepancy_matches_the_dense_norm():
         get_scenario(sid).background for sid in ("S4", "S_syn")}
 
 
+def test_discrepancy_of_kernels_whose_squares_underflow_matches_mpmath():
+    # Cells 400 m deep: S4's and S_syn's largest kernels are below 1e-200
+    # and 1e-120, so their squares underflow in double precision, and S4's
+    # operator once read as of zero norm. Each pair's blocks are scaled by
+    # powers of two before squaring: every ordered pair of the registry
+    # media and free space matches the high-precision oracle, the pairs
+    # whose ratio is about 1e239 included.
+    pytest.importorskip("mpmath")
+    geometry = build_default_geometry(GeometryConfig(n_tx=2, n_rx=2, n_x=3, n_z=2, dz=400))
+    forwards = [assemble_forward(scenario, geometry)
+                for scenario in (*scenario_registry().values(), free_space_scenario())]
+    largest = {f.background: np.abs(f.kernels).max() for f in forwards}
+    assert 0.0 < largest[get_scenario("S4").background] < 1e-200
+    assert 0.0 < largest[get_scenario("S_syn").background] < 1e-120
+    for candidate, reference in itertools.product(forwards, forwards):
+        oracle = mp_discrepancy(candidate, reference)
+        assert oracle is not None
+        assert forward_discrepancy(candidate, reference) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_a_discrepancy_beyond_the_float_range_is_an_assembly_error(small_geometry):
+    forward = assemble_forward(get_scenario("S1"), small_geometry)
+    tiny = dataclasses.replace(forward, kernels=forward.kernels * 2.0**-1030)
+    assert forward_discrepancy(tiny, forward) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(AssemblyError, match="float range"):
+        forward_discrepancy(forward, tiny)
+
+
 def _transmit_block(forward, n):
     """Transmit block n of an operator: its sensitivities (5,) and kernels (M, P)."""
     return forward.sensitivities[:, n], forward.kernels[n * forward.n_rx:(n + 1) * forward.n_rx]
@@ -425,7 +460,8 @@ def test_block_discrepancy_is_two_nonnegative_terms_of_the_dense_block(small_geo
     for candidate, reference in itertools.product(forwards, forwards):
         for n in range(small_geometry.n_tx):
             c_block, r_block = _transmit_block(candidate, n), _transmit_block(reference, n)
-            numerator, denominator = block_discrepancy(*c_block, *r_block)
+            terms, exponents = block_discrepancy(*c_block, *r_block)
+            numerator, denominator = np.ldexp(terms, 2 * exponents)
             dense = _dense_block(*r_block)
             assert numerator >= 0.0
             assert numerator == pytest.approx(
@@ -436,18 +472,18 @@ def test_block_discrepancy_is_two_nonnegative_terms_of_the_dense_block(small_geo
     # Blocks one rounding apart: the numerator is a sum of squares, never negative.
     psi, kernels = _transmit_block(forwards[0], 0)
     for scale in (1 + 2**-52, 1 - 2**-53, 1j):
-        assert block_discrepancy(psi * scale, kernels, psi, kernels)[0] >= 0.0
-        assert block_discrepancy(psi, kernels * scale, psi, kernels)[0] >= 0.0
+        assert block_discrepancy(psi * scale, kernels, psi, kernels)[0][0] >= 0.0
+        assert block_discrepancy(psi, kernels * scale, psi, kernels)[0][0] >= 0.0
 
 
 def test_scaling_both_sensitivities_leaves_the_block_ratio(small_geometry):
     candidate = _transmit_block(assemble_forward(get_scenario("S2"), small_geometry), 1)
     reference = _transmit_block(assemble_forward(get_scenario("S3"), small_geometry), 1)
-    ratio = np.divide(*block_discrepancy(*candidate, *reference))
+    ratio = discrepancy_ratio(block_discrepancy(*candidate, *reference))
 
     def scaled_ratio(factor):
-        return np.divide(*block_discrepancy(factor * candidate[0], candidate[1],
-                                            factor * reference[0], reference[1]))
+        return discrepancy_ratio(block_discrepancy(factor * candidate[0], candidate[1],
+                                                   factor * reference[0], reference[1]))
 
     assert scaled_ratio(2.0**-40) == ratio  # a power of two scales without rounding
     assert scaled_ratio(3.7e4 * np.exp(0.3j)) == pytest.approx(ratio, rel=1e-13)

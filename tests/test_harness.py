@@ -482,8 +482,20 @@ def test_kernel_diff_table():
 
 def test_kernel_diff_equals_the_discrepancy_of_assembled_operators():
     # Every pair of the registry media and free space, bit for bit.
+    _assert_kernel_diff_equals_assembled_operators(GeometryConfig(n_x=6, n_z=5))
+
+
+def test_kernel_diff_of_kernels_whose_squares_underflow_is_defined():
+    # Cells 400 m deep: S4's kernels are nonzero but below 1e-200, and
+    # their blocks' power-of-two exponents differ from transmit to transmit.
+    # No medium is refused as of zero norm, and the streamed sums equal
+    # forward_discrepancy's, bit for bit.
+    _assert_kernel_diff_equals_assembled_operators(GeometryConfig(n_x=3, n_z=2, dz=400))
+
+
+def _assert_kernel_diff_equals_assembled_operators(geometry_config):
     media = tuple(scenario_registry())
-    config = _config(geometry=GeometryConfig(n_x=6, n_z=5),
+    config = _config(geometry=geometry_config,
                      experiments=ExperimentSettings(kernel_diff_scenarios=media))
     result = run_kernel_diff(config)
     assert result.ok and len(result.table.rows) == len(media) * (len(media) + 1)

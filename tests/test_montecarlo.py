@@ -453,6 +453,26 @@ def test_exact_synthesis_holds_one_chunk_contrast_at_a_time():
     assert peak(4 * rows) - peak(rows) < snapshots + chunk / 4
 
 
+def test_validity_scan_holds_one_chunk_contrast_at_a_time_across_amplitudes():
+    # One exact chunk of samples: from one amplitude to four the traced peak
+    # grows by three more selectors' candidate buffers and snapshot errors
+    # alone. Neither the walk nor the scan keeps an amplitude's contrast
+    # while the next one is evaluated; either would add most of a chunk.
+    geometry, [(forward, scenario, cov)] = _grid_models(("S4",))
+    rows = _chunk_rows(geometry)
+    values = rows * geometry.frequencies.size * geometry.n_cells
+
+    def peak(grid):
+        def run():
+            validity_scan(forward, scenario, geometry, cov, amplitude_grid=grid,
+                          sample_count=rows, seed=5)
+        run()  # first-call allocations
+        return _traced_peak(run)
+
+    own = 3 * (NearestRankSelector(values, 0.95)._buffer.nbytes + 8 * rows)
+    assert peak((0.25, 0.5, 1.0, 2.0)) - peak((0.5,)) < own + 16 * values / 4
+
+
 def test_validity_scan_releases_each_block_before_the_next_draw(monkeypatch):
     # L = 130 is three blocks. When a later block is drawn the scan holds
     # what it held at the first draw (its selectors and snapshot errors)
@@ -780,24 +800,28 @@ def test_frequency_outer_exact_contrast_is_the_sample_outer_one_transposed(sid):
     # The Monte Carlo paths evaluate (5, 1, L, P) perturbations against
     # (N, 1, 1) frequencies; each value is the one that (5, L, 1, P) against
     # (N, 1) gives, bit for bit.
-    geometry, scenario, _, cov = _setup(sid=sid, n_x=4, n_z=3)
+    geometry, scenario, forward, cov = _setup(sid=sid, n_x=4, n_z=3)
     samples = sample_perturbations(cov, 7, 5)
     per_channel = samples.reshape(7, 5, geometry.n_cells).transpose(1, 0, 2)
     omegas = 2.0 * np.pi * geometry.frequencies
-    for scale in (1.0, 4.0):
-        outer = montecarlo._exact_contrast(scenario, geometry, samples, scale=scale)
-        inner = exact_contrast_field(scenario.background, scale * per_channel[:, :, None],
+    scales = (1.0, 4.0)
+    out = np.empty((7, forward.shape[0]), dtype=complex)
+    walk = montecarlo._exact_walk(forward, scenario, geometry, samples, scales, out, start=0)
+    for k, (rows, index, outer, _) in enumerate(walk):
+        assert (rows, index) == (slice(0, 7), k)
+        inner = exact_contrast_field(scenario.background, scales[k] * per_channel[:, :, None],
                                      omegas[:, None])
         assert outer.shape == (geometry.frequencies.size, 7, geometry.n_cells)
         assert outer.flags.c_contiguous
         transposed = np.ascontiguousarray(inner.transpose(1, 0, 2))
         assert np.array_equal(outer.view(np.uint64), transposed.view(np.uint64))
-    linear = montecarlo._linear_contrast(assemble_forward(scenario, geometry), samples)
+    assert k == 1
+    linear = montecarlo._linear_contrast(forward, samples)
     assert linear.shape == outer.shape and linear.flags.c_contiguous
 
 
 def test_tau_floor_hit_in_the_frequency_outer_layout_keeps_its_ensemble_index():
-    geometry, scenario, _, cov = _setup(sid="S4", n_x=4, n_z=3)
+    geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
     samples = sample_perturbations(cov, 6, 5)
     samples[4, 2 * geometry.n_cells + 9] = -scenario.background.tau
     per_channel = samples.reshape(6, 5, geometry.n_cells).transpose(1, 0, 2)
@@ -806,7 +830,8 @@ def test_tau_floor_hit_in_the_frequency_outer_layout_keeps_its_ensemble_index():
         exact_contrast_field(scenario.background, per_channel[:, :, None], omegas[:, None])
     assert sample_outer.value.index == (4, 0, 9)
     with pytest.raises(TauFloorError) as named:
-        montecarlo._exact_contrast(scenario, geometry, samples, start=30)
+        next(montecarlo._exact_walk(forward, scenario, geometry, samples, (1.0,),
+                                    np.empty((6, forward.shape[0]), dtype=complex), start=30))
     assert named.value.__cause__.index == (0, 4, 9)
     assert named.value.index == (34, 0, 9)
     assert str(named.value).startswith("samples 30..35: perturbed tau at index (34, 0, 9)")
