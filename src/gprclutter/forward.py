@@ -263,32 +263,31 @@ def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,
         ||A_r||^2 = |psi_r|^2 ||K_r||^2.
 
     Both terms are nonnegative, so nothing cancels: equal blocks give
-    exactly 0, and zero candidate kernels give exactly ||A_r||^2. Where
-    |1 + c| < 1/16 the sum (K_c - K_r) + c K_c would lose more than 4 bits,
-    so it is formed as a K_c - K_r, a = <psi_r, psi_c> / |psi_r|^2, with
-    psi_perp = psi_c - a psi_r.
+    exactly 0, and zero candidate kernels give exactly ||A_r||^2. The
+    difference term has two forms. Where |1 + c| >= 1/16 it is
+    (K_c - K_r) + c K_c: K_c - K_r is exact for nearly equal kernels, so
+    this form is the accurate one for close operators, and kernel-diff's
+    recorded values come from it. Where |1 + c| < 1/16 that sum would
+    cancel and lose more than 4 bits, so it is formed as a K_c - K_r,
+    a = <psi_r, psi_c> / |psi_r|^2 = 1 + c, with psi_perp = psi_c - a psi_r.
 
-    Squares summed within [2^-900, 2^900] are kept as they are, e = 0:
-    an entry whose square underflows there is below 2^-450 of the largest.
-    Otherwise 2^e bounds the largest real or imaginary part of a kernel
-    (np.frexp, at least 2^-1021) of the pair for the first term and of the
-    reference for the second, and the kernels are scaled by 2^-e before
-    they are squared. That scaling is exact wherever nothing is subnormal.
+    Squares of small kernels underflow (and of large ones overflow), so 2^e
+    bounds the largest real or imaginary part of a kernel (np.frexp, at
+    least 2^-1021) of the pair for the first term and of the reference for
+    the second, and the kernels are scaled by 2^-e before they are squared.
+    A power of two commutes with every rounding wherever nothing is
+    subnormal, so the scaled terms carry the bits of the unscaled ones.
     """
     candidate_kernels, reference_kernels = (np.ascontiguousarray(kernels, dtype=complex)
                                             for kernels in (candidate_kernels, reference_kernels))
-    candidate_sq, reference_sq = (np.vdot(kernels, kernels).real
-                                  for kernels in (candidate_kernels, reference_kernels))
-    pair = own = 0
-    if not all(2.0**-900 <= square <= 2.0**900 for square in (candidate_sq, reference_sq)):
-        parts = candidate_kernels.view(float), reference_kernels.view(float)
-        largest = [max(part.max(initial=0.0), -part.min(initial=0.0)) for part in parts]
-        pair, own = np.maximum(np.frexp([max(largest), largest[1]])[1], -1021)
-        scaled = np.multiply(parts[1], 2.0 ** -own).view(complex)
-        reference_sq = np.vdot(scaled, scaled).real
-        np.multiply(parts[0], 2.0 ** -pair, out=scaled.view(float))
-        candidate_sq = np.vdot(scaled, scaled).real
-        del scaled  # freed before the difference is formed
+    parts = candidate_kernels.view(float), reference_kernels.view(float)
+    largest = [max(part.max(initial=0.0), -part.min(initial=0.0)) for part in parts]
+    pair, own = np.maximum(np.frexp([max(largest), largest[1]])[1], -1021)
+    scaled = np.multiply(parts[1], 2.0 ** -own).view(complex)
+    reference_sq = np.vdot(scaled, scaled).real
+    np.multiply(parts[0], 2.0 ** -pair, out=scaled.view(float))
+    candidate_sq = np.vdot(scaled, scaled).real
+    del scaled  # freed before the difference is formed
     psi_sq = np.vdot(reference_psi, reference_psi).real
     a = np.vdot(reference_psi, candidate_psi) / psi_sq if psi_sq > 0.0 else 1.0
     if abs(a) >= 1.0 / 16.0:
@@ -301,9 +300,7 @@ def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,
         perp = candidate_psi - a * reference_psi
         d_kernels = a * candidate_kernels
         d_kernels -= reference_kernels
-    if pair:
-        # Scaled once formed: the power of two commutes with each rounding.
-        d_kernels.view(float)[:] *= 2.0 ** -pair
+    d_kernels.view(float)[:] *= 2.0 ** -pair
     return np.array([
         np.vdot(perp, perp).real * candidate_sq + psi_sq * np.vdot(d_kernels, d_kernels).real,
         psi_sq * reference_sq,

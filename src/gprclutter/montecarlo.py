@@ -48,7 +48,8 @@ holds two blocks, the spatially mixed normals and one scenario's samples,
 and two chunks while one is evaluated: the contrast being written and the
 Cole-Cole kernel's real and imaginary parts. The validity scan holds one
 block of base samples, its linear snapshots, which it synthesizes once,
-and its exact snapshots, and per chunk the linear contrast, formed once for all amplitudes, and one
+and as many exact snapshots, which each amplitude overwrites; per chunk
+it holds the linear contrast, formed once for all amplitudes, and one
 amplitude's exact evaluation. It keeps the L per-sample snapshot errors of
 each amplitude; each amplitude's L N P contrast errors stream into its own
 :class:`NearestRankSelector`, which keeps at most 1.25 times a twentieth of
@@ -579,7 +580,9 @@ def validity_scan(
         for rows, k, contrast, y in _exact_walk(forward, scenario, geometry, base, grid, y_exact,
                                                 start=start):
             if k == 0:
-                # The linear contrast is homogeneous in the amplitude too: once per chunk.
+                # The linear contrast is homogeneous in the amplitude too: once
+                # per chunk, formed after the previous chunk's is freed.
+                linear = None
                 linear = _linear_contrast(forward, base[rows])
             s = grid[k]
             snapshot_errors[k, start + rows.start:start + rows.stop] = (
@@ -587,9 +590,7 @@ def validity_scan(
                 / np.maximum(np.linalg.norm(y, axis=1), DENOMINATOR_FLOOR))
             selectors[k].add(_contrast_errors(contrast, linear, s))
             del contrast  # freed before the next evaluation
-            if k == len(grid) - 1:
-                del linear  # freed before the next chunk's
-        del base, y_lin, y_exact, y  # freed before the next block's draw
+        del base, y_lin, y_exact, y, linear  # freed before the next block's draw
     p95_contrast = [selector.value() for selector in selectors]
     p95_snapshot = [nearest_rank_percentile(rel, 0.95) for rel in snapshot_errors]
 

@@ -8,6 +8,7 @@ runs them.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 
 from gprclutter.constitutive import (
@@ -55,8 +56,6 @@ def mp_discrepancy(candidate, reference):
 
     None for a reference of zero norm.
     """
-    import mpmath
-
     with mpmath.workdps(30):
         entries = []
         for forward in (candidate, reference):

@@ -424,7 +424,6 @@ def test_discrepancy_of_kernels_whose_squares_underflow_matches_mpmath():
     # powers of two before squaring: every ordered pair of the registry
     # media and free space matches the high-precision oracle, the pairs
     # whose ratio is about 1e239 included.
-    pytest.importorskip("mpmath")
     geometry = build_default_geometry(GeometryConfig(n_tx=2, n_rx=2, n_x=3, n_z=2, dz=400))
     forwards = [assemble_forward(scenario, geometry)
                 for scenario in (*scenario_registry().values(), free_space_scenario())]
@@ -479,12 +478,15 @@ def test_block_discrepancy_is_two_nonnegative_terms_of_the_dense_block(small_geo
 def test_scaling_both_sensitivities_leaves_the_block_ratio(small_geometry):
     candidate = _transmit_block(assemble_forward(get_scenario("S2"), small_geometry), 1)
     reference = _transmit_block(assemble_forward(get_scenario("S3"), small_geometry), 1)
-    ratio = discrepancy_ratio(block_discrepancy(*candidate, *reference))
 
-    def scaled_ratio(factor):
-        return discrepancy_ratio(block_discrepancy(factor * candidate[0], candidate[1],
-                                                   factor * reference[0], reference[1]))
+    def scaled_ratio(factor=1.0):
+        terms, exponents = block_discrepancy(factor * candidate[0], candidate[1],
+                                             factor * reference[0], reference[1])
+        return np.divide(*np.ldexp(terms, 2 * exponents))
 
+    ratio = scaled_ratio()
+    assert discrepancy_ratio(block_discrepancy(*candidate, *reference)) == pytest.approx(
+        np.sqrt(ratio), rel=1e-15)
     assert scaled_ratio(2.0**-40) == ratio  # a power of two scales without rounding
     assert scaled_ratio(3.7e4 * np.exp(0.3j)) == pytest.approx(ratio, rel=1e-13)
 
