@@ -192,7 +192,7 @@ def steering_vector(geometry: SceneGeometry, scenario: Scenario, target) -> Stee
     k = background_wavenumber(scenario.background, 2.0 * np.pi * geometry.frequencies)
     values = np.concatenate([transmit_kernels(k, table, n).ravel()
                              for n in range(geometry.n_tx)])
-    return SteeringVector(values=values / np.linalg.norm(values))
+    return SteeringVector(values=values / frobenius_norm(values))
 
 
 def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> float:
@@ -204,9 +204,9 @@ def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> f
     operators must be assembled on one geometry.
 
     Computed from the factors, one transmit block at a time
-    (:func:`block_discrepancy`), summed in transmit order. Equal operators
-    give exactly 0, a candidate of zero kernels exactly 1, and a reference
-    of zero norm is an AssemblyError.
+    (:func:`block_discrepancy`), whose norms are summed with math.hypot in
+    transmit order. Equal operators give exactly 0, a candidate of zero
+    kernels exactly 1, and a reference of zero norm is an AssemblyError.
     """
     if candidate.shape != reference.shape:
         raise AssemblyError(
@@ -218,13 +218,13 @@ def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> f
             f"and {reference.geometry_fingerprint}"
         )
     n_rx = candidate.n_rx
-    total = (np.zeros(2), 0)
+    total = (0.0, 0.0)
     for n in range(candidate.n_tx):
         rows = slice(n * n_rx, (n + 1) * n_rx)
-        total = add_discrepancy(total, block_discrepancy(
+        total = tuple(map(math.hypot, total, block_discrepancy(
             candidate.sensitivities[:, n], candidate.kernels[rows],
-            reference.sensitivities[:, n], reference.kernels[rows]))
-    return discrepancy_ratio(total)
+            reference.sensitivities[:, n], reference.kernels[rows])))
+    return discrepancy_ratio(*total)
 
 
 def check_kernels(kernels: np.ndarray, n_rx: int, first_row: int = 0) -> None:
@@ -250,8 +250,8 @@ def check_sensitivities(psi: np.ndarray) -> None:
 
 def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,
                       reference_psi: np.ndarray, reference_kernels: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """([||A_c - A_r||^2, ||A_r||^2] / 4^e, e) over one transmit block of two operators.
+                      ) -> tuple[float, float]:
+    """(||A_c - A_r||_F, ||A_r||_F) over one transmit block of two operators.
 
     Every row of transmit block n carries one sensitivity 5-vector psi (the
     ``sensitivities[:, n]`` of the operator), and the block's kernels K are
@@ -259,35 +259,20 @@ def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,
     / |psi_r|^2 (0 if psi_r = 0) and psi_perp orthogonal to psi_r, the block
     difference splits into two orthogonal parts:
 
-        ||A_c - A_r||^2 = |psi_perp|^2 ||K_c||^2 + |psi_r|^2 ||(K_c - K_r) + c K_c||^2,
-        ||A_r||^2 = |psi_r|^2 ||K_r||^2.
+        ||A_c - A_r|| = hypot(|psi_perp| ||K_c||, |psi_r| ||(K_c - K_r) + c K_c||),
+        ||A_r|| = |psi_r| ||K_r||.
 
-    Both terms are nonnegative, so nothing cancels: equal blocks give
-    exactly 0, and zero candidate kernels give exactly ||A_r||^2. The
+    Both parts are nonnegative, so nothing cancels: equal blocks give
+    exactly 0, and zero candidate kernels give exactly ||A_r||. The
     difference term has two forms. Where |1 + c| >= 1/16 it is
     (K_c - K_r) + c K_c: K_c - K_r is exact for nearly equal kernels, so
     this form is the accurate one for close operators, and kernel-diff's
     recorded values come from it. Where |1 + c| < 1/16 that sum would
     cancel and lose more than 4 bits, so it is formed as a K_c - K_r,
     a = <psi_r, psi_c> / |psi_r|^2 = 1 + c, with psi_perp = psi_c - a psi_r.
-
-    Squares of small kernels underflow (and of large ones overflow), so 2^e
-    bounds the largest real or imaginary part of a kernel (np.frexp, at
-    least 2^-1021) of the pair for the first term and of the reference for
-    the second, and the kernels are scaled by 2^-e before they are squared.
-    A power of two commutes with every rounding wherever nothing is
-    subnormal, so the scaled terms carry the bits of the unscaled ones.
+    Every norm is a :func:`frobenius_norm`, so kernels whose squares
+    underflow keep their norm.
     """
-    candidate_kernels, reference_kernels = (np.ascontiguousarray(kernels, dtype=complex)
-                                            for kernels in (candidate_kernels, reference_kernels))
-    parts = candidate_kernels.view(float), reference_kernels.view(float)
-    largest = [max(part.max(initial=0.0), -part.min(initial=0.0)) for part in parts]
-    pair, own = np.maximum(np.frexp([max(largest), largest[1]])[1], -1021)
-    scaled = np.multiply(parts[1], 2.0 ** -own).view(complex)
-    reference_sq = np.vdot(scaled, scaled).real
-    np.multiply(parts[0], 2.0 ** -pair, out=scaled.view(float))
-    candidate_sq = np.vdot(scaled, scaled).real
-    del scaled  # freed before the difference is formed
     psi_sq = np.vdot(reference_psi, reference_psi).real
     a = np.vdot(reference_psi, candidate_psi) / psi_sq if psi_sq > 0.0 else 1.0
     if abs(a) >= 1.0 / 16.0:
@@ -300,38 +285,38 @@ def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,
         perp = candidate_psi - a * reference_psi
         d_kernels = a * candidate_kernels
         d_kernels -= reference_kernels
-    d_kernels.view(float)[:] *= 2.0 ** -pair
-    return np.array([
-        np.vdot(perp, perp).real * candidate_sq + psi_sq * np.vdot(d_kernels, d_kernels).real,
-        psi_sq * reference_sq,
-    ]), np.array([pair, own])
+    psi_norm = frobenius_norm(reference_psi)
+    return (math.hypot(frobenius_norm(perp) * frobenius_norm(candidate_kernels),
+                       psi_norm * frobenius_norm(d_kernels)),
+            float(psi_norm * frobenius_norm(reference_kernels)))
 
 
-def add_discrepancy(total: tuple[np.ndarray, np.ndarray], block: tuple[np.ndarray, np.ndarray]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The sum of two scaled terms of :func:`block_discrepancy`, each at the larger e.
+def discrepancy_ratio(numerator: float, denominator: float) -> float:
+    """numerator / denominator of Frobenius norms summed over transmit blocks.
 
-    ``(np.zeros(2), 0)`` is the empty sum, and a zero term takes the other
-    summand's e. Rescaling is exact wherever nothing is subnormal, so a sum
-    in transmit order keeps the bits of the unscaled one there.
-    """
-    (terms, exponents), (more, more_exponents) = total, block
-    exponents = np.where(terms > 0.0, exponents, more_exponents)
-    more_exponents = np.where(more > 0.0, more_exponents, exponents)
-    top = np.maximum(exponents, more_exponents)
-    return np.ldexp(terms, 2 * (exponents - top)) + np.ldexp(more, 2 * (more_exponents - top)), top
-
-
-def discrepancy_ratio(total: tuple[np.ndarray, np.ndarray]) -> float:
-    """sqrt(numerator / denominator) of summed :func:`block_discrepancy` terms.
     A reference of zero norm, or a ratio beyond the float range, is an AssemblyError.
     """
-    (numerator, denominator), (numerator_exponent, denominator_exponent) = total
     if not denominator > 0.0:
         raise AssemblyError("reference forward operator has zero norm: "
                             "its relative discrepancy is undefined")
-    try:
-        return math.ldexp(math.sqrt(numerator) / math.sqrt(denominator),
-                          int(numerator_exponent - denominator_exponent))
-    except OverflowError:
-        raise AssemblyError("relative discrepancy exceeds the float range") from None
+    ratio = numerator / denominator
+    if ratio == math.inf:
+        raise AssemblyError("relative discrepancy exceeds the float range")
+    return ratio
+
+
+def frobenius_norm(x, axis=None):
+    """``np.linalg.norm(x, axis=axis)`` whose squares neither underflow nor overflow.
+
+    x is scaled by 2^-e before the norm is taken and the norm by 2^e after,
+    where 2^e bounds the largest real or imaginary part of x (along
+    ``axis`` if given; np.frexp, e at least -1021). A power of two commutes
+    with every rounding wherever nothing is subnormal, so there the result
+    is ``np.linalg.norm``'s, bit for bit. A zero x has norm exactly 0.
+    """
+    x = np.asarray(x)
+    largest = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=axis, keepdims=True,
+                                                            initial=0.0)
+    exponent = np.maximum(np.frexp(largest)[1], -1021)
+    norm = np.linalg.norm(x * np.ldexp(1.0, -exponent), axis=axis)
+    return np.ldexp(norm, exponent.reshape(np.shape(norm)))

@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from ..constitutive import (
 )
 from ..errors import GprClutterError
 from ..forward import (
-    add_discrepancy,
     assemble_forward,
     background_wavenumber,
     block_discrepancy,
@@ -506,8 +506,8 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
 
     No operator is assembled: the media's kernels are formed side by side,
     one transmit block (M rows) at a time, with the checks of
-    :func:`assemble_forward`, and each pair keeps the running sum of
-    :func:`block_discrepancy` terms that :func:`forward_discrepancy` adds up. A
+    :func:`assemble_forward`, and each pair sums the two norms of
+    :func:`block_discrepancy` in transmit order, as :func:`forward_discrepancy` does. A
     medium that fails is recorded and its pairs are dropped; a start medium
     whose operator has zero norm is recorded and the rows toward it are kept.
     """
@@ -523,7 +523,7 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
             psi[sid] = sensitivity_components(*scenario.background.as_array(), omegas)
             check_sensitivities(psi[sid])
             ks[sid] = background_wavenumber(scenario.background, omegas)
-    totals = {(sid_from, sid_to): (np.zeros(2), 0)
+    totals = {(sid_from, sid_to): (0.0, 0.0)
               for sid_from in exp.kernel_diff_scenarios for sid_to in media}
     for n in range(geometry.n_tx):
         blocks = {}
@@ -537,13 +537,14 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
                 blocks.pop(sid, None)
         for (sid_from, sid_to), total in totals.items():
             if sid_from in blocks and sid_to in blocks:
-                totals[sid_from, sid_to] = add_discrepancy(total, block_discrepancy(
-                    psi[sid_to][:, n], blocks[sid_to], psi[sid_from][:, n], blocks[sid_from]))
+                block = block_discrepancy(psi[sid_to][:, n], blocks[sid_to],
+                                          psi[sid_from][:, n], blocks[sid_from])
+                totals[sid_from, sid_to] = tuple(map(math.hypot, total, block))
     for sid_from in exp.kernel_diff_scenarios:
         if sid_from not in ks:
             continue
         with _recorded(result, sid_from):
             for sid_to in ks:
                 result.table.add_row(from_scenario=sid_from, to_scenario=sid_to,
-                                     delta_a=discrepancy_ratio(totals[sid_from, sid_to]))
+                                     delta_a=discrepancy_ratio(*totals[sid_from, sid_to]))
     return result

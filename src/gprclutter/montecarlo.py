@@ -70,7 +70,7 @@ from .constitutive import (
     exact_contrast_field,
 )
 from .errors import ConfigError, GprClutterError, TauFloorError, UndefinedSpectrumError
-from .forward import ForwardMatrix
+from .forward import ForwardMatrix, frobenius_norm
 from .randfield import (
     EXACT_CHUNK_VALUES,
     PerturbationCovariance,
@@ -498,11 +498,11 @@ def closure_from_covariances(
     / sqrt(2 p) between orthogonal projectors onto the dominant-p
     eigenspaces (p defaults to the theory's p_0.9).
     """
-    norm_theory = np.linalg.norm(theory.matrix)
+    norm_theory = frobenius_norm(theory.matrix)
     if norm_theory == 0.0:
         raise UndefinedSpectrumError("closure undefined for a zero theoretical covariance")
-    eps_cov_lin = float(np.linalg.norm(cov_linear - theory.matrix) / norm_theory)
-    eps_cov_exact = float(np.linalg.norm(cov_exact - theory.matrix) / norm_theory)
+    eps_cov_lin = float(frobenius_norm(cov_linear - theory.matrix) / norm_theory)
+    eps_cov_exact = float(frobenius_norm(cov_exact - theory.matrix) / norm_theory)
 
     summary_theory = spectral_summary(theory)
     summary_exact = spectral_summary(
@@ -510,9 +510,7 @@ def closure_from_covariances(
     )
     lam_theory = summary_theory.eigenvalues
     lam_exact = summary_exact.eigenvalues
-    eps_lambda = float(
-        np.linalg.norm(lam_exact - lam_theory) / np.linalg.norm(lam_theory)
-    )
+    eps_lambda = float(frobenius_norm(lam_exact - lam_theory) / frobenius_norm(lam_theory))
 
     p = subspace_dim if subspace_dim is not None else summary_theory.p_rho[0.9]
     if not 1 <= p <= theory.size:
@@ -550,7 +548,8 @@ def validity_scan(
     At each amplitude the same underlying standard normals are rescaled,
     so errors grow monotonically with the amplitude up to arithmetic
     effects. Contrast errors pool every (sample, frequency, cell) triple;
-    snapshot errors are per-sample relative vector errors. Both use the
+    snapshot errors are per-sample relative vector errors ||y - s y_lin||
+    / ||y||, 0 for a zero snapshot y. Both use the
     nearest-rank 95th percentile. The recommended amplitude is the largest
     grid value such that it and every smaller grid value stay below the
     threshold on both metrics.
@@ -571,7 +570,7 @@ def validity_scan(
     # snapshot errors, both filled chunk by chunk.
     selectors = [NearestRankSelector(sample_count * geometry.frequencies.size
                                      * geometry.n_cells, 0.95) for _ in grid]
-    snapshot_errors = np.empty((len(grid), sample_count))
+    snapshot_errors = np.zeros((len(grid), sample_count))
     for start, size in _block_starts(unit.dim, sample_count):
         base = sample_perturbations(unit, size, seed, start=start)
         # The linear snapshot is homogeneous in the amplitude: synthesize it once.
@@ -585,9 +584,9 @@ def validity_scan(
                 linear = None
                 linear = _linear_contrast(forward, base[rows])
             s = grid[k]
-            snapshot_errors[k, start + rows.start:start + rows.stop] = (
-                np.linalg.norm(y - s * y_lin[rows], axis=1)
-                / np.maximum(np.linalg.norm(y, axis=1), DENOMINATOR_FLOOR))
+            norm = frobenius_norm(y, axis=1)
+            np.divide(frobenius_norm(y - s * y_lin[rows], axis=1), norm, where=norm > 0.0,
+                      out=snapshot_errors[k, start + rows.start:start + rows.stop])
             selectors[k].add(_contrast_errors(contrast, linear, s))
             del contrast  # freed before the next evaluation
         del base, y_lin, y_exact, y, linear  # freed before the next block's draw

@@ -68,6 +68,16 @@ def mp_discrepancy(candidate, reference):
         return None if denominator == 0 else float(mpmath.sqrt(numerator / denominator))
 
 
+def mp_frobenius_norm(x, axis=None):
+    """np.linalg.norm(x, axis=axis) of a 2D x (axis None or 1), summed in
+    30-digit mpmath arithmetic, whose exponents do not underflow or overflow."""
+    rows = [np.ravel(x)] if axis is None else list(x)
+    with mpmath.workdps(30):
+        norms = [float(mpmath.sqrt(mpmath.fsum(abs(mpmath.mpc(value)) ** 2 for value in row)))
+                 for row in rows]
+    return norms[0] if axis is None else np.array(norms)
+
+
 def pseudo_covariance(forward, cov):
     """The pseudo-covariance E[y y^T] = A R_mu A^T of linear snapshots y = A x."""
     entries = dense_entries(forward)

@@ -30,6 +30,7 @@ from gprclutter.forward import (
     block_discrepancy,
     born_kernel_tensor,
     discrepancy_ratio,
+    frobenius_norm,
 )
 from gprclutter.harness.experiments import free_space_scenario
 from gprclutter.scene import Scenario, default_perturbation_scales
@@ -39,6 +40,7 @@ from oracles import (
     dense_entries,
     green_kernel,
     mp_discrepancy,
+    mp_frobenius_norm,
 )
 
 OMEGA_100MHZ = 2.0 * math.pi * 100e6
@@ -444,6 +446,23 @@ def test_a_discrepancy_beyond_the_float_range_is_an_assembly_error(small_geometr
         forward_discrepancy(forward, tiny)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_frobenius_norm_is_numpys_in_range_and_does_not_underflow_or_overflow(dtype):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((6, 9)).astype(dtype)
+    if dtype is complex:
+        x += 1j * rng.standard_normal((6, 9))
+    for axis in (None, 1):
+        # In range the scaling by powers of two commutes with every rounding.
+        assert (np.asarray(frobenius_norm(x, axis)).tobytes()
+                == np.asarray(np.linalg.norm(x, axis=axis)).tobytes())
+        for scale in (1e-250, 1e250):
+            # Here np.linalg.norm's squares underflow to 0 or overflow to inf.
+            oracle = mp_frobenius_norm(x * scale, axis)
+            assert frobenius_norm(x * scale, axis) == pytest.approx(oracle, rel=1e-14)
+        assert np.all(frobenius_norm(np.zeros_like(x), axis) == 0.0)
+
+
 def _transmit_block(forward, n):
     """Transmit block n of an operator: its sensitivities (5,) and kernels (M, P)."""
     return forward.sensitivities[:, n], forward.kernels[n * forward.n_rx:(n + 1) * forward.n_rx]
@@ -459,20 +478,19 @@ def test_block_discrepancy_is_two_nonnegative_terms_of_the_dense_block(small_geo
     for candidate, reference in itertools.product(forwards, forwards):
         for n in range(small_geometry.n_tx):
             c_block, r_block = _transmit_block(candidate, n), _transmit_block(reference, n)
-            terms, exponents = block_discrepancy(*c_block, *r_block)
-            numerator, denominator = np.ldexp(terms, 2 * exponents)
+            numerator, denominator = block_discrepancy(*c_block, *r_block)
             dense = _dense_block(*r_block)
             assert numerator >= 0.0
-            assert numerator == pytest.approx(
+            assert numerator**2 == pytest.approx(
                 np.linalg.norm(_dense_block(*c_block) - dense) ** 2, rel=1e-12)
-            assert denominator == pytest.approx(np.linalg.norm(dense) ** 2, rel=1e-12)
+            assert denominator**2 == pytest.approx(np.linalg.norm(dense) ** 2, rel=1e-12)
             if candidate is reference:
                 assert numerator == 0.0
-    # Blocks one rounding apart: the numerator is a sum of squares, never negative.
+    # Blocks one rounding apart: the numerator is a norm of two parts, never negative.
     psi, kernels = _transmit_block(forwards[0], 0)
     for scale in (1 + 2**-52, 1 - 2**-53, 1j):
-        assert block_discrepancy(psi * scale, kernels, psi, kernels)[0][0] >= 0.0
-        assert block_discrepancy(psi, kernels * scale, psi, kernels)[0][0] >= 0.0
+        assert block_discrepancy(psi * scale, kernels, psi, kernels)[0] >= 0.0
+        assert block_discrepancy(psi, kernels * scale, psi, kernels)[0] >= 0.0
 
 
 def test_scaling_both_sensitivities_leaves_the_block_ratio(small_geometry):
@@ -480,12 +498,12 @@ def test_scaling_both_sensitivities_leaves_the_block_ratio(small_geometry):
     reference = _transmit_block(assemble_forward(get_scenario("S3"), small_geometry), 1)
 
     def scaled_ratio(factor=1.0):
-        terms, exponents = block_discrepancy(factor * candidate[0], candidate[1],
-                                             factor * reference[0], reference[1])
-        return np.divide(*np.ldexp(terms, 2 * exponents))
+        numerator, denominator = block_discrepancy(factor * candidate[0], candidate[1],
+                                                   factor * reference[0], reference[1])
+        return numerator**2 / denominator**2
 
     ratio = scaled_ratio()
-    assert discrepancy_ratio(block_discrepancy(*candidate, *reference)) == pytest.approx(
+    assert discrepancy_ratio(*block_discrepancy(*candidate, *reference)) == pytest.approx(
         np.sqrt(ratio), rel=1e-15)
     assert scaled_ratio(2.0**-40) == ratio  # a power of two scales without rounding
     assert scaled_ratio(3.7e4 * np.exp(0.3j)) == pytest.approx(ratio, rel=1e-13)

@@ -172,6 +172,26 @@ def test_closure_with_theory_fed_back_is_exact():
     assert report.eps_sub == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("sid", ["S1", "S4", "S_syn"])
+def test_closure_of_covariances_whose_squares_underflow_keeps_its_values(sid):
+    # Scaled by 2^-900, every entry's square underflows in double precision
+    # and the theory once read as zero. Each norm of closure is scaled by a
+    # power of two first, so both eps_cov keep their bits. eigh rescales a
+    # matrix this small by a factor that is not a power of two, so the
+    # spectra move by rounding: eps_lambda and eps_sub by at most 2.1e-14.
+    geometry, scenario, forward, cov = _setup(sid)
+    theory = clutter_covariance(forward, cov)
+    rhats = closure_covariances(forward, scenario, geometry, cov, 64, 3)
+    tiny = ClutterCovariance(matrix=theory.matrix * 2.0**-900, provenance=theory.provenance)
+    assert np.linalg.norm(tiny.matrix) == 0.0
+    report = closure_from_covariances(theory, *rhats, sample_count=64)
+    scaled = closure_from_covariances(tiny, *(r * 2.0**-900 for r in rhats), sample_count=64)
+    assert scaled == dataclasses.replace(
+        report, eps_lambda=scaled.eps_lambda, eps_sub=scaled.eps_sub)
+    assert scaled.eps_lambda == pytest.approx(report.eps_lambda, rel=1e-12)
+    assert scaled.eps_sub == pytest.approx(report.eps_sub, rel=1e-12)
+
+
 def test_closure_rejects_degenerate_inputs(monkeypatch):
     geometry, scenario, forward, cov = _setup()
     theory = clutter_covariance(forward, cov)
@@ -521,6 +541,20 @@ def test_validity_scan_with_tiny_threshold_recommends_nothing():
     report = validity_scan(forward, scenario, geometry, cov,
                            sample_count=20, threshold=1e-9, seed=1)
     assert report.recommended_s_mu is None
+
+
+def test_snapshot_errors_of_tiny_and_of_zero_snapshots():
+    # Kernels scaled by 2^-800 give snapshots near 1e-250, whose squares
+    # underflow; the snapshot errors once read about 0. They keep their bits.
+    # Zero kernels give zero snapshots, whose snapshot error is 0.
+    geometry, scenario, forward, cov = _setup(sid="S4")
+    reports = [validity_scan(dataclasses.replace(forward, kernels=forward.kernels * factor),
+                             scenario, geometry, cov, sample_count=20, seed=1)
+               for factor in (1.0, 2.0**-800, 0.0)]
+    assert min(reports[0].p95_snapshot_error) > 0.0
+    assert reports[1].p95_snapshot_error == reports[0].p95_snapshot_error
+    assert reports[2].p95_snapshot_error == (0.0,) * len(reports[2].amplitude_grid)
+    assert reports[2].p95_contrast_error == reports[0].p95_contrast_error
 
 
 def test_validity_scan_grid_validation():
