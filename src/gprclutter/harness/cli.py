@@ -10,7 +10,6 @@ invariant failure, 3 I/O or format error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
@@ -68,11 +67,17 @@ def _write_text_atomic(path: str, text: str) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
+def _write_json(path: str, doc) -> None:
+    _write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def write_result(result: ExperimentResult, out_dir: str) -> list[str]:
     """Persist one experiment result; returns the written paths.
 
-    A ``_reports.json`` or ``_errors.json`` sidecar of the table that this
-    result does not write is removed, so none survives from an earlier run.
+    Every file of ``out_dir`` whose name starts with ``<table>_`` and ends in
+    ``_reports.json``, ``_errors.json`` or ``.cmat`` belongs to the table: each
+    one this call does not write is removed, so none survives from an earlier
+    run.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -81,25 +86,23 @@ def write_result(result: ExperimentResult, out_dir: str) -> list[str]:
     written.append(base + ".csv")
     _write_text_atomic(base + ".json", result.table.to_json_text())
     written.append(base + ".json")
-    sidecars = {"_reports.json": None, "_errors.json": None}
     if result.reports:
         doc = {sid: report.to_dict() for sid, report in result.reports.items()}
         doc["provenance"] = dict(result.table.provenance, rng_scheme=RNG_SCHEME)
-        sidecars["_reports.json"] = doc
+        _write_json(base + "_reports.json", doc)
+        written.append(base + "_reports.json")
     if result.errors:
-        sidecars["_errors.json"] = result.errors
-    for suffix, doc in sidecars.items():
-        path = base + suffix
-        if doc is None:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-        else:
-            _write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            written.append(path)
+        _write_json(base + "_errors.json", result.errors)
+        written.append(base + "_errors.json")
     for name, matrix in result.matrices.items():
         path = os.path.join(out_dir, f"{name}.cmat")
         persist_matrix(matrix, path)
         written.append(path)
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        if (name.startswith(result.table.name + "_") and path not in written
+                and name.endswith(("_reports.json", "_errors.json", ".cmat"))):
+            os.remove(path)
     return written
 
 
@@ -142,7 +145,7 @@ def _cmd_build_forward(config: ExperimentConfig, args) -> int:
             "geometry_fingerprint": forward.geometry_fingerprint,
             "config_hash": config_hash(config),
         }
-        _write_text_atomic(path + ".json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        _write_json(path + ".json", sidecar)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -186,11 +189,8 @@ def _cmd_report(config: ExperimentConfig, args) -> int:
         print(f"{name}: {status}")
     # The baseline spectra of the configured scenarios, as scan-targets found them.
     summaries = results["scan-targets"].summaries
-    _write_text_atomic(
-        os.path.join(config.output_dir, "baseline_summaries.json"),
-        json.dumps({sid: s.to_dict() for sid, s in summaries.items()},
-                   indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(os.path.join(config.output_dir, "baseline_summaries.json"),
+                {sid: s.to_dict() for sid, s in summaries.items()})
     artifacts = []
     if args.plots:
         artifacts = _plots(config, results, summaries)
@@ -204,10 +204,7 @@ def _cmd_report(config: ExperimentConfig, args) -> int:
         },
         "plots": artifacts,
     }
-    _write_text_atomic(
-        os.path.join(config.output_dir, "summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(os.path.join(config.output_dir, "summary.json"), summary)
     _write_text_atomic(
         os.path.join(config.output_dir, "config.yaml"), dump_config(config)
     )

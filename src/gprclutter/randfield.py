@@ -136,18 +136,17 @@ def _kron_rows(block: np.ndarray, a: np.ndarray, b: np.ndarray, out=None) -> np.
     Row r, read as the n_x x n_z matrix Y, maps to a Y b^T. Per group of
     rows, b acts on the trailing axis as one GEMM of the (group * n_x, n_z)
     reshape, then a acts on the middle axis of the (group, n_x, n_z)
-    product. kron(a, b) is never formed. Without ``out`` the block is one
-    group. ``out`` may be ``block`` itself: groups then hold at most
-    EXACT_CHUNK_VALUES values, each consumed by its first product before it
-    is overwritten, so the intermediate holds one group, not the block.
-    With OpenBLAS the grouped products carry the one-shot product's bits.
+    product. kron(a, b) is never formed. Groups hold at most
+    EXACT_CHUNK_VALUES values, so the intermediate holds one group, not the
+    block. ``out`` may be ``block`` itself: each group is consumed by its
+    first product before it is overwritten. With OpenBLAS the grouped
+    products carry the one-shot product's bits.
     """
     rows = block.shape[0]
     n_x, n_z = a.shape[0], b.shape[0]
     if out is None:
-        out, step = np.empty(block.shape), max(rows, 1)
-    else:
-        step = max(1, EXACT_CHUNK_VALUES // (n_x * n_z))
+        out = np.empty(block.shape)
+    step = max(1, EXACT_CHUNK_VALUES // (n_x * n_z))
     target = out.reshape(rows, n_x, n_z)
     for first in range(0, rows, step):
         group = slice(first, first + step)

@@ -716,6 +716,26 @@ def test_rerun_leaves_no_stale_sidecar(tmp_path, order):
         assert names == {"closure.csv", "closure.json", "closure_errors.json"}
 
 
+@pytest.mark.parametrize("order", [("S1", "S4"), ("S4", "S1")])
+def test_rerun_leaves_no_stale_matrix(tmp_path, order):
+    # closure --dump-matrices on S1 writes S1's three matrices, closure on
+    # S4 none; a rerun into the same directory keeps only the matrices it
+    # wrote. A file that only shares the table's prefix is not the table's.
+    out = tmp_path / "results"
+    out.mkdir()
+    (out / "closure_notes.txt").write_text("not a table file\n")
+    for sid in order:
+        path = tmp_path / f"{sid}.yaml"
+        path.write_text(f"scenarios: [{sid}]\ngeometry: {{n_x: 3, n_z: 2}}\n"
+                        "random_field: {sample_count: 16}\n")
+        dump = ["--dump-matrices"] if sid == "S1" else []
+        assert main(["--config", str(path), "--out", str(out), "closure", *dump]) == 0
+    names = {"closure.csv", "closure.json", "closure_reports.json", "closure_notes.txt"}
+    if order[-1] == "S1":
+        names |= {f"closure_S1_{kind}.cmat" for kind in ("theory", "rhat_linear", "rhat_exact")}
+    assert set(os.listdir(out)) == names
+
+
 _STRUCTURAL = ("check-derivatives", "kernel-diff", "scan-fda", "scan-lx", "scan-coupling",
                "scan-targets", "boundary-scale", "boundary-noise")
 

@@ -348,7 +348,8 @@ def test_separable_sampler_applies_the_eigen_root_to_shared_normals():
 def test_grouped_in_place_kron_rows_equal_the_one_shot_product(monkeypatch, group):
     # 320 rows of a 24 x 18 grid, as one 64-sample block mixes them, in
     # groups of `group` rows: 320, 46 and 3 groups, the last ragged unless
-    # one row each. The same GEMMs on fewer rows give the same bits.
+    # one row each, into a new array and in place alike. The same GEMMs on
+    # fewer rows give the same bits.
     rng = np.random.default_rng(3)
     n_x, n_z, rows = 24, 18, 320
     a, b = rng.standard_normal((n_x, n_x)), rng.standard_normal((n_z, n_z))
