@@ -26,8 +26,9 @@ frequency's contiguous (L, P) slice by its transmit's kernels.
 Exact contrast has one path, :func:`_exact_walk`, for exact synthesis and
 the validity scan alike. It evaluates the samples in chunks of at most
 EXACT_CHUNK_VALUES values (:func:`_exact_chunks`), each at every scale it
-is given, writes each chunk's Born sum into that chunk's own rows of the
-snapshots and hands contrast and snapshots on in ensemble order.
+is given, forms each Born sum in an array of its own and hands contrast
+and snapshots on in ensemble order; exact synthesis copies each chunk's
+snapshots into its rows.
 
 Memory does not grow with the sample count times 5P. Both Monte Carlo
 passes draw, synthesize and reduce the samples in the blocks of
@@ -36,7 +37,8 @@ bytes of samples. Each array is released before its successor is
 allocated: a scenario's samples and snapshots before the next scenario
 mixes the block (a dropped scenario's kept error included), the block's
 normals, or the scan's base samples and snapshots, before the next draw,
-and a chunk's contrast before the next chunk or scale is evaluated.
+and a chunk's contrast and snapshots before the next chunk or scale is
+evaluated.
 
 Closure draws from the run's one :class:`SpatialCorrelation`: a scenario
 on another is refused before the first draw. Each block's standard normals
@@ -47,13 +49,12 @@ block's snapshots into one MN x MN sum of y y^H per mode. At its peak it
 holds two blocks, the spatially mixed normals and one scenario's samples,
 and two chunks while one is evaluated: the contrast being written and the
 Cole-Cole kernel's real and imaginary parts. The validity scan holds one
-block of base samples, its linear snapshots, which it synthesizes once,
-and as many exact snapshots, which each amplitude overwrites; per chunk
-it holds the linear contrast, formed once for all amplitudes, and one
-amplitude's exact evaluation. It keeps the L per-sample snapshot errors of
-each amplitude; each amplitude's L N P contrast errors stream into its own
-:class:`NearestRankSelector`, which keeps at most 1.25 times a twentieth of
-them at the 95th percentile.
+block of base samples and its linear snapshots, which it synthesizes
+once; per chunk it holds the linear contrast, formed once for all
+amplitudes, and one amplitude's exact contrast and snapshots. It keeps
+the L per-sample snapshot errors of each amplitude; each amplitude's L N P
+contrast errors stream into its own :class:`NearestRankSelector`, which
+keeps at most 1.25 times a twentieth of them at the 95th percentile.
 """
 
 from __future__ import annotations
@@ -258,16 +259,16 @@ def _contrast_errors(exact: np.ndarray, linear: np.ndarray, scale: float) -> np.
 
 
 def _exact_walk(forward: ForwardMatrix, scenario: Scenario, geometry: SceneGeometry,
-                samples: np.ndarray, scales: tuple[float, ...], out: np.ndarray, *, start: int):
+                samples: np.ndarray, scales: tuple[float, ...], *, start: int):
     """Exact contrast and Born snapshots of each ``scale * samples``, chunk by chunk.
 
     For each chunk of :func:`_exact_chunks` in order, and each scale in
     order, yields (rows, k, contrast, snapshots): the (N, rows, P) exact
-    contrast of ``scales[k] * samples[rows]`` and its Born sum, written to
-    ``out[rows]`` of the (L, M N) ``out``. A chunk's Born sum lands only in
-    its own rows, and consumers see the chunks in ensemble order. The walk
-    drops each contrast it hands on, so a consumer that drops it too holds
-    one at a time. ``samples[0]`` is sample ``start`` of the ensemble: a
+    contrast of ``scales[k] * samples[rows]`` and its (rows, M N) Born sum.
+    Each (chunk, scale) gets a contrast and snapshots of its own, which the
+    walk never writes again, and consumers see the chunks in ensemble
+    order. The walk drops both once handed on, so a consumer that drops
+    them too holds one (chunk, scale) at a time. ``samples[0]`` is sample ``start`` of the ensemble: a
     tau-floor error names the chunk's samples and the offending (sample, 0,
     cell) index in ensemble numbering.
     """
@@ -279,7 +280,6 @@ def _exact_walk(forward: ForwardMatrix, scenario: Scenario, geometry: SceneGeome
     for rows in _exact_chunks(geometry, samples.shape[0]):
         # (5, 1, rows, P) against (N, 1, 1): see the module docstring.
         unit = samples[rows].reshape(-1, N_PARAMS, geometry.n_cells).transpose(1, 0, 2)[:, None]
-        snapshots = out[rows]
         for k, scale in enumerate(scales):
             try:
                 # 1.0 * x is x, so unit scale needs no scaled copy.
@@ -290,10 +290,11 @@ def _exact_walk(forward: ForwardMatrix, scenario: Scenario, geometry: SceneGeome
                 _, sample, cell = exc.index
                 raise TauFloorError((first + sample, 0, cell), exc.value, exc.floor,
                                     f"samples {first}..{last}: ") from exc
+            snapshots = np.empty((rows.stop - rows.start, forward.shape[0]), dtype=complex)
             np.matmul(contrast, kernels,
                       out=snapshots.reshape(-1, forward.n_tx, forward.n_rx).transpose(1, 0, 2))
             yield rows, k, contrast, snapshots
-            del contrast  # freed before the next evaluation
+            del contrast, snapshots  # freed before the next evaluation
 
 
 def snapshots_from_perturbations(
@@ -334,9 +335,10 @@ def snapshots_from_perturbations(
         return per_channel.sum(axis=1)
 
     out = np.empty((count, channels), dtype=complex)
-    for _, _, contrast, _ in _exact_walk(forward, scenario, geometry, samples, (1.0,), out,
-                                         start=start):
-        del contrast  # freed before the next chunk is evaluated
+    for rows, _, contrast, snapshots in _exact_walk(forward, scenario, geometry, samples, (1.0,),
+                                                    start=start):
+        out[rows] = snapshots
+        del contrast, snapshots  # freed before the next chunk is evaluated
     return out
 
 
@@ -575,8 +577,7 @@ def validity_scan(
         base = sample_perturbations(unit, size, seed, start=start)
         # The linear snapshot is homogeneous in the amplitude: synthesize it once.
         y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
-        y_exact = np.empty_like(y_lin)
-        for rows, k, contrast, y in _exact_walk(forward, scenario, geometry, base, grid, y_exact,
+        for rows, k, contrast, y in _exact_walk(forward, scenario, geometry, base, grid,
                                                 start=start):
             if k == 0:
                 # The linear contrast is homogeneous in the amplitude too: once
@@ -588,8 +589,8 @@ def validity_scan(
             np.divide(frobenius_norm(y - s * y_lin[rows], axis=1), norm, where=norm > 0.0,
                       out=snapshot_errors[k, start + rows.start:start + rows.stop])
             selectors[k].add(_contrast_errors(contrast, linear, s))
-            del contrast  # freed before the next evaluation
-        del base, y_lin, y_exact, y, linear  # freed before the next block's draw
+            del contrast, y  # freed before the next evaluation
+        del base, y_lin, linear  # freed before the next block's draw
     p95_contrast = [selector.value() for selector in selectors]
     p95_snapshot = [nearest_rank_percentile(rel, 0.95) for rel in snapshot_errors]
 

@@ -839,8 +839,7 @@ def test_frequency_outer_exact_contrast_is_the_sample_outer_one_transposed(sid):
     per_channel = samples.reshape(7, 5, geometry.n_cells).transpose(1, 0, 2)
     omegas = 2.0 * np.pi * geometry.frequencies
     scales = (1.0, 4.0)
-    out = np.empty((7, forward.shape[0]), dtype=complex)
-    walk = montecarlo._exact_walk(forward, scenario, geometry, samples, scales, out, start=0)
+    walk = montecarlo._exact_walk(forward, scenario, geometry, samples, scales, start=0)
     for k, (rows, index, outer, _) in enumerate(walk):
         assert (rows, index) == (slice(0, 7), k)
         inner = exact_contrast_field(scenario.background, scales[k] * per_channel[:, :, None],
@@ -864,11 +863,30 @@ def test_tau_floor_hit_in_the_frequency_outer_layout_keeps_its_ensemble_index():
         exact_contrast_field(scenario.background, per_channel[:, :, None], omegas[:, None])
     assert sample_outer.value.index == (4, 0, 9)
     with pytest.raises(TauFloorError) as named:
-        next(montecarlo._exact_walk(forward, scenario, geometry, samples, (1.0,),
-                                    np.empty((6, forward.shape[0]), dtype=complex), start=30))
+        next(montecarlo._exact_walk(forward, scenario, geometry, samples, (1.0,), start=30))
     assert named.value.__cause__.index == (0, 4, 9)
     assert named.value.index == (34, 0, 9)
     assert str(named.value).startswith("samples 30..35: perturbed tau at index (34, 0, 9)")
+
+
+def test_exact_walk_never_overwrites_the_snapshots_it_handed_out():
+    # Two scales over one chunk: advancing the walk to the second scale
+    # leaves the first scale's snapshots as they were, and they are exact
+    # synthesis of the first scale's samples, bit for bit.
+    geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
+    samples = sample_perturbations(cov, 7, 5)
+    scales = (0.5, 2.0)
+    walk = montecarlo._exact_walk(forward, scenario, geometry, samples, scales, start=0)
+    rows, k, _, first = next(walk)
+    assert (rows, k) == (slice(0, 7), 0)
+    kept = first.copy()
+    rows, k, _, second = next(walk)
+    assert (rows, k) == (slice(0, 7), 1)
+    assert np.array_equal(first.view(np.uint64), kept.view(np.uint64))
+    assert not np.array_equal(second, first)
+    expected = snapshots_from_perturbations(forward, scenario, geometry, scales[0] * samples,
+                                            "exact")
+    assert np.array_equal(first.view(np.uint64), expected.view(np.uint64))
 
 
 def _tau_floor_hit(monkeypatch, scenario, geometry, sample, cell):
