@@ -23,7 +23,7 @@ from ..constitutive import (
     PARAMETER_NAMES,
     sensitivity_components,
 )
-from ..errors import GprClutterError
+from ..errors import GprClutterError, InvariantError
 from ..forward import (
     assemble_forward,
     background_wavenumber,
@@ -239,10 +239,11 @@ def _summary_metrics(summary, steering) -> dict:
     }
 
 
-def run_derivative_check(config: ExperimentConfig, inject_error: bool = False) -> ExperimentResult:
+def run_derivative_check(config: ExperimentConfig) -> ExperimentResult:
     """Analytic sensitivities against central differences, all scenarios and
-    frequencies. ``inject_error`` is a self-test hook biasing the analytic
-    values so the check must fail."""
+    frequencies. A scenario whose worst error reaches ``DERIVATIVE_THRESHOLD``
+    keeps its row (``passed`` false) and is recorded as an InvariantError
+    that names the channel, the frequency and the error."""
     result = _result(
         config, "derivative_check",
         ("scenario", "max_rel_error", "worst_channel", "worst_frequency_hz", "passed"),
@@ -251,22 +252,26 @@ def run_derivative_check(config: ExperimentConfig, inject_error: bool = False) -
     for sid in config.scenarios:
         with _recorded(result, sid):
             errors = finite_difference_check(
-                get_scenario(sid).background, 2.0 * np.pi * frequencies,
-                analytic_bias=1e-3 if inject_error else 0.0,
-            )  # (5, N)
+                get_scenario(sid).background, 2.0 * np.pi * frequencies)  # (5, N)
             # The last frequency whose largest error is the overall largest,
             # and its first channel with that error.
             peaks = errors.max(axis=0)
             n = len(peaks) - 1 - int(np.argmax(peaks[::-1]))
             q = int(np.argmax(errors[:, n]))
-            worst = float(errors[q, n])
+            worst, frequency = float(errors[q, n]), float(frequencies[n])
+            channel = PARAMETER_NAMES[q]
+            passed = worst < DERIVATIVE_THRESHOLD
             result.table.add_row(
                 scenario=sid,
                 max_rel_error=worst,
-                worst_channel=PARAMETER_NAMES[q],
-                worst_frequency_hz=float(frequencies[n]),
-                passed=bool(worst < DERIVATIVE_THRESHOLD),
+                worst_channel=channel,
+                worst_frequency_hz=frequency,
+                passed=passed,
             )
+            if not passed:
+                raise InvariantError(
+                    f"derivative check failed: sensitivity {channel!r} at {frequency!r} Hz "
+                    f"has relative error {worst!r}, not below {DERIVATIVE_THRESHOLD!r}")
     return result
 
 

@@ -490,7 +490,6 @@ def closure_from_covariances(
     cov_linear: np.ndarray,
     cov_exact: np.ndarray,
     sample_count: int,
-    subspace_dim: int | None = None,
 ) -> ClosureReport:
     """Closure metrics given precomputed sample covariances.
 
@@ -498,7 +497,7 @@ def closure_from_covariances(
     compares the full descending eigenvalue vectors of the exact-mode
     estimate; eps_sub is the normalized distance || P_theory - P_exact ||_F
     / sqrt(2 p) between orthogonal projectors onto the dominant-p
-    eigenspaces (p defaults to the theory's p_0.9).
+    eigenspaces, with p the theory's p_0.9.
     """
     norm_theory = frobenius_norm(theory.matrix)
     if norm_theory == 0.0:
@@ -514,9 +513,7 @@ def closure_from_covariances(
     lam_exact = summary_exact.eigenvalues
     eps_lambda = float(frobenius_norm(lam_exact - lam_theory) / frobenius_norm(lam_theory))
 
-    p = subspace_dim if subspace_dim is not None else summary_theory.p_rho[0.9]
-    if not 1 <= p <= theory.size:
-        raise ConfigError(f"subspace dimension {p!r} outside [1, {theory.size}]")
+    p = summary_theory.p_rho[0.9]
     basis_theory = summary_theory.eigenvectors[:, :p]
     basis_exact = summary_exact.eigenvectors[:, :p]
     projector_theory = basis_theory @ basis_theory.conj().T
@@ -531,7 +528,7 @@ def closure_from_covariances(
         eps_lambda=eps_lambda,
         eps_sub=eps_sub,
         sample_count=int(sample_count),
-        subspace_dim=int(p),
+        subspace_dim=p,
     )
 
 

@@ -30,6 +30,7 @@ HERMITIAN_RTOL = 1e-12
 #: anything more negative violates the PSD invariant.
 NEGATIVE_EIG_RTOL = 1e-10
 
+#: Eigenvalue-mass fractions rho whose subspace dimensions p_rho a summary reports.
 DEFAULT_RHO_LEVELS = (0.9, 0.95)
 
 #: :func:`kernel_gram` works on this many row blocks of the kernels at a time
@@ -203,14 +204,13 @@ def _validated_eigensystem(cov: ClutterCovariance) -> tuple[np.ndarray, np.ndarr
     return eigenvalues, eigenvectors
 
 
-def spectral_summary(
-    cov: ClutterCovariance, rho_levels: tuple[float, ...] = DEFAULT_RHO_LEVELS
-) -> SpectralSummary:
+def spectral_summary(cov: ClutterCovariance) -> SpectralSummary:
     """Eigendecomposition plus effective rank and subspace dimensions.
 
     The effective rank is exp(-sum nu ln nu) over the normalized spectrum
-    with 0 ln 0 = 0; p_rho is the smallest dominant-subspace size capturing
-    the fraction rho of total eigenvalue mass.
+    with 0 ln 0 = 0; p_rho, for each rho of ``DEFAULT_RHO_LEVELS``, is the
+    smallest dominant-subspace size capturing the fraction rho of total
+    eigenvalue mass.
     """
     eigenvalues, eigenvectors = _validated_eigensystem(cov)
     total = eigenvalues.sum()
@@ -220,11 +220,8 @@ def spectral_summary(
     positive = normalized[normalized > 0.0]
     entropy = float(-(positive * np.log(positive)).sum())
     cumulative = np.cumsum(normalized)
-    p_rho = {}
-    for rho in rho_levels:
-        if not 0.0 < rho < 1.0:
-            raise ConfigError(f"rho levels must lie in (0, 1), got {rho!r}")
-        p_rho[rho] = int(np.searchsorted(cumulative, rho - 1e-12, side="left")) + 1
+    p_rho = {rho: int(np.searchsorted(cumulative, rho - 1e-12, side="left")) + 1
+             for rho in DEFAULT_RHO_LEVELS}
     return SpectralSummary(
         eigenvalues=eigenvalues,
         normalized_eigenvalues=normalized,

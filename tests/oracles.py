@@ -13,6 +13,7 @@ import numpy as np
 
 from gprclutter.constitutive import (
     DENOMINATOR_FLOOR,
+    FD_REL_STEP,
     FD_STEP_FLOORS,
     ColeColeParams,
     eval_permittivity,
@@ -135,11 +136,12 @@ def exact_contrast(background, delta_mu, omega):
     return (eval_permittivity(perturbed, omega) - eps_b) / eps_b
 
 
-def finite_difference_errors(params, omega, rel_step=1e-5):
+def finite_difference_errors(params, omega, rel_step=FD_REL_STEP):
     """The (5,) relative sensitivity errors of ``finite_difference_check`` at one frequency.
 
     One channel at a time: each stepped state is its own scalar
-    permittivity evaluation, in Python complex arithmetic.
+    permittivity evaluation, in Python complex arithmetic. ``rel_step``
+    replaces the program's ``FD_REL_STEP`` for a step sweep.
     """
     base = params.as_array()
     eps_b = eval_permittivity(params, omega)

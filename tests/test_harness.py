@@ -40,8 +40,10 @@ from gprclutter.harness.experiments import (
     run_target_scan,
     run_validity_scan,
 )
+from gprclutter import constitutive
 from gprclutter import forward as forward_module
 from gprclutter import scene
+from gprclutter.harness.cli import main
 from gprclutter.constitutive import PARAMETER_NAMES
 from gprclutter.montecarlo import SAMPLE_BLOCK
 from conftest import closure_covariances
@@ -90,7 +92,7 @@ def test_metric_table_serialization():
     assert doc["provenance"] == {"seed": 1}
 
 
-def test_derivative_check_passes_and_the_bug_hook_flips_it():
+def test_derivative_check_passes_and_the_bug_hook_flips_it(tmp_path, monkeypatch):
     config = _config()
     result = run_derivative_check(config)
     assert result.ok
@@ -99,9 +101,25 @@ def test_derivative_check_passes_and_the_bug_hook_flips_it():
     assert all(row["max_rel_error"] < 1e-5 for row in result.table.rows)
     s1_row = _rows_by(result.table, scenario="S1")[0]
     assert s1_row["max_rel_error"] < 1e-9
+    assert main(["--out", str(tmp_path / "exact"), "check-derivatives"]) == 0
+    assert not (tmp_path / "exact" / "derivative_check_errors.json").exists()
 
-    broken = run_derivative_check(config, inject_error=True)
+    # Analytic sensitivities 0.1% off: every scenario fails, keeps its row
+    # and is recorded with its worst channel and frequency, and the run exits 2.
+    exact = constitutive.sensitivity_components
+    monkeypatch.setattr(constitutive, "sensitivity_components",
+                        lambda *args: exact(*args) * (1.0 + 1e-3))
+    broken = run_derivative_check(config)
+    assert [row["scenario"] for row in broken.table.rows] == list(config.scenarios)
     assert all(not row["passed"] for row in broken.table.rows)
+    out = tmp_path / "biased"
+    assert main(["--out", str(out), "check-derivatives"]) == 2
+    errors = json.loads((out / "derivative_check_errors.json").read_text())
+    assert errors == broken.errors
+    assert sorted(errors) == sorted(config.scenarios)
+    for row in broken.table.rows:
+        assert (f"{row['worst_channel']!r} at {row['worst_frequency_hz']!r} Hz has relative "
+                f"error {row['max_rel_error']!r}") in errors[row["scenario"]]
 
 
 def test_derivative_check_agrees_with_per_frequency_scalar_checks():
