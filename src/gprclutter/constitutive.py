@@ -14,6 +14,11 @@ divides by the same background eps_c that psi and the forward operator use.
 
 All evaluation cores broadcast over numpy arrays; ``eval_permittivity`` and
 ``eval_sensitivities`` evaluate one state at one frequency as plain values.
+Each of the three cores (permittivity, sensitivities, exact contrast) returns
+finite values or raises a NonFiniteError naming the angular frequency and the
+index of the first entry that is not, and the parameter to blame: tau if omega
+tau is not finite, else alpha if (j omega tau)^(1-alpha) is not, else sigma if
+sigma / (omega eps0) is not, else delta_eps.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import functools
 import numpy as np
 
 from .constants import EPSILON_0
-from .errors import DomainError, SingularBackgroundError, TauFloorError
+from .errors import DomainError, NonFiniteError, SingularBackgroundError, TauFloorError
 
 PARAMETER_NAMES = ("eps_inf", "delta_eps", "tau", "alpha", "sigma")
 
@@ -102,7 +107,9 @@ def complex_permittivity(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.nda
     base j*omega*tau has argument pi/2, so the branch is smooth over the
     whole admissible alpha range.
     """
-    return _cole_cole(eps_inf, delta_eps, tau, alpha, sigma, omega)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_cole_cole(eps_inf, delta_eps, tau, alpha, sigma, omega)[1],
+                       "permittivity", omega, lambda: (eps_inf, delta_eps, tau, alpha, sigma))
 
 
 def _cole_cole(eps_inf, delta_eps, tau, alpha, sigma, omega) -> tuple[np.ndarray, np.ndarray]:
@@ -111,6 +118,28 @@ def _cole_cole(eps_inf, delta_eps, tau, alpha, sigma, omega) -> tuple[np.ndarray
     u = (1j * omega * np.asarray(tau)) ** (1.0 - np.asarray(alpha))
     relative = eps_inf + delta_eps / (1.0 + u) - 1j * np.asarray(sigma) / (omega * EPSILON_0)
     return u, EPSILON_0 * relative
+
+
+def _finite(values, quantity: str, omega, state):
+    """``values`` if all are finite, else the module's NonFiniteError for the first that is not.
+
+    A finite sum of squares, one dot product, has finite terms. ``state()``, called only
+    on failure, gives the five parameters; with ``omega`` they broadcast to the trailing
+    shape of ``values``.
+    """
+    flat = np.asarray(values).reshape(-1).view(float)
+    if np.isfinite(np.dot(flat, flat)) or np.all(finite := np.isfinite(values)):
+        return values
+    params = (*state(), omega)
+    shape = np.broadcast_shapes(*map(np.shape, params))
+    at = np.unravel_index(int(np.argmin(finite)), finite.shape)
+    index = tuple(int(i) for i in at[len(at) - len(shape):])
+    eps_inf, delta_eps, tau, alpha, sigma, omega = (
+        np.broadcast_to(x, shape)[index] for x in params)
+    terms = (("tau", omega * tau), ("alpha", np.power(1j * omega * tau, 1.0 - alpha)),
+             ("sigma", sigma / (omega * EPSILON_0)))
+    culprit = next((name for name, term in terms if not np.isfinite(term)), "delta_eps")
+    raise NonFiniteError(quantity, culprit, float(omega), index)
 
 
 def positive_omega(omega) -> np.ndarray:
@@ -133,27 +162,7 @@ def positive_omega(omega) -> np.ndarray:
 
 def eval_permittivity(params: ColeColeParams, omega: float) -> complex:
     """Cole-Cole permittivity eps_c (F/m) of one state at omega (rad/s)."""
-    value = complex(complex_permittivity(*params.as_array(), positive_omega(omega)))
-    if not np.isfinite(value):
-        raise _overflow_error(params, float(omega))
-    return value
-
-
-def _overflow_error(params: ColeColeParams, omega: float) -> DomainError:
-    """The error of a permittivity that is not finite, naming the parameter that made it so."""
-    culprit = _nonfinite_culprit(params, omega)
-    return DomainError(f"permittivity overflow at omega={omega!r}; offending parameter {culprit!r}")
-
-
-def _nonfinite_culprit(params: ColeColeParams, omega: float) -> str:
-    if not np.isfinite(omega * params.tau):
-        return "tau"
-    u, _ = _cole_cole(*params.as_array(), omega)
-    if not np.isfinite(u):
-        return "alpha"
-    if not np.isfinite(params.sigma / (omega * EPSILON_0)):
-        return "sigma"
-    return "delta_eps"
+    return complex(complex_permittivity(*params.as_array(), positive_omega(omega)))
 
 
 def sensitivity_components(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.ndarray:
@@ -173,19 +182,21 @@ def sensitivity_components(eps_inf, delta_eps, tau, alpha, sigma, omega) -> np.n
     """
     omega = np.asarray(omega, dtype=float)
     tau = np.asarray(tau)
-    u, eps_b = _cole_cole(eps_inf, delta_eps, tau, alpha, sigma, omega)
-    if np.any(eps_b == 0.0):
-        raise SingularBackgroundError("background permittivity is zero")
-    log_base = np.log(1j * omega * tau)
-    one_plus_u_sq = (1.0 + u) ** 2
-    shape = np.broadcast(u, omega).shape
-    components = np.empty((5,) + shape, dtype=complex)
-    components[0] = EPSILON_0
-    components[1] = EPSILON_0 / (1.0 + u)
-    components[2] = -EPSILON_0 * delta_eps * (1.0 - alpha) * u / (tau * one_plus_u_sq)
-    components[3] = EPSILON_0 * delta_eps * u * log_base / one_plus_u_sq
-    components[4] = -1j / omega
-    return components / eps_b
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, eps_b = _cole_cole(eps_inf, delta_eps, tau, alpha, sigma, omega)
+        if np.any(eps_b == 0.0):
+            raise SingularBackgroundError("background permittivity is zero")
+        log_base = np.log(1j * omega * tau)
+        one_plus_u_sq = (1.0 + u) ** 2
+        shape = np.broadcast(u, omega).shape
+        components = np.empty((5,) + shape, dtype=complex)
+        components[0] = EPSILON_0
+        components[1] = EPSILON_0 / (1.0 + u)
+        components[2] = -EPSILON_0 * delta_eps * (1.0 - alpha) * u / (tau * one_plus_u_sq)
+        components[3] = EPSILON_0 * delta_eps * u * log_base / one_plus_u_sq
+        components[4] = -1j / omega
+        return _finite(components / eps_b, "sensitivity", omega,
+                       lambda: (eps_inf, delta_eps, tau, alpha, sigma))
 
 
 def eval_sensitivities(params: ColeColeParams, omega: float) -> np.ndarray:
@@ -216,11 +227,6 @@ def finite_difference_check(params: ColeColeParams, omega) -> np.ndarray:
     plus, minus = base + steps, base - steps  # row q: channel q stepped
     states = np.vstack((base, plus, minus)).T.reshape((5, 11) + (1,) * omega.ndim)
     values = complex_permittivity(*states, omega)  # (11,) + omega.shape
-    if not np.all(np.isfinite(values)):
-        # A stepped parameter that is itself not finite is named by from_array.
-        state, *at = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
-        raise _overflow_error(ColeColeParams.from_array(states[:, state].ravel()),
-                              float(omega[tuple(at)]))
     eps_b, f_plus, f_minus = values[0], values[1:6], values[6:]
     psi = sensitivity_components(*base, omega)
     realized = (np.diagonal(plus) - np.diagonal(minus)).reshape((5,) + (1,) * omega.ndim)
@@ -315,15 +321,18 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
             int(np.argmax(perturbed_tau <= floor)), perturbed_tau.shape))
         raise TauFloorError(index, float(perturbed_tau[index]), float(floor))
     omega = np.asarray(omega, dtype=float)
-    re_b, im_b, loss_per_sigma, scale = _background_terms(background, omega.tobytes(), omega.shape)
-    re, im = _relaxation(base[1] + delta_mu[1], perturbed_tau, base[3] + delta_mu[3], omega)
-    contrast = np.empty(re.shape, dtype=complex)
-    re -= re_b
-    np.add(re, delta_mu[0], out=contrast.real)
-    # The imaginary part -(im - im_b + s), s = d_sigma / (omega eps0), as
-    # (im_b - im) - s, with s written into re's buffer: no chunk is allocated.
-    np.subtract(im_b, im, out=im)
-    np.multiply(delta_mu[4], loss_per_sigma, out=re)
-    np.subtract(im, re, out=contrast.imag)
-    contrast *= scale
-    return contrast
+    with np.errstate(over="ignore", invalid="ignore"):
+        re_b, im_b, loss_per_sigma, scale = _background_terms(
+            background, omega.tobytes(), omega.shape)
+        re, im = _relaxation(base[1] + delta_mu[1], perturbed_tau, base[3] + delta_mu[3], omega)
+        contrast = np.empty(re.shape, dtype=complex)
+        re -= re_b
+        np.add(re, delta_mu[0], out=contrast.real)
+        # The imaginary part -(im - im_b + s), s = d_sigma / (omega eps0), as
+        # (im_b - im) - s, with s written into re's buffer: no chunk is allocated.
+        np.subtract(im_b, im, out=im)
+        np.multiply(delta_mu[4], loss_per_sigma, out=re)
+        np.subtract(im, re, out=contrast.imag)
+        contrast *= scale
+        return _finite(contrast, "exact contrast", omega,
+                       lambda: [b + d for b, d in zip(base, delta_mu)])

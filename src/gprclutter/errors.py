@@ -31,6 +31,22 @@ class TauFloorError(DomainError):
         )
         self.index, self.value, self.floor = index, value, floor
 
+    def moved(self, index: tuple[int, ...], where: str) -> "TauFloorError":
+        return TauFloorError(index, self.value, self.floor, where)
+
+
+class NonFiniteError(DomainError):
+    """A Cole-Cole value at ``index`` and ``omega`` was not finite; ``parameter`` is to blame."""
+
+    def __init__(self, quantity: str, parameter: str, omega: float, index: tuple, where: str = ""):
+        at = f", index {index}" if index else ""
+        super().__init__(f"{where}{quantity} overflow at omega={omega!r}{at}; "
+                         f"offending parameter {parameter!r}")
+        self.quantity, self.parameter, self.omega, self.index = quantity, parameter, omega, index
+
+    def moved(self, index: tuple[int, ...], where: str) -> "NonFiniteError":
+        return NonFiniteError(self.quantity, self.parameter, self.omega, index, where)
+
 
 class SingularBackgroundError(DomainError):
     """Background permittivity vanished where a sensitivity is needed."""

@@ -166,7 +166,6 @@ def assemble_forward(scenario: Scenario, geometry: SceneGeometry) -> ForwardMatr
     psi = sensitivity_components(*scenario.background.as_array(), omegas)  # (5, N)
 
     check_kernels(kernels, n_rx)
-    check_sensitivities(psi)
 
     return ForwardMatrix(
         kernels=kernels,
@@ -238,14 +237,6 @@ def check_kernels(kernels: np.ndarray, n_rx: int, first_row: int = 0) -> None:
         row, p = divmod(int(np.argmin(finite)), kernels.shape[1])
         n, m = divmod(first_row + row, n_rx)
         raise AssemblyError(f"non-finite forward kernel at (m={m}, n={n}, p={p})")
-
-
-def check_sensitivities(psi: np.ndarray) -> None:
-    """Raise an AssemblyError naming the first non-finite forward sensitivity psi[q, n]."""
-    finite = np.isfinite(psi)
-    if not finite.all():
-        q, n = divmod(int(np.argmin(finite)), psi.shape[1])
-        raise AssemblyError(f"non-finite forward sensitivity at (q={q}, n={n})")
 
 
 def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,

@@ -70,7 +70,8 @@ from .constitutive import (
     N_PARAMS,
     exact_contrast_field,
 )
-from .errors import ConfigError, GprClutterError, TauFloorError, UndefinedSpectrumError
+from .errors import (ConfigError, DomainError, GprClutterError, NonFiniteError, TauFloorError,
+                     UndefinedSpectrumError)
 from .forward import ForwardMatrix, frobenius_norm
 from .randfield import (
     EXACT_CHUNK_VALUES,
@@ -268,9 +269,9 @@ def _exact_walk(forward: ForwardMatrix, scenario: Scenario, geometry: SceneGeome
     Each (chunk, scale) gets a contrast and snapshots of its own, which the
     walk never writes again, and consumers see the chunks in ensemble
     order. The walk drops both once handed on, so a consumer that drops
-    them too holds one (chunk, scale) at a time. ``samples[0]`` is sample ``start`` of the ensemble: a
-    tau-floor error names the chunk's samples and the offending (sample, 0,
-    cell) index in ensemble numbering.
+    them too holds one (chunk, scale) at a time. ``samples[0]`` is sample
+    ``start`` of the ensemble: a tau-floor or non-finite error names the chunk's
+    samples and the offending (sample, frequency or 0, cell) in ensemble numbering.
     """
     omegas = 2.0 * np.pi * geometry.frequencies[:, None, None]
     # Transmit n's (P, M) kernels: one stacked product, a GEMM per transmit,
@@ -285,11 +286,11 @@ def _exact_walk(forward: ForwardMatrix, scenario: Scenario, geometry: SceneGeome
                 # 1.0 * x is x, so unit scale needs no scaled copy.
                 contrast = exact_contrast_field(
                     scenario.background, unit if scale == 1.0 else scale * unit, omegas)
-            except TauFloorError as exc:
+            except (TauFloorError, NonFiniteError) as exc:
                 first, last = start + rows.start, start + rows.stop - 1
-                _, sample, cell = exc.index
-                raise TauFloorError((first + sample, 0, cell), exc.value, exc.floor,
-                                    f"samples {first}..{last}: ") from exc
+                frequency, sample, cell = exc.index
+                raise exc.moved((first + sample, frequency, cell),
+                                f"samples {first}..{last}: ") from exc
             snapshots = np.empty((rows.stop - rows.start, forward.shape[0]), dtype=complex)
             np.matmul(contrast, kernels,
                       out=snapshots.reshape(-1, forward.n_tx, forward.n_rx).transpose(1, 0, 2))
@@ -405,8 +406,8 @@ def shared_closure_covariances(
     every model, and the same as a one-model run gives.
 
     Returns, per model, its (linear, exact) sample covariances, or the
-    :class:`GprClutterError` of the failed check, or of the tau floor in a
-    block, that dropped it; the other models go on.
+    :class:`GprClutterError` of the failed check, or the DomainError of its
+    exact contrast in a block, that dropped it; the other models go on.
     """
     if count < 2:
         raise ConfigError("closure needs at least two snapshots per mode")
@@ -440,7 +441,7 @@ def shared_closure_covariances(
         for index in list(sums):
             try:
                 _add_outer_products(models[index], geometry, spatial, start, sums[index])
-            except TauFloorError as exc:
+            except DomainError as exc:
                 outcomes[index] = _without_locals(exc)
                 del sums[index]
         del spatial  # freed before the next block's draw

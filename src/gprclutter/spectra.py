@@ -237,13 +237,13 @@ def target_overlap(
     summary: SpectralSummary, steering: SteeringVector, p: int
 ) -> tuple[float, float]:
     """Energy fractions (eta, gamma) of a steering vector inside/outside
-    the span of the top-p clutter eigenvectors."""
+    the span of the top-p clutter eigenvectors; rounding never lifts eta above 1."""
     size = summary.eigenvectors.shape[0]
     if not 1 <= p <= size:
         raise ConfigError(f"subspace dimension {p!r} outside [1, {size}]")
     basis = summary.eigenvectors[:, :p]
     a = steering.values
-    eta = float(np.linalg.norm(basis.conj().T @ a) ** 2 / np.linalg.norm(a) ** 2)
+    eta = min(float(np.linalg.norm(basis.conj().T @ a) ** 2 / np.linalg.norm(a) ** 2), 1.0)
     return eta, 1.0 - eta
 
 

@@ -22,7 +22,7 @@ from gprclutter import (
     spectral_summary,
 )
 from gprclutter.constitutive import ColeColeParams
-from gprclutter.errors import GprClutterError, TauFloorError
+from gprclutter.errors import GprClutterError
 from gprclutter.harness import experiments
 from gprclutter.harness.cli import main
 from gprclutter.harness.cmat import load_matrix
@@ -611,6 +611,38 @@ def test_numerical_failures_exit_2_and_are_recorded(tmp_path, capsys):
     assert "error in S3" in capsys.readouterr().err
 
 
+EDGE_CONFIG = os.path.join(os.path.dirname(__file__), "domain_edge.yaml")
+
+
+def test_an_exact_contrast_that_is_not_finite_is_recorded_per_scenario(tmp_path):
+    out = tmp_path / "all"
+    assert main(["--config", EDGE_CONFIG, "--out", str(out), "scan-validity"]) == 2
+    errors = json.loads((out / "validity_scan_errors.json").read_text())
+    assert sorted(errors) == ["S1", "S2", "S3", "S_balance"]
+    config = load_config(EDGE_CONFIG)
+    omegas = [repr(2.0 * np.pi * f)
+              for f in build_default_geometry(config.geometry).frequencies.tolist()]
+    for message in errors.values():
+        found = re.fullmatch(r"samples 0\.\.5: exact contrast overflow at omega=(\S+), "
+                             r"index \((\d+), (\d+), (\d+)\); offending parameter 'alpha'",
+                             message)
+        assert found, message
+        omega, sample, frequency, cell = found.groups()
+        assert int(sample) < config.experiments.validity_sample_count
+        assert omega == omegas[int(frequency)] and int(cell) < config.geometry.n_z
+    for path in out.iterdir():
+        assert "NaN" not in path.read_text(), path.name
+    solo = tmp_path / "solo"
+    assert main(["--config", EDGE_CONFIG, "--out", str(solo), "--scenario", "S4,S_syn",
+                 "scan-validity"]) == 0
+    assert (json.loads((out / "validity_scan.json").read_text())["rows"]
+            == json.loads((solo / "validity_scan.json").read_text())["rows"])
+    reports, alone = (json.loads((path / "validity_scan_reports.json").read_text())
+                      for path in (out, solo))
+    assert {sid: reports[sid] for sid in ("S4", "S_syn")} == {
+        sid: alone[sid] for sid in ("S4", "S_syn")}
+
+
 @pytest.mark.parametrize(("command", "table"), [
     ("closure", "closure"), ("scan-validity", "validity_scan"),
 ], ids=["closure", "scan-validity"])
@@ -641,10 +673,19 @@ def test_closure_with_one_sample_exits_2_and_is_recorded(tmp_path):
     assert errors == {"S1": "closure needs at least two snapshots per mode"}
 
 
-def test_closure_failure_in_a_later_block_drops_only_its_scenario(tmp_path, monkeypatch):
+@pytest.mark.parametrize(("channel", "value", "message"), [
+    (2, -1e-12, "perturbed tau at index (65, 0, 2)"),
+    # S1's omega tau is about 6e-4: (omega tau)^(1 - 400) overflows at every frequency.
+    (3, 400.0, "exact contrast overflow at omega=628318530.7179586, index (65, 0, 2); "
+               "offending parameter 'alpha'"),
+], ids=["tau_floor", "overflow"])
+def test_closure_failure_in_a_later_block_drops_only_its_scenario(
+    tmp_path, monkeypatch, channel, value, message
+):
     # S1 and S4 share one streamed draw of 150 samples in blocks of 64. S1's
-    # exact contrast fails in its second block: its error keeps the ensemble
-    # numbering, and S4's row and matrices are those of a run without S1.
+    # exact contrast fails in its second block, at the tau floor or by
+    # overflow: its error keeps the ensemble numbering, and S4's row and
+    # matrices are those of a run without S1.
     config_path = tmp_path / "two.yaml"
     config_path.write_text(
         "scenarios: [S1, S4]\n"
@@ -663,7 +704,8 @@ def test_closure_failure_in_a_later_block_drops_only_its_scenario(tmp_path, monk
         if background == failing:
             chunks.append(delta.shape[2])  # delta is (5, 1, samples, cells)
             if len(chunks) == 2:
-                raise TauFloorError((0, 1, 2), 0.0, 1e-15)
+                delta = delta.copy()
+                delta[channel, 0, 1, 2] = value  # sample 1 of the chunk, cell 2
         return original(background, delta, omega)
 
     monkeypatch.setattr(montecarlo, "exact_contrast_field", flaky)
@@ -673,7 +715,7 @@ def test_closure_failure_in_a_later_block_drops_only_its_scenario(tmp_path, monk
     assert chunks == [64, 64]
     errors = json.loads(open(os.path.join(out, "closure_errors.json")).read())
     assert list(errors) == ["S1"]
-    assert errors["S1"].startswith("samples 64..127: perturbed tau at index (65, 0, 2)")
+    assert errors["S1"].startswith(f"samples 64..127: {message}")
     rows = json.loads(open(os.path.join(out, "closure.json")).read())["rows"]
     assert rows == json.loads(open(os.path.join(solo, "closure.json")).read())["rows"]
     matrices = sorted(name for name in os.listdir(out) if name.endswith(".cmat"))

@@ -19,7 +19,7 @@ from gprclutter.constitutive import (
     finite_difference_check,
     sensitivity_components,
 )
-from gprclutter.errors import DomainError
+from gprclutter.errors import DomainError, NonFiniteError
 from oracles import exact_contrast, finite_difference_errors
 
 OMEGA_100MHZ = 2.0 * math.pi * 100e6
@@ -82,20 +82,40 @@ def test_omega_must_be_positive():
 
 def test_overflowing_relaxation_time_raises_domain_error():
     params = ColeColeParams(3.0, 1.0, 1e300, 0.5, 0.0)
-    with pytest.raises(DomainError, match="tau"), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(DomainError, match="tau"):
         eval_permittivity(params, OMEGA_100MHZ)
 
 
 @pytest.mark.parametrize("params, culprit", [
+    (ColeColeParams(3.0, 1.0, 1e300, 0.5, 0.0), "tau"),
     # (j omega tau)^40 overflows: Python's complex power would raise a bare OverflowError.
     (ColeColeParams(3.0, 1.0, 1e2, -39.0, 0.0), "alpha"),
     (ColeColeParams(3.0, 1.0, 1e-9, 0.0, 1e308), "sigma"),
 ])
-@pytest.mark.parametrize("evaluate", [eval_permittivity, finite_difference_check])
+@pytest.mark.parametrize("evaluate",
+                         [eval_permittivity, eval_sensitivities, finite_difference_check])
 def test_overflow_names_the_offending_parameter(params, culprit, evaluate):
-    with pytest.raises(DomainError, match=f"offending parameter '{culprit}'"), \
-            np.errstate(over="ignore", invalid="ignore"):
+    # No RuntimeWarning escapes: pytest turns one into a failure.
+    with pytest.raises(NonFiniteError, match=f"offending parameter '{culprit}'"):
         evaluate(params, OMEGA_100MHZ)
+
+
+def test_broadcasting_cores_name_the_frequency_and_index_of_the_first_overflow():
+    omegas = 2.0 * math.pi * FDA_FREQUENCIES
+    alpha = np.array([0.5, -39.0])[:, None]  # two states against eight frequencies
+    for core, quantity in ((complex_permittivity, "permittivity"),
+                           (sensitivity_components, "sensitivity")):
+        with pytest.raises(NonFiniteError) as error:
+            core(3.0, 1.0, 1e2, alpha, 0.0, omegas)
+        assert error.value.index == (1, 0)
+        assert str(error.value) == (f"{quantity} overflow at omega={float(omegas[0])!r}, "
+                                    "index (1, 0); offending parameter 'alpha'")
+
+
+def test_finite_values_whose_squares_overflow_are_returned():
+    # The sum of squares of eps0 * 1e171 overflows; the entries are checked one by one.
+    value = complex_permittivity(1e171, 0.0, 1e-12, 0.0, 0.0, OMEGA_100MHZ)
+    assert value == EPSILON_0 * complex(1e171, 0.0)
 
 
 def test_eps_inf_sensitivity_is_vacuum_over_background(registry):
@@ -179,8 +199,7 @@ def test_a_non_positive_frequency_among_many_is_named(bad):
 def test_overflow_among_many_frequencies_names_the_parameter():
     params = ColeColeParams(3.0, 1.0, 1e300, 0.5, 0.0)
     omegas = 2.0 * math.pi * FDA_FREQUENCIES
-    with pytest.raises(DomainError, match="permittivity overflow at omega=.*'tau'"), \
-            np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(DomainError, match="permittivity overflow at omega=.*'tau'"):
         finite_difference_check(params, omegas)
 
 

@@ -25,6 +25,7 @@ from gprclutter.constitutive import DENOMINATOR_FLOOR, exact_contrast_field
 from gprclutter.errors import (
     ConfigError,
     DomainError,
+    NonFiniteError,
     NonPositiveDefiniteError,
     TauFloorError,
     UndefinedSpectrumError,
@@ -867,6 +868,32 @@ def test_tau_floor_hit_in_the_frequency_outer_layout_keeps_its_ensemble_index():
     assert named.value.__cause__.index == (0, 4, 9)
     assert named.value.index == (34, 0, 9)
     assert str(named.value).startswith("samples 30..35: perturbed tau at index (34, 0, 9)")
+
+
+def test_overflow_in_the_frequency_outer_layout_keeps_its_ensemble_index():
+    # S4's alpha 0.45 - 219.45 makes the relaxation power 220. omega tau is
+    # 22.6 at the first frequency, where (omega tau)^220 stays finite, and
+    # 27.1 at the second, where it overflows: the error names frequency 1.
+    geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
+    samples = sample_perturbations(cov, 6, 5)
+    samples[4, 3 * geometry.n_cells + 9] = -219.45
+    per_channel = samples.reshape(6, 5, geometry.n_cells).transpose(1, 0, 2)
+    omegas = 2.0 * np.pi * geometry.frequencies
+    with pytest.raises(NonFiniteError) as sample_outer:
+        exact_contrast_field(scenario.background, per_channel[:, :, None], omegas[:, None])
+    assert sample_outer.value.index == (4, 1, 9)
+    with pytest.raises(NonFiniteError) as named:
+        next(montecarlo._exact_walk(forward, scenario, geometry, samples, (1.0,), start=30))
+    assert named.value.__cause__.index == (1, 4, 9)
+    assert (named.value.index, named.value.parameter) == ((34, 1, 9), "alpha")
+    assert str(named.value) == (
+        f"samples 30..35: exact contrast overflow at omega={float(omegas[1])!r}, "
+        "index (34, 1, 9); offending parameter 'alpha'")
+    finite = samples.copy()
+    finite[4, 3 * geometry.n_cells + 9] = -200.0  # power 201: finite at both frequencies
+    rows, _, contrast, _ = next(
+        montecarlo._exact_walk(forward, scenario, geometry, finite, (1.0,), start=30))
+    assert rows == slice(0, 6) and np.all(np.isfinite(contrast))
 
 
 def test_exact_walk_never_overwrites_the_snapshots_it_handed_out():

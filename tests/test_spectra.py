@@ -39,7 +39,7 @@ from gprclutter.randfield import (
 )
 from gprclutter import spectra
 from gprclutter.spectra import ClutterCovariance, kernel_gram
-from gprclutter.forward import ForwardMatrix
+from gprclutter.forward import ForwardMatrix, SteeringVector
 from oracles import (
     dense_entries,
     dense_spatial_factor,
@@ -414,6 +414,21 @@ def test_overlap_with_own_eigenvectors(geometry):
     eta, gamma = target_overlap(summary, steering, summary.eigenvectors.shape[0])
     assert eta == pytest.approx(1.0, abs=1e-12)
     assert gamma == pytest.approx(0.0, abs=1e-12)
+
+
+def test_overlap_with_the_whole_space_never_exceeds_one():
+    # With p = MN the basis spans every probe: eta is 1 up to rounding, and
+    # rounding must not lift it above 1 (gamma below 0).
+    rng = np.random.default_rng(5)
+    for size in (2, 3, 4, 6):
+        root = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        summary = _summary_of(root @ root.conj().T)
+        for _ in range(50):
+            probe = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            eta, gamma = target_overlap(summary, SteeringVector(probe / np.linalg.norm(probe)),
+                                        size)
+            assert eta <= 1.0 and gamma >= 0.0
+            assert eta == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scaling_preserves_normalized_metrics_bitwise():
