@@ -104,16 +104,16 @@ class ForwardMatrix:
     = ``sensitivities[q, n]``. The dense matrix is never kept: every
     computation, the discrepancy of two operators included, works on the
     factors, and ``build-forward`` forms the dense matrix only to write it.
-    ``background`` and ``geometry_fingerprint`` record what it was built for.
+    Its four fields are the two factors, ``kernels`` and ``sensitivities``,
+    and the ``scenario`` and ``geometry`` it was assembled for: the Monte
+    Carlo layer reads the background of the one and the frequencies of the
+    other.
     """
 
     kernels: np.ndarray
     sensitivities: np.ndarray
-    n_tx: int
-    n_rx: int
-    n_cells: int
-    background: ColeColeParams
-    geometry_fingerprint: str
+    scenario: Scenario
+    geometry: SceneGeometry
 
     def __post_init__(self):
         for name, expected in (
@@ -124,6 +124,18 @@ class ForwardMatrix:
             if value.shape != expected:
                 raise AssemblyError(f"forward {name} shape {value.shape} != {expected}")
             value.flags.writeable = False
+
+    @property
+    def n_tx(self) -> int:
+        return self.geometry.n_tx
+
+    @property
+    def n_rx(self) -> int:
+        return self.geometry.n_rx
+
+    @property
+    def n_cells(self) -> int:
+        return self.geometry.n_cells
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -160,22 +172,13 @@ def assemble_forward(scenario: Scenario, geometry: SceneGeometry) -> ForwardMatr
     cell volume. The background is homogeneous, so psi_q depends only on
     the channel frequency and the operator is kept as its two factors.
     """
-    n_tx, n_rx, n_cells = geometry.n_tx, geometry.n_rx, geometry.n_cells
-    kernels = born_kernel_tensor(scenario.background, geometry).reshape(n_tx * n_rx, n_cells)
+    kernels = born_kernel_tensor(scenario.background, geometry).reshape(-1, geometry.n_cells)
     omegas = 2.0 * np.pi * geometry.frequencies
     psi = sensitivity_components(*scenario.background.as_array(), omegas)  # (5, N)
 
-    check_kernels(kernels, n_rx)
+    check_kernels(kernels, geometry.n_rx)
 
-    return ForwardMatrix(
-        kernels=kernels,
-        sensitivities=psi,
-        n_tx=n_tx,
-        n_rx=n_rx,
-        n_cells=n_cells,
-        background=scenario.background,
-        geometry_fingerprint=geometry.fingerprint(),
-    )
+    return ForwardMatrix(kernels=kernels, sensitivities=psi, scenario=scenario, geometry=geometry)
 
 
 def steering_vector(geometry: SceneGeometry, scenario: Scenario, target) -> SteeringVector:
@@ -211,10 +214,10 @@ def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> f
         raise AssemblyError(
             f"shape mismatch {candidate.shape} vs {reference.shape}"
         )
-    if candidate.geometry_fingerprint != reference.geometry_fingerprint:
+    if candidate.geometry.fingerprint() != reference.geometry.fingerprint():
         raise ConfigError(
-            f"forward operators assembled on geometries {candidate.geometry_fingerprint} "
-            f"and {reference.geometry_fingerprint}"
+            f"forward operators assembled on geometries {candidate.geometry.fingerprint()} "
+            f"and {reference.geometry.fingerprint()}"
         )
     n_rx = candidate.n_rx
     total = (0.0, 0.0)

@@ -142,7 +142,7 @@ def _cmd_build_forward(config: ExperimentConfig, args) -> int:
             "n_tx": forward.n_tx,
             "n_rx": forward.n_rx,
             "n_cells": forward.n_cells,
-            "geometry_fingerprint": forward.geometry_fingerprint,
+            "geometry_fingerprint": geometry.fingerprint(),
             "config_hash": config_hash(config),
         }
         _write_json(path + ".json", sidecar)

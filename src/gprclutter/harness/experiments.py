@@ -34,11 +34,7 @@ from ..forward import (
     transmit_kernels,
 )
 from ..montecarlo import closure_from_covariances, shared_closure_covariances, validity_scan
-from ..randfield import (
-    _shared_correlation,
-    build_covariance,
-    build_param_factor,
-)
+from ..randfield import build_covariance, build_param_factor
 from ..scene import (
     GeometryConfig,
     Scenario,
@@ -210,13 +206,6 @@ def _recorded(result: ExperimentResult, sid: str):
         result.errors[sid] = str(exc)
 
 
-def clear_memos() -> None:
-    """Forget every shared geometry, spatial correlation and baseline."""
-    _shared_geometry.cache_clear()
-    _shared_correlation.cache_clear()
-    _shared_baseline.cache_clear()
-
-
 def preset_weights(preset: str) -> np.ndarray:
     """Channel weights of a named preset: x2 on the named channel."""
     weights = np.ones(5)
@@ -286,7 +275,7 @@ def run_validity_scan(config: ExperimentConfig) -> ExperimentResult:
         with _recorded(result, sid):
             scenario = get_scenario(sid)
             report = validity_scan(
-                assemble_forward(scenario, geometry), scenario, geometry,
+                assemble_forward(scenario, geometry),
                 _covariance(scenario, geometry, config.random_field),
                 amplitude_grid=exp.amplitude_grid,
                 sample_count=exp.validity_sample_count,
@@ -349,11 +338,11 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
             forward = assemble_forward(scenario, geometry)
             cov = _covariance(scenario, geometry, rf)
             theories[sid] = clutter_covariance(forward, cov)
-            models[sid] = forward, scenario, cov
+            models[sid] = forward, cov
     try:
         # Both modes of every scenario synthesize from one streamed draw.
         outcomes = dict(zip(models, shared_closure_covariances(
-            list(models.values()), geometry, rf.sample_count, rf.seed)))
+            list(models.values()), rf.sample_count, rf.seed)))
     except GprClutterError as exc:
         outcomes = dict.fromkeys(models, exc)
     for sid, outcome in outcomes.items():

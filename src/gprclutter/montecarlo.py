@@ -12,8 +12,9 @@ loop on the statistical chain. Closure has one path:
 :func:`shared_closure_covariances` streams both sample covariances of
 every scenario of a run from one draw, and :func:`closure_from_covariances`
 compares them with the theory. Synthesis is noise-free throughout: the
-additive noise floor enters analytically downstream. A forward operator
-assembled on another geometry than the one passed is refused.
+additive noise floor enters analytically downstream. Every path takes the
+forward operator alone: its frequencies come from ``forward.geometry`` and
+its background from ``forward.scenario``.
 
 Contrast is laid out frequency outermost, (N, L, P) for N frequencies, L
 samples and P cells: (5, 1, L, P) perturbations meet (N, 1, 1)
@@ -80,7 +81,6 @@ from .randfield import (
     sample_perturbations,
     standard_normal_draws,
 )
-from .scene import Scenario, SceneGeometry
 from .spectra import ClutterCovariance, spectral_summary
 
 SNAPSHOT_MODES = ("linear", "exact")
@@ -224,7 +224,7 @@ def _linear_contrast(forward: ForwardMatrix, samples: np.ndarray) -> np.ndarray:
     return contrast
 
 
-def _exact_chunks(geometry: SceneGeometry, count: int):
+def _exact_chunks(forward: ForwardMatrix, count: int):
     """Row slices of ``count`` samples, in order, one exact-contrast chunk each.
 
     A chunk's (N, rows, P) contrast holds at most EXACT_CHUNK_VALUES values
@@ -236,7 +236,7 @@ def _exact_chunks(geometry: SceneGeometry, count: int):
     """
     if count == 0:
         return
-    cap = max(1, EXACT_CHUNK_VALUES // (geometry.frequencies.size * geometry.n_cells))
+    cap = max(1, EXACT_CHUNK_VALUES // (forward.n_tx * forward.n_cells))
     chunks = -(-count // cap)
     size, larger = divmod(count, chunks)
     row = 0
@@ -259,8 +259,8 @@ def _contrast_errors(exact: np.ndarray, linear: np.ndarray, scale: float) -> np.
     return errors
 
 
-def _exact_walk(forward: ForwardMatrix, scenario: Scenario, geometry: SceneGeometry,
-                samples: np.ndarray, scales: tuple[float, ...], *, start: int):
+def _exact_walk(forward: ForwardMatrix, samples: np.ndarray, scales: tuple[float, ...], *,
+                start: int):
     """Exact contrast and Born snapshots of each ``scale * samples``, chunk by chunk.
 
     For each chunk of :func:`_exact_chunks` in order, and each scale in
@@ -273,19 +273,19 @@ def _exact_walk(forward: ForwardMatrix, scenario: Scenario, geometry: SceneGeome
     ``start`` of the ensemble: a tau-floor or non-finite error names the chunk's
     samples and the offending (sample, frequency or 0, cell) in ensemble numbering.
     """
-    omegas = 2.0 * np.pi * geometry.frequencies[:, None, None]
+    omegas = 2.0 * np.pi * forward.geometry.frequencies[:, None, None]
     # Transmit n's (P, M) kernels: one stacked product, a GEMM per transmit,
     # reads the contiguous (rows, P) slice contrast[n] and writes the
     # columns of transmit n in place.
     kernels = forward.kernels.reshape(forward.n_tx, forward.n_rx, -1).transpose(0, 2, 1)
-    for rows in _exact_chunks(geometry, samples.shape[0]):
+    for rows in _exact_chunks(forward, samples.shape[0]):
         # (5, 1, rows, P) against (N, 1, 1): see the module docstring.
-        unit = samples[rows].reshape(-1, N_PARAMS, geometry.n_cells).transpose(1, 0, 2)[:, None]
+        unit = samples[rows].reshape(-1, N_PARAMS, forward.n_cells).transpose(1, 0, 2)[:, None]
         for k, scale in enumerate(scales):
             try:
                 # 1.0 * x is x, so unit scale needs no scaled copy.
                 contrast = exact_contrast_field(
-                    scenario.background, unit if scale == 1.0 else scale * unit, omegas)
+                    forward.scenario.background, unit if scale == 1.0 else scale * unit, omegas)
             except (TauFloorError, NonFiniteError) as exc:
                 first, last = start + rows.start, start + rows.stop - 1
                 frequency, sample, cell = exc.index
@@ -298,25 +298,18 @@ def _exact_walk(forward: ForwardMatrix, scenario: Scenario, geometry: SceneGeome
             del contrast, snapshots  # freed before the next evaluation
 
 
-def snapshots_from_perturbations(
-    forward: ForwardMatrix,
-    scenario: Scenario,
-    geometry: SceneGeometry,
-    samples: np.ndarray,
-    mode: str,
-    *,
-    start: int = 0,
-) -> np.ndarray:
+def snapshots_from_perturbations(forward: ForwardMatrix, samples: np.ndarray, mode: str, *,
+                                 start: int = 0) -> np.ndarray:
     """Noise-free Born snapshots of given perturbation samples, shape (L, MN).
 
     ``linear`` applies the forward operator through its factors,
     y = sum_q D_q K x_q; ``exact`` evaluates the exact contrast per cell and
-    frequency and contracts it against the same two-way kernels K.
+    frequency, at the forward's own frequencies and background, and
+    contracts it against the same two-way kernels K.
     ``samples[0]`` is sample ``start`` of the ensemble, as errors report it.
     """
     if mode not in SNAPSHOT_MODES:
         raise ConfigError(f"unknown snapshot mode {mode!r} (known: {SNAPSHOT_MODES})")
-    _check_forward(forward, scenario, geometry)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != forward.shape[1]:
         raise ConfigError(
@@ -336,8 +329,7 @@ def snapshots_from_perturbations(
         return per_channel.sum(axis=1)
 
     out = np.empty((count, channels), dtype=complex)
-    for rows, _, contrast, snapshots in _exact_walk(forward, scenario, geometry, samples, (1.0,),
-                                                    start=start):
+    for rows, _, contrast, snapshots in _exact_walk(forward, samples, (1.0,), start=start):
         out[rows] = snapshots
         del contrast, snapshots  # freed before the next chunk is evaluated
     return out
@@ -365,20 +357,6 @@ def _block_starts(dim: int, count: int):
         yield start, min(size, count - start)
 
 
-def _check_forward(forward: ForwardMatrix, scenario: Scenario, geometry: SceneGeometry) -> None:
-    """Refuse a forward operator assembled on another geometry or background."""
-    if forward.geometry_fingerprint != geometry.fingerprint():
-        raise ConfigError(
-            f"forward operator assembled on geometry {forward.geometry_fingerprint}, "
-            f"used with geometry {geometry.fingerprint()}"
-        )
-    if forward.background != scenario.background:
-        raise ConfigError(
-            f"forward operator assembled for background {forward.background}, "
-            f"used with scenario {scenario.id} of background {scenario.background}"
-        )
-
-
 def _hermitian_mean(total: np.ndarray, count: int) -> np.ndarray:
     """The Hermitian part of total / count, for a sum of count outer products."""
     matrix = total / count
@@ -386,17 +364,17 @@ def _hermitian_mean(total: np.ndarray, count: int) -> np.ndarray:
 
 
 def shared_closure_covariances(
-    models: list[tuple[ForwardMatrix, Scenario, PerturbationCovariance]],
-    geometry: SceneGeometry,
+    models: list[tuple[ForwardMatrix, PerturbationCovariance]],
     count: int,
     seed: int,
 ) -> list[tuple[np.ndarray, np.ndarray] | GprClutterError]:
     """Closure sample covariances of several models from one draw of ``count`` samples.
 
-    ``models`` holds (forward, scenario, cov) triples on ``geometry`` that
-    share one ``cov.spatial``. Before the first draw each model's forward,
-    dimension and parameter factor are checked, the first passing model's
-    spatial root too, and every later model must hold that same instance.
+    ``models`` holds (forward, cov) pairs that share one ``cov.spatial``,
+    whose cell count sets the dimension of every draw. Before the first
+    draw each model's dimension and parameter factor are checked, the first
+    passing model's spatial root too, and every later model must hold that
+    same instance.
     The standard normals of each block of :func:`_block_starts` are drawn
     once and mixed once by that root; each model applies its parameter
     factor, synthesizes the samples in both modes and adds their y y^H into
@@ -411,28 +389,29 @@ def shared_closure_covariances(
     """
     if count < 2:
         raise ConfigError("closure needs at least two snapshots per mode")
-    dim = N_PARAMS * geometry.n_cells
     outcomes: list = [None] * len(models)
     sums, correlation, owner = {}, None, None
-    for index, (forward, scenario, cov) in enumerate(models):
+    for index, (forward, cov) in enumerate(models):
         try:
-            _check_forward(forward, scenario, geometry)
-            if cov.dim != dim:
+            if cov.dim != N_PARAMS * forward.n_cells:
                 raise ConfigError(
-                    f"covariance of dimension {cov.dim}, not 5 x {geometry.n_cells} cells")
+                    f"covariance of dimension {cov.dim}, not 5 x {forward.n_cells} cells")
             _ = cov.param_cholesky
             if correlation is None:
                 _ = cov.spatial.root
-                correlation, owner = cov.spatial, scenario
+                correlation, owner = cov.spatial, forward.scenario
             elif cov.spatial is not correlation:
                 raise ConfigError(
-                    f"scenario {scenario.id}: spatial correlation is not that of scenario "
-                    f"{owner.id}; closure mixes one spatial root")
+                    f"scenario {forward.scenario.id}: spatial correlation is not that of "
+                    f"scenario {owner.id}; closure mixes one spatial root")
         except GprClutterError as exc:
             outcomes[index] = exc
             continue
         size = forward.shape[0]
         sums[index] = {mode: np.zeros((size, size), dtype=complex) for mode in SNAPSHOT_MODES}
+    if not sums:
+        return outcomes
+    dim = N_PARAMS * correlation.n_cells
     for start, size in _block_starts(dim, count):
         if not sums:
             break
@@ -440,7 +419,7 @@ def shared_closure_covariances(
         spatial = correlation.mix(standard_normal_draws(dim, size, seed, start=start))
         for index in list(sums):
             try:
-                _add_outer_products(models[index], geometry, spatial, start, sums[index])
+                _add_outer_products(models[index], spatial, start, sums[index])
             except DomainError as exc:
                 outcomes[index] = _without_locals(exc)
                 del sums[index]
@@ -452,8 +431,7 @@ def shared_closure_covariances(
 
 
 def _add_outer_products(
-    model: tuple[ForwardMatrix, Scenario, PerturbationCovariance],
-    geometry: SceneGeometry,
+    model: tuple[ForwardMatrix, PerturbationCovariance],
     spatial: np.ndarray,
     start: int,
     totals: dict[str, np.ndarray],
@@ -464,11 +442,10 @@ def _add_outer_products(
     model. The block's samples and snapshots are this call's own: they are
     freed when it returns, before the next model mixes the block.
     """
-    forward, scenario, cov = model
+    forward, cov = model
     samples = _parameter_mix(cov, spatial)
     for mode, total in totals.items():
-        snapshots = snapshots_from_perturbations(
-            forward, scenario, geometry, samples, mode, start=start)
+        snapshots = snapshots_from_perturbations(forward, samples, mode, start=start)
         total += snapshots.T @ snapshots.conj()
         del snapshots  # freed before the next mode's synthesis
 
@@ -535,8 +512,6 @@ def closure_from_covariances(
 
 def validity_scan(
     forward: ForwardMatrix,
-    scenario: Scenario,
-    geometry: SceneGeometry,
     cov_template: PerturbationCovariance,
     amplitude_grid=DEFAULT_AMPLITUDE_GRID,
     sample_count: int = DEFAULT_VALIDITY_SAMPLE_COUNT,
@@ -564,19 +539,17 @@ def validity_scan(
     if sample_count < 1:
         raise ConfigError(f"sample count must be >= 1, got {sample_count!r}")
 
-    _check_forward(forward, scenario, geometry)
     unit = cov_template.with_amplitude(1.0)
     # Per amplitude: one selector of the contrast errors and the relative
     # snapshot errors, both filled chunk by chunk.
-    selectors = [NearestRankSelector(sample_count * geometry.frequencies.size
-                                     * geometry.n_cells, 0.95) for _ in grid]
+    selectors = [NearestRankSelector(sample_count * forward.n_tx * forward.n_cells, 0.95)
+                 for _ in grid]
     snapshot_errors = np.zeros((len(grid), sample_count))
     for start, size in _block_starts(unit.dim, sample_count):
         base = sample_perturbations(unit, size, seed, start=start)
         # The linear snapshot is homogeneous in the amplitude: synthesize it once.
-        y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
-        for rows, k, contrast, y in _exact_walk(forward, scenario, geometry, base, grid,
-                                                start=start):
+        y_lin = snapshots_from_perturbations(forward, base, "linear")
+        for rows, k, contrast, y in _exact_walk(forward, base, grid, start=start):
             if k == 0:
                 # The linear contrast is homogeneous in the amplitude too: once
                 # per chunk, formed after the previous chunk's is freed.

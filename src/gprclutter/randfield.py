@@ -276,10 +276,10 @@ class PerturbationCovariance:
 
 
 def _frozen_factor(name: str, value) -> np.ndarray:
-    """A read-only copy of a square, finite, symmetric factor."""
+    """A read-only copy of a square, non-empty, finite, symmetric factor."""
     value = np.array(value, dtype=float)
-    if value.ndim != 2 or value.shape[0] != value.shape[1]:
-        raise ConfigError(f"{name} must be square, got {value.shape}")
+    if value.ndim != 2 or value.shape[0] != value.shape[1] or value.size == 0:
+        raise ConfigError(f"{name} must be square with at least one row, got {value.shape}")
     # The largest magnitude is nan or inf exactly when an entry is.
     scale = max(value.max(), -value.min())
     if not np.isfinite(scale):

@@ -12,9 +12,11 @@ from gprclutter import (
     scenario_registry,
 )
 from gprclutter.errors import GprClutterError
+from gprclutter.harness import experiments
 from gprclutter.harness.config import ExperimentConfig
-from gprclutter.harness.experiments import clear_memos, run_validity_scan
+from gprclutter.harness.experiments import run_validity_scan
 from gprclutter.montecarlo import sample_covariance, shared_closure_covariances
+from gprclutter.randfield import _shared_correlation
 
 ACCEPTANCE_LINES = []
 
@@ -28,6 +30,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def clear_memos() -> None:
+    """Forget every shared geometry, spatial correlation and baseline."""
+    experiments._shared_geometry.cache_clear()
+    _shared_correlation.cache_clear()
+    experiments._shared_baseline.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -108,12 +117,12 @@ def closure_statistic(theory, pseudo, snapshots, block_count=16):
     return float(n * np.mean(errors) / level)
 
 
-def closure_covariances(forward, scenario, geometry, cov, count, seed):
+def closure_covariances(forward, cov, count, seed):
     """Linear- and exact-mode sample covariances of one draw of ``count`` samples.
 
     The one-model case of ``shared_closure_covariances``; its error is raised.
     """
-    (outcome,) = shared_closure_covariances([(forward, scenario, cov)], geometry, count, seed)
+    (outcome,) = shared_closure_covariances([(forward, cov)], count, seed)
     if isinstance(outcome, GprClutterError):
         raise outcome
     return outcome

@@ -114,11 +114,11 @@ def closure_results(registry, geometry, forwards, default_covariances, theories)
         # The streamed closure that `gprclutter closure` runs.
         reports[sid] = closure_from_covariances(
             theories[sid],
-            *closure_covariances(forward, scenario, geometry, cov, 2000, SEED),
+            *closure_covariances(forward, cov, 2000, SEED),
             sample_count=2000,
         )
         snaps_linear = snapshots_from_perturbations(
-            forward, scenario, geometry, sample_perturbations(cov, 2000, SEED), "linear")
+            forward, sample_perturbations(cov, 2000, SEED), "linear")
         statistic_inputs[sid] = (theories[sid].matrix, pseudo_covariance(forward, cov),
                                  snaps_linear)
     return reports, statistic_inputs, time.perf_counter() - started

@@ -27,6 +27,7 @@ from gprclutter.harness import experiments
 from gprclutter.harness.cli import main
 from gprclutter.harness.cmat import load_matrix
 from gprclutter.harness.config import load_config, parse_config
+from conftest import clear_memos
 from oracles import dense_entries
 
 
@@ -497,7 +498,8 @@ def test_every_experiment_records_a_failing_scenario_and_goes_on(tmp_path, monke
     original = getattr(experiments, layer)
 
     def failing(*args, **kwargs):
-        if any(getattr(arg, "id", None) == "S4"
+        # S4 is passed as its scenario, as a forward's scenario or as its background.
+        if any(getattr(getattr(arg, "scenario", arg), "id", None) == "S4"
                or isinstance(arg, ColeColeParams) and arg == background for arg in args):
             raise GprClutterError(f"{layer} failed")
         return original(*args, **kwargs)
@@ -810,7 +812,7 @@ def test_shared_baselines_leave_every_output_unchanged(tmp_path):
     shared = {(name, command): run(name, command, tmp_path / "shared" / name / command)
               for name in _MEMO_CONFIGS for command in _STRUCTURAL}
     for (name, command), tree in shared.items():
-        experiments.clear_memos()
+        clear_memos()
         assert run(name, command, tmp_path / "alone" / name / command) == tree, (name, command)
 
 

@@ -414,7 +414,7 @@ def test_factored_discrepancy_matches_the_dense_norm():
                 nudged = dataclasses.replace(candidate, kernels=candidate.kernels * (1 + 1e-9))
                 assert not _agrees_with_dense(forward_discrepancy(nudged, reference), dense)
     # The deep geometry, last, did zero exactly these two media's kernels.
-    assert {f.background for f in forwards if norms[id(f)] == 0.0} == {
+    assert {f.scenario.background for f in forwards if norms[id(f)] == 0.0} == {
         get_scenario(sid).background for sid in ("S4", "S_syn")}
 
 
@@ -428,7 +428,7 @@ def test_discrepancy_of_kernels_whose_squares_underflow_matches_mpmath():
     geometry = build_default_geometry(GeometryConfig(n_tx=2, n_rx=2, n_x=3, n_z=2, dz=400))
     forwards = [assemble_forward(scenario, geometry)
                 for scenario in (*scenario_registry().values(), free_space_scenario())]
-    largest = {f.background: np.abs(f.kernels).max() for f in forwards}
+    largest = {f.scenario.background: np.abs(f.kernels).max() for f in forwards}
     assert 0.0 < largest[get_scenario("S4").background] < 1e-200
     assert 0.0 < largest[get_scenario("S_syn").background] < 1e-120
     for candidate, reference in itertools.product(forwards, forwards):

@@ -46,7 +46,7 @@ from gprclutter import scene
 from gprclutter.harness.cli import main
 from gprclutter.constitutive import PARAMETER_NAMES
 from gprclutter.montecarlo import SAMPLE_BLOCK
-from conftest import closure_covariances
+from conftest import clear_memos, closure_covariances
 from oracles import finite_difference_errors
 
 #: The golden gate's bound on a finite-difference error: rounding noise.
@@ -305,8 +305,7 @@ def test_shared_closure_stream_equals_the_per_scenario_path(monkeypatch, block):
         forward = assemble_forward(scenario, geometry)
         cov = build_covariance(scenario, geometry.cell_centers, rf.corr_length, rf.rho_c,
                                rf.weights, rf.amplitude, rf.kernel)
-        solo = closure_covariances(
-            forward, scenario, geometry, cov, rf.sample_count, rf.seed)
+        solo = closure_covariances(forward, cov, rf.sample_count, rf.seed)
         for name, rhat in zip(("rhat_linear", "rhat_exact"), solo):
             assert result.matrices[f"closure_{sid}_{name}"].tobytes() == rhat.tobytes()
 
@@ -363,7 +362,7 @@ def test_one_spatial_correlation_and_root_serve_each_run(monkeypatch):
     monkeypatch.setattr(randfield, "build_spatial_factor", counting_build)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     for run, roots in ((run_closure, 1), (run_validity_scan, 1), (run_fda_scan, 0)):
-        experiments.clear_memos()
+        clear_memos()
         builds.clear()
         factorizations.clear()
         result = run(config)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -70,7 +69,7 @@ def test_zero_amplitude_gives_zero_snapshots():
     geometry, scenario, forward, cov = _setup(amplitude=0.0)
     samples = sample_perturbations(cov, 5, 1)
     for mode in SNAPSHOT_MODES:
-        snaps = snapshots_from_perturbations(forward, scenario, geometry, samples, mode)
+        snaps = snapshots_from_perturbations(forward, samples, mode)
         assert np.all(snaps == 0.0)
 
 
@@ -109,7 +108,7 @@ def test_linear_snapshots_match_the_dense_operator(
         )
     forward = assemble_forward(scenario, geometry)
     samples = sample_perturbations(cov, count, seed)
-    linear = snapshots_from_perturbations(forward, scenario, geometry, samples, "linear")
+    linear = snapshots_from_perturbations(forward, samples, "linear")
     oracle = samples @ dense_entries(forward).T
     assert np.linalg.norm(linear - oracle) <= 1e-14 * np.linalg.norm(oracle)
 
@@ -120,17 +119,24 @@ def test_eps_inf_only_perturbations_are_linearized_exactly():
     rng = np.random.default_rng(2)
     samples = np.zeros((8, forward.shape[1]))
     samples[:, :geometry.n_cells] = 0.05 * rng.standard_normal((8, geometry.n_cells))
-    lin = snapshots_from_perturbations(forward, scenario, geometry, samples, "linear")
-    exact = snapshots_from_perturbations(forward, scenario, geometry, samples, "exact")
+    lin = snapshots_from_perturbations(forward, samples, "linear")
+    exact = snapshots_from_perturbations(forward, samples, "exact")
     assert np.linalg.norm(exact - lin) / np.linalg.norm(exact) < 1e-12
 
 
-def test_exact_mode_matches_hand_rolled_loop():
+@pytest.mark.parametrize("delta_f", [GeometryConfig().delta_f, 0.0],
+                         ids=["default-delta_f", "zero-delta_f"])
+def test_exact_mode_matches_hand_rolled_loop(delta_f):
     # Brute-force oracle: loop over cells and channels with scalar calls,
-    # the contrast through the complex-power core.
-    geometry, scenario, forward, cov = _setup(sid="S4", n_x=2, n_z=1)
+    # the contrast through the complex-power core, at the frequencies of the
+    # forward's own geometry. At delta_f = 0 both transmits share f0, so
+    # exact snapshots evaluated at any other frequencies miss it.
+    _, scenario, _, cov = _setup(sid="S4", n_x=2, n_z=1)
+    forward = assemble_forward(scenario, build_default_geometry(
+        GeometryConfig(n_tx=2, n_rx=2, n_x=2, n_z=1, delta_f=delta_f)))
+    geometry = forward.geometry
     samples = sample_perturbations(cov, 1, seed=5)
-    fast = snapshots_from_perturbations(forward, scenario, geometry, samples, "exact")[0]
+    fast = snapshots_from_perturbations(forward, samples, "exact")[0]
     n_cells = geometry.n_cells
     slow = np.zeros(forward.shape[0], dtype=complex)
     per_cell = samples[0].reshape(5, n_cells)
@@ -151,9 +157,9 @@ def test_snapshot_mode_validation():
     geometry, scenario, forward, cov = _setup()
     samples = sample_perturbations(cov, 2, 0)
     with pytest.raises(ConfigError, match="unknown snapshot mode"):
-        snapshots_from_perturbations(forward, scenario, geometry, samples, "hybrid")
+        snapshots_from_perturbations(forward, samples, "hybrid")
     with pytest.raises(ConfigError):
-        snapshots_from_perturbations(forward, scenario, geometry, np.zeros((2, 7)), "linear")
+        snapshots_from_perturbations(forward, np.zeros((2, 7)), "linear")
 
 
 def test_sample_covariance_is_zero_mean_form():
@@ -182,7 +188,7 @@ def test_closure_of_covariances_whose_squares_underflow_keeps_its_values(sid):
     # spectra move by rounding: eps_lambda and eps_sub by at most 2.1e-14.
     geometry, scenario, forward, cov = _setup(sid)
     theory = clutter_covariance(forward, cov)
-    rhats = closure_covariances(forward, scenario, geometry, cov, 64, 3)
+    rhats = closure_covariances(forward, cov, 64, 3)
     tiny = ClutterCovariance(matrix=theory.matrix * 2.0**-900, provenance=theory.provenance)
     assert np.linalg.norm(tiny.matrix) == 0.0
     report = closure_from_covariances(theory, *rhats, sample_count=64)
@@ -206,59 +212,11 @@ def test_closure_rejects_degenerate_inputs(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "standard_normal_draws", never)
     with pytest.raises(ConfigError, match="at least two"):
-        closure_covariances(forward, scenario, geometry, cov, 1, 0)
-
-
-def test_monte_carlo_paths_refuse_a_forward_of_another_geometry():
-    # A forward assembled at the default delta_f, used with a delta_f = 0
-    # geometry of the same shapes, would give exact snapshots at frequencies
-    # its kernels were not built for.
-    config = GeometryConfig(n_tx=2, n_rx=2, n_x=3, n_z=2)
-    assembled_on = build_default_geometry(config)
-    geometry = build_default_geometry(dataclasses.replace(config, delta_f=0.0))
-    scenario = get_scenario("S4")
-    forward = assemble_forward(scenario, assembled_on)
-    cov = build_covariance(scenario, geometry.cell_centers, 0.15, 0.3, np.ones(5), 1.0)
-    samples = sample_perturbations(cov, 4, 1)
-    names_both = f"{assembled_on.fingerprint()}, used with geometry {geometry.fingerprint()}"
-    for mode in SNAPSHOT_MODES:
-        with pytest.raises(ConfigError, match=names_both):
-            snapshots_from_perturbations(forward, scenario, geometry, samples, mode)
-    with pytest.raises(ConfigError, match=names_both):
-        validity_scan(forward, scenario, geometry, cov, sample_count=4)
-    with pytest.raises(ConfigError, match=names_both):
-        closure_covariances(forward, scenario, geometry, cov, 4, 0)
-    # In a shared stream only the mismatched model drops out.
-    matched = assemble_forward(scenario, geometry)
-    kept, dropped = shared_closure_covariances(
-        [(matched, scenario, cov), (forward, scenario, cov)], geometry, 4, 0)
-    assert isinstance(dropped, ConfigError) and names_both in str(dropped)
-    solo = closure_covariances(matched, scenario, geometry, cov, 4, 0)
-    assert [a.tobytes() for a in kept] == [a.tobytes() for a in solo]
-    # A covariance over another cell count is refused too.
-    other = build_covariance(scenario, assembled_on.cell_centers[:4], 0.15, 0.3, np.ones(5), 1.0)
+        closure_covariances(forward, cov, 1, 0)
+    # A covariance over another cell count is refused before the first draw.
+    other = build_covariance(scenario, geometry.cell_centers[:4], 0.15, 0.3, np.ones(5), 1.0)
     with pytest.raises(ConfigError, match="covariance of dimension 20, not 5 x 6 cells"):
-        closure_covariances(matched, scenario, geometry, other, 4, 0)
-
-
-def test_monte_carlo_paths_refuse_a_forward_of_another_background():
-    # A forward assembled for S1 and used with S4 once gave this validity
-    # scan p95 contrast errors of about 76, and no error.
-    geometry = build_default_geometry(GeometryConfig(n_tx=2, n_rx=2, n_x=4, n_z=3))
-    s1, s4 = get_scenario("S1"), get_scenario("S4")
-    forward = assemble_forward(s1, geometry)
-    cov = build_covariance(s4, geometry.cell_centers, 0.15, 0.3, np.ones(5), 1.0)
-    names_both = rf"background {re.escape(str(s1.background))}, used with scenario S4 " \
-        rf"of background {re.escape(str(s4.background))}"
-    with pytest.raises(ConfigError, match=names_both):
-        validity_scan(forward, s4, geometry, cov, sample_count=4)
-    for mode in SNAPSHOT_MODES:
-        with pytest.raises(ConfigError, match=names_both):
-            snapshots_from_perturbations(forward, s4, geometry, sample_perturbations(cov, 2, 1),
-                                         mode)
-    kept, dropped = shared_closure_covariances(
-        [(assemble_forward(s4, geometry), s4, cov), (forward, s4, cov)], geometry, 4, 0)
-    assert isinstance(kept, tuple) and isinstance(dropped, ConfigError)
+        closure_covariances(forward, other, 4, 0)
 
 
 def test_closure_error_shrinks_like_root_sample_count():
@@ -272,7 +230,7 @@ def test_closure_error_shrinks_like_root_sample_count():
     )
     theory = clutter_covariance(forward, cov).matrix
     samples = sample_perturbations(cov, 2000, 20260405)
-    snaps = snapshots_from_perturbations(forward, scenario, geometry, samples, "linear")
+    snaps = snapshots_from_perturbations(forward, samples, "linear")
     # The squared error of 125-snapshot sample covariances has mean
     # ((tr R)^2 + ||R~||^2) / 125, so T has mean 1. The band is T's spread
     # over seeds 1-300 here, 0.595-1.688, widened by 1.25 on each side and
@@ -286,7 +244,7 @@ def test_closure_reports_are_deterministic():
     theory = clutter_covariance(forward, cov)
 
     def run():
-        rhats = closure_covariances(forward, scenario, geometry, cov, 64, 3)
+        rhats = closure_covariances(forward, cov, 64, 3)
         return closure_from_covariances(theory, *rhats, sample_count=64)
 
     assert run() == run()
@@ -353,7 +311,7 @@ def test_validity_scan_never_holds_the_contrast_error_pool():
     pool = 8 * count * geometry.frequencies.size * geometry.n_cells
     tracemalloc.start()
     try:
-        validity_scan(forward, scenario, geometry, cov, amplitude_grid=(0.5,),
+        validity_scan(forward, cov, amplitude_grid=(0.5,),
                       sample_count=count, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -375,7 +333,7 @@ def test_validity_scan_holds_its_samples_one_block_at_a_time():
     def peak(samples):
         tracemalloc.start()
         try:
-            validity_scan(forward, scenario, geometry, cov, amplitude_grid=grid,
+            validity_scan(forward, cov, amplitude_grid=grid,
                           sample_count=samples, seed=5)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -393,13 +351,13 @@ def test_validity_scan_holds_its_samples_one_block_at_a_time():
 
 
 def _grid_models(sids, amplitudes=None):
-    """The default 8 x 8 array over a 24 x 18 grid, and one (forward, scenario, cov) per id."""
+    """The default 8 x 8 array over a 24 x 18 grid, and one (forward, cov) per id."""
     geometry = build_default_geometry(GeometryConfig(n_x=24, n_z=18))
     models = []
     for sid, amplitude in zip(sids, amplitudes or [1.0] * len(sids)):
         scenario = get_scenario(sid)
         cov = build_covariance(scenario, geometry.cell_centers, 0.15, 0.3, np.ones(5), amplitude)
-        models.append((assemble_forward(scenario, geometry), scenario, cov))
+        models.append((assemble_forward(scenario, geometry), cov))
     return geometry, models
 
 
@@ -440,13 +398,13 @@ def test_closure_holds_one_block_and_one_chunk_at_a_time(monkeypatch, s4_amplitu
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "standard_normal_draws", drawing)
-    shared_closure_covariances(models, geometry, 2, 3)  # first-call allocations
+    shared_closure_covariances(models, 2, 3)  # first-call allocations
     at_draw.clear()
     outcomes = []
     peak = _traced_peak(
-        lambda: outcomes.extend(shared_closure_covariances(models, geometry, 130, 3)))
+        lambda: outcomes.extend(shared_closure_covariances(models, 130, 3)))
     assert isinstance(outcomes[1], TauFloorError) == (s4_amplitude > 1.0)
-    dim = models[0][2].dim
+    dim = models[0][1].dim
     size = next(montecarlo._block_starts(dim, 130))[1]
     block = 8 * dim * size
     chunk = 16 * _chunk_rows(geometry) * geometry.frequencies.size * geometry.n_cells
@@ -459,13 +417,13 @@ def test_exact_synthesis_holds_one_chunk_contrast_at_a_time():
     # From one chunk to four the traced peak grows by the three chunks'
     # snapshots alone: no name keeps a chunk's contrast, so none is alive
     # while the next chunk is evaluated.
-    geometry, [(forward, scenario, cov)] = _grid_models(("S4",))
+    geometry, [(forward, cov)] = _grid_models(("S4",))
     rows = _chunk_rows(geometry)
     samples = sample_perturbations(cov, 4 * rows, seed=5)
 
     def peak(count):
         def run():
-            snapshots_from_perturbations(forward, scenario, geometry, samples[:count], "exact")
+            snapshots_from_perturbations(forward, samples[:count], "exact")
         run()  # first-call allocations
         return _traced_peak(run)
 
@@ -479,13 +437,13 @@ def test_validity_scan_holds_one_chunk_contrast_at_a_time_across_amplitudes():
     # grows by three more selectors' candidate buffers and snapshot errors
     # alone. Neither the walk nor the scan keeps an amplitude's contrast
     # while the next one is evaluated; either would add most of a chunk.
-    geometry, [(forward, scenario, cov)] = _grid_models(("S4",))
+    geometry, [(forward, cov)] = _grid_models(("S4",))
     rows = _chunk_rows(geometry)
     values = rows * geometry.frequencies.size * geometry.n_cells
 
     def peak(grid):
         def run():
-            validity_scan(forward, scenario, geometry, cov, amplitude_grid=grid,
+            validity_scan(forward, cov, amplitude_grid=grid,
                           sample_count=rows, seed=5)
         run()  # first-call allocations
         return _traced_peak(run)
@@ -499,7 +457,7 @@ def test_validity_scan_releases_each_block_before_the_next_draw(monkeypatch):
     # what it held at the first draw (its selectors and snapshot errors)
     # and nothing of the block before: less than that block's linear
     # snapshots, let alone its (64, 5P) base samples.
-    geometry, [(forward, scenario, cov)] = _grid_models(("S4",))
+    geometry, [(forward, cov)] = _grid_models(("S4",))
     draw, at_draw = montecarlo.sample_perturbations, []
 
     def drawing(*args, **kwargs):
@@ -509,7 +467,7 @@ def test_validity_scan_releases_each_block_before_the_next_draw(monkeypatch):
     monkeypatch.setattr(montecarlo, "sample_perturbations", drawing)
 
     def run():
-        validity_scan(forward, scenario, geometry, cov, amplitude_grid=(0.5, 1.0),
+        validity_scan(forward, cov, amplitude_grid=(0.5, 1.0),
                       sample_count=130, seed=5)
 
     run()  # first-call allocations
@@ -522,8 +480,7 @@ def test_validity_scan_releases_each_block_before_the_next_draw(monkeypatch):
 
 def test_validity_scan_monotone_and_recommending():
     geometry, scenario, forward, cov = _setup(sid="S4")
-    report = validity_scan(forward, scenario, geometry, cov,
-                           sample_count=50, seed=20260405)
+    report = validity_scan(forward, cov, sample_count=50, seed=20260405)
     assert report.recommended_s_mu == 4.0
     contrast = np.array(report.p95_contrast_error)
     snapshot = np.array(report.p95_snapshot_error)
@@ -539,8 +496,7 @@ def test_validity_scan_monotone_and_recommending():
 
 def test_validity_scan_with_tiny_threshold_recommends_nothing():
     geometry, scenario, forward, cov = _setup(sid="S4")
-    report = validity_scan(forward, scenario, geometry, cov,
-                           sample_count=20, threshold=1e-9, seed=1)
+    report = validity_scan(forward, cov, sample_count=20, threshold=1e-9, seed=1)
     assert report.recommended_s_mu is None
 
 
@@ -550,7 +506,7 @@ def test_snapshot_errors_of_tiny_and_of_zero_snapshots():
     # Zero kernels give zero snapshots, whose snapshot error is 0.
     geometry, scenario, forward, cov = _setup(sid="S4")
     reports = [validity_scan(dataclasses.replace(forward, kernels=forward.kernels * factor),
-                             scenario, geometry, cov, sample_count=20, seed=1)
+                             cov, sample_count=20, seed=1)
                for factor in (1.0, 2.0**-800, 0.0)]
     assert min(reports[0].p95_snapshot_error) > 0.0
     assert reports[1].p95_snapshot_error == reports[0].p95_snapshot_error
@@ -561,11 +517,11 @@ def test_snapshot_errors_of_tiny_and_of_zero_snapshots():
 def test_validity_scan_grid_validation():
     geometry, scenario, forward, cov = _setup()
     with pytest.raises(ConfigError):
-        validity_scan(forward, scenario, geometry, cov, amplitude_grid=())
+        validity_scan(forward, cov, amplitude_grid=())
     with pytest.raises(ConfigError):
-        validity_scan(forward, scenario, geometry, cov, amplitude_grid=(1.0, 0.5))
+        validity_scan(forward, cov, amplitude_grid=(1.0, 0.5))
     with pytest.raises(ConfigError):
-        validity_scan(forward, scenario, geometry, cov, amplitude_grid=(-1.0, 1.0))
+        validity_scan(forward, cov, amplitude_grid=(-1.0, 1.0))
 
 
 # Each call takes _setup()'s (geometry, scenario, forward, cov) and one bad value.
@@ -573,9 +529,9 @@ _NAMED_INPUTS = {
     "amplitude": lambda g, s, f, c, bad: build_covariance(
         s, g.cell_centers, 0.1, 0.3, np.ones(5), bad),
     "weights": lambda g, s, f, c, bad: build_param_factor(s, [1.0, 1.0, bad, 1.0, 1.0], 0.3),
-    "threshold": lambda g, s, f, c, bad: validity_scan(f, s, g, c, sample_count=2,
+    "threshold": lambda g, s, f, c, bad: validity_scan(f, c, sample_count=2,
                                                       threshold=bad),
-    "amplitude_grid": lambda g, s, f, c, bad: validity_scan(f, s, g, c, sample_count=2,
+    "amplitude_grid": lambda g, s, f, c, bad: validity_scan(f, c, sample_count=2,
                                                            amplitude_grid=(0.5, bad)),
     "target": lambda g, s, f, c, bad: steering_vector(g, s, (0.0, 0.0, bad)),
 }
@@ -596,7 +552,7 @@ def test_exact_mode_domain_violation_names_the_cell():
     tau_block = slice(2 * geometry.n_cells, 3 * geometry.n_cells)
     samples[0, tau_block] = -scenario.background.tau  # drives tau to zero
     with pytest.raises(DomainError, match="tau"):
-        snapshots_from_perturbations(forward, scenario, geometry, samples, "exact")
+        snapshots_from_perturbations(forward, samples, "exact")
 
 
 def test_exact_synthesis_is_invariant_to_the_chunk_budget(monkeypatch):
@@ -604,8 +560,8 @@ def test_exact_synthesis_is_invariant_to_the_chunk_budget(monkeypatch):
     samples = sample_perturbations(cov, 12, seed=8)
 
     def run():
-        snaps = snapshots_from_perturbations(forward, scenario, geometry, samples, "exact")
-        report = validity_scan(forward, scenario, geometry, cov, sample_count=12, seed=8)
+        snaps = snapshots_from_perturbations(forward, samples, "exact")
+        report = validity_scan(forward, cov, sample_count=12, seed=8)
         return snaps, report
 
     snaps, report = run()
@@ -631,16 +587,16 @@ def test_streamed_closure_covariances_match_the_full_snapshot_arrays(monkeypatch
     if block is not None:
         monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK_BYTES", block * 8 * cov.dim)
     samples = sample_perturbations(cov, 150, seed=11)
-    streamed = closure_covariances(forward, scenario, geometry, cov, 150, 11)
+    streamed = closure_covariances(forward, cov, 150, 11)
     for mode, rhat in zip(SNAPSHOT_MODES, streamed):
-        snapshots = snapshots_from_perturbations(forward, scenario, geometry, samples, mode)
+        snapshots = snapshots_from_perturbations(forward, samples, mode)
         full = sample_covariance(snapshots)
         assert np.array_equal(rhat, rhat.conj().T)
         assert np.linalg.norm(rhat - full) <= 1e-13 * np.linalg.norm(full)
 
 
 def _root_models(specs):
-    """One (forward, scenario, cov) per (id, corr_length, kernel) on a 4 x 3 grid;
+    """One (forward, cov) per (id, corr_length, kernel) on a 4 x 3 grid;
     models of one length and kernel share one spatial correlation."""
     geometry = build_default_geometry(GeometryConfig(n_tx=2, n_rx=2, n_x=4, n_z=3))
     models, correlations = [], {}
@@ -651,14 +607,12 @@ def _root_models(specs):
                 geometry.cell_centers, corr_length, kernel)
         cov = PerturbationCovariance(build_param_factor(scenario, np.ones(5), 0.3),
                                      correlations[corr_length, kernel], 1.0)
-        models.append((assemble_forward(scenario, geometry), scenario, cov))
+        models.append((assemble_forward(scenario, geometry), cov))
     return geometry, models
 
 
-def _solo_bytes(model, geometry, count, seed):
-    forward, scenario, cov = model
-    solo = closure_covariances(forward, scenario, geometry, cov, count, seed)
-    return [rhat.tobytes() for rhat in solo]
+def _solo_bytes(model, count, seed):
+    return [rhat.tobytes() for rhat in closure_covariances(*model, count, seed)]
 
 
 def test_shared_closure_mixes_one_spatial_root_once_per_block_and_equals_solo_runs(
@@ -669,8 +623,8 @@ def test_shared_closure_mixes_one_spatial_root_once_per_block_and_equals_solo_ru
     # bit.
     geometry, models = _root_models([(sid, 0.15, "squared_exponential")
                                      for sid in ("S1", "S4", "S_syn", "S2", "S3")])
-    forward, scenario, cov = models[3]
-    models[3] = (forward, scenario, cov.with_amplitude(2.0))
+    forward, cov = models[3]
+    models[3] = (forward, cov.with_amplitude(2.0))
     mix, mixed = SpatialCorrelation.mix, []
 
     def counting(spatial, normals):
@@ -678,11 +632,11 @@ def test_shared_closure_mixes_one_spatial_root_once_per_block_and_equals_solo_ru
         return mix(spatial, normals)
 
     monkeypatch.setattr(SpatialCorrelation, "mix", counting)
-    shared = shared_closure_covariances(models, geometry, 150, 6)
+    shared = shared_closure_covariances(models, 150, 6)
     monkeypatch.undo()
-    assert len(mixed) == 3 and all(spatial is models[0][2].spatial for spatial in mixed)
+    assert len(mixed) == 3 and all(spatial is models[0][1].spatial for spatial in mixed)
     for model, outcome in zip(models, shared):
-        assert [rhat.tobytes() for rhat in outcome] == _solo_bytes(model, geometry, 150, 6)
+        assert [rhat.tobytes() for rhat in outcome] == _solo_bytes(model, 150, 6)
 
 
 @pytest.mark.parametrize(("corr_length", "kernel"), [
@@ -697,17 +651,16 @@ def test_closure_refuses_a_model_of_another_spatial_factor_by_scenario(corr_leng
     geometry, models = _root_models([("S1", 0.15, "squared_exponential"),
                                      ("S4", corr_length, kernel),
                                      ("S_syn", 0.15, "squared_exponential")])
-    forward, scenario, cov = models[1]
-    if cov.spatial is models[0][2].spatial:
+    forward, cov = models[1]
+    if cov.spatial is models[0][1].spatial:
         copy = SpatialCorrelation(*cov.spatial.factors)
-        models[1] = (forward, scenario, PerturbationCovariance(cov.param_factor, copy, 1.0))
-    outcomes = shared_closure_covariances(models, geometry, 150, 5)
+        models[1] = (forward, PerturbationCovariance(cov.param_factor, copy, 1.0))
+    outcomes = shared_closure_covariances(models, 150, 5)
     assert isinstance(outcomes[1], ConfigError)
     assert str(outcomes[1]).startswith(
         "scenario S4: spatial correlation is not that of scenario S1")
     for index in (0, 2):
-        assert [rhat.tobytes() for rhat in outcomes[index]] == _solo_bytes(
-            models[index], geometry, 150, 5)
+        assert [rhat.tobytes() for rhat in outcomes[index]] == _solo_bytes(models[index], 150, 5)
 
 
 @pytest.mark.parametrize("factor", ["dense", "separable", "parameter"])
@@ -718,7 +671,7 @@ def test_a_factor_not_positive_definite_is_reported_before_any_draw(monkeypatch,
     # S_syn they drop out while S_syn gives the numbers of its own run.
     geometry, models = _root_models([(sid, 0.15, "squared_exponential")
                                      for sid in ("S1", "S4", "S_syn")])
-    c_x, c_z = models[0][2].spatial.factors
+    c_x, c_z = models[0][1].spatial.factors
     param = None
     if factor == "dense":
         good = build_spatial_factor(geometry.cell_centers, 0.15)
@@ -733,21 +686,21 @@ def test_a_factor_not_positive_definite_is_reported_before_any_draw(monkeypatch,
         message = "parameter factor is not positive definite: zero variance in channel(s) " \
             "'eps_inf'"
     for index in (0, 1):
-        forward, scenario, cov = models[index]
-        models[index] = (forward, scenario, PerturbationCovariance(
+        forward, cov = models[index]
+        models[index] = (forward, PerturbationCovariance(
             cov.param_factor if param is None else param, SpatialCorrelation(*factors), 1.0))
 
     def never(*args, **kwargs):
         raise AssertionError("drew samples")
 
     monkeypatch.setattr(montecarlo, "standard_normal_draws", never)
-    for outcome in shared_closure_covariances(models[:2], geometry, 150, 4):
+    for outcome in shared_closure_covariances(models[:2], 150, 4):
         assert isinstance(outcome, NonPositiveDefiniteError)
         assert str(outcome).startswith(message)
     monkeypatch.undo()
-    outcomes = shared_closure_covariances(models, geometry, 150, 4)
+    outcomes = shared_closure_covariances(models, 150, 4)
     assert all(isinstance(outcome, NonPositiveDefiniteError) for outcome in outcomes[:2])
-    assert [rhat.tobytes() for rhat in outcomes[2]] == _solo_bytes(models[2], geometry, 150, 4)
+    assert [rhat.tobytes() for rhat in outcomes[2]] == _solo_bytes(models[2], 150, 4)
 
 
 def test_one_spatial_root_runs_once_per_block_for_three_models(monkeypatch):
@@ -762,7 +715,7 @@ def test_one_spatial_root_runs_once_per_block_for_three_models(monkeypatch):
         return kron_rows(*args, **kwargs)
 
     monkeypatch.setattr(randfield, "_kron_rows", counting)
-    outcomes = shared_closure_covariances(models, geometry, 150, 2)
+    outcomes = shared_closure_covariances(models, 150, 2)
     assert calls == [5 * 64, 5 * 64, 5 * 22]
     assert all(isinstance(outcome, tuple) for outcome in outcomes)
 
@@ -776,42 +729,43 @@ def test_exact_chunks_are_balanced_in_order_and_capped(n_x, n_z, cap, block, spl
     # larger first, tiling 0..count-1 in order; a full block of samples
     # splits as `split`.
     geometry = build_default_geometry(GeometryConfig(n_x=n_x, n_z=n_z))
+    forward = assemble_forward(get_scenario("S1"), geometry)
     assert _chunk_rows(geometry) == cap
     for count in (1, cap - 1, cap, cap + 1, 64, 30):
-        chunks = list(montecarlo._exact_chunks(geometry, count))
+        chunks = list(montecarlo._exact_chunks(forward, count))
         sizes = [rows.stop - rows.start for rows in chunks]
         assert len(chunks) == math.ceil(count / cap)
         assert [rows.start for rows in chunks] == [0] + list(np.cumsum(sizes[:-1]))
         assert chunks[-1].stop == count and all(rows.step is None for rows in chunks)
         assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
         assert sizes == sorted(sizes, reverse=True)
-    assert list(montecarlo._exact_chunks(geometry, 0)) == []
-    assert [rows.stop - rows.start for rows in montecarlo._exact_chunks(geometry, block)] == split
+    assert list(montecarlo._exact_chunks(forward, 0)) == []
+    assert [rows.stop - rows.start for rows in montecarlo._exact_chunks(forward, block)] == split
 
 
 def test_zero_samples_give_empty_snapshots_in_both_modes():
     geometry, scenario, forward, _ = _setup(sid="S4", n_x=4, n_z=3)
     samples = np.empty((0, forward.shape[1]))
     for mode in SNAPSHOT_MODES:
-        snapshots = snapshots_from_perturbations(forward, scenario, geometry, samples, mode)
+        snapshots = snapshots_from_perturbations(forward, samples, mode)
         assert snapshots.shape == (0, forward.shape[0])
         assert snapshots.dtype == complex
 
 
-def _validity_reference(forward, scenario, geometry, cov, grid, count, seed):
+def _validity_reference(forward, cov, grid, count, seed):
     """p95 contrast and snapshot errors from full (L, 5P) and (L, N, P) arrays."""
     base = sample_perturbations(cov.with_amplitude(1.0), count, seed)
-    per_channel = base.reshape(count, 5, geometry.n_cells)
-    omegas = 2.0 * np.pi * geometry.frequencies
+    per_channel = base.reshape(count, 5, forward.n_cells)
+    omegas = 2.0 * np.pi * forward.geometry.frequencies
     linear = np.matmul(forward.sensitivities.T, per_channel)
-    y_lin = snapshots_from_perturbations(forward, scenario, geometry, base, "linear")
+    y_lin = snapshots_from_perturbations(forward, base, "linear")
     p95_contrast, p95_snapshot = [], []
     for s in grid:
         delta = (s * per_channel).transpose(1, 0, 2)[:, :, None, :]
-        exact = exact_contrast_field(scenario.background, delta, omegas[:, None])
+        exact = exact_contrast_field(forward.scenario.background, delta, omegas[:, None])
         err = np.abs(exact - s * linear) / np.maximum(np.abs(exact), DENOMINATOR_FLOOR)
         p95_contrast.append(nearest_rank_percentile(err, 0.95))
-        y_exact = snapshots_from_perturbations(forward, scenario, geometry, s * base, "exact")
+        y_exact = snapshots_from_perturbations(forward, s * base, "exact")
         rel = np.linalg.norm(y_exact - s * y_lin, axis=1) / np.maximum(
             np.linalg.norm(y_exact, axis=1), DENOMINATOR_FLOOR)
         p95_snapshot.append(nearest_rank_percentile(rel, 0.95))
@@ -821,9 +775,8 @@ def _validity_reference(forward, scenario, geometry, cov, grid, count, seed):
 @pytest.mark.parametrize("sid", ["S1", "S4"])
 def test_streamed_validity_scan_matches_a_full_array_reference(sid):
     geometry, scenario, forward, cov = _setup(sid=sid, n_x=4, n_z=3)
-    report = validity_scan(forward, scenario, geometry, cov, sample_count=150, seed=4)
-    contrast, snapshot = _validity_reference(
-        forward, scenario, geometry, cov, report.amplitude_grid, 150, 4)
+    report = validity_scan(forward, cov, sample_count=150, seed=4)
+    contrast, snapshot = _validity_reference(forward, cov, report.amplitude_grid, 150, 4)
     assert np.allclose(report.p95_contrast_error, contrast, rtol=1e-12, atol=0.0)
     # Snapshot errors divide differences of nearly equal snapshots (see the
     # chunk-budget test): bound them absolutely.
@@ -840,7 +793,7 @@ def test_frequency_outer_exact_contrast_is_the_sample_outer_one_transposed(sid):
     per_channel = samples.reshape(7, 5, geometry.n_cells).transpose(1, 0, 2)
     omegas = 2.0 * np.pi * geometry.frequencies
     scales = (1.0, 4.0)
-    walk = montecarlo._exact_walk(forward, scenario, geometry, samples, scales, start=0)
+    walk = montecarlo._exact_walk(forward, samples, scales, start=0)
     for k, (rows, index, outer, _) in enumerate(walk):
         assert (rows, index) == (slice(0, 7), k)
         inner = exact_contrast_field(scenario.background, scales[k] * per_channel[:, :, None],
@@ -864,7 +817,7 @@ def test_tau_floor_hit_in_the_frequency_outer_layout_keeps_its_ensemble_index():
         exact_contrast_field(scenario.background, per_channel[:, :, None], omegas[:, None])
     assert sample_outer.value.index == (4, 0, 9)
     with pytest.raises(TauFloorError) as named:
-        next(montecarlo._exact_walk(forward, scenario, geometry, samples, (1.0,), start=30))
+        next(montecarlo._exact_walk(forward, samples, (1.0,), start=30))
     assert named.value.__cause__.index == (0, 4, 9)
     assert named.value.index == (34, 0, 9)
     assert str(named.value).startswith("samples 30..35: perturbed tau at index (34, 0, 9)")
@@ -883,7 +836,7 @@ def test_overflow_in_the_frequency_outer_layout_keeps_its_ensemble_index():
         exact_contrast_field(scenario.background, per_channel[:, :, None], omegas[:, None])
     assert sample_outer.value.index == (4, 1, 9)
     with pytest.raises(NonFiniteError) as named:
-        next(montecarlo._exact_walk(forward, scenario, geometry, samples, (1.0,), start=30))
+        next(montecarlo._exact_walk(forward, samples, (1.0,), start=30))
     assert named.value.__cause__.index == (1, 4, 9)
     assert (named.value.index, named.value.parameter) == ((34, 1, 9), "alpha")
     assert str(named.value) == (
@@ -892,7 +845,7 @@ def test_overflow_in_the_frequency_outer_layout_keeps_its_ensemble_index():
     finite = samples.copy()
     finite[4, 3 * geometry.n_cells + 9] = -200.0  # power 201: finite at both frequencies
     rows, _, contrast, _ = next(
-        montecarlo._exact_walk(forward, scenario, geometry, finite, (1.0,), start=30))
+        montecarlo._exact_walk(forward, finite, (1.0,), start=30))
     assert rows == slice(0, 6) and np.all(np.isfinite(contrast))
 
 
@@ -903,7 +856,7 @@ def test_exact_walk_never_overwrites_the_snapshots_it_handed_out():
     geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
     samples = sample_perturbations(cov, 7, 5)
     scales = (0.5, 2.0)
-    walk = montecarlo._exact_walk(forward, scenario, geometry, samples, scales, start=0)
+    walk = montecarlo._exact_walk(forward, samples, scales, start=0)
     rows, k, _, first = next(walk)
     assert (rows, k) == (slice(0, 7), 0)
     kept = first.copy()
@@ -911,7 +864,7 @@ def test_exact_walk_never_overwrites_the_snapshots_it_handed_out():
     assert (rows, k) == (slice(0, 7), 1)
     assert np.array_equal(first.view(np.uint64), kept.view(np.uint64))
     assert not np.array_equal(second, first)
-    expected = snapshots_from_perturbations(forward, scenario, geometry, scales[0] * samples,
+    expected = snapshots_from_perturbations(forward, scales[0] * samples,
                                             "exact")
     assert np.array_equal(first.view(np.uint64), expected.view(np.uint64))
 
@@ -958,9 +911,9 @@ def test_tau_floor_error_names_the_ensemble_sample(
     geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
     _tau_floor_hit(monkeypatch, scenario, geometry, sample, 9)
     with pytest.raises(TauFloorError) as closure_error:
-        closure_covariances(forward, scenario, geometry, cov, count, 3)
+        closure_covariances(forward, cov, count, 3)
     with pytest.raises(TauFloorError) as scan_error:
-        validity_scan(forward, scenario, geometry, cov, amplitude_grid=(1.0,),
+        validity_scan(forward, cov, amplitude_grid=(1.0,),
                       sample_count=count, seed=3)
     for error, rows in ((closure_error.value, closure_rows), (scan_error.value, scan_rows)):
         assert error.index == (sample, 0, 9)

@@ -1,6 +1,7 @@
 """Kronecker covariance factors, factored sampling, convergence."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from gprclutter import (
 )
 from gprclutter import randfield
 from gprclutter.errors import ConfigError, NonPositiveDefiniteError
-from gprclutter.harness.experiments import clear_memos
 from gprclutter.randfield import (
     SPATIAL_KERNELS,
     SPATIAL_NUGGET,
@@ -29,6 +29,7 @@ from gprclutter.randfield import (
     standard_normal_draws,
 )
 from gprclutter.scene import Scenario
+from conftest import clear_memos
 from oracles import (
     dense_spatial_factor,
     materialize_full,
@@ -163,6 +164,15 @@ def test_asymmetric_factors_rejected():
     spatial[3, 140] += 1e-6
     with pytest.raises(ConfigError, match=r"spatial factors\[0\] must be symmetric"):
         SpatialCorrelation(spatial)
+
+
+@pytest.mark.parametrize("factor", [np.zeros((0, 0)), np.zeros((2, 3)), np.ones(3)],
+                         ids=["empty", "oblong", "one-dimensional"])
+def test_spatial_factor_must_be_square_with_at_least_one_row(factor):
+    # An empty factor once escaped as numpy's zero-size reduction ValueError.
+    with pytest.raises(ConfigError, match=r"^spatial factors\[0\] must be square with at least "
+                                          rf"one row, got {re.escape(str(factor.shape))}$"):
+        SpatialCorrelation(factor)
 
 
 def test_corr_length_must_be_positive():

@@ -191,7 +191,7 @@ def test_default_geometry_never_forms_the_dense_spatial_factor(
     runs = (
         lambda: clutter_covariance(forward, cov),
         lambda: sample_perturbations(cov, 3, seed=0),
-        lambda: validity_scan(forward, scenario, geometry, cov, amplitude_grid=(0.5, 1.0),
+        lambda: validity_scan(forward, cov, amplitude_grid=(0.5, 1.0),
                               sample_count=3, seed=0),
     )
     for run in runs:
