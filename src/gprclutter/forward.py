@@ -78,8 +78,7 @@ def born_kernel_tensor(background: ColeColeParams, geometry: SceneGeometry) -> n
 
     Entry (n, m, p) is g(rx_m, cell_p; omega_n) * g(cell_p, tx_n; omega_n)
     * cell volume: the Born integrand of channel (m, n) at cell p with the
-    contrast factored out. Shared by forward assembly and the exact-contrast
-    snapshot synthesizer so both use identical kernels and discretization.
+    contrast factored out.
     """
     table = geometry.cell_distances()
     k = background_wavenumber(background, 2.0 * np.pi * geometry.frequencies)

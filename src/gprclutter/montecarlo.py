@@ -26,15 +26,16 @@ frequency's contiguous (L, P) slice by its transmit's kernels.
 
 Exact contrast has one path, :func:`_exact_walk`, for exact synthesis and
 the validity scan alike. It evaluates the samples in chunks of at most
-EXACT_CHUNK_VALUES values (:func:`_exact_chunks`), each at every scale it
-is given, forms each Born sum in an array of its own and hands contrast
-and snapshots on in ensemble order; exact synthesis copies each chunk's
-snapshots into its rows.
+EXACT_CHUNK_VALUES values, each at every scale it is given, forms each
+Born sum in an array of its own and hands contrast and snapshots on in
+ensemble order; exact synthesis copies each chunk's snapshots into its
+rows.
 
 Memory does not grow with the sample count times 5P. Both Monte Carlo
-passes draw, synthesize and reduce the samples in the blocks of
-:func:`_block_starts`, at most SAMPLE_BLOCK samples and SAMPLE_BLOCK_BYTES
-bytes of samples. Each array is released before its successor is
+passes draw, synthesize and reduce the samples in blocks of at most
+SAMPLE_BLOCK samples and SAMPLE_BLOCK_BYTES bytes of samples. Blocks and
+chunks alike are the balanced :func:`row_slices` under their cap, in
+order, the larger first. Each array is released before its successor is
 allocated: a scenario's samples and snapshots before the next scenario
 mixes the block (a dropped scenario's kept error included), the block's
 normals, or the scan's base samples and snapshots, before the next draw,
@@ -78,6 +79,7 @@ from .randfield import (
     EXACT_CHUNK_VALUES,
     PerturbationCovariance,
     _parameter_mix,
+    row_slices,
     sample_perturbations,
     standard_normal_draws,
 )
@@ -95,8 +97,8 @@ DEFAULT_VALIDITY_THRESHOLD = 0.05
 SAMPLE_BLOCK = 64
 
 #: Bytes of float samples per block, at most (at least one sample). A block
-#: of 5P-entry samples holds min(SAMPLE_BLOCK, SAMPLE_BLOCK_BYTES // (8 * 5P))
-#: samples: 64 at P=525, 30 at P=1728, 1 at P=32000. The sampler holds the
+#: of 5P-entry samples holds at most min(SAMPLE_BLOCK, SAMPLE_BLOCK_BYTES //
+#: (8 * 5P)) samples: 64 at P=525, 30 at P=1728, 1 at P=32000. The sampler holds the
 #: normals and the mixed rows of one block, and one row group of the
 #: spatial mix.
 SAMPLE_BLOCK_BYTES = 2 * 2**20
@@ -224,28 +226,6 @@ def _linear_contrast(forward: ForwardMatrix, samples: np.ndarray) -> np.ndarray:
     return contrast
 
 
-def _exact_chunks(forward: ForwardMatrix, count: int):
-    """Row slices of ``count`` samples, in order, one exact-contrast chunk each.
-
-    A chunk's (N, rows, P) contrast holds at most EXACT_CHUNK_VALUES values
-    unless one sample alone exceeds that: there are ceil(count / cap)
-    chunks for a cap of that many rows, at least one, and their sizes
-    differ by at most one, the larger first. 64 samples at P = 525 give 13,
-    13, 13, 13 and 12 rows rather than a ragged 4-row tail, the chunk that
-    costs most per value. No samples give no chunk.
-    """
-    if count == 0:
-        return
-    cap = max(1, EXACT_CHUNK_VALUES // (forward.n_tx * forward.n_cells))
-    chunks = -(-count // cap)
-    size, larger = divmod(count, chunks)
-    row = 0
-    for chunk in range(chunks):
-        rows = size + (chunk < larger)
-        yield slice(row, row + rows)
-        row += rows
-
-
 def _contrast_errors(exact: np.ndarray, linear: np.ndarray, scale: float) -> np.ndarray:
     """|exact - scale * linear| / max(|exact|, DENOMINATOR_FLOOR); overwrites ``exact``.
 
@@ -263,9 +243,10 @@ def _exact_walk(forward: ForwardMatrix, samples: np.ndarray, scales: tuple[float
                 start: int):
     """Exact contrast and Born snapshots of each ``scale * samples``, chunk by chunk.
 
-    For each chunk of :func:`_exact_chunks` in order, and each scale in
-    order, yields (rows, k, contrast, snapshots): the (N, rows, P) exact
-    contrast of ``scales[k] * samples[rows]`` and its (rows, M N) Born sum.
+    For each chunk of :func:`row_slices` (at most EXACT_CHUNK_VALUES values
+    of contrast) in order, and each scale in order, yields (rows, k,
+    contrast, snapshots): the (N, rows, P) exact contrast of
+    ``scales[k] * samples[rows]`` and its (rows, M N) Born sum.
     Each (chunk, scale) gets a contrast and snapshots of its own, which the
     walk never writes again, and consumers see the chunks in ensemble
     order. The walk drops both once handed on, so a consumer that drops
@@ -278,7 +259,7 @@ def _exact_walk(forward: ForwardMatrix, samples: np.ndarray, scales: tuple[float
     # reads the contiguous (rows, P) slice contrast[n] and writes the
     # columns of transmit n in place.
     kernels = forward.kernels.reshape(forward.n_tx, forward.n_rx, -1).transpose(0, 2, 1)
-    for rows in _exact_chunks(forward, samples.shape[0]):
+    for rows in row_slices(len(samples), EXACT_CHUNK_VALUES // (forward.n_tx * forward.n_cells)):
         # (5, 1, rows, P) against (N, 1, 1): see the module docstring.
         unit = samples[rows].reshape(-1, N_PARAMS, forward.n_cells).transpose(1, 0, 2)[:, None]
         for k, scale in enumerate(scales):
@@ -345,18 +326,6 @@ def sample_covariance(snapshots: np.ndarray) -> np.ndarray:
     return _hermitian_mean(snapshots.T @ snapshots.conj(), snapshots.shape[0])
 
 
-def _block_starts(dim: int, count: int):
-    """Yield (start, size) for consecutive blocks of samples 0..count-1.
-
-    Every block holds the same number of dim-entry samples, the last one at
-    most that: SAMPLE_BLOCK, or fewer where their bytes would exceed
-    SAMPLE_BLOCK_BYTES.
-    """
-    size = min(SAMPLE_BLOCK, max(1, SAMPLE_BLOCK_BYTES // (8 * dim)))
-    for start in range(0, count, size):
-        yield start, min(size, count - start)
-
-
 def _hermitian_mean(total: np.ndarray, count: int) -> np.ndarray:
     """The Hermitian part of total / count, for a sum of count outer products."""
     matrix = total / count
@@ -375,7 +344,7 @@ def shared_closure_covariances(
     draw each model's dimension and parameter factor are checked, the first
     passing model's spatial root too, and every later model must hold that
     same instance.
-    The standard normals of each block of :func:`_block_starts` are drawn
+    The standard normals of each block of :func:`row_slices` are drawn
     once and mixed once by that root; each model applies its parameter
     factor, synthesizes the samples in both modes and adds their y y^H into
     one MN x MN sum per mode. A model's sums equal those of
@@ -412,14 +381,15 @@ def shared_closure_covariances(
     if not sums:
         return outcomes
     dim = N_PARAMS * correlation.n_cells
-    for start, size in _block_starts(dim, count):
+    for block in row_slices(count, min(SAMPLE_BLOCK, SAMPLE_BLOCK_BYTES // (8 * dim))):
         if not sums:
             break
         # No name keeps the normals: a dense root's GEMM frees them.
-        spatial = correlation.mix(standard_normal_draws(dim, size, seed, start=start))
+        spatial = correlation.mix(standard_normal_draws(
+            dim, block.stop - block.start, seed, start=block.start))
         for index in list(sums):
             try:
-                _add_outer_products(models[index], spatial, start, sums[index])
+                _add_outer_products(models[index], spatial, block.start, sums[index])
             except DomainError as exc:
                 outcomes[index] = _without_locals(exc)
                 del sums[index]
@@ -545,8 +515,9 @@ def validity_scan(
     selectors = [NearestRankSelector(sample_count * forward.n_tx * forward.n_cells, 0.95)
                  for _ in grid]
     snapshot_errors = np.zeros((len(grid), sample_count))
-    for start, size in _block_starts(unit.dim, sample_count):
-        base = sample_perturbations(unit, size, seed, start=start)
+    for block in row_slices(sample_count, min(SAMPLE_BLOCK, SAMPLE_BLOCK_BYTES // (8 * unit.dim))):
+        start = block.start
+        base = sample_perturbations(unit, block.stop - start, seed, start=start)
         # The linear snapshot is homogeneous in the amplitude: synthesize it once.
         y_lin = snapshots_from_perturbations(forward, base, "linear")
         for rows, k, contrast, y in _exact_walk(forward, base, grid, start=start):

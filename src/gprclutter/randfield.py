@@ -65,6 +65,20 @@ SPATIAL_KERNELS = ("squared_exponential", "exponential")
 EXACT_CHUNK_VALUES = 2**16
 
 
+def row_slices(count: int, cap: int) -> list[slice]:
+    """Slices of rows 0..count-1, in order, each of at most ``cap`` rows (at least one).
+
+    There are ceil(count / cap) slices, none for no rows, and their sizes
+    differ by at most one, the larger first: 64 rows at a cap of 15 give
+    13, 13, 13, 13 and 12 rather than a ragged 4-row tail, the piece that
+    costs most per value. Every streamed split of the chain goes through it.
+    """
+    pieces = -(-count // max(1, cap))
+    size, larger = divmod(count, max(1, pieces))
+    starts = [k * size + min(k, larger) for k in range(pieces + 1)]
+    return [slice(first, stop) for first, stop in zip(starts, starts[1:])]
+
+
 def build_spatial_factor(
     cell_centers: np.ndarray, corr_length: float, kernel: str = "squared_exponential"
 ) -> np.ndarray:
@@ -136,20 +150,17 @@ def _kron_rows(block: np.ndarray, a: np.ndarray, b: np.ndarray, out=None) -> np.
     Row r, read as the n_x x n_z matrix Y, maps to a Y b^T. Per group of
     rows, b acts on the trailing axis as one GEMM of the (group * n_x, n_z)
     reshape, then a acts on the middle axis of the (group, n_x, n_z)
-    product. kron(a, b) is never formed. Groups hold at most
-    EXACT_CHUNK_VALUES values, so the intermediate holds one group, not the
-    block. ``out`` may be ``block`` itself: each group is consumed by its
-    first product before it is overwritten. With OpenBLAS the grouped
-    products carry the one-shot product's bits.
+    product. kron(a, b) is never formed. Groups are the :func:`row_slices`
+    of at most EXACT_CHUNK_VALUES values, so the intermediate holds one
+    group, not the block. ``out`` may be ``block`` itself: each group is
+    consumed by its first product before it is overwritten. With OpenBLAS
+    the grouped products carry the one-shot product's bits.
     """
-    rows = block.shape[0]
     n_x, n_z = a.shape[0], b.shape[0]
     if out is None:
         out = np.empty(block.shape)
-    step = max(1, EXACT_CHUNK_VALUES // (n_x * n_z))
-    target = out.reshape(rows, n_x, n_z)
-    for first in range(0, rows, step):
-        group = slice(first, first + step)
+    target = out.reshape(-1, n_x, n_z)
+    for group in row_slices(block.shape[0], EXACT_CHUNK_VALUES // (n_x * n_z)):
         inner = block[group].reshape(-1, n_z) @ b.T
         np.matmul(a, inner.reshape(-1, n_x, n_z), out=target[group])
         del inner  # freed before the next group's product
@@ -285,9 +296,8 @@ def _frozen_factor(name: str, value) -> np.ndarray:
     if not np.isfinite(scale):
         raise ConfigError(f"{name} has non-finite entries")
     # Symmetry is checked in row blocks of EXACT_CHUNK_VALUES values: no P x P temporary.
-    step = max(1, EXACT_CHUNK_VALUES // value.shape[0])
-    for first in range(0, value.shape[0], step):
-        deviation = value[first:first + step] - value[:, first:first + step].T
+    for rows in row_slices(value.shape[0], EXACT_CHUNK_VALUES // value.shape[0]):
+        deviation = value[rows] - value[:, rows].T
         if np.abs(deviation, out=deviation).max() > 1e-12 * max(1.0, scale):
             raise ConfigError(f"{name} must be symmetric")
     value.flags.writeable = False

@@ -297,6 +297,14 @@ class SceneGeometry:
     grid_dims: tuple[int, int]
 
     def __post_init__(self):
+        for name, rows in (("tx_positions", "N"), ("rx_positions", "M")):
+            shape = np.shape(getattr(self, name))
+            if len(shape) != 2 or shape[1] != 3:
+                raise ConfigError(f"{name} must have shape ({rows}, 3), got {shape}")
+        n_tx = len(self.tx_positions)
+        if np.shape(self.frequencies) != (n_tx,):
+            raise ConfigError(f"frequencies must have shape ({n_tx},), one per transmitter, "
+                              f"got {np.shape(self.frequencies)}")
         for name in ("tx_positions", "rx_positions", "frequencies", "cell_centers"):
             value = np.asarray(getattr(self, name), dtype=float).copy()
             if not np.all(np.isfinite(value)):

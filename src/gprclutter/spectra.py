@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError, UndefinedSpectrumError
 from .forward import ForwardMatrix, SteeringVector
-from .randfield import PerturbationCovariance
+from .randfield import PerturbationCovariance, row_slices
 
 #: Hermitian deviation tolerated, relative to the largest entry magnitude.
 HERMITIAN_RTOL = 1e-12
@@ -127,8 +127,9 @@ def kernel_gram(forward: ForwardMatrix, cov: PerturbationCovariance) -> np.ndarr
     Gram serves every such setting over one spatial factor. It is formed in
     tiles over GRAM_ROW_BLOCKS blocks of K's rows: block i of K C times the
     conjugate transpose of block j, so no (M N, P) copy of K is made.
-    Nonzero kernels whose Gram underflows to zero are an
-    UndefinedSpectrumError that names the underflow.
+    Nonzero kernels whose Gram underflows to zero, and a Gram beyond the
+    float range, are an UndefinedSpectrumError that names the underflow or
+    the overflow.
     """
     if forward.n_cells != cov.spatial.n_cells:
         raise ConfigError(
@@ -136,14 +137,19 @@ def kernel_gram(forward: ForwardMatrix, cov: PerturbationCovariance) -> np.ndarr
         )
     kernels = forward.kernels
     n_rows = kernels.shape[0]
-    step = -(-n_rows // GRAM_ROW_BLOCKS)
-    blocks = [slice(start, start + step) for start in range(0, n_rows, step)]
+    blocks = row_slices(n_rows, -(-n_rows // GRAM_ROW_BLOCKS))
     gram = np.empty((n_rows, n_rows), dtype=complex)
-    for i in blocks:
-        weighted = _kernel_product(cov.spatial.product, kernels[i])
-        for j in blocks:
-            np.matmul(weighted, kernels[j].conj().T, out=gram[i, j])
-        del weighted  # the next row block's product is formed without this one
+    # The kernels are finite (assemble_forward), so a non-finite Gram overflowed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in blocks:
+            weighted = _kernel_product(cov.spatial.product, kernels[i])
+            for j in blocks:
+                np.matmul(weighted, kernels[j].conj().T, out=gram[i, j])
+            del weighted  # the next row block's product is formed without this one
+    if not np.isfinite(gram).all():
+        raise UndefinedSpectrumError(
+            "covariance overflows: the kernel Gram exceeds the float range, "
+            f"with a largest kernel magnitude of {float(np.abs(kernels).max())!r}")
     if not gram.any() and kernels.any():
         raise UndefinedSpectrumError(
             "covariance underflows to zero: the kernel Gram is below the float range, "
@@ -157,12 +163,18 @@ def weighted_gram(
     """s^2 gram o W, Hermitian-symmetrized, for a :func:`kernel_gram` of ``forward``.
 
     W[i, j] = sum_{q,q'} psi_q(row i) B[q,q'] psi_q'(row j)^* with B the
-    parameter factor. ``gram`` is read, not changed.
+    parameter factor. ``gram`` is read, not changed. A product beyond the
+    float range is an UndefinedSpectrumError that names the amplitude.
     """
     psi = forward.row_sensitivities()                       # (5, MN)
-    matrix = gram * (psi.T @ param_factor @ psi.conj())
-    matrix *= amplitude**2
-    matrix = 0.5 * (matrix + matrix.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = gram * (psi.T @ param_factor @ psi.conj())
+        matrix *= np.float64(amplitude)**2  # inf where a float's square raises OverflowError
+        matrix = 0.5 * (matrix + matrix.conj().T)
+    if not np.isfinite(matrix).all():
+        raise UndefinedSpectrumError(
+            "covariance overflows: the weighted kernel Gram times the amplitude squared "
+            f"exceeds the float range, at amplitude {amplitude!r}")
     return ClutterCovariance(matrix=matrix, provenance="theoretical")
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -589,6 +590,44 @@ def test_a_covariance_that_underflows_is_refused_as_underflow(tmp_path):
     assert {row["scenario"] for row in rows} == {"S1", "S2", "S3", "S_syn", "S_balance"}
 
 
+COVARIANCE_COMMANDS = ("scan-fda", "closure", "scan-lx", "scan-coupling", "scan-targets",
+                       "boundary-scale", "boundary-noise")
+
+
+@pytest.mark.parametrize(("reproducer", "clean", "message"), [
+    ("amplitude_overflow.yaml", ("scan-validity",),
+     "covariance overflows: the weighted kernel Gram times the amplitude squared exceeds "
+     "the float range, at amplitude 1e+160"),
+    ("gram_overflow.yaml", ("check-derivatives", "scan-validity", "kernel-diff"),
+     "covariance overflows: the kernel Gram exceeds the float range, "
+     "with a largest kernel magnitude of 2."),
+], ids=["amplitude", "kernel-gram"])
+def test_a_covariance_beyond_the_float_range_is_refused_as_overflow(
+        tmp_path, reproducer, clean, message):
+    # The two float-range reproducers. The amplitude's square once escaped
+    # as a bare OverflowError (exit 1). The Gram's overflow escaped as a
+    # RuntimeWarning under warnings as errors (exit 1), and otherwise read
+    # "theoretical covariance has non-finite entries". Every experiment that
+    # forms a theoretical covariance now records the overflow by name and
+    # exits 2, with no warning; the others, which form none, still exit 0.
+    config_path = os.path.join(os.path.dirname(__file__), reproducer)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        for command in COVARIANCE_COMMANDS + clean:
+            out = tmp_path / command
+            code = main(["--config", config_path, "--out", str(out), command])
+            errors = {}
+            for path in out.glob("*_errors.json"):
+                errors.update(json.loads(path.read_text()))
+            if command in clean:
+                assert (code, errors) == (0, {}), command
+            else:
+                assert code == 2 and errors, command
+                assert all(m.startswith(message) for m in errors.values()), errors
+    assert caught == []
+
+
 def test_boundary_subcommands(tmp_path):
     out = str(tmp_path / "results")
     assert main(["--out", out, "boundary-scale"]) == 0
@@ -676,16 +715,16 @@ def test_closure_with_one_sample_exits_2_and_is_recorded(tmp_path):
 
 
 @pytest.mark.parametrize(("channel", "value", "message"), [
-    (2, -1e-12, "perturbed tau at index (65, 0, 2)"),
+    (2, -1e-12, "perturbed tau at index (51, 0, 2)"),
     # S1's omega tau is about 6e-4: (omega tau)^(1 - 400) overflows at every frequency.
-    (3, 400.0, "exact contrast overflow at omega=628318530.7179586, index (65, 0, 2); "
+    (3, 400.0, "exact contrast overflow at omega=628318530.7179586, index (51, 0, 2); "
                "offending parameter 'alpha'"),
 ], ids=["tau_floor", "overflow"])
 def test_closure_failure_in_a_later_block_drops_only_its_scenario(
     tmp_path, monkeypatch, channel, value, message
 ):
-    # S1 and S4 share one streamed draw of 150 samples in blocks of 64. S1's
-    # exact contrast fails in its second block, at the tau floor or by
+    # S1 and S4 share one streamed draw of 150 samples in ceil(150 / 64) = 3
+    # balanced blocks of 50. S1's exact contrast fails in its second block, at the tau floor or by
     # overflow: its error keeps the ensemble numbering, and S4's row and
     # matrices are those of a run without S1.
     config_path = tmp_path / "two.yaml"
@@ -714,10 +753,10 @@ def test_closure_failure_in_a_later_block_drops_only_its_scenario(
     out = str(tmp_path / "shared")
     assert main(["--config", str(config_path), "--out", out,
                  "closure", "--dump-matrices"]) == 2
-    assert chunks == [64, 64]
+    assert chunks == [50, 50]
     errors = json.loads(open(os.path.join(out, "closure_errors.json")).read())
     assert list(errors) == ["S1"]
-    assert errors["S1"].startswith(f"samples 64..127: {message}")
+    assert errors["S1"].startswith(f"samples 50..99: {message}")
     rows = json.loads(open(os.path.join(out, "closure.json")).read())["rows"]
     assert rows == json.loads(open(os.path.join(solo, "closure.json")).read())["rows"]
     matrices = sorted(name for name in os.listdir(out) if name.endswith(".cmat"))

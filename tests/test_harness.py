@@ -250,13 +250,15 @@ def test_closure_run_reports_small_discrepancies():
 
 
 @pytest.mark.parametrize("block, tiles", [
-    (None, [(0, 64), (64, 64), (128, 22)]),
-    (40, [(0, 40), (40, 40), (80, 40), (120, 30)]),
+    (None, [(0, 50), (50, 50), (100, 50)]),
+    (40, [(0, 38), (38, 38), (76, 37), (113, 37)]),
 ], ids=["default-budget", "binding-budget"])
 def test_closure_draws_each_sample_once_per_run(monkeypatch, block, tiles):
     # The linear and exact ensembles of every scenario share one draw per
-    # run, streamed in blocks of SAMPLE_BLOCK samples, or fewer under a
-    # binding byte budget, that cover 0..L-1 exactly once.
+    # run, streamed in balanced blocks of at most SAMPLE_BLOCK samples, or
+    # fewer under a binding byte budget, that cover 0..L-1 exactly once:
+    # L = 150 is ceil(150 / 64) = 3 blocks of 50, or ceil(150 / 40) = 4
+    # blocks of 38, 38, 37 and 37.
     ranges = []
     original = randfield.standard_normal_draws
 

@@ -45,6 +45,7 @@ from gprclutter.randfield import (
     build_covariance,
     build_param_factor,
     build_spatial_factor,
+    row_slices,
     sample_perturbations,
     spatial_correlation,
 )
@@ -378,16 +379,17 @@ def _traced_peak(run):
 
 @pytest.mark.parametrize("s4_amplitude", [1.0, 1e4], ids=["both-run", "s4-dropped"])
 def test_closure_holds_one_block_and_one_chunk_at_a_time(monkeypatch, s4_amplitude):
-    # P = 432 cells: 64-sample blocks of 1.05 MiB and 18-sample exact chunks
-    # of 0.95 MiB of complex contrast. At its peak closure holds the block's
-    # normals and one model's samples (two blocks) and, evaluating one
-    # chunk, the contrast being written and the kernel's real and imaginary
-    # parts (two chunks), plus the chunk's perturbed states, snapshots and
-    # the MN x MN sums: less than a third chunk. A model's samples alive
-    # while the next one mixes, the previous chunk's contrast, a fifth
-    # chunk-sized kernel temporary or a scaled copy of unit-scale
-    # perturbations each exceed that. When a later block is drawn nothing
-    # of the one before is alive: less than one mode's snapshots of it. That
+    # P = 432 cells: 130 samples in ceil(130 / 64) = 3 balanced blocks of
+    # 44, 43 and 43 samples, the first of 0.73 MiB, and exact chunks of at
+    # most 18 samples, 0.95 MiB of complex contrast. At its peak closure
+    # holds the block's normals and one model's samples (two blocks) and,
+    # evaluating one chunk, the contrast being written and the kernel's real
+    # and imaginary parts (two chunks), plus the chunk's perturbed states,
+    # snapshots and the MN x MN sums: less than a third chunk. A model's
+    # samples alive while the next one mixes, the previous chunk's contrast,
+    # a fifth chunk-sized kernel temporary or a scaled copy of unit-scale
+    # perturbations each exceed that. When a later block is drawn nothing of
+    # the one before is alive: less than one mode's snapshots of it. That
     # holds too when S4, at a tau-floor amplitude, drops out in the first
     # block: its kept error pins none of its arrays.
     geometry, models = _grid_models(("S_syn", "S4"), (1.0, s4_amplitude))
@@ -405,7 +407,7 @@ def test_closure_holds_one_block_and_one_chunk_at_a_time(monkeypatch, s4_amplitu
         lambda: outcomes.extend(shared_closure_covariances(models, 130, 3)))
     assert isinstance(outcomes[1], TauFloorError) == (s4_amplitude > 1.0)
     dim = models[0][1].dim
-    size = next(montecarlo._block_starts(dim, 130))[1]
+    size = 44
     block = 8 * dim * size
     chunk = 16 * _chunk_rows(geometry) * geometry.frequencies.size * geometry.n_cells
     assert peak < 2 * block + 3 * chunk
@@ -581,8 +583,8 @@ def test_exact_synthesis_is_invariant_to_the_chunk_budget(monkeypatch):
 
 @pytest.mark.parametrize("block", [None, 10], ids=["default-budget", "binding-budget"])
 def test_streamed_closure_covariances_match_the_full_snapshot_arrays(monkeypatch, block):
-    # L = 150 streams as blocks of 64, 64 and 22 samples, or with a byte
-    # budget of 10 samples as 15 blocks of 10.
+    # L = 150 streams as three blocks of 50 samples, or with a byte budget
+    # of 10 samples as 15 blocks of 10.
     geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
     if block is not None:
         monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK_BYTES", block * 8 * cov.dim)
@@ -716,7 +718,7 @@ def test_one_spatial_root_runs_once_per_block_for_three_models(monkeypatch):
 
     monkeypatch.setattr(randfield, "_kron_rows", counting)
     outcomes = shared_closure_covariances(models, 150, 2)
-    assert calls == [5 * 64, 5 * 64, 5 * 22]
+    assert calls == [5 * 50, 5 * 50, 5 * 50]  # 150 samples in ceil(150 / 64) = 3 blocks
     assert all(isinstance(outcome, tuple) for outcome in outcomes)
 
 
@@ -725,22 +727,22 @@ def test_one_spatial_root_runs_once_per_block_for_three_models(monkeypatch):
     (48, 36, 4, 30, [4, 4, 4, 4, 4, 4, 3, 3]),
 ], ids=["P525", "P1728"])
 def test_exact_chunks_are_balanced_in_order_and_capped(n_x, n_z, cap, block, split):
-    # ceil(count / cap) chunks whose sizes differ by at most one, the
-    # larger first, tiling 0..count-1 in order; a full block of samples
-    # splits as `split`.
+    # The exact walk evaluates the row_slices of its samples under a cap of
+    # EXACT_CHUNK_VALUES // (N P) rows, in order: a full block of samples
+    # splits as `split`, and no samples give no chunk.
     geometry = build_default_geometry(GeometryConfig(n_x=n_x, n_z=n_z))
     forward = assemble_forward(get_scenario("S1"), geometry)
     assert _chunk_rows(geometry) == cap
+
+    def chunks(count):
+        samples = np.zeros((count, forward.shape[1]))
+        walk = montecarlo._exact_walk(forward, samples, (1.0,), start=0)
+        return [rows for rows, _, _, _ in walk]
+
     for count in (1, cap - 1, cap, cap + 1, 64, 30):
-        chunks = list(montecarlo._exact_chunks(forward, count))
-        sizes = [rows.stop - rows.start for rows in chunks]
-        assert len(chunks) == math.ceil(count / cap)
-        assert [rows.start for rows in chunks] == [0] + list(np.cumsum(sizes[:-1]))
-        assert chunks[-1].stop == count and all(rows.step is None for rows in chunks)
-        assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
-        assert sizes == sorted(sizes, reverse=True)
-    assert list(montecarlo._exact_chunks(forward, 0)) == []
-    assert [rows.stop - rows.start for rows in montecarlo._exact_chunks(forward, block)] == split
+        assert chunks(count) == row_slices(count, cap)
+    assert chunks(0) == []
+    assert [rows.stop - rows.start for rows in chunks(block)] == split
 
 
 def test_zero_samples_give_empty_snapshots_in_both_modes():
@@ -899,15 +901,17 @@ def _tau_floor_hit(monkeypatch, scenario, geometry, sample, cell):
 
 @pytest.mark.parametrize(
     ("count", "sample", "closure_rows", "scan_rows"),
-    [(40, 17, "14..26", "14..26"), (100, 70, "64..75", "64..75")],
+    [(40, 17, "14..26", "14..26"), (100, 70, "63..75", "63..75")],
 )
 def test_tau_floor_error_names_the_ensemble_sample(
     monkeypatch, count, sample, closure_rows, scan_rows
 ):
-    # Both passes split each block into balanced chunks of at most 15
-    # samples: 40 samples into 14, 13 and 13, so sample 17 lies in 14..26;
-    # the second block of 100, samples 64..99, into three of 12, so sample
-    # 70 lies in 64..75, that block's first chunk.
+    # Both passes split the samples into balanced blocks of at most 64 and
+    # each block into balanced chunks of at most 15 samples: 40 samples are
+    # one block, in chunks of 14, 13 and 13, so sample 17 lies in 14..26;
+    # 100 samples are two blocks of 50, and the second, samples 50..99,
+    # splits into 13, 13, 12 and 12, so sample 70 lies in 63..75, that
+    # block's second chunk.
     geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
     _tau_floor_hit(monkeypatch, scenario, geometry, sample, 9)
     with pytest.raises(TauFloorError) as closure_error:

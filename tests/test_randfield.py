@@ -25,6 +25,7 @@ from gprclutter.randfield import (
     SpatialCorrelation,
     _kron_rows,
     _parameter_mix,
+    row_slices,
     spatial_correlation,
     standard_normal_draws,
 )
@@ -354,12 +355,37 @@ def test_separable_sampler_applies_the_eigen_root_to_shared_normals():
     assert np.linalg.norm(samples - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize(("count", "cap", "sizes"), [
+    (64, 15, [13, 13, 13, 13, 12]),
+    (30, 4, [4, 4, 4, 4, 4, 4, 3, 3]),
+    (2000, 64, [63] * 16 + [62] * 16),
+    (150, 64, [50, 50, 50]),
+    (3, 0, [1, 1, 1]),
+    (0, 5, []),
+], ids=["64-at-15", "30-at-4", "2000-at-64", "150-at-64", "cap-below-one", "no-rows"])
+def test_row_slices_are_balanced_in_order_and_capped(count, cap, sizes):
+    # ceil(count / cap) slices, a cap below one read as one, whose sizes
+    # differ by at most one, the larger first, tiling 0..count-1 in order:
+    # `sizes` follows from that rule. A ragged-tail splitter gives 15, 15,
+    # 15, 15 and 4 for the first case.
+    assert [rows.stop - rows.start for rows in row_slices(count, cap)] == sizes
+    for total in range(3 * max(cap, 1) + 2):
+        slices = row_slices(total, cap)
+        sizes = [rows.stop - rows.start for rows in slices]
+        assert len(slices) == math.ceil(total / max(cap, 1))
+        assert [i for rows in slices for i in range(total)[rows]] == list(range(total))
+        assert all(rows.step is None for rows in slices)
+        assert sizes == sorted(sizes, reverse=True)
+        assert max(sizes, default=1) <= max(cap, 1)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+
+
 @pytest.mark.parametrize("group", [1, 7, 151])
 def test_grouped_in_place_kron_rows_equal_the_one_shot_product(monkeypatch, group):
     # 320 rows of a 24 x 18 grid, as one 64-sample block mixes them, in
-    # groups of `group` rows: 320, 46 and 3 groups, the last ragged unless
-    # one row each, into a new array and in place alike. The same GEMMs on
-    # fewer rows give the same bits.
+    # row_slices groups of at most `group` rows: 320 groups of 1, 46 of 7
+    # and 6, and 3 of 107 and 106, into a new array and in place alike. The
+    # same GEMMs on fewer rows give the same bits.
     rng = np.random.default_rng(3)
     n_x, n_z, rows = 24, 18, 320
     a, b = rng.standard_normal((n_x, n_x)), rng.standard_normal((n_z, n_z))

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import math
+import re
 import sys
 
 import numpy as np
@@ -180,6 +181,21 @@ def test_non_finite_geometry_arrays_are_refused_by_name(geometry, field, index, 
     value = np.array(getattr(geometry, field))
     value[index] = bad
     with pytest.raises(ConfigError, match=rf"{field} must be finite, got {bad!r} at index"):
+        dataclasses.replace(geometry, **{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("frequencies", [1e8, 1.2e8, 1.4e8],
+     "frequencies must have shape (2,), one per transmitter, got (3,)"),
+    ("tx_positions", [[0.0, 0.0], [0.1, 0.0]], "tx_positions must have shape (N, 3), got (2, 2)"),
+    ("rx_positions", [0.0, 0.0, 0.0], "rx_positions must have shape (M, 3), got (3,)"),
+])
+def test_geometry_arrays_of_the_wrong_shape_are_refused_by_name(field, value, message):
+    # On a 2-transmitter geometry, three frequencies once built and gave a
+    # 4-channel steering vector from the first two, and a (2, 2) or 1-D
+    # position array escaped as an IndexError.
+    geometry = build_default_geometry(GeometryConfig(n_tx=2, n_rx=2, n_x=3, n_z=2))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(geometry, **{field: value})
 
 
