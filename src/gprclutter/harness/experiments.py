@@ -171,7 +171,7 @@ def _shared_geometry(cfg: GeometryConfig) -> SceneGeometry:
 def _covariance(scenario: Scenario, geometry: SceneGeometry, rf: RandomFieldConfig):
     return build_covariance(
         scenario,
-        geometry.cell_centers,
+        geometry,
         corr_length=rf.corr_length,
         rho_c=rf.rho_c,
         weights=rf.weights,
@@ -320,9 +320,10 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
 
     Every scenario synthesizes the same standardized samples, so one
     streamed draw serves them all (:func:`shared_closure_covariances`); a
-    scenario that fails drops out of it and the others go on. With
-    ``keep_matrices`` the theoretical covariance and both sample
-    covariances are attached for CMAT persistence.
+    scenario that fails drops out of it and the others go on. The
+    theoretical covariance and its spectrum are the scenario's shared
+    :func:`_baseline`. With ``keep_matrices`` the theoretical covariance and
+    both sample covariances are attached for CMAT persistence.
     """
     rf = config.random_field
     result = _result(
@@ -335,10 +336,9 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
     for sid in config.scenarios:
         with _recorded(result, sid):
             scenario = get_scenario(sid)
-            forward = assemble_forward(scenario, geometry)
-            cov = _covariance(scenario, geometry, rf)
-            theories[sid] = clutter_covariance(forward, cov)
-            models[sid] = forward, cov
+            theories[sid] = _baseline(config, sid)
+            models[sid] = (assemble_forward(scenario, geometry),
+                           _covariance(scenario, geometry, rf))
     try:
         # Both modes of every scenario synthesize from one streamed draw.
         outcomes = dict(zip(models, shared_closure_covariances(
@@ -350,9 +350,9 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
             if isinstance(outcome, GprClutterError):
                 raise outcome
             rhat_linear, rhat_exact = outcome
-            theory = theories[sid]
+            theory, spectrum = theories[sid]
             report = closure_from_covariances(
-                theory, rhat_linear, rhat_exact, sample_count=rf.sample_count)
+                theory, spectrum, rhat_linear, rhat_exact, sample_count=rf.sample_count)
             result.reports[sid] = report
             result.table.add_row(scenario=sid, **report.to_dict())
             if keep_matrices:

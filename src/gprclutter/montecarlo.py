@@ -83,7 +83,7 @@ from .randfield import (
     sample_perturbations,
     standard_normal_draws,
 )
-from .spectra import ClutterCovariance, spectral_summary
+from .spectra import ClutterCovariance, SpectralSummary, spectral_summary
 
 SNAPSHOT_MODES = ("linear", "exact")
 
@@ -435,11 +435,12 @@ def _without_locals(error: GprClutterError) -> GprClutterError:
 
 def closure_from_covariances(
     theory: ClutterCovariance,
+    theory_summary: SpectralSummary,
     cov_linear: np.ndarray,
     cov_exact: np.ndarray,
     sample_count: int,
 ) -> ClosureReport:
-    """Closure metrics given precomputed sample covariances.
+    """Closure metrics given sample covariances and the theory's spectral summary.
 
     eps_cov is the relative Frobenius error per synthesis mode; eps_lambda
     compares the full descending eigenvalue vectors of the exact-mode
@@ -453,16 +454,15 @@ def closure_from_covariances(
     eps_cov_lin = float(frobenius_norm(cov_linear - theory.matrix) / norm_theory)
     eps_cov_exact = float(frobenius_norm(cov_exact - theory.matrix) / norm_theory)
 
-    summary_theory = spectral_summary(theory)
     summary_exact = spectral_summary(
         ClutterCovariance(matrix=cov_exact, provenance="monte-carlo-exact")
     )
-    lam_theory = summary_theory.eigenvalues
+    lam_theory = theory_summary.eigenvalues
     lam_exact = summary_exact.eigenvalues
     eps_lambda = float(frobenius_norm(lam_exact - lam_theory) / frobenius_norm(lam_theory))
 
-    p = summary_theory.p_rho[0.9]
-    basis_theory = summary_theory.eigenvectors[:, :p]
+    p = theory_summary.p_rho[0.9]
+    basis_theory = theory_summary.eigenvectors[:, :p]
     basis_exact = summary_exact.eigenvectors[:, :p]
     projector_theory = basis_theory @ basis_theory.conj().T
     projector_exact = basis_exact @ basis_exact.conj().T
@@ -527,8 +527,9 @@ def validity_scan(
                 linear = None
                 linear = _linear_contrast(forward, base[rows])
             s = grid[k]
-            norm = frobenius_norm(y, axis=1)
-            np.divide(frobenius_norm(y - s * y_lin[rows], axis=1), norm, where=norm > 0.0,
+            # Both row norms in one call: each row is scaled and summed alone.
+            norm, error = frobenius_norm(np.stack((y, y - s * y_lin[rows])), axis=-1)
+            np.divide(error, norm, where=norm > 0.0,
                       out=snapshot_errors[k, start + rows.start:start + rows.stop])
             selectors[k].add(_contrast_errors(contrast, linear, s))
             del contrast, y  # freed before the next evaluation

@@ -6,15 +6,16 @@ The covariance of the stacked physical perturbation vector is
 
 a Kronecker product of a 5x5 parameter factor (scales D, weights W, uniform
 cross-correlation Rho) and a PxP spatial correlation factor C (nugget
-included). C depends only on the cells, the correlation length and the
+included). C depends only on the grid, the correlation length and the
 kernel, so one :class:`SpatialCorrelation` serves every scenario of a run
-(:func:`spatial_correlation`) and its square root is factored once. On the
-tensor grid the squared-exponential kernel separates per axis,
-C = C_x x C_z + nugget I, and C is held as C_x and C_z alone: products,
-the sampler's square root and the eigenvectors all go through the two axis
-factors and the PxP matrix is never formed. Samples are
-amplitude * (L_param x S) z with L_param the Cholesky factor of the
-parameter factor and S S^T = C: S is the Cholesky factor of a dense C, and
+(:func:`spatial_correlation`) and its square root is factored once. A
+:class:`SceneGeometry` holds the tensor grid's two cell axes, and over them
+the squared-exponential kernel separates, C = C_x x C_z + nugget I: C is
+held as C_x and C_z alone, and products, the sampler's square root and the
+eigenvectors all go through the two axis factors; the PxP matrix is never
+formed. The exponential kernel, which does not separate, is held dense.
+Samples are amplitude * (L_param x S) z with L_param the Cholesky factor of
+the parameter factor and S S^T = C: S is the Cholesky factor of a dense C, and
 the exact eigen root (U_x x U_z) diag(sqrt(lam_x x lam_z + nugget)) of a
 separable one. They are applied as (L_param x I)(I x S) z: the spatial
 root once per block of normals, in place, then each covariance's 5x5
@@ -33,7 +34,7 @@ import numpy as np
 
 from .constitutive import N_PARAMS, PARAMETER_NAMES
 from .errors import ConfigError, NonPositiveDefiniteError
-from .scene import Scenario
+from .scene import Scenario, SceneGeometry, grid_cells
 
 #: Diagonal nugget applied to the spatial factor before factorization;
 #: large correlation lengths make it numerically rank deficient.
@@ -88,7 +89,10 @@ def build_spatial_factor(
     exponential kernel exp(-d / l) is available behind the same interface.
     One isotropic length governs both axes.
     """
-    pts = _checked_cells(cell_centers, corr_length, kernel)
+    _check_kernel(corr_length, kernel)
+    pts = np.asarray(cell_centers, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
+        raise ConfigError(f"cell_centers must have shape (P, 3), P >= 1, got {pts.shape}")
     dist_sq = _pairwise_squares(pts[:, 0])
     dist_sq += _pairwise_squares(pts[:, 2])
     # A tiny length divides distances into -inf, and exp(-inf) = 0 is the
@@ -104,8 +108,8 @@ def build_spatial_factor(
     return factor
 
 
-def _checked_cells(cell_centers, corr_length: float, kernel: str) -> np.ndarray:
-    """The checked (P, 3) cell centers, C-contiguous, for a checked length and kernel."""
+def _check_kernel(corr_length: float, kernel: str) -> None:
+    """Refuse a length or kernel outside the spatial builders' domain."""
     if not 0.0 < corr_length < math.inf:
         raise ConfigError(f"corr_length must be positive and finite, got {corr_length!r}")
     if kernel not in SPATIAL_KERNELS:
@@ -113,10 +117,6 @@ def _checked_cells(cell_centers, corr_length: float, kernel: str) -> np.ndarray:
     if kernel == "squared_exponential" and 2.0 * corr_length * corr_length == 0.0:
         raise ConfigError(f"corr_length {corr_length!r} is too small for the squared-exponential "
                           "kernel: 2 corr_length^2 underflows to 0")
-    cells = np.ascontiguousarray(cell_centers, dtype=float)
-    if cells.ndim != 2 or cells.shape[1] != 3 or cells.shape[0] == 0:
-        raise ConfigError(f"cell_centers must have shape (P, 3), P >= 1, got {cells.shape}")
-    return cells
 
 
 def _pairwise_squares(values: np.ndarray) -> np.ndarray:
@@ -124,24 +124,6 @@ def _pairwise_squares(values: np.ndarray) -> np.ndarray:
     table = values[:, None] - values[None, :]
     table *= table
     return table
-
-
-def _grid_axes(cell_centers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The distinct x and z values when the cells form the tensor grid.
-
-    That is: n_x * n_z = P cells whose row p is cell (ix, iz) with
-    p = ix * n_z + iz, ix and iz counting the ascending distinct values.
-    Any other cell set gives None.
-    """
-    pts = np.asarray(cell_centers, dtype=float)
-    xs, ix = np.unique(pts[:, 0], return_inverse=True)
-    zs, iz = np.unique(pts[:, 2], return_inverse=True)
-    rows = np.arange(pts.shape[0])
-    if xs.size * zs.size != rows.size:
-        return None
-    if np.any(ix != rows // zs.size) or np.any(iz != rows % zs.size):
-        return None
-    return xs, zs
 
 
 def _kron_rows(block: np.ndarray, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -184,7 +166,7 @@ class SpatialCorrelation:
     """The P x P spatial correlation factor C of R_mu, with its square root.
 
     ``factors`` holds either C, P x P with the nugget (dense), or the axis
-    factors (C_x, C_z) without it (separable): for cells ordered
+    factors (C_x, C_z) without it (separable): over a grid's cells, ordered
     p = ix * n_z + iz, C = C_x x C_z + SPATIAL_NUGGET * I. Only this class
     reads the form. A separable C's products, root and eigenvectors go
     through the axis factors; its P x P matrix is never formed. The root is
@@ -320,28 +302,29 @@ SPATIAL_MEMO_SIZE = 1
 
 
 def spatial_correlation(
-    cell_centers: np.ndarray, corr_length: float, kernel: str = "squared_exponential"
+    geometry: SceneGeometry, corr_length: float, kernel: str = "squared_exponential"
 ) -> SpatialCorrelation:
-    """The spatial correlation of ``kernel`` over the cells; equal cells,
-    length and kernel give the memo's one instance.
+    """The spatial correlation of ``kernel`` over the cells of ``geometry``;
+    equal axes, length and kernel give the memo's one instance.
 
     The squared-exponential kernel separates per axis,
     exp(-(dx^2 + dz^2) / (2 l^2)) = exp(-dx^2 / (2 l^2)) exp(-dz^2 / (2 l^2)),
-    so on cells forming the tensor grid (see :class:`SceneGeometry`) C is
-    built as its axis factors over the distinct x and z values. The
-    exponential kernel, which does not separate, and any other cell set get
-    the dense :func:`build_spatial_factor`.
+    so C is built as its axis factors over ``geometry.x_centers`` and
+    ``geometry.z_centers``. The exponential kernel, which does not separate,
+    gets the dense :func:`build_spatial_factor` over the cell centers.
     """
-    cells = _checked_cells(cell_centers, corr_length, kernel)
-    return _shared_correlation(cells.tobytes(), cells.shape[0], float(corr_length), kernel)
+    if not isinstance(geometry, SceneGeometry):
+        raise ConfigError(f"geometry must be a SceneGeometry, got {type(geometry).__name__}")
+    _check_kernel(corr_length, kernel)
+    return _shared_correlation(geometry.x_centers.tobytes(), geometry.z_centers.tobytes(),
+                               float(corr_length), kernel)
 
 
 @functools.lru_cache(maxsize=SPATIAL_MEMO_SIZE)
-def _shared_correlation(cells: bytes, n_cells: int, corr_length: float, kernel: str):
-    pts = np.frombuffer(cells).reshape(n_cells, 3)
-    axes = _grid_axes(pts) if kernel == "squared_exponential" else None
-    if axes is None:
-        return SpatialCorrelation(build_spatial_factor(pts, corr_length, kernel))
+def _shared_correlation(x_centers: bytes, z_centers: bytes, corr_length: float, kernel: str):
+    axes = np.frombuffer(x_centers), np.frombuffer(z_centers)
+    if kernel == "exponential":
+        return SpatialCorrelation(build_spatial_factor(grid_cells(*axes), corr_length, kernel))
     scale = -(2.0 * corr_length * corr_length)
     with np.errstate(over="ignore"):  # exp(-inf) = 0, as in build_spatial_factor
         factors = [np.exp(_pairwise_squares(v) / scale) for v in axes]
@@ -350,7 +333,7 @@ def _shared_correlation(cells: bytes, n_cells: int, corr_length: float, kernel: 
 
 def build_covariance(
     scenario: Scenario,
-    cell_centers: np.ndarray,
+    geometry: SceneGeometry,
     corr_length: float,
     rho_c: float,
     weights,
@@ -360,7 +343,7 @@ def build_covariance(
     """Convenience constructor assembling both Kronecker factors, the
     spatial one from :func:`spatial_correlation`."""
     return PerturbationCovariance(build_param_factor(scenario, weights, rho_c),
-                                  spatial_correlation(cell_centers, corr_length, kernel),
+                                  spatial_correlation(geometry, corr_length, kernel),
                                   amplitude)
 
 

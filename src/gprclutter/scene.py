@@ -280,32 +280,48 @@ def short_digest(*parts: bytes) -> str:
     return digest.hexdigest()[:16]
 
 
+def grid_cells(x_centers: np.ndarray, z_centers: np.ndarray) -> np.ndarray:
+    """The read-only (n_x n_z, 3) centers of the tensor grid over two axes:
+    row p = ix * n_z + iz is (x_centers[ix], 0, z_centers[iz])."""
+    grid_x, grid_z = np.meshgrid(x_centers, z_centers, indexing="ij")
+    cells = np.column_stack([grid_x.ravel(), np.zeros(grid_x.size), grid_z.ravel()])
+    cells.flags.writeable = False
+    return cells
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class SceneGeometry:
     """Element positions, transmit frequencies, and the discretized grid.
 
-    Row p of ``cell_centers`` is cell (ix, iz) with p = ix * n_z + iz; the
-    x axis is the fast outer index. ``cell_volume`` is dx * dz * strip
-    width, identical for all cells.
+    The grid is the tensor product of its cell-center axes: ``x_centers``
+    (n_x values) and the depths ``z_centers`` (n_z values, all below the
+    surface). Row p of ``cell_centers`` is cell (ix, iz) with
+    p = ix * n_z + iz, at y = 0; x is the outer index. ``cell_volume`` is
+    dx * dz * strip width, identical for all cells. The arrays are
+    read-only copies.
     """
 
     tx_positions: np.ndarray
     rx_positions: np.ndarray
     frequencies: np.ndarray
-    cell_centers: np.ndarray
+    x_centers: np.ndarray
+    z_centers: np.ndarray
     cell_volume: float
-    grid_dims: tuple[int, int]
 
     def __post_init__(self):
         for name, rows in (("tx_positions", "N"), ("rx_positions", "M")):
             shape = np.shape(getattr(self, name))
             if len(shape) != 2 or shape[1] != 3:
                 raise ConfigError(f"{name} must have shape ({rows}, 3), got {shape}")
+        for name in ("x_centers", "z_centers"):
+            shape = np.shape(getattr(self, name))
+            if len(shape) != 1 or shape[0] == 0:
+                raise ConfigError(f"{name} must be 1-D with at least one value, got shape {shape}")
         n_tx = len(self.tx_positions)
         if np.shape(self.frequencies) != (n_tx,):
             raise ConfigError(f"frequencies must have shape ({n_tx},), one per transmitter, "
                               f"got {np.shape(self.frequencies)}")
-        for name in ("tx_positions", "rx_positions", "frequencies", "cell_centers"):
+        for name in ("tx_positions", "rx_positions", "frequencies", "x_centers", "z_centers"):
             value = np.asarray(getattr(self, name), dtype=float).copy()
             if not np.all(np.isfinite(value)):
                 at = np.unravel_index(int(np.argmin(np.isfinite(value))), value.shape)
@@ -313,24 +329,28 @@ class SceneGeometry:
                                   f"at index {tuple(int(i) for i in at)}")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        n_x, n_z = self.grid_dims
-        if self.cell_centers.shape != (n_x * n_z, 3):
-            raise ConfigError(
-                f"cell count {self.cell_centers.shape} inconsistent with grid dims {self.grid_dims}"
-            )
         if not 0.0 < self.cell_volume < math.inf:
             raise ConfigError(f"cell volume must be positive and finite, got {self.cell_volume!r}")
         if np.any(self.frequencies <= 0.0):
             n = int(np.argmax(self.frequencies <= 0.0))
             raise ConfigError(f"frequencies must be positive, got {float(self.frequencies[n])!r} "
                               f"at index {n}")
-        if np.any(self.cell_centers[:, 2] <= 0.0):
+        if np.any(self.z_centers <= 0.0):
             raise ConfigError("all cells must lie strictly below the surface")
         if np.any(self.tx_positions[:, 2] != 0.0) or np.any(self.rx_positions[:, 2] != 0.0):
             raise ConfigError("array elements must lie on the surface line z = 0")
         df = np.diff(self.frequencies)
         if df.size and df.max() > 0 and np.any(df <= 0):
             raise ConfigError("frequencies must be strictly increasing when delta_f > 0")
+
+    @functools.cached_property
+    def cell_centers(self) -> np.ndarray:
+        """The (P, 3) cell centers, read-only: :func:`grid_cells` of the axes."""
+        return grid_cells(self.x_centers, self.z_centers)
+
+    @property
+    def grid_dims(self) -> tuple[int, int]:
+        return len(self.x_centers), len(self.z_centers)
 
     @property
     def n_tx(self) -> int:
@@ -342,7 +362,7 @@ class SceneGeometry:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cell_centers)
+        return len(self.x_centers) * len(self.z_centers)
 
     def fingerprint(self) -> str:
         return self._fingerprint
@@ -393,8 +413,8 @@ def distance_table(geometry: SceneGeometry, points: np.ndarray) -> DistanceTable
     """
     distances = []
     for antennas in (geometry.rx_positions, geometry.tx_positions):
-        diff = antennas[:, None, :] - points[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        # dx^2 + dy^2 + dz^2, in np.sum's order, from (A, Q) squares.
+        r = np.sqrt(sum(np.square(np.subtract.outer(a, q)) for a, q in zip(antennas.T, points.T)))
         if np.any(r < MIN_SEPARATION):
             ia, ib = np.unravel_index(int(np.argmin(r)), r.shape)
             raise NearSingularityError(
@@ -429,18 +449,11 @@ def build_default_geometry(config: GeometryConfig | None = None) -> SceneGeometr
 
     frequencies = cfg.f0 + cfg.delta_f * np.arange(cfg.n_tx)
 
-    xs = (np.arange(cfg.n_x) - (cfg.n_x - 1) / 2.0) * cfg.dx
-    zs = cfg.dz / 2.0 + np.arange(cfg.n_z) * cfg.dz
-    grid_x, grid_z = np.meshgrid(xs, zs, indexing="ij")
-    cells = np.column_stack([
-        grid_x.ravel(), np.zeros(cfg.n_x * cfg.n_z), grid_z.ravel(),
-    ])
-
     return SceneGeometry(
         tx_positions=tx,
         rx_positions=rx,
         frequencies=frequencies,
-        cell_centers=cells,
+        x_centers=(np.arange(cfg.n_x) - (cfg.n_x - 1) / 2.0) * cfg.dx,
+        z_centers=cfg.dz / 2.0 + np.arange(cfg.n_z) * cfg.dz,
         cell_volume=cfg.dx * cfg.dz * cfg.strip_width,
-        grid_dims=(cfg.n_x, cfg.n_z),
     )

@@ -91,7 +91,7 @@ def default_covariance(scenario, geometry, **overrides):
         amplitude=1.0,
     )
     kwargs.update(overrides)
-    return build_covariance(scenario, geometry.cell_centers, **kwargs)
+    return build_covariance(scenario, geometry, **kwargs)
 
 
 @pytest.fixture

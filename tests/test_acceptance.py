@@ -105,7 +105,7 @@ def summaries(theories):
 
 
 @pytest.fixture(scope="module")
-def closure_results(registry, geometry, forwards, default_covariances, theories):
+def closure_results(registry, geometry, forwards, default_covariances, theories, summaries):
     """Closure reports, and the inputs of the statistic T, per physical scenario."""
     started = time.perf_counter()
     reports, statistic_inputs = {}, {}
@@ -114,6 +114,7 @@ def closure_results(registry, geometry, forwards, default_covariances, theories)
         # The streamed closure that `gprclutter closure` runs.
         reports[sid] = closure_from_covariances(
             theories[sid],
+            summaries[sid],
             *closure_covariances(forward, cov, 2000, SEED),
             sample_count=2000,
         )

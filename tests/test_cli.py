@@ -440,7 +440,7 @@ def test_report_baseline_summaries_are_the_configured_spectra(tiny_report):
     expected = {}
     for sid in config.scenarios:
         scenario = get_scenario(sid)
-        cov = build_covariance(scenario, geometry.cell_centers, rf.corr_length, rf.rho_c,
+        cov = build_covariance(scenario, geometry, rf.corr_length, rf.rho_c,
                                rf.weights, rf.amplitude, kernel=rf.kernel)
         theory = clutter_covariance(assemble_forward(scenario, geometry), cov)
         expected[sid] = spectral_summary(theory).to_dict()
@@ -896,8 +896,8 @@ def test_report_builds_each_operator_only_where_an_experiment_needs_it(tmp_path,
                       "experiments: {validity_sample_count: 4, boundary_scenarios: [S4, S1]}\n")
     assert main(["--config", str(config), "--out", str(tmp_path / "out"), "report"]) == 0
     # Operators: scan-validity 2, scan-fda 2 x 3 delta_f, closure 2, scan-lx 1
-    # and scan-coupling 1; scan-targets and boundary read scan-fda's baselines.
-    # Clutter covariances: scan-fda 6, closure 2, scan-lx 4 lengths. Steering
-    # vectors: scan-fda 6, scan-lx 1, scan-coupling 1, scan-targets 2 x 5
-    # targets, boundary 2. Geometries: one per delta_f.
-    assert tuple(calls.count(layer) for layer in layers) == (12, 12, 3, 20)
+    # and scan-coupling 1; closure, scan-targets and boundary read scan-fda's
+    # baselines. Clutter covariances: scan-fda 6 and scan-lx 4 lengths.
+    # Steering vectors: scan-fda 6, scan-lx 1, scan-coupling 1, scan-targets
+    # 2 x 5 targets, boundary 2. Geometries: one per delta_f.
+    assert tuple(calls.count(layer) for layer in layers) == (12, 10, 3, 20)

@@ -208,21 +208,22 @@ def test_entries_match_the_dense_assembly_loop(geometry, sid):
 
 @pytest.mark.parametrize("sid", sorted(scenario_registry()))
 def test_kernel_tensor_equals_the_per_frequency_reference(sid):
-    # The regular grid repeats distances, the jittered cells do not. A
-    # steering vector is the normalized kernel column of a one-cell grid of
-    # unit volume at its target.
+    # The regular grid repeats distances; the grid of jittered axes repeats
+    # fewer. A steering vector is the normalized kernel column of a 1 x 1
+    # grid of unit volume at its target.
     scenario = get_scenario(sid)
-    jitter = np.random.default_rng(7).uniform(-0.01, 0.01, (30, 3)) * [1.0, 0.0, 1.0]
+    jitter = np.random.default_rng(7).uniform(-0.01, 0.01, 6 + 5)
     targets = ((0.0, 0.0, 0.3), (0.0125, 0.0, 0.3), (-0.11, 0.0, 0.0625))
     for delta_f in (0.0, 20e6):
         geometry = build_default_geometry(GeometryConfig(n_x=6, n_z=5, delta_f=delta_f))
-        jittered = dataclasses.replace(geometry, cell_centers=geometry.cell_centers + jitter)
+        jittered = dataclasses.replace(geometry, x_centers=geometry.x_centers + jitter[:6],
+                                       z_centers=geometry.z_centers + jitter[6:])
         for grid in (geometry, jittered):
             kernels = born_kernel_tensor(scenario.background, grid)
             assert kernels.tobytes() == born_kernel_reference(scenario.background, grid).tobytes()
         for target in targets:
-            cell = dataclasses.replace(geometry, cell_centers=np.array([target]),
-                                       cell_volume=1.0, grid_dims=(1, 1))
+            cell = dataclasses.replace(geometry, x_centers=target[:1], z_centers=target[2:],
+                                       cell_volume=1.0)
             column = born_kernel_reference(scenario.background, cell).ravel()
             steering = steering_vector(geometry, scenario, target).values
             assert steering.tobytes() == (column / np.linalg.norm(column)).tobytes()
@@ -253,8 +254,9 @@ def test_one_distance_table_per_geometry(monkeypatch):
 
 
 def test_cells_at_an_antenna_are_refused_by_name(tiny_geometry):
-    cells = tiny_geometry.tx_positions[1:2] + np.array([[0.0, 0.0, 1e-7]])
-    geometry = dataclasses.replace(tiny_geometry, cell_centers=cells)
+    # A 1 x 1 grid at depth 1e-7 under transmitter 1.
+    geometry = dataclasses.replace(tiny_geometry, x_centers=tiny_geometry.tx_positions[1:2, 0],
+                                   z_centers=[1e-7])
     with pytest.raises(NearSingularityError,
                        match=r"between antenna 1 and point 0 below the 1e-06 m kernel minimum"):
         born_kernel_tensor(get_scenario("S1").background, geometry)

@@ -305,7 +305,7 @@ def test_shared_closure_stream_equals_the_per_scenario_path(monkeypatch, block):
     for sid in config.scenarios:
         scenario = get_scenario(sid)
         forward = assemble_forward(scenario, geometry)
-        cov = build_covariance(scenario, geometry.cell_centers, rf.corr_length, rf.rho_c,
+        cov = build_covariance(scenario, geometry, rf.corr_length, rf.rho_c,
                                rf.weights, rf.amplitude, rf.kernel)
         solo = closure_covariances(forward, cov, rf.sample_count, rf.seed)
         for name, rhat in zip(("rhat_linear", "rhat_exact"), solo):
@@ -325,7 +325,7 @@ def test_exponential_kernel_runs_equal_their_one_scenario_runs():
     )
     geometry = build_default_geometry(config.geometry)
     rf = config.random_field
-    cov = build_covariance(get_scenario("S1"), geometry.cell_centers, rf.corr_length, rf.rho_c,
+    cov = build_covariance(get_scenario("S1"), geometry, rf.corr_length, rf.rho_c,
                            rf.weights, rf.amplitude, rf.kernel)
     assert len(cov.spatial.factors) == 1
     for run in (run_closure, run_validity_scan):
@@ -423,7 +423,7 @@ def test_coupling_scan_rows_equal_per_configuration_covariances(sid):
     settings += [(rf.rho_c, preset_weights(preset)) for preset in exp.weight_presets]
     assert len(result.table.rows) == len(settings)
     for row, (rho_c, weights) in zip(result.table.rows, settings):
-        cov = build_covariance(scenario, geometry.cell_centers, corr_length=rf.corr_length,
+        cov = build_covariance(scenario, geometry, corr_length=rf.corr_length,
                                rho_c=rho_c, weights=weights, amplitude=rf.amplitude)
         summary = spectral_summary(clutter_covariance(forward, cov))
         eta, gamma = target_overlap(summary, steering, summary.p_rho[0.9])
@@ -598,3 +598,26 @@ def test_baseline_memo_keeps_at_most_its_bound():
     assert memo.cache_info().hits == 6
     experiments._baseline(first, first.scenarios[0])
     assert (memo.cache_info().hits, memo.cache_info().misses) == (6, 13)
+
+
+def test_closure_after_scan_fda_forms_no_theoretical_covariance(monkeypatch):
+    # Closure takes each scenario's theory and spectrum from scan-fda's
+    # baselines: it forms neither again, and its table and matrices keep the
+    # bytes of a closure run alone.
+    config = _config(scenarios=("S1", "S4"), geometry=GeometryConfig(n_x=6, n_z=5),
+                     random_field=RandomFieldConfig(sample_count=16))
+    alone = run_closure(config, keep_matrices=True)
+    clear_memos()
+    assert run_fda_scan(config).ok
+
+    def never(*args, **kwargs):
+        raise AssertionError("formed a theoretical covariance or its spectrum")
+
+    monkeypatch.setattr(experiments, "clutter_covariance", never)
+    monkeypatch.setattr(montecarlo, "spectral_summary", lambda cov: (
+        never() if cov.provenance == "theoretical" else spectral_summary(cov)))
+    shared = run_closure(config, keep_matrices=True)
+    assert shared.ok and shared.table.to_json_text() == alone.table.to_json_text()
+    assert shared.matrices.keys() == alone.matrices.keys()
+    assert all(shared.matrices[name].tobytes() == matrix.tobytes()
+               for name, matrix in alone.matrices.items())

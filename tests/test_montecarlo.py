@@ -49,7 +49,7 @@ from gprclutter.randfield import (
     sample_perturbations,
     spatial_correlation,
 )
-from gprclutter.spectra import ClutterCovariance
+from gprclutter.spectra import ClutterCovariance, spectral_summary
 from conftest import closure_covariances, closure_statistic
 from oracles import dense_entries, exact_contrast, green_kernel, pseudo_covariance
 
@@ -97,7 +97,7 @@ def test_linear_snapshots_match_the_dense_operator(
     scenario = get_scenario(scenario_id)
     amplitude = 10.0**log_amplitude
     if structure == "separable":
-        cov = build_covariance(scenario, geometry.cell_centers, corr_length, rho_c,
+        cov = build_covariance(scenario, geometry, corr_length, rho_c,
                                np.ones(5), amplitude)
         assert len(cov.spatial.factors) == 2
     else:
@@ -173,7 +173,8 @@ def test_closure_with_theory_fed_back_is_exact():
     # L -> infinity surrogate: the sample covariance equals the theory.
     _, _, forward, cov = _setup()
     theory = clutter_covariance(forward, cov)
-    report = closure_from_covariances(theory, theory.matrix, theory.matrix, 1000)
+    report = closure_from_covariances(theory, spectral_summary(theory), theory.matrix,
+                                      theory.matrix, 1000)
     assert report.eps_cov_lin == 0.0
     assert report.eps_cov_exact == 0.0
     assert report.eps_lambda == 0.0
@@ -192,8 +193,9 @@ def test_closure_of_covariances_whose_squares_underflow_keeps_its_values(sid):
     rhats = closure_covariances(forward, cov, 64, 3)
     tiny = ClutterCovariance(matrix=theory.matrix * 2.0**-900, provenance=theory.provenance)
     assert np.linalg.norm(tiny.matrix) == 0.0
-    report = closure_from_covariances(theory, *rhats, sample_count=64)
-    scaled = closure_from_covariances(tiny, *(r * 2.0**-900 for r in rhats), sample_count=64)
+    report = closure_from_covariances(theory, spectral_summary(theory), *rhats, sample_count=64)
+    scaled = closure_from_covariances(tiny, spectral_summary(tiny),
+                                      *(r * 2.0**-900 for r in rhats), sample_count=64)
     assert scaled == dataclasses.replace(
         report, eps_lambda=scaled.eps_lambda, eps_sub=scaled.eps_sub)
     assert scaled.eps_lambda == pytest.approx(report.eps_lambda, rel=1e-12)
@@ -206,7 +208,7 @@ def test_closure_rejects_degenerate_inputs(monkeypatch):
     zero = ClutterCovariance(matrix=np.zeros_like(theory.matrix), provenance="theoretical")
     sampled = np.zeros_like(theory.matrix)
     with pytest.raises(UndefinedSpectrumError):
-        closure_from_covariances(zero, sampled, sampled, sample_count=5)
+        closure_from_covariances(zero, spectral_summary(theory), sampled, sampled, sample_count=5)
 
     def never(*args, **kwargs):
         raise AssertionError("drew samples")
@@ -215,7 +217,8 @@ def test_closure_rejects_degenerate_inputs(monkeypatch):
     with pytest.raises(ConfigError, match="at least two"):
         closure_covariances(forward, cov, 1, 0)
     # A covariance over another cell count is refused before the first draw.
-    other = build_covariance(scenario, geometry.cell_centers[:4], 0.15, 0.3, np.ones(5), 1.0)
+    grid = build_default_geometry(GeometryConfig(n_x=2, n_z=2))
+    other = build_covariance(scenario, grid, 0.15, 0.3, np.ones(5), 1.0)
     with pytest.raises(ConfigError, match="covariance of dimension 20, not 5 x 6 cells"):
         closure_covariances(forward, other, 4, 0)
 
@@ -246,7 +249,8 @@ def test_closure_reports_are_deterministic():
 
     def run():
         rhats = closure_covariances(forward, cov, 64, 3)
-        return closure_from_covariances(theory, *rhats, sample_count=64)
+        return closure_from_covariances(theory, spectral_summary(theory), *rhats,
+                                        sample_count=64)
 
     assert run() == run()
 
@@ -307,7 +311,7 @@ def test_validity_scan_never_holds_the_contrast_error_pool():
     geometry = build_default_geometry(GeometryConfig(n_tx=16, n_rx=2))
     scenario = get_scenario("S4")
     forward = assemble_forward(scenario, geometry)
-    cov = build_covariance(scenario, geometry.cell_centers, 0.15, 0.3, np.ones(5), 1.0)
+    cov = build_covariance(scenario, geometry, 0.15, 0.3, np.ones(5), 1.0)
     count = 400
     pool = 8 * count * geometry.frequencies.size * geometry.n_cells
     tracemalloc.start()
@@ -357,7 +361,7 @@ def _grid_models(sids, amplitudes=None):
     models = []
     for sid, amplitude in zip(sids, amplitudes or [1.0] * len(sids)):
         scenario = get_scenario(sid)
-        cov = build_covariance(scenario, geometry.cell_centers, 0.15, 0.3, np.ones(5), amplitude)
+        cov = build_covariance(scenario, geometry, 0.15, 0.3, np.ones(5), amplitude)
         models.append((assemble_forward(scenario, geometry), cov))
     return geometry, models
 
@@ -529,7 +533,7 @@ def test_validity_scan_grid_validation():
 # Each call takes _setup()'s (geometry, scenario, forward, cov) and one bad value.
 _NAMED_INPUTS = {
     "amplitude": lambda g, s, f, c, bad: build_covariance(
-        s, g.cell_centers, 0.1, 0.3, np.ones(5), bad),
+        s, g, 0.1, 0.3, np.ones(5), bad),
     "weights": lambda g, s, f, c, bad: build_param_factor(s, [1.0, 1.0, bad, 1.0, 1.0], 0.3),
     "threshold": lambda g, s, f, c, bad: validity_scan(f, c, sample_count=2,
                                                       threshold=bad),
@@ -606,7 +610,7 @@ def _root_models(specs):
         scenario = get_scenario(sid)
         if (corr_length, kernel) not in correlations:
             correlations[corr_length, kernel] = spatial_correlation(
-                geometry.cell_centers, corr_length, kernel)
+                geometry, corr_length, kernel)
         cov = PerturbationCovariance(build_param_factor(scenario, np.ones(5), 0.3),
                                      correlations[corr_length, kernel], 1.0)
         models.append((assemble_forward(scenario, geometry), cov))

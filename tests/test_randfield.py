@@ -63,7 +63,7 @@ def _toy_covariance(n_cells=6, corr_length=0.1, rho_c=0.3, amplitude=1.0):
 
 def _grid_covariance(n_x=3, n_z=4, corr_length=0.1, rho_c=0.3, amplitude=1.0):
     geometry = build_default_geometry(GeometryConfig(n_x=n_x, n_z=n_z, dx=0.05, dz=0.04))
-    return build_covariance(get_scenario("S_syn"), geometry.cell_centers, corr_length,
+    return build_covariance(get_scenario("S_syn"), geometry, corr_length,
                             rho_c, np.ones(5), amplitude)
 
 
@@ -184,83 +184,93 @@ def test_corr_length_must_be_positive():
 @pytest.mark.parametrize("kernel", SPATIAL_KERNELS)
 def test_spatial_builders_refuse_a_length_or_cells_outside_their_domain(kernel):
     # A NaN length used to surface as a non-finite factor, an infinite one
-    # as an all-ones rank-one C, and (P, 2) cells as an IndexError.
-    cells = build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers
-    builders = (
-        lambda c, length: spatial_correlation(c, length, kernel),
-        lambda c, length: build_spatial_factor(c, length, kernel),
-        lambda c, length: build_covariance(get_scenario("S1"), c, length, 0.3, np.ones(5),
+    # as an all-ones rank-one C, and (P, 2) cells as an IndexError. The
+    # geometry's builders take a SceneGeometry, never a cell array.
+    geometry = build_default_geometry(GeometryConfig(n_x=3, n_z=4))
+    cells = geometry.cell_centers
+    on_geometry = (
+        lambda g, length: spatial_correlation(g, length, kernel),
+        lambda g, length: build_covariance(get_scenario("S1"), g, length, 0.3, np.ones(5),
                                            1.0, kernel=kernel),
     )
-    for build in builders:
+    for build in on_geometry:
         for length in (np.nan, np.inf):
             with pytest.raises(ConfigError, match=r"^corr_length must be positive and finite"):
-                build(cells, length)
-        for bad in (cells[:, :2], cells[:0], cells[0]):
-            with pytest.raises(ConfigError, match=r"^cell_centers must have shape \(P, 3\)"):
-                build(bad, 0.1)
+                build(geometry, length)
+        with pytest.raises(ConfigError, match=r"^geometry must be a SceneGeometry, got ndarray$"):
+            build(cells, 0.1)
+    for length in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match=r"^corr_length must be positive and finite"):
+            build_spatial_factor(cells, length, kernel)
+    for bad in (cells[:, :2], cells[:0], cells[0]):
+        with pytest.raises(ConfigError, match=r"^cell_centers must have shape \(P, 3\)"):
+            build_spatial_factor(bad, 0.1, kernel)
 
 
 def test_a_squared_exponential_length_whose_square_underflows_is_named():
     # Below about 1.6e-162, 2 l^2 is 0: both squared-exponential paths used
     # to warn of a division by zero and refuse "spatial factors[0]".
-    grid = build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers
+    geometry = build_default_geometry(GeometryConfig(n_x=3, n_z=4))
     message = r"^corr_length .* too small for the squared-exponential kernel"
-    for cells in (grid, grid[[0, 5, 7]]):  # the separable grid, then three scattered cells
-        for length in (1e-163, 5e-324):
-            with pytest.raises(ConfigError, match=message):
-                spatial_correlation(cells, length)
+    for length in (1e-163, 5e-324):
+        with pytest.raises(ConfigError, match=message):
+            spatial_correlation(geometry, length)
+        # The grid's cells, then three scattered cells.
+        for cells in (geometry.cell_centers, geometry.cell_centers[[0, 5, 7]]):
             with pytest.raises(ConfigError, match=message):
                 build_spatial_factor(cells, length)
-        assert spatial_correlation(cells, 1e-163, "exponential").n_cells == len(cells)
+    assert spatial_correlation(geometry, 1e-163, "exponential").n_cells == 12
 
 
 def test_a_tiny_length_gives_the_identity_plus_nugget_without_a_warning():
     # A length that passes the checks but divides cell distances into -inf:
     # every off-diagonal correlation is exp(-inf) = 0. Both paths used to
     # warn of an overflow in the division.
-    grid = build_default_geometry(GeometryConfig(n_x=2, n_z=2)).cell_centers
-    for cells in (grid, grid[[0, 1, 3]]):  # the separable grid, then three scattered cells
-        expected = np.eye(len(cells))
-        expected[np.diag_indices_from(expected)] += SPATIAL_NUGGET
-        for kernel, length in (("squared_exponential", 1e-160), ("exponential", 5e-324)):
-            clear_memos()
-            cov = build_covariance(get_scenario("S1"), cells, length, 0.0, np.ones(5), 1.0,
-                                   kernel)
-            assert np.array_equal(dense_spatial_factor(cov), expected)
-            assert np.array_equal(build_spatial_factor(cells, length, kernel), expected)
+    geometry = build_default_geometry(GeometryConfig(n_x=2, n_z=2))
+    expected = (1.0 + SPATIAL_NUGGET) * np.eye(4)
+    for kernel, length in (("squared_exponential", 1e-160), ("exponential", 5e-324)):
+        clear_memos()
+        cov = build_covariance(get_scenario("S1"), geometry, length, 0.0, np.ones(5), 1.0, kernel)
+        assert np.array_equal(dense_spatial_factor(cov), expected)
+        # The dense factor over the grid's cells, then over three scattered cells.
+        for cells in (geometry.cell_centers, geometry.cell_centers[[0, 1, 3]]):
+            size = len(cells)
+            assert np.array_equal(build_spatial_factor(cells, length, kernel),
+                                  expected[:size, :size])
 
 
 def test_equal_cells_length_and_kernel_share_one_correlation():
-    cells = build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers
+    # A geometry of other frequencies on equal axes shares the correlation.
+    geometry = build_default_geometry(GeometryConfig(n_x=3, n_z=4))
+    equal_axes = build_default_geometry(GeometryConfig(n_x=3, n_z=4, delta_f=0.0))
     for kernel in SPATIAL_KERNELS:
         clear_memos()
-        first = build_covariance(get_scenario("S1"), cells, 0.1, 0.3, np.ones(5), 1.0, kernel)
-        other = build_covariance(get_scenario("S4"), cells.copy(order="F"), 0.1, 0.0,
+        first = build_covariance(get_scenario("S1"), geometry, 0.1, 0.3, np.ones(5), 1.0, kernel)
+        other = build_covariance(get_scenario("S4"), equal_axes, 0.1, 0.0,
                                  np.ones(5), 2.0, kernel)
         assert other.spatial is first.spatial
         root = first.spatial.root
         assert other.with_amplitude(0.5).spatial.root is root  # factored once
         # The memo keeps one correlation: another length evicts it.
-        longer = spatial_correlation(cells, 0.2, kernel)
+        longer = spatial_correlation(geometry, 0.2, kernel)
         assert longer is not first.spatial
-        rebuilt = spatial_correlation(cells, 0.1, kernel)
+        rebuilt = spatial_correlation(geometry, 0.1, kernel)
         assert rebuilt is not first.spatial
         assert all(map(np.array_equal, rebuilt.factors, first.spatial.factors))
-        assert spatial_correlation(cells, 0.1, kernel) is rebuilt
+        assert spatial_correlation(geometry, 0.1, kernel) is rebuilt
         clear_memos()
-        assert spatial_correlation(cells, 0.1, kernel) is not rebuilt
+        assert spatial_correlation(geometry, 0.1, kernel) is not rebuilt
 
 
 def test_dense_correlation_is_built_without_factor_sized_temporaries():
     # Building the exponential kernel's factor holds it and one distance
     # table; checking it holds it and its read-only copy, plus one row block
     # of EXACT_CHUNK_VALUES values. |C| or C - C^T beside them exceeds 2.1x.
-    cells = build_default_geometry(GeometryConfig(n_x=48, n_z=36)).cell_centers
+    geometry = build_default_geometry(GeometryConfig(n_x=48, n_z=36))
     clear_memos()
     tracemalloc.start()
     try:
-        correlation = spatial_correlation(cells, 0.15, "exponential")
+        correlation = spatial_correlation(geometry, 0.15, "exponential")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -408,7 +418,7 @@ def test_separable_mix_holds_one_row_group_of_its_intermediate():
     # parameter step allocates the samples. A copy of the block in the
     # spatial step, or a second block beside the samples, exceeds that.
     geometry = build_default_geometry(GeometryConfig(n_x=24, n_z=18))
-    cov = build_covariance(get_scenario("S4"), geometry.cell_centers, 0.15, 0.3,
+    cov = build_covariance(get_scenario("S4"), geometry, 0.15, 0.3,
                            np.ones(5), 1.0)
     normals = standard_normal_draws(cov.dim, 64, seed=1)
     _parameter_mix(cov, cov.spatial.mix(normals.copy()))  # first-call allocations
@@ -531,7 +541,7 @@ def test_sampling_on_default_geometry_shapes():
 
 def test_tensor_grid_with_squared_exponential_kernel_is_separable():
     geometry = build_default_geometry()
-    cov = build_covariance(get_scenario("S1"), geometry.cell_centers, 0.15, 0.3, np.ones(5), 1.0)
+    cov = build_covariance(get_scenario("S1"), geometry, 0.15, 0.3, np.ones(5), 1.0)
     c_x, c_z = cov.spatial.factors
     assert c_x.shape == (25, 25) and c_z.shape == (21, 21)
     assert cov.spatial.n_cells == 525 and cov.dim == 2625
@@ -542,22 +552,14 @@ def test_tensor_grid_with_squared_exponential_kernel_is_separable():
     assert spatial_eigenpairs(scaled)[0] is lam  # the eigenpairs are carried, not recomputed
 
 
-def _permuted_grid_cells():
-    cells = build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers
-    return cells[np.random.default_rng(0).permutation(len(cells))]
-
-
-@pytest.mark.parametrize("cells, kernel", [
-    (build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers, "exponential"),
-    (_permuted_grid_cells(), "squared_exponential"),
-    (_random_cloud(12, seed=4), "squared_exponential"),
-    (build_default_geometry(GeometryConfig(n_x=3, n_z=4)).cell_centers[:-1],
-     "squared_exponential"),
-], ids=["exponential-kernel", "permuted-rows", "scattered", "incomplete-grid"])
-def test_non_separable_inputs_take_the_dense_path(cells, kernel):
-    cov = build_covariance(get_scenario("S1"), cells, 0.1, 0.3, np.ones(5), 1.0, kernel=kernel)
+def test_non_separable_inputs_take_the_dense_path():
+    # The exponential kernel does not separate: its factor is the dense one
+    # over the grid's cells.
+    geometry = build_default_geometry(GeometryConfig(n_x=3, n_z=4))
+    cov = build_covariance(get_scenario("S1"), geometry, 0.1, 0.3, np.ones(5), 1.0,
+                           kernel="exponential")
     (factor,) = cov.spatial.factors
-    assert np.array_equal(factor, build_spatial_factor(cells, 0.1, kernel))
+    assert np.array_equal(factor, build_spatial_factor(geometry.cell_centers, 0.1, "exponential"))
 
 
 def test_directly_passed_dense_factor_stays_dense():
@@ -580,8 +582,7 @@ def test_separable_covariance_rejects_bad_inputs():
     with pytest.raises(ConfigError, match="spatial must be a SpatialCorrelation, got ndarray"):
         PerturbationCovariance(cov.param_factor, dense_spatial_factor(cov), amplitude=1.0)
     with pytest.raises(ConfigError, match="corr_length"):
-        build_covariance(get_scenario("S1"), build_default_geometry().cell_centers,
-                         0.0, 0.3, np.ones(5), 1.0)
+        build_covariance(get_scenario("S1"), build_default_geometry(), 0.0, 0.3, np.ones(5), 1.0)
     with pytest.raises(AttributeError):
         cov.amplitude = 2.0
     with pytest.raises(AttributeError):

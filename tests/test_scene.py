@@ -158,21 +158,42 @@ def test_a_config_field_type_without_a_parser_is_refused():
         Block()
 
 
-def test_inconsistent_grid_dims_rejected(geometry):
-    with pytest.raises(ConfigError, match="inconsistent"):
-        SceneGeometry(
-            tx_positions=geometry.tx_positions,
-            rx_positions=geometry.rx_positions,
-            frequencies=geometry.frequencies,
-            cell_centers=geometry.cell_centers,
-            cell_volume=geometry.cell_volume,
-            grid_dims=(25, 20),
-        )
+def test_the_grid_is_derived_from_its_two_axes(geometry):
+    # Cells, dimensions and count come from the axes alone; the cells keep
+    # the p = ix * n_z + iz order and the bytes the pinned fingerprint reads.
+    assert [f.name for f in dataclasses.fields(SceneGeometry)] == [
+        "tx_positions", "rx_positions", "frequencies", "x_centers", "z_centers", "cell_volume"]
+    grid_x, grid_z = np.meshgrid(geometry.x_centers, geometry.z_centers, indexing="ij")
+    cells = np.column_stack([grid_x.ravel(), np.zeros(525), grid_z.ravel()])
+    assert geometry.cell_centers.tobytes() == cells.tobytes()
+    assert geometry.cell_centers is geometry.cell_centers
+    assert not geometry.cell_centers.flags.writeable
+    assert not geometry.x_centers.flags.writeable and not geometry.z_centers.flags.writeable
+    assert (geometry.grid_dims, geometry.n_cells) == ((25, 21), 525)
+    line = dataclasses.replace(geometry, x_centers=[0.1], z_centers=[0.2, 0.3, 0.4])
+    assert (line.grid_dims, line.n_cells) == ((1, 3), 3)
+    assert line.cell_centers.tolist() == [[0.1, 0.0, 0.2], [0.1, 0.0, 0.3], [0.1, 0.0, 0.4]]
+
+
+@pytest.mark.parametrize("field", ["x_centers", "z_centers"])
+@pytest.mark.parametrize("value", [[], [[0.1, 0.2]], 0.1], ids=["empty", "2-D", "scalar"])
+def test_an_axis_that_is_not_one_dimensional_or_is_empty_is_refused_by_name(
+        geometry, field, value):
+    shape = re.escape(str(np.shape(value)))
+    with pytest.raises(ConfigError,
+                       match=f"^{field} must be 1-D with at least one value, got shape {shape}$"):
+        dataclasses.replace(geometry, **{field: value})
+
+
+@pytest.mark.parametrize("depths", [[0.1, 0.0], [-0.1, 0.2]])
+def test_a_depth_at_or_above_the_surface_is_refused(geometry, depths):
+    with pytest.raises(ConfigError, match="^all cells must lie strictly below the surface$"):
+        dataclasses.replace(geometry, z_centers=depths)
 
 
 @pytest.mark.parametrize("field, index", [
     ("tx_positions", (3, 0)), ("rx_positions", (0, 1)),
-    ("cell_centers", (7, 2)), ("frequencies", (2,)),
+    ("x_centers", (3,)), ("z_centers", (7,)), ("frequencies", (2,)),
 ])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_geometry_arrays_are_refused_by_name(geometry, field, index, bad):

@@ -110,7 +110,7 @@ def test_factored_covariance_matches_dense_oracle(
 ):
     geometry = build_default_geometry(GeometryConfig(n_tx=n_tx, n_rx=n_rx, n_x=n_x, n_z=n_z))
     scenario = get_scenario(scenario_id)
-    cov = build_covariance(scenario, geometry.cell_centers, corr_length, rho_c, weights,
+    cov = build_covariance(scenario, geometry, corr_length, rho_c, weights,
                            amplitude=10.0**log_amplitude, kernel=kernel)
     _assert_matches_dense_oracle(assemble_forward(scenario, geometry), cov)
 
@@ -155,7 +155,7 @@ def test_separable_covariance_matches_dense_factor(
         GeometryConfig(n_tx=2, n_rx=2, n_x=n_x, n_z=n_z, dx=dx, dz=dz))
     scenario = get_scenario("S4")
     corr_length = 10.0**log_corr_length
-    separable = build_covariance(scenario, geometry.cell_centers, corr_length, rho_c,
+    separable = build_covariance(scenario, geometry, corr_length, rho_c,
                                  weights, amplitude=10.0**log_amplitude)
     assert len(separable.spatial.factors) == 2
     dense_factor = build_spatial_factor(geometry.cell_centers, corr_length)
