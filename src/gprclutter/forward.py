@@ -61,15 +61,20 @@ def transmit_kernels(k: np.ndarray, table: DistanceTable, n: int,
     The Green function (4 pi r included) is evaluated once per distinct
     distance and gathered for the receivers and for transmitter n; equal
     inputs give equal bits, so the kernels are those of an evaluation per pair.
+    A kernel that is not finite is an AssemblyError naming its (m, n, p).
     """
     r = table.distances
-    green = -1j * k[n] * r
-    np.exp(green, out=green)
-    green /= 4.0 * np.pi * r
-    kernels = green[table.rx_index]
-    kernels *= green[table.tx_index[n]]
-    if volume is not None:
-        kernels *= volume
+    with np.errstate(over="ignore", invalid="ignore"):
+        green = -1j * k[n] * r
+        np.exp(green, out=green)
+        green /= 4.0 * np.pi * r
+        kernels = green[table.rx_index]
+        kernels *= green[table.tx_index[n]]
+        if volume is not None:
+            kernels *= volume
+    if not np.isfinite(kernels).all():
+        m, p = np.unravel_index(int(np.argmin(np.isfinite(kernels))), kernels.shape)
+        raise AssemblyError(f"non-finite forward kernel at (m={m}, n={n}, p={p})")
     return kernels
 
 
@@ -169,14 +174,12 @@ def assemble_forward(scenario: Scenario, geometry: SceneGeometry) -> ForwardMatr
     Entry at row (m, n), column (q, p) is the receive kernel times the
     contrast sensitivity psi_q(omega_n) times the transmit kernel times the
     cell volume. The background is homogeneous, so psi_q depends only on
-    the channel frequency and the operator is kept as its two factors.
+    the channel frequency and the operator is kept as its two factors,
+    psi formed first: a medium whose psi and kernels both fail reports psi.
     """
-    kernels = born_kernel_tensor(scenario.background, geometry).reshape(-1, geometry.n_cells)
     omegas = 2.0 * np.pi * geometry.frequencies
     psi = sensitivity_components(*scenario.background.as_array(), omegas)  # (5, N)
-
-    check_kernels(kernels, geometry.n_rx)
-
+    kernels = born_kernel_tensor(scenario.background, geometry).reshape(-1, geometry.n_cells)
     return ForwardMatrix(kernels=kernels, sensitivities=psi, scenario=scenario, geometry=geometry)
 
 
@@ -207,12 +210,8 @@ def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> f
     Computed from the factors, one transmit block at a time
     (:func:`block_discrepancy`), whose norms are summed with math.hypot in
     transmit order. Equal operators give exactly 0, a candidate of zero
-    kernels exactly 1, and a reference of zero norm is an AssemblyError.
+    kernels exactly 1; a zero or overflowing norm is refused (:func:`discrepancy_ratio`).
     """
-    if candidate.shape != reference.shape:
-        raise AssemblyError(
-            f"shape mismatch {candidate.shape} vs {reference.shape}"
-        )
     if candidate.geometry.fingerprint() != reference.geometry.fingerprint():
         raise ConfigError(
             f"forward operators assembled on geometries {candidate.geometry.fingerprint()} "
@@ -228,19 +227,7 @@ def forward_discrepancy(candidate: ForwardMatrix, reference: ForwardMatrix) -> f
     return discrepancy_ratio(*total)
 
 
-def check_kernels(kernels: np.ndarray, n_rx: int, first_row: int = 0) -> None:
-    """Raise an AssemblyError naming the first non-finite entry of forward kernel rows.
-
-    ``kernels`` holds rows ``first_row`` onward of an operator's kernels,
-    row (m, n) -> n * n_rx + m.
-    """
-    finite = np.isfinite(kernels)
-    if not finite.all():
-        row, p = divmod(int(np.argmin(finite)), kernels.shape[1])
-        n, m = divmod(first_row + row, n_rx)
-        raise AssemblyError(f"non-finite forward kernel at (m={m}, n={n}, p={p})")
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,
                       reference_psi: np.ndarray, reference_kernels: np.ndarray
                       ) -> tuple[float, float]:
@@ -264,7 +251,8 @@ def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,
     cancel and lose more than 4 bits, so it is formed as a K_c - K_r,
     a = <psi_r, psi_c> / |psi_r|^2 = 1 + c, with psi_perp = psi_c - a psi_r.
     Every norm is a :func:`frobenius_norm`, so kernels whose squares
-    underflow keep their norm.
+    underflow keep their norm; one beyond the float range comes out
+    infinite or NaN, for :func:`discrepancy_ratio` to refuse.
     """
     psi_sq = np.vdot(reference_psi, reference_psi).real
     a = np.vdot(reference_psi, candidate_psi) / psi_sq if psi_sq > 0.0 else 1.0
@@ -287,8 +275,11 @@ def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,
 def discrepancy_ratio(numerator: float, denominator: float) -> float:
     """numerator / denominator of Frobenius norms summed over transmit blocks.
 
-    A reference of zero norm, or a ratio beyond the float range, is an AssemblyError.
+    A norm or a ratio beyond the float range, or a reference of zero norm, is an AssemblyError.
     """
+    if not (math.isfinite(numerator) and math.isfinite(denominator)):
+        raise AssemblyError("forward operator norm exceeds the float range: "
+                            "its relative discrepancy is undefined")
     if not denominator > 0.0:
         raise AssemblyError("reference forward operator has zero norm: "
                             "its relative discrepancy is undefined")

@@ -14,7 +14,7 @@ from ..montecarlo import (
     DEFAULT_VALIDITY_SAMPLE_COUNT,
     DEFAULT_VALIDITY_THRESHOLD,
 )
-from ..randfield import SPATIAL_KERNELS
+from ..randfield import SPATIAL_KERNELS, check_corr_length
 from ..scene import (
     GeometryConfig,
     coerce_fields,
@@ -61,8 +61,7 @@ class RandomFieldConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.kernel not in SPATIAL_KERNELS:
             raise ConfigError(f"kernel must be one of {SPATIAL_KERNELS}, got {self.kernel!r}")
-        if self.corr_length <= 0.0:
-            raise ConfigError(f"corr_length must be positive, got {self.corr_length!r}")
+        check_corr_length(self.corr_length, self.kernel)
         if not 0.0 <= self.rho_c < 1.0:
             raise ConfigError(f"rho_c must lie in [0, 1), got {self.rho_c!r}")
         if self.amplitude < 0.0:
@@ -114,7 +113,6 @@ class ExperimentSettings:
                 raise ConfigError(f"amplitude_grid[{i}] must not be below amplitude_grid[{i - 1}]"
                                   f" (ascending), got {self.amplitude_grid[i]!r}")
         _check_each("delta_f_grid", self.delta_f_grid, lambda f: f >= 0.0, "be nonnegative")
-        _check_each("corr_length_grid", self.corr_length_grid, lambda x: x > 0.0, "be positive")
         _check_each("rho_c_grid", self.rho_c_grid, lambda r: 0.0 <= r < 1.0, "lie in [0, 1)")
         _check_each("kappa_grid", self.kappa_grid, lambda k: k > 0.0, "be positive")
 
@@ -139,6 +137,9 @@ class ExperimentConfig:
         for name, sid in ids:
             if sid not in registry:
                 raise ConfigError(f"{name} must be a known scenario id, got {sid!r}")
+        # The length rule depends on the kernel, which the random field sets.
+        for i, length in enumerate(exp.corr_length_grid):
+            check_corr_length(length, self.random_field.kernel, f"corr_length_grid[{i}]")
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return dataclasses.replace(self, **kwargs)

@@ -28,7 +28,6 @@ from ..forward import (
     assemble_forward,
     background_wavenumber,
     block_discrepancy,
-    check_kernels,
     discrepancy_ratio,
     steering_vector,
     transmit_kernels,
@@ -498,16 +497,17 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
     report the same quantity toward the vacuum-kernel surrogate.
 
     No operator is assembled: the media's kernels are formed side by side,
-    one transmit block (M rows) at a time, with the checks of
-    :func:`assemble_forward`, and each pair sums the two norms of
+    one transmit block (M rows) at a time by :func:`transmit_kernels`, which
+    refuses a kernel that is not finite, and each pair sums the two norms of
     :func:`block_discrepancy` in transmit order, as :func:`forward_discrepancy` does. A
-    medium that fails is recorded and its pairs are dropped; a start medium
-    whose operator has zero norm is recorded and the rows toward it are kept.
+    medium that fails is recorded and its pairs are dropped. A start medium
+    whose operator has zero norm, or one of whose pairs has a norm beyond
+    the float range, is recorded and writes no row; the rows toward it are kept.
     """
     exp = config.experiments
     result = _result(config, "kernel_diff", ("from_scenario", "to_scenario", "delta_a"))
     geometry = _geometry(config)
-    n_rx, omegas = geometry.n_rx, 2.0 * np.pi * geometry.frequencies
+    omegas = 2.0 * np.pi * geometry.frequencies
     media = {sid: get_scenario(sid) for sid in exp.kernel_diff_scenarios}
     media["free_space"] = free_space_scenario()
     ks, psi = {}, {}
@@ -523,7 +523,6 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
             with _recorded(result, sid):
                 blocks[sid] = transmit_kernels(ks[sid], geometry.cell_distances(), n,
                                                geometry.cell_volume)
-                check_kernels(blocks[sid], n_rx, n * n_rx)
             if sid in result.errors:
                 del ks[sid]
                 blocks.pop(sid, None)
@@ -536,7 +535,7 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
         if sid_from not in ks:
             continue
         with _recorded(result, sid_from):
-            for sid_to in ks:
-                result.table.add_row(from_scenario=sid_from, to_scenario=sid_to,
-                                     delta_a=discrepancy_ratio(*totals[sid_from, sid_to]))
+            ratios = {sid_to: discrepancy_ratio(*totals[sid_from, sid_to]) for sid_to in ks}
+            for sid_to, delta_a in ratios.items():
+                result.table.add_row(from_scenario=sid_from, to_scenario=sid_to, delta_a=delta_a)
     return result

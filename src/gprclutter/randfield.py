@@ -89,7 +89,7 @@ def build_spatial_factor(
     exponential kernel exp(-d / l) is available behind the same interface.
     One isotropic length governs both axes.
     """
-    _check_kernel(corr_length, kernel)
+    check_corr_length(corr_length, kernel)
     pts = np.asarray(cell_centers, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
         raise ConfigError(f"cell_centers must have shape (P, 3), P >= 1, got {pts.shape}")
@@ -108,15 +108,15 @@ def build_spatial_factor(
     return factor
 
 
-def _check_kernel(corr_length: float, kernel: str) -> None:
-    """Refuse a length or kernel outside the spatial builders' domain."""
+def check_corr_length(corr_length: float, kernel: str, key: str = "corr_length") -> None:
+    """Refuse a length or kernel outside the spatial builders' domain, naming ``key``."""
     if not 0.0 < corr_length < math.inf:
-        raise ConfigError(f"corr_length must be positive and finite, got {corr_length!r}")
+        raise ConfigError(f"{key} must be positive and finite, got {corr_length!r}")
     if kernel not in SPATIAL_KERNELS:
         raise ConfigError(f"unknown spatial kernel {kernel!r} (known: {SPATIAL_KERNELS})")
     if kernel == "squared_exponential" and 2.0 * corr_length * corr_length == 0.0:
-        raise ConfigError(f"corr_length {corr_length!r} is too small for the squared-exponential "
-                          "kernel: 2 corr_length^2 underflows to 0")
+        raise ConfigError(f"{key} {corr_length!r} is too small for the squared-exponential "
+                          f"kernel: 2 {key}^2 underflows to 0")
 
 
 def _pairwise_squares(values: np.ndarray) -> np.ndarray:
@@ -315,7 +315,7 @@ def spatial_correlation(
     """
     if not isinstance(geometry, SceneGeometry):
         raise ConfigError(f"geometry must be a SceneGeometry, got {type(geometry).__name__}")
-    _check_kernel(corr_length, kernel)
+    check_corr_length(corr_length, kernel)
     return _shared_correlation(geometry.x_centers.tobytes(), geometry.z_centers.tobytes(),
                                float(corr_length), kernel)
 

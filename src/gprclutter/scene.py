@@ -16,7 +16,7 @@ import typing
 import numpy as np
 
 from .constitutive import ColeColeParams
-from .errors import ConfigError, NearSingularityError
+from .errors import AssemblyError, ConfigError, NearSingularityError
 
 # CPython's built-in SHA-256 gives hashlib's bytes without loading OpenSSL,
 # as the standard library's ``random`` does for SHA-512.
@@ -402,6 +402,7 @@ class DistanceTable:
             getattr(self, name).flags.writeable = False
 
 
+@np.errstate(over="ignore")  # a square beyond the float range is refused below
 def distance_table(geometry: SceneGeometry, points: np.ndarray) -> DistanceTable:
     """The distances from every antenna of ``geometry`` to each of ``points`` (Q x 3).
 
@@ -409,7 +410,8 @@ def distance_table(geometry: SceneGeometry, points: np.ndarray) -> DistanceTable
     elements over 48 x 36 cells the 27,648 antenna-cell distances take
     2,435 values. Functions of the distance alone are evaluated once per
     distinct value and gathered through the int32 indices. A distance
-    below ``MIN_SEPARATION`` is a NearSingularityError naming the pair.
+    below ``MIN_SEPARATION`` is a NearSingularityError naming the pair, and
+    one whose square exceeds the float range an AssemblyError naming it.
     """
     distances = []
     for antennas in (geometry.rx_positions, geometry.tx_positions):
@@ -421,6 +423,10 @@ def distance_table(geometry: SceneGeometry, points: np.ndarray) -> DistanceTable
                 f"separation {float(r[ia, ib])!r} m between antenna {ia} and point {ib} "
                 f"below the {MIN_SEPARATION} m kernel minimum"
             )
+        if not np.all(r < math.inf):
+            ia, ib = np.unravel_index(int(np.argmax(r)), r.shape)
+            raise AssemblyError(f"squared separation between antenna {ia} and point {ib} "
+                                "exceeds the float range")
         distances.append(r)
     r_rx, r_tx = distances
     r, index = np.unique(np.concatenate((r_rx.ravel(), r_tx.ravel())), return_inverse=True)

@@ -139,7 +139,7 @@ def kernel_gram(forward: ForwardMatrix, cov: PerturbationCovariance) -> np.ndarr
     n_rows = kernels.shape[0]
     blocks = row_slices(n_rows, -(-n_rows // GRAM_ROW_BLOCKS))
     gram = np.empty((n_rows, n_rows), dtype=complex)
-    # The kernels are finite (assemble_forward), so a non-finite Gram overflowed.
+    # The kernels are finite (transmit_kernels), so a non-finite Gram overflowed.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in blocks:
             weighted = _kernel_product(cov.spatial.product, kernels[i])

@@ -166,6 +166,9 @@ def test_non_finite_config_number_exits_1_and_writes_nothing(tmp_path, capsys):
          "unknown keys in geometry block: [1, 'gain']"),
         (f"random_field: {{corr_length: {10**400}}}\n", "scan-lx", "corr_length must"),
         (f"random_field: {{sample_count: {10**400}}}\n", "closure", "sample_count must"),
+        ("random_field: {corr_length: 1.0e-170}\n", "scan-fda", "corr_length 1e-170 is too"),
+        ("experiments: {corr_length_grid: [0.1, 1.0e-170]}\n", "scan-lx",
+         "corr_length_grid[1] 1e-170 is too small"),
     ]
     for index, (text, command, key) in enumerate(cases):
         out = tmp_path / f"results{index}"
@@ -396,6 +399,25 @@ def test_build_forward_persists_matrix_and_sidecar(tmp_path):
     assert "row = n * M + m" in sidecar["row_order"]
 
 
+@pytest.mark.parametrize("geometry, message", [
+    ("{n_tx: 1, n_rx: 1, n_x: 1, n_z: 1, dz: 1.0e-6}",
+     "separation 5e-07 m between antenna 0 and point 0 below the 1e-06 m kernel minimum"),
+    ("{n_tx: 1, n_rx: 1, n_x: 1, n_z: 1, element_spacing: 1.0e-5, dz: 2.0e-6, "
+     "strip_width: 1.0e+308}", "non-finite forward kernel at (m=0, n=0, p=0)"),
+    ("{n_tx: 4, n_rx: 1, n_x: 1, n_z: 1, element_spacing: 1.0e+308}",
+     "squared separation between antenna 0 and point 0 exceeds the float range"),
+], ids=["near-singularity", "kernel-overflow", "distance-overflow"])
+def test_build_forward_refusal_exits_2_by_name_and_writes_no_matrix(tmp_path, capsys,
+                                                                    geometry, message):
+    # build-forward assembles outside any scenario's record: main reports
+    # the refusal as a numerical error.
+    config_path, out = tmp_path / "config.yaml", tmp_path / "results"
+    config_path.write_text(f"scenarios: [S1]\ngeometry: {geometry}\n")
+    assert main(["--config", str(config_path), "--out", str(out), "build-forward"]) == 2
+    assert f"numerical error: {message}\n" in capsys.readouterr().err
+    assert not list(out.glob("forward_*.cmat"))
+
+
 def test_kernel_diff_cli(tmp_path):
     out = str(tmp_path / "results")
     assert main(["--out", out, "kernel-diff"]) == 0
@@ -566,6 +588,19 @@ def test_a_start_medium_of_zero_norm_is_recorded_and_the_run_goes_on(tmp_path, c
         for table in ("derivative_check", "validity_scan", "kernel_diff", "fda_scan", "closure",
                       "lx_scan", "coupling_scan", "target_scan", "boundary"):
             assert (out / f"{table}.csv").exists() and (out / f"{table}.json").exists(), table
+
+
+def test_an_operator_norm_beyond_the_float_range_is_recorded_with_no_row(tmp_path):
+    # tests/discrepancy_overflow.yaml: finite kernels on a 1e308 m strip.
+    # kernel-diff once wrote S1 -> S2 as 0.0 and S1 -> free_space as NaN.
+    # S2 -> S1 and S2 -> S2 are finite but go with S2's refusal.
+    config = os.path.join(os.path.dirname(__file__), "discrepancy_overflow.yaml")
+    out = tmp_path / "results"
+    assert main(["--config", config, "--out", str(out), "kernel-diff"]) == 2
+    refusal = "forward operator norm exceeds the float range: its relative discrepancy is undefined"
+    assert json.loads((out / "kernel_diff_errors.json").read_text()) == {
+        "S1": refusal, "S2": refusal}
+    assert (out / "kernel_diff.csv").read_text() == "from_scenario,to_scenario,delta_a\n"
 
 
 def test_a_covariance_that_underflows_is_refused_as_underflow(tmp_path):

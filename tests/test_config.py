@@ -1,5 +1,6 @@
 """Configuration parsing, strictness, and round-trip stability."""
 
+import os
 import re
 
 import numpy as np
@@ -107,6 +108,26 @@ def test_empty_target_grid_rejected():
 def test_malformed_values_rejected_by_key(text, key):
     with pytest.raises(ConfigError, match=rf"^{key} (must|repeats)"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("key, text", [
+    ("corr_length", "random_field: {{corr_length: 1.0e-170, kernel: {kernel}}}\n"),
+    ("corr_length_grid[1]", "random_field: {{kernel: {kernel}}}\n"
+                            "experiments: {{corr_length_grid: [0.1, 1.0e-170]}}\n"),
+])
+def test_a_squared_exponential_length_whose_square_underflows_is_refused_at_load(key, text):
+    # The configuration applies randfield's length rule, so 2 l^2 = 0 is
+    # refused when it loads, not by each scenario's run; the exponential
+    # kernel takes the same length.
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} 1e-170 is too small for the "
+                                          rf"squared-exponential kernel: 2 {re.escape(key)}\^2"):
+        parse_config(text.format(kernel="squared_exponential"))
+    parse_config(text.format(kernel="exponential"))
+
+
+def test_the_short_length_reproducer_is_refused_at_load():
+    with pytest.raises(ConfigError, match=r"^corr_length 1e-170 is too small"):
+        load_config(os.path.join(os.path.dirname(__file__), "short_length.yaml"))
 
 
 def test_weights_length_validated():

@@ -25,8 +25,6 @@ def _reproducer(name: str) -> ExperimentConfig:
 
 
 EDGE_CONFIG = _reproducer("domain_edge.yaml")
-#: Float-range reproducers: every theoretical covariance overflows.
-FLOAT_RANGE = (_reproducer("amplitude_overflow.yaml"), _reproducer("gram_overflow.yaml"))
 #: Amplitude 0 only reaches "covariance is identically zero": one explicit example.
 ZERO_AMPLITUDE = EDGE_CONFIG.replace(
     random_field=dataclasses.replace(EDGE_CONFIG.random_field, amplitude=0.0))
@@ -59,6 +57,24 @@ SWEEP_SEED = int(
 #: The experiments that form a theoretical clutter covariance.
 COVARIANCE_RUNS = ("run_fda_scan", "run_closure", "run_lx_scan", "run_coupling_scan",
                    "run_target_scan", "run_boundary")
+COVARIANCE_OVERFLOW = dict.fromkeys(COVARIANCE_RUNS, "covariance overflows: ")
+
+#: Float-range reproducers, each with the experiments that record an error
+#: and the start of every such error; the other experiments record none.
+FLOAT_RANGE = {
+    # Every theoretical covariance overflows.
+    _reproducer("amplitude_overflow.yaml"): COVARIANCE_OVERFLOW,
+    _reproducer("gram_overflow.yaml"): COVARIANCE_OVERFLOW,
+    # The kernels are finite, the operator norms and covariances are not.
+    _reproducer("discrepancy_overflow.yaml"): dict(
+        COVARIANCE_OVERFLOW, run_kernel_diff="forward operator norm exceeds the float range"),
+    # Every experiment but the derivative check forms kernels.
+    _reproducer("kernel_overflow.yaml"): dict.fromkeys(
+        (run.__name__ for run in RUNS[1:]), "non-finite forward kernel at (m=0, n=0, p=0)"),
+    _reproducer("distance_overflow.yaml"): dict.fromkeys(
+        (run.__name__ for run in RUNS[1:]), "squared separation between antenna "),
+}
+FLOAT_RANGE_CONFIGS = tuple(FLOAT_RANGE)
 
 
 def _log_uniform(low: float, high: float):
@@ -126,8 +142,11 @@ def test_every_experiment_records_a_typed_error_or_writes_bounded_rows():
     @seed(SWEEP_SEED)
     @example(EDGE_CONFIG)
     @example(ZERO_AMPLITUDE)
-    @example(FLOAT_RANGE[0])
-    @example(FLOAT_RANGE[1])
+    @example(FLOAT_RANGE_CONFIGS[0])
+    @example(FLOAT_RANGE_CONFIGS[1])
+    @example(FLOAT_RANGE_CONFIGS[2])
+    @example(FLOAT_RANGE_CONFIGS[3])
+    @example(FLOAT_RANGE_CONFIGS[4])
     @given(edge_configs())
     def sweep(config):
         drawn.append(config)
@@ -149,9 +168,9 @@ def test_every_experiment_records_a_typed_error_or_writes_bounded_rows():
             assert all("offending parameter 'alpha'" in m for m in errors.values())
         if config in FLOAT_RANGE:
             for name, result in results.items():
-                errors = result.errors
-                assert bool(errors) == (name in COVARIANCE_RUNS), (name, errors)
-                assert all(m.startswith("covariance overflows: ") for m in errors.values())
+                errors, refusal = result.errors, FLOAT_RANGE[config].get(name)
+                assert bool(errors) == (refusal is not None), (name, errors)
+                assert all(m.startswith(refusal) for m in errors.values()), (name, errors)
 
     sweep()
     assert len(set(drawn)) >= 40

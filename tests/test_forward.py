@@ -19,7 +19,6 @@ from gprclutter import (
     scenario_registry,
     steering_vector,
 )
-from gprclutter import forward as forward_module
 from gprclutter import scene
 from gprclutter.constants import MU_0
 from gprclutter.constitutive import sensitivity_components
@@ -32,6 +31,7 @@ from gprclutter.forward import (
     born_kernel_tensor,
     discrepancy_ratio,
     frobenius_norm,
+    transmit_kernels,
 )
 from gprclutter.harness.experiments import free_space_scenario
 from gprclutter.scene import Scenario, default_perturbation_scales
@@ -275,14 +275,23 @@ def test_each_kernel_slab_equals_that_of_a_one_frequency_geometry(delta_f):
         assert kernels[n].tobytes() == born_kernel_tensor(background, alone)[0].tobytes()
 
 
-def test_non_finite_factor_is_an_assembly_error(small_geometry, monkeypatch):
+def test_non_finite_factor_is_an_assembly_error(small_geometry):
     scenario = get_scenario("S4")
-    kernels = born_kernel_tensor(scenario.background, small_geometry)
-    kernels[1, 0, 4] = np.inf
-    monkeypatch.setattr(forward_module, "born_kernel_tensor", lambda *args: kernels)
-    with pytest.raises(AssemblyError, match=r"kernel at \(m=0, n=1, p=4\)"):
-        assemble_forward(scenario, small_geometry)
-    monkeypatch.undo()
+    k = background_wavenumber(scenario.background, 2.0 * np.pi * small_geometry.frequencies)
+    # At 1e308 m the Green function is NaN: receiver 1 meets it at point 3,
+    # transmitter 1 at point 4.
+    rx_index, tx_index = np.zeros((2, 2, 6), dtype=np.int32)
+    rx_index[1, 3] = tx_index[1, 4] = 1
+    table = scene.DistanceTable(np.array([1.0, 1e308]), rx_index, tx_index)
+    for n, entry in ((0, "m=1, n=0, p=3"), (1, "m=0, n=1, p=4")):
+        with pytest.raises(AssemblyError, match=rf"^non-finite forward kernel at \({entry}\)$"):
+            transmit_kernels(k, table, n)
+
+    # A real overflow (tests/kernel_overflow.yaml): 2 um cells on a 1e308 m strip.
+    overflow = build_default_geometry(GeometryConfig(
+        n_tx=1, n_rx=1, n_x=1, n_z=1, element_spacing=1e-5, dz=2e-6, strip_width=1e308))
+    with pytest.raises(AssemblyError, match=r"kernel at \(m=0, n=0, p=0\)"):
+        assemble_forward(scenario, overflow)
 
     # The Cole-Cole cores refuse values that are not finite, naming the parameter.
     lossy = dataclasses.replace(scenario, background=ColeColeParams(3.0, 1.0, 1e-9, 0.0, 1e308))
@@ -376,10 +385,14 @@ def test_discrepancy_identity_and_scaling(geometry):
 
 
 def test_discrepancy_shape_mismatch(geometry, small_geometry):
+    # An operator's shapes are those its geometry gives, so operators of one
+    # geometry fingerprint have one shape: the discrepancy compares fingerprints.
     big = assemble_forward(get_scenario("S1"), geometry)
     small = assemble_forward(get_scenario("S1"), small_geometry)
-    with pytest.raises(AssemblyError):
-        forward_discrepancy(big, small)
+    with pytest.raises(AssemblyError, match=r"^forward kernels shape \(4, 6\) != \(64, "):
+        dataclasses.replace(big, kernels=small.kernels)
+    with pytest.raises(AssemblyError, match=r"^forward sensitivities shape \(5, 2\) != \(5, 8\)"):
+        dataclasses.replace(big, sensitivities=small.sensitivities)
 
 
 def _agrees_with_dense(value, dense):
@@ -447,6 +460,25 @@ def test_a_discrepancy_beyond_the_float_range_is_an_assembly_error(small_geometr
         forward_discrepancy(forward, tiny)
 
 
+def test_an_operator_norm_beyond_the_float_range_is_an_assembly_error():
+    # tests/discrepancy_overflow.yaml: the kernels are finite, their norms
+    # times |psi| are not. The ratio does not depend on the strip width.
+    for strip_width, overflows in ((1.0e308, True), (1.0, False)):
+        geometry = build_default_geometry(GeometryConfig(
+            n_tx=2, n_rx=2, n_x=3, n_z=2, dz=2.0e-6, strip_width=strip_width))
+        first, second = (assemble_forward(get_scenario(sid), geometry) for sid in ("S1", "S2"))
+        if overflows:
+            with pytest.raises(AssemblyError, match="^forward operator norm exceeds the float range"):
+                forward_discrepancy(second, first)
+        else:
+            assert forward_discrepancy(second, first) == pytest.approx(0.6652734984501687,
+                                                                      rel=1e-12)
+    for numerator, denominator in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                                   (0.0, math.nan)):
+        with pytest.raises(AssemblyError, match="^forward operator norm exceeds the float range"):
+            discrepancy_ratio(numerator, denominator)
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_frobenius_norm_is_numpys_in_range_and_does_not_underflow_or_overflow(dtype):
     rng = np.random.default_rng(11)
@@ -511,16 +543,18 @@ def test_scaling_both_sensitivities_leaves_the_block_ratio(small_geometry):
 
 
 def test_discrepancy_refuses_operators_of_another_geometry(small_geometry):
-    # Same shape, another frequency increment.
-    other = build_default_geometry(GeometryConfig(
-        n_tx=2, n_rx=2, n_x=3, n_z=2, dx=0.1, dz=0.05, delta_f=40e6))
+    # Same shape and another frequency increment, or another shape.
     first = assemble_forward(get_scenario("S1"), small_geometry)
-    second = assemble_forward(get_scenario("S1"), other)
-    assert first.shape == second.shape
-    with pytest.raises(ConfigError) as info:
-        forward_discrepancy(first, second)
-    assert small_geometry.fingerprint() in str(info.value)
-    assert other.fingerprint() in str(info.value)
+    for delta_f, n_x in ((40e6, 3), (20e6, 4)):
+        other = build_default_geometry(GeometryConfig(
+            n_tx=2, n_rx=2, n_x=n_x, n_z=2, dx=0.1, dz=0.05, delta_f=delta_f))
+        second = assemble_forward(get_scenario("S1"), other)
+        assert (first.shape == second.shape) == (n_x == 3)
+        for pair in ((first, second), (second, first)):
+            with pytest.raises(ConfigError) as info:
+                forward_discrepancy(*pair)
+            assert small_geometry.fingerprint() in str(info.value)
+            assert other.fingerprint() in str(info.value)
 
 
 def test_medium_change_ordering(geometry):

@@ -45,6 +45,7 @@ from gprclutter import forward as forward_module
 from gprclutter import scene
 from gprclutter.harness.cli import main
 from gprclutter.constitutive import PARAMETER_NAMES
+from gprclutter.errors import AssemblyError
 from gprclutter.montecarlo import SAMPLE_BLOCK
 from conftest import clear_memos, closure_covariances
 from oracles import finite_difference_errors
@@ -545,25 +546,28 @@ def test_kernel_diff_holds_less_than_one_operator():
 
 
 def test_kernel_diff_drops_a_medium_whose_later_block_fails(monkeypatch):
-    # The error is the one assemble_forward raises for the same kernels, and
-    # the other pairs keep their values.
+    # S2's wavenumber at the second frequency is poisoned: the error is the
+    # one assemble_forward raises for the same input, and the other pairs
+    # keep their values.
     config = _config(geometry=GeometryConfig(n_x=6, n_z=5))
     clean = {(r["from_scenario"], r["to_scenario"]): r["delta_a"]
              for r in run_kernel_diff(config).table.rows}
-    original = experiments.transmit_kernels
-    geometry = build_default_geometry(config.geometry)
-    medium = forward_module.background_wavenumber(get_scenario("S2").background,
-                                                  2.0 * np.pi * geometry.frequencies)
+    original = forward_module.background_wavenumber
+    medium = get_scenario("S2").background
 
-    def poisoned(k, table, n, volume=None):
-        block = original(k, table, n, volume)
-        if np.array_equal(k, medium) and n == 1:
-            block[0, 4] = np.inf
-        return block
+    def poisoned(background, omega):
+        k = original(background, omega)
+        if background == medium:
+            k[1] = complex(np.nan, 0.0)
+        return k
 
-    monkeypatch.setattr(experiments, "transmit_kernels", poisoned)
+    monkeypatch.setattr(experiments, "background_wavenumber", poisoned)
+    monkeypatch.setattr(forward_module, "background_wavenumber", poisoned)
+    with pytest.raises(AssemblyError) as info:
+        assemble_forward(get_scenario("S2"), build_default_geometry(config.geometry))
+    assert str(info.value) == "non-finite forward kernel at (m=0, n=1, p=0)"
     result = run_kernel_diff(config)
-    assert result.errors == {"S2": "non-finite forward kernel at (m=0, n=1, p=4)"}
+    assert result.errors == {"S2": str(info.value)}
     rows = {(r["from_scenario"], r["to_scenario"]): r["delta_a"] for r in result.table.rows}
     assert rows == {(a, b): clean[a, b] for a in ("S1", "S3") for b in ("S1", "S3", "free_space")}
 

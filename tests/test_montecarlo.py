@@ -726,6 +726,23 @@ def test_one_spatial_root_runs_once_per_block_for_three_models(monkeypatch):
     assert all(isinstance(outcome, tuple) for outcome in outcomes)
 
 
+def test_closure_stops_drawing_once_every_model_has_dropped(monkeypatch):
+    # S1 and S4 at a tau-floor amplitude both drop out in the first of three
+    # blocks of 50 samples: the later blocks are not drawn.
+    geometry, models = _root_models([(sid, 0.15, "squared_exponential") for sid in ("S1", "S4")])
+    models = [(forward, cov.with_amplitude(1e4)) for forward, cov in models]
+    draw, draws = montecarlo.standard_normal_draws, []
+
+    def counting(*args, **kwargs):
+        draws.append(kwargs["start"])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "standard_normal_draws", counting)
+    outcomes = shared_closure_covariances(models, 150, 2)
+    assert draws == [0]
+    assert len(outcomes) == 2 and all(isinstance(o, TauFloorError) for o in outcomes)
+
+
 @pytest.mark.parametrize(("n_x", "n_z", "cap", "block", "split"), [
     (25, 21, 15, 64, [13, 13, 13, 13, 12]),
     (48, 36, 4, 30, [4, 4, 4, 4, 4, 4, 3, 3]),
