@@ -286,12 +286,27 @@ def _background_terms(background: ColeColeParams, omega_bytes: bytes, shape: tup
     return terms
 
 
+def check_tau_floor(background: ColeColeParams, delta_tau: np.ndarray) -> np.ndarray:
+    """The perturbed relaxation times tau_b + ``delta_tau``, each above the hard floor.
+
+    A value at or below TAU_FLOOR_FRACTION tau_b is a TauFloorError with the
+    index of the first such value into ``delta_tau``.
+    """
+    perturbed_tau = background.tau + delta_tau
+    floor = TAU_FLOOR_FRACTION * background.tau
+    if np.any(perturbed_tau <= floor):
+        index = tuple(int(i) for i in np.unravel_index(
+            int(np.argmax(perturbed_tau <= floor)), perturbed_tau.shape))
+        raise TauFloorError(index, float(perturbed_tau[index]), float(floor))
+    return perturbed_tau
+
+
 def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega) -> np.ndarray:
     """Vectorized exact contrast for stacked perturbations.
 
     ``delta_mu`` has shape (5, ...) with the parameter channel leading;
-    ``omega`` broadcasts against the trailing shape. Raises TauFloorError
-    with the offending index into ``delta_mu[2]`` if any perturbed tau hits
+    ``omega`` broadcasts against the trailing shape. Raises the TauFloorError
+    of :func:`check_tau_floor` on ``delta_mu[2]`` if any perturbed tau hits
     the hard floor.
 
     Only the relaxation term is nonlinear, so the contrast is formed as
@@ -314,12 +329,7 @@ def exact_contrast_field(background: ColeColeParams, delta_mu: np.ndarray, omega
             f"expected 5 stacked Cole-Cole perturbations, got shape {delta_mu.shape}"
         )
     base = background.as_array()
-    perturbed_tau = base[2] + delta_mu[2]
-    floor = TAU_FLOOR_FRACTION * base[2]
-    if np.any(perturbed_tau <= floor):
-        index = tuple(int(i) for i in np.unravel_index(
-            int(np.argmax(perturbed_tau <= floor)), perturbed_tau.shape))
-        raise TauFloorError(index, float(perturbed_tau[index]), float(floor))
+    perturbed_tau = check_tau_floor(background, delta_mu[2])
     omega = np.asarray(omega, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         re_b, im_b, loss_per_sigma, scale = _background_terms(

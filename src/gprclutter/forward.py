@@ -275,11 +275,13 @@ def block_discrepancy(candidate_psi: np.ndarray, candidate_kernels: np.ndarray,
 def discrepancy_ratio(numerator: float, denominator: float) -> float:
     """numerator / denominator of Frobenius norms summed over transmit blocks.
 
-    A norm or a ratio beyond the float range, or a reference of zero norm, is an AssemblyError.
+    A norm or a ratio beyond the float range, or a reference of zero norm, is an
+    AssemblyError; one beyond the float range states both norms.
     """
     if not (math.isfinite(numerator) and math.isfinite(denominator)):
-        raise AssemblyError("forward operator norm exceeds the float range: "
-                            "its relative discrepancy is undefined")
+        raise AssemblyError(
+            f"forward operator norm exceeds the float range (difference norm {numerator!r}, "
+            f"reference norm {denominator!r}): its relative discrepancy is undefined")
     if not denominator > 0.0:
         raise AssemblyError("reference forward operator has zero norm: "
                             "its relative discrepancy is undefined")

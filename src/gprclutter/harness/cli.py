@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} experiment")
         if name == "closure":
             command.add_argument("--dump-matrices", action="store_true",
-                                 help="also persist theory and sample covariances as CMAT")
+                                 help="also persist theory and closure covariance estimates as CMAT")
     sub.add_parser("build-forward", help="assemble and persist forward matrices")
     report = sub.add_parser("report", help="run the full experiment suite")
     report.add_argument("--plots", action="store_true",

@@ -23,7 +23,7 @@ from ..constitutive import (
     PARAMETER_NAMES,
     sensitivity_components,
 )
-from ..errors import GprClutterError, InvariantError
+from ..errors import AssemblyError, GprClutterError, InvariantError
 from ..forward import (
     assemble_forward,
     background_wavenumber,
@@ -321,8 +321,9 @@ def run_closure(config: ExperimentConfig, keep_matrices: bool = False) -> Experi
     streamed draw serves them all (:func:`shared_closure_covariances`); a
     scenario that fails drops out of it and the others go on. The
     theoretical covariance and its spectrum are the scenario's shared
-    :func:`_baseline`. With ``keep_matrices`` the theoretical covariance and
-    both sample covariances are attached for CMAT persistence.
+    :func:`_baseline`. With ``keep_matrices`` the theoretical covariance, the
+    linear sample covariance and the control-variate estimate of the exact
+    one are attached for CMAT persistence.
     """
     rf = config.random_field
     result = _result(
@@ -502,7 +503,8 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
     :func:`block_discrepancy` in transmit order, as :func:`forward_discrepancy` does. A
     medium that fails is recorded and its pairs are dropped. A start medium
     whose operator has zero norm, or one of whose pairs has a norm beyond
-    the float range, is recorded and writes no row; the rows toward it are kept.
+    the float range, is recorded under the first pair refused, and writes no
+    row; the rows toward it are kept.
     """
     exp = config.experiments
     result = _result(config, "kernel_diff", ("from_scenario", "to_scenario", "delta_a"))
@@ -535,7 +537,12 @@ def run_kernel_diff(config: ExperimentConfig) -> ExperimentResult:
         if sid_from not in ks:
             continue
         with _recorded(result, sid_from):
-            ratios = {sid_to: discrepancy_ratio(*totals[sid_from, sid_to]) for sid_to in ks}
+            ratios = {}
+            for sid_to in ks:
+                try:
+                    ratios[sid_to] = discrepancy_ratio(*totals[sid_from, sid_to])
+                except AssemblyError as exc:
+                    raise AssemblyError(f"{sid_from} -> {sid_to}: {exc}") from exc
             for sid_to, delta_a in ratios.items():
                 result.table.add_row(from_scenario=sid_from, to_scenario=sid_to, delta_a=delta_a)
     return result

@@ -9,10 +9,12 @@ of ``ForwardMatrix``, which keeps no dense matrix. Comparing
 the two isolates the constitutive linearization error; comparing their
 sample covariances with the propagated theoretical covariance closes the
 loop on the statistical chain. Closure has one path:
-:func:`shared_closure_covariances` streams both sample covariances of
-every scenario of a run from one draw, and :func:`closure_from_covariances`
-compares them with the theory. Synthesis is noise-free throughout: the
-additive noise floor enters analytically downstream. Every path takes the
+:func:`shared_closure_covariances` streams the linear sample covariance of
+every scenario of a run from one draw, and the exact-mode covariance as a
+control variate on it, which needs exact snapshots of the draw's first
+tenth only; :func:`closure_from_covariances` compares them with the
+theory. Synthesis is noise-free throughout: the additive noise floor
+enters analytically downstream. Every path takes the
 forward operator alone: its frequencies come from ``forward.geometry`` and
 its background from ``forward.scenario``.
 
@@ -47,9 +49,9 @@ on another is refused before the first draw. Each block's standard normals
 are drawn once and mixed once by its root, in place for a separable factor
 (:meth:`SpatialCorrelation.mix`); each
 scenario then applies only its 5x5 parameter factor and reduces the
-block's snapshots into one MN x MN sum of y y^H per mode. At its peak it
-holds two blocks, the spatially mixed normals and one scenario's samples,
-and two chunks while one is evaluated: the contrast being written and the
+block's snapshots into two MN x MN sums, of the linear y y^H and of the
+exact correction. At its peak it holds two blocks, the spatially mixed
+normals and one scenario's samples, and two chunks while one is evaluated: the contrast being written and the
 Cole-Cole kernel's real and imaginary parts. The validity scan holds one
 block of base samples and its linear snapshots, which it synthesizes
 once; per chunk it holds the linear contrast, formed once for all
@@ -70,6 +72,8 @@ import numpy as np
 from .constitutive import (
     DENOMINATOR_FLOOR,
     N_PARAMS,
+    PARAMETER_NAMES,
+    check_tau_floor,
     exact_contrast_field,
 )
 from .errors import (ConfigError, DomainError, GprClutterError, NonFiniteError, TauFloorError,
@@ -102,6 +106,11 @@ SAMPLE_BLOCK = 64
 #: normals and the mixed rows of one block, and one row group of the
 #: spatial mix.
 SAMPLE_BLOCK_BYTES = 2 * 2**20
+
+#: Closure forms exact snapshots for the first L' = ceil(L / EXACT_SUBSET_DIVISOR)
+#: samples of its draw only. A tenth keeps every exact column's paired move
+#: against the full-L exact estimate within a tenth of its spread across seeds.
+EXACT_SUBSET_DIVISOR = 10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -259,7 +268,7 @@ def _exact_walk(forward: ForwardMatrix, samples: np.ndarray, scales: tuple[float
     # reads the contiguous (rows, P) slice contrast[n] and writes the
     # columns of transmit n in place.
     kernels = forward.kernels.reshape(forward.n_tx, forward.n_rx, -1).transpose(0, 2, 1)
-    for rows in row_slices(len(samples), EXACT_CHUNK_VALUES // (forward.n_tx * forward.n_cells)):
+    for rows in _exact_chunks(forward, len(samples)):
         # (5, 1, rows, P) against (N, 1, 1): see the module docstring.
         unit = samples[rows].reshape(-1, N_PARAMS, forward.n_cells).transpose(1, 0, 2)[:, None]
         for k, scale in enumerate(scales):
@@ -268,15 +277,29 @@ def _exact_walk(forward: ForwardMatrix, samples: np.ndarray, scales: tuple[float
                 contrast = exact_contrast_field(
                     forward.scenario.background, unit if scale == 1.0 else scale * unit, omegas)
             except (TauFloorError, NonFiniteError) as exc:
-                first, last = start + rows.start, start + rows.stop - 1
-                frequency, sample, cell = exc.index
-                raise exc.moved((first + sample, frequency, cell),
-                                f"samples {first}..{last}: ") from exc
+                raise _in_ensemble(exc, start, rows.start, rows) from exc
             snapshots = np.empty((rows.stop - rows.start, forward.shape[0]), dtype=complex)
             np.matmul(contrast, kernels,
                       out=snapshots.reshape(-1, forward.n_tx, forward.n_rx).transpose(1, 0, 2))
             yield rows, k, contrast, snapshots
             del contrast, snapshots  # freed before the next evaluation
+
+
+def _exact_chunks(forward: ForwardMatrix, count: int) -> list[slice]:
+    """The exact walk's chunks of ``count`` samples: at most EXACT_CHUNK_VALUES values of contrast."""
+    return row_slices(count, EXACT_CHUNK_VALUES // (forward.n_tx * forward.n_cells))
+
+
+def _in_ensemble(error: DomainError, start: int, offset: int, chunk: slice) -> DomainError:
+    """``error`` at (frequency, sample, cell) of the block rows from ``offset``, renumbered.
+
+    The block's first row is sample ``start`` of the ensemble; the message
+    names the ensemble samples of ``chunk``, the block's chunk that holds
+    the sample.
+    """
+    frequency, sample, cell = error.index
+    return error.moved((start + offset + sample, frequency, cell),
+                       f"samples {start + chunk.start}..{start + chunk.stop - 1}: ")
 
 
 def snapshots_from_perturbations(forward: ForwardMatrix, samples: np.ndarray, mode: str, *,
@@ -337,7 +360,7 @@ def shared_closure_covariances(
     count: int,
     seed: int,
 ) -> list[tuple[np.ndarray, np.ndarray] | GprClutterError]:
-    """Closure sample covariances of several models from one draw of ``count`` samples.
+    """Closure covariance estimates of several models from one draw of ``count`` samples.
 
     ``models`` holds (forward, cov) pairs that share one ``cov.spatial``,
     whose cell count sets the dimension of every draw. Before the first
@@ -346,15 +369,20 @@ def shared_closure_covariances(
     same instance.
     The standard normals of each block of :func:`row_slices` are drawn
     once and mixed once by that root; each model applies its parameter
-    factor, synthesizes the samples in both modes and adds their y y^H into
-    one MN x MN sum per mode. A model's sums equal those of
+    factor and adds the y y^H of its linear snapshots into one MN x MN sum,
+    and, for the first L' = ceil(L / EXACT_SUBSET_DIVISOR) samples only,
+    y_e y_e^H - y y^H of their exact snapshots y_e into a second
+    (:func:`_add_outer_products`). A model's sums equal those of
     :func:`sample_covariance` on its full snapshot arrays up to summation
     order (Chan, Golub & LeVeque, Am. Stat. 1983). Sample i is the same for
     every model, and the same as a one-model run gives.
 
-    Returns, per model, its (linear, exact) sample covariances, or the
-    :class:`GprClutterError` of the failed check, or the DomainError of its
-    exact contrast in a block, that dropped it; the other models go on.
+    Returns, per model, its linear sample covariance R_lin(L) and the
+    control-variate estimate R_lin(L) + [R_exact(L') - R_lin(L')] of the
+    exact-mode covariance (Nelson, Oper. Res. 1990; Giles, Acta Numer.
+    2015), or the :class:`GprClutterError` of the failed check, or the
+    DomainError of its exact contrast or tau floor in a block, that dropped
+    it; the other models go on.
     """
     if count < 2:
         raise ConfigError("closure needs at least two snapshots per mode")
@@ -377,9 +405,11 @@ def shared_closure_covariances(
             outcomes[index] = exc
             continue
         size = forward.shape[0]
-        sums[index] = {mode: np.zeros((size, size), dtype=complex) for mode in SNAPSHOT_MODES}
+        sums[index] = {term: np.zeros((size, size), dtype=complex)
+                       for term in ("linear", "correction")}
     if not sums:
         return outcomes
+    exact_count = -(-count // EXACT_SUBSET_DIVISOR)
     dim = N_PARAMS * correlation.n_cells
     for block in row_slices(count, min(SAMPLE_BLOCK, SAMPLE_BLOCK_BYTES // (8 * dim))):
         if not sums:
@@ -389,14 +419,15 @@ def shared_closure_covariances(
             dim, block.stop - block.start, seed, start=block.start))
         for index in list(sums):
             try:
-                _add_outer_products(models[index], spatial, block.start, sums[index])
+                _add_outer_products(models[index], spatial, block.start, exact_count,
+                                    sums[index])
             except DomainError as exc:
                 outcomes[index] = _without_locals(exc)
                 del sums[index]
         del spatial  # freed before the next block's draw
     for index, totals in sums.items():
-        outcomes[index] = (_hermitian_mean(totals["linear"], count),
-                           _hermitian_mean(totals["exact"], count))
+        linear = _hermitian_mean(totals["linear"], count)
+        outcomes[index] = (linear, linear + _hermitian_mean(totals["correction"], exact_count))
     return outcomes
 
 
@@ -404,20 +435,42 @@ def _add_outer_products(
     model: tuple[ForwardMatrix, PerturbationCovariance],
     spatial: np.ndarray,
     start: int,
+    exact_count: int,
     totals: dict[str, np.ndarray],
 ) -> None:
-    """Add y y^H of one block, mixed by ``model``'s parameter factor, to its sum per mode.
+    """Add one block's outer products, mixed by ``model``'s parameter factor, to its two sums.
 
-    ``spatial`` is the block's :meth:`SpatialCorrelation.mix` rows, shared by every
-    model. The block's samples and snapshots are this call's own: they are
-    freed when it returns, before the next model mixes the block.
+    ``spatial`` is the block's :meth:`SpatialCorrelation.mix` rows, shared
+    by every model, and its first row is sample ``start``. Every row adds
+    y y^H of its linear snapshot y to ``totals["linear"]``. The rows of
+    samples below ``exact_count`` add y_e y_e^H - y y^H of their exact
+    snapshots y_e to ``totals["correction"]``. The other rows form no exact
+    contrast; their perturbed tau is checked against the floor as the exact
+    walk checks it, and a hit is named as the walk would name it. The
+    block's samples and snapshots are this call's own: they are freed when
+    it returns, before the next model mixes the block.
     """
     forward, cov = model
     samples = _parameter_mix(cov, spatial)
-    for mode, total in totals.items():
-        snapshots = snapshots_from_perturbations(forward, samples, mode, start=start)
-        total += snapshots.T @ snapshots.conj()
-        del snapshots  # freed before the next mode's synthesis
+    linear = snapshots_from_perturbations(forward, samples, "linear", start=start)
+    totals["linear"] += linear.T @ linear.conj()
+    exact_rows = min(max(exact_count - start, 0), len(samples))
+    if exact_rows:
+        exact = snapshots_from_perturbations(forward, samples[:exact_rows], "exact", start=start)
+        linear = linear[:exact_rows]
+        # (y_e - y)(y_e + y)^H, whose Hermitian part is y_e y_e^H - y y^H: one
+        # product, of the small difference.
+        totals["correction"] += (exact - linear).T @ (exact + linear).conj()
+    if exact_rows < len(samples):
+        tau = PARAMETER_NAMES.index("tau") * forward.n_cells
+        try:
+            check_tau_floor(forward.scenario.background,
+                            samples[None, exact_rows:, tau:tau + forward.n_cells])
+        except TauFloorError as exc:
+            row = exact_rows + exc.index[1]
+            chunk = next(rows for rows in _exact_chunks(forward, len(samples))
+                         if row < rows.stop)
+            raise _in_ensemble(exc, start, exact_rows, chunk) from exc
 
 
 def _without_locals(error: GprClutterError) -> GprClutterError:

@@ -411,21 +411,23 @@ def distance_table(geometry: SceneGeometry, points: np.ndarray) -> DistanceTable
     2,435 values. Functions of the distance alone are evaluated once per
     distinct value and gathered through the int32 indices. A distance
     below ``MIN_SEPARATION`` is a NearSingularityError naming the pair, and
-    one whose square exceeds the float range an AssemblyError naming it.
+    one whose square exceeds the float range an AssemblyError naming it: the
+    receiver or transmitter and the point.
     """
     distances = []
-    for antennas in (geometry.rx_positions, geometry.tx_positions):
+    for array, antennas in (("receiver", geometry.rx_positions),
+                            ("transmitter", geometry.tx_positions)):
         # dx^2 + dy^2 + dz^2, in np.sum's order, from (A, Q) squares.
         r = np.sqrt(sum(np.square(np.subtract.outer(a, q)) for a, q in zip(antennas.T, points.T)))
         if np.any(r < MIN_SEPARATION):
             ia, ib = np.unravel_index(int(np.argmin(r)), r.shape)
             raise NearSingularityError(
-                f"separation {float(r[ia, ib])!r} m between antenna {ia} and point {ib} "
+                f"separation {float(r[ia, ib])!r} m between {array} {ia} and point {ib} "
                 f"below the {MIN_SEPARATION} m kernel minimum"
             )
         if not np.all(r < math.inf):
             ia, ib = np.unravel_index(int(np.argmax(r)), r.shape)
-            raise AssemblyError(f"squared separation between antenna {ia} and point {ib} "
+            raise AssemblyError(f"squared separation between {array} {ia} and point {ib} "
                                 "exceeds the float range")
         distances.append(r)
     r_rx, r_tx = distances

@@ -118,7 +118,7 @@ def closure_statistic(theory, pseudo, snapshots, block_count=16):
 
 
 def closure_covariances(forward, cov, count, seed):
-    """Linear- and exact-mode sample covariances of one draw of ``count`` samples.
+    """Linear sample covariance and control-variate exact-mode estimate of one draw of ``count``.
 
     The one-model case of ``shared_closure_covariances``; its error is raised.
     """

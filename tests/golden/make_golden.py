@@ -4,6 +4,7 @@ Usage (from the repository root):
 
     PYTHONPATH=src python3 tests/golden/make_golden.py          # rewrite golden.json
     PYTHONPATH=src python3 tests/golden/make_golden.py --diff   # drift against it
+    PYTHONPATH=src python3 tests/golden/make_golden.py --columns tables.closure.eps_sub ...
 
 Runs every experiment whose table does not depend on the seed at
 GOLDEN_CONFIG, and the closure and validity scan at SEEDED_CONFIG, and
@@ -20,6 +21,11 @@ absolute and relative drift of the current outputs from golden.json, then
 every golden location the current outputs lack and every location only
 they have, by name. A tolerance for values at their rounding floor is
 taken from that listing under equivalent rewrites of the program.
+
+``--columns`` rewrites only the named table or report columns, as
+``--diff`` names them, and keeps every other value of golden.json byte
+for byte: a change that alters some outputs on purpose regenerates those
+alone.
 """
 
 from __future__ import annotations
@@ -168,18 +174,37 @@ def diff_lines(current: dict, golden: dict) -> list[str]:
     return lines
 
 
+def refresh(golden: dict, current: dict, columns) -> dict:
+    """``golden`` with each named table or report column taken from ``current``, in place."""
+    for column in columns:
+        section, name, key = column.split(".", 2)
+        if section not in ("tables", "reports"):
+            raise SystemExit(f"{column!r} is not a table or report column")
+        old, new = golden[section][name], current[section][name]
+        if len(old) != len(new):
+            raise SystemExit(f"{section}.{name} has {len(new)} entries, golden {len(old)}")
+        for want, got in zip(old, new) if section == "tables" else (
+                (old[sid], new[sid]) for sid in old):
+            want[key] = got[key]
+    return golden
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--diff", action="store_true",
                         help="print each column's drift from golden.json instead of writing it")
+    parser.add_argument("--columns", nargs="+", metavar="COLUMN",
+                        help="rewrite only these columns, as --diff names them")
     args = parser.parse_args(argv)
-    if args.diff:
+    if args.diff or args.columns:
         with open(GOLDEN_PATH, encoding="utf-8") as handle:
             golden = json.load(handle)
+    if args.diff:
         print("\n".join(diff_lines(collect(), golden)))
         return 0
+    doc = refresh(golden, collect(), args.columns) if args.columns else collect()
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(collect(), handle, indent=1, sort_keys=True)
+        json.dump(doc, handle, indent=1, sort_keys=True)
         handle.write("\n")
     print(f"wrote {GOLDEN_PATH}")
     return 0

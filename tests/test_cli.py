@@ -401,11 +401,11 @@ def test_build_forward_persists_matrix_and_sidecar(tmp_path):
 
 @pytest.mark.parametrize("geometry, message", [
     ("{n_tx: 1, n_rx: 1, n_x: 1, n_z: 1, dz: 1.0e-6}",
-     "separation 5e-07 m between antenna 0 and point 0 below the 1e-06 m kernel minimum"),
+     "separation 5e-07 m between transmitter 0 and point 0 below the 1e-06 m kernel minimum"),
     ("{n_tx: 1, n_rx: 1, n_x: 1, n_z: 1, element_spacing: 1.0e-5, dz: 2.0e-6, "
      "strip_width: 1.0e+308}", "non-finite forward kernel at (m=0, n=0, p=0)"),
     ("{n_tx: 4, n_rx: 1, n_x: 1, n_z: 1, element_spacing: 1.0e+308}",
-     "squared separation between antenna 0 and point 0 exceeds the float range"),
+     "squared separation between receiver 0 and point 0 exceeds the float range"),
 ], ids=["near-singularity", "kernel-overflow", "distance-overflow"])
 def test_build_forward_refusal_exits_2_by_name_and_writes_no_matrix(tmp_path, capsys,
                                                                     geometry, message):
@@ -576,7 +576,8 @@ def test_a_start_medium_of_zero_norm_is_recorded_and_the_run_goes_on(tmp_path, c
     out = tmp_path / "results"
     assert main(["--config", str(config_path), "--out", str(out), command]) == 2
     assert json.loads((out / "kernel_diff_errors.json").read_text()) == {
-        "S4": "reference forward operator has zero norm: its relative discrepancy is undefined"}
+        "S4": "S4 -> S4: reference forward operator has zero norm: "
+              "its relative discrepancy is undefined"}
     rows = json.loads((out / "kernel_diff.json").read_text())["rows"]
     assert [(row["from_scenario"], row["to_scenario"]) for row in rows] == [
         ("S1", "S4"), ("S1", "S1"), ("S1", "free_space")]
@@ -593,13 +594,18 @@ def test_a_start_medium_of_zero_norm_is_recorded_and_the_run_goes_on(tmp_path, c
 def test_an_operator_norm_beyond_the_float_range_is_recorded_with_no_row(tmp_path):
     # tests/discrepancy_overflow.yaml: finite kernels on a 1e308 m strip.
     # kernel-diff once wrote S1 -> S2 as 0.0 and S1 -> free_space as NaN.
-    # S2 -> S1 and S2 -> S2 are finite but go with S2's refusal.
+    # S2 -> S1 and S2 -> S2 are finite but go with S2's refusal. Each
+    # refusal names its first overflowing pair and both of its norms: S1's
+    # own norm overflows, and S2's difference from free space.
     config = os.path.join(os.path.dirname(__file__), "discrepancy_overflow.yaml")
     out = tmp_path / "results"
     assert main(["--config", config, "--out", str(out), "kernel-diff"]) == 2
-    refusal = "forward operator norm exceeds the float range: its relative discrepancy is undefined"
+    refusal = ("{}: forward operator norm exceeds the float range ({}): "
+               "its relative discrepancy is undefined")
     assert json.loads((out / "kernel_diff_errors.json").read_text()) == {
-        "S1": refusal, "S2": refusal}
+        "S1": refusal.format("S1 -> S1", "difference norm 0.0, reference norm inf"),
+        "S2": refusal.format("S2 -> free_space",
+                             "difference norm inf, reference norm 8.431934039870769e+307")}
     assert (out / "kernel_diff.csv").read_text() == "from_scenario,to_scenario,delta_a\n"
 
 
@@ -750,18 +756,22 @@ def test_closure_with_one_sample_exits_2_and_is_recorded(tmp_path):
 
 
 @pytest.mark.parametrize(("channel", "value", "message"), [
-    (2, -1e-12, "perturbed tau at index (51, 0, 2)"),
+    (2, -1e-12, "perturbed tau at index (13, 0, 2)"),
     # S1's omega tau is about 6e-4: (omega tau)^(1 - 400) overflows at every frequency.
-    (3, 400.0, "exact contrast overflow at omega=628318530.7179586, index (51, 0, 2); "
+    (3, 400.0, "exact contrast overflow at omega=628318530.7179586, index (13, 0, 2); "
                "offending parameter 'alpha'"),
 ], ids=["tau_floor", "overflow"])
 def test_closure_failure_in_a_later_block_drops_only_its_scenario(
     tmp_path, monkeypatch, channel, value, message
 ):
-    # S1 and S4 share one streamed draw of 150 samples in ceil(150 / 64) = 3
-    # balanced blocks of 50. S1's exact contrast fails in its second block, at the tau floor or by
-    # overflow: its error keeps the ensemble numbering, and S4's row and
-    # matrices are those of a run without S1.
+    # S1 and S4 share one streamed draw of 150 samples, in 25 blocks of 6
+    # under a byte budget of 6 samples (3 x 2 cells: 30 entries of 8 bytes
+    # each). Exact contrast is formed for the first L' = 15 samples: blocks
+    # 0..5 and 6..11 whole and rows 12..14 of the third. S1's fails in that
+    # third block, at the tau floor or by overflow: its error keeps the
+    # ensemble numbering, and S4's row and matrices are those of a run
+    # without S1.
+    monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK_BYTES", 6 * 8 * 30)
     config_path = tmp_path / "two.yaml"
     config_path.write_text(
         "scenarios: [S1, S4]\n"
@@ -779,7 +789,7 @@ def test_closure_failure_in_a_later_block_drops_only_its_scenario(
     def flaky(background, delta, omega):
         if background == failing:
             chunks.append(delta.shape[2])  # delta is (5, 1, samples, cells)
-            if len(chunks) == 2:
+            if len(chunks) == 3:
                 delta = delta.copy()
                 delta[channel, 0, 1, 2] = value  # sample 1 of the chunk, cell 2
         return original(background, delta, omega)
@@ -788,10 +798,10 @@ def test_closure_failure_in_a_later_block_drops_only_its_scenario(
     out = str(tmp_path / "shared")
     assert main(["--config", str(config_path), "--out", out,
                  "closure", "--dump-matrices"]) == 2
-    assert chunks == [50, 50]
+    assert chunks == [6, 6, 3]
     errors = json.loads(open(os.path.join(out, "closure_errors.json")).read())
     assert list(errors) == ["S1"]
-    assert errors["S1"].startswith(f"samples 50..99: {message}")
+    assert errors["S1"].startswith(f"samples 12..14: {message}")
     rows = json.loads(open(os.path.join(out, "closure.json")).read())["rows"]
     assert rows == json.loads(open(os.path.join(solo, "closure.json")).read())["rows"]
     matrices = sorted(name for name in os.listdir(out) if name.endswith(".cmat"))

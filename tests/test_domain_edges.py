@@ -60,19 +60,22 @@ COVARIANCE_RUNS = ("run_fda_scan", "run_closure", "run_lx_scan", "run_coupling_s
 COVARIANCE_OVERFLOW = dict.fromkeys(COVARIANCE_RUNS, "covariance overflows: ")
 
 #: Float-range reproducers, each with the experiments that record an error
-#: and the start of every such error; the other experiments record none.
+#: and the start of every such error (or a tuple of the starts allowed); the
+#: other experiments record none.
 FLOAT_RANGE = {
     # Every theoretical covariance overflows.
     _reproducer("amplitude_overflow.yaml"): COVARIANCE_OVERFLOW,
     _reproducer("gram_overflow.yaml"): COVARIANCE_OVERFLOW,
     # The kernels are finite, the operator norms and covariances are not.
     _reproducer("discrepancy_overflow.yaml"): dict(
-        COVARIANCE_OVERFLOW, run_kernel_diff="forward operator norm exceeds the float range"),
+        COVARIANCE_OVERFLOW, run_kernel_diff=tuple(
+            f"{pair}: forward operator norm exceeds the float range"
+            for pair in ("S1 -> S1", "S2 -> free_space"))),
     # Every experiment but the derivative check forms kernels.
     _reproducer("kernel_overflow.yaml"): dict.fromkeys(
         (run.__name__ for run in RUNS[1:]), "non-finite forward kernel at (m=0, n=0, p=0)"),
     _reproducer("distance_overflow.yaml"): dict.fromkeys(
-        (run.__name__ for run in RUNS[1:]), "squared separation between antenna "),
+        (run.__name__ for run in RUNS[1:]), "squared separation between receiver 0 and point 0 "),
 }
 FLOAT_RANGE_CONFIGS = tuple(FLOAT_RANGE)
 

@@ -383,9 +383,10 @@ def _traced_peak(run):
 
 @pytest.mark.parametrize("s4_amplitude", [1.0, 1e4], ids=["both-run", "s4-dropped"])
 def test_closure_holds_one_block_and_one_chunk_at_a_time(monkeypatch, s4_amplitude):
-    # P = 432 cells: 130 samples in ceil(130 / 64) = 3 balanced blocks of
-    # 44, 43 and 43 samples, the first of 0.73 MiB, and exact chunks of at
-    # most 18 samples, 0.95 MiB of complex contrast. At its peak closure
+    # P = 432 cells: 540 samples in ceil(540 / 64) = 9 balanced blocks of
+    # 60 samples, 0.99 MiB each, and exact chunks of at most 18 samples,
+    # 0.95 MiB of complex contrast: the L' = 54 exact samples are the first
+    # block's three chunks of 18. At its peak closure
     # holds the block's normals and one model's samples (two blocks) and,
     # evaluating one chunk, the contrast being written and the kernel's real
     # and imaginary parts (two chunks), plus the chunk's perturbed states,
@@ -408,14 +409,14 @@ def test_closure_holds_one_block_and_one_chunk_at_a_time(monkeypatch, s4_amplitu
     at_draw.clear()
     outcomes = []
     peak = _traced_peak(
-        lambda: outcomes.extend(shared_closure_covariances(models, 130, 3)))
+        lambda: outcomes.extend(shared_closure_covariances(models, 540, 3)))
     assert isinstance(outcomes[1], TauFloorError) == (s4_amplitude > 1.0)
     dim = models[0][1].dim
-    size = 44
+    size = 60
     block = 8 * dim * size
     chunk = 16 * _chunk_rows(geometry) * geometry.frequencies.size * geometry.n_cells
     assert peak < 2 * block + 3 * chunk
-    assert len(at_draw) == 3
+    assert len(at_draw) == 9
     assert max(at_draw[1:]) - at_draw[0] < 16 * size * models[0][0].shape[0]
 
 
@@ -585,20 +586,83 @@ def test_exact_synthesis_is_invariant_to_the_chunk_budget(monkeypatch):
     assert report_rows.recommended_s_mu == report.recommended_s_mu
 
 
+def _matches(rhat, oracle):
+    return np.linalg.norm(rhat - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+
 @pytest.mark.parametrize("block", [None, 10], ids=["default-budget", "binding-budget"])
 def test_streamed_closure_covariances_match_the_full_snapshot_arrays(monkeypatch, block):
     # L = 150 streams as three blocks of 50 samples, or with a byte budget
-    # of 10 samples as 15 blocks of 10.
+    # of 10 samples as 15 blocks of 10. The L' = 15 exact samples lie in the
+    # first block, or fill the first and end inside the second. The exact
+    # estimate is the control variate R_lin(L) + R_exact(L') - R_lin(L') of
+    # the full snapshot arrays.
     geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
     if block is not None:
         monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK_BYTES", block * 8 * cov.dim)
     samples = sample_perturbations(cov, 150, seed=11)
+    linear, exact = (snapshots_from_perturbations(forward, samples, mode)
+                     for mode in SNAPSHOT_MODES)
+    subset = 150 // montecarlo.EXACT_SUBSET_DIVISOR
+    assert subset == 15
+    rhat_linear = sample_covariance(linear)
+    correction = sample_covariance(exact[:subset]) - sample_covariance(linear[:subset])
     streamed = closure_covariances(forward, cov, 150, 11)
-    for mode, rhat in zip(SNAPSHOT_MODES, streamed):
-        snapshots = snapshots_from_perturbations(forward, samples, mode)
-        full = sample_covariance(snapshots)
+    for rhat, oracle in zip(streamed, (rhat_linear, rhat_linear + correction)):
         assert np.array_equal(rhat, rhat.conj().T)
-        assert np.linalg.norm(rhat - full) <= 1e-13 * np.linalg.norm(full)
+        assert _matches(rhat, oracle)
+    # The bound tells the estimator from two wrong ones: the exact subset
+    # alone, and the correction with its sign flipped.
+    assert not _matches(sample_covariance(exact[:subset]), rhat_linear + correction)
+    assert not _matches(rhat_linear - correction, rhat_linear + correction)
+
+
+def test_closure_forms_exact_contrast_for_the_first_tenth_of_the_draw_only(monkeypatch):
+    # 150 samples in blocks of 10: exact synthesis runs on samples 0..14
+    # alone, the first block whole and the second's first five rows, while
+    # every sample is synthesized linearly once.
+    geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
+    monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK_BYTES", 10 * 8 * cov.dim)
+    synthesize, calls = montecarlo.snapshots_from_perturbations, []
+
+    def counting(forward, samples, mode, *, start=0):
+        calls.append((mode, start, len(samples)))
+        return synthesize(forward, samples, mode, start=start)
+
+    monkeypatch.setattr(montecarlo, "snapshots_from_perturbations", counting)
+    closure_covariances(forward, cov, 150, 11)
+    assert [call for call in calls if call[0] == "exact"] == [("exact", 0, 10), ("exact", 10, 5)]
+    assert [call[1:] for call in calls if call[0] == "linear"] == [
+        (start, 10) for start in range(0, 150, 10)]
+
+
+def test_the_control_variate_tracks_the_full_exact_estimate_over_seeds():
+    # S4, the scenario of the largest linearization gap, at L = 200 on a
+    # 4 x 3 grid. For each of 30 seeds closure's exact columns are formed
+    # from the streamed control variate (L' = 20) and from the exact
+    # snapshots of all L samples. Each column's largest paired |difference|
+    # stays below a tenth of its standard deviation across the seeds; it
+    # reads 0.026, 0.026 and 0.017 of it for eps_cov_exact, eps_lambda and
+    # eps_sub. The exact subset alone reads 7.4, 7.2 and 12.4: it fails.
+    geometry = build_default_geometry(GeometryConfig(n_tx=2, n_rx=2, n_x=4, n_z=3))
+    scenario = get_scenario("S4")
+    forward = assemble_forward(scenario, geometry)
+    cov = build_covariance(scenario, geometry, 0.15, 0.3, np.ones(5), 1.0)
+    theory = clutter_covariance(forward, cov)
+    summary = spectral_summary(theory)
+    columns = {name: [] for name in ("full", "control", "subset")}
+    for seed in range(1, 31):
+        exact = snapshots_from_perturbations(
+            forward, sample_perturbations(cov, 200, seed), "exact")
+        rhat_linear, control = closure_covariances(forward, cov, 200, seed)
+        for name, rhat in (("full", sample_covariance(exact)), ("control", control),
+                           ("subset", sample_covariance(exact[:20]))):
+            report = closure_from_covariances(theory, summary, rhat_linear, rhat, 200)
+            columns[name].append((report.eps_cov_exact, report.eps_lambda, report.eps_sub))
+    full = np.array(columns["full"])
+    bound = 0.1 * full.std(axis=0, ddof=1)
+    assert np.all(np.abs(np.array(columns["control"]) - full).max(axis=0) <= bound)
+    assert np.all(np.abs(np.array(columns["subset"]) - full).max(axis=0) > bound)
 
 
 def _root_models(specs):
@@ -943,3 +1007,22 @@ def test_tau_floor_error_names_the_ensemble_sample(
     for error, rows in ((closure_error.value, closure_rows), (scan_error.value, scan_rows)):
         assert error.index == (sample, 0, 9)
         assert str(error).startswith(f"samples {rows}: perturbed tau at index ({sample}, 0, 9)")
+
+
+@pytest.mark.parametrize(("sample", "rows"), [(18, "10..19"), (22, "13..25"), (199, "188..199")],
+                         ids=["exact-subset", "straddling-chunk", "last-block"])
+def test_closure_refuses_a_tau_floor_hit_beyond_the_exact_subset_by_name(
+    monkeypatch, sample, rows
+):
+    # 200 samples are four blocks of 50, and L' = 20. The exact walk takes
+    # the first block's rows 0..19 in chunks 0..9 and 10..19. The block's
+    # other rows, and every later block, form no exact contrast: their tau
+    # is checked in the block's own chunks of at most 15 samples, 0..12,
+    # 13..25, 26..37 and 38..49 in the first and 188..199 last in the
+    # fourth, and a hit is named as the walk names it.
+    geometry, scenario, forward, cov = _setup(sid="S4", n_x=4, n_z=3)
+    _tau_floor_hit(monkeypatch, scenario, geometry, sample, 9)
+    with pytest.raises(TauFloorError) as error:
+        closure_covariances(forward, cov, 200, 3)
+    assert error.value.index == (sample, 0, 9)
+    assert str(error.value).startswith(f"samples {rows}: perturbed tau at index ({sample}, 0, 9)")
